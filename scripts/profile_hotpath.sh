@@ -12,13 +12,15 @@
 #   scripts/profile_hotpath.sh [--bench bench_interpreter|bench_simulator]
 #                              [--out DIR]
 #
-# Output lands in DIR (default profile-out/): perf.data + report.txt, or
+# Output lands in DIR (default: profile-out/ in the repo root; a relative
+# DIR is taken from the current directory): perf.data + report.txt, or
 # gmon.out + gprof.txt. The report's top entries are echoed to stdout.
 
 set -euo pipefail
 
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH=bench_interpreter
-OUT=profile-out
+OUT="$ROOT/profile-out"
 while [ $# -gt 0 ]; do
   case "$1" in
     --bench) BENCH="$2"; shift 2 ;;
@@ -33,9 +35,11 @@ case "$BENCH" in
   *) echo "profile_hotpath: unsupported bench: $BENCH" >&2; exit 2 ;;
 esac
 
-ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-cd "$ROOT"
+# Resolve DIR before leaving the caller's directory: the gprof run below
+# changes into it, so every path must be absolute.
 mkdir -p "$OUT"
+OUT="$(cd "$OUT" && pwd)"
+cd "$ROOT"
 
 # perf needs both the binary and the kernel's cooperation; a container
 # with perf installed but perf_event_paravirt disabled still fails, so
@@ -51,7 +55,7 @@ if have_perf; then
     >/dev/null
   cmake --build build-profile -j --target "$BENCH" >/dev/null
   perf record -g -o "$OUT/perf.data" -- \
-    "./build-profile/bench/$BENCH" --bench-out "$OUT" >/dev/null
+    "$ROOT/build-profile/bench/$BENCH" --bench-out "$OUT" >/dev/null
   perf report -i "$OUT/perf.data" --stdio >"$OUT/report.txt"
   echo "report: $OUT/report.txt (top of the profile below)"
   grep -m 25 -v '^#' "$OUT/report.txt" | sed '/^$/d' | head -25
@@ -64,8 +68,8 @@ if command -v g++ >/dev/null 2>&1; then
     -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
   cmake --build build-profile -j --target "$BENCH" >/dev/null
   # gmon.out is dropped in the working directory of the profiled process.
-  (cd "$OUT" && "../build-profile/bench/$BENCH" --bench-out . >/dev/null)
-  gprof "build-profile/bench/$BENCH" "$OUT/gmon.out" >"$OUT/gprof.txt"
+  (cd "$OUT" && "$ROOT/build-profile/bench/$BENCH" --bench-out . >/dev/null)
+  gprof "$ROOT/build-profile/bench/$BENCH" "$OUT/gmon.out" >"$OUT/gprof.txt"
   echo "report: $OUT/gprof.txt (flat profile below)"
   awk '/^ *time/{found=1} found' "$OUT/gprof.txt" | head -25
   exit 0

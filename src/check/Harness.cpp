@@ -26,69 +26,42 @@ constexpr unsigned ExchangeAttempts = 1;
 ContainerAdapter::ContainerAdapter(const Scenario &S, Mutation Mut,
                                    rmc::Machine &M, spec::SpecMonitor &Mon)
     : L(S.L) {
+  assert((Mut == Mutation::None || mutationLib(Mut) == S.L) &&
+         "mutation seeded into a library that does not own it");
   switch (S.L) {
   case Lib::MsQueue:
-    if (Mut == Mutation::None)
-      Q = std::make_unique<lib::MsQueue>(M, Mon, "q");
-    else
-      Q = std::make_unique<MutMsQueue>(M, Mon, "q", Mut);
+    Q = std::make_unique<lib::MsQueue>(
+        M, Mon, "q", lib::MsQueue::SyncProfile::RelAcq, Mut);
     Obj = Q->objId();
     break;
   case Lib::HwQueue:
-    assert(Mut == Mutation::None && "no HwQueue mutants");
     Q = std::make_unique<lib::HwQueue>(M, Mon, "q", S.Capacity);
     Obj = Q->objId();
     break;
   case Lib::TreiberStack:
-    if (Mut == Mutation::None)
-      Stk = std::make_unique<lib::TreiberStack>(M, Mon, "s");
-    else
-      Stk = std::make_unique<MutTreiberStack>(M, Mon, "s", Mut);
+    Stk = std::make_unique<lib::TreiberStack>(M, Mon, "s", Mut);
     Obj = Stk->objId();
     break;
   case Lib::TreiberEbr:
-    if (Mut == Mutation::None)
-      Stk = std::make_unique<lib::TreiberStackEbr>(
-          M, Mon, "s", static_cast<unsigned>(S.Threads.size()));
-    else
-      Stk = std::make_unique<MutTreiberStackEbr>(
-          M, Mon, "s", static_cast<unsigned>(S.Threads.size()), Mut);
+    Stk = std::make_unique<lib::TreiberStackEbr>(
+        M, Mon, "s", static_cast<unsigned>(S.Threads.size()), Mut);
     Obj = Stk->objId();
     break;
   case Lib::ElimStack:
-    assert(Mut == Mutation::None && "no ElimStack mutants");
     Elim = std::make_unique<lib::ElimStack>(M, Mon, "es");
     Obj = DerivedEsObj; // Events are checked on the derived graph.
     break;
   case Lib::Exchanger:
-    if (Mut == Mutation::None) {
-      Ex = std::make_unique<lib::Exchanger>(M, Mon, "x");
-      Obj = Ex->objId();
-    } else {
-      assert(Mut == Mutation::ExchangerEchoValue);
-      MEx = std::make_unique<MutExchanger>(M, Mon, "x");
-      Obj = MEx->objId();
-    }
+    Ex = std::make_unique<lib::Exchanger>(M, Mon, "x", Mut);
+    Obj = Ex->objId();
     break;
   case Lib::SpscRing:
-    if (Mut == Mutation::None) {
-      Ring = std::make_unique<lib::SpscRing>(M, Mon, "r", S.Capacity);
-      Obj = Ring->objId();
-    } else {
-      assert(Mut == Mutation::SpscRelaxedTailPublish);
-      MRing = std::make_unique<MutSpscRing>(M, Mon, "r", S.Capacity);
-      Obj = MRing->objId();
-    }
+    Ring = std::make_unique<lib::SpscRing>(M, Mon, "r", S.Capacity, Mut);
+    Obj = Ring->objId();
     break;
   case Lib::WsDeque:
-    if (Mut == Mutation::None) {
-      Deq = std::make_unique<lib::WsDeque>(M, Mon, "d", S.Capacity);
-      Obj = Deq->objId();
-    } else {
-      assert(Mut == Mutation::WsDequeTakeNoFence);
-      MDeq = std::make_unique<MutWsDeque>(M, Mon, "d", S.Capacity);
-      Obj = MDeq->objId();
-    }
+    Deq = std::make_unique<lib::WsDeque>(M, Mon, "d", S.Capacity, Mut);
+    Obj = Deq->objId();
     break;
   }
 }
@@ -97,8 +70,8 @@ sim::Task<rmc::Value> ContainerAdapter::apply(sim::Env &E, Op O) {
   // Task awaits must go through named locals (see sim/Task.h).
   switch (O.Code) {
   case OpCode::Enq: {
-    if (Ring || MRing) {
-      auto T = Ring ? Ring->tryEnqueue(E, O.Arg) : MRing->tryEnqueue(E, O.Arg);
+    if (Ring) {
+      auto T = Ring->tryEnqueue(E, O.Arg);
       bool Ok = co_await T;
       co_return Ok ? O.Arg : 0;
     }
@@ -107,9 +80,7 @@ sim::Task<rmc::Value> ContainerAdapter::apply(sim::Env &E, Op O) {
     co_return O.Arg;
   }
   case OpCode::Deq: {
-    auto T = Ring    ? Ring->dequeue(E)
-             : MRing ? MRing->dequeue(E)
-                     : Q->dequeue(E);
+    auto T = Ring ? Ring->dequeue(E) : Q->dequeue(E);
     rmc::Value V = co_await T;
     co_return V;
   }
@@ -119,9 +90,7 @@ sim::Task<rmc::Value> ContainerAdapter::apply(sim::Env &E, Op O) {
       bool Ok = co_await T;
       co_return Ok ? O.Arg : graph::FailRaceVal;
     }
-    auto T = Deq    ? Deq->push(E, O.Arg)
-             : MDeq ? MDeq->push(E, O.Arg)
-                    : Stk->push(E, O.Arg);
+    auto T = Deq ? Deq->push(E, O.Arg) : Stk->push(E, O.Arg);
     co_await T;
     co_return O.Arg;
   }
@@ -136,18 +105,17 @@ sim::Task<rmc::Value> ContainerAdapter::apply(sim::Env &E, Op O) {
     co_return V;
   }
   case OpCode::Exchange: {
-    auto T = MEx ? MEx->exchange(E, O.Arg, ExchangeAttempts)
-                 : Ex->exchange(E, O.Arg, ExchangeAttempts);
+    auto T = Ex->exchange(E, O.Arg, ExchangeAttempts);
     rmc::Value V = co_await T;
     co_return V;
   }
   case OpCode::Take: {
-    auto T = MDeq ? MDeq->take(E) : Deq->take(E);
+    auto T = Deq->take(E);
     rmc::Value V = co_await T;
     co_return V;
   }
   case OpCode::Steal: {
-    auto T = MDeq ? MDeq->steal(E) : Deq->steal(E);
+    auto T = Deq->steal(E);
     rmc::Value V = co_await T;
     co_return V;
   }

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Turns a Scenario into a sim::Workload the explorer can run: a uniform
-/// Container-style adapter instantiates the scenario's library (pristine or
-/// mutated), per-thread coroutines execute the op lists while recording the
+/// Container-style adapter instantiates the scenario's library (pristine,
+/// or with one seeded lib::Mutation that the library applies itself),
+/// per-thread coroutines execute the op lists while recording the
 /// observed results, and the workload's Check closure hands every completed
 /// execution's event graph plus observations to the reference model
 /// (check/RefModel.h).
@@ -23,10 +24,10 @@
 #ifndef COMPASS_CHECK_HARNESS_H
 #define COMPASS_CHECK_HARNESS_H
 
-#include "check/Mutants.h"
 #include "check/RefModel.h"
 #include "check/Scenario.h"
 #include "lib/ElimStack.h"
+#include "lib/Exchanger.h"
 #include "lib/HwQueue.h"
 #include "lib/MsQueue.h"
 #include "lib/SpscRing.h"
@@ -63,16 +64,13 @@ public:
 
 private:
   Lib L;
-  // Exactly one of these is set, per (L, Mut).
-  std::unique_ptr<lib::SimQueue> Q;      ///< MsQueue/HwQueue or MutMsQueue.
-  std::unique_ptr<lib::SimStack> Stk;    ///< TreiberStack or MutTreiberStack.
+  // Exactly one of these is set, per L.
+  std::unique_ptr<lib::SimQueue> Q;   ///< MsQueue or HwQueue.
+  std::unique_ptr<lib::SimStack> Stk; ///< TreiberStack or TreiberStackEbr.
   std::unique_ptr<lib::ElimStack> Elim;
   std::unique_ptr<lib::Exchanger> Ex;
-  std::unique_ptr<MutExchanger> MEx;
   std::unique_ptr<lib::SpscRing> Ring;
-  std::unique_ptr<MutSpscRing> MRing;
   std::unique_ptr<lib::WsDeque> Deq;
-  std::unique_ptr<MutWsDeque> MDeq;
   unsigned Obj = 0; ///< Object id under which events are committed.
 };
 

@@ -305,8 +305,15 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
     // Strip trailing CR (files may be checked out with CRLF).
     if (!Line.empty() && Line.back() == '\r')
       Line.pop_back();
-    if (Line.empty() || Line[0] == '#')
+    if (Line.empty())
       continue;
+    if (Line[0] == '#') {
+      // The leading comment line is the note formatCorpusEntry writes as
+      // "# <note>"; later comments are ignored.
+      if (LineNo == 1)
+        Out.Note = Line.substr(Line.compare(0, 2, "# ") == 0 ? 2 : 1);
+      continue;
+    }
     size_t Eq = Line.find('=');
     if (Eq == std::string::npos) {
       Err = "line " + std::to_string(LineNo) + ": expected key=value";

@@ -8,9 +8,9 @@
 /// The value types of the conformance harness (DESIGN.md §7): a *scenario*
 /// is a bounded concurrent program over one library instance — per-thread
 /// straight-line operation lists plus the exploration knobs — compact
-/// enough to serialize, shrink, and replay. A *mutation* names one of the
-/// deliberately broken library variants (check/Mutants.h) used to prove
-/// the harness catches real relaxed-memory bugs. A *corpus entry* bundles
+/// enough to serialize, shrink, and replay. A *mutation* (lib::Mutation)
+/// names one fault seeded into a src/lib library, used to prove the
+/// harness catches real relaxed-memory bugs. A *corpus entry* bundles
 /// a shrunk counterexample (scenario + mutation + decision trace) for the
 /// regression corpus under tests/corpus/.
 ///
@@ -117,20 +117,9 @@ struct Scenario {
   std::string str() const;
 };
 
-/// The seeded library mutations; see check/Mutants.h for the broken
-/// implementations themselves.
-enum class Mutation : uint8_t {
-  None,
-  MsQueueRelaxedPublish,  ///< Enqueue's linking CAS relaxed, not release.
-  MsQueueSkipDeq,         ///< Dequeue skips over the head's successor.
-  TreiberRelaxedPopHead,  ///< Pop's head load relaxed, not acquire.
-  TreiberPopBelowTop,     ///< Pop removes the element *below* the top.
-  ExchangerEchoValue,     ///< Exchange returns the caller's own value.
-  SpscRelaxedTailPublish, ///< Producer's tail store relaxed, not release.
-  WsDequeTakeNoFence,     ///< Take's seq-cst fence removed.
-  EbrSkipGracePeriod,     ///< Epoch advance skips the announcement scan.
-  EbrEarlyUnpin           ///< Pop unpins before dereferencing the node.
-};
+/// The seeded library faults, defined beside the libraries that apply
+/// them (lib/Container.h).
+using lib::Mutation;
 
 inline constexpr unsigned NumMutations = 10; ///< Including None.
 
@@ -151,7 +140,7 @@ struct CorpusEntry {
   Scenario S;
   Mutation Mut = Mutation::None;
   std::vector<unsigned> Decisions;
-  std::string Note; ///< Free-form provenance (emitted as a # comment).
+  std::string Note; ///< Free-form provenance (the leading # comment line).
 };
 
 /// Serializes \p E in the line format of the file comment.

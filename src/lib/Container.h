@@ -41,6 +41,23 @@ enum class ContainerFamily : uint8_t {
 /// diagnostics and corpus files.
 const char *containerFamilyName(ContainerFamily F);
 
+/// The seeded library faults of the mutation campaign (src/check). A
+/// library that owns a fault takes the mutation as its last constructor
+/// argument and applies it at the one place the bug lives; any other
+/// value, None included, leaves it pristine.
+enum class Mutation : uint8_t {
+  None,
+  MsQueueRelaxedPublish,  ///< Enqueue's linking CAS relaxed, not release.
+  MsQueueSkipDeq,         ///< Dequeue skips over the head's successor.
+  TreiberRelaxedPopHead,  ///< Pop's head load relaxed, not acquire.
+  TreiberPopBelowTop,     ///< Pop removes the element *below* the top.
+  ExchangerEchoValue,     ///< Exchange returns the caller's own value.
+  SpscRelaxedTailPublish, ///< Producer's tail store relaxed, not release.
+  WsDequeTakeNoFence,     ///< Take's seq-cst fence removed.
+  EbrSkipGracePeriod,     ///< Epoch advance skips the announcement scan.
+  EbrEarlyUnpin           ///< Pop unpins before dereferencing the node.
+};
+
 /// A multi-producer multi-consumer queue on the simulated machine.
 class SimQueue {
 public:

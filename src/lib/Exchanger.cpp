@@ -12,8 +12,9 @@ using compass::graph::BottomVal;
 using compass::graph::EventId;
 using compass::graph::OpKind;
 
-Exchanger::Exchanger(Machine &M, spec::SpecMonitor &Mon, std::string Name)
-    : Mon(Mon) {
+Exchanger::Exchanger(Machine &M, spec::SpecMonitor &Mon, std::string Name,
+                     Mutation Mut)
+    : Mon(Mon), Mut(Mut) {
   Obj = Mon.registerObject(Name);
   Slot = M.alloc(Name + ".slot");
 }
@@ -43,7 +44,7 @@ Task<Value> Exchanger::exchange(Env &E, Value V, unsigned Attempts) {
       // Matched: the failing acquire CAS read the helper's release CAS,
       // acquiring both events (the local postcondition of Figure 5).
       co_await E.cas(Slot, Off, 0, MemOrder::Relaxed); // Cleanup.
-      co_return Cancel.Old;
+      co_return matched(V, Cancel.Old);
     }
 
     // An offer is present: try to be the helper.
@@ -63,7 +64,7 @@ Task<Value> Exchanger::exchange(Env &E, Value V, unsigned Attempts) {
                              static_cast<unsigned>(PartnerTid), HelpeeEv,
                              PartnerVal, OfferPhys, Obj);
       co_await E.cas(Slot, Off, 0, MemOrder::Relaxed); // Cleanup.
-      co_return PartnerVal;
+      co_return matched(V, PartnerVal);
     }
     Mon.retract(E.M, E.Tid, HelpeeEv);
     Mon.retract(E.M, E.Tid, MyEv);

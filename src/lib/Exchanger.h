@@ -17,6 +17,9 @@
 ///
 /// Exchanged values must be distinct from HolePending/HoleCancel and ⊥.
 ///
+/// Seeded fault (lib::Mutation): ExchangerEchoValue hands a matched caller
+/// back its own value.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_EXCHANGER_H
@@ -31,7 +34,9 @@ namespace compass::lib {
 
 class Exchanger {
 public:
-  Exchanger(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name);
+  /// \p Mut seeds the exchanger's fault.
+  Exchanger(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
+            Mutation Mut = Mutation::None);
 
   /// Attempts to exchange \p V (which must not be ⊥) with another thread.
   /// Returns the partner's value on success, graph::BottomVal on failure.
@@ -52,9 +57,17 @@ private:
   /// value = the partner's exchanged value.
   static constexpr rmc::Value HoleCancel = graph::BottomVal;
 
+  /// What a matched exchange returns: the partner's value, or under
+  /// ExchangerEchoValue the caller's own (the graph still records the true
+  /// crossing, so only the observed-result check can see it).
+  rmc::Value matched(rmc::Value Own, rmc::Value Partner) const {
+    return Mut == Mutation::ExchangerEchoValue ? Own : Partner;
+  }
+
   spec::SpecMonitor &Mon;
   unsigned Obj;
   rmc::Loc Slot; ///< 0 = no offer, else the offer's location.
+  Mutation Mut;
 };
 
 } // namespace compass::lib

@@ -11,8 +11,8 @@ using compass::graph::EventId;
 using compass::graph::OpKind;
 
 MsQueue::MsQueue(Machine &M, spec::SpecMonitor &Mon, std::string Name,
-                 SyncProfile Profile)
-    : Mon(Mon), Profile(Profile) {
+                 SyncProfile Profile, Mutation Mut)
+    : Mon(Mon), Profile(Profile), Mut(Mut) {
   Obj = Mon.registerObject(Name);
   Loc Sentinel = M.alloc(Name + ".sentinel", 3);
   Head = M.alloc(Name + ".head", 1, Sentinel);
@@ -62,7 +62,12 @@ Task<void> MsQueue::enqueue(Env &E, Value V) {
     co_await E.store(N + EidOff, Ev, MemOrder::NonAtomic);
     if (fenced())
       co_await E.fence(MemOrder::Release);
-    auto R = co_await E.cas(Last + NextOff, 0, N, publishCasOrder());
+    // MsQueueRelaxedPublish relaxes this CAS, so the node's non-atomic
+    // payload is no longer published to the dequeuer.
+    auto R = co_await E.cas(Last + NextOff, 0, N,
+                            Mut == Mutation::MsQueueRelaxedPublish
+                                ? MemOrder::Relaxed
+                                : publishCasOrder());
     if (R.Success) {
       // Commit point: the CAS linking the node (made releasing either by
       // its own ordering or by the preceding release fence).
@@ -115,6 +120,16 @@ Task<Value> MsQueue::dequeueImpl(Env &E, bool Blocking) {
     PrevNext = Next;
 
     Loc Node = static_cast<Loc>(Next);
+    if (Mut == Mutation::MsQueueSkipDeq) {
+      // Seeded fault: when the first node already has a successor, unlink
+      // both and return the second value; the first is lost (FIFO
+      // violation).
+      Value NextNext = co_await E.load(Node + NextOff, ptrLoadOrder());
+      if (NextNext != 0) {
+        Next = NextNext;
+        Node = static_cast<Loc>(NextNext);
+      }
+    }
     Value V = co_await E.load(Node + ValOff, MemOrder::NonAtomic);
     Value EnqEv = co_await E.load(Node + EidOff, MemOrder::NonAtomic);
     EventId Ev = Mon.reserve(E.M, E.Tid);

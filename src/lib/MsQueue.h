@@ -20,6 +20,9 @@
 /// analog of the proof's ghost state), which the dequeuer reads to record
 /// the so edge.
 ///
+/// Seeded faults (lib::Mutation): MsQueueRelaxedPublish relaxes the
+/// linking CAS; MsQueueSkipDeq unlinks two nodes and returns the second.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_MSQUEUE_H
@@ -50,9 +53,11 @@ public:
   };
 
   /// Allocates the queue's cells (head, tail, sentinel node) in \p M and
-  /// registers it with \p Mon under \p Name.
+  /// registers it with \p Mon under \p Name. \p Mut seeds one of the
+  /// queue's faults (used with the RelAcq profile).
   MsQueue(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
-          SyncProfile Profile = SyncProfile::RelAcq);
+          SyncProfile Profile = SyncProfile::RelAcq,
+          Mutation Mut = Mutation::None);
 
   sim::Task<void> enqueue(sim::Env &E, rmc::Value V) override;
   sim::Task<rmc::Value> dequeue(sim::Env &E) override;
@@ -81,6 +86,7 @@ private:
   spec::SpecMonitor &Mon;
   unsigned Obj;
   SyncProfile Profile;
+  Mutation Mut;
   rmc::Loc Head;
   rmc::Loc Tail;
 };

@@ -13,8 +13,8 @@ using compass::graph::EventId;
 using compass::graph::OpKind;
 
 SpscRing::SpscRing(Machine &M, spec::SpecMonitor &Mon, std::string Name,
-                   unsigned Capacity)
-    : Mon(Mon), Capacity(Capacity) {
+                   unsigned Capacity, Mutation Mut)
+    : Mon(Mon), Capacity(Capacity), Mut(Mut) {
   Obj = Mon.registerObject(Name);
   HeadIdx = M.alloc(Name + ".head");
   TailIdx = M.alloc(Name + ".tail");
@@ -42,7 +42,12 @@ Task<bool> SpscRing::tryEnqueue(Env &E, Value V) {
   EventId Ev = Mon.reserve(E.M, E.Tid);
   co_await E.store(Eids + static_cast<Loc>(T % Capacity), Ev,
                    MemOrder::NonAtomic);
-  co_await E.store(TailIdx, T + 1, MemOrder::Release);
+  // SpscRelaxedTailPublish relaxes this store, so the consumer's acquire
+  // of tail no longer brings the slot write with it.
+  co_await E.store(TailIdx, T + 1,
+                   Mut == Mutation::SpscRelaxedTailPublish
+                       ? MemOrder::Relaxed
+                       : MemOrder::Release);
   // Commit point: the tail release publishing the slot.
   Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Enq, V);
   co_return true;

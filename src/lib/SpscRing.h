@@ -16,6 +16,9 @@
 /// Commit points: enqueue = the release store of tail; successful dequeue
 /// = the release store of head; empty dequeue = the acquire read of tail.
 ///
+/// Seeded fault (lib::Mutation): SpscRelaxedTailPublish publishes tail
+/// with a relaxed store.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_SPSCRING_H
@@ -30,8 +33,9 @@ namespace compass::lib {
 
 class SpscRing {
 public:
+  /// \p Mut seeds the ring's fault.
   SpscRing(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
-           unsigned Capacity);
+           unsigned Capacity, Mutation Mut = Mutation::None);
 
   /// Producer only: enqueues \p V; false when the ring is full. The first
   /// caller pins the producer thread.
@@ -56,6 +60,7 @@ private:
   spec::SpecMonitor &Mon;
   unsigned Obj;
   unsigned Capacity;
+  Mutation Mut;
   unsigned ProducerTid = ~0u;
   unsigned ConsumerTid = ~0u;
   rmc::Loc HeadIdx; ///< Next index to dequeue (consumer-owned, released).

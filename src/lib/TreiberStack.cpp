@@ -12,8 +12,8 @@ using compass::graph::FailRaceVal;
 using compass::graph::OpKind;
 
 TreiberStack::TreiberStack(Machine &M, spec::SpecMonitor &Mon,
-                           std::string Name)
-    : Mon(Mon) {
+                           std::string Name, Mutation Mut)
+    : Mon(Mon), Mut(Mut) {
   Obj = Mon.registerObject(Name);
   HeadLoc = M.alloc(Name + ".head"); // 0 = empty stack.
 }
@@ -65,7 +65,12 @@ Task<bool> TreiberStack::tryPush(Env &E, Value V) {
 }
 
 Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
-  Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Acquire);
+  // TreiberRelaxedPopHead relaxes this load, so the non-atomic node reads
+  // below race with the pusher's initialization.
+  Value HeadPtr = co_await E.load(HeadLoc,
+                                  Mut == Mutation::TreiberRelaxedPopHead
+                                      ? MemOrder::Relaxed
+                                      : MemOrder::Acquire);
   if (HeadTsOut)
     *HeadTsOut = E.M.lastReadTs(E.Tid);
   if (HeadPtr == 0) {
@@ -76,6 +81,12 @@ Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
   }
   Loc Node = static_cast<Loc>(HeadPtr);
   Value Next = co_await E.load(Node + NextOff, MemOrder::NonAtomic);
+  if (Mut == Mutation::TreiberPopBelowTop && Next != 0) {
+    // Seeded fault: unlink the top two nodes but pop the second; the top
+    // element vanishes unpopped (LIFO violation).
+    Node = static_cast<Loc>(Next);
+    Next = co_await E.load(Node + NextOff, MemOrder::NonAtomic);
+  }
   Value V = co_await E.load(Node + ValOff, MemOrder::NonAtomic);
   Value PushEv = co_await E.load(Node + EidOff, MemOrder::NonAtomic);
   EventId Ev = Mon.reserve(E.M, E.Tid);

@@ -18,6 +18,9 @@
 /// `tryPop` are the single-attempt variants the elimination stack builds
 /// on (Section 4.1).
 ///
+/// Seeded faults (lib::Mutation): TreiberRelaxedPopHead relaxes pop's head
+/// load; TreiberPopBelowTop unlinks the top two nodes and pops the second.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_TREIBERSTACK_H
@@ -32,7 +35,9 @@ namespace compass::lib {
 
 class TreiberStack final : public SimStack {
 public:
-  TreiberStack(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name);
+  /// \p Mut seeds one of the stack's faults.
+  TreiberStack(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
+               Mutation Mut = Mutation::None);
 
   sim::Task<void> push(sim::Env &E, rmc::Value V) override;
   sim::Task<rmc::Value> pop(sim::Env &E) override;
@@ -61,6 +66,7 @@ private:
 
   spec::SpecMonitor &Mon;
   unsigned Obj;
+  Mutation Mut;
   rmc::Loc HeadLoc;
 };
 

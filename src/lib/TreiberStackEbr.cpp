@@ -12,8 +12,11 @@ using compass::graph::FailRaceVal;
 using compass::graph::OpKind;
 
 TreiberStackEbr::TreiberStackEbr(Machine &M, spec::SpecMonitor &Mon,
-                                 std::string Name, unsigned NumThreads)
-    : Mon(Mon), Dom(M, Name + ".ebr", NumThreads) {
+                                 std::string Name, unsigned NumThreads,
+                                 Mutation Mut)
+    : Mon(Mon), Mut(Mut),
+      Dom(M, Name + ".ebr", NumThreads,
+          Ebr::Options(Mut == Mutation::EbrSkipGracePeriod)) {
   Obj = Mon.registerObject(Name);
   HeadLoc = M.alloc(Name + ".head"); // 0 = empty stack.
 }
@@ -76,6 +79,12 @@ Task<Value> TreiberStackEbr::popAttempt(Env &E, Timestamp *HeadTsOut) {
   Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Acquire);
   if (HeadTsOut)
     *HeadTsOut = E.M.lastReadTs(E.Tid);
+  if (Mut == Mutation::EbrEarlyUnpin) {
+    // Seeded fault: leave the critical section as soon as the head
+    // snapshot is taken; the node dereferences below run unprotected.
+    auto Unpin = Dom.unpin(E);
+    co_await Unpin;
+  }
   if (HeadPtr == 0) {
     // Commit point (empty): the acquire read of a null head.
     EventId Ev = Mon.reserve(E.M, E.Tid);
@@ -107,8 +116,10 @@ Task<Value> TreiberStackEbr::tryPop(Env &E) {
   co_await Pin;
   auto Attempt = popAttempt(E);
   Value V = co_await Attempt;
-  auto Unpin = Dom.unpin(E);
-  co_await Unpin;
+  if (Mut != Mutation::EbrEarlyUnpin) { // Else the attempt unpinned.
+    auto Unpin = Dom.unpin(E);
+    co_await Unpin;
+  }
   co_return V;
 }
 
@@ -132,8 +143,15 @@ Task<Value> TreiberStackEbr::pop(Env &E) {
       co_await E.prune();
     First = false;
     PrevTs = Ts;
+    if (Mut == Mutation::EbrEarlyUnpin) {
+      // The failed attempt unpinned; re-enter for the retry.
+      auto Repin = Dom.pin(E);
+      co_await Repin;
+    }
   }
-  auto Unpin = Dom.unpin(E);
-  co_await Unpin;
+  if (Mut != Mutation::EbrEarlyUnpin) {
+    auto Unpin = Dom.unpin(E);
+    co_await Unpin;
+  }
   co_return Out;
 }

@@ -16,6 +16,10 @@
 /// freed node (USE_AFTER_RETIRE) or free one under a pinned reader
 /// (PREMATURE_FREE); see rmc::Machine's ghost operations.
 ///
+/// Seeded faults (lib::Mutation): EbrSkipGracePeriod frees without the
+/// announcement scan; EbrEarlyUnpin unpins a pop before it dereferences
+/// the node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_TREIBERSTACKEBR_H
@@ -32,9 +36,10 @@ namespace compass::lib {
 class TreiberStackEbr final : public SimStack {
 public:
   /// \p NumThreads sizes the EBR domain's announcement-slot array (one
-  /// slot per simulated thread).
+  /// slot per simulated thread). \p Mut seeds one of the stack's
+  /// reclamation faults.
   TreiberStackEbr(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
-                  unsigned NumThreads);
+                  unsigned NumThreads, Mutation Mut = Mutation::None);
 
   sim::Task<void> push(sim::Env &E, rmc::Value V) override;
   sim::Task<rmc::Value> pop(sim::Env &E) override;
@@ -54,13 +59,15 @@ private:
                               rmc::Value V);
 
   /// One pop attempt (caller pinned); on success the unlinked node is
-  /// retired before returning.
+  /// retired before returning. Under EbrEarlyUnpin the attempt unpins
+  /// right after reading head, so it returns unpinned.
   sim::Task<rmc::Value> popAttempt(sim::Env &E,
                                    rmc::Timestamp *HeadTsOut = nullptr);
 
   spec::SpecMonitor &Mon;
   unsigned Obj;
   rmc::Loc HeadLoc;
+  Mutation Mut;
   sim::Ebr Dom;
 };
 

@@ -16,8 +16,8 @@ using compass::graph::FailRaceVal;
 using compass::graph::OpKind;
 
 WsDeque::WsDeque(Machine &M, spec::SpecMonitor &Mon, std::string Name,
-                 unsigned Capacity)
-    : Mon(Mon), Capacity(Capacity) {
+                 unsigned Capacity, Mutation Mut)
+    : Mon(Mon), Capacity(Capacity), Mut(Mut) {
   Obj = Mon.registerObject(Name);
   Top = M.alloc(Name + ".top");
   Bottom = M.alloc(Name + ".bottom");
@@ -58,7 +58,10 @@ Task<Value> WsDeque::take(Env &E) {
   Value B = co_await E.load(Bottom, MemOrder::Relaxed);
   int64_t BI = static_cast<int64_t>(B) - 1;
   co_await E.store(Bottom, static_cast<Value>(BI), MemOrder::Relaxed);
-  co_await E.fence(MemOrder::SeqCst);
+  // WsDequeTakeNoFence drops this fence: the relaxed top read may then be
+  // stale, and the owner can take the element a thief is stealing.
+  if (Mut != Mutation::WsDequeTakeNoFence)
+    co_await E.fence(MemOrder::SeqCst);
   Value T = co_await E.load(Top, MemOrder::Relaxed);
   int64_t TI = static_cast<int64_t>(T);
 

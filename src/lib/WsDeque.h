@@ -27,6 +27,8 @@
 /// checked by spec::checkWsDequeConsistent, the abstract double-ended
 /// replay, and the SeqSpec::WsDeque linearization search.
 ///
+/// Seeded fault (lib::Mutation): WsDequeTakeNoFence drops take's SC fence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_LIB_WSDEQUE_H
@@ -42,9 +44,9 @@ namespace compass::lib {
 
 class WsDeque {
 public:
-  /// \p Capacity bounds lifetime pushes.
+  /// \p Capacity bounds lifetime pushes. \p Mut seeds the deque's fault.
   WsDeque(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
-          unsigned Capacity);
+          unsigned Capacity, Mutation Mut = Mutation::None);
 
   /// Owner: pushes \p V at the bottom. The first owner operation pins the
   /// owner thread; calling from another thread is fatal.
@@ -65,6 +67,7 @@ private:
   spec::SpecMonitor &Mon;
   unsigned Obj;
   unsigned Capacity;
+  Mutation Mut;
   unsigned OwnerTid = ~0u;
   rmc::Loc Top;    ///< Next index to steal.
   rmc::Loc Bottom; ///< Next index to push.

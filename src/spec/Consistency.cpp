@@ -13,9 +13,10 @@ std::string CheckResult::str() const {
   if (ok())
     return "consistent";
   std::string Out;
-  for (const std::string &V : Violations) {
-    Out += V;
-    Out += "\n";
+  for (size_t I = 0; I != Violations.size(); ++I) {
+    if (I)
+      Out += "; ";
+    Out += Violations[I];
   }
   return Out;
 }

@@ -41,6 +41,8 @@ struct CheckResult {
   void add(std::string Rule, std::string Detail) {
     Violations.push_back(std::move(Rule) + ": " + std::move(Detail));
   }
+  /// "consistent", or the violations joined by "; " on one line (verdicts
+  /// are embedded mid-line in replay output, sweep reports and telemetry).
   std::string str() const;
 };
 

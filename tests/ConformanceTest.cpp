@@ -157,6 +157,7 @@ TEST(ScenarioText, CorpusEntryRoundTrips) {
   EXPECT_EQ(Back.S.Seed, E.S.Seed);
   EXPECT_EQ(Back.Mut, E.Mut);
   EXPECT_EQ(Back.Decisions, E.Decisions);
+  EXPECT_EQ(Back.Note, E.Note);
 
   CorpusEntry Bad;
   EXPECT_FALSE(parseCorpusEntry("lib=ms_queue\nbogus=1\n", Bad, Err));

@@ -88,6 +88,7 @@ TEST(Corpus, EntriesRoundTripThroughSerialization) {
     EXPECT_EQ(E.S.str(), E2.S.str());
     EXPECT_EQ(E.Mut, E2.Mut);
     EXPECT_EQ(E.Decisions, E2.Decisions);
+    EXPECT_EQ(E.Note, E2.Note);
   }
 }
 
@@ -105,6 +106,16 @@ TEST(Corpus, ReplaysFailAgainstMutant) {
     EXPECT_FALSE(D.RR.Diverged)
         << "recorded trace diverged on replay; re-emit the corpus with "
            "compass_check mutants --emit-corpus";
+    // The note ("<description>; rule <R>") records why the trace failed
+    // when it was shrunk; the replay must fail for that same reason.
+    size_t At = E.Note.rfind("; rule ");
+    ASSERT_NE(At, std::string::npos) << "note names no rule: " << E.Note;
+    EXPECT_EQ(D.V.Rule, E.Note.substr(At + 7)) << D.V.str();
+    // Verdicts are embedded mid-line (replay output, the sweep's first_bad,
+    // telemetry records), so their text must not end a line.
+    std::string Text = D.V.str();
+    ASSERT_FALSE(Text.empty());
+    EXPECT_NE(Text.back(), '\n') << Text;
   }
 }
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""CLI contract test for compass_check flag parsing.
+"""CLI contract test for compass_check flag parsing and the corpus.
 
 Pins the strict numeric-flag contract: malformed, signed, overflowing, or
 missing values exit 2 and print usage to stderr (pre-fix, strtoull
 silently mapped "abc" and "-1" to a number and the sweep ran with
-garbage); valid spellings are accepted. Invoked by ctest as
+garbage); valid spellings are accepted. Also pins the regression corpus:
+`mutants --seed 1 --emit-corpus` rewrites tests/corpus/ byte for byte, and
+`replay` reproduces every entry, one line each. Invoked by ctest as
 `test_cli <path-to-compass_check>`.
 """
 
@@ -12,7 +14,9 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
+CORPUS = Path(__file__).resolve().parent / "corpus"
 BIN = None
 failures = []
 
@@ -150,6 +154,29 @@ def main():
                   p.returncode == 2 and "contradicts" in p.stderr, p)
             p = run("sweep", "--resume", ckpt)
             check("resume without mode flags completes", p.returncode == 0, p)
+
+    # --- regression corpus ------------------------------------------------
+    # The committed corpus is exactly what the seed-1 campaign emits: a
+    # change to a library, the generator or the shrinker that moves a kill
+    # shows up here as a byte diff.
+    corpus = sorted(CORPUS.glob("*.corpus"))
+    check("corpus directory found", len(corpus) > 0)
+    with tempfile.TemporaryDirectory() as td:
+        p = run("mutants", "--seed", "1", "--emit-corpus", td)
+        check("mutants --emit-corpus runs", p.returncode == 0, p)
+        check("emitted corpus has the committed file names",
+              sorted(os.listdir(td)) == [f.name for f in corpus], p)
+        for f in corpus:
+            out = Path(td) / f.name
+            check(f"emitted {f.name} matches byte for byte",
+                  out.exists() and out.read_bytes() == f.read_bytes())
+
+    p = run("replay", *[str(f) for f in corpus])
+    check("replay of the corpus exits 0", p.returncode == 0, p)
+    lines = p.stdout.splitlines()
+    check("replay prints one reproduced line per entry",
+          len(lines) == len(corpus) and
+          all(": reproduced [" in line for line in lines), p)
 
     if failures:
         print(f"\ncli_test FAILED: {len(failures)} check(s)")
