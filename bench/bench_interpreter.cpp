@@ -41,7 +41,7 @@ namespace {
 /// The fixed workload family: enq{1,2} against two single-element
 /// dequeuers at preemption bound 2, over either queue implementation —
 /// E2's MS queue (lock-free, CAS-heavy) or E7's locked queue (spin-lock
-/// dominated, the sleep-set reduction's best case).
+/// dominated, the reduction's best case).
 Workload queueWorkload(bench::QueueImpl Impl, EnginePath Engine,
                        ReductionMode Red) {
   Explorer::Options Opts;
@@ -111,7 +111,7 @@ const char *engineName(EnginePath E) {
 }
 
 const char *redName(ReductionMode R) {
-  return R == ReductionMode::SleepSet ? "sleep-set" : "none";
+  return R == ReductionMode::SourceSet ? "source-set" : "none";
 }
 
 struct Row {
@@ -253,7 +253,7 @@ int main(int argc, char **argv) {
   bool Ok = true;
   for (bench::QueueImpl Impl :
        {bench::QueueImpl::Ms, bench::QueueImpl::Locked})
-    for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet})
+    for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
       Ok = runCell(Rows, Impl, Red) && Ok;
   printTable(Rows);
   writeJson(Rows, OutDir);

@@ -1,19 +1,19 @@
 //===-- check/Checkpoint.cpp - Resumable conformance sweeps ---------------===//
 //
-// Text grammar (version "compass sweep-checkpoint v1"; one record per
+// Text grammar (version "compass sweep-checkpoint v2"; one record per
 // line, space-separated fields; free-form strings are %-escaped into
 // single tokens, "%" standing in for the empty string):
 //
-//   compass sweep-checkpoint v1
+//   compass sweep-checkpoint v2
 //   config <Seed> <ScenariosPerLib> <MaxExecsPerScenario>
-//          <none|sleep|source> <auto|root>
+//          <none|source> <auto|root>
 //   gen <MinThreads> <MaxThreads> <MinOps> <MaxOps> <MinPre> <MaxPre>
 //   libs <N>
 //   lib <name>                                          (N lines)
 //   progress <Fp> <LibIndex> <ScenarioIndex> <NDone> <HasScenario>
 //            <ScenarioLinAborts>
 //   stat <lib> <Scenarios> <Executions> <Completed> <Races> <Deadlocks>
-//        <Violations> <SleepPruned> <RfPruned> <SourcePruned> <CacheHits>
+//        <Violations> <SleepPruned> <RfPruned> <SourcePruned>
 //        <MaxDepth> <LinAborts> <Truncated>
 //        <FirstBadScenario> <FirstBad>        (NDone lines, then CurLib)
 //
@@ -21,7 +21,7 @@
 // share ran under; resuming under a different one would splice
 // incompatible exploration states (the caller enforces the match — see
 // compass_check sweep --resume).
-//   snapshot v1 ... end snapshot              (iff HasScenario; the
+//   snapshot v3 ... end snapshot              (iff HasScenario; the
 //                                              embedded sim grammar)
 //   end sweep-checkpoint
 //
@@ -158,9 +158,9 @@ void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
   OS << "stat " << libName(St.L) << ' ' << St.Scenarios << ' '
      << St.Executions << ' ' << St.Completed << ' ' << St.Races << ' '
      << St.Deadlocks << ' ' << St.Violations << ' ' << St.SleepPruned << ' '
-     << St.RfPruned << ' ' << St.SourcePruned << ' ' << St.CacheHits << ' '
-     << St.MaxDepth << ' ' << St.LinAborts << ' ' << St.Truncated << ' '
-     << St.FirstBadScenario << ' ' << encodeToken(St.FirstBad) << '\n';
+     << St.RfPruned << ' ' << St.SourcePruned << ' ' << St.MaxDepth << ' '
+     << St.LinAborts << ' ' << St.Truncated << ' ' << St.FirstBadScenario
+     << ' ' << encodeToken(St.FirstBad) << '\n';
 }
 
 bool parseStat(Cursor &C, LibSweepStats &St) {
@@ -175,9 +175,9 @@ bool parseStat(Cursor &C, LibSweepStats &St) {
   if (!F.num(St.Scenarios) || !F.num(St.Executions) || !F.num(St.Completed) ||
       !F.num(St.Races) || !F.num(St.Deadlocks) || !F.num(St.Violations) ||
       !F.num(St.SleepPruned) || !F.num(St.RfPruned) ||
-      !F.num(St.SourcePruned) || !F.num(St.CacheHits) ||
-      !F.num(St.MaxDepth) || !F.num(St.LinAborts) ||
-      !F.num(St.Truncated) || !F.num(St.FirstBadScenario) || !F.word(Enc) ||
+      !F.num(St.SourcePruned) || !F.num(St.MaxDepth) ||
+      !F.num(St.LinAborts) || !F.num(St.Truncated) ||
+      !F.num(St.FirstBadScenario) || !F.word(Enc) ||
       !decodeToken(Enc, St.FirstBad))
     return C.fail("malformed stat record");
   return true;
@@ -187,7 +187,7 @@ bool parseStat(Cursor &C, LibSweepStats &St) {
 
 std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
   std::ostringstream OS;
-  OS << "compass sweep-checkpoint v1\n";
+  OS << "compass sweep-checkpoint v2\n";
   OS << "config " << C.Seed << ' ' << C.ScenariosPerLib << ' '
      << C.MaxExecutionsPerScenario << ' '
      << sim::reductionModeName(C.Reduction) << ' '
@@ -222,9 +222,9 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
 
   if (!C.next())
     return Done(false);
-  if (C.Line != "compass sweep-checkpoint v1")
+  if (C.Line != "compass sweep-checkpoint v2")
     return Done(C.fail("unsupported checkpoint header "
-                       "(want 'compass sweep-checkpoint v1')"));
+                       "(want 'compass sweep-checkpoint v2')"));
 
   if (!C.next())
     return Done(false);

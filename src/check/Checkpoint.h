@@ -30,7 +30,7 @@
 /// (by executions or seconds; cadence checkpoints are written via callback
 /// and the sweep continues in-process). serializeSweepCheckpoint /
 /// parseSweepCheckpoint give checkpoints a versioned line-oriented text
-/// form ("compass sweep-checkpoint v1") embedding the snapshot grammar of
+/// form ("compass sweep-checkpoint v2") embedding the snapshot grammar of
 /// sim/Checkpoint.cpp.
 ///
 //===----------------------------------------------------------------------===//

@@ -60,13 +60,11 @@ struct LibSweepStats {
   uint64_t Races = 0;
   uint64_t Deadlocks = 0;
   uint64_t Violations = 0;
-  uint64_t SleepPruned = 0; ///< Branches cut by the sleep/source reduction.
+  uint64_t SleepPruned = 0; ///< Branches cut by the source-set reduction.
   uint64_t RfPruned = 0;    ///< Restricted re-runs with no fresh reads-from
-                            ///< options (source-set mode).
+                            ///< options.
   uint64_t SourcePruned = 0; ///< Covered sched siblings skipped without an
-                             ///< execution (source-set mode).
-  uint64_t CacheHits = 0; ///< Reads-from duplicate subtrees skipped without
-                          ///< an execution (source-set mode).
+                             ///< execution.
   uint64_t MaxDepth = 0; ///< Max over the library's scenarios.
   uint64_t LinAborts = 0; ///< Executions whose witness search hit budget.
   unsigned Truncated = 0; ///< Scenarios whose tree hit the execution cap.
@@ -81,6 +79,9 @@ struct SweepReport {
 
   uint64_t totalViolations() const;
   uint64_t totalExecutions() const;
+  /// Scenarios whose tree hit the execution cap: a clean verdict covers
+  /// only their explored share.
+  unsigned totalTruncated() const;
   bool clean() const { return totalViolations() == 0; }
 
   /// FNV-1a folded per scenario during the sweep: every scenario mixes in

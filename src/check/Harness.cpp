@@ -198,7 +198,7 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
       St->LastVerdict = Verdict{};
       return true;
     case sim::Scheduler::RunResult::SleepPruned:
-      // Branch cut by the sleep/source-set reduction: everything below it
+      // Branch cut by the source-set reduction: everything below it
       // is equivalent to an explored sibling, so there is nothing to check.
       St->LastVerdict = Verdict{};
       return true;

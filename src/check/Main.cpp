@@ -9,18 +9,19 @@
 ///
 ///   compass_check sweep   [--seed N] [--per-lib N] [--workers N]
 ///                         [--max-execs N] [--lib NAME]...
-///                         [--reduction none|sleep|source]
+///                         [--reduction none|source]
 ///                         [--engine auto|root] [--json]
 ///                         [--checkpoint FILE] [--checkpoint-every N|Ns]
 ///                         [--time-budget SECS] [--telemetry FILE]
 ///                         [--resume FILE]
 ///   compass_check mutants [--seed N] [--max-scenarios N] [--max-execs N]
 ///                         [--mut NAME]... [--no-shrink] [--emit-corpus DIR]
-///                         [--reduction none|sleep|source]
+///                         [--reduction none|source]
 ///   compass_check replay  FILE...
 ///
 /// `sweep` explores generated scenarios against the pristine libraries and
-/// exits nonzero on any violation. It is crash-resilient: SIGINT/SIGTERM, a
+/// exits nonzero on any violation; a clean verdict says `incomplete` when
+/// some scenario tree hit the `--max-execs` cap. It is crash-resilient: SIGINT/SIGTERM, a
 /// spent `--time-budget`, or a `--checkpoint-every` cadence serialize the
 /// live exploration state to the `--checkpoint` file (default
 /// compass_sweep.ckpt); `--resume FILE` finishes an interrupted run to the
@@ -69,19 +70,19 @@ namespace {
                "usage:\n"
                "  compass_check sweep   [--seed N] [--per-lib N] "
                "[--workers N] [--max-execs N] [--lib NAME]... "
-               "[--reduction none|sleep|source] [--engine auto|root] "
+               "[--reduction none|source] [--engine auto|root] "
                "[--json]\n"
                "                        [--checkpoint FILE] "
                "[--checkpoint-every N|Ns] [--time-budget SECS] "
                "[--telemetry FILE] [--resume FILE]\n"
                "  compass_check mutants [--seed N] [--max-scenarios N] "
                "[--max-execs N] [--mut NAME]... [--no-shrink] "
-               "[--emit-corpus DIR] [--reduction none|sleep|source]\n"
+               "[--emit-corpus DIR] [--reduction none|source]\n"
                "  compass_check replay  FILE...\n"
                "numeric flags take unsigned decimal values; --workers "
-               "must be >= 1; --checkpoint-every takes executions (N) or "
-               "seconds (Ns); --time-budget takes seconds (may be "
-               "fractional)\n");
+               "and --max-execs must be >= 1; --checkpoint-every takes "
+               "executions (N) or seconds (Ns); --time-budget takes "
+               "seconds (may be fractional)\n");
   std::exit(2);
 }
 
@@ -138,10 +139,19 @@ const char *flagValue(int Argc, char **Argv, int &I, const char *Name) {
   return Argv[++I];
 }
 
+/// The per-scenario execution cap. Zero is a usage error: it would run no
+/// execution and truncate every scenario.
+uint64_t parseMaxExecs(int Argc, char **Argv, int &I) {
+  uint64_t N = parseU64("--max-execs", flagValue(Argc, Argv, I, "--max-execs"));
+  if (N == 0)
+    usage("--max-execs must be >= 1");
+  return N;
+}
+
 sim::ReductionMode parseReduction(const char *V) {
   sim::ReductionMode M;
   if (!sim::parseReductionMode(V, M))
-    usage((std::string("bad value for --reduction (none|sleep|source): ") + V)
+    usage((std::string("bad value for --reduction (none|source): ") + V)
               .c_str());
   return M;
 }
@@ -179,8 +189,7 @@ int cmdSweep(int Argc, char **Argv) {
       if (O.Workers == 0)
         usage("--workers must be >= 1");
     } else if (A == "--max-execs")
-      O.MaxExecutionsPerScenario =
-          parseU64("--max-execs", flagValue(Argc, Argv, I, "--max-execs"));
+      O.MaxExecutionsPerScenario = parseMaxExecs(Argc, Argv, I);
     else if (A == "--lib") {
       Lib L;
       const char *Name = flagValue(Argc, Argv, I, "--lib");
@@ -388,8 +397,7 @@ int cmdMutants(int Argc, char **Argv) {
           "--max-scenarios", flagValue(Argc, Argv, I, "--max-scenarios"),
           ~0u));
     else if (A == "--max-execs")
-      O.MaxExecutionsPerScenario =
-          parseU64("--max-execs", flagValue(Argc, Argv, I, "--max-execs"));
+      O.MaxExecutionsPerScenario = parseMaxExecs(Argc, Argv, I);
     else if (A == "--mut") {
       Mutation M;
       const char *Name = flagValue(Argc, Argv, I, "--mut");

@@ -100,7 +100,6 @@ void Telemetry::heartbeat(const char *LibName, unsigned ScenarioIndex,
   J.field("sleep_pruned", Sweep.SleepPruned);
   J.field("rf_pruned", Sweep.RfPruned);
   J.field("source_pruned", Sweep.SourcePruned);
-  J.field("cache_hits", Sweep.CacheHits);
   J.endObject();
   J.endObject();
   emit(J.str());

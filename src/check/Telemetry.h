@@ -55,7 +55,6 @@ struct SweepProgress {
   uint64_t SleepPruned = 0;
   uint64_t RfPruned = 0;
   uint64_t SourcePruned = 0;
-  uint64_t CacheHits = 0;
 };
 
 /// Append-only JSONL sink; see file comment. Thread-safe (heartbeats

@@ -81,18 +81,13 @@ public:
           if (Mine->Hole.compare_exchange_strong(
                   ExpHole, &Cancel, std::memory_order_relaxed,
                   std::memory_order_acquire)) {
-            Slot.compare_exchange_strong(Mine, nullptr,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed);
+            clearSlot(Mine);
             Retired.retire(Mine);
             continue; // Withdrawn; next round.
           }
           H = Mine->Hole.load(std::memory_order_acquire);
         }
-        Node *Me = Mine;
-        Slot.compare_exchange_strong(Me, nullptr,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed);
+        clearSlot(Mine);
         T Out = H->Value;
         Retired.retire(Mine);
         return Out;
@@ -105,23 +100,26 @@ public:
       if (Off->Hole.compare_exchange_strong(ExpHole, Fill,
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed)) {
-        Slot.compare_exchange_strong(Off, nullptr,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed);
+        clearSlot(Off);
         T Out = Off->Value;
         Retired.retire(Fill); // The partner still reads it; freed later.
         return Out;
       }
       delete Fill; // Never exposed.
       // Already matched or withdrawn; help clear the slot and retry.
-      Slot.compare_exchange_strong(Off, nullptr,
-                                   std::memory_order_relaxed,
-                                   std::memory_order_relaxed);
+      clearSlot(Off);
     }
     return std::nullopt;
   }
 
 private:
+  /// Empties the slot if it still holds \p N. \p N is taken by value: a
+  /// failed CAS stores the slot's current node into its expected argument,
+  /// and the callers go on to retire or read the node they passed.
+  void clearSlot(Node *N) {
+    Slot.compare_exchange_strong(N, nullptr, std::memory_order_relaxed,
+                                 std::memory_order_relaxed);
+  }
 
   std::atomic<Node *> Slot{nullptr};
   Node Cancel;

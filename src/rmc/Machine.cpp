@@ -69,8 +69,8 @@ void Machine::reset() {
   ReserveSeq = 0;
   RfFloorOn = false;
   RfFloorEmpty = false;
-  // Counters and OpSeqN are monotonic across resets by design; Tracing and
-  // DupDetectOn are sticky (their enablers re-assert them per run).
+  // Counters and OpSeqN are monotonic across resets by design; Tracing is
+  // sticky (its enabler re-asserts it per run).
 }
 
 //===----------------------------------------------------------------------===//
@@ -279,17 +279,6 @@ Timestamp Machine::applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
   return Ts;
 }
 
-// Reads-from duplicate equivalence (see Machine::enableDupDetect): two
-// messages are interchangeable when they carry the same value and the same
-// knowledge — every future read of one bisimulates a read of the other, so
-// verdicts cannot depend on which was read (the only residual difference,
-// the reader's per-location view component, only selects between more
-// equal-message reads; both stay strictly below the mo-maximum, so the
-// non-atomic race check is unaffected).
-static bool knowledgeEqual(const Knowledge &A, const Knowledge &B) {
-  return A.includedIn(B) && B.includedIn(A);
-}
-
 Value Machine::load(unsigned T, Loc L, MemOrder O) {
   ++Counters.Loads;
   noteOp(L, Footprint::Kind::Read, O == MemOrder::SeqCst,
@@ -330,19 +319,6 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
   if (const uint32_t Floor = takeRfFloor(L))
     if (static_cast<Timestamp>(Floor) > From)
       N = Mem.countReadableFrom(L, static_cast<Timestamp>(Floor));
-  if (DupDetectOn && N > 2) {
-    // Bit k: alternative k's message duplicates alternative k-1's. Both
-    // must sit strictly below the mo-maximum (k-1 >= 1, hence k >= 2).
-    uint64_t Mask = 0;
-    for (unsigned K = 2; K < N && K < 64; ++K) {
-      const Timestamp A = C.latestTs() - K;
-      const Timestamp B = C.latestTs() - (K - 1);
-      if (C.val(A) == C.val(B) && knowledgeEqual(C.know(A), C.know(B)))
-        Mask |= uint64_t{1} << K;
-    }
-    if (Mask)
-      Choices.noteChoiceDup(Mask);
-  }
   unsigned Pick = NFull == 1 ? 0
                   : N < NFull ? Choices.chooseLimited(NFull, N, "load")
                               : Choices.choose(NFull, "load");
@@ -411,29 +387,10 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
     }
   }
   unsigned Pick = 0;
-  if (!RestrictedEmpty) {
-    if (DupDetectOn && NumChoices > 1) {
-      // Bit k: candidate k duplicates candidate k-1 — value- and
-      // knowledge-equal is not enough here, the two must also be
-      // timestamp-adjacent (an intervening non-satisfying message would
-      // sit between the reader's view positions) and strictly below the
-      // mo-maximum.
-      uint64_t Mask = 0;
-      for (unsigned K = 1; K < NumChoices && K < 64; ++K) {
-        const Timestamp A = Candidates[K];
-        const Timestamp B = Candidates[K - 1];
-        if (A + 1 == B && B < C.latestTs() && C.val(A) == C.val(B) &&
-            knowledgeEqual(C.know(A), C.know(B)))
-          Mask |= uint64_t{1} << K;
-      }
-      if (Mask)
-        Choices.noteChoiceDup(Mask);
-    }
-    if (NumFull > 1)
-      Pick = NumChoices < NumFull
-                 ? Choices.chooseLimited(NumFull, NumChoices, "load-where")
-                 : Choices.choose(NumFull, "load-where");
-  }
+  if (!RestrictedEmpty && NumFull > 1)
+    Pick = NumChoices < NumFull
+               ? Choices.chooseLimited(NumFull, NumChoices, "load-where")
+               : Choices.choose(NumFull, "load-where");
   Timestamp Ts = Candidates[Pick];
   applyRead(TS, L, C, Ts, O);
   if (O == MemOrder::SeqCst)
@@ -538,22 +495,6 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
   unsigned NumAlternatives = (CanSucceed ? 1 : 0) + NumFails;
   if (NumAlternatives == 0)
     fatalError("CAS has no legal read; history corrupt");
-  if (DupDetectOn && NumFails > 1) {
-    // Bit k (as an overall-alternative index): fail read k duplicates fail
-    // read k-1 — timestamp-adjacent, value- and knowledge-equal, and the
-    // newer of the two strictly below the mo-maximum.
-    const unsigned Base = CanSucceed ? 1 : 0;
-    uint64_t Mask = 0;
-    for (unsigned K = 1; K < NumFails && Base + K < 64; ++K) {
-      const Timestamp A = FailTs[K];
-      const Timestamp B = FailTs[K - 1];
-      if (A + 1 == B && B < Latest && C.val(A) == C.val(B) &&
-          knowledgeEqual(C.know(A), C.know(B)))
-        Mask |= uint64_t{1} << (Base + K);
-    }
-    if (Mask)
-      Choices.noteChoiceDup(Mask);
-  }
   unsigned Pick =
       NumAllFull == 1 ? 0
       : NumAlternatives < NumAllFull

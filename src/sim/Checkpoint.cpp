@@ -1,11 +1,11 @@
 //===-- sim/Checkpoint.cpp - Exploration frontier snapshots ---------------===//
 //
-// Text grammar (version "snapshot v2"; one record per line, space-
+// Text grammar (version "snapshot v3"; one record per line, space-
 // separated fields, tags are identifier-like and never contain spaces):
 //
-//   snapshot v2
+//   snapshot v3
 //   summary <Executions> <Completed> <Deadlocks> <Races> <Diverged>
-//           <Pruned> <SleepPruned> <RfPruned> <SourcePruned> <CacheHits>
+//           <Pruned> <SleepPruned> <RfPruned> <SourcePruned>
 //           <Violations> <Exhausted> <MaxDepth> <HasViolation>
 //   tags <N>
 //   tag <name> <Choices> <AltSum> <MaxArity>            (N lines)
@@ -17,11 +17,8 @@
 //   s <Tid> <Loc> <Kind> <Sc> <Atomic> <Ver>            (NSleep lines)
 //   end snapshot
 //
-// "snapshot v1" (pre-source-set) is still accepted on read: its summary
-// lacks the three source-set counters (default 0) and its sleep records
-// lack the Atomic flag and reads-from watermark (defaults false / 0 —
-// sound, because v1 snapshots can only come from sleep-mode runs, which
-// never consult either field). Writes always emit v2.
+// Earlier versions are rejected: v2 carried a duplicate-rf cache counter,
+// and v1 snapshots could only come from plain sleep-set runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -126,14 +123,13 @@ bool expectKeyword(Reader &R, const char *Kw, Fields &F) {
 
 std::string sim::serializeSnapshot(const ExplorationSnapshot &S) {
   std::ostringstream OS;
-  OS << "snapshot v2\n";
+  OS << "snapshot v3\n";
   const Explorer::Summary &P = S.Partial;
   OS << "summary " << P.Executions << ' ' << P.Completed << ' '
      << P.Deadlocks << ' ' << P.Races << ' ' << P.Diverged << ' ' << P.Pruned
      << ' ' << P.SleepPruned << ' ' << P.RfPruned << ' ' << P.SourcePruned
-     << ' ' << P.CacheHits << ' ' << P.Violations << ' '
-     << unsigned(P.Exhausted) << ' ' << P.MaxDepth << ' '
-     << unsigned(P.HasViolation) << '\n';
+     << ' ' << P.Violations << ' ' << unsigned(P.Exhausted) << ' '
+     << P.MaxDepth << ' ' << unsigned(P.HasViolation) << '\n';
   OS << "tags " << P.Tags.size() << '\n';
   for (const auto &[Name, St] : P.Tags)
     OS << "tag " << (Name.empty() ? "-" : Name.c_str()) << ' ' << St.Choices
@@ -194,13 +190,8 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
 
   if (!R.next())
     return Done(false);
-  unsigned Version = 0;
-  if (R.Line == "snapshot v2")
-    Version = 2;
-  else if (R.Line == "snapshot v1")
-    Version = 1; // Pre-source-set grammar; see file comment.
-  else
-    return Done(R.fail("unsupported snapshot header (want 'snapshot v2')"));
+  if (R.Line != "snapshot v3")
+    return Done(R.fail("unsupported snapshot header (want 'snapshot v3')"));
 
   Explorer::Summary &P = Out.Partial;
   if (!R.next())
@@ -211,13 +202,9 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
       return Done(false);
     if (!F.num(P.Executions) || !F.num(P.Completed) || !F.num(P.Deadlocks) ||
         !F.num(P.Races) || !F.num(P.Diverged) || !F.num(P.Pruned) ||
-        !F.num(P.SleepPruned))
-      return Done(R.fail("malformed summary record"));
-    if (Version >= 2 && (!F.num(P.RfPruned) || !F.num(P.SourcePruned) ||
-                         !F.num(P.CacheHits)))
-      return Done(R.fail("malformed summary record"));
-    if (!F.num(P.Violations) || !F.flag(P.Exhausted) || !F.num(P.MaxDepth) ||
-        !F.flag(P.HasViolation))
+        !F.num(P.SleepPruned) || !F.num(P.RfPruned) ||
+        !F.num(P.SourcePruned) || !F.num(P.Violations) ||
+        !F.flag(P.Exhausted) || !F.num(P.MaxDepth) || !F.flag(P.HasViolation))
       return Done(R.fail("malformed summary record"));
   }
 
@@ -291,9 +278,8 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
       uint64_t L = 0;
       unsigned Kind = 0;
       if (!expectKeyword(R, "s", FS) || !FS.num(Mv.Tid) || !FS.num(L) ||
-          !FS.num(Kind) || !FS.flag(Mv.Fp.Sc))
-        return Done(R.fail("malformed sleep record"));
-      if (Version >= 2 && (!FS.flag(Mv.Fp.Atomic) || !FS.num(Mv.Ver)))
+          !FS.num(Kind) || !FS.flag(Mv.Fp.Sc) || !FS.flag(Mv.Fp.Atomic) ||
+          !FS.num(Mv.Ver))
         return Done(R.fail("malformed sleep record"));
       if (Kind > static_cast<unsigned>(rmc::Footprint::Kind::Free))
         return Done(R.fail("sleep footprint kind out of range"));

@@ -37,7 +37,7 @@
 namespace compass::sim {
 
 /// One sleeping scheduler move: a thread together with the footprint of its
-/// pending operation at the time it was put to sleep. Used by the sleep-set
+/// pending operation at the time it was put to sleep. Used by the source-set
 /// partial-order reduction (sim/Reduction.h) and carried inside donated
 /// DecisionTree prefixes so parallel work donation can cross-check the
 /// reduction state a recipient worker recomputes.
@@ -45,11 +45,9 @@ struct SleepMove {
   unsigned Tid = 0;
   rmc::Footprint Fp;
   /// Reads-from watermark: the length of Fp.L's write history when the move
-  /// was put to sleep. Used by the source-set reduction (Reduction.h): a
-  /// sleeping read/update scheduled later may only read messages appended
-  /// at or after this length (older reads-from choices commute back to the
-  /// already-explored sibling that ran the move first). Always 0 under the
-  /// plain sleep-set reduction, so sleep-mode snapshots are unchanged.
+  /// was put to sleep. A sleeping read/update scheduled later may only read
+  /// messages appended at or after this length (older reads-from choices
+  /// commute back to the already-explored sibling that ran the move first).
   uint32_t Ver = 0;
 
   bool operator==(const SleepMove &O) const {

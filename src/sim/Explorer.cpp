@@ -17,8 +17,6 @@ const char *sim::reductionModeName(ReductionMode M) {
   switch (M) {
   case ReductionMode::None:
     return "none";
-  case ReductionMode::SleepSet:
-    return "sleep";
   case ReductionMode::SourceSet:
     return "source";
   }
@@ -28,8 +26,6 @@ const char *sim::reductionModeName(ReductionMode M) {
 bool sim::parseReductionMode(const std::string &S, ReductionMode &Out) {
   if (S == "none")
     Out = ReductionMode::None;
-  else if (S == "sleep")
-    Out = ReductionMode::SleepSet;
   else if (S == "source")
     Out = ReductionMode::SourceSet;
   else
@@ -54,10 +50,8 @@ bool sim::parseEnginePath(const std::string &S, EnginePath &Out) {
 Explorer::Explorer(Options O)
     : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
       LastProgress(Start) {
-  RedEnabled = (Opts.Reduction == ReductionMode::SleepSet ||
-                Opts.Reduction == ReductionMode::SourceSet) &&
+  RedEnabled = Opts.Reduction == ReductionMode::SourceSet &&
                Opts.ExploreMode == Mode::Exhaustive;
-  Red.enableSourceSets(Opts.Reduction == ReductionMode::SourceSet);
 }
 
 Explorer::Explorer() : Explorer(Options{}) {}
@@ -65,10 +59,8 @@ Explorer::Explorer() : Explorer(Options{}) {}
 Explorer::Explorer(Options O, DecisionTree::Prefix Seed)
     : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
       LastProgress(Start) {
-  RedEnabled = (Opts.Reduction == ReductionMode::SleepSet ||
-                Opts.Reduction == ReductionMode::SourceSet) &&
+  RedEnabled = Opts.Reduction == ReductionMode::SourceSet &&
                Opts.ExploreMode == Mode::Exhaustive;
-  Red.enableSourceSets(Opts.Reduction == ReductionMode::SourceSet);
   // Consume the donor's sleep snapshot before the path moves into the
   // tree; the reduction validates its recomputed state against it when
   // replay reaches the seeded ordinal.
@@ -93,7 +85,6 @@ bool Explorer::beginExecution() {
     Tree.beginExecution();
   if (RedEnabled)
     Red.beginExecution();
-  PendingDupMask = 0;
   InExecution = true;
   return true;
 }
@@ -132,18 +123,6 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
     unsigned Pick = static_cast<unsigned>(Rand.below(Limit));
     RandTrace.push_back({Pick, Count, Count, Tag});
     return Pick;
-  }
-
-  // Record the machine-announced reads-from duplicate mask for this node
-  // (source-set mode). Masks are pure functions of the decision prefix:
-  // replayed nodes recompute the identical mask, and nodes skipped by a
-  // copy-on-write resume keep the entry their recording execution wrote.
-  if (RedEnabled && Red.sourceSets()) {
-    const size_t Pos = Tree.position();
-    if (DupMasks.size() <= Pos)
-      DupMasks.resize(Pos + 1, 0);
-    DupMasks[Pos] = PendingDupMask;
-    PendingDupMask = 0;
   }
 
   // A fresh multi-enumerable node is a potential backtrack target: let
@@ -264,24 +243,15 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     // Source-set advance-time skipping: after each backtrack the path's
     // final decision is the freshly advanced alternative. If the reduction
     // proved that sibling fully covered (Prune verdict recorded at its
-    // choice point) or the machine flagged it as a reads-from duplicate of
-    // the alternative just explored, discard the subtree without running an
-    // execution and advance again. The per-alternative verdicts and dup
-    // masks are pure functions of the (unchanged) prefix above the node, so
-    // this is exactly the verdict an execution taking the alternative would
-    // have received.
+    // choice point), discard the subtree without running an execution and
+    // advance again. The per-alternative verdicts are pure functions of the
+    // (unchanged) prefix above the node, so this is exactly the verdict an
+    // execution taking the alternative would have received.
     while (HasWork) {
       const auto &Trace = Tree.trace();
-      if (Trace.empty())
+      if (Trace.empty() || !skippable(Trace.size() - 1, Trace.back()))
         break;
-      const DecisionTree::Decision &D = Trace.back();
-      const SkipKind SK = skipKindAt(Trace.size() - 1, D.Tag, D.Chosen);
-      if (SK == SkipKind::None)
-        break;
-      if (SK == SkipKind::Source)
-        ++Sum.SourcePruned;
-      else
-        ++Sum.CacheHits;
+      ++Sum.SourcePruned;
       HasWork = Tree.advance();
     }
     if (!HasWork)
@@ -323,52 +293,31 @@ void Explorer::finalizePerf() {
   }
 }
 
-Explorer::SkipKind Explorer::skipKindAt(size_t Pos, const char *Tag,
-                                        unsigned Alt) const {
-  if (!RedEnabled || !Red.sourceSets() || !Tag)
-    return SkipKind::None;
-  if (std::strcmp(Tag, "sched") == 0) {
-    // The decision's sched ordinal: sched-tagged decisions correspond 1:1,
-    // in order, to the reduction's recorded choice points. Counting over
-    // the live trace is valid for donated prefixes too — a donation's path
-    // matches the live trace on every position before its final decision.
-    const auto &Trace = Tree.trace();
-    size_t K = 0;
-    for (size_t I = 0, E = std::min(Pos, Trace.size()); I != E; ++I)
-      if (Trace[I].Tag && std::strcmp(Trace[I].Tag, "sched") == 0)
-        ++K;
-    return Red.skipAlternative(K, Alt) ? SkipKind::Source : SkipKind::None;
-  }
-  if (std::strcmp(Tag, "load") != 0 && std::strcmp(Tag, "load-where") != 0 &&
-      std::strcmp(Tag, "cas") != 0)
-    return SkipKind::None;
-  // Mask bit k set = alternative k reads the same value with the same
-  // knowledge as alternative k-1 (rmc::Machine's duplicate detection);
-  // exploring it cannot change any verdict, so the whole sibling subtree
-  // is a cache hit. Masks cover the first 64 alternatives only.
-  if (Alt < 64 && Pos < DupMasks.size() && ((DupMasks[Pos] >> Alt) & 1))
-    return SkipKind::RfDup;
-  return SkipKind::None;
+bool Explorer::skippable(size_t Pos, const DecisionTree::Decision &D) const {
+  if (!RedEnabled || !D.Tag || std::strcmp(D.Tag, "sched") != 0)
+    return false;
+  // The decision's sched ordinal: sched-tagged decisions correspond 1:1, in
+  // order, to the reduction's recorded choice points. Counting over the
+  // live trace is valid for donated prefixes too — a donation's path
+  // matches the live trace on every position before its final decision.
+  const auto &Trace = Tree.trace();
+  size_t K = 0;
+  for (size_t I = 0, E = std::min(Pos, Trace.size()); I != E; ++I)
+    if (Trace[I].Tag && std::strcmp(Trace[I].Tag, "sched") == 0)
+      ++K;
+  return Red.skipAlternative(K, D.Chosen);
 }
 
 void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
                                     bool KeepLast) {
-  if (!RedEnabled || !Red.sourceSets() || Out.empty())
+  if (!RedEnabled || Out.empty())
     return;
   const size_t Limit = Out.size() - (KeepLast ? 1 : 0);
   size_t W = 0;
   for (size_t I = 0, E = Out.size(); I != E; ++I) {
-    SkipKind SK = SkipKind::None;
-    if (I < Limit && !Out[I].Path.empty()) {
-      const DecisionTree::Decision &D = Out[I].Path.back();
-      SK = skipKindAt(Out[I].Path.size() - 1, D.Tag, D.Chosen);
-    }
-    if (SK == SkipKind::Source) {
+    if (I < Limit && !Out[I].Path.empty() &&
+        skippable(Out[I].Path.size() - 1, Out[I].Path.back())) {
       ++Sum.SourcePruned;
-      continue;
-    }
-    if (SK == SkipKind::RfDup) {
-      ++Sum.CacheHits;
       continue;
     }
     if (W != I)
@@ -482,9 +431,9 @@ bool Explorer::Summary::coreEquals(const Summary &O) const {
          Deadlocks == O.Deadlocks && Races == O.Races &&
          Diverged == O.Diverged && Pruned == O.Pruned &&
          SleepPruned == O.SleepPruned && RfPruned == O.RfPruned &&
-         SourcePruned == O.SourcePruned && CacheHits == O.CacheHits &&
-         Violations == O.Violations && Exhausted == O.Exhausted &&
-         MaxDepth == O.MaxDepth && HasViolation == O.HasViolation &&
+         SourcePruned == O.SourcePruned && Violations == O.Violations &&
+         Exhausted == O.Exhausted && MaxDepth == O.MaxDepth &&
+         HasViolation == O.HasViolation &&
          SameTrace(FirstViolation, O.FirstViolation) &&
          SameTags(Tags, O.Tags);
 }
@@ -499,7 +448,6 @@ void Explorer::Summary::mergeCore(const Summary &O) {
   SleepPruned += O.SleepPruned;
   RfPruned += O.RfPruned;
   SourcePruned += O.SourcePruned;
-  CacheHits += O.CacheHits;
   Violations += O.Violations;
   Exhausted = Exhausted && O.Exhausted;
   MaxDepth = std::max(MaxDepth, O.MaxDepth);
@@ -527,7 +475,6 @@ std::string Explorer::Summary::str() const {
   Out += " sleep_pruned=" + std::to_string(SleepPruned);
   Out += " rf_pruned=" + std::to_string(RfPruned);
   Out += " source_pruned=" + std::to_string(SourcePruned);
-  Out += " cache_hits=" + std::to_string(CacheHits);
   Out += " violations=" + std::to_string(Violations);
   Out += Exhausted ? " (exhaustive)" : " (truncated)";
   return Out;
@@ -545,7 +492,6 @@ std::string Explorer::Summary::json() const {
   J.field("sleep_pruned", SleepPruned);
   J.field("rf_pruned", RfPruned);
   J.field("source_pruned", SourcePruned);
-  J.field("cache_hits", CacheHits);
   J.field("violations", Violations);
   J.field("exhausted", Exhausted);
   J.field("max_depth", MaxDepth);

@@ -63,13 +63,11 @@ namespace compass::sim {
 /// Which state-space reduction the explorer applies (DESIGN.md Sections 8
 /// and 12).
 enum class ReductionMode {
-  None,     ///< Plain exhaustive DFS (baseline; fingerprint-stable).
-  SleepSet, ///< Sleep-set partial-order reduction over sched choices.
+  None,     ///< Plain exhaustive DFS (the oracle; fingerprint-stable).
   SourceSet ///< Source-set DPOR: sleep sets upgraded with the watermark-
             ///< refined wake relation, restricted re-runs of sleeping
-            ///< reads/updates, advance-time skipping of covered sched
-            ///< siblings, and reads-from duplicate pruning at load/CAS
-            ///< choice nodes (sim/Reduction.h).
+            ///< reads/updates, and advance-time skipping of covered sched
+            ///< siblings (sim/Reduction.h).
 };
 
 /// How the exploration engine re-establishes state between executions
@@ -81,7 +79,7 @@ enum class EnginePath {
              ///< A/B reference for the copy-on-write path).
 };
 
-/// Canonical spelling of a ReductionMode ("none" | "sleep" | "source");
+/// Canonical spelling of a ReductionMode ("none" | "source");
 /// one vocabulary across the CLI, checkpoints, telemetry, and benchmarks.
 const char *reductionModeName(ReductionMode M);
 /// Inverse of reductionModeName; false on an unknown spelling.
@@ -149,17 +147,15 @@ public:
     uint64_t Races = 0;
     uint64_t Diverged = 0;   ///< Runs cut off by the step budget.
     uint64_t Pruned = 0;     ///< Stutter iterations cut by Env::prune.
-    uint64_t SleepPruned = 0; ///< Executions cut by the sleep/source-set
+    uint64_t SleepPruned = 0; ///< Executions cut by the source-set
                               ///< reduction at an asleep pick.
     uint64_t RfPruned = 0;    ///< Executions cut because a restricted
-                              ///< re-run's reads-from set was empty
-                              ///< (source-set mode only).
+                              ///< re-run's reads-from set was empty.
     uint64_t SourcePruned = 0; ///< Covered sched siblings skipped at
-                               ///< advance time — no execution was run
-                               ///< (source-set mode only).
-    uint64_t CacheHits = 0;  ///< Reads-from duplicate subtrees skipped at
-                             ///< advance time — no execution was run
-                             ///< (source-set mode only).
+                               ///< advance time — no execution was run.
+    /// Always 0: the reads-from duplicate cache it counted is gone. Kept
+    /// declared only for its one reader, perfbench/perfbench.cpp:402.
+    uint64_t CacheHits = 0;
     uint64_t Violations = 0; ///< Executions whose check failed.
     bool Exhausted = false;  ///< Whole tree covered (exhaustive mode).
     uint64_t MaxDepth = 0;   ///< Deepest decision sequence seen.
@@ -241,11 +237,6 @@ public:
 
   size_t decisionPosition() const override;
 
-  /// Reads-from duplicate mask for the next choose() (source-set mode);
-  /// announced by the machine, recorded per tree node so advance() can
-  /// skip duplicate subtrees (Summary::CacheHits).
-  void noteChoiceDup(uint64_t Mask) override { PendingDupMask = Mask; }
-
   const Options &options() const { return Opts; }
   const Summary &summary() const { return Sum; }
 
@@ -292,7 +283,7 @@ public:
 
   /// Donates up to \p MaxDonations unexplored subtree prefixes from the
   /// shallowest open choice point; see DecisionTree::split(). When the
-  /// sleep-set reduction is active, each donated prefix is annotated with
+  /// source-set reduction is active, each donated prefix is annotated with
   /// the donor's sleep state so the recipient can cross-check its own.
   std::vector<DecisionTree::Prefix> split(size_t MaxDonations);
 
@@ -317,7 +308,7 @@ public:
   /// Depth of the current decision path.
   uint64_t currentDepth() const { return Tree.depth(); }
 
-  /// The sleep/source-set reduction driving this explorer, or nullptr when
+  /// The source-set reduction driving this explorer, or nullptr when
   /// reduction is off. Hand it to Scheduler::setReduction().
   Reduction *reduction() { return RedEnabled ? &Red : nullptr; }
 
@@ -327,13 +318,13 @@ private:
   DecisionTree Tree;
   Reduction Red;
   bool RedEnabled = false;
-  /// Whether a donated/advanced alternative is skippable without running
-  /// it. Position/tag/alternative identify the decision; returns which
-  /// counter to bump (or None). Used by endExecution's advance loop and by
-  /// split()/drainFrontier() donation filtering — both must agree with the
-  /// serial skip decision for cross-worker fingerprint parity.
-  enum class SkipKind { None, Source, RfDup };
-  SkipKind skipKindAt(size_t Pos, const char *Tag, unsigned Alt) const;
+  /// Whether decision \p D at path position \p Pos, a donated or freshly
+  /// advanced alternative, is a covered sched sibling the explorer may skip
+  /// without running it (Summary::SourcePruned). Used by endExecution's
+  /// advance loop and by split()/drainFrontier() donation filtering — both
+  /// must agree with the serial skip decision for cross-worker fingerprint
+  /// parity.
+  bool skippable(size_t Pos, const DecisionTree::Decision &D) const;
   /// Removes skip-marked prefixes from a donation batch, counting them into
   /// this (the donor's) summary — a recipient would otherwise burn an
   /// execution on a subtree serial exploration skips without one. KeepLast
@@ -341,13 +332,6 @@ private:
   /// already vetted by the advance loop.
   void dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
                             bool KeepLast);
-  /// Reads-from duplicate masks per tree-node position, recorded at
-  /// choose() time (source-set mode). Entries for positions skipped by a
-  /// copy-on-write resume persist from the execution that recorded them;
-  /// replayed positions are overwritten with identically recomputed masks
-  /// (they are pure functions of the decision prefix).
-  std::vector<uint64_t> DupMasks;
-  uint64_t PendingDupMask = 0;
   /// Random-mode decision log (the DFS tree is unused in random mode, but
   /// failures must still be replayable — see currentDecisions()).
   std::vector<DecisionTree::Decision> RandTrace;

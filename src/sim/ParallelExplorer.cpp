@@ -55,14 +55,12 @@ public:
   }
   // Every ChoiceSource entry point must forward, or the facade silently
   // changes semantics: the base-class chooseLimited fallback would erase
-  // the source-set restriction (full-arity enumeration), and a swallowed
-  // duplicate mask would disable reads-from caching — both only for
-  // worker explorers, breaking worker-count determinism.
+  // the source-set restriction (full-arity enumeration) for worker
+  // explorers only, breaking worker-count determinism.
   unsigned chooseLimited(unsigned Count, unsigned Limit,
                          const char *Tag) override {
     return Cur->chooseLimited(Count, Limit, Tag);
   }
-  void noteChoiceDup(uint64_t Mask) override { Cur->noteChoiceDup(Mask); }
   size_t decisionPosition() const override {
     return Cur->decisionPosition();
   }

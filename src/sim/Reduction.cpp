@@ -1,4 +1,4 @@
-//===-- sim/Reduction.cpp - Sleep-set / source-set POR --------------------===//
+//===-- sim/Reduction.cpp - Source-set POR --------------------------------===//
 
 #include "sim/Reduction.h"
 
@@ -29,11 +29,9 @@ Reduction::Verdict Reduction::verdictFor(const SleepMove *E,
                                          uint32_t HistLen) const {
   if (!E)
     return Verdict::Run;
-  if (!SourceMode)
-    return Verdict::Prune;
-  // Source mode. A sleeping move was kept asleep only through exact
-  // commutes (classic independence, or reads that grow no history) plus —
-  // for reads/updates — same-location writes covered by the watermark
+  // A sleeping move was kept asleep only through exact commutes (classic
+  // independence, or reads that grow no history) plus — for reads/updates
+  // — same-location writes covered by the watermark
   // (rmc::sourceKeepsAsleep). A sleeping write's delays are therefore all
   // exact commutes back to the explored sibling: full prune. A sleeping
   // read/update is fully covered exactly when no message was appended to
@@ -92,8 +90,7 @@ Reduction::onSchedChoice(const std::vector<unsigned> &Enabled,
   Pt.Alts.clear();
   Pt.Skip.clear();
   for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-    Pt.Alts.push_back(
-        SleepMove{Enabled[I], Fps[I], SourceMode ? HistLens[I] : 0});
+    Pt.Alts.push_back(SleepMove{Enabled[I], Fps[I], HistLens[I]});
 
   // Per-alternative verdicts, against the *entry* sleep set. Both the sleep
   // set and the history lengths at this point are pure functions of the
@@ -101,26 +98,21 @@ Reduction::onSchedChoice(const std::vector<unsigned> &Enabled,
   // equals the verdict a later execution choosing A here would compute —
   // which is what lets the explorer skip Prune-marked siblings at advance
   // time without running them.
-  Verdict PickV;
-  if (SourceMode) {
-    for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-      Pt.Skip.push_back(static_cast<uint8_t>(
-          verdictFor(findAsleep(Enabled[I]), HistLens[I])));
-    PickV = static_cast<Verdict>(Pt.Skip[Pick]);
-    if (PickV == Verdict::Restricted) {
-      const SleepMove *E = findAsleep(Enabled[Pick]);
-      RestrictL = E->Fp.L;
-      RestrictVer = E->Ver;
-    }
-  } else {
-    PickV = findAsleep(Enabled[Pick]) ? Verdict::Prune : Verdict::Run;
+  for (size_t I = 0, E = Enabled.size(); I != E; ++I)
+    Pt.Skip.push_back(static_cast<uint8_t>(
+        verdictFor(findAsleep(Enabled[I]), HistLens[I])));
+  const Verdict PickV = static_cast<Verdict>(Pt.Skip[Pick]);
+  if (PickV == Verdict::Restricted) {
+    const SleepMove *E = findAsleep(Enabled[Pick]);
+    RestrictL = E->Fp.L;
+    RestrictVer = E->Ver;
   }
 
   // DFS order: alternatives j < Pick were fully explored in sibling
   // branches (by this worker or, for donated prefixes, by the donor side),
   // so delaying them past covered steps is redundant.
   for (unsigned J = 0; J != Pick; ++J)
-    insertMove(Cur, Enabled[J], Fps[J], SourceMode ? HistLens[J] : 0);
+    insertMove(Cur, Enabled[J], Fps[J], HistLens[J]);
 
   // Cross-worker validation: when replaying a donated seed, the state we
   // just recomputed must match the donor's snapshot exactly.
@@ -142,7 +134,7 @@ Reduction::Verdict Reduction::onSchedule(unsigned Tid, uint32_t HistLen) {
 }
 
 bool Reduction::skipAlternative(size_t Ordinal, unsigned Alt) const {
-  if (!SourceMode || Ordinal >= NumPoints)
+  if (Ordinal >= NumPoints)
     return false;
   const SchedPoint &Pt = Points[Ordinal];
   return Alt < Pt.Skip.size() &&
@@ -152,18 +144,12 @@ bool Reduction::skipAlternative(size_t Ordinal, unsigned Alt) const {
 void Reduction::onStepExecuted(unsigned Tid, const rmc::Footprint &F) {
   // Wake (erase) every sleeping move the keep-asleep relation cannot hold.
   // The executing thread's own entry is always dropped: consecutive steps
-  // of one thread are program-ordered and never commute. In sleep mode the
-  // scheduler never executes a sleeping move (it prunes instead); in source
-  // mode it deliberately does, for restricted re-runs.
+  // of one thread are program-ordered and never commute. (The scheduler
+  // executes a sleeping move only for a restricted re-run.)
   size_t Out = 0;
   for (size_t I = 0, E = Cur.size(); I != E; ++I) {
     const SleepMove &Mv = Cur[I];
-    assert((SourceMode || Mv.Tid != Tid) &&
-           "scheduler executed a sleeping move");
-    const bool Keep = Mv.Tid != Tid && (SourceMode
-                                            ? rmc::sourceKeepsAsleep(F, Mv.Fp)
-                                            : rmc::independent(F, Mv.Fp));
-    if (Keep) {
+    if (Mv.Tid != Tid && rmc::sourceKeepsAsleep(F, Mv.Fp)) {
       if (Out != I)
         Cur[Out] = Mv;
       ++Out;

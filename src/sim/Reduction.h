@@ -1,25 +1,26 @@
-//===-- sim/Reduction.h - Sleep-set / source-set POR ------------*- C++ -*-===//
+//===-- sim/Reduction.h - Source-set POR ------------------------*- C++ -*-===//
 //
 // Part of compass-cxx. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Partial-order reduction over the scheduler's thread-choice points,
-/// specialized to the view-based RMC machine. Two modes share one state
-/// machine (DESIGN.md Sections 8 and 12):
+/// Source-set partial-order reduction over the scheduler's thread-choice
+/// points, specialized to the view-based RMC machine (DESIGN.md Sections 8
+/// and 12).
 ///
-/// *Sleep sets* [Godefroid]: after the explorer finishes the branch that
-/// schedules thread t at a choice point, the sibling branches need not
-/// re-explore interleavings that merely *delay* t past steps independent of
-/// t's pending operation — swapping adjacent independent steps yields the
-/// identical machine state. When the DFS takes alternative `Pick` at a
-/// `sched` choice point, every alternative j < Pick (already fully explored
-/// in sibling branches, in DFS order) is put to *sleep*. A sleeping move
-/// wakes as soon as any executed step is dependent on it; if the scheduler
-/// is about to run a move that is still asleep, the branch is pruned.
+/// The skeleton is *sleep sets* [Godefroid]: after the explorer finishes
+/// the branch that schedules thread t at a choice point, the sibling
+/// branches need not re-explore interleavings that merely *delay* t past
+/// steps independent of t's pending operation — swapping adjacent
+/// independent steps yields the identical machine state. When the DFS takes
+/// alternative `Pick` at a `sched` choice point, every alternative j < Pick
+/// (already fully explored in sibling branches, in DFS order) is put to
+/// *sleep*. A sleeping move wakes as soon as any executed step is dependent
+/// on it; if the scheduler is about to run a move that is still asleep, the
+/// branch is pruned.
 ///
-/// *Source sets* (the default): the same bookkeeping with three upgrades.
+/// Source sets upgrade that bookkeeping in three ways.
 /// (1) A refined wake relation (rmc::sourceKeepsAsleep): same-location
 /// atomic non-SC read/write pairs keep each other asleep, because the
 /// commutation is exact for reads-from choices below the sleeping move's
@@ -35,9 +36,9 @@
 /// (Summary::SourcePruned).
 ///
 /// Only `sched`-tagged decisions participate; read-from and CAS-outcome
-/// choice points are never pruned by this layer (the explorer's duplicate-
-/// rf cache handles those; see ChoiceSource::noteChoiceDup). All state is
-/// recomputed online from the decision path on every execution (it is a
+/// choice points are never pruned by this layer (a restricted re-run only
+/// narrows their enumeration; see ChoiceSource::chooseLimited). All state
+/// is recomputed online from the decision path on every execution (it is a
 /// pure function of the path), so replayed prefixes — including seeded
 /// prefixes adopted from another worker — deterministically reconstruct
 /// the donor's state; donated prefixes carry a snapshot
@@ -58,8 +59,8 @@
 
 namespace compass::sim {
 
-/// Online sleep-set / source-set state for one explorer (one worker); see
-/// file comment. All containers are watermarked/recycled so steady-state
+/// Online source-set state for one explorer (one worker); see file
+/// comment. All containers are watermarked/recycled so steady-state
 /// executions do not allocate.
 class Reduction {
 public:
@@ -71,17 +72,12 @@ public:
                ///< with the reads-from floor restrictLoc()/restrictVer().
   };
 
-  /// Switches between plain sleep sets (off) and source sets (on). Must be
-  /// set before the first execution and never changed mid-exploration.
-  void enableSourceSets(bool On) { SourceMode = On; }
-  bool sourceSets() const { return SourceMode; }
-
   /// Clears the per-execution state; call before each execution.
   void beginExecution();
 
   /// Hook for a real `sched` choice (arity > 1, not preemption-forced):
   /// records the choice point, puts alternatives j < \p Pick to sleep
-  /// (stamping their history watermarks from \p HistLens in source mode),
+  /// (stamping their history watermarks from \p HistLens),
   /// validates against the donated seed snapshot when this is the seeded
   /// ordinal, and returns the verdict for the picked move.
   ///
@@ -105,17 +101,16 @@ public:
   uint32_t restrictVer() const { return RestrictVer; }
 
   /// Hook after a machine step by \p Tid with executed footprint \p F:
-  /// wakes every sleeping move the refinement cannot keep asleep (classic
-  /// independence in sleep mode, rmc::sourceKeepsAsleep in source mode; the
-  /// stepping thread's own entry is always dropped — consecutive steps of
-  /// one thread never commute).
+  /// wakes every sleeping move rmc::sourceKeepsAsleep cannot keep asleep
+  /// (the stepping thread's own entry is always dropped — consecutive steps
+  /// of one thread never commute).
   void onStepExecuted(unsigned Tid, const rmc::Footprint &F);
 
-  /// Advance-time skip test (source mode): true when alternative \p Alt of
-  /// the \p Ordinal-th sched point of the last executed path is fully
-  /// covered by explored siblings, so the explorer may skip the subtree
-  /// without executing it (counted as Summary::SourcePruned). False for
-  /// unknown ordinals/alternatives and in sleep mode.
+  /// Advance-time skip test: true when alternative \p Alt of the
+  /// \p Ordinal-th sched point of the last executed path is fully covered
+  /// by explored siblings, so the explorer may skip the subtree without
+  /// executing it (counted as Summary::SourcePruned). False for unknown
+  /// ordinals/alternatives.
   bool skipAlternative(size_t Ordinal, unsigned Alt) const;
 
   /// Installs the donor's sleep snapshot for a seeded (donated) prefix:
@@ -179,7 +174,7 @@ private:
   struct SchedPoint {
     std::vector<SleepMove> Entry; ///< Sleep set before this point's adds.
     std::vector<SleepMove> Alts;  ///< Enabled moves, in choice order.
-    std::vector<uint8_t> Skip;    ///< Verdict per alternative (source mode).
+    std::vector<uint8_t> Skip;    ///< Verdict per alternative.
   };
 
   std::vector<SleepMove> Cur;     ///< Current sleep set, sorted by Tid.
@@ -189,7 +184,6 @@ private:
   std::vector<SleepMove> Seed; ///< Donor snapshot (sorted by Tid).
   size_t SeedOrdinal = 0;
   bool HasSeed = false;
-  bool SourceMode = false;
 
   rmc::Loc RestrictL = 0;    ///< Floor location of the last Restricted.
   uint32_t RestrictVer = 0;  ///< Floor watermark of the last Restricted.

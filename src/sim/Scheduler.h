@@ -60,7 +60,7 @@ struct Env {
 
   // Reclamation ghost steps (simulated EBR; see rmc::Machine::pinEnter
   // and friends). Each is a scheduler-visible step of its own so the
-  // sleep-set reduction sees its Reclaim/Free footprint.
+  // source-set reduction sees its Reclaim/Free footprint.
   auto pinEnter();
   auto pinExit();
   auto retire(rmc::Loc L, unsigned Count = 1);
@@ -84,12 +84,12 @@ public:
     Race,       ///< The machine flagged a non-atomic data race.
     StepLimit,  ///< The step budget was exhausted (diverged/unfair run).
     Pruned,     ///< A thread flagged a stutter iteration (Env::prune).
-    SleepPruned, ///< The sleep/source-set reduction cut this branch
+    SleepPruned, ///< The source-set reduction cut this branch
                  ///< (Reduction.h).
     RfPruned ///< A source-set restricted re-run found its reads-from
              ///< option set empty: every reads-from choice of the step was
              ///< already covered by the sibling that ran the move earlier
-             ///< (Reduction.h; only under source-set mode).
+             ///< (Reduction.h).
   };
 
   Scheduler(rmc::Machine &M, ChoiceSource &Choices)
@@ -105,7 +105,7 @@ public:
 
   unsigned preemptionsUsed() const { return Preemptions; }
 
-  /// Attaches a sleep-set reduction (or nullptr to disable). The scheduler
+  /// Attaches a source-set reduction (or nullptr to disable). The scheduler
   /// feeds it every thread-choice point and every executed step; when it
   /// reports the picked move asleep, run() ends with SleepPruned. The
   /// pointer must stay valid for the scheduler's lifetime. Persists across

@@ -17,7 +17,6 @@
 #define COMPASS_SUPPORT_CHOICE_H
 
 #include <cstddef>
-#include <cstdint>
 
 namespace compass {
 
@@ -51,17 +50,6 @@ public:
   /// so the copy-on-write engine can mark decision boundaries; sources with
   /// no such notion return 0.
   virtual size_t decisionPosition() const { return 0; }
-
-  /// Announces, for the *next* choose() call, which alternatives are
-  /// reads-from duplicates of their immediate predecessor (bit k set:
-  /// alternative k reads a message with the same value and knowledge as
-  /// alternative k-1, timestamp-adjacent and strictly below the
-  /// modification-order maximum — so the two post-states canonicalize to
-  /// the same execution-state fingerprint). The machine reports the mask
-  /// right before the choice when duplicate detection is enabled; the
-  /// explorer's source-set mode uses it to skip the duplicate subtrees
-  /// (Summary::CacheHits). Default: ignore.
-  virtual void noteChoiceDup(uint64_t Mask) { (void)Mask; }
 };
 
 /// A trivial source that always picks alternative 0 (the newest message, the

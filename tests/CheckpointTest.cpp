@@ -109,13 +109,17 @@ ExploreResult interruptAt(Workload W, uint64_t InterruptAt,
 //===----------------------------------------------------------------------===//
 
 TEST(SnapshotFormat, RoundTripsInterruptedExploration) {
-  // Interrupt a real exploration (with sleep reduction so prefixes carry
-  // sleep snapshots) and round-trip the resulting snapshot.
-  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SleepSet), 400);
+  // Interrupt a real source-set exploration and round-trip the resulting
+  // snapshot: its prefixes carry sleep snapshots with the per-sleeper
+  // Atomic flag and reads-from watermark, and its summary the source-set
+  // counters — all of it must survive the text round trip bit-exactly.
+  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SourceSet), 200);
   ASSERT_TRUE(R.Interrupted);
   ASSERT_FALSE(R.Snapshot.empty());
 
   std::string Text = serializeSnapshot(R.Snapshot);
+  EXPECT_EQ(Text.rfind("snapshot v3\n", 0), 0u)
+      << "writer must emit the v3 header";
   ExplorationSnapshot Back;
   std::string Err;
   ASSERT_TRUE(parseSnapshot(Text, Back, Err)) << Err;
@@ -132,96 +136,44 @@ TEST(SnapshotFormat, RoundTripsInterruptedExploration) {
   EXPECT_EQ(serializeSnapshot(Back), Text);
 }
 
-TEST(SnapshotFormat, RoundTripsSourceModeState) {
-  // Source-set snapshots carry the per-sleeper Atomic flag and reads-from
-  // watermark plus the three source-set counters ("snapshot v2" fields) —
-  // all of it must survive the text round trip bit-exactly.
-  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SourceSet), 200);
+TEST(SnapshotFormat, RejectsOlderVersions) {
+  // v2 snapshots carried the duplicate-rf cache counter, and v1 snapshots
+  // came from plain sleep-set runs; no mode can resume either, so both
+  // headers are rejected with a diagnostic naming the wanted version.
+  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SourceSet), 200);
   ASSERT_TRUE(R.Interrupted);
-  ASSERT_FALSE(R.Snapshot.empty());
+  const std::string V3 = serializeSnapshot(R.Snapshot);
+  ASSERT_EQ(V3.rfind("snapshot v3\n", 0), 0u);
 
-  std::string Text = serializeSnapshot(R.Snapshot);
-  EXPECT_EQ(Text.rfind("snapshot v2", 0), 0u)
-      << "writer must emit the v2 header";
-  ExplorationSnapshot Back;
-  std::string Err;
-  ASSERT_TRUE(parseSnapshot(Text, Back, Err)) << Err;
-  EXPECT_TRUE(Back.Partial.coreEquals(R.Snapshot.Partial))
-      << "saved:  " << R.Snapshot.Partial.str()
-      << "\nparsed: " << Back.Partial.str();
-  ASSERT_EQ(Back.Frontier.size(), R.Snapshot.Frontier.size());
-  for (size_t I = 0; I != Back.Frontier.size(); ++I)
-    EXPECT_TRUE(prefixEquals(Back.Frontier[I], R.Snapshot.Frontier[I]))
-        << "frontier prefix " << I;
-  EXPECT_EQ(serializeSnapshot(Back), Text);
-}
-
-TEST(SnapshotFormat, AcceptsV1Snapshots) {
-  // Pre-source-set checkpoints on disk must keep resuming: downgrade a
-  // sleep-mode snapshot to the v1 grammar (no source counters, 4-field
-  // sleep records) and parse it. Sleep mode never *consults* the missing
-  // fields (the Atomic flag and rf watermark only drive source-set
-  // refinement), so the downgrade is lossless for resume purposes.
-  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SleepSet), 200);
-  ASSERT_TRUE(R.Interrupted);
-  std::string V2 = serializeSnapshot(R.Snapshot);
-
-  std::string V1;
-  std::istringstream In(V2);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line == "snapshot v2") {
-      Line = "snapshot v1";
-    } else if (Line.rfind("summary ", 0) == 0) {
-      // Drop fields 8-10 (RfPruned SourcePruned CacheHits) of 14.
+  // The v2 shape of the same snapshot: the cache counter sat right after
+  // SourcePruned, making the summary record 14 fields instead of 13.
+  std::string V2Body;
+  std::istringstream In(V3.substr(V3.find('\n') + 1));
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.rfind("summary ", 0) == 0) {
       std::istringstream F(Line.substr(8));
       std::vector<std::string> W;
       for (std::string T; F >> T;)
         W.push_back(T);
-      ASSERT_EQ(W.size(), 14u) << Line;
-      W.erase(W.begin() + 7, W.begin() + 10);
+      ASSERT_EQ(W.size(), 13u) << Line;
+      W.insert(W.begin() + 9, "0");
       Line = "summary";
       for (const std::string &T : W)
         Line += " " + T;
-    } else if (Line.rfind("s ", 0) == 0) {
-      // Drop the trailing <Atomic> <Ver> pair.
-      size_t E = Line.find_last_of(' ');
-      ASSERT_NE(E, std::string::npos);
-      E = Line.find_last_of(' ', E - 1);
-      ASSERT_NE(E, std::string::npos);
-      Line.resize(E);
     }
-    V1 += Line + "\n";
+    V2Body += Line + "\n";
   }
 
-  ExplorationSnapshot Back;
+  ExplorationSnapshot Out;
+  for (const char *Old : {"snapshot v1\n", "snapshot v2\n"}) {
+    std::string Err;
+    EXPECT_FALSE(parseSnapshot(Old + V2Body, Out, Err)) << Old;
+    EXPECT_NE(Err.find("want 'snapshot v3'"), std::string::npos) << Err;
+  }
+  // Relabelling a v2 file as v3 does not get its summary past the parser.
   std::string Err;
-  ASSERT_TRUE(parseSnapshot(V1, Back, Err)) << Err;
-  EXPECT_TRUE(Back.Partial.coreEquals(R.Snapshot.Partial))
-      << "saved:  " << R.Snapshot.Partial.str()
-      << "\nparsed: " << Back.Partial.str();
-  ASSERT_EQ(Back.Frontier.size(), R.Snapshot.Frontier.size());
-  // Footprint equality deliberately ignores the Atomic flag (stale
-  // snapshots remain comparable), so the stripped sleep records still
-  // match move-for-move.
-  for (size_t I = 0; I != Back.Frontier.size(); ++I)
-    EXPECT_TRUE(prefixEquals(Back.Frontier[I], R.Snapshot.Frontier[I]))
-        << "frontier prefix " << I;
-  // Re-serialization upgrades to the v2 header (the dropped Atomic flags
-  // are gone for good, which sleep-mode resume never notices).
-  EXPECT_EQ(serializeSnapshot(Back).rfind("snapshot v2", 0), 0u);
-
-  // The v1-parsed snapshot must actually resume to the uninterrupted
-  // reference core.
-  std::string Err2;
-  ASSERT_TRUE(parseSnapshot(V1, Back, Err2)) << Err2;
-  ExploreControl Run;
-  auto Done = exploreResumable(msQueueWorkload(1, ReductionMode::SleepSet),
-                               Run, &Back);
-  EXPECT_FALSE(Done.Interrupted);
-  auto Ref = explore(msQueueWorkload(1, ReductionMode::SleepSet));
-  EXPECT_TRUE(Done.Sum.coreEquals(Ref))
-      << "reference: " << Ref.str() << "\nresumed:   " << Done.Sum.str();
+  EXPECT_FALSE(parseSnapshot("snapshot v3\n" + V2Body, Out, Err));
+  EXPECT_NE(Err.find("malformed summary record"), std::string::npos) << Err;
 }
 
 TEST(SnapshotFormat, RoundTripsViolationState) {
@@ -259,17 +211,17 @@ TEST(SnapshotFormat, RejectsMalformedInput) {
     EXPECT_FALSE(Err.empty());
   };
   Bad("");
-  Bad("snapshot v2\nend snapshot\n");
+  Bad("snapshot v3\nend snapshot\n");
   Bad("not a snapshot at all");
-  Bad("snapshot v1\n"); // truncated: no summary, no footer
+  Bad("snapshot v3\n"); // truncated: no summary, no footer
 
   // A valid snapshot, then corrupted one line at a time.
-  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SleepSet), 200);
+  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SourceSet), 200);
   ASSERT_TRUE(R.Interrupted);
   std::string Good = serializeSnapshot(R.Snapshot);
   ASSERT_TRUE(parseSnapshot(Good, Out, Err)) << Err;
   Bad(Good.substr(0, Good.size() / 2));            // torn mid-file
-  Bad("snapshot v1\ngarbage here\n" + Good);       // wrong record kind
+  Bad("snapshot v3\ngarbage here\n" + Good);       // wrong record kind
   std::string Neg = Good;
   size_t P = Neg.find("\nd ");
   ASSERT_NE(P, std::string::npos);
@@ -318,6 +270,13 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
   };
   BadCk("");
   BadCk("compass sweep-checkpoint v9\n");
+  // The previous grammar (v1, with the duplicate-rf cache counter in every
+  // stat record) is rejected with a diagnostic naming the wanted version.
+  std::string Old = Text;
+  Old.replace(0, Old.find('\n'), "compass sweep-checkpoint v1");
+  BadCk(Old);
+  EXPECT_NE(Err.find("want 'compass sweep-checkpoint v2'"), std::string::npos)
+      << Err;
   BadCk(Text.substr(0, Text.size() - 8)); // missing footer
   std::string Wrong = Text;
   size_t P = Wrong.find("libs ");
@@ -338,12 +297,11 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
 TEST(SweepCheckpointFormat, RecordsReductionModeAndEnginePath) {
   using namespace compass::check;
 
-  // Regression: the checkpoint writer used to serialize every non-sleep
+  // Regression: the checkpoint writer used to serialize the source-set
   // mode as "none", so a source-set sweep silently resumed unreduced (and
   // fingerprint-diverged). The config line must round-trip the exact mode
   // and engine path the executed share ran under.
-  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet,
-                            ReductionMode::SourceSet}) {
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet}) {
     SweepOptions O;
     O.Seed = 5;
     O.ScenariosPerLib = 2;
@@ -424,14 +382,6 @@ TEST(ResumeExactness, WorkerCountChangesAcrossSegments) {
   expectResumeExact(ReductionMode::None, 4, 1);
 }
 
-TEST(ResumeExactness, SleepReductionSerial) {
-  expectResumeExact(ReductionMode::SleepSet, 1, 2);
-}
-
-TEST(ResumeExactness, SleepReductionParallel) {
-  expectResumeExact(ReductionMode::SleepSet, 2, 4);
-}
-
 TEST(ResumeExactness, SourceReductionSerial) {
   expectResumeExact(ReductionMode::SourceSet, 1, 2);
 }
@@ -444,9 +394,8 @@ TEST(ResumeExactness, ManySegmentsStillExact) {
   // Interrupt every ~sixth of the tree until done, rotating worker
   // counts; the chained segments must still land on the uninterrupted
   // core. Source sets stress the donated-prefix snapshot validation the
-  // hardest (every hop re-seeds sleep state, watermarks, and dup masks).
-  for (const ReductionMode Red :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet}) {
+  // hardest (every hop re-seeds sleep state and watermarks).
+  const ReductionMode Red = ReductionMode::SourceSet;
   auto Ref = explore(msQueueWorkload(1, Red));
   ASSERT_TRUE(Ref.Exhausted);
   const uint64_t Stride = std::max<uint64_t>(Ref.Executions / 6, 25);
@@ -475,7 +424,6 @@ TEST(ResumeExactness, ManySegmentsStillExact) {
   EXPECT_GE(Segments, 3u) << "tree too small to test multi-segment resume";
   EXPECT_TRUE(Final.coreEquals(Ref))
       << "reference: " << Ref.str() << "\nchained:   " << Final.str();
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -270,3 +270,37 @@ TEST(NativeExchangerTest, PairedThreadsCrossValues) {
     EXPECT_FALSE(Got[1].has_value());
   }
 }
+
+TEST(NativeExchangerTest, StressMatchesArePairwise) {
+  // Every completed exchange pairs two offers: if the exchange offering A
+  // got B, the exchange offering B got A. Four threads with short waits
+  // keep offers being matched, withdrawn and replaced in the slot, so an
+  // exchange that clears the slot after it already holds a newer offer and
+  // then reads that node hands back a third thread's value.
+  constexpr unsigned Threads = 4, PerThread = 20000;
+  Exchanger<uint64_t> X;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> Done(Threads);
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T != Threads; ++T)
+    Ts.emplace_back([&, T] {
+      for (unsigned I = 0; I != PerThread; ++I) {
+        uint64_t Mine = uint64_t(T) * PerThread + I + 1;
+        if (std::optional<uint64_t> Got = X.exchange(Mine, 1, 16))
+          Done[T].push_back({Mine, *Got});
+      }
+    });
+  for (auto &T : Ts)
+    T.join();
+
+  std::map<uint64_t, uint64_t> Partner;
+  for (auto &Pairs : Done)
+    for (auto [Mine, Got] : Pairs)
+      Partner.emplace(Mine, Got);
+  for (auto [Mine, Got] : Partner) {
+    auto It = Partner.find(Got);
+    ASSERT_NE(It, Partner.end())
+        << Mine << " got " << Got << ", whose exchange did not complete";
+    EXPECT_EQ(It->second, Mine)
+        << Mine << " got " << Got << ", which got " << It->second;
+  }
+}

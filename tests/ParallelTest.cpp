@@ -438,8 +438,8 @@ TEST(ParallelCounterexample, StopOnViolationIsLexMinAcrossWorkers) {
       ReductionMode::None, "MP relaxed, no reduction");
 }
 
-TEST(ParallelCounterexample, StopOnViolationIsLexMinUnderSleepReduction) {
-  // Same guarantee with sleep-set reduction enabled: the reduced tree is
+TEST(ParallelCounterexample, StopOnViolationIsLexMinUnderSourceReduction) {
+  // Same guarantee with source-set reduction enabled: the reduced tree is
   // deterministic, so its lex-min violating sequence is too.
   expectLexMinStop(
       +[](unsigned W, ReductionMode R) {
@@ -447,13 +447,13 @@ TEST(ParallelCounterexample, StopOnViolationIsLexMinUnderSleepReduction) {
         Wl.options().Reduction = R;
         return Wl;
       },
-      ReductionMode::SleepSet, "MP relaxed, sleep reduction");
+      ReductionMode::SourceSet, "MP relaxed, source reduction");
 }
 
 TEST(ParallelCounterexample, StopOnViolationIsLexMinOnMutatedConformance) {
   // A violation-dense conformance workload (mutated Treiber stack) under
-  // the harness's default sleep reduction — the configuration long sweeps
-  // actually run with.
+  // the harness's default source-set reduction — the configuration long
+  // sweeps actually run with.
   expectLexMinStop(
       +[](unsigned W, ReductionMode R) {
         Workload Wl = conformanceWorkload(
@@ -462,7 +462,7 @@ TEST(ParallelCounterexample, StopOnViolationIsLexMinOnMutatedConformance) {
         Wl.options().Reduction = R;
         return Wl;
       },
-      ReductionMode::SleepSet, "treiber mutant, sleep reduction");
+      ReductionMode::SourceSet, "treiber mutant, source reduction");
 }
 
 //===----------------------------------------------------------------------===//

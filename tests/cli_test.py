@@ -4,7 +4,9 @@
 Pins the strict numeric-flag contract: malformed, signed, overflowing, or
 missing values exit 2 and print usage to stderr (pre-fix, strtoull
 silently mapped "abc" and "-1" to a number and the sweep ran with
-garbage); valid spellings are accepted. Also pins the regression corpus:
+garbage); valid spellings are accepted. A sweep whose scenarios hit the
+execution cap says so in its verdict line instead of reading as plain
+clean. Also pins the regression corpus:
 `mutants --seed 1 --emit-corpus` rewrites tests/corpus/ byte for byte, and
 `replay` reproduces every entry, one line each. Invoked by ctest as
 `test_cli <path-to-compass_check>`.
@@ -57,6 +59,10 @@ def main():
     expect_usage_error("plus-signed max-execs", "sweep", "--max-execs", "+5")
     expect_usage_error("empty workers", "sweep", "--workers", "")
     expect_usage_error("zero workers", "sweep", "--workers", "0")
+    # A zero cap runs no execution and truncates every scenario.
+    expect_usage_error("zero max-execs", "sweep", "--max-execs", "0")
+    expect_usage_error("mutants zero max-execs", "mutants",
+                       "--max-execs", "0")
     expect_usage_error("float per-lib", "sweep", "--per-lib", "1.5")
     expect_usage_error("missing value", "sweep", "--per-lib")
     expect_usage_error("unsigned overflow per-lib", "sweep", "--per-lib",
@@ -78,7 +84,12 @@ def main():
     expect_usage_error("bad mutation name", "mutants", "--mut",
                        "ebr_skip_grace")
     expect_usage_error("bad reduction", "sweep", "--reduction", "magic")
-    # Only the canonical lowercase spellings none|sleep|source are valid:
+    # Source sets subsume plain sleep sets, so `sleep` names no mode.
+    expect_usage_error("removed reduction sleep", "sweep",
+                       "--reduction", "sleep")
+    expect_usage_error("mutants removed reduction sleep", "mutants",
+                       "--reduction", "sleep")
+    # Only the canonical lowercase spellings none|source are valid:
     # near-misses must not be silently mapped to a mode.
     expect_usage_error("reduction near-miss sleep-set", "sweep",
                        "--reduction", "sleep-set")
@@ -96,6 +107,16 @@ def main():
             "--max-execs", "2000", "--lib", "ms_queue")
     check("valid sweep runs", p.returncode == 0, p)
     check("valid sweep prints fingerprint", "fingerprint" in p.stdout, p)
+    check("exhausted sweep reads as plain clean",
+          "(clean)\n" in p.stdout and "incomplete" not in p.stdout, p)
+
+    # A tree cut at the cap leaves its unexplored share unchecked: the
+    # verdict stays clean (exit 0) but must say it is incomplete.
+    p = run("sweep", "--seed", "3", "--per-lib", "2", "--workers", "1",
+            "--max-execs", "1", "--lib", "ms_queue")
+    check("truncated sweep exits 0", p.returncode == 0, p)
+    check("truncated sweep reads as incomplete",
+          "(clean, incomplete (2 truncated))" in p.stdout, p)
 
     p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
             "--max-execs", "2000", "--lib", "treiber_ebr", timeout=300)
@@ -117,7 +138,7 @@ def main():
     check("checkpoint-every seconds accepted", p.returncode == 0, p)
 
     # --- reduction / engine mode spellings --------------------------------
-    for mode in ("none", "sleep", "source"):
+    for mode in ("none", "source"):
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
                 "--reduction", mode)
@@ -134,14 +155,14 @@ def main():
     # --- resume-mismatch contract -----------------------------------------
     # A checkpoint's executed share is tied to the reduction mode and engine
     # path that produced it. Produce a cadence checkpoint under explicit
-    # --reduction sleep / --engine auto, then resume with a contradicting
+    # --reduction none / --engine auto, then resume with a contradicting
     # mode: exit 2 with a diagnostic naming both modes. Resuming without
     # the flags adopts the recorded modes and completes.
     with tempfile.TemporaryDirectory() as td:
         ckpt = os.path.join(td, "sweep.ckpt")
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
-                "--reduction", "sleep", "--engine", "auto",
+                "--reduction", "none", "--engine", "auto",
                 "--checkpoint", ckpt, "--checkpoint-every", "50")
         check("checkpointed sweep runs", p.returncode == 0, p)
         check("cadence checkpoint written", os.path.exists(ckpt), p)
@@ -152,6 +173,17 @@ def main():
             p = run("sweep", "--resume", ckpt, "--engine", "root")
             check("resume engine mismatch exits 2",
                   p.returncode == 2 and "contradicts" in p.stderr, p)
+            # A checkpoint from the previous grammar (sweep-checkpoint v1,
+            # which carried the duplicate-rf cache counter) is refused, and
+            # the diagnostic names the wanted version.
+            text = Path(ckpt).read_text()
+            old = os.path.join(td, "old.ckpt")
+            Path(old).write_text("compass sweep-checkpoint v1" +
+                                 text[text.index("\n"):])
+            p = run("sweep", "--resume", old)
+            check("resume of an old-version checkpoint exits 2",
+                  p.returncode == 2 and
+                  "want 'compass sweep-checkpoint v2'" in p.stderr, p)
             p = run("sweep", "--resume", ckpt)
             check("resume without mode flags completes", p.returncode == 0, p)
 
