@@ -21,7 +21,7 @@
 #include "lib/Locked.h"
 #include "lib/MsQueue.h"
 #include "lib/TreiberStack.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/SpecMonitor.h"
 
 #include <cstdio>

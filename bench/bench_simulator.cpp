@@ -16,7 +16,6 @@
 #include "check/Harness.h"
 #include "check/ScenarioGen.h"
 #include "lib/MsQueue.h"
-#include "sim/ParallelExplorer.h"
 #include "sim/Workload.h"
 #include "spec/Consistency.h"
 #include "support/Json.h"
@@ -24,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <memory>
 #include <thread>
 
 using namespace compass;
@@ -95,18 +95,17 @@ sim::Task<void> benchDequeuer(sim::Env &E, lib::MsQueue &Q) {
 }
 
 void bmExplorerExecution(benchmark::State &State) {
-  // Random-mode executions of a 2-thread MS-queue workload, including
-  // event recording and the QueueConsistent check per execution.
-  Explorer::Options Opts;
-  Opts.ExploreMode = Explorer::Mode::Random;
-  Opts.RandomRuns = ~0ull;
-  Opts.Seed = 42;
-  Explorer Ex(Opts);
+  // Exhaustive executions of a 2-thread MS-queue workload, including event
+  // recording and the QueueConsistent check per execution. Each one runs
+  // from the root on a fresh machine; an exhausted tree starts over.
+  auto Ex = std::make_unique<Explorer>();
   for (auto _ : State) {
-    if (!Ex.beginExecution())
-      break;
-    Machine M(Ex);
-    Scheduler S(M, Ex);
+    if (!Ex->beginExecution()) {
+      Ex = std::make_unique<Explorer>();
+      Ex->beginExecution();
+    }
+    Machine M(*Ex);
+    Scheduler S(M, *Ex);
     spec::SpecMonitor Mon;
     lib::MsQueue Q(M, Mon, "q");
     sim::Env &E0 = S.newThread();
@@ -116,7 +115,7 @@ void bmExplorerExecution(benchmark::State &State) {
     auto R = S.run(100000);
     benchmark::DoNotOptimize(
         spec::checkQueueConsistent(Mon.graph(), Q.objId()).ok());
-    Ex.endExecution(R);
+    Ex->endExecution(R);
   }
   State.SetItemsProcessed(State.iterations());
   State.SetLabel("model-checked executions (2-thread MS queue)");

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 
 #include <cstdio>
 #include <map>

@@ -14,7 +14,7 @@
 
 #include "lib/MsQueue.h"
 #include "native/MsQueue.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/Consistency.h"
 
 #include <cstdio>

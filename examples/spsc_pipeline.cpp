@@ -12,7 +12,7 @@
 
 #include "clients/Spsc.h"
 #include "native/MsQueue.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 
 #include <cstdio>
 #include <thread>

@@ -16,8 +16,9 @@ Sections:
   * violations     — every violation record with its replayable decision
     trace (feed to `compass_check replay`);
   * checkpoints    — when/why checkpoints were cut;
-  * outcome        — the run_end record (fingerprint, totals), or a
-    diagnosis that the stream ended without one (killed run).
+  * outcome        — the run_end record (fingerprint, totals, scenarios
+    truncated at the execution cap), or a diagnosis that the stream ended
+    without one (killed run).
 
 Usage:
   scripts/telemetry_report.py TELEMETRY.jsonl [--json]
@@ -163,7 +164,8 @@ def report(records, truncated):
         print(f"  {state} after {fmt_secs(r.get('elapsed', 0))}: "
               f"fingerprint {r.get('fingerprint')}  "
               f"executions {r.get('executions', 0):,}  "
-              f"violations {r.get('violations', 0)}")
+              f"violations {r.get('violations', 0)}  "
+              f"truncated {r.get('truncated', '?')}")
     else:
         print("  stream ends without run_end: the writer was killed "
               "(resume from its last checkpoint)")

@@ -1,12 +1,11 @@
 //===-- check/Checkpoint.cpp - Resumable conformance sweeps ---------------===//
 //
-// Text grammar (version "compass sweep-checkpoint v2"; one record per
+// Text grammar (version "compass sweep-checkpoint v3"; one record per
 // line, space-separated fields; free-form strings are %-escaped into
 // single tokens, "%" standing in for the empty string):
 //
-//   compass sweep-checkpoint v2
-//   config <Seed> <ScenariosPerLib> <MaxExecsPerScenario>
-//          <none|source> <auto|root>
+//   compass sweep-checkpoint v3
+//   config <Seed> <ScenariosPerLib> <MaxExecsPerScenario> <none|source>
 //   gen <MinThreads> <MaxThreads> <MinOps> <MaxOps> <MinPre> <MaxPre>
 //   libs <N>
 //   lib <name>                                          (N lines)
@@ -16,18 +15,22 @@
 //        <Violations> <SleepPruned> <RfPruned> <SourcePruned>
 //        <MaxDepth> <LinAborts> <Truncated>
 //        <FirstBadScenario> <FirstBad>        (NDone lines, then CurLib)
-//
-// The config line records the reduction mode and engine path the executed
-// share ran under; resuming under a different one would splice
-// incompatible exploration states (the caller enforces the match — see
-// compass_check sweep --resume).
 //   snapshot v3 ... end snapshot              (iff HasScenario; the
 //                                              embedded sim grammar)
 //   end sweep-checkpoint
 //
+// The config line records the reduction mode the executed share ran
+// under; resuming under a different one would splice incompatible
+// exploration states (the caller enforces the match — see compass_check
+// sweep --resume). Earlier versions are rejected: v2 also recorded an
+// engine path, and v1 carried a duplicate-rf cache counter in every stat
+// record.
+//
 //===----------------------------------------------------------------------===//
 
 #include "check/Checkpoint.h"
+
+#include "sim/LineRecords.h"
 
 #include <cstdio>
 #include <sstream>
@@ -84,75 +87,8 @@ bool decodeToken(const std::string &T, std::string &Out) {
   return true;
 }
 
-/// Line cursor over the serialized text that can hand the unconsumed
-/// remainder to the embedded snapshot parser.
-struct Cursor {
-  std::string_view Text;
-  size_t Pos = 0;
-  size_t LineNo = 0;
-  std::string Line;
-  std::string Err;
-
-  explicit Cursor(std::string_view T) : Text(T) {}
-
-  bool next() {
-    while (Pos < Text.size()) {
-      size_t E = Text.find('\n', Pos);
-      std::string_view L = (E == std::string_view::npos)
-                               ? Text.substr(Pos)
-                               : Text.substr(Pos, E - Pos);
-      Pos = (E == std::string_view::npos) ? Text.size() : E + 1;
-      ++LineNo;
-      if (!L.empty() && L.back() == '\r')
-        L.remove_suffix(1);
-      if (!L.empty()) {
-        Line.assign(L);
-        return true;
-      }
-    }
-    Err = "unexpected end of checkpoint";
-    return false;
-  }
-
-  bool fail(const std::string &Msg) {
-    Err = "line " + std::to_string(LineNo) + ": " + Msg +
-          (Line.empty() ? "" : " (got: " + Line + ")");
-    return false;
-  }
-
-  std::string_view rest() const { return Text.substr(Pos); }
-};
-
-/// Splits one line into keyword + fields.
-struct Fields {
-  std::istringstream In;
-  explicit Fields(const std::string &Line) : In(Line) {}
-
-  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
-
-  template <typename T> bool num(T &Out) {
-    uint64_t V = 0;
-    if (!(In >> V))
-      return false;
-    Out = static_cast<T>(V);
-    return static_cast<uint64_t>(Out) == V;
-  }
-
-  bool flag(bool &Out) {
-    unsigned V = 0;
-    if (!(In >> V) || V > 1)
-      return false;
-    Out = V != 0;
-    return true;
-  }
-};
-
-bool expectKeyword(Cursor &C, const char *Kw, Fields &F) {
-  std::string W;
-  if (!F.word(W) || W != Kw)
-    return C.fail(std::string("expected '") + Kw + "'");
-  return true;
-}
+using sim::detail::Fields;
+using sim::detail::LineCursor;
 
 void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
   OS << "stat " << libName(St.L) << ' ' << St.Scenarios << ' '
@@ -163,7 +99,7 @@ void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
      << ' ' << encodeToken(St.FirstBad) << '\n';
 }
 
-bool parseStat(Cursor &C, LibSweepStats &St) {
+bool parseStat(LineCursor &C, LibSweepStats &St) {
   if (!C.next())
     return false;
   Fields F(C.Line);
@@ -187,11 +123,10 @@ bool parseStat(Cursor &C, LibSweepStats &St) {
 
 std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
   std::ostringstream OS;
-  OS << "compass sweep-checkpoint v2\n";
+  OS << "compass sweep-checkpoint v3\n";
   OS << "config " << C.Seed << ' ' << C.ScenariosPerLib << ' '
      << C.MaxExecutionsPerScenario << ' '
-     << sim::reductionModeName(C.Reduction) << ' '
-     << sim::enginePathName(C.Engine) << '\n';
+     << sim::reductionModeName(C.Reduction) << '\n';
   OS << "gen " << C.Gen.MinThreads << ' ' << C.Gen.MaxThreads << ' '
      << C.Gen.MinOpsPerThread << ' ' << C.Gen.MaxOpsPerThread << ' '
      << C.Gen.MinPreemptions << ' ' << C.Gen.MaxPreemptions << '\n';
@@ -213,7 +148,7 @@ std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
 bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
                                  std::string &Err) {
   Out = SweepCheckpoint{};
-  Cursor C(Text);
+  LineCursor C(Text, "checkpoint");
   auto Done = [&](bool Ok) {
     if (!Ok)
       Err = C.Err;
@@ -222,23 +157,21 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
 
   if (!C.next())
     return Done(false);
-  if (C.Line != "compass sweep-checkpoint v2")
+  if (C.Line != "compass sweep-checkpoint v3")
     return Done(C.fail("unsupported checkpoint header "
-                       "(want 'compass sweep-checkpoint v2')"));
+                       "(want 'compass sweep-checkpoint v3')"));
 
   if (!C.next())
     return Done(false);
   {
     Fields F(C.Line);
-    std::string Red, Eng;
+    std::string Red;
     if (!expectKeyword(C, "config", F) || !F.num(Out.Seed) ||
         !F.num(Out.ScenariosPerLib) || !F.num(Out.MaxExecutionsPerScenario) ||
-        !F.word(Red) || !F.word(Eng))
+        !F.word(Red))
       return Done(C.fail("malformed config record"));
     if (!sim::parseReductionMode(Red, Out.Reduction))
       return Done(C.fail("unknown reduction '" + Red + "'"));
-    if (!sim::parseEnginePath(Eng, Out.Engine))
-      return Done(C.fail("unknown engine path '" + Eng + "'"));
   }
 
   if (!C.next())

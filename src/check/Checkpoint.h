@@ -30,7 +30,7 @@
 /// (by executions or seconds; cadence checkpoints are written via callback
 /// and the sweep continues in-process). serializeSweepCheckpoint /
 /// parseSweepCheckpoint give checkpoints a versioned line-oriented text
-/// form ("compass sweep-checkpoint v2") embedding the snapshot grammar of
+/// form ("compass sweep-checkpoint v3") embedding the snapshot grammar of
 /// sim/Checkpoint.cpp.
 ///
 //===----------------------------------------------------------------------===//
@@ -58,11 +58,9 @@ struct SweepCheckpoint {
   uint64_t Seed = 1;
   unsigned ScenariosPerLib = 50;
   uint64_t MaxExecutionsPerScenario = 200000;
+  /// Recorded so a resume cannot silently continue under a different mode
+  /// than the one that produced the executed share.
   sim::ReductionMode Reduction = sim::ReductionMode::SourceSet;
-  /// Engine path the sweep ran under. Recorded (like Reduction) so a
-  /// resume cannot silently continue under a different configuration than
-  /// the one that produced the executed share.
-  sim::EnginePath Engine = sim::EnginePath::Auto;
   std::vector<Lib> Libs; ///< Resolved library list (never empty).
   GenOptions Gen;
 
@@ -77,6 +75,16 @@ struct SweepCheckpoint {
   bool HasScenario = false;
   uint64_t ScenarioLinAborts = 0; ///< Lin aborts of the executed share.
   sim::ExplorationSnapshot Scenario;
+
+  /// Sweep executions already performed: the completed libraries, the
+  /// current library's finished scenarios, and the in-flight scenario's
+  /// executed share.
+  uint64_t executions() const {
+    uint64_t N = CurLib.Executions;
+    for (const LibSweepStats &St : DoneLibs)
+      N += St.Executions;
+    return N + (HasScenario ? Scenario.Partial.Executions : 0);
+  }
 };
 
 /// Serializes \p C in a versioned line-oriented text format (grammar in

@@ -36,7 +36,6 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     O.ScenariosPerLib = Resume->ScenariosPerLib;
     O.MaxExecutionsPerScenario = Resume->MaxExecutionsPerScenario;
     O.Reduction = Resume->Reduction;
-    O.Engine = Resume->Engine;
     O.Gen = Resume->Gen;
     Libs = Resume->Libs;
     Li0 = Resume->LibIndex;
@@ -73,10 +72,7 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
   uint64_t DoneExecs = 0;
   for (const LibSweepStats &St : Rep.PerLib)
     DoneExecs += St.Executions;
-  uint64_t SweepExecs =
-      DoneExecs + (Resume ? Resume->CurLib.Executions : 0) +
-      (Resume && Resume->HasScenario ? Resume->Scenario.Partial.Executions
-                                     : 0);
+  uint64_t SweepExecs = Resume ? Resume->executions() : 0;
   uint64_t NextCkptExecs =
       C.CheckpointEveryExecs > 0 ? SweepExecs + C.CheckpointEveryExecs : 0;
   double NextCkptTime = C.CheckpointEverySec > 0 ? C.CheckpointEverySec : 0;
@@ -97,7 +93,6 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     K.ScenariosPerLib = O.ScenariosPerLib;
     K.MaxExecutionsPerScenario = O.MaxExecutionsPerScenario;
     K.Reduction = O.Reduction;
-    K.Engine = O.Engine;
     K.Libs = Libs;
     K.Gen = O.Gen;
     K.Fp = Rep.Fp;
@@ -149,7 +144,7 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
       Scenario S = generateScenario(L, scenarioSeed(O.Seed, L, I), O.Gen);
       sim::Explorer::Options Opts =
           scenarioOptions(S, O.MaxExecutionsPerScenario, O.Workers,
-                          O.Reduction, O.Engine);
+                          O.Reduction);
 
       // Explore the scenario, possibly across several interrupted
       // segments (cadence checkpoints resume in-process; a stop request
@@ -347,6 +342,7 @@ std::string SweepReport::json() const {
   J.field("workers", Workers);
   J.field("violations", totalViolations());
   J.field("executions", totalExecutions());
+  J.field("truncated", totalTruncated());
   {
     std::ostringstream FP;
     FP << "0x" << std::hex << fingerprint();

@@ -45,10 +45,6 @@ struct SweepOptions {
   /// different execution counts). Source sets are the default: the
   /// strongest reduction with identical verdicts (DESIGN.md §12).
   sim::ReductionMode Reduction = sim::ReductionMode::SourceSet;
-  /// Execution engine path per scenario. Functionally invisible (summaries
-  /// are bit-identical across paths), but recorded in checkpoints so a
-  /// resume cannot silently flip the engine under a comparison run.
-  sim::EnginePath Engine = sim::EnginePath::Auto;
 };
 
 /// Deterministic per-library aggregate (sum of Summary cores).

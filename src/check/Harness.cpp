@@ -147,16 +147,13 @@ Verdict ContainerAdapter::verdict(
 sim::Explorer::Options check::scenarioOptions(const Scenario &S,
                                               uint64_t MaxExecutions,
                                               unsigned Workers,
-                                              sim::ReductionMode Red,
-                                              sim::EnginePath Engine) {
+                                              sim::ReductionMode Red) {
   sim::Explorer::Options O;
-  O.ExploreMode = sim::Explorer::Mode::Exhaustive;
   O.MaxExecutions = MaxExecutions;
   O.PreemptionBound = S.PreemptionBound;
   O.Workers = Workers;
   O.StopOnViolation = false; // Keep summaries worker-count independent.
   O.Reduction = Red;
-  O.Engine = Engine;
   return O;
 }
 

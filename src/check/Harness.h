@@ -103,8 +103,7 @@ struct RunState {
 /// of unreduced exploration).
 sim::Explorer::Options
 scenarioOptions(const Scenario &S, uint64_t MaxExecutions, unsigned Workers,
-                sim::ReductionMode Red = sim::ReductionMode::SourceSet,
-                sim::EnginePath Engine = sim::EnginePath::Auto);
+                sim::ReductionMode Red = sim::ReductionMode::SourceSet);
 
 /// A workload whose body is instantiated per worker (safe for parallel
 /// exploration). Violations are executions whose reference-model verdict

@@ -9,8 +9,7 @@
 ///
 ///   compass_check sweep   [--seed N] [--per-lib N] [--workers N]
 ///                         [--max-execs N] [--lib NAME]...
-///                         [--reduction none|source]
-///                         [--engine auto|root] [--json]
+///                         [--reduction none|source] [--json]
 ///                         [--checkpoint FILE] [--checkpoint-every N|Ns]
 ///                         [--time-budget SECS] [--telemetry FILE]
 ///                         [--resume FILE]
@@ -32,10 +31,9 @@
 /// `replay` re-executes corpus entries and exits nonzero when one no
 /// longer reproduces its violation.
 ///
-/// A checkpoint records the reduction mode and engine path of its executed
-/// share; `--resume` rejects (exit 2) an explicit `--reduction`/`--engine`
-/// that contradicts it, rather than silently continuing under either
-/// configuration.
+/// A checkpoint records the reduction mode of its executed share;
+/// `--resume` rejects (exit 2) an explicit `--reduction` that contradicts
+/// it, rather than silently continuing under either mode.
 ///
 /// Exit codes: 0 success, 1 violations/survivors, 2 usage error,
 /// 3 interrupted (sweep checkpoint written).
@@ -70,8 +68,7 @@ namespace {
                "usage:\n"
                "  compass_check sweep   [--seed N] [--per-lib N] "
                "[--workers N] [--max-execs N] [--lib NAME]... "
-               "[--reduction none|source] [--engine auto|root] "
-               "[--json]\n"
+               "[--reduction none|source] [--json]\n"
                "                        [--checkpoint FILE] "
                "[--checkpoint-every N|Ns] [--time-budget SECS] "
                "[--telemetry FILE] [--resume FILE]\n"
@@ -156,13 +153,6 @@ sim::ReductionMode parseReduction(const char *V) {
   return M;
 }
 
-sim::EnginePath parseEngine(const char *V) {
-  sim::EnginePath P;
-  if (!sim::parseEnginePath(V, P))
-    usage((std::string("bad value for --engine (auto|root): ") + V).c_str());
-  return P;
-}
-
 /// Cooperative stop flag set by SIGINT/SIGTERM (sweep only).
 std::atomic<bool> GStopRequested{false};
 
@@ -171,7 +161,7 @@ void handleStopSignal(int) { GStopRequested.store(true); }
 int cmdSweep(int Argc, char **Argv) {
   SweepOptions O;
   bool Json = false;
-  bool RedSet = false, EngSet = false;
+  bool RedSet = false;
   std::string CkptPath = "compass_sweep.ckpt";
   std::string ResumePath, TelemPath;
   uint64_t CkptEveryExecs = 0;
@@ -200,9 +190,6 @@ int cmdSweep(int Argc, char **Argv) {
       O.Reduction =
           parseReduction(flagValue(Argc, Argv, I, "--reduction"));
       RedSet = true;
-    } else if (A == "--engine") {
-      O.Engine = parseEngine(flagValue(Argc, Argv, I, "--engine"));
-      EngSet = true;
     } else if (A == "--json")
       Json = true;
     else if (A == "--checkpoint")
@@ -247,10 +234,10 @@ int cmdSweep(int Argc, char **Argv) {
       return 2;
     }
     HasResume = true;
-    // A checkpoint's executed share is tied to the reduction mode and
-    // engine path that produced it; splicing in a different one would
-    // produce a fingerprint belonging to neither configuration. An
-    // explicit contradicting flag is an error, not a preference.
+    // A checkpoint's executed share is tied to the reduction mode that
+    // produced it; splicing in a different one would produce a fingerprint
+    // belonging to neither mode. An explicit contradicting flag is an
+    // error, not a preference.
     if (RedSet && O.Reduction != Resume.Reduction) {
       std::fprintf(stderr,
                    "compass_check: --reduction %s contradicts checkpoint %s "
@@ -258,15 +245,6 @@ int cmdSweep(int Argc, char **Argv) {
                    "flag or restart the sweep\n",
                    sim::reductionModeName(O.Reduction), ResumePath.c_str(),
                    sim::reductionModeName(Resume.Reduction));
-      return 2;
-    }
-    if (EngSet && O.Engine != Resume.Engine) {
-      std::fprintf(stderr,
-                   "compass_check: --engine %s contradicts checkpoint %s "
-                   "(recorded under --engine %s); resume without the flag "
-                   "or restart the sweep\n",
-                   sim::enginePathName(O.Engine), ResumePath.c_str(),
-                   sim::enginePathName(Resume.Engine));
       return 2;
     }
   }
@@ -321,15 +299,8 @@ int cmdSweep(int Argc, char **Argv) {
       if (WriteCkpt(K)) {
         std::fprintf(stderr, "compass_check: checkpoint written to %s\n",
                      CkptPath.c_str());
-        if (Telem) {
-          uint64_t Execs = 0;
-          for (const LibSweepStats &St : K.DoneLibs)
-            Execs += St.Executions;
-          Execs += K.CurLib.Executions;
-          if (K.HasScenario)
-            Execs += K.Scenario.Partial.Executions;
-          Telem->checkpoint(CkptPath, "cadence", Execs);
-        }
+        if (Telem)
+          Telem->checkpoint(CkptPath, "cadence", K.executions());
       }
     };
 
@@ -338,20 +309,14 @@ int cmdSweep(int Argc, char **Argv) {
     std::vector<Lib> Libs = HasResume ? Resume.Libs : O.Libs;
     if (Libs.empty())
       Libs.assign(allLibs(), allLibs() + NumLibs);
-    uint64_t Base = 0;
     if (HasResume) {
       Eff.Seed = Resume.Seed;
       Eff.ScenariosPerLib = Resume.ScenariosPerLib;
       Eff.MaxExecutionsPerScenario = Resume.MaxExecutionsPerScenario;
       Eff.Reduction = Resume.Reduction;
-      Eff.Engine = Resume.Engine;
-      for (const LibSweepStats &St : Resume.DoneLibs)
-        Base += St.Executions;
-      Base += Resume.CurLib.Executions;
-      if (Resume.HasScenario)
-        Base += Resume.Scenario.Partial.Executions;
     }
-    Telem->runStart(Eff, Libs, HasResume, Base);
+    Telem->runStart(Eff, Libs, HasResume,
+                    HasResume ? Resume.executions() : 0);
   }
 
   SweepResult R = runSweepResumable(O, C, HasResume ? &Resume : nullptr);
@@ -360,12 +325,7 @@ int cmdSweep(int Argc, char **Argv) {
     const char *Reason = GStopRequested.load() ? "signal" : "time_budget";
     if (!WriteCkpt(R.Ckpt))
       return 2;
-    uint64_t Execs = 0;
-    for (const LibSweepStats &St : R.Ckpt.DoneLibs)
-      Execs += St.Executions;
-    Execs += R.Ckpt.CurLib.Executions;
-    if (R.Ckpt.HasScenario)
-      Execs += R.Ckpt.Scenario.Partial.Executions;
+    uint64_t Execs = R.Ckpt.executions();
     std::fprintf(stderr,
                  "compass_check: sweep interrupted (%s) after %llu "
                  "executions; resume with --resume %s\n",

@@ -54,7 +54,6 @@ void Telemetry::runStart(const SweepOptions &O, const std::vector<Lib> &Libs,
   J.field("per_lib", O.ScenariosPerLib);
   J.field("max_execs_per_scenario", O.MaxExecutionsPerScenario);
   J.field("reduction", sim::reductionModeName(O.Reduction));
-  J.field("engine", sim::enginePathName(O.Engine));
   J.key("libs");
   J.beginArray();
   for (Lib L : Libs)
@@ -142,6 +141,7 @@ void Telemetry::runEnd(const SweepReport &Rep, bool Interrupted) {
   }
   J.field("executions", Rep.totalExecutions());
   J.field("violations", Rep.totalViolations());
+  J.field("truncated", Rep.totalTruncated());
   J.field("interrupted", Interrupted);
   J.endObject();
   emit(J.str());

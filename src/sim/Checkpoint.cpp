@@ -24,6 +24,8 @@
 
 #include "sim/Checkpoint.h"
 
+#include "sim/LineRecords.h"
+
 #include <cassert>
 #include <mutex>
 #include <set>
@@ -57,66 +59,6 @@ void writeDecision(std::ostringstream &OS, const char *Kind,
                    const DecisionTree::Decision &D) {
   OS << Kind << ' ' << D.Chosen << ' ' << D.Limit << ' ' << D.Count << ' '
      << tagOrDash(D.Tag) << '\n';
-}
-
-/// Line-cursor over the serialized text.
-struct Reader {
-  std::istringstream In;
-  std::string Line;
-  size_t LineNo = 0;
-  std::string Err;
-
-  explicit Reader(std::string_view Text) : In(std::string(Text)) {}
-
-  bool next() {
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      if (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        return true;
-    }
-    Err = "unexpected end of snapshot";
-    return false;
-  }
-
-  bool fail(const std::string &Msg) {
-    Err = "line " + std::to_string(LineNo) + ": " + Msg +
-          (Line.empty() ? "" : " (got: " + Line + ")");
-    return false;
-  }
-};
-
-/// Parses one line into `Keyword` + numeric/string fields.
-struct Fields {
-  std::istringstream In;
-  explicit Fields(const std::string &Line) : In(Line) {}
-
-  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
-
-  template <typename T> bool num(T &Out) {
-    uint64_t V = 0;
-    if (!(In >> V))
-      return false;
-    Out = static_cast<T>(V);
-    // Round-trip check: reject values that do not fit the target type.
-    return static_cast<uint64_t>(Out) == V;
-  }
-
-  bool flag(bool &Out) {
-    unsigned V = 0;
-    if (!(In >> V) || V > 1)
-      return false;
-    Out = V != 0;
-    return true;
-  }
-};
-
-bool expectKeyword(Reader &R, const char *Kw, Fields &F) {
-  std::string W;
-  if (!F.word(W) || W != Kw)
-    return R.fail(std::string("expected '") + Kw + "'");
-  return true;
 }
 
 } // namespace
@@ -159,7 +101,11 @@ std::string sim::serializeSnapshot(const ExplorationSnapshot &S) {
 
 namespace {
 
-bool parseDecision(Reader &R, const char *Kind, DecisionTree::Decision &D) {
+using detail::Fields;
+using detail::LineCursor;
+
+bool parseDecision(LineCursor &R, const char *Kind,
+                   DecisionTree::Decision &D) {
   if (!R.next())
     return false;
   Fields F(R.Line);
@@ -181,7 +127,7 @@ bool parseDecision(Reader &R, const char *Kind, DecisionTree::Decision &D) {
 bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
                         std::string &Err) {
   Out = ExplorationSnapshot{};
-  Reader R(Text);
+  LineCursor R(Text, "snapshot");
   auto Done = [&](bool Ok) {
     if (!Ok)
       Err = R.Err;

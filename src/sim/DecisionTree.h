@@ -138,9 +138,6 @@ public:
   /// Depth of the current path (including any seed prefix).
   size_t depth() const { return Trace.size(); }
 
-  /// Length of the immutable seed prefix.
-  size_t seedLength() const { return SeedLen; }
-
   const std::vector<Decision> &trace() const { return Trace; }
 
   /// The decision sequence of the current path, as plain indices.

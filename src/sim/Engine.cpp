@@ -12,9 +12,7 @@ Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S,
                Workload::Body &Body)
     : Ex(Ex), M(M), S(S), Body(Body), Red(Ex.reduction()),
       MaxSteps(Ex.options().MaxStepsPerExec) {
-  const Explorer::Options &Opts = Ex.options();
-  CowEligible = Opts.ExploreMode == Explorer::Mode::Exhaustive &&
-                Opts.Engine != EnginePath::RootReplay &&
+  CowEligible = Ex.options().Engine != EnginePath::RootReplay &&
                 (Body.CowSafe || (Body.CowSave && Body.CowRestore)) &&
                 !M.tracingEnabled();
   M.enableBoundaryScratch(CowEligible);

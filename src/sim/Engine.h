@@ -78,10 +78,6 @@ public:
   /// otherwise executes from the root.
   ExecResult runOne();
 
-  /// Whether the copy-on-write path is in use (workload eligible, engine
-  /// path not forced to RootReplay, tracing off).
-  bool cowActive() const { return CowEligible; }
-
   /// Executions resumed from a snapshot vs. executed from the root, for
   /// diagnostics and the interpreter microbenchmark.
   uint64_t cowResumes() const { return Resumes; }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 using namespace compass;
@@ -33,34 +32,13 @@ bool sim::parseReductionMode(const std::string &S, ReductionMode &Out) {
   return true;
 }
 
-const char *sim::enginePathName(EnginePath P) {
-  return P == EnginePath::RootReplay ? "root" : "auto";
-}
-
-bool sim::parseEnginePath(const std::string &S, EnginePath &Out) {
-  if (S == "auto")
-    Out = EnginePath::Auto;
-  else if (S == "root")
-    Out = EnginePath::RootReplay;
-  else
-    return false;
-  return true;
-}
-
 Explorer::Explorer(Options O)
-    : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
-      LastProgress(Start) {
-  RedEnabled = Opts.Reduction == ReductionMode::SourceSet &&
-               Opts.ExploreMode == Mode::Exhaustive;
-}
+    : Opts(O), RedEnabled(O.Reduction == ReductionMode::SourceSet),
+      Start(std::chrono::steady_clock::now()) {}
 
 Explorer::Explorer() : Explorer(Options{}) {}
 
-Explorer::Explorer(Options O, DecisionTree::Prefix Seed)
-    : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
-      LastProgress(Start) {
-  RedEnabled = Opts.Reduction == ReductionMode::SourceSet &&
-               Opts.ExploreMode == Mode::Exhaustive;
+Explorer::Explorer(Options O, DecisionTree::Prefix Seed) : Explorer(O) {
   // Consume the donor's sleep snapshot before the path moves into the
   // tree; the reduction validates its recomputed state against it when
   // replay reaches the seeded ordinal.
@@ -70,8 +48,6 @@ Explorer::Explorer(Options O, DecisionTree::Prefix Seed)
 }
 
 bool Explorer::hasWork() const {
-  if (Opts.ExploreMode == Mode::Random)
-    return Sum.Executions < Opts.RandomRuns;
   return HasWork && !Tree.exhausted() && Sum.Executions < Opts.MaxExecutions;
 }
 
@@ -79,10 +55,7 @@ bool Explorer::beginExecution() {
   assert(!InExecution && "beginExecution without matching endExecution");
   if (!hasWork())
     return false;
-  if (Opts.ExploreMode == Mode::Random)
-    RandTrace.clear();
-  else
-    Tree.beginExecution();
+  Tree.beginExecution();
   if (RedEnabled)
     Red.beginExecution();
   InExecution = true;
@@ -115,16 +88,6 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
   Stat.AltSum += Count;
   Stat.MaxArity = std::max(Stat.MaxArity, Count);
 
-  if (Opts.ExploreMode == Mode::Random) {
-    // Record the decision even in random mode: a failing sampled run must
-    // be reproducible via replay() from currentDecisions(). (Reduction —
-    // and with it restricted choice sets — only exists in exhaustive mode,
-    // so Limit == Count here; sample within the limit regardless.)
-    unsigned Pick = static_cast<unsigned>(Rand.below(Limit));
-    RandTrace.push_back({Pick, Count, Count, Tag});
-    return Pick;
-  }
-
   // A fresh multi-enumerable node is a potential backtrack target: let
   // the copy-on-write engine snapshot the pre-decision state so sibling
   // alternatives resume here. Replayed nodes (including the pinned seed)
@@ -137,14 +100,10 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
   return Tree.next(Count, Limit, Tag);
 }
 
-size_t Explorer::decisionPosition() const {
-  return Opts.ExploreMode == Mode::Random ? RandTrace.size()
-                                          : Tree.position();
-}
+size_t Explorer::decisionPosition() const { return Tree.position(); }
 
 void Explorer::resumeReplayAt(size_t Pos) {
   assert(InExecution && "resumeReplayAt outside an execution");
-  assert(Opts.ExploreMode == Mode::Exhaustive);
   Tree.resumeAt(Pos);
 }
 
@@ -166,7 +125,7 @@ void Explorer::creditReplayedPrefix(size_t Pos) {
 }
 
 const std::vector<DecisionTree::Decision> &Explorer::currentTrace() const {
-  return Opts.ExploreMode == Mode::Random ? RandTrace : Tree.trace();
+  return Tree.trace();
 }
 
 std::vector<unsigned> Explorer::currentDecisions() const {
@@ -234,47 +193,28 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     break;
   }
 
-  Sum.MaxDepth = std::max<uint64_t>(Sum.MaxDepth, currentTrace().size());
+  Sum.MaxDepth = std::max<uint64_t>(Sum.MaxDepth, Tree.trace().size());
+  Sum.Perf.PeakFrontier = std::max(Sum.Perf.PeakFrontier, Tree.frontierSize());
 
-  if (Opts.ExploreMode == Mode::Exhaustive) {
-    Sum.Perf.PeakFrontier =
-        std::max(Sum.Perf.PeakFrontier, Tree.frontierSize());
+  HasWork = Tree.advance();
+  // Source-set advance-time skipping: after each backtrack the path's final
+  // decision is the freshly advanced alternative. If the reduction proved
+  // that sibling fully covered (Prune verdict recorded at its choice point),
+  // discard the subtree without running an execution and advance again. The
+  // per-alternative verdicts are pure functions of the (unchanged) prefix
+  // above the node, so this is exactly the verdict an execution taking the
+  // alternative would have received.
+  while (HasWork) {
+    const auto &Trace = Tree.trace();
+    if (Trace.empty() || !skippable(Trace.size() - 1, Trace.back()))
+      break;
+    ++Sum.SourcePruned;
     HasWork = Tree.advance();
-    // Source-set advance-time skipping: after each backtrack the path's
-    // final decision is the freshly advanced alternative. If the reduction
-    // proved that sibling fully covered (Prune verdict recorded at its
-    // choice point), discard the subtree without running an execution and
-    // advance again. The per-alternative verdicts are pure functions of the
-    // (unchanged) prefix above the node, so this is exactly the verdict an
-    // execution taking the alternative would have received.
-    while (HasWork) {
-      const auto &Trace = Tree.trace();
-      if (Trace.empty() || !skippable(Trace.size() - 1, Trace.back()))
-        break;
-      ++Sum.SourcePruned;
-      HasWork = Tree.advance();
-    }
-    if (!HasWork)
-      Sum.Exhausted = true;
   }
+  if (!HasWork)
+    Sum.Exhausted = true;
 
   finalizePerf();
-
-  if (Opts.ProgressIntervalSec > 0) {
-    auto Now = std::chrono::steady_clock::now();
-    double Since =
-        std::chrono::duration<double>(Now - LastProgress).count();
-    if (Since >= Opts.ProgressIntervalSec) {
-      LastProgress = Now;
-      std::fprintf(stderr,
-                   "[explore] %llu execs, %.0f execs/s, depth<=%llu, "
-                   "frontier~%llu\n",
-                   static_cast<unsigned long long>(Sum.Executions),
-                   Sum.Perf.ExecsPerSec,
-                   static_cast<unsigned long long>(Sum.MaxDepth),
-                   static_cast<unsigned long long>(Tree.frontierSize()));
-    }
-  }
 }
 
 void Explorer::finalizePerf() {
@@ -328,8 +268,7 @@ void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
 }
 
 bool Explorer::splittable() const {
-  return !InExecution && Opts.ExploreMode == Mode::Exhaustive &&
-         HasWork && Tree.splittable();
+  return !InExecution && HasWork && Tree.splittable();
 }
 
 std::vector<DecisionTree::Prefix> Explorer::split(size_t MaxDonations) {
@@ -347,8 +286,6 @@ std::vector<DecisionTree::Prefix> Explorer::split(size_t MaxDonations) {
 
 std::vector<DecisionTree::Prefix> Explorer::drainFrontier() {
   assert(!InExecution && "drainFrontier mid-execution");
-  assert(Opts.ExploreMode == Mode::Exhaustive &&
-         "only exhaustive exploration has a frontier to drain");
   std::vector<DecisionTree::Prefix> Out;
   if (HasWork && !Tree.exhausted()) {
     Out = Tree.frontierPrefixes();

@@ -7,23 +7,22 @@
 /// \file
 /// The model checker: a stateless (replay-based) explorer of the decision
 /// tree formed by every nondeterministic choice of an execution — scheduler
-/// picks, load read-from choices, and CAS alternatives. In exhaustive mode
-/// it performs a depth-first enumeration of all decision sequences (up to
-/// an execution cap); in random mode it samples seeded random decision
-/// sequences. This is the framework's replacement for the paper's deductive
+/// picks, load read-from choices, and CAS alternatives. It performs a
+/// depth-first enumeration of all decision sequences (up to an execution
+/// cap). This is the framework's replacement for the paper's deductive
 /// proofs: a property checked over *all* executions of a bounded workload.
 ///
 /// The exploration stack is layered:
 ///  - DecisionTree (DecisionTree.h): the pure DFS frontier — trace
 ///    bookkeeping, backtracking, subtree splitting. No I/O; unit-testable.
-///  - Explorer (this file): one search worker — binds a DecisionTree (or a
-///    random sampler) to the ChoiceSource interface the Machine/Scheduler
-///    consume, and accumulates the Summary (counters, per-tag choice
-///    statistics, throughput, first-violation trace).
+///  - Explorer (this file): one search worker — binds a DecisionTree to the
+///    ChoiceSource interface the Machine/Scheduler consume, and accumulates
+///    the Summary (counters, per-tag choice statistics, throughput,
+///    first-violation trace).
 ///  - Workload / explore / replay (Workload.h): a bounded program as a
 ///    first-class value, the serial driver, and deterministic single-trace
 ///    replay for counterexample reproduction.
-///  - ParallelExplorer (ParallelExplorer.h): N workers over a shared queue
+///  - exploreResumable (ParallelExplorer.h): N workers over a shared queue
 ///    of unexplored subtree prefixes; its Summary's deterministic core is
 ///    bit-identical to the serial explorer's regardless of worker count.
 ///
@@ -49,7 +48,6 @@
 #include "sim/Reduction.h"
 #include "sim/Scheduler.h"
 #include "support/Choice.h"
-#include "support/Rng.h"
 
 #include <chrono>
 #include <cstdint>
@@ -85,24 +83,11 @@ const char *reductionModeName(ReductionMode M);
 /// Inverse of reductionModeName; false on an unknown spelling.
 bool parseReductionMode(const std::string &S, ReductionMode &Out);
 
-/// Canonical spelling of an EnginePath ("auto" | "root").
-const char *enginePathName(EnginePath P);
-/// Inverse of enginePathName; false on an unknown spelling.
-bool parseEnginePath(const std::string &S, EnginePath &Out);
-
 /// Explores the decision tree of a bounded concurrent program.
 class Explorer : public ChoiceSource {
 public:
-  enum class Mode {
-    Exhaustive, ///< DFS over all decision sequences.
-    Random      ///< Seeded random sampling.
-  };
-
   struct Options {
-    Mode ExploreMode = Mode::Exhaustive;
-    uint64_t MaxExecutions = 2'000'000; ///< Cap for exhaustive mode.
-    uint64_t RandomRuns = 1000;         ///< Runs in random mode.
-    uint64_t Seed = 1;                  ///< Random-mode seed.
+    uint64_t MaxExecutions = 2'000'000; ///< Execution cap.
     uint64_t MaxStepsPerExec = 100'000; ///< Scheduler step budget.
     unsigned PreemptionBound = ~0u;     ///< Scheduler preemption budget.
     unsigned Workers = 1;      ///< Worker threads; >1 selects the parallel
@@ -110,10 +95,8 @@ public:
     bool StopOnViolation = false; ///< Stop at the first failed check. Note:
                                   ///< truncates the run, so counters are no
                                   ///< longer worker-count independent.
-    double ProgressIntervalSec = 0; ///< >0: periodic stderr progress lines.
-    /// State-space reduction. Only effective in exhaustive mode; replay
-    /// and random sampling always run unreduced. Keep None when an
-    /// execution-count baseline (e.g. a pinned fingerprint comparison
+    /// State-space reduction; replay always runs unreduced. Keep None when
+    /// an execution-count baseline (e.g. a pinned fingerprint comparison
     /// against unreduced exploration) is required.
     ReductionMode Reduction = ReductionMode::None;
     /// Execution engine path; see EnginePath. RootReplay is the A/B
@@ -157,7 +140,7 @@ public:
     /// declared only for its one reader, perfbench/perfbench.cpp:402.
     uint64_t CacheHits = 0;
     uint64_t Violations = 0; ///< Executions whose check failed.
-    bool Exhausted = false;  ///< Whole tree covered (exhaustive mode).
+    bool Exhausted = false;  ///< Whole tree covered.
     uint64_t MaxDepth = 0;   ///< Deepest decision sequence seen.
     bool HasViolation = false;
     /// Decision trace of the lexicographically least violating execution —
@@ -207,7 +190,7 @@ public:
   Explorer();
 
   /// Constructs a worker explorer that enumerates exactly the subtree below
-  /// \p Seed (see DecisionTree splitting). Used by ParallelExplorer.
+  /// \p Seed (see DecisionTree splitting). Used by exploreResumable.
   Explorer(Options O, DecisionTree::Prefix Seed);
 
   /// Prepares the next execution; false when exploration is finished.
@@ -243,7 +226,7 @@ public:
   // -- Copy-on-write engine hooks (sim/Engine.h) -----------------------
 
   /// Called from choose() right before a *fresh* multi-alternative decision
-  /// is appended to the tree (exhaustive mode, not replaying). NodeIndex is
+  /// is appended to the tree (not replaying). NodeIndex is
   /// the decision's index on the path; the engine snapshots machine /
   /// scheduler / reduction state so sibling alternatives of this node can
   /// resume here instead of replaying from the root.
@@ -261,8 +244,7 @@ public:
   void creditReplayedPrefix(size_t Pos);
 
   /// The decision sequence of the current (or last) execution; useful for
-  /// reporting reproducible counterexamples. Recorded in both exhaustive
-  /// and random modes.
+  /// reporting reproducible counterexamples.
   std::vector<unsigned> currentDecisions() const;
 
   /// The current decision sequence with tags and arities.
@@ -275,10 +257,10 @@ public:
   /// Pretty-prints \p Trace (e.g. a Summary's FirstViolation).
   static std::string formatTrace(const std::vector<DecisionTree::Decision> &Trace);
 
-  // -- Work sharing (ParallelExplorer) --------------------------------
+  // -- Work sharing (exploreResumable) --------------------------------
 
   /// True if split() would donate at least one subtree. Only meaningful
-  /// between executions in exhaustive mode.
+  /// between executions.
   bool splittable() const;
 
   /// Donates up to \p MaxDonations unexplored subtree prefixes from the
@@ -297,12 +279,11 @@ public:
   /// own exhaustion bit once explored. Exploring the returned prefixes
   /// (in any partition, at any worker count) and merging the cores into
   /// this explorer's summary core reproduces the bit-identical summary of
-  /// an uninterrupted run. Must be called between executions; exhaustive
-  /// mode only.
+  /// an uninterrupted run. Must be called between executions.
   std::vector<DecisionTree::Prefix> drainFrontier();
 
   /// Untried alternatives hanging off the current path (the live DFS
-  /// frontier size; exhaustive mode).
+  /// frontier size).
   uint64_t frontierSize() const { return Tree.frontierSize(); }
 
   /// Depth of the current decision path.
@@ -332,63 +313,18 @@ private:
   /// already vetted by the advance loop.
   void dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
                             bool KeepLast);
-  /// Random-mode decision log (the DFS tree is unused in random mode, but
-  /// failures must still be replayable — see currentDecisions()).
-  std::vector<DecisionTree::Decision> RandTrace;
   bool InExecution = false;
   bool HasWork = true;
-  Rng Rand;
   /// Per-tag stats keyed by pointer identity of the static tag string
   /// (folded into Summary.Tags by name on finalize). Linear scan: there are
   /// only a handful of distinct tags ("sched", "load", "cas", ...).
   std::vector<std::pair<const char *, TagStat>> TagStats;
   SnapshotHook SnapHook;
   std::chrono::steady_clock::time_point Start;
-  std::chrono::steady_clock::time_point LastProgress;
 
   TagStat &tagStat(const char *Tag);
   void finalizePerf();
 };
-
-/// Convenience driver: runs \p Setup then the scheduler for every explored
-/// execution, invoking \p Check afterwards. \p Setup receives the fresh
-/// machine and scheduler and must allocate state and start threads;
-/// \p Check receives them after the run together with the run result and
-/// may return void (informational) or bool (false = property violation,
-/// counted in Summary::Violations with the trace captured).
-///
-/// This template remains strictly serial; parallel exploration needs a
-/// Workload with a per-worker body factory (see Workload.h and
-/// ParallelExplorer.h).
-template <typename SetupT, typename CheckT>
-Explorer::Summary explore(Explorer::Options Opts, SetupT Setup,
-                          CheckT Check) {
-  Explorer Ex(Opts);
-  // One machine/scheduler pair serves every execution: reset() rewinds
-  // their logical state while retaining heap storage, so steady-state
-  // replays allocate nothing (the arena pattern; see rmc::Machine::reset).
-  rmc::Machine M(Ex);
-  Scheduler S(M, Ex);
-  S.setPreemptionBound(Opts.PreemptionBound);
-  S.setReduction(Ex.reduction());
-  while (Ex.beginExecution()) {
-    M.reset();
-    S.reset();
-    Setup(M, S);
-    Scheduler::RunResult R = S.run(Opts.MaxStepsPerExec);
-    if constexpr (std::is_same_v<decltype(Check(M, S, R)), bool>) {
-      bool Ok = Check(M, S, R);
-      Ex.recordCheck(Ok);
-      Ex.endExecution(R);
-      if (!Ok && Opts.StopOnViolation)
-        break;
-    } else {
-      Check(M, S, R);
-      Ex.endExecution(R);
-    }
-  }
-  return Ex.summary();
-}
 
 } // namespace compass::sim
 

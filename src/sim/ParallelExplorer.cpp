@@ -10,7 +10,6 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -273,13 +272,6 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
                                              const ExploreControl &Ctl,
                                              const ExplorationSnapshot *Resume) {
   const Explorer::Options &Opts = W.options();
-  if (Opts.ExploreMode == Explorer::Mode::Random) {
-    // Sampling has no tree to partition or checkpoint.
-    ExploreResult R;
-    R.Sum = exploreSerial(W);
-    return R;
-  }
-
   unsigned N = std::max(1u, Opts.Workers);
   auto Start = std::chrono::steady_clock::now();
 
@@ -323,7 +315,6 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
     Workload::Body Body = W.makeBody();
     Explorer::Options WOpts = Opts;
     WOpts.MaxExecutions = ~0ull; // budget enforced via shared tickets
-    WOpts.ProgressIntervalSec = 0;
 
     Explorer::Summary &Local = Partials[Wid];
     Local.Exhausted = true; // AND-folded over the worker's subtrees
@@ -421,23 +412,20 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   for (unsigned I = 0; I != N; ++I)
     Workers.emplace_back(WorkerMain, I);
 
-  // Coordinator loop: polls the external controls and emits heartbeats /
-  // progress lines until the workers are done.
+  // Coordinator loop: polls the external controls and emits heartbeats
+  // until the workers are done.
   {
     const bool NeedPoll =
         Ctl.StopRequested || Ctl.DeadlineSec > 0 || Ctl.InterruptAtExecs > 0;
     const bool NeedHeartbeat =
         Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
-    const bool NeedProgress = Opts.ProgressIntervalSec > 0;
     double WaitSec = std::numeric_limits<double>::infinity();
     if (NeedPoll)
       WaitSec = 0.05;
     if (NeedHeartbeat)
       WaitSec = std::min(WaitSec, Ctl.HeartbeatIntervalSec);
-    if (NeedProgress)
-      WaitSec = std::min(WaitSec, Opts.ProgressIntervalSec);
 
-    double LastHeartbeat = 0, LastProgress = 0;
+    double LastHeartbeat = 0;
     std::unique_lock<std::mutex> L(Sh.Mu);
     while (!Sh.Done) {
       if (WaitSec == std::numeric_limits<double>::infinity())
@@ -486,18 +474,6 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         L.unlock();
         Ctl.OnHeartbeat(Hb); // user callback runs outside the lock
         L.lock();
-      }
-      if (NeedProgress && Wall - LastProgress >= Opts.ProgressIntervalSec) {
-        LastProgress = Wall;
-        std::fprintf(
-            stderr,
-            "[explore x%u] ~%llu execs, %.0f execs/s, queue=%llu, "
-            "busy=%u\n",
-            N, static_cast<unsigned long long>(Execs),
-            Wall > 0 ? Execs / Wall : 0.0,
-            static_cast<unsigned long long>(
-                Sh.QueuedTotal.load(std::memory_order_relaxed)),
-            Sh.Busy.load(std::memory_order_relaxed));
       }
     }
   }
@@ -549,13 +525,8 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   return Res;
 }
 
-Explorer::Summary ParallelExplorer::run() {
-  return exploreResumable(W, ExploreControl{}).Sum;
-}
-
 Explorer::Summary compass::sim::explore(const Workload &W) {
-  if (W.options().Workers > 1 &&
-      W.options().ExploreMode == Explorer::Mode::Exhaustive)
-    return ParallelExplorer(W).run();
+  if (W.options().Workers > 1)
+    return exploreResumable(W, ExploreControl{}).Sum;
   return exploreSerial(W);
 }

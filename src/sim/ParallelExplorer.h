@@ -133,34 +133,14 @@ struct ExploreResult {
   ExplorationSnapshot Snapshot;
 };
 
-/// Explores \p W (exhaustive mode) under W.options().Workers threads with
-/// cooperative interruption. Pass \p Resume to continue a previous
-/// segment's snapshot instead of starting at the root; the final merged
-/// summary core is bit-identical to an uninterrupted run at any worker
-/// count and any interrupt/resume segmentation. Random-mode workloads run
-/// serially and ignore \p Ctl / \p Resume (never interrupted).
+/// Explores \p W under W.options().Workers threads (values < 2 still run
+/// the full parallel machinery with one worker) with cooperative
+/// interruption. Pass \p Resume to continue a previous segment's snapshot
+/// instead of starting at the root; the final merged summary core is
+/// bit-identical to an uninterrupted run at any worker count and any
+/// interrupt/resume segmentation.
 ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl,
                                const ExplorationSnapshot *Resume = nullptr);
-
-/// Runs a Workload under N worker threads; see file comment.
-class ParallelExplorer {
-public:
-  /// Worker count comes from W.options().Workers (values < 2 still run the
-  /// full parallel machinery with one worker; prefer exploreSerial then).
-  explicit ParallelExplorer(Workload W) : W(std::move(W)) {}
-
-  /// Explores the workload to completion and returns the aggregated
-  /// summary. Exhaustive mode only (random sampling has no tree to split);
-  /// random-mode workloads are routed to the serial explorer.
-  Explorer::Summary run();
-
-private:
-  Workload W;
-};
-
-/// Runs \p W under the serial explorer, or under ParallelExplorer when
-/// Options::Workers > 1 (exhaustive mode only).
-Explorer::Summary explore(const Workload &W);
 
 } // namespace compass::sim
 

@@ -103,8 +103,6 @@ public:
   /// blocks or finishes) are always explored fully.
   void setPreemptionBound(unsigned Bound) { PreemptionBound = Bound; }
 
-  unsigned preemptionsUsed() const { return Preemptions; }
-
   /// Attaches a source-set reduction (or nullptr to disable). The scheduler
   /// feeds it every thread-choice point and every executed step; when it
   /// reports the picked move asleep, run() ends with SleepPruned. The

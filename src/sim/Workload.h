@@ -11,7 +11,9 @@
 /// re-runnable value. This makes three things first-class:
 ///
 ///  - exploreSerial(W) / explore(W): run the workload to completion under
-///    the serial or (Options::Workers > 1) parallel explorer;
+///    the serial or (Options::Workers > 1) parallel explorer; the
+///    explore(Opts, Setup, Check) shorthand wraps a closure pair into a
+///    serial Workload;
 ///  - replay(W, Decisions): deterministically re-execute ONE decision
 ///    sequence — the counterexample-reproduction entry point. Feed it
 ///    Summary::firstViolationDecisions() or Explorer::currentDecisions();
@@ -33,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,8 +109,6 @@ public:
 
   /// Instantiates a body for one worker (or for serial/replay use).
   Body makeBody() const { return Factory ? Factory() : Shared; }
-
-  bool hasFactory() const { return static_cast<bool>(Factory); }
 
 private:
   Explorer::Options Opts;
@@ -215,9 +216,35 @@ inline std::string formatReplayCall(const std::vector<unsigned> &Decisions,
 /// workload is eligible (see Body and sim/Engine.h). Defined in Engine.cpp.
 Explorer::Summary exploreSerial(const Workload &W);
 
-/// Runs \p W under the serial explorer, or under ParallelExplorer when
+/// Runs \p W under the serial explorer, or under exploreResumable when
 /// Options::Workers > 1. Defined in ParallelExplorer.cpp.
 Explorer::Summary explore(const Workload &W);
+
+/// Convenience driver: runs \p Setup then the scheduler for every explored
+/// execution, invoking \p Check afterwards. \p Setup receives the fresh
+/// machine and scheduler and must allocate state and start threads;
+/// \p Check receives them after the run together with the run result and
+/// may return void (informational) or bool (false = property violation,
+/// counted in Summary::Violations with the trace captured).
+///
+/// Always serial, whatever Options::Workers says: the closures are shared,
+/// not instantiated per worker, so this wraps them in a single-body
+/// Workload for exploreSerial (root replay, since the body is not marked
+/// copy-on-write safe).
+template <typename SetupT, typename CheckT>
+Explorer::Summary explore(Explorer::Options Opts, SetupT Setup,
+                          CheckT Check) {
+  return exploreSerial(Workload(
+      Opts, [&Setup](rmc::Machine &M, Scheduler &S) { Setup(M, S); },
+      [&Check](rmc::Machine &M, Scheduler &S, Scheduler::RunResult R) {
+        if constexpr (std::is_same_v<decltype(Check(M, S, R)), bool>) {
+          return Check(M, S, R);
+        } else {
+          Check(M, S, R);
+          return true;
+        }
+      }));
+}
 
 } // namespace compass::sim
 

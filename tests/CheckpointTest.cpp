@@ -270,37 +270,53 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
   };
   BadCk("");
   BadCk("compass sweep-checkpoint v9\n");
-  // The previous grammar (v1, with the duplicate-rf cache counter in every
-  // stat record) is rejected with a diagnostic naming the wanted version.
-  std::string Old = Text;
-  Old.replace(0, Old.find('\n'), "compass sweep-checkpoint v1");
-  BadCk(Old);
-  EXPECT_NE(Err.find("want 'compass sweep-checkpoint v2'"), std::string::npos)
-      << Err;
+  // Earlier grammars (v2 with an engine path on the config line, v1 with
+  // the duplicate-rf cache counter in every stat record) are rejected with
+  // a diagnostic naming the wanted version.
+  for (const char *OldHeader :
+       {"compass sweep-checkpoint v1", "compass sweep-checkpoint v2"}) {
+    std::string Old = Text;
+    Old.replace(0, Old.find('\n'), OldHeader);
+    BadCk(Old);
+    EXPECT_NE(Err.find("want 'compass sweep-checkpoint v3'"),
+              std::string::npos)
+        << Err;
+  }
   BadCk(Text.substr(0, Text.size() - 8)); // missing footer
   std::string Wrong = Text;
   size_t P = Wrong.find("libs ");
   ASSERT_NE(P, std::string::npos);
   Wrong.replace(P, 6, "libs 0"); // empty library list
   BadCk(Wrong);
-  // A config line without the reduction/engine words (the pre-fix grammar)
-  // must be rejected, not silently defaulted.
+  // A config line without the reduction word (the pre-fix grammar) must be
+  // rejected, not silently defaulted.
   Wrong = Text;
   P = Wrong.find("\ngen ");
   ASSERT_NE(P, std::string::npos);
   size_t CfgEnd = Wrong.rfind(' ', P - 1);
-  size_t CfgEnd2 = Wrong.rfind(' ', CfgEnd - 1);
-  Wrong.erase(CfgEnd2, P - CfgEnd2); // strip "<red> <engine>"
+  Wrong.erase(CfgEnd, P - CfgEnd); // strip " <red>"
   BadCk(Wrong);
 }
 
-TEST(SweepCheckpointFormat, RecordsReductionModeAndEnginePath) {
+TEST(SweepCheckpointFormat, ExecutionsCountsEveryExecutedShare) {
+  check::SweepCheckpoint K;
+  K.DoneLibs.resize(2);
+  K.DoneLibs[0].Executions = 5;
+  K.DoneLibs[1].Executions = 7;
+  K.CurLib.Executions = 11;
+  K.Scenario.Partial.Executions = 13;
+  EXPECT_EQ(K.executions(), 23u); // no scenario in flight: 13 not counted
+  K.HasScenario = true;
+  EXPECT_EQ(K.executions(), 36u);
+}
+
+TEST(SweepCheckpointFormat, RecordsReductionMode) {
   using namespace compass::check;
 
   // Regression: the checkpoint writer used to serialize the source-set
   // mode as "none", so a source-set sweep silently resumed unreduced (and
   // fingerprint-diverged). The config line must round-trip the exact mode
-  // and engine path the executed share ran under.
+  // the executed share ran under.
   for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet}) {
     SweepOptions O;
     O.Seed = 5;
@@ -308,7 +324,6 @@ TEST(SweepCheckpointFormat, RecordsReductionModeAndEnginePath) {
     O.Workers = 2;
     O.MaxExecutionsPerScenario = 60000;
     O.Reduction = Red;
-    O.Engine = EnginePath::RootReplay;
     O.Libs = {Lib::MsQueue, Lib::TreiberStack};
     std::atomic<bool> Stop{true};
     SweepControl Ctl;
@@ -316,22 +331,18 @@ TEST(SweepCheckpointFormat, RecordsReductionModeAndEnginePath) {
     SweepResult R = runSweepResumable(O, Ctl);
     ASSERT_TRUE(R.Interrupted);
     EXPECT_EQ(R.Ckpt.Reduction, Red);
-    EXPECT_EQ(R.Ckpt.Engine, EnginePath::RootReplay);
 
     std::string Text = serializeSweepCheckpoint(R.Ckpt);
     std::istringstream In(Text);
     std::string Header, Config;
     ASSERT_TRUE(std::getline(In, Header) && std::getline(In, Config));
-    std::string Want =
-        std::string(" ") + reductionModeName(Red) + " root";
-    EXPECT_NE(Config.find(Want), std::string::npos)
-        << "config line does not record the mode: " << Config;
+    EXPECT_EQ(Config.substr(Config.rfind(' ') + 1), reductionModeName(Red))
+        << "config line does not end with the mode: " << Config;
 
     SweepCheckpoint Back;
     std::string Err;
     ASSERT_TRUE(parseSweepCheckpoint(Text, Back, Err)) << Err;
     EXPECT_EQ(Back.Reduction, Red) << reductionModeName(Red);
-    EXPECT_EQ(Back.Engine, EnginePath::RootReplay);
   }
 }
 

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "clients/ResourceExchange.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "lib/Exchanger.h"
 #include "spec/Consistency.h"
 

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "clients/Pipeline.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 
 #include <gtest/gtest.h>
 

@@ -21,7 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace compass;
 using namespace compass::rmc;
@@ -277,15 +281,16 @@ namespace {
 /// hence MaxDepth) is worker-count dependent by design, which is also why
 /// SweepReport's fingerprint only folds exhausted scenarios.
 Workload conformanceWorkload(check::Lib L, check::Mutation Mut, uint64_t Seed,
-                             unsigned Workers) {
+                             unsigned Workers,
+                             ReductionMode Red = ReductionMode::SourceSet) {
   check::GenOptions G;
   G.MaxThreads = 2;
   G.MaxOpsPerThread = 2;
   G.MinPreemptions = G.MaxPreemptions = 1;
   check::Scenario S =
       check::generateScenario(L, check::scenarioSeed(Seed, L, 0), G);
-  return check::makeWorkload(S, Mut,
-                             check::scenarioOptions(S, 200000, Workers));
+  return check::makeWorkload(
+      S, Mut, check::scenarioOptions(S, 200000, Workers, Red));
 }
 
 } // namespace
@@ -570,12 +575,15 @@ Explorer::Summary exploreWithEngine(Workload W, EnginePath E) {
 /// trace — is bit-identical to classic root replay's, at 1, 2, and 4
 /// workers. \p ExpectResumes additionally asserts the cow fast path
 /// actually engaged (CowResumes > 0), so the A/B never passes vacuously.
-void expectEngineAB(Workload (*Make)(unsigned), const char *Name,
-                    bool ExpectResumes) {
+void expectEngineAB(const std::function<Workload(unsigned)> &Make,
+                    const std::string &Name, bool ExpectResumes) {
   for (unsigned Wk : {1u, 2u, 4u}) {
     Explorer::Summary Root =
         exploreWithEngine(Make(Wk), EnginePath::RootReplay);
     Explorer::Summary Cow = exploreWithEngine(Make(Wk), EnginePath::Auto);
+    EXPECT_TRUE(Root.Exhausted)
+        << Name << " workers=" << Wk
+        << ": a truncated tree's explored subset is worker-count dependent";
     EXPECT_EQ(Root.Perf.CowResumes, 0u)
         << Name << " workers=" << Wk << ": RootReplay path took a snapshot";
     if (ExpectResumes) {
@@ -622,6 +630,33 @@ TEST(ParallelEngineAB, ConformanceMutatedTreiberFirstViolation) {
                                    13, W);
       },
       "conformance treiber mutant A/B", true);
+}
+
+TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
+  // Copy-on-write must equal root replay on generated scenarios of every
+  // library, pristine and with each seeded mutation on its own library,
+  // under both reduction modes. This covers the libraries no hand-written
+  // workload reaches, among them the two whose bodies must re-run finished
+  // threads on resume (treiber_ebr and ws_deque leave CowSkipFinished off).
+  std::vector<std::pair<check::Lib, check::Mutation>> Cases;
+  for (unsigned I = 0; I != check::NumLibs; ++I)
+    Cases.push_back({check::allLibs()[I], check::Mutation::None});
+  for (unsigned I = 1; I != check::NumMutations; ++I) {
+    auto Mut = static_cast<check::Mutation>(I);
+    Cases.push_back({check::mutationLib(Mut), Mut});
+  }
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+    for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
+      for (const auto &Case : Cases)
+        expectEngineAB(
+            [=](unsigned W) {
+              return conformanceWorkload(Case.first, Case.second, Seed, W,
+                                         Red);
+            },
+            std::string(check::libName(Case.first)) + "/" +
+                check::mutationName(Case.second) + "/" +
+                reductionModeName(Red) + " seed " + std::to_string(Seed),
+            true);
 }
 
 TEST(ParallelEngineAB, CheckpointResumeMatchesRootReplay) {

@@ -294,21 +294,6 @@ TEST(ReductionAccounting, BothModesReconcileOnEveryWorkload) {
   }
 }
 
-TEST(ReductionAccounting, RandomModeIgnoresReductionRequest) {
-  Explorer::Options Opts;
-  Opts.ExploreMode = Explorer::Mode::Random;
-  Opts.RandomRuns = 50;
-  Opts.Reduction = ReductionMode::SourceSet;
-  Workload W(Opts, [](Machine &M, Scheduler &S) {
-    Loc X = M.alloc("x");
-    Env &E0 = S.newThread();
-    S.start(E0, mpWriter(E0, X, X, MemOrder::Relaxed));
-  });
-  auto Sum = explore(W);
-  EXPECT_EQ(Sum.SleepPruned, 0u);
-  EXPECT_EQ(Sum.Executions, 50u);
-}
-
 //===----------------------------------------------------------------------===//
 // Soundness
 //===----------------------------------------------------------------------===//

@@ -400,76 +400,6 @@ TEST(SchedulerTest, PreemptionBoundOrdersSubsetOfUnbounded) {
   EXPECT_EQ(CInf, 20u);
 }
 
-TEST(ExplorerTest, RandomModeRunsRequestedCount) {
-  Explorer::Options Opts;
-  Opts.ExploreMode = Explorer::Mode::Random;
-  Opts.RandomRuns = 37;
-  Opts.Seed = 5;
-  auto Sum = explore(
-      Opts,
-      [&](Machine &M, Scheduler &S) {
-        Loc A = M.alloc("a"), B = M.alloc("b");
-        Env &E0 = S.newThread();
-        S.start(E0, storeTwice(E0, A, B));
-        Env &E1 = S.newThread();
-        S.start(E1, storeTwice(E1, B, A));
-      },
-      [](Machine &, Scheduler &, Scheduler::RunResult) {});
-  EXPECT_EQ(Sum.Executions, 37u);
-  EXPECT_FALSE(Sum.Exhausted);
-}
-
-TEST(ExplorerTest, RandomModeRecordsReplayableTraces) {
-  // Regression: Mode::Random used to discard decisions, so
-  // currentDecisions() returned an empty/stale trace and sampled failures
-  // were unreproducible. Every sampled run must now be replayable to the
-  // identical RunResult and outcome.
-  Explorer::Options Opts;
-  Opts.ExploreMode = Explorer::Mode::Random;
-  Opts.RandomRuns = 40;
-  Opts.Seed = 9;
-  Explorer Ex(Opts);
-  MpLitmusOut O;
-  std::vector<std::vector<unsigned>> Traces;
-  std::vector<std::pair<Value, Value>> Outcomes;
-  std::vector<Scheduler::RunResult> Results;
-  while (Ex.beginExecution()) {
-    O = MpLitmusOut();
-    Machine M(Ex);
-    Scheduler S(M, Ex);
-    Loc X = M.alloc("x"), F = M.alloc("f");
-    Env &E0 = S.newThread();
-    S.start(E0, mpWriter(E0, X, F, MemOrder::Relaxed));
-    Env &E1 = S.newThread();
-    S.start(E1, mpReader(E1, X, F, MemOrder::Relaxed, O));
-    auto R = S.run(Opts.MaxStepsPerExec);
-    EXPECT_FALSE(Ex.currentDecisions().empty())
-        << "random-mode decisions must be recorded";
-    Traces.push_back(Ex.currentDecisions());
-    Outcomes.push_back({O.Flag, O.Data});
-    Results.push_back(R);
-    Ex.endExecution(R);
-  }
-  ASSERT_EQ(Traces.size(), 40u);
-
-  auto Shared = std::make_shared<MpLitmusOut>();
-  Workload W(Explorer::Options{}, [Shared](Machine &M, Scheduler &S) {
-    *Shared = MpLitmusOut();
-    Loc X = M.alloc("x"), F = M.alloc("f");
-    Env &E0 = S.newThread();
-    S.start(E0, mpWriter(E0, X, F, MemOrder::Relaxed));
-    Env &E1 = S.newThread();
-    S.start(E1, mpReader(E1, X, F, MemOrder::Relaxed, *Shared));
-  });
-  for (size_t I = 0; I != Traces.size(); ++I) {
-    ReplayResult RR = replay(W, Traces[I]);
-    EXPECT_EQ(RR.Run, Results[I]) << "trace " << I;
-    EXPECT_FALSE(RR.Diverged) << "trace " << I;
-    EXPECT_EQ(Shared->Flag, Outcomes[I].first) << "trace " << I;
-    EXPECT_EQ(Shared->Data, Outcomes[I].second) << "trace " << I;
-  }
-}
-
 TEST(ExplorerTest, FormatTraceNamesTagsAndArities) {
   Explorer Ex;
   ASSERT_TRUE(Ex.beginExecution());

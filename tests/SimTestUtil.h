@@ -4,8 +4,6 @@
 #define COMPASS_TESTS_SIMTESTUTIL_H
 
 #include "lib/Container.h"
-#include "sim/Explorer.h"
-#include "sim/ParallelExplorer.h"
 #include "sim/Workload.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +15,8 @@ namespace compass::test {
 /// Explores \p W (serial or parallel per its options) and fails the current
 /// test if any execution violates the workload's check. On failure the
 /// report carries everything needed to reproduce without re-exploring:
-///  * the exploration seed and worker count (exact configuration),
+///  * the reduction mode, preemption bound and worker count (the
+///    exploration's configuration),
 ///  * the first counterexample's decision trace, pretty-printed (tag +
 ///    arity per decision),
 ///  * a copy-pasteable `sim::replay(W, {...});` call for that trace, which
@@ -29,7 +28,9 @@ exploreExpectNoViolations(const sim::Workload &W,
   if (Sum.Violations != 0) {
     sim::ReplayResult RR = sim::replay(W, Sum.firstViolationDecisions());
     ADD_FAILURE() << Sum.Violations
-                  << " violating execution(s) [seed=" << W.options().Seed
+                  << " violating execution(s) [reduction="
+                  << sim::reductionModeName(W.options().Reduction)
+                  << " preemption-bound=" << W.options().PreemptionBound
                   << " workers=" << W.options().Workers
                   << "]; first counterexample:\n"
                   << sim::Explorer::formatTrace(Sum.FirstViolation)

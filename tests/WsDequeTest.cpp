@@ -10,7 +10,7 @@
 
 #include "lib/WsDeque.h"
 #include "native/WsDeque.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/Consistency.h"
 #include "spec/Linearization.h"
 

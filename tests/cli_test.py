@@ -5,13 +5,15 @@ Pins the strict numeric-flag contract: malformed, signed, overflowing, or
 missing values exit 2 and print usage to stderr (pre-fix, strtoull
 silently mapped "abc" and "-1" to a number and the sweep ran with
 garbage); valid spellings are accepted. A sweep whose scenarios hit the
-execution cap says so in its verdict line instead of reading as plain
-clean. Also pins the regression corpus:
-`mutants --seed 1 --emit-corpus` rewrites tests/corpus/ byte for byte, and
-`replay` reproduces every entry, one line each. Invoked by ctest as
-`test_cli <path-to-compass_check>`.
+execution cap says so in its verdict line, its --json report and its
+telemetry instead of reading as plain clean. Pins the verdict contract:
+two reference sweeps print fixed fingerprint lines. Also pins the
+regression corpus: `mutants --seed 1 --emit-corpus` rewrites tests/corpus/
+byte for byte, and `replay` reproduces every entry, one line each.
+Invoked by ctest as `test_cli <path-to-compass_check>`.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +21,8 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
+TELEMETRY_REPORT = (Path(__file__).resolve().parent.parent / "scripts" /
+                    "telemetry_report.py")
 BIN = None
 failures = []
 
@@ -95,9 +99,10 @@ def main():
                        "--reduction", "sleep-set")
     expect_usage_error("reduction near-miss capitalized", "sweep",
                        "--reduction", "Source")
-    expect_usage_error("bad engine", "sweep", "--engine", "cow")
-    expect_usage_error("engine near-miss capitalized", "sweep",
-                       "--engine", "Auto")
+    # Copy-on-write and root replay give bit-identical results, so the
+    # engine path is no sweep flag (ParallelTest checks one against the
+    # other).
+    expect_usage_error("removed engine flag", "sweep", "--engine", "root")
     p = run("sweep", "--resume", "/nonexistent/ckpt")
     check("missing resume file exits 2 with diagnostic",
           p.returncode == 2 and "cannot read" in p.stderr, p)
@@ -117,6 +122,41 @@ def main():
     check("truncated sweep exits 0", p.returncode == 0, p)
     check("truncated sweep reads as incomplete",
           "(clean, incomplete (2 truncated))" in p.stdout, p)
+    # The machine-readable outputs carry the same count.
+    with tempfile.TemporaryDirectory() as td:
+        telem = os.path.join(td, "sweep.jsonl")
+        p = run("sweep", "--seed", "3", "--per-lib", "2", "--workers", "1",
+                "--max-execs", "1", "--lib", "ms_queue", "--json",
+                "--telemetry", telem)
+        try:
+            truncated = json.loads(p.stdout).get("truncated")
+        except json.JSONDecodeError:
+            truncated = None
+        check("truncated sweep --json reports 2 truncated", truncated == 2, p)
+        ends = []
+        if os.path.exists(telem):
+            ends = [r for r in map(json.loads, Path(telem).read_text()
+                                   .splitlines())
+                    if r.get("kind") == "run_end"]
+        check("truncated sweep telemetry run_end reports 2 truncated",
+              len(ends) == 1 and ends[0].get("truncated") == 2, p)
+        r = subprocess.run([sys.executable, str(TELEMETRY_REPORT), telem],
+                           capture_output=True, text=True, timeout=60)
+        check("telemetry report shows the truncated count",
+              r.returncode == 0 and "truncated 2" in r.stdout, r)
+
+    # --- verdict contract ---------------------------------------------------
+    # Fixed sweeps print fixed fingerprints. A change that alters what any
+    # exhausted scenario explores, or which scenarios exhaust, moves them.
+    p = run("sweep", "--seed", "1", "--per-lib", "10", "--workers", "4",
+            timeout=300)
+    check("reference sweep fingerprint (seed 1, per-lib 10)",
+          "fingerprint: 0x603b4e3f152fdd33  (clean)\n" in p.stdout, p)
+    p = run("sweep", "--seed", "7919", "--per-lib", "5", "--workers", "4",
+            "--reduction", "none", "--max-execs", "50000", timeout=300)
+    check("unreduced sweep fingerprint (seed 7919, per-lib 5)",
+          "fingerprint: 0xeba4cd97ac1768d9  "
+          "(clean, incomplete (11 truncated))\n" in p.stdout, p)
 
     p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
             "--max-execs", "2000", "--lib", "treiber_ebr", timeout=300)
@@ -137,7 +177,7 @@ def main():
             "--lib", "ms_queue", "--checkpoint-every", "900s")
     check("checkpoint-every seconds accepted", p.returncode == 0, p)
 
-    # --- reduction / engine mode spellings --------------------------------
+    # --- reduction mode spellings -----------------------------------------
     for mode in ("none", "source"):
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
@@ -146,23 +186,17 @@ def main():
         check(f"--reduction {mode} prints fingerprint",
               "fingerprint" in p.stdout, p)
 
-    for engine in ("auto", "root"):
-        p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
-                "--max-execs", "2000", "--lib", "ms_queue",
-                "--engine", engine)
-        check(f"--engine {engine} accepted", p.returncode == 0, p)
-
     # --- resume-mismatch contract -----------------------------------------
-    # A checkpoint's executed share is tied to the reduction mode and engine
-    # path that produced it. Produce a cadence checkpoint under explicit
-    # --reduction none / --engine auto, then resume with a contradicting
-    # mode: exit 2 with a diagnostic naming both modes. Resuming without
-    # the flags adopts the recorded modes and completes.
+    # A checkpoint's executed share is tied to the reduction mode that
+    # produced it. Produce a cadence checkpoint under explicit --reduction
+    # none, then resume with a contradicting mode: exit 2 with a diagnostic
+    # naming both modes. Resuming without the flag adopts the recorded mode
+    # and completes.
     with tempfile.TemporaryDirectory() as td:
         ckpt = os.path.join(td, "sweep.ckpt")
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
-                "--reduction", "none", "--engine", "auto",
+                "--reduction", "none",
                 "--checkpoint", ckpt, "--checkpoint-every", "50")
         check("checkpointed sweep runs", p.returncode == 0, p)
         check("cadence checkpoint written", os.path.exists(ckpt), p)
@@ -170,20 +204,17 @@ def main():
             p = run("sweep", "--resume", ckpt, "--reduction", "source")
             check("resume reduction mismatch exits 2",
                   p.returncode == 2 and "contradicts" in p.stderr, p)
-            p = run("sweep", "--resume", ckpt, "--engine", "root")
-            check("resume engine mismatch exits 2",
-                  p.returncode == 2 and "contradicts" in p.stderr, p)
-            # A checkpoint from the previous grammar (sweep-checkpoint v1,
-            # which carried the duplicate-rf cache counter) is refused, and
+            # A checkpoint from the previous grammar (sweep-checkpoint v2,
+            # whose config line also named an engine path) is refused, and
             # the diagnostic names the wanted version.
             text = Path(ckpt).read_text()
             old = os.path.join(td, "old.ckpt")
-            Path(old).write_text("compass sweep-checkpoint v1" +
+            Path(old).write_text("compass sweep-checkpoint v2" +
                                  text[text.index("\n"):])
             p = run("sweep", "--resume", old)
             check("resume of an old-version checkpoint exits 2",
                   p.returncode == 2 and
-                  "want 'compass sweep-checkpoint v2'" in p.stderr, p)
+                  "want 'compass sweep-checkpoint v3'" in p.stderr, p)
             p = run("sweep", "--resume", ckpt)
             check("resume without mode flags completes", p.returncode == 0, p)
 
