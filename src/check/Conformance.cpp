@@ -67,11 +67,15 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
   };
   constexpr double Inf = std::numeric_limits<double>::infinity();
 
-  // Cumulative sweep executions (completed scenarios + the in-flight
-  // scenario's executed base), driving the execution-count cadence.
-  uint64_t DoneExecs = 0;
+  // Running total of the sweep's finished scenarios across libraries; its
+  // counters go into heartbeat records.
+  LibSweepStats Total;
   for (const LibSweepStats &St : Rep.PerLib)
-    DoneExecs += St.Executions;
+    Total.add(St);
+  if (Resume)
+    Total.add(Resume->CurLib);
+  // Cumulative sweep executions (finished scenarios + the in-flight
+  // scenario's executed base), driving the execution-count cadence.
   uint64_t SweepExecs = Resume ? Resume->executions() : 0;
   uint64_t NextCkptExecs =
       C.CheckpointEveryExecs > 0 ? SweepExecs + C.CheckpointEveryExecs : 0;
@@ -104,31 +108,6 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     K.ScenarioLinAborts = LinBase;
     K.Scenario = std::move(Snap);
     return K;
-  };
-
-  auto Progress = [&](const LibSweepStats &St) {
-    SweepProgress P;
-    for (const LibSweepStats &D : Rep.PerLib) {
-      P.Scenarios += D.Scenarios;
-      P.Executions += D.Executions;
-      P.Completed += D.Completed;
-      P.Races += D.Races;
-      P.Deadlocks += D.Deadlocks;
-      P.Violations += D.Violations;
-      P.SleepPruned += D.SleepPruned;
-      P.RfPruned += D.RfPruned;
-      P.SourcePruned += D.SourcePruned;
-    }
-    P.Scenarios += St.Scenarios;
-    P.Executions += St.Executions;
-    P.Completed += St.Completed;
-    P.Races += St.Races;
-    P.Deadlocks += St.Deadlocks;
-    P.Violations += St.Violations;
-    P.SleepPruned += St.SleepPruned;
-    P.RfPruned += St.RfPruned;
-    P.SourcePruned += St.SourcePruned;
-    return P;
   };
 
   for (size_t Li = Li0; Li != Libs.size(); ++Li) {
@@ -176,19 +155,18 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
           Deadline = std::min(Deadline, NextCkptTime - Elapsed());
         if (Deadline != Inf)
           Ec.DeadlineSec = std::max(Deadline, 1e-3);
-        SweepProgress SwP = Progress(St);
         if (C.Telem) {
           Ec.HeartbeatIntervalSec = C.HeartbeatIntervalSec;
           Ec.OnHeartbeat = [&C, L, I,
-                            &SwP](const sim::ExploreHeartbeat &Hb) {
-            C.Telem->heartbeat(libName(L), I, Hb, SwP);
+                            &Total](const sim::ExploreHeartbeat &Hb) {
+            C.Telem->heartbeat(libName(L), I, Hb, Total);
           };
         }
 
         sim::ExploreResult ER =
             sim::exploreResumable(W, Ec, HaveSnap ? &Snap : nullptr);
         LinBase += LinAborts->load();
-        SweepExecs = DoneExecs + St.Executions + ER.Sum.Executions;
+        SweepExecs = Total.Executions + ER.Sum.Executions;
         if (!ER.Interrupted) {
           Sum = std::move(ER.Sum);
           break;
@@ -209,19 +187,22 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
           C.OnCheckpoint(BuildCkpt(Li, I, St, true, LinBase, Snap));
       }
 
-      ++St.Scenarios;
-      St.Executions += Sum.Executions;
-      St.Completed += Sum.Completed;
-      St.Races += Sum.Races;
-      St.Deadlocks += Sum.Deadlocks;
-      St.Violations += Sum.Violations;
-      St.SleepPruned += Sum.SleepPruned;
-      St.RfPruned += Sum.RfPruned;
-      St.SourcePruned += Sum.SourcePruned;
-      St.MaxDepth = std::max(St.MaxDepth, Sum.MaxDepth);
-      St.LinAborts += LinBase;
-      St.Truncated += !Sum.Exhausted;
-      SweepExecs = DoneExecs + St.Executions;
+      LibSweepStats One;
+      One.Scenarios = 1;
+      One.Executions = Sum.Executions;
+      One.Completed = Sum.Completed;
+      One.Races = Sum.Races;
+      One.Deadlocks = Sum.Deadlocks;
+      One.Violations = Sum.Violations;
+      One.SleepPruned = Sum.SleepPruned;
+      One.RfPruned = Sum.RfPruned;
+      One.SourcePruned = Sum.SourcePruned;
+      One.MaxDepth = Sum.MaxDepth;
+      One.LinAborts = LinBase;
+      One.Truncated = !Sum.Exhausted;
+      St.add(One);
+      Total.add(One);
+      SweepExecs = Total.Executions;
       // Deterministic fingerprint: a truncated tree's explored subset is
       // worker-count dependent, so only exhausted scenarios contribute
       // their counters (see SweepReport::fingerprint).
@@ -275,10 +256,24 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
         C.OnCheckpoint(BuildCkpt(Li, I + 1, St, false, 0,
                                  sim::ExplorationSnapshot{}));
     }
-    DoneExecs += St.Executions;
     Rep.PerLib.push_back(std::move(St));
   }
   return Res;
+}
+
+void LibSweepStats::add(const LibSweepStats &O) {
+  Scenarios += O.Scenarios;
+  Executions += O.Executions;
+  Completed += O.Completed;
+  Races += O.Races;
+  Deadlocks += O.Deadlocks;
+  Violations += O.Violations;
+  SleepPruned += O.SleepPruned;
+  RfPruned += O.RfPruned;
+  SourcePruned += O.SourcePruned;
+  MaxDepth = std::max(MaxDepth, O.MaxDepth);
+  LinAborts += O.LinAborts;
+  Truncated += O.Truncated;
 }
 
 SweepReport check::runSweep(const SweepOptions &O) {

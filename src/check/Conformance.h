@@ -66,6 +66,10 @@ struct LibSweepStats {
   unsigned Truncated = 0; ///< Scenarios whose tree hit the execution cap.
   unsigned FirstBadScenario = ~0u; ///< Generator index; ~0u when clean.
   std::string FirstBad; ///< Scenario + verdict of the first violation.
+
+  /// Folds \p O's counters into this aggregate (MaxDepth takes the max).
+  /// L and the first-violation fields are left alone.
+  void add(const LibSweepStats &O);
 };
 
 struct SweepReport {

@@ -67,7 +67,7 @@ void Telemetry::runStart(const SweepOptions &O, const std::vector<Lib> &Libs,
 
 void Telemetry::heartbeat(const char *LibName, unsigned ScenarioIndex,
                           const sim::ExploreHeartbeat &Hb,
-                          const SweepProgress &Sweep) {
+                          const LibSweepStats &Sweep) {
   JsonWriter J = openRecord("heartbeat", elapsed());
   J.field("lib", LibName);
   J.field("scenario", ScenarioIndex);

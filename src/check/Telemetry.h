@@ -19,8 +19,9 @@
 ///                  scenario index, executions + execs/sec, shared-queue
 ///                  length, busy workers, donation count, per-worker
 ///                  {execs, donated, frontier, depth}, and the cumulative
-///                  sweep verdict counters (executions, completed, races,
-///                  deadlocks, violations, sleep_pruned, scenarios).
+///                  sweep counters of the finished scenarios (scenarios,
+///                  executions, completed, races, deadlocks, violations,
+///                  sleep_pruned, rf_pruned, source_pruned).
 ///  * violation   — a scenario whose exploration found a property
 ///                  violation: library, scenario index + description,
 ///                  verdict rule, and the replayable decision trace.
@@ -45,19 +46,6 @@
 
 namespace compass::check {
 
-/// Cumulative sweep counters carried by heartbeat records.
-struct SweepProgress {
-  unsigned Scenarios = 0; ///< Completed scenarios so far.
-  uint64_t Executions = 0;
-  uint64_t Completed = 0;
-  uint64_t Races = 0;
-  uint64_t Deadlocks = 0;
-  uint64_t Violations = 0;
-  uint64_t SleepPruned = 0;
-  uint64_t RfPruned = 0;
-  uint64_t SourcePruned = 0;
-};
-
 /// Append-only JSONL sink; see file comment. Thread-safe (heartbeats
 /// arrive from the exploration coordinator thread).
 class Telemetry {
@@ -72,8 +60,9 @@ public:
   void runStart(const SweepOptions &O, const std::vector<Lib> &Libs,
                 bool Resumed, uint64_t BaseExecutions);
 
+  /// \p Sweep totals the sweep's finished scenarios across libraries.
   void heartbeat(const char *LibName, unsigned ScenarioIndex,
-                 const sim::ExploreHeartbeat &Hb, const SweepProgress &Sweep);
+                 const sim::ExploreHeartbeat &Hb, const LibSweepStats &Sweep);
 
   void violation(const char *LibName, unsigned ScenarioIndex,
                  const std::string &ScenarioStr, const std::string &Verdict,

@@ -319,9 +319,7 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
   if (const uint32_t Floor = takeRfFloor(L))
     if (static_cast<Timestamp>(Floor) > From)
       N = Mem.countReadableFrom(L, static_cast<Timestamp>(Floor));
-  unsigned Pick = NFull == 1 ? 0
-                  : N < NFull ? Choices.chooseLimited(NFull, N, "load")
-                              : Choices.choose(NFull, "load");
+  unsigned Pick = NFull == 1 ? 0 : Choices.choose(NFull, N, ChoiceKind::Load);
   // Choice 0 reads the newest message; choice N-1 the oldest readable.
   Timestamp Ts = C.latestTs() - Pick;
   applyRead(TS, L, C, Ts, O);
@@ -388,9 +386,7 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
   }
   unsigned Pick = 0;
   if (!RestrictedEmpty && NumFull > 1)
-    Pick = NumChoices < NumFull
-               ? Choices.chooseLimited(NumFull, NumChoices, "load-where")
-               : Choices.choose(NumFull, "load-where");
+    Pick = Choices.choose(NumFull, NumChoices, ChoiceKind::LoadWhere);
   Timestamp Ts = Candidates[Pick];
   applyRead(TS, L, C, Ts, O);
   if (O == MemOrder::SeqCst)
@@ -496,10 +492,9 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
   if (NumAlternatives == 0)
     fatalError("CAS has no legal read; history corrupt");
   unsigned Pick =
-      NumAllFull == 1 ? 0
-      : NumAlternatives < NumAllFull
-          ? Choices.chooseLimited(NumAllFull, NumAlternatives, "cas")
-          : Choices.choose(NumAllFull, "cas");
+      NumAllFull == 1
+          ? 0
+          : Choices.choose(NumAllFull, NumAlternatives, ChoiceKind::Cas);
 
   if (CanSucceed && Pick == 0) {
     noteOp(L, Footprint::Kind::Update, Sc, /*Atomic=*/true);

@@ -1,21 +1,25 @@
 //===-- sim/Checkpoint.cpp - Exploration frontier snapshots ---------------===//
 //
 // Text grammar (version "snapshot v3"; one record per line, space-
-// separated fields, tags are identifier-like and never contain spaces):
+// separated fields; <kind> is a choice kind name — cas, load, load-where
+// or sched — and any other word is rejected):
 //
 //   snapshot v3
 //   summary <Executions> <Completed> <Deadlocks> <Races> <Diverged>
 //           <Pruned> <SleepPruned> <RfPruned> <SourcePruned>
 //           <Violations> <Exhausted> <MaxDepth> <HasViolation>
 //   tags <N>
-//   tag <name> <Choices> <AltSum> <MaxArity>            (N lines)
+//   tag <kind> <Choices> <AltSum> <MaxArity>            (N lines)
 //   violation <N>
-//   fv <Chosen> <Count> <Tag>                           (N lines)
+//   fv <Chosen> <Limit> <Count> <kind>                  (N lines)
 //   prefixes <N>
 //   prefix <NDecisions> <HasSleep> <SleepOrdinal> <NSleep>
-//   d <Chosen> <Limit> <Count> <Tag>                    (NDecisions lines)
+//   d <Chosen> <Limit> <Count> <kind>                   (NDecisions lines)
 //   s <Tid> <Loc> <Kind> <Sc> <Atomic> <Ver>            (NSleep lines)
 //   end snapshot
+//
+// The writer lists tag records for the kinds with at least one choice, in
+// name order; the parser rejects a kind listed twice.
 //
 // Earlier versions are rejected: v2 carried a duplicate-rf cache counter,
 // and v1 snapshots could only come from plain sleep-set runs.
@@ -26,39 +30,19 @@
 
 #include "sim/LineRecords.h"
 
+#include <algorithm>
 #include <cassert>
-#include <mutex>
-#include <set>
 #include <sstream>
 
 using namespace compass;
 using namespace compass::sim;
 
-const char *sim::internTag(std::string_view Tag) {
-  static std::mutex Mu;
-  static std::set<std::string, std::less<>> Table; // node-based: stable c_str
-  std::lock_guard<std::mutex> L(Mu);
-  auto It = Table.find(Tag);
-  if (It == Table.end())
-    It = Table.emplace(Tag).first;
-  return It->c_str();
-}
-
 namespace {
-
-const char *tagOrDash(const char *Tag) {
-  // Tags are static identifiers; "-" stands in for a null tag.
-  return Tag && *Tag ? Tag : "-";
-}
-
-const char *internOrNull(const std::string &S) {
-  return S == "-" ? nullptr : internTag(S);
-}
 
 void writeDecision(std::ostringstream &OS, const char *Kind,
                    const DecisionTree::Decision &D) {
   OS << Kind << ' ' << D.Chosen << ' ' << D.Limit << ' ' << D.Count << ' '
-     << tagOrDash(D.Tag) << '\n';
+     << choiceKindName(D.Kind) << '\n';
 }
 
 } // namespace
@@ -72,10 +56,15 @@ std::string sim::serializeSnapshot(const ExplorationSnapshot &S) {
      << ' ' << P.SleepPruned << ' ' << P.RfPruned << ' ' << P.SourcePruned
      << ' ' << P.Violations << ' ' << unsigned(P.Exhausted) << ' '
      << P.MaxDepth << ' ' << unsigned(P.HasViolation) << '\n';
-  OS << "tags " << P.Tags.size() << '\n';
-  for (const auto &[Name, St] : P.Tags)
-    OS << "tag " << (Name.empty() ? "-" : Name.c_str()) << ' ' << St.Choices
-       << ' ' << St.AltSum << ' ' << St.MaxArity << '\n';
+  OS << "tags "
+     << std::count_if(
+            P.Tags.begin(), P.Tags.end(),
+            [](const Explorer::TagStat &St) { return St.Choices != 0; })
+     << '\n';
+  for (size_t K = 0; K != NumChoiceKinds; ++K)
+    if (const Explorer::TagStat &St = P.Tags[K]; St.Choices)
+      OS << "tag " << choiceKindName(static_cast<ChoiceKind>(K)) << ' '
+         << St.Choices << ' ' << St.AltSum << ' ' << St.MaxArity << '\n';
   OS << "violation " << (P.HasViolation ? P.FirstViolation.size() : 0)
      << '\n';
   if (P.HasViolation)
@@ -111,14 +100,16 @@ bool parseDecision(LineCursor &R, const char *Kind,
   Fields F(R.Line);
   if (!expectKeyword(R, Kind, F))
     return false;
-  std::string Tag;
+  std::string Name;
   if (!F.num(D.Chosen) || !F.num(D.Limit) || !F.num(D.Count) ||
-      !F.word(Tag))
+      !F.word(Name))
     return R.fail("malformed decision");
+  if (!parseChoiceKind(Name, D.Kind))
+    return R.fail(std::string("unknown choice kind in '") + Kind +
+                  "' record");
   if (D.Count == 0 || D.Chosen >= D.Count || D.Limit > D.Count ||
       D.Limit <= D.Chosen)
     return R.fail("decision fields out of range");
-  D.Tag = internOrNull(Tag);
   return true;
 }
 
@@ -171,7 +162,13 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
     if (!expectKeyword(R, "tag", F) || !F.word(Name) || !F.num(St.Choices) ||
         !F.num(St.AltSum) || !F.num(St.MaxArity))
       return Done(R.fail("malformed tag record"));
-    P.Tags[Name == "-" ? "" : Name] = St;
+    ChoiceKind K;
+    if (!parseChoiceKind(Name, K))
+      return Done(R.fail("unknown choice kind in 'tag' record"));
+    Explorer::TagStat &Dst = P.Tags[static_cast<size_t>(K)];
+    if (Dst.Choices)
+      return Done(R.fail("duplicate 'tag' record"));
+    Dst = St;
   }
 
   uint64_t NViol = 0;

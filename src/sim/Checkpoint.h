@@ -49,11 +49,6 @@ struct ExplorationSnapshot {
   bool empty() const { return Frontier.empty(); }
 };
 
-/// Interns \p Tag into a process-lifetime string table and returns a
-/// stable pointer, so deserialized DecisionTree::Decision::Tag values
-/// compare and print like the static literals they were serialized from.
-const char *internTag(std::string_view Tag);
-
 /// Serializes \p S in a versioned line-oriented text format (see
 /// Checkpoint.cpp for the grammar). The output is self-contained and
 /// embeddable inside larger checkpoint files (check/Checkpoint.h).

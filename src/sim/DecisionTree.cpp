@@ -19,24 +19,25 @@ DecisionTree::DecisionTree(Prefix Seed)
 #endif
 }
 
-unsigned DecisionTree::next(unsigned Count, const char *Tag) {
-  return next(Count, Count, Tag);
-}
-
-unsigned DecisionTree::next(unsigned Count, unsigned Limit, const char *Tag) {
+unsigned DecisionTree::next(unsigned Count, unsigned Limit, ChoiceKind K) {
   assert(Count >= 1 && "choice with no alternatives");
   assert(Limit >= 1 && Limit <= Count && "enumeration limit out of range");
   if (Pos < Trace.size()) {
     // Replaying the backtracked prefix; the program must be deterministic
-    // given the decision sequence. Only the recorded arity is validated:
-    // the node's Limit was fixed (from the restriction state, itself a pure
-    // function of the prefix) when the node was created, and may since have
-    // been lowered by split()-time donation.
-    if (Trace[Pos].Count != Count)
+    // given the decision sequence. The recorded arity and kind are
+    // validated, not the Limit: the node's Limit was fixed (from the
+    // restriction state, itself a pure function of the prefix) when the
+    // node was created, and may since have been lowered by split()-time
+    // donation.
+    const Decision &D = Trace[Pos];
+    if (D.Count != Count)
       fatalError("nondeterministic replay: decision arity changed");
-    return Trace[Pos++].Chosen;
+    if (D.Kind != K)
+      fatalError("nondeterministic replay: decision kind changed");
+    ++Pos;
+    return D.Chosen;
   }
-  Trace.push_back({0, Limit, Count, Tag});
+  Trace.push_back({0, Limit, Count, K});
   ++Pos;
   return 0;
 }
@@ -46,17 +47,29 @@ bool DecisionTree::advance() {
   // Depth-first backtracking: advance the deepest decision that still has
   // an untried alternative this tree owns, discarding everything below it.
   // Seed decisions are pinned (Limit == Chosen + 1), so the loop never
-  // advances past the seed prefix.
+  // advances past the seed prefix. The cursor follows the path's new end,
+  // so a repeated advance() (the explorer's skip loop) and
+  // frontierPrefixes() see the between-executions state.
   while (Trace.size() > SeedLen) {
     Decision &D = Trace.back();
     if (D.Chosen + 1 < D.Limit) {
       ++D.Chosen;
+      Pos = Trace.size();
       return true;
     }
     Trace.pop_back();
   }
+  Pos = Trace.size();
   Exhausted = true;
   return false;
+}
+
+size_t DecisionTree::schedOrdinal(const std::vector<Decision> &Path,
+                                  size_t End) {
+  size_t K = 0;
+  for (size_t I = 0; I != End; ++I)
+    K += Path[I].Kind == ChoiceKind::Sched;
+  return K;
 }
 
 std::vector<unsigned> DecisionTree::decisions() const {

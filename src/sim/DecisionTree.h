@@ -28,6 +28,7 @@
 #define COMPASS_SIM_DECISIONTREE_H
 
 #include "rmc/Footprint.h"
+#include "support/Choice.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -63,7 +64,7 @@ public:
     unsigned Chosen; ///< Alternative taken on the current path.
     unsigned Limit;  ///< Exclusive bound of alternatives this tree owns.
     unsigned Count;  ///< Total arity observed at this choice point.
-    const char *Tag; ///< Static name of the decision kind ("sched", ...).
+    ChoiceKind Kind; ///< What the decision resolves.
   };
 
   /// An unexplored subtree, produced by split(): a decision prefix that a
@@ -82,7 +83,7 @@ public:
     /// taken (sorted by Tid). Valid only when HasSleep.
     std::vector<SleepMove> Sleep;
     /// Which sched choice point the snapshot belongs to: the ordinal of
-    /// the final decision among the "sched"-tagged decisions of Path.
+    /// the final decision among the sched decisions of Path.
     size_t SleepOrdinal = 0;
     /// Set when the final decision of Path is a sched choice and the donor
     /// ran with the sleep-set reduction enabled.
@@ -114,15 +115,11 @@ public:
   }
 
   /// Resolves the next decision of the current execution: replays the
-  /// backtracked prefix (enforcing that \p Count matches the recorded
-  /// arity), then extends the path with alternative 0.
-  unsigned next(unsigned Count, const char *Tag);
-
-  /// Like next(), but a fresh node enumerates only alternatives in
-  /// [0, Limit) while still recording arity \p Count — the source-set
-  /// restricted form of a choice whose unrestricted arity is Count.
-  /// Replay of existing nodes validates Count only (see the impl).
-  unsigned next(unsigned Count, unsigned Limit, const char *Tag);
+  /// backtracked prefix (fatal unless \p Count and \p K match the recorded
+  /// decision), then extends the path with alternative 0. A fresh node
+  /// enumerates only alternatives in [0, Limit) while recording arity
+  /// \p Count (see ChoiceSource::choose).
+  unsigned next(unsigned Count, unsigned Limit, ChoiceKind K);
 
   /// True while the replay cursor is inside the recorded path (the program
   /// is deterministic up to here).
@@ -170,6 +167,12 @@ public:
   /// only be called between executions (after advance(), before the next
   /// beginExecution()).
   std::vector<Prefix> split(size_t MaxDonations);
+
+  /// Number of sched decisions in \p Path before position \p End: the
+  /// ordinal of a sched decision at End among the path's sched decisions,
+  /// which correspond 1:1, in order, to the reduction's recorded choice
+  /// points (sim/Reduction.h).
+  static size_t schedOrdinal(const std::vector<Decision> &Path, size_t End);
 
 private:
   std::vector<Decision> Trace;

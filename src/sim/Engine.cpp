@@ -3,7 +3,6 @@
 #include "sim/Engine.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace compass;
 using namespace compass::sim;
@@ -17,8 +16,8 @@ Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S,
                 !M.tracingEnabled();
   M.enableBoundaryScratch(CowEligible);
   if (CowEligible)
-    Ex.setSnapshotHook([this](size_t NodeIndex, const char *Tag) {
-      onSnapshot(NodeIndex, Tag);
+    Ex.setSnapshotHook([this](size_t NodeIndex, ChoiceKind K) {
+      onSnapshot(NodeIndex, K);
     });
   else
     S.stopJournal();
@@ -30,14 +29,14 @@ Engine::~Engine() {
   S.stopJournal();
 }
 
-void Engine::onSnapshot(size_t NodeIndex, const char *Tag) {
+void Engine::onSnapshot(size_t NodeIndex, ChoiceKind K) {
   if (S.journalMode() != Scheduler::JournalMode::Record)
     return; // Decision outside a journaled run (defensive; not expected).
   if (Depth == Slots.size())
     Slots.emplace_back();
   SnapSlot &Slot = Slots[Depth++];
   Slot.NodeIndex = NodeIndex;
-  if (std::strcmp(Tag, "sched") == 0) {
+  if (K == ChoiceKind::Sched) {
     // Scheduler pick: nothing has mutated since the loop top.
     M.saveSnapshot(Slot.MSnap);
   } else {
@@ -85,7 +84,7 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
     Body.CowRestore(Slot.Client);
   S.endFastForward(Slot.SBound);
   // The decisions before the boundary are already on the tree path; skip
-  // their replay but credit their per-tag statistics so the summary core
+  // their replay but credit their per-kind statistics so the summary core
   // stays engine-path independent.
   Ex.resumeReplayAt(Slot.SBound.TreePos);
   Ex.creditReplayedPrefix(Slot.SBound.TreePos);

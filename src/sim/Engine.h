@@ -101,7 +101,7 @@ private:
     std::shared_ptr<void> Client; ///< Body.CowSave state (e.g. monitor).
   };
 
-  void onSnapshot(size_t NodeIndex, const char *Tag);
+  void onSnapshot(size_t NodeIndex, ChoiceKind K);
   void resumeFrom(const SnapSlot &Slot);
   void rootSetup();
 

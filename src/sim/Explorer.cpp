@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace compass;
 using namespace compass::sim;
@@ -62,31 +61,12 @@ bool Explorer::beginExecution() {
   return true;
 }
 
-Explorer::TagStat &Explorer::tagStat(const char *Tag) {
-  // Per-tag statistics, keyed by pointer identity of the static string
-  // (merged by name into Summary.Tags). A linear scan beats hashing for the
-  // handful of distinct tags in play.
-  for (auto &Entry : TagStats)
-    if (Entry.first == Tag || std::strcmp(Entry.first, Tag) == 0)
-      return Entry.second;
-  TagStats.push_back({Tag, TagStat{}});
-  return TagStats.back().second;
-}
-
-unsigned Explorer::choose(unsigned Count, const char *Tag) {
-  return chooseLimited(Count, Count, Tag);
-}
-
-unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
-                                 const char *Tag) {
+unsigned Explorer::choose(unsigned Count, unsigned Limit, ChoiceKind K) {
   assert(InExecution && "choice outside an execution");
   assert(Count >= 1 && "choice with no alternatives");
   assert(Limit >= 1 && Limit <= Count && "enumeration limit out of range");
 
-  TagStat &Stat = tagStat(Tag);
-  ++Stat.Choices;
-  Stat.AltSum += Count;
-  Stat.MaxArity = std::max(Stat.MaxArity, Count);
+  Sum.Tags[static_cast<size_t>(K)].add(Count);
 
   // A fresh multi-enumerable node is a potential backtrack target: let
   // the copy-on-write engine snapshot the pre-decision state so sibling
@@ -95,9 +75,9 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
   // Limit == 1 nodes (a restricted set collapsed to one alternative) are
   // never advance()/split() targets, so they need no snapshot.
   if (SnapHook && Limit > 1 && !Tree.replaying())
-    SnapHook(Tree.position(), Tag);
+    SnapHook(Tree.position(), K);
 
-  return Tree.next(Count, Limit, Tag);
+  return Tree.next(Count, Limit, K);
 }
 
 size_t Explorer::decisionPosition() const { return Tree.position(); }
@@ -110,18 +90,13 @@ void Explorer::resumeReplayAt(size_t Pos) {
 void Explorer::creditReplayedPrefix(size_t Pos) {
   // The skipped prefix's decisions still exist on the tree path; account
   // for the choose() calls a root replay would have made for them, so the
-  // deterministic core (per-tag totals) is engine-path independent.
+  // deterministic core (per-kind totals) is engine-path independent.
   const auto &Trace = Tree.trace();
   assert(Pos <= Trace.size());
-  for (size_t I = 0; I != Pos; ++I) {
-    const DecisionTree::Decision &D = Trace[I];
-    // Count==1 decisions never reach choose(); the tree records only real
-    // alternatives, so every entry counts.
-    TagStat &Stat = tagStat(D.Tag);
-    ++Stat.Choices;
-    Stat.AltSum += D.Count;
-    Stat.MaxArity = std::max(Stat.MaxArity, D.Count);
-  }
+  // Count==1 decisions never reach choose(); the tree records only real
+  // alternatives, so every entry counts.
+  for (size_t I = 0; I != Pos; ++I)
+    Sum.Tags[static_cast<size_t>(Trace[I].Kind)].add(Trace[I].Count);
 }
 
 const std::vector<DecisionTree::Decision> &Explorer::currentTrace() const {
@@ -224,28 +199,18 @@ void Explorer::finalizePerf() {
   Sum.Perf.WallSeconds = Wall;
   Sum.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Sum.Executions) / Wall : 0.0;
-  Sum.Tags.clear();
-  for (const auto &[Tag, Stat] : TagStats) {
-    TagStat &Dst = Sum.Tags[Tag];
-    Dst.Choices += Stat.Choices;
-    Dst.AltSum += Stat.AltSum;
-    Dst.MaxArity = std::max(Dst.MaxArity, Stat.MaxArity);
-  }
 }
 
 bool Explorer::skippable(size_t Pos, const DecisionTree::Decision &D) const {
-  if (!RedEnabled || !D.Tag || std::strcmp(D.Tag, "sched") != 0)
+  if (!RedEnabled || D.Kind != ChoiceKind::Sched)
     return false;
-  // The decision's sched ordinal: sched-tagged decisions correspond 1:1, in
-  // order, to the reduction's recorded choice points. Counting over the
-  // live trace is valid for donated prefixes too — a donation's path
-  // matches the live trace on every position before its final decision.
+  // Counting the sched ordinal over the live trace is valid for donated
+  // prefixes too — a donation's path matches the live trace on every
+  // position before its final decision.
   const auto &Trace = Tree.trace();
-  size_t K = 0;
-  for (size_t I = 0, E = std::min(Pos, Trace.size()); I != E; ++I)
-    if (Trace[I].Tag && std::strcmp(Trace[I].Tag, "sched") == 0)
-      ++K;
-  return Red.skipAlternative(K, D.Chosen);
+  return Red.skipAlternative(
+      DecisionTree::schedOrdinal(Trace, std::min(Pos, Trace.size())),
+      D.Chosen);
 }
 
 void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
@@ -316,7 +281,7 @@ Explorer::formatTrace(const std::vector<DecisionTree::Decision> &Trace) {
   for (size_t I = 0, E = Trace.size(); I != E; ++I) {
     const DecisionTree::Decision &D = Trace[I];
     Out += "#" + std::to_string(I) + " ";
-    Out += D.Tag ? D.Tag : "?";
+    Out += choiceKindName(D.Kind);
     Out += " (" + std::to_string(D.Count) + " alts) -> " +
            std::to_string(D.Chosen) + "\n";
   }
@@ -340,28 +305,10 @@ bool Explorer::Summary::coreEquals(const Summary &O) const {
                       const std::vector<DecisionTree::Decision> &B) {
     if (A.size() != B.size())
       return false;
-    for (size_t I = 0, E = A.size(); I != E; ++I) {
-      if (A[I].Chosen != B[I].Chosen || A[I].Count != B[I].Count)
+    for (size_t I = 0, E = A.size(); I != E; ++I)
+      if (A[I].Chosen != B[I].Chosen || A[I].Count != B[I].Count ||
+          A[I].Kind != B[I].Kind)
         return false;
-      const char *Ta = A[I].Tag ? A[I].Tag : "";
-      const char *Tb = B[I].Tag ? B[I].Tag : "";
-      if (std::strcmp(Ta, Tb) != 0)
-        return false;
-    }
-    return true;
-  };
-  auto SameTags = [](const std::map<std::string, TagStat> &A,
-                     const std::map<std::string, TagStat> &B) {
-    if (A.size() != B.size())
-      return false;
-    for (auto ItA = A.begin(), ItB = B.begin(); ItA != A.end();
-         ++ItA, ++ItB) {
-      if (ItA->first != ItB->first ||
-          ItA->second.Choices != ItB->second.Choices ||
-          ItA->second.AltSum != ItB->second.AltSum ||
-          ItA->second.MaxArity != ItB->second.MaxArity)
-        return false;
-    }
     return true;
   };
   return Executions == O.Executions && Completed == O.Completed &&
@@ -371,8 +318,7 @@ bool Explorer::Summary::coreEquals(const Summary &O) const {
          SourcePruned == O.SourcePruned && Violations == O.Violations &&
          Exhausted == O.Exhausted && MaxDepth == O.MaxDepth &&
          HasViolation == O.HasViolation &&
-         SameTrace(FirstViolation, O.FirstViolation) &&
-         SameTags(Tags, O.Tags);
+         SameTrace(FirstViolation, O.FirstViolation) && Tags == O.Tags;
 }
 
 void Explorer::Summary::mergeCore(const Summary &O) {
@@ -393,11 +339,10 @@ void Explorer::Summary::mergeCore(const Summary &O) {
     HasViolation = true;
     FirstViolation = O.FirstViolation;
   }
-  for (const auto &[Name, Stat] : O.Tags) {
-    TagStat &Dst = Tags[Name];
-    Dst.Choices += Stat.Choices;
-    Dst.AltSum += Stat.AltSum;
-    Dst.MaxArity = std::max(Dst.MaxArity, Stat.MaxArity);
+  for (size_t K = 0; K != NumChoiceKinds; ++K) {
+    Tags[K].Choices += O.Tags[K].Choices;
+    Tags[K].AltSum += O.Tags[K].AltSum;
+    Tags[K].MaxArity = std::max(Tags[K].MaxArity, O.Tags[K].MaxArity);
   }
 }
 
@@ -439,8 +384,11 @@ std::string Explorer::Summary::json() const {
   J.field("workers", Perf.Workers);
   J.key("tags");
   J.beginObject();
-  for (const auto &[Name, Stat] : Tags) {
-    J.key(Name);
+  for (size_t K = 0; K != NumChoiceKinds; ++K) {
+    const TagStat &Stat = Tags[K];
+    if (Stat.Choices == 0)
+      continue;
+    J.key(choiceKindName(static_cast<ChoiceKind>(K)));
     J.beginObject();
     J.field("choices", Stat.Choices);
     J.field("alt_sum", Stat.AltSum);

@@ -17,7 +17,7 @@
 ///    bookkeeping, backtracking, subtree splitting. No I/O; unit-testable.
 ///  - Explorer (this file): one search worker — binds a DecisionTree to the
 ///    ChoiceSource interface the Machine/Scheduler consume, and accumulates
-///    the Summary (counters, per-tag choice statistics, throughput,
+///    the Summary (counters, per-kind choice statistics, throughput,
 ///    first-violation trace).
 ///  - Workload / explore / replay (Workload.h): a bounded program as a
 ///    first-class value, the serial driver, and deterministic single-trace
@@ -49,10 +49,11 @@
 #include "sim/Scheduler.h"
 #include "support/Choice.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -105,18 +106,27 @@ public:
     EnginePath Engine = EnginePath::Auto;
   };
 
-  /// Per-tag statistics over the choice points of all explored executions.
-  /// Every choose() call (including replays of backtracked prefixes) is
-  /// counted, so totals are a worker-count-independent measure of search
-  /// effort per decision kind.
+  /// Statistics over the choice points of one kind in all explored
+  /// executions. Every choose() call (including replays of backtracked
+  /// prefixes) is counted, so totals are a worker-count-independent measure
+  /// of search effort per decision kind.
   struct TagStat {
-    uint64_t Choices = 0; ///< choose() calls carrying this tag.
+    uint64_t Choices = 0; ///< choose() calls of this kind.
     uint64_t AltSum = 0;  ///< Sum of arities over those calls.
     unsigned MaxArity = 0;
+
+    /// Counts one choice of arity \p Count.
+    void add(unsigned Count) {
+      ++Choices;
+      AltSum += Count;
+      MaxArity = std::max(MaxArity, Count);
+    }
 
     double avgArity() const {
       return Choices ? static_cast<double>(AltSum) / Choices : 0.0;
     }
+
+    bool operator==(const TagStat &) const = default;
   };
 
   struct Summary {
@@ -147,8 +157,9 @@ public:
     /// which is exactly the first one serial DFS encounters. Feed its
     /// decisions() to replay() to reproduce the failure.
     std::vector<DecisionTree::Decision> FirstViolation;
-    /// Per-tag choice-point statistics, keyed by the Tag of choose().
-    std::map<std::string, TagStat> Tags;
+    /// Choice-point statistics, indexed by ChoiceKind. Listings (JSON,
+    /// checkpoints) name each kind and leave out kinds with no choices.
+    std::array<TagStat, NumChoiceKinds> Tags;
 
     // -- Observability (timing-dependent; excluded from coreEquals) ----
     struct Perf {
@@ -172,7 +183,7 @@ public:
     std::vector<unsigned> firstViolationDecisions() const;
 
     /// True iff the deterministic cores match (all counters, Exhausted,
-    /// MaxDepth, tag stats, and the first-violation trace).
+    /// MaxDepth, per-kind stats, and the first-violation trace).
     bool coreEquals(const Summary &O) const;
 
     /// Folds \p O's deterministic core into this one (used by the parallel
@@ -209,14 +220,11 @@ public:
   /// Reports the result of the current execution and backtracks.
   void endExecution(Scheduler::RunResult R);
 
-  unsigned choose(unsigned Count, const char *Tag) override;
-
-  /// Source-set restricted choice: enumerates [0, Limit) but records the
-  /// decision at the full unrestricted arity \p Count, keeping the trace
+  /// Enumerates [0, Limit) but records the decision at the full
+  /// unrestricted arity \p Count, keeping a source-set restricted trace
   /// replay-compatible with a reduction-free re-run (sim::replay, the
   /// conformance diagnosis pipeline, corpus traces).
-  unsigned chooseLimited(unsigned Count, unsigned Limit,
-                         const char *Tag) override;
+  unsigned choose(unsigned Count, unsigned Limit, ChoiceKind K) override;
 
   size_t decisionPosition() const override;
 
@@ -230,7 +238,7 @@ public:
   /// the decision's index on the path; the engine snapshots machine /
   /// scheduler / reduction state so sibling alternatives of this node can
   /// resume here instead of replaying from the root.
-  using SnapshotHook = std::function<void(size_t NodeIndex, const char *Tag)>;
+  using SnapshotHook = std::function<void(size_t NodeIndex, ChoiceKind K)>;
   void setSnapshotHook(SnapshotHook H) { SnapHook = std::move(H); }
 
   /// Jumps the decision-tree replay cursor to \p Pos for an execution
@@ -238,7 +246,7 @@ public:
   /// the snapshot's execution recorded them).
   void resumeReplayAt(size_t Pos);
 
-  /// Adds the per-tag statistics the skipped prefix [0, \p Pos) would have
+  /// Adds the per-kind statistics the skipped prefix [0, \p Pos) would have
   /// contributed had it been replayed through choose(), keeping the
   /// summary's deterministic core independent of the engine path.
   void creditReplayedPrefix(size_t Pos);
@@ -247,7 +255,7 @@ public:
   /// reporting reproducible counterexamples.
   std::vector<unsigned> currentDecisions() const;
 
-  /// The current decision sequence with tags and arities.
+  /// The current decision sequence with kinds and arities.
   const std::vector<DecisionTree::Decision> &currentTrace() const;
 
   /// Pretty-prints the current decision sequence, one line per decision:
@@ -315,14 +323,9 @@ private:
                             bool KeepLast);
   bool InExecution = false;
   bool HasWork = true;
-  /// Per-tag stats keyed by pointer identity of the static tag string
-  /// (folded into Summary.Tags by name on finalize). Linear scan: there are
-  /// only a handful of distinct tags ("sched", "load", "cas", ...).
-  std::vector<std::pair<const char *, TagStat>> TagStats;
   SnapshotHook SnapHook;
   std::chrono::steady_clock::time_point Start;
 
-  TagStat &tagStat(const char *Tag);
   void finalizePerf();
 };
 

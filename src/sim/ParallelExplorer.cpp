@@ -49,16 +49,8 @@ bool seqLexLess(const std::vector<unsigned> &A,
 class ChoiceSlot : public ChoiceSource {
 public:
   void bind(ChoiceSource &S) { Cur = &S; }
-  unsigned choose(unsigned Count, const char *Tag) override {
-    return Cur->choose(Count, Tag);
-  }
-  // Every ChoiceSource entry point must forward, or the facade silently
-  // changes semantics: the base-class chooseLimited fallback would erase
-  // the source-set restriction (full-arity enumeration) for worker
-  // explorers only, breaking worker-count determinism.
-  unsigned chooseLimited(unsigned Count, unsigned Limit,
-                         const char *Tag) override {
-    return Cur->chooseLimited(Count, Limit, Tag);
+  unsigned choose(unsigned Count, unsigned Limit, ChoiceKind K) override {
+    return Cur->choose(Count, Limit, K);
   }
   size_t decisionPosition() const override {
     return Cur->decisionPosition();

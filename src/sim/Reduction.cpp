@@ -5,7 +5,6 @@
 #include "support/Error.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace compass;
 using namespace compass::sim;
@@ -170,18 +169,14 @@ void Reduction::annotate(DecisionTree::Prefix &P) const {
   if (P.Path.empty())
     return;
   const DecisionTree::Decision &Last = P.Path.back();
-  if (!Last.Tag || std::strcmp(Last.Tag, "sched") != 0)
+  if (Last.Kind != ChoiceKind::Sched)
     return;
 
-  // The ordinal of the final decision among the sched-tagged decisions of
-  // the path; sched decisions correspond 1:1, in order, to the recorded
-  // SchedPoints of the execution the path was split from (annotation runs
-  // between executions, when the donor's trace prefix up to the split node
-  // still matches the last executed path).
-  size_t K = 0;
-  for (size_t I = 0, E = P.Path.size() - 1; I != E; ++I)
-    if (P.Path[I].Tag && std::strcmp(P.Path[I].Tag, "sched") == 0)
-      ++K;
+  // The final decision's sched ordinal indexes the recorded SchedPoints of
+  // the execution the path was split from (annotation runs between
+  // executions, when the donor's trace prefix up to the split node still
+  // matches the last executed path).
+  const size_t K = DecisionTree::schedOrdinal(P.Path, P.Path.size() - 1);
   if (K >= NumPoints)
     return; // No execution has reached this point yet; leave unannotated.
 

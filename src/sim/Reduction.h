@@ -35,9 +35,9 @@
 /// sibling subtrees at *advance time*, without burning an execution
 /// (Summary::SourcePruned).
 ///
-/// Only `sched`-tagged decisions participate; read-from and CAS-outcome
-/// choice points are never pruned by this layer (a restricted re-run only
-/// narrows their enumeration; see ChoiceSource::chooseLimited). All state
+/// Only sched decisions participate; read-from and CAS-outcome choice
+/// points are never pruned by this layer (a restricted re-run only narrows
+/// their enumeration: the Limit of ChoiceSource::choose). All state
 /// is recomputed online from the decision path on every execution (it is a
 /// pure function of the path), so replayed prefixes — including seeded
 /// prefixes adopted from another worker — deterministically reconstruct

@@ -159,7 +159,7 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
     for (unsigned Tid : Enabled)
       LastEnabled |= Tid == LastRun;
     unsigned Pick;
-    bool Chose = false; // Whether a real "sched" decision was recorded.
+    bool Chose = false; // Whether a real sched decision was recorded.
     if (LastEnabled && Preemptions >= PreemptionBound) {
       Pick = 0;
       while (Enabled[Pick] != LastRun)
@@ -168,8 +168,8 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       if (Enabled.size() == 1) {
         Pick = 0;
       } else {
-        Pick = Choices.choose(static_cast<unsigned>(Enabled.size()),
-                              "sched");
+        const unsigned N = static_cast<unsigned>(Enabled.size());
+        Pick = Choices.choose(N, N, ChoiceKind::Sched);
         Chose = true;
       }
       if (LastEnabled && Enabled[Pick] != LastRun)

@@ -137,7 +137,8 @@ public:
   explicit ReplayChoice(std::vector<unsigned> Decisions)
       : Decisions(std::move(Decisions)) {}
 
-  unsigned choose(unsigned Count, const char *) override {
+  // Replay runs unreduced, so the enumeration limit always equals Count.
+  unsigned choose(unsigned Count, unsigned, ChoiceKind) override {
     unsigned Pick = 0;
     if (Pos >= Decisions.size()) {
       DivergedPastEnd = true;

@@ -19,6 +19,7 @@
 #include "check/Checkpoint.h"
 #include "check/Harness.h"
 #include "check/ScenarioGen.h"
+#include "check/Telemetry.h"
 #include "lib/MsQueue.h"
 #include "sim/Checkpoint.h"
 #include "sim/ParallelExplorer.h"
@@ -27,9 +28,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace compass;
@@ -83,12 +88,8 @@ bool prefixEquals(const DecisionTree::Prefix &A,
     return false;
   for (size_t I = 0; I != A.Path.size(); ++I) {
     const DecisionTree::Decision &X = A.Path[I], &Y = B.Path[I];
-    if (X.Chosen != Y.Chosen || X.Limit != Y.Limit || X.Count != Y.Count)
-      return false;
-    // Tags are interned on parse; compare by *content* (the parsed side
-    // must print identically, pointer identity is not required).
-    if (std::string_view(X.Tag ? X.Tag : "") !=
-        std::string_view(Y.Tag ? Y.Tag : ""))
+    if (X.Chosen != Y.Chosen || X.Limit != Y.Limit || X.Count != Y.Count ||
+        X.Kind != Y.Kind)
       return false;
   }
   return true;
@@ -100,6 +101,40 @@ ExploreResult interruptAt(Workload W, uint64_t InterruptAt,
   ExploreControl Ctl;
   Ctl.InterruptAtExecs = InterruptAt;
   return exploreResumable(W, Ctl, Resume);
+}
+
+/// A hand-built snapshot holding each record that names a choice kind:
+/// tag, fv and d.
+ExplorationSnapshot kindedSnapshot() {
+  ExplorationSnapshot S;
+  Explorer::Summary &P = S.Partial;
+  P.Executions = P.Completed = 3;
+  P.Violations = 1;
+  P.Exhausted = true;
+  P.MaxDepth = 2;
+  P.HasViolation = true;
+  P.FirstViolation = {{0, 2, 2, ChoiceKind::Sched},
+                      {1, 2, 2, ChoiceKind::Load}};
+  P.Tags[static_cast<size_t>(ChoiceKind::Load)].add(2);
+  P.Tags[static_cast<size_t>(ChoiceKind::Sched)].add(2);
+  DecisionTree::Prefix Pf;
+  Pf.Path = {{1, 2, 2, ChoiceKind::Sched}};
+  S.Frontier.push_back(Pf);
+  return S;
+}
+
+/// Replaces the kind named by the first \p Rec record in \p Text with
+/// \p Word: the first field of a tag record, the last of a decision.
+std::string renameKind(std::string Text, const std::string &Rec,
+                       const std::string &Word) {
+  size_t B = Text.find("\n" + Rec + " ");
+  EXPECT_NE(B, std::string::npos) << "no " << Rec << " record";
+  if (B == std::string::npos)
+    return Text;
+  size_t E = Text.find('\n', B + 1);
+  size_t W = Rec == "tag" ? B + 1 + Rec.size() : Text.rfind(' ', E);
+  size_t WEnd = Text.find(' ', W + 1);
+  return Text.replace(W + 1, std::min(WEnd, E) - W - 1, Word);
 }
 
 } // namespace
@@ -229,6 +264,35 @@ TEST(SnapshotFormat, RejectsMalformedInput) {
   Bad(Neg);
 }
 
+TEST(SnapshotFormat, RejectsUnknownChoiceKinds) {
+  const std::string Good = serializeSnapshot(kindedSnapshot());
+  ExplorationSnapshot Out;
+  std::string Err;
+  ASSERT_TRUE(parseSnapshot(Good, Out, Err)) << Err;
+  EXPECT_TRUE(Out.Partial.coreEquals(kindedSnapshot().Partial));
+  EXPECT_EQ(serializeSnapshot(Out), Good);
+
+  // Every record that names a kind takes one of the four names; "-" (a
+  // null tag) and near misses are errors that name the record.
+  for (const char *Rec : {"tag", "fv", "d"})
+    for (const char *Word : {"schedule", "-", "rf", "Sched"}) {
+      Err.clear();
+      EXPECT_FALSE(parseSnapshot(renameKind(Good, Rec, Word), Out, Err))
+          << Rec << " " << Word;
+      EXPECT_NE(Err.find(std::string("unknown choice kind in '") + Rec +
+                         "' record"),
+                std::string::npos)
+          << Err;
+    }
+  // A kind's statistics are listed once.
+  std::string Twice = Good;
+  size_t P = Twice.find("\ntag load ");
+  ASSERT_NE(P, std::string::npos);
+  Twice.replace(P, 10, "\ntag sched ");
+  EXPECT_FALSE(parseSnapshot(Twice, Out, Err));
+  EXPECT_NE(Err.find("duplicate 'tag' record"), std::string::npos) << Err;
+}
+
 TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
   using namespace compass::check;
 
@@ -296,6 +360,31 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
   size_t CfgEnd = Wrong.rfind(' ', P - 1);
   Wrong.erase(CfgEnd, P - CfgEnd); // strip " <red>"
   BadCk(Wrong);
+}
+
+TEST(SweepCheckpointFormat, RejectsUnknownChoiceKinds) {
+  using namespace compass::check;
+
+  SweepCheckpoint K;
+  K.Libs = {Lib::MsQueue};
+  K.CurLib.L = Lib::MsQueue;
+  K.HasScenario = true;
+  K.Scenario = kindedSnapshot();
+  const std::string Good = serializeSweepCheckpoint(K);
+  SweepCheckpoint Out;
+  std::string Err;
+  ASSERT_TRUE(parseSweepCheckpoint(Good, Out, Err)) << Err;
+
+  for (const char *Rec : {"tag", "fv", "d"}) {
+    Err.clear();
+    EXPECT_FALSE(
+        parseSweepCheckpoint(renameKind(Good, Rec, "schedule"), Out, Err))
+        << Rec;
+    EXPECT_NE(Err.find(std::string("unknown choice kind in '") + Rec +
+                       "' record"),
+              std::string::npos)
+        << Err;
+  }
 }
 
 TEST(SweepCheckpointFormat, ExecutionsCountsEveryExecutedShare) {
@@ -543,4 +632,93 @@ TEST(SweepResume, CadenceCheckpointsAreEachResumable) {
     EXPECT_EQ(Done.Rep.fingerprint(), Ref.fingerprint())
         << "checkpoint " << I << " resumed to a different fingerprint";
   }
+}
+
+TEST(SweepResume, HeartbeatsCarryTheRunningSweepTotals) {
+  using namespace compass::check;
+
+  SweepOptions O;
+  O.Seed = 5;
+  O.ScenariosPerLib = 2;
+  O.Workers = 2;
+  O.MaxExecutionsPerScenario = 60000;
+  O.Libs = {Lib::TreiberStack, Lib::MsQueue, Lib::ElimStack};
+
+  // A heartbeat's "sweep" object totals the finished scenarios, so while
+  // scenario 0 of library Li runs it holds the libraries before Li.
+  SweepReport Ref;
+  auto Expected = [&Ref](size_t Li) {
+    LibSweepStats T;
+    for (size_t J = 0; J != Li; ++J)
+      T.add(Ref.PerLib[J]);
+    return "\"sweep\":{\"scenarios\":" + std::to_string(T.Scenarios) +
+           ",\"executions\":" + std::to_string(T.Executions) +
+           ",\"completed\":" + std::to_string(T.Completed) +
+           ",\"races\":" + std::to_string(T.Races) +
+           ",\"deadlocks\":" + std::to_string(T.Deadlocks) +
+           ",\"violations\":" + std::to_string(T.Violations) +
+           ",\"sleep_pruned\":" + std::to_string(T.SleepPruned) +
+           ",\"rf_pruned\":" + std::to_string(T.RfPruned) +
+           ",\"source_pruned\":" + std::to_string(T.SourcePruned) + "}";
+  };
+  // Checks each heartbeat of \p Path taken during some library's scenario
+  // 0; returns how many there were.
+  auto CheckHeartbeats = [&](const std::string &Path) {
+    std::ifstream In(Path);
+    unsigned N = 0;
+    for (std::string Line; std::getline(In, Line);) {
+      if (Line.find("\"kind\":\"heartbeat\"") == std::string::npos ||
+          Line.find("\"scenario\":0,") == std::string::npos)
+        continue;
+      for (size_t Li = 0; Li != O.Libs.size(); ++Li)
+        if (Line.find(std::string("\"lib\":\"") + libName(O.Libs[Li]) +
+                      "\"") != std::string::npos) {
+          EXPECT_NE(Line.find(Expected(Li)), std::string::npos)
+              << "want " << Expected(Li) << "\nin   " << Line;
+          ++N;
+        }
+    }
+    return N;
+  };
+
+  const std::string FreshPath = testing::TempDir() + "hb_fresh.jsonl";
+  const std::string ResumedPath = testing::TempDir() + "hb_resumed.jsonl";
+  std::remove(FreshPath.c_str());
+  std::remove(ResumedPath.c_str());
+
+  // An uninterrupted run that also hands out cadence checkpoints...
+  std::vector<SweepCheckpoint> Ckpts;
+  {
+    Telemetry T(FreshPath);
+    ASSERT_TRUE(T.ok());
+    SweepControl Ctl;
+    Ctl.Telem = &T;
+    Ctl.HeartbeatIntervalSec = 1e-4;
+    Ctl.CheckpointEveryExecs = 1500;
+    Ctl.OnCheckpoint = [&](const SweepCheckpoint &C) { Ckpts.push_back(C); };
+    SweepResult R = runSweepResumable(O, Ctl);
+    ASSERT_FALSE(R.Interrupted);
+    Ref = R.Rep;
+  }
+  EXPECT_GT(CheckHeartbeats(FreshPath), 0u);
+
+  // ...and a resume of one taken after the first library and a scenario
+  // of the second finished: its running total starts from the
+  // checkpoint's completed libraries and current-library aggregate.
+  auto It = std::find_if(
+      Ckpts.begin(), Ckpts.end(),
+      [](const SweepCheckpoint &C) { return C.LibIndex && C.ScenarioIndex; });
+  ASSERT_NE(It, Ckpts.end()) << "no checkpoint inside the second library";
+  {
+    Telemetry T(ResumedPath);
+    SweepControl Ctl;
+    Ctl.Telem = &T;
+    Ctl.HeartbeatIntervalSec = 1e-4;
+    SweepResult R = runSweepResumable(O, Ctl, &*It);
+    ASSERT_FALSE(R.Interrupted);
+    EXPECT_EQ(R.Rep.fingerprint(), Ref.fingerprint());
+  }
+  EXPECT_GT(CheckHeartbeats(ResumedPath), 0u);
+  std::remove(FreshPath.c_str());
+  std::remove(ResumedPath.c_str());
 }

@@ -37,7 +37,7 @@ void runOne(DecisionTree &T, const Program &P) {
     unsigned Arity = P(Path);
     if (Arity == 0)
       break;
-    Path.push_back(T.next(Arity, "t"));
+    Path.push_back(T.next(Arity, Arity, ChoiceKind::Load));
   }
 }
 
@@ -126,9 +126,29 @@ TEST(DecisionTreeTest, ReplayCursorTracksRecordedPrefix) {
   // advanced to its sibling.
   T.beginExecution();
   EXPECT_TRUE(T.replaying());
-  EXPECT_EQ(T.next(2, "t"), 0u);
-  EXPECT_EQ(T.next(2, "t"), 1u);
+  EXPECT_EQ(T.next(2, 2, ChoiceKind::Load), 0u);
+  EXPECT_EQ(T.next(2, 2, ChoiceKind::Load), 1u);
   EXPECT_FALSE(T.replaying());
+}
+
+TEST(DecisionTreeTest, AdvanceMovesCursorToPathEnd) {
+  // Regression: advance() left the replay cursor at the old end of the
+  // path, so after an advance() that popped decisions the explorer's skip
+  // loop (a repeated advance()) and drainFrontier() ran mid-replay.
+  auto P = uniform({3, 2});
+  DecisionTree T;
+  runOne(T, P);
+  ASSERT_TRUE(T.advance()); // bumps the leaf: {0, 1}
+  EXPECT_EQ(T.position(), T.depth());
+  runOne(T, P);
+  ASSERT_TRUE(T.advance()); // pops the leaf, bumps the root: {1}
+  ASSERT_EQ(T.decisions(), (std::vector<unsigned>{1}));
+  EXPECT_EQ(T.position(), T.depth());
+  // A skipped sibling is advanced past without an execution.
+  ASSERT_TRUE(T.advance());
+  EXPECT_EQ(T.decisions(), (std::vector<unsigned>{2}));
+  EXPECT_EQ(T.position(), T.depth());
+  EXPECT_EQ(T.frontierPrefixes().size(), 1u); // just the pinned path
 }
 
 TEST(DecisionTreeTest, AdvanceDiscardsExhaustedSuffix) {
@@ -153,7 +173,7 @@ TEST(DecisionTreeTest, SeededTreeEnumeratesExactlyItsSubtree) {
   // Build the seed for subtree {1, *, *} the way split() would: pinned
   // decisions.
   DecisionTree::Prefix Seed;
-  Seed.Path = {{1, 2, 3, "t"}};
+  Seed.Path = {{1, 2, 3, ChoiceKind::Load}};
   auto Leaves = enumerate(DecisionTree(std::move(Seed)), P);
   ASSERT_EQ(Leaves.size(), 4u);
   for (const auto &L : Leaves) {
@@ -236,7 +256,7 @@ rmc::Footprint writeFp(rmc::Loc L) {
   return F;
 }
 
-/// Drives one donor execution of a two-level, arity-3, `sched`-tagged
+/// Drives one donor execution of a two-level, arity-3, sched-only
 /// program against \p T while feeding \p Red the hooks exactly as the
 /// scheduler would: choice, then the chosen thread's step.
 void runSchedExecution(DecisionTree &T, Reduction &Red,
@@ -246,7 +266,7 @@ void runSchedExecution(DecisionTree &T, Reduction &Red,
   T.beginExecution();
   Red.beginExecution();
   for (int Level = 0; Level != 2; ++Level) {
-    unsigned Pick = T.next(3, "sched");
+    unsigned Pick = T.next(3, 3, ChoiceKind::Sched);
     ASSERT_EQ(Red.onSchedChoice(En, Fps, Hist, Pick),
               Reduction::Verdict::Run);
     Red.onStepExecuted(En[Pick], Fps[Pick]);
@@ -296,7 +316,7 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
     T2.beginExecution();
     R2.beginExecution();
     EXPECT_TRUE(T2.replaying());
-    unsigned Pick = T2.next(3, "sched");
+    unsigned Pick = T2.next(3, 3, ChoiceKind::Sched);
     EXPECT_EQ(Pick, Chosen);
     // The replayed pick is never itself asleep, and the recomputed state
     // matches the donor's snapshot bit for bit.
@@ -319,7 +339,7 @@ TEST(DecisionTreeTest, AnnotateSkipsPrefixesNotEndingInSchedDecisions) {
   // A prefix ending in a read-from decision must not be annotated: pruning
   // is only sound at thread-choice points.
   DecisionTree::Prefix P;
-  P.Path = {{2, 3, 3, "sched"}, {1, 2, 2, "rf"}};
+  P.Path = {{2, 3, 3, ChoiceKind::Sched}, {1, 2, 2, ChoiceKind::Load}};
   P.HasSleep = true; // Stale value; annotate() must clear it.
   Red.annotate(P);
   EXPECT_FALSE(P.HasSleep);
@@ -351,6 +371,16 @@ TEST(DecisionTreeDeathTest, ArityChangeDuringReplayIsFatal) {
   runOne(T, uniform({2, 2}));
   ASSERT_TRUE(T.advance());
   T.beginExecution();
-  EXPECT_DEATH(T.next(3, "t"), "nondeterministic replay");
+  EXPECT_DEATH(T.next(3, 3, ChoiceKind::Load), "nondeterministic replay");
+}
+
+TEST(DecisionTreeDeathTest, KindChangeDuringReplayIsFatal) {
+  // A seeded prefix whose kinds do not match the program (say, a checkpoint
+  // whose sched decisions were relabelled) must not replay as if they did.
+  DecisionTree::Prefix Seed;
+  Seed.Path = {{1, 2, 3, ChoiceKind::Sched}};
+  DecisionTree T(std::move(Seed));
+  T.beginExecution();
+  EXPECT_DEATH(T.next(3, 3, ChoiceKind::Load), "decision kind changed");
 }
 #endif

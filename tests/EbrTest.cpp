@@ -115,10 +115,11 @@ struct Probe : RetireHook {
   uint64_t RetireEpoch = 0;
   bool Armed = false;
   ~Probe() {
-    if (Armed && ActiveShadow)
+    if (Armed && ActiveShadow) {
       EXPECT_FALSE(ActiveShadow->anyAnnouncedAtOrBelow(RetireEpoch))
           << "node retired at epoch " << RetireEpoch
           << " freed while a reader is still pinned at or before it";
+    }
   }
 };
 

@@ -363,7 +363,7 @@ TEST(ParallelCounterexample, ViolationTraceReplaysToSameFailure) {
   EXPECT_FALSE(RR.CheckOk) << "replay must reproduce the violation";
   EXPECT_FALSE(RR.Diverged);
 
-  // The pretty-printer names each decision with its tag and arity.
+  // The pretty-printer names each decision with its kind and arity.
   std::string Pretty = Explorer::formatTrace(S4.FirstViolation);
   EXPECT_NE(Pretty.find("#0 "), std::string::npos);
   EXPECT_NE(Pretty.find("alts) -> "), std::string::npos);
@@ -490,11 +490,13 @@ TEST(WorkloadTest, ExecutionBudgetMatchesSerialExactly) {
 
 TEST(WorkloadTest, TagStatisticsAreCollected) {
   auto Sum = explore(mpWorkload(2, MemOrder::Relaxed, MemOrder::Relaxed));
-  ASSERT_TRUE(Sum.Tags.count("sched"));
-  ASSERT_TRUE(Sum.Tags.count("load"));
-  EXPECT_GT(Sum.Tags.at("sched").Choices, 0u);
-  EXPECT_GE(Sum.Tags.at("sched").MaxArity, 2u);
-  EXPECT_GT(Sum.Tags.at("load").AltSum, Sum.Tags.at("load").Choices);
+  const Explorer::TagStat &Sched =
+      Sum.Tags[static_cast<size_t>(ChoiceKind::Sched)];
+  const Explorer::TagStat &Load =
+      Sum.Tags[static_cast<size_t>(ChoiceKind::Load)];
+  EXPECT_GT(Sched.Choices, 0u);
+  EXPECT_GE(Sched.MaxArity, 2u);
+  EXPECT_GT(Load.AltSum, Load.Choices);
 }
 
 TEST(WorkloadTest, SummaryJsonIsWellFormed) {
@@ -507,6 +509,10 @@ TEST(WorkloadTest, SummaryJsonIsWellFormed) {
   EXPECT_NE(J.find("\"tags\":{"), std::string::npos);
   EXPECT_NE(J.find("\"sched\":{"), std::string::npos);
   EXPECT_NE(J.find("\"workers\":2"), std::string::npos);
+  // Kinds are listed in name order, and a kind with no choices not at all.
+  EXPECT_LT(J.find("\"load\":{"), J.find("\"sched\":{"));
+  EXPECT_EQ(J.find("\"cas\":{") == std::string::npos,
+            Sum.Tags[static_cast<size_t>(ChoiceKind::Cas)].Choices == 0);
 }
 
 TEST(WorkloadTest, ExploreExpectHelperPassesCleanWorkload) {

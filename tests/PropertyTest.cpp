@@ -113,8 +113,8 @@ namespace {
 class RandomChoice final : public ChoiceSource {
 public:
   explicit RandomChoice(uint64_t Seed) : R(Seed) {}
-  unsigned choose(unsigned Count, const char *) override {
-    return static_cast<unsigned>(R.below(Count));
+  unsigned choose(unsigned, unsigned Limit, ChoiceKind) override {
+    return static_cast<unsigned>(R.below(Limit));
   }
   Rng R;
 };

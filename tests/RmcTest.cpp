@@ -24,10 +24,10 @@ public:
   explicit ScriptedChoice(std::vector<unsigned> Picks = {})
       : Picks(std::move(Picks)) {}
 
-  unsigned choose(unsigned Count, const char *) override {
+  unsigned choose(unsigned, unsigned Limit, ChoiceKind) override {
     unsigned P = Pos < Picks.size() ? Picks[Pos++] : 0;
-    EXPECT_LT(P, Count) << "scripted pick out of range";
-    return P < Count ? P : 0;
+    EXPECT_LT(P, Limit) << "scripted pick out of range";
+    return P < Limit ? P : 0;
   }
 
 private:

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 using namespace compass;
@@ -121,8 +122,27 @@ TEST(IdSetTest, ForEachAscending) {
 
 TEST(ChoiceTest, FirstChoicePicksZero) {
   FirstChoice C;
-  EXPECT_EQ(C.choose(1, "t"), 0u);
-  EXPECT_EQ(C.choose(5, "t"), 0u);
+  EXPECT_EQ(C.choose(1, 1, ChoiceKind::Load), 0u);
+  EXPECT_EQ(C.choose(5, 5, ChoiceKind::Sched), 0u);
+  EXPECT_EQ(C.choose(5, 2, ChoiceKind::Cas), 0u);
+}
+
+TEST(ChoiceTest, KindNamesRoundTripAndSortLikeTheEnum) {
+  std::string Prev;
+  for (size_t I = 0; I != NumChoiceKinds; ++I) {
+    const ChoiceKind K = static_cast<ChoiceKind>(I);
+    const std::string Name = choiceKindName(K);
+    ChoiceKind Back = ChoiceKind::Cas;
+    ASSERT_TRUE(parseChoiceKind(Name, Back)) << Name;
+    EXPECT_EQ(Back, K) << Name;
+    // Declaration order is name order, so per-kind listings stay sorted.
+    EXPECT_LT(Prev, Name);
+    Prev = Name;
+  }
+  ChoiceKind K = ChoiceKind::Load;
+  for (const char *Bad : {"", "-", "t", "rf", "Sched", "sched ", "loadwhere"})
+    EXPECT_FALSE(parseChoiceKind(Bad, K)) << Bad;
+  EXPECT_EQ(K, ChoiceKind::Load) << "a failed parse must not write";
 }
 
 //===----------------------------------------------------------------------===//

@@ -215,6 +215,20 @@ def main():
             check("resume of an old-version checkpoint exits 2",
                   p.returncode == 2 and
                   "want 'compass sweep-checkpoint v3'" in p.stderr, p)
+            # Decision records name one of the program's four choice
+            # kinds; any other word is a parse error, not a silently
+            # different tree. Rename one sched kind of the in-flight
+            # scenario's frontier.
+            renamed = text.replace(" sched\n", " schedule\n", 1)
+            check("cadence checkpoint holds a sched decision",
+                  renamed != text and "\nd " in text)
+            bad = os.path.join(td, "badkind.ckpt")
+            Path(bad).write_text(renamed)
+            p = run("sweep", "--resume", bad)
+            check("resume of a checkpoint with an unknown decision kind "
+                  "exits 2",
+                  p.returncode == 2 and
+                  "unknown choice kind in 'd' record" in p.stderr, p)
             p = run("sweep", "--resume", ckpt)
             check("resume without mode flags completes", p.returncode == 0, p)
 
