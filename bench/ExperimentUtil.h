@@ -22,6 +22,7 @@
 #include "lib/MsQueue.h"
 #include "lib/TreiberStack.h"
 #include "sim/Workload.h"
+#include "spec/Consistency.h"
 #include "spec/SpecMonitor.h"
 
 #include <cstdio>
@@ -198,6 +199,67 @@ inline sim::Task<void> popper(sim::Env &E, lib::SimStack &S, unsigned N,
     auto T = S.pop(E);
     Out->push_back(co_await T);
   }
+}
+
+/// The fixed E2/E7 queue workload: enq{1,2} against two single-element
+/// dequeuers over \p Impl, checked against QueueConsistent every
+/// execution. \p Opts carries the bound, reduction, engine, workers and
+/// cap; the body factory gives each worker private monitor and queue
+/// state.
+inline sim::Workload queueWorkload(QueueImpl Impl,
+                                   sim::Explorer::Options Opts) {
+  return sim::Workload(Opts, [Impl]() -> sim::Workload::Body {
+    struct State {
+      std::unique_ptr<spec::SpecMonitor> Mon;
+      std::unique_ptr<lib::SimQueue> Q;
+      std::vector<rmc::Value> Got0, Got1;
+    };
+    auto St = std::make_shared<State>();
+    sim::Workload::Body B{
+        [St, Impl](rmc::Machine &M, sim::Scheduler &S) {
+          if (!St->Mon)
+            St->Mon = std::make_unique<spec::SpecMonitor>();
+          St->Mon->beginExecution(M);
+          St->Q = makeQueue(Impl, M, *St->Mon);
+          St->Got0.clear();
+          St->Got1.clear();
+          sim::Env &E0 = S.newThread();
+          S.start(E0, enqueuer(E0, *St->Q, {1, 2}));
+          sim::Env &E1 = S.newThread();
+          S.start(E1, dequeuer(E1, *St->Q, 1, &St->Got0));
+          sim::Env &E2 = S.newThread();
+          S.start(E2, dequeuer(E2, *St->Q, 1, &St->Got1));
+        },
+        [St](rmc::Machine &, sim::Scheduler &, sim::Scheduler::RunResult R) {
+          if (R != sim::Scheduler::RunResult::Done)
+            return true; // Deadlocks and limits are counted, not failed.
+          return spec::checkQueueConsistent(St->Mon->graph(), St->Q->objId())
+              .ok();
+        }};
+    // The cross-step client state is the monitor plus the Got vectors (the
+    // queue is rebuilt by Setup). Restoring Got after the fast-forward
+    // also covers finished-thread skipping.
+    struct CowState {
+      spec::SpecMonitor::Epoch MonEpoch;
+      std::vector<rmc::Value> Got0, Got1;
+    };
+    B.CowSave = [St](std::shared_ptr<void> &Slot) {
+      if (!Slot)
+        Slot = std::make_shared<CowState>();
+      auto &C = *std::static_pointer_cast<CowState>(Slot);
+      C.MonEpoch = St->Mon->epoch();
+      C.Got0 = St->Got0;
+      C.Got1 = St->Got1;
+    };
+    B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
+      const auto &C = *std::static_pointer_cast<CowState>(Slot);
+      St->Mon->trimToEpoch(C.MonEpoch);
+      St->Got0 = C.Got0;
+      St->Got1 = C.Got1;
+    };
+    B.CowSkipFinished = true;
+    return B;
+  });
 }
 
 /// Renders a workload like "enq[2]+enq[1] / deq[2]".

@@ -18,9 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ExperimentUtil.h"
-#include "lib/MsQueue.h"
 #include "sim/Workload.h"
-#include "spec/Consistency.h"
 #include "support/Json.h"
 
 #include <benchmark/benchmark.h>
@@ -38,67 +36,17 @@ using namespace compass::sim;
 
 namespace {
 
-/// The fixed workload family: enq{1,2} against two single-element
-/// dequeuers at preemption bound 2, over either queue implementation —
-/// E2's MS queue (lock-free, CAS-heavy) or E7's locked queue (spin-lock
-/// dominated, the reduction's best case).
-Workload queueWorkload(bench::QueueImpl Impl, EnginePath Engine,
-                       ReductionMode Red) {
+/// The fixed workload family: bench::queueWorkload at preemption bound
+/// 2, over either queue implementation — E2's MS queue (lock-free,
+/// CAS-heavy) or E7's locked queue (spin-lock dominated, the reduction's
+/// best case).
+Workload engineWorkload(bench::QueueImpl Impl, EnginePath Engine,
+                        ReductionMode Red) {
   Explorer::Options Opts;
   Opts.PreemptionBound = 2;
   Opts.Reduction = Red;
   Opts.Engine = Engine;
-  return Workload(Opts, [Impl]() -> Workload::Body {
-    struct State {
-      std::unique_ptr<spec::SpecMonitor> Mon;
-      std::unique_ptr<lib::SimQueue> Q;
-      std::vector<Value> Got0, Got1;
-    };
-    auto St = std::make_shared<State>();
-    Workload::Body B{[St, Impl](Machine &M, Scheduler &S) {
-                       if (!St->Mon)
-                         St->Mon = std::make_unique<spec::SpecMonitor>();
-                       St->Mon->beginExecution(M);
-                       St->Q = bench::makeQueue(Impl, M, *St->Mon);
-                       St->Got0.clear();
-                       St->Got1.clear();
-                       Env &E0 = S.newThread();
-                       S.start(E0, bench::enqueuer(E0, *St->Q, {1, 2}));
-                       Env &E1 = S.newThread();
-                       S.start(E1, bench::dequeuer(E1, *St->Q, 1, &St->Got0));
-                       Env &E2 = S.newThread();
-                       S.start(E2, bench::dequeuer(E2, *St->Q, 1, &St->Got1));
-                     },
-                     [St](Machine &, Scheduler &, Scheduler::RunResult R) {
-                       if (R != Scheduler::RunResult::Done)
-                         return true;
-                       return spec::checkQueueConsistent(St->Mon->graph(),
-                                                         St->Q->objId())
-                           .ok();
-                     }};
-    struct CowState {
-      spec::SpecMonitor::Epoch MonEpoch;
-      std::vector<Value> Got0, Got1;
-    };
-    B.CowSave = [St](std::shared_ptr<void> &Slot) {
-      if (!Slot)
-        Slot = std::make_shared<CowState>();
-      auto &C = *std::static_pointer_cast<CowState>(Slot);
-      C.MonEpoch = St->Mon->epoch();
-      C.Got0 = St->Got0;
-      C.Got1 = St->Got1;
-    };
-    B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
-      const auto &C = *std::static_pointer_cast<CowState>(Slot);
-      St->Mon->trimToEpoch(C.MonEpoch);
-      St->Got0 = C.Got0;
-      St->Got1 = C.Got1;
-    };
-    // The dequeuers' only client effects are the Got vectors (restored
-    // above), so finished threads can be skipped during fast-forward.
-    B.CowSkipFinished = true;
-    return B;
-  });
+  return bench::queueWorkload(Impl, Opts);
 }
 
 const char *implName(bench::QueueImpl I) {
@@ -139,7 +87,7 @@ bool runCell(std::vector<Row> &Rows, bench::QueueImpl Impl,
   Explorer::Summary Root;
   bool Ok = true;
   for (EnginePath E : {EnginePath::RootReplay, EnginePath::Auto}) {
-    Explorer::Summary Sum = exploreSerial(queueWorkload(Impl, E, Red));
+    Explorer::Summary Sum = exploreSerial(engineWorkload(Impl, E, Red));
     Row R{implName(Impl), E, Red, Sum};
     if (Sum.Executions) {
       R.NsPerExec = Sum.Perf.WallSeconds * 1e9 /
@@ -228,8 +176,8 @@ void bmReplayExecution(benchmark::State &State) {
   // Replays the all-zeros decision sequence of the MS-queue workload:
   // one fixed execution through the full interpreter (coroutines, view
   // machine, event recording), measured end to end.
-  Workload W = queueWorkload(bench::QueueImpl::Ms, EnginePath::RootReplay,
-                             ReductionMode::None);
+  Workload W = engineWorkload(bench::QueueImpl::Ms, EnginePath::RootReplay,
+                              ReductionMode::None);
   uint64_t Steps = 0;
   for (auto _ : State) {
     ReplayResult R = replay(W, {});

@@ -174,131 +174,16 @@ Workload mpWorkload(unsigned Workers) {
   });
 }
 
-/// The E2 MS-queue configuration (enq{1,2} + 2 dequeuers, preemption
-/// bound 2), checked against QueueConsistent every execution. The body
-/// factory gives each worker private monitor/queue state.
-Workload msQueueWorkload(unsigned Workers, uint64_t MaxExecutions,
-                         ReductionMode Red = ReductionMode::None,
-                         unsigned Pb = 2) {
+/// Exploration settings for the E2/E7 queue workloads
+/// (bench::queueWorkload).
+Explorer::Options queueOptions(unsigned Workers, ReductionMode Red,
+                               uint64_t MaxExecutions, unsigned Pb) {
   Explorer::Options Opts;
   Opts.Workers = Workers;
   Opts.PreemptionBound = Pb;
   Opts.MaxExecutions = MaxExecutions;
   Opts.Reduction = Red;
-  return Workload(Opts, []() -> Workload::Body {
-    struct State {
-      std::unique_ptr<spec::SpecMonitor> Mon;
-      std::unique_ptr<lib::MsQueue> Q;
-      std::vector<Value> Got0, Got1;
-    };
-    auto St = std::make_shared<State>();
-    Workload::Body B{[St](Machine &M, Scheduler &S) {
-                       if (!St->Mon)
-                         St->Mon = std::make_unique<spec::SpecMonitor>();
-                       St->Mon->beginExecution(M);
-                       St->Q = std::make_unique<lib::MsQueue>(M, *St->Mon, "q");
-                       St->Got0.clear();
-                       St->Got1.clear();
-                       Env &E0 = S.newThread();
-                       S.start(E0, bench::enqueuer(E0, *St->Q, {1, 2}));
-                       Env &E1 = S.newThread();
-                       S.start(E1, bench::dequeuer(E1, *St->Q, 1, &St->Got0));
-                       Env &E2 = S.newThread();
-                       S.start(E2, bench::dequeuer(E2, *St->Q, 1, &St->Got1));
-                     },
-                     [St](Machine &, Scheduler &, Scheduler::RunResult R) {
-                       if (R != Scheduler::RunResult::Done)
-                         return true; // deadlocks/limits counted, not failed
-                       return spec::checkQueueConsistent(St->Mon->graph(),
-                                                         St->Q->objId())
-                           .ok();
-                     }};
-    // The cross-step client state is the monitor plus the Got vectors
-    // (the queue object is rebuilt by Setup). Restoring Got after the
-    // fast-forward also covers finished-thread skipping.
-    struct CowState {
-      spec::SpecMonitor::Epoch MonEpoch;
-      std::vector<Value> Got0, Got1;
-    };
-    B.CowSave = [St](std::shared_ptr<void> &Slot) {
-      if (!Slot)
-        Slot = std::make_shared<CowState>();
-      auto &C = *std::static_pointer_cast<CowState>(Slot);
-      C.MonEpoch = St->Mon->epoch();
-      C.Got0 = St->Got0;
-      C.Got1 = St->Got1;
-    };
-    B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
-      const auto &C = *std::static_pointer_cast<CowState>(Slot);
-      St->Mon->trimToEpoch(C.MonEpoch);
-      St->Got0 = C.Got0;
-      St->Got1 = C.Got1;
-    };
-    B.CowSkipFinished = true;
-    return B;
-  });
-}
-
-/// The locked-queue verification workload (E7's slowest row): coarse
-/// lock acquire/release around every operation makes spinning readers on
-/// the lock cell the dominant interleaving source — exactly the
-/// commuting-reads pattern the reduction collapses.
-Workload lockedQueueWorkload(unsigned Workers, ReductionMode Red,
-                             uint64_t MaxExecutions, unsigned Pb = 2) {
-  Explorer::Options Opts;
-  Opts.Workers = Workers;
-  Opts.PreemptionBound = Pb;
-  Opts.MaxExecutions = MaxExecutions;
-  Opts.Reduction = Red;
-  return Workload(Opts, []() -> Workload::Body {
-    struct State {
-      std::unique_ptr<spec::SpecMonitor> Mon;
-      std::unique_ptr<lib::LockedQueue> Q;
-      std::vector<Value> Got0, Got1;
-    };
-    auto St = std::make_shared<State>();
-    Workload::Body B{
-        [St](Machine &M, Scheduler &S) {
-          if (!St->Mon)
-                         St->Mon = std::make_unique<spec::SpecMonitor>();
-                       St->Mon->beginExecution(M);
-          St->Q = std::make_unique<lib::LockedQueue>(M, *St->Mon, "q", 16);
-          St->Got0.clear();
-          St->Got1.clear();
-          Env &E0 = S.newThread();
-          S.start(E0, bench::enqueuer(E0, *St->Q, {1, 2}));
-          Env &E1 = S.newThread();
-          S.start(E1, bench::dequeuer(E1, *St->Q, 1, &St->Got0));
-          Env &E2 = S.newThread();
-          S.start(E2, bench::dequeuer(E2, *St->Q, 1, &St->Got1));
-        },
-        [St](Machine &, Scheduler &, Scheduler::RunResult R) {
-          if (R != Scheduler::RunResult::Done)
-            return true;
-          return spec::checkQueueConsistent(St->Mon->graph(), St->Q->objId())
-              .ok();
-        }};
-    struct CowState {
-      spec::SpecMonitor::Epoch MonEpoch;
-      std::vector<Value> Got0, Got1;
-    };
-    B.CowSave = [St](std::shared_ptr<void> &Slot) {
-      if (!Slot)
-        Slot = std::make_shared<CowState>();
-      auto &C = *std::static_pointer_cast<CowState>(Slot);
-      C.MonEpoch = St->Mon->epoch();
-      C.Got0 = St->Got0;
-      C.Got1 = St->Got1;
-    };
-    B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
-      const auto &C = *std::static_pointer_cast<CowState>(Slot);
-      St->Mon->trimToEpoch(C.MonEpoch);
-      St->Got0 = C.Got0;
-      St->Got1 = C.Got1;
-    };
-    B.CowSkipFinished = true;
-    return B;
-  });
+  return Opts;
 }
 
 struct ScaleRow {
@@ -491,19 +376,25 @@ int main(int argc, char **argv) {
   runScaling(Rows, "SB litmus", sbWorkload);
   runScaling(Rows, "MP litmus", mpWorkload);
   runScaling(Rows, "MS queue (E2, pb=2)", +[](unsigned W) {
-    return msQueueWorkload(W, 500'000);
+    return bench::queueWorkload(
+        bench::QueueImpl::Ms, queueOptions(W, ReductionMode::None, 500'000, 2));
   });
   printScalingTable(Rows);
 
   std::vector<RedRow> RedRows;
+  // E7's locked queue: coarse lock acquire/release around every operation
+  // makes spinning readers on the lock cell the dominant interleaving
+  // source — exactly the commuting-reads pattern the reduction collapses.
   runReduction(RedRows, "locked queue (E7, pb=2)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
-                 return lockedQueueWorkload(W, R, Max, 2);
+                 return bench::queueWorkload(bench::QueueImpl::Locked,
+                                             queueOptions(W, R, Max, 2));
                },
                4'000'000);
   runReduction(RedRows, "MS queue (E2, pb=2)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
-                 return msQueueWorkload(W, Max, R, 2);
+                 return bench::queueWorkload(bench::QueueImpl::Ms,
+                                             queueOptions(W, R, Max, 2));
                },
                4'000'000);
   // The pb=3 rows are the acceptance bar for source-set DPOR: the E7
@@ -512,7 +403,8 @@ int main(int argc, char **argv) {
   // unreduced exploration only shows that it hits the 8M cap.
   runReduction(RedRows, "locked queue (E7, pb=3)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
-                 return lockedQueueWorkload(W, R, Max, 3);
+                 return bench::queueWorkload(bench::QueueImpl::Locked,
+                                             queueOptions(W, R, Max, 3));
                },
                8'000'000);
   runReduction(RedRows, "conformance MS queue (E9, pb=3)",

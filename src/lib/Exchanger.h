@@ -26,6 +26,7 @@
 #define COMPASS_LIB_EXCHANGER_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
 
 #include <string>
@@ -56,6 +57,7 @@ private:
   /// Hole states: 0 = pending; HoleCancel = offer withdrawn; any other
   /// value = the partner's exchanged value.
   static constexpr rmc::Value HoleCancel = graph::BottomVal;
+  static constexpr ExchangerOrders Ord{}; ///< Shared with the native twin.
 
   /// What a matched exchange returns: the partner's value, or under
   /// ExchangerEchoValue the caller's own (the graph still records the true

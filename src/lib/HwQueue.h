@@ -11,11 +11,11 @@
 /// but not among enqueues or among dequeues. Enqueues use release
 /// operations, and dequeues use acquire ones."
 ///
-/// An enqueue grabs a slot with a relaxed fetch-add on `back` and publishes
+/// An enqueue grabs a slot with a release fetch-add on `back` and publishes
 /// the element with a release store (the commit point). A dequeue reads a
-/// snapshot of `back` (relaxed), then scans the slots with acquire loads —
+/// snapshot of `back` (acquire), then scans the slots with acquire loads —
 /// which may observe stale empties — claiming the first element it sees
-/// with a CAS to Taken; after a full fruitless scan it returns empty.
+/// with an acquire CAS to Taken; after a fruitless scan it returns empty.
 ///
 /// The paper's point, which experiment E2 reproduces: this implementation
 /// satisfies QueueConsistent (LAT_hb) but *not* the abstract-state
@@ -28,6 +28,7 @@
 #define COMPASS_LIB_HWQUEUE_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
 
 #include <string>
@@ -50,6 +51,7 @@ private:
   /// Marks a slot whose element was taken (distinct from 0 = never
   /// written, so a claiming CAS has a unique expected value).
   static constexpr rmc::Value TakenVal = graph::BottomVal;
+  static constexpr HwQueueOrders Ord{}; ///< Shared with the native twin.
 
   spec::SpecMonitor &Mon;
   unsigned Obj;

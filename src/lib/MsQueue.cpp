@@ -12,21 +12,21 @@ using compass::graph::OpKind;
 
 MsQueue::MsQueue(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                  SyncProfile Profile, Mutation Mut)
-    : Mon(Mon), Profile(Profile), Mut(Mut) {
+    : Mon(Mon), Profile(Profile), Mut(Mut), Ord(orders(Profile, Mut)) {
   Obj = Mon.registerObject(Name);
   Loc Sentinel = M.alloc(Name + ".sentinel", 3);
   Head = M.alloc(Name + ".head", 1, Sentinel);
   Tail = M.alloc(Name + ".tail", 1, Sentinel);
 }
 
-MemOrder MsQueue::ptrLoadOrder() const {
-  return Profile == SyncProfile::RelAcq ? MemOrder::Acquire
-                                        : MemOrder::Relaxed;
-}
-
-MemOrder MsQueue::publishCasOrder() const {
-  return Profile == SyncProfile::RelAcq ? MemOrder::Release
-                                        : MemOrder::Relaxed;
+MsQueueOrders MsQueue::orders(SyncProfile Profile, Mutation Mut) {
+  MsQueueOrders O;
+  if (Profile != SyncProfile::RelAcq)
+    O.TailLoad = O.NextLoad = O.TailCas = O.LinkCas = O.HeadLoad =
+        O.HeadCas = MemOrder::Relaxed;
+  if (Mut == Mutation::MsQueueRelaxedPublish)
+    O.LinkCas = MemOrder::Relaxed; // The payload is no longer published.
+  return O;
 }
 
 Task<void> MsQueue::enqueue(Env &E, Value V) {
@@ -37,11 +37,11 @@ Task<void> MsQueue::enqueue(Env &E, Value V) {
   // pair as the previous failed one made no progress (see Env::prune).
   Value PrevTail = ~0ull, PrevNext = ~0ull;
   for (;;) {
-    Value TailPtr = co_await E.load(Tail, ptrLoadOrder());
+    Value TailPtr = co_await E.load(Tail, Ord.TailLoad);
     if (fenced())
       co_await E.fence(MemOrder::Acquire);
     Loc Last = static_cast<Loc>(TailPtr);
-    Value Next = co_await E.load(Last + NextOff, ptrLoadOrder());
+    Value Next = co_await E.load(Last + NextOff, Ord.NextLoad);
     if (fenced())
       co_await E.fence(MemOrder::Acquire);
     if (TailPtr == PrevTail && Next == PrevNext)
@@ -55,26 +55,21 @@ Task<void> MsQueue::enqueue(Env &E, Value V) {
       // release fence before it too.
       if (fenced())
         co_await E.fence(MemOrder::Release);
-      co_await E.cas(Tail, TailPtr, Next, publishCasOrder());
+      co_await E.cas(Tail, TailPtr, Next, Ord.TailCas);
       continue;
     }
     EventId Ev = Mon.reserve(E.M, E.Tid);
     co_await E.store(N + EidOff, Ev, MemOrder::NonAtomic);
     if (fenced())
       co_await E.fence(MemOrder::Release);
-    // MsQueueRelaxedPublish relaxes this CAS, so the node's non-atomic
-    // payload is no longer published to the dequeuer.
-    auto R = co_await E.cas(Last + NextOff, 0, N,
-                            Mut == Mutation::MsQueueRelaxedPublish
-                                ? MemOrder::Relaxed
-                                : publishCasOrder());
+    auto R = co_await E.cas(Last + NextOff, 0, N, Ord.LinkCas);
     if (R.Success) {
       // Commit point: the CAS linking the node (made releasing either by
       // its own ordering or by the preceding release fence).
       Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Enq, V);
       if (fenced())
         co_await E.fence(MemOrder::Release);
-      co_await E.cas(Tail, TailPtr, N, publishCasOrder());
+      co_await E.cas(Tail, TailPtr, N, Ord.TailCas);
       co_return;
     }
     Mon.retract(E.M, E.Tid, Ev);
@@ -88,7 +83,7 @@ Task<Value> MsQueue::dequeueBlocking(Env &E) { return dequeueImpl(E, true); }
 Task<Value> MsQueue::dequeueImpl(Env &E, bool Blocking) {
   Value PrevHead = ~0ull, PrevNext = ~0ull;
   for (;;) {
-    Value HeadPtr = co_await E.load(Head, ptrLoadOrder());
+    Value HeadPtr = co_await E.load(Head, Ord.HeadLoad);
     if (fenced())
       co_await E.fence(MemOrder::Acquire);
     Loc First = static_cast<Loc>(HeadPtr);
@@ -98,13 +93,11 @@ Task<Value> MsQueue::dequeueImpl(Env &E, bool Blocking) {
       // dequeuers advance head meanwhile, our CAS below fails and we
       // retry against the new head.
       Next = co_await E.spinUntil(
-          First + NextOff, [](Value V) { return V != 0; },
-          ptrLoadOrder() == MemOrder::Relaxed ? MemOrder::Relaxed
-                                              : MemOrder::Acquire);
+          First + NextOff, [](Value V) { return V != 0; }, Ord.NextLoad);
       if (fenced())
         co_await E.fence(MemOrder::Acquire);
     } else {
-      Next = co_await E.load(First + NextOff, ptrLoadOrder());
+      Next = co_await E.load(First + NextOff, Ord.NextLoad);
       if (fenced())
         co_await E.fence(MemOrder::Acquire);
       if (Next == 0) {
@@ -124,7 +117,7 @@ Task<Value> MsQueue::dequeueImpl(Env &E, bool Blocking) {
       // Seeded fault: when the first node already has a successor, unlink
       // both and return the second value; the first is lost (FIFO
       // violation).
-      Value NextNext = co_await E.load(Node + NextOff, ptrLoadOrder());
+      Value NextNext = co_await E.load(Node + NextOff, Ord.NextLoad);
       if (NextNext != 0) {
         Next = NextNext;
         Node = static_cast<Loc>(NextNext);
@@ -135,10 +128,7 @@ Task<Value> MsQueue::dequeueImpl(Env &E, bool Blocking) {
     EventId Ev = Mon.reserve(E.M, E.Tid);
     if (fenced())
       co_await E.fence(MemOrder::Release);
-    auto R = co_await E.cas(Head, HeadPtr, Next,
-                            Profile == SyncProfile::RelAcq
-                                ? MemOrder::AcqRel
-                                : MemOrder::Relaxed);
+    auto R = co_await E.cas(Head, HeadPtr, Next, Ord.HeadCas);
     if (R.Success) {
       // Commit point: the CAS advancing head; so edge to the enqueue
       // whose ghost id the node carries.

@@ -29,6 +29,7 @@
 #define COMPASS_LIB_MSQUEUE_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
 
 #include <string>
@@ -51,6 +52,9 @@ public:
     /// verification framework catching a real bug).
     BrokenRelaxed
   };
+
+  /// All fields relaxed off RelAcq; LinkCas under MsQueueRelaxedPublish.
+  static MsQueueOrders orders(SyncProfile Profile, Mutation Mut);
 
   /// Allocates the queue's cells (head, tail, sentinel node) in \p M and
   /// registers it with \p Mon under \p Name. \p Mut seeds one of the
@@ -76,10 +80,6 @@ private:
 
   sim::Task<rmc::Value> dequeueImpl(sim::Env &E, bool Blocking);
 
-  /// The load ordering for pointer chasing under the profile.
-  rmc::MemOrder ptrLoadOrder() const;
-  /// The ordering of publishing CASes under the profile.
-  rmc::MemOrder publishCasOrder() const;
   /// Whether the profile uses explicit fences.
   bool fenced() const { return Profile == SyncProfile::Fenced; }
 
@@ -87,6 +87,7 @@ private:
   unsigned Obj;
   SyncProfile Profile;
   Mutation Mut;
+  MsQueueOrders Ord;
   rmc::Loc Head;
   rmc::Loc Tail;
 };

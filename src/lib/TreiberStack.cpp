@@ -13,9 +13,16 @@ using compass::graph::OpKind;
 
 TreiberStack::TreiberStack(Machine &M, spec::SpecMonitor &Mon,
                            std::string Name, Mutation Mut)
-    : Mon(Mon), Mut(Mut) {
+    : Mon(Mon), Mut(Mut), Ord(orders(Mut)) {
   Obj = Mon.registerObject(Name);
   HeadLoc = M.alloc(Name + ".head"); // 0 = empty stack.
+}
+
+TreiberOrders TreiberStack::orders(Mutation Mut) {
+  TreiberOrders O;
+  if (Mut == Mutation::TreiberRelaxedPopHead)
+    O.PopHeadLoad = MemOrder::Relaxed; // Node reads then race the push.
+  return O;
 }
 
 Task<bool> TreiberStack::pushAttempt(Env &E, Value HeadPtr, Loc N,
@@ -23,7 +30,7 @@ Task<bool> TreiberStack::pushAttempt(Env &E, Value HeadPtr, Loc N,
   co_await E.store(N + NextOff, HeadPtr, MemOrder::NonAtomic);
   EventId Ev = Mon.reserve(E.M, E.Tid);
   co_await E.store(N + EidOff, Ev, MemOrder::NonAtomic);
-  auto R = co_await E.cas(HeadLoc, HeadPtr, N, MemOrder::Release);
+  auto R = co_await E.cas(HeadLoc, HeadPtr, N, Ord.PushCas);
   if (R.Success) {
     // Commit point: the release CAS installing the node.
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Push, V);
@@ -42,7 +49,7 @@ Task<void> TreiberStack::push(Env &E, Value V) {
   Timestamp PrevTs = ~0u;
   bool First = true;
   for (;;) {
-    Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Relaxed);
+    Value HeadPtr = co_await E.load(HeadLoc, Ord.PushHeadLoad);
     Timestamp Ts = E.M.lastReadTs(E.Tid);
     if (!First && Ts == PrevTs)
       co_await E.prune();
@@ -58,19 +65,14 @@ Task<void> TreiberStack::push(Env &E, Value V) {
 Task<bool> TreiberStack::tryPush(Env &E, Value V) {
   Loc N = E.M.alloc("stk.node", 3);
   co_await E.store(N + ValOff, V, MemOrder::NonAtomic);
-  Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Relaxed);
+  Value HeadPtr = co_await E.load(HeadLoc, Ord.PushHeadLoad);
   auto Attempt = pushAttempt(E, HeadPtr, N, V);
   bool Ok = co_await Attempt;
   co_return Ok;
 }
 
 Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
-  // TreiberRelaxedPopHead relaxes this load, so the non-atomic node reads
-  // below race with the pusher's initialization.
-  Value HeadPtr = co_await E.load(HeadLoc,
-                                  Mut == Mutation::TreiberRelaxedPopHead
-                                      ? MemOrder::Relaxed
-                                      : MemOrder::Acquire);
+  Value HeadPtr = co_await E.load(HeadLoc, Ord.PopHeadLoad);
   if (HeadTsOut)
     *HeadTsOut = E.M.lastReadTs(E.Tid);
   if (HeadPtr == 0) {
@@ -90,7 +92,7 @@ Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
   Value V = co_await E.load(Node + ValOff, MemOrder::NonAtomic);
   Value PushEv = co_await E.load(Node + EidOff, MemOrder::NonAtomic);
   EventId Ev = Mon.reserve(E.M, E.Tid);
-  auto R = co_await E.cas(HeadLoc, HeadPtr, Next, MemOrder::Acquire);
+  auto R = co_await E.cas(HeadLoc, HeadPtr, Next, Ord.PopCas);
   if (R.Success) {
     // Commit point: the acquire CAS removing the node.
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, V, 0,

@@ -27,6 +27,7 @@
 #define COMPASS_LIB_TREIBERSTACK_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
 
 #include <string>
@@ -38,6 +39,9 @@ public:
   /// \p Mut seeds one of the stack's faults.
   TreiberStack(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
                Mutation Mut = Mutation::None);
+
+  /// TreiberOrders, with PopHeadLoad relaxed under TreiberRelaxedPopHead.
+  static TreiberOrders orders(Mutation Mut);
 
   sim::Task<void> push(sim::Env &E, rmc::Value V) override;
   sim::Task<rmc::Value> pop(sim::Env &E) override;
@@ -67,6 +71,7 @@ private:
   spec::SpecMonitor &Mon;
   unsigned Obj;
   Mutation Mut;
+  TreiberOrders Ord;
   rmc::Loc HeadLoc;
 };
 

@@ -26,7 +26,7 @@ Task<bool> TreiberStackEbr::pushAttempt(Env &E, Value HeadPtr, Loc N,
   co_await E.store(N + NextOff, HeadPtr, MemOrder::NonAtomic);
   EventId Ev = Mon.reserve(E.M, E.Tid);
   co_await E.store(N + EidOff, Ev, MemOrder::NonAtomic);
-  auto R = co_await E.cas(HeadLoc, HeadPtr, N, MemOrder::Release);
+  auto R = co_await E.cas(HeadLoc, HeadPtr, N, Ord.PushCas);
   if (R.Success) {
     // Commit point: the release CAS installing the node.
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Push, V);
@@ -47,7 +47,7 @@ Task<void> TreiberStackEbr::push(Env &E, Value V) {
   Timestamp PrevTs = ~0u;
   bool First = true;
   for (;;) {
-    Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Relaxed);
+    Value HeadPtr = co_await E.load(HeadLoc, Ord.PushHeadLoad);
     Timestamp Ts = E.M.lastReadTs(E.Tid);
     if (!First && Ts == PrevTs)
       co_await E.prune();
@@ -67,7 +67,7 @@ Task<bool> TreiberStackEbr::tryPush(Env &E, Value V) {
   co_await E.store(N + ValOff, V, MemOrder::NonAtomic);
   auto Pin = Dom.pin(E);
   co_await Pin;
-  Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Relaxed);
+  Value HeadPtr = co_await E.load(HeadLoc, Ord.PushHeadLoad);
   auto Attempt = pushAttempt(E, HeadPtr, N, V);
   bool Ok = co_await Attempt;
   auto Unpin = Dom.unpin(E);
@@ -76,7 +76,7 @@ Task<bool> TreiberStackEbr::tryPush(Env &E, Value V) {
 }
 
 Task<Value> TreiberStackEbr::popAttempt(Env &E, Timestamp *HeadTsOut) {
-  Value HeadPtr = co_await E.load(HeadLoc, MemOrder::Acquire);
+  Value HeadPtr = co_await E.load(HeadLoc, Ord.PopHeadLoad);
   if (HeadTsOut)
     *HeadTsOut = E.M.lastReadTs(E.Tid);
   if (Mut == Mutation::EbrEarlyUnpin) {
@@ -96,7 +96,7 @@ Task<Value> TreiberStackEbr::popAttempt(Env &E, Timestamp *HeadTsOut) {
   Value V = co_await E.load(Node + ValOff, MemOrder::NonAtomic);
   Value PushEv = co_await E.load(Node + EidOff, MemOrder::NonAtomic);
   EventId Ev = Mon.reserve(E.M, E.Tid);
-  auto R = co_await E.cas(HeadLoc, HeadPtr, Next, MemOrder::Acquire);
+  auto R = co_await E.cas(HeadLoc, HeadPtr, Next, Ord.PopCas);
   if (R.Success) {
     // Commit point: the acquire CAS removing the node. The node is now
     // unlinked; retire it (still pinned) so the domain frees it after a

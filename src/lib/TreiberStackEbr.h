@@ -26,6 +26,7 @@
 #define COMPASS_LIB_TREIBERSTACKEBR_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "sim/Ebr.h"
 #include "spec/SpecMonitor.h"
 
@@ -54,6 +55,7 @@ private:
   static constexpr unsigned EidOff = 1;
   static constexpr unsigned NextOff = 2;
   static constexpr unsigned NodeCells = 3;
+  static constexpr TreiberOrders Ord{}; ///< The plain stack's orders.
 
   sim::Task<bool> pushAttempt(sim::Env &E, rmc::Value HeadPtr, rmc::Loc N,
                               rmc::Value V);

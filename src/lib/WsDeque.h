@@ -35,6 +35,7 @@
 #define COMPASS_LIB_WSDEQUE_H
 
 #include "lib/Container.h"
+#include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
 
 #include <map>
@@ -47,6 +48,9 @@ public:
   /// \p Capacity bounds lifetime pushes. \p Mut seeds the deque's fault.
   WsDeque(rmc::Machine &M, spec::SpecMonitor &Mon, std::string Name,
           unsigned Capacity, Mutation Mut = Mutation::None);
+
+  /// WsDequeOrders, with no TakeFence (Relaxed) under WsDequeTakeNoFence.
+  static WsDequeOrders orders(Mutation Mut);
 
   /// Owner: pushes \p V at the bottom. The first owner operation pins the
   /// owner thread; calling from another thread is fatal.
@@ -67,7 +71,7 @@ private:
   spec::SpecMonitor &Mon;
   unsigned Obj;
   unsigned Capacity;
-  Mutation Mut;
+  WsDequeOrders Ord;
   unsigned OwnerTid = ~0u;
   rmc::Loc Top;    ///< Next index to steal.
   rmc::Loc Bottom; ///< Next index to push.

@@ -18,6 +18,7 @@
 #ifndef COMPASS_NATIVE_EXCHANGER_H
 #define COMPASS_NATIVE_EXCHANGER_H
 
+#include "lib/Orders.h"
 #include "native/RetireList.h"
 
 #include <atomic>
@@ -55,12 +56,12 @@ public:
   std::optional<T> exchange(T V, unsigned Attempts = 1,
                             unsigned Spins = 64) {
     for (unsigned Round = 0; Round != Attempts; ++Round) {
-      Node *Off = Slot.load(std::memory_order_acquire);
+      Node *Off = Slot.load(lib::stdOrder(Ord.SlotLoad));
       if (!Off) {
         Node *Mine = new Node(V);
         Node *Expected = nullptr;
         if (!Slot.compare_exchange_strong(Expected, Mine,
-                                          std::memory_order_release,
+                                          lib::stdOrder(Ord.InstallCas),
                                           std::memory_order_relaxed)) {
           delete Mine; // Never exposed.
           continue;    // Lost the install race; retry the round.
@@ -70,7 +71,7 @@ public:
         // periodically so a partner gets cycles even on few-core hosts.
         Node *H = nullptr;
         for (unsigned I = 0; I != Spins; ++I) {
-          H = Mine->Hole.load(std::memory_order_acquire);
+          H = Mine->Hole.load(lib::stdOrder(Ord.MatchRead));
           if (H)
             break;
           if ((I & 63) == 63)
@@ -79,13 +80,13 @@ public:
         if (!H) {
           Node *ExpHole = nullptr;
           if (Mine->Hole.compare_exchange_strong(
-                  ExpHole, &Cancel, std::memory_order_relaxed,
-                  std::memory_order_acquire)) {
+                  ExpHole, &Cancel, lib::stdOrder(Ord.CancelCas),
+                  lib::stdOrder(Ord.MatchRead))) {
             clearSlot(Mine);
             Retired.retire(Mine);
             continue; // Withdrawn; next round.
           }
-          H = Mine->Hole.load(std::memory_order_acquire);
+          H = Mine->Hole.load(lib::stdOrder(Ord.MatchRead));
         }
         clearSlot(Mine);
         T Out = H->Value;
@@ -98,7 +99,7 @@ public:
       Node *Fill = new Node(V);
       Node *ExpHole = nullptr;
       if (Off->Hole.compare_exchange_strong(ExpHole, Fill,
-                                            std::memory_order_acq_rel,
+                                            lib::stdOrder(Ord.HelpCas),
                                             std::memory_order_relaxed)) {
         clearSlot(Off);
         T Out = Off->Value;
@@ -117,10 +118,11 @@ private:
   /// failed CAS stores the slot's current node into its expected argument,
   /// and the callers go on to retire or read the node they passed.
   void clearSlot(Node *N) {
-    Slot.compare_exchange_strong(N, nullptr, std::memory_order_relaxed,
+    Slot.compare_exchange_strong(N, nullptr, lib::stdOrder(Ord.ClearCas),
                                  std::memory_order_relaxed);
   }
 
+  static constexpr lib::ExchangerOrders Ord{}; ///< Shared with lib::Exchanger.
   std::atomic<Node *> Slot{nullptr};
   Node Cancel;
   RetireList<Node> Retired;

@@ -16,6 +16,8 @@
 #ifndef COMPASS_NATIVE_HWQUEUE_H
 #define COMPASS_NATIVE_HWQUEUE_H
 
+#include "lib/Orders.h"
+
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -42,31 +44,30 @@ public:
   /// the lifetime capacity is exhausted.
   void enqueue(T V) {
     assert(V != EmptyVal && V != TakenVal && "value collides with sentinel");
-    size_t I = Back.fetch_add(1, std::memory_order_release);
+    size_t I = Back.fetch_add(1, lib::stdOrder(Ord.BackFaa));
     assert(I < Slots.size() && "HwQueue lifetime capacity exceeded");
-    Slots[I].store(V, std::memory_order_release);
+    Slots[I].store(V, lib::stdOrder(Ord.SlotStore));
   }
 
   /// Dequeues, or returns nullopt after one fruitless scan.
   std::optional<T> dequeue() {
-    size_t N = Back.load(std::memory_order_acquire);
+    size_t N = Back.load(lib::stdOrder(Ord.BackLoad));
     if (N > Slots.size())
       N = Slots.size();
     for (size_t I = 0; I != N; ++I) {
-      T V = Slots[I].load(std::memory_order_acquire);
+      T V = Slots[I].load(lib::stdOrder(Ord.SlotLoad));
       if (V == EmptyVal || V == TakenVal)
         continue;
       if (Slots[I].compare_exchange_strong(V, TakenVal,
-                                           std::memory_order_acquire,
+                                           lib::stdOrder(Ord.ClaimCas),
                                            std::memory_order_relaxed))
         return V;
     }
     return std::nullopt;
   }
 
-  size_t capacity() const { return Slots.size(); }
-
 private:
+  static constexpr lib::HwQueueOrders Ord{}; ///< Shared with lib::HwQueue.
   std::atomic<size_t> Back{0};
   std::vector<std::atomic<T>> Slots;
 };

@@ -18,6 +18,7 @@
 #ifndef COMPASS_NATIVE_MSQUEUE_H
 #define COMPASS_NATIVE_MSQUEUE_H
 
+#include "lib/Orders.h"
 #include "native/RetireList.h"
 
 #include <atomic>
@@ -60,19 +61,19 @@ public:
   void enqueue(T V) {
     Node *N = new Node(std::move(V));
     for (;;) {
-      Node *Last = Tail.load(std::memory_order_acquire);
-      Node *Next = Last->Next.load(std::memory_order_acquire);
+      Node *Last = Tail.load(lib::stdOrder(Ord.TailLoad));
+      Node *Next = Last->Next.load(lib::stdOrder(Ord.NextLoad));
       if (Next) {
         // Tail lags; help advance it.
-        Tail.compare_exchange_weak(Last, Next, std::memory_order_release,
+        Tail.compare_exchange_weak(Last, Next, lib::stdOrder(Ord.TailCas),
                                    std::memory_order_relaxed);
         continue;
       }
       Node *Expected = nullptr;
       if (Last->Next.compare_exchange_weak(Expected, N,
-                                           std::memory_order_release,
+                                           lib::stdOrder(Ord.LinkCas),
                                            std::memory_order_relaxed)) {
-        Tail.compare_exchange_strong(Last, N, std::memory_order_release,
+        Tail.compare_exchange_strong(Last, N, lib::stdOrder(Ord.TailCas),
                                      std::memory_order_relaxed);
         return;
       }
@@ -82,12 +83,11 @@ public:
   /// Dequeues the head element, or nullopt if the queue appears empty.
   std::optional<T> dequeue() {
     for (;;) {
-      Node *First = Head.load(std::memory_order_acquire);
-      Node *Next = First->Next.load(std::memory_order_acquire);
+      Node *First = Head.load(lib::stdOrder(Ord.HeadLoad));
+      Node *Next = First->Next.load(lib::stdOrder(Ord.NextLoad));
       if (!Next)
         return std::nullopt;
-      if (Head.compare_exchange_weak(First, Next,
-                                     std::memory_order_acq_rel,
+      if (Head.compare_exchange_weak(First, Next, lib::stdOrder(Ord.HeadCas),
                                      std::memory_order_relaxed)) {
         T Out = std::move(Next->Value);
         Retired.retire(First);
@@ -98,11 +98,12 @@ public:
 
   /// True if the queue appears empty to this thread.
   bool empty() const {
-    Node *First = Head.load(std::memory_order_acquire);
-    return First->Next.load(std::memory_order_acquire) == nullptr;
+    Node *First = Head.load(lib::stdOrder(Ord.HeadLoad));
+    return First->Next.load(lib::stdOrder(Ord.NextLoad)) == nullptr;
   }
 
 private:
+  static constexpr lib::MsQueueOrders Ord{}; ///< Shared with lib::MsQueue.
   std::atomic<Node *> Head;
   std::atomic<Node *> Tail;
   RetireList<Node> Retired;

@@ -15,6 +15,7 @@
 #ifndef COMPASS_NATIVE_TREIBERSTACK_H
 #define COMPASS_NATIVE_TREIBERSTACK_H
 
+#include "lib/Orders.h"
 #include "native/RetireList.h"
 
 #include <atomic>
@@ -48,9 +49,8 @@ public:
   /// Pushes \p V. Lock-free.
   void push(T V) {
     Node *N = new Node(std::move(V));
-    N->Next = Head.load(std::memory_order_relaxed);
-    while (!Head.compare_exchange_weak(N->Next, N,
-                                       std::memory_order_release,
+    N->Next = Head.load(lib::stdOrder(Ord.PushHeadLoad));
+    while (!Head.compare_exchange_weak(N->Next, N, lib::stdOrder(Ord.PushCas),
                                        std::memory_order_relaxed)) {
     }
   }
@@ -59,8 +59,8 @@ public:
   /// try_push', Section 4.1). The node is freed on failure.
   bool tryPush(T V) {
     Node *N = new Node(std::move(V));
-    N->Next = Head.load(std::memory_order_relaxed);
-    if (Head.compare_exchange_strong(N->Next, N, std::memory_order_release,
+    N->Next = Head.load(lib::stdOrder(Ord.PushHeadLoad));
+    if (Head.compare_exchange_strong(N->Next, N, lib::stdOrder(Ord.PushCas),
                                      std::memory_order_relaxed))
       return true;
     delete N;
@@ -70,11 +70,10 @@ public:
   /// Pops the top element, or nullopt if the stack appears empty.
   std::optional<T> pop() {
     for (;;) {
-      Node *N = Head.load(std::memory_order_acquire);
+      Node *N = Head.load(lib::stdOrder(Ord.PopHeadLoad));
       if (!N)
         return std::nullopt;
-      if (Head.compare_exchange_weak(N, N->Next,
-                                     std::memory_order_acquire,
+      if (Head.compare_exchange_weak(N, N->Next, lib::stdOrder(Ord.PopCas),
                                      std::memory_order_relaxed)) {
         T Out = std::move(N->Value);
         Retired.retire(N);
@@ -88,11 +87,10 @@ public:
 
   /// Single pop attempt (the elimination stack's try_pop').
   TryPopResult tryPop(T &Out) {
-    Node *N = Head.load(std::memory_order_acquire);
+    Node *N = Head.load(lib::stdOrder(Ord.PopHeadLoad));
     if (!N)
       return TryPopResult::Empty;
-    if (!Head.compare_exchange_strong(N, N->Next,
-                                      std::memory_order_acquire,
+    if (!Head.compare_exchange_strong(N, N->Next, lib::stdOrder(Ord.PopCas),
                                       std::memory_order_relaxed))
       return TryPopResult::Contended;
     Out = std::move(N->Value);
@@ -101,10 +99,11 @@ public:
   }
 
   bool empty() const {
-    return Head.load(std::memory_order_acquire) == nullptr;
+    return Head.load(lib::stdOrder(Ord.PopHeadLoad)) == nullptr;
   }
 
 private:
+  static constexpr lib::TreiberOrders Ord{}; ///< Shared with lib::TreiberStack.
   std::atomic<Node *> Head{nullptr};
   RetireList<Node> Retired;
 };

@@ -17,6 +17,7 @@
 #ifndef COMPASS_NATIVE_TREIBERSTACKEBR_H
 #define COMPASS_NATIVE_TREIBERSTACKEBR_H
 
+#include "lib/Orders.h"
 #include "native/Ebr.h"
 
 #include <atomic>
@@ -57,9 +58,8 @@ public:
   void push(ThreadHandle &H, T V) {
     typename Domain::Guard G(H);
     Node *N = new Node(std::move(V));
-    N->Next = Head.load(std::memory_order_relaxed);
-    while (!Head.compare_exchange_weak(N->Next, N,
-                                       std::memory_order_release,
+    N->Next = Head.load(lib::stdOrder(Ord.PushHeadLoad));
+    while (!Head.compare_exchange_weak(N->Next, N, lib::stdOrder(Ord.PushCas),
                                        std::memory_order_relaxed)) {
     }
   }
@@ -67,13 +67,12 @@ public:
   std::optional<T> pop(ThreadHandle &H) {
     typename Domain::Guard G(H);
     for (;;) {
-      Node *N = Head.load(std::memory_order_acquire);
+      Node *N = Head.load(lib::stdOrder(Ord.PopHeadLoad));
       if (!N)
         return std::nullopt;
       // Safe to dereference: we are pinned, so N cannot be freed even if
       // another thread pops and retires it concurrently.
-      if (Head.compare_exchange_weak(N, N->Next,
-                                     std::memory_order_acquire,
+      if (Head.compare_exchange_weak(N, N->Next, lib::stdOrder(Ord.PopCas),
                                      std::memory_order_relaxed)) {
         T Out = std::move(N->Value);
         Reclaimer.retire(N);
@@ -88,6 +87,7 @@ public:
   uint64_t epochsTurned() const { return Reclaimer.epoch(); }
 
 private:
+  static constexpr lib::TreiberOrders Ord{}; ///< Same as lib::TreiberStackEbr.
   std::atomic<Node *> Head{nullptr};
   Domain Reclaimer;
 };

@@ -19,6 +19,8 @@
 #ifndef COMPASS_NATIVE_WSDEQUE_H
 #define COMPASS_NATIVE_WSDEQUE_H
 
+#include "lib/Orders.h"
+
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -41,36 +43,36 @@ public:
 
   /// Owner: pushes \p V at the bottom; false if the ring is full.
   bool push(T V) {
-    int64_t B = Bottom.load(std::memory_order_relaxed);
-    int64_t Tp = Top.load(std::memory_order_acquire);
+    int64_t B = Bottom.load(lib::stdOrder(Ord.OwnBottomLoad));
+    int64_t Tp = Top.load(lib::stdOrder(Ord.PushTopLoad));
     if (B - Tp >= static_cast<int64_t>(Buf.size()))
       return false;
     Buf[static_cast<size_t>(B) % Buf.size()].store(
-        V, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    Bottom.store(B + 1, std::memory_order_relaxed);
+        V, lib::stdOrder(Ord.SlotStore));
+    std::atomic_thread_fence(lib::stdOrder(Ord.PushFence));
+    Bottom.store(B + 1, lib::stdOrder(Ord.BottomStore));
     return true;
   }
 
   /// Owner: takes from the bottom; nullopt when empty.
   std::optional<T> take() {
-    int64_t B = Bottom.load(std::memory_order_relaxed) - 1;
-    Bottom.store(B, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t Tp = Top.load(std::memory_order_relaxed);
+    int64_t B = Bottom.load(lib::stdOrder(Ord.OwnBottomLoad)) - 1;
+    Bottom.store(B, lib::stdOrder(Ord.BottomStore));
+    std::atomic_thread_fence(lib::stdOrder(Ord.TakeFence));
+    int64_t Tp = Top.load(lib::stdOrder(Ord.TakeTopLoad));
     if (Tp > B) {
-      Bottom.store(B + 1, std::memory_order_relaxed);
+      Bottom.store(B + 1, lib::stdOrder(Ord.BottomStore));
       return std::nullopt;
     }
     T V = Buf[static_cast<size_t>(B) % Buf.size()].load(
-        std::memory_order_relaxed);
+        lib::stdOrder(Ord.SlotLoad));
     if (Tp != B)
       return V; // More than one element: the bottom is owner-exclusive.
     // Last element: race thieves with an SC CAS.
     bool Won = Top.compare_exchange_strong(Tp, Tp + 1,
-                                           std::memory_order_seq_cst,
+                                           lib::stdOrder(Ord.TopCas),
                                            std::memory_order_relaxed);
-    Bottom.store(B + 1, std::memory_order_relaxed);
+    Bottom.store(B + 1, lib::stdOrder(Ord.BottomStore));
     if (!Won)
       return std::nullopt;
     return V;
@@ -81,27 +83,21 @@ public:
 
   /// Thief: steals from the top.
   StealResult steal(T &Out) {
-    int64_t Tp = Top.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t B = Bottom.load(std::memory_order_acquire);
+    int64_t Tp = Top.load(lib::stdOrder(Ord.StealTopLoad));
+    std::atomic_thread_fence(lib::stdOrder(Ord.StealFence));
+    int64_t B = Bottom.load(lib::stdOrder(Ord.StealBottomLoad));
     if (Tp >= B)
       return StealResult::Empty;
     Out = Buf[static_cast<size_t>(Tp) % Buf.size()].load(
-        std::memory_order_relaxed);
-    if (!Top.compare_exchange_strong(Tp, Tp + 1,
-                                     std::memory_order_seq_cst,
+        lib::stdOrder(Ord.SlotLoad));
+    if (!Top.compare_exchange_strong(Tp, Tp + 1, lib::stdOrder(Ord.TopCas),
                                      std::memory_order_relaxed))
       return StealResult::Lost;
     return StealResult::Ok;
   }
 
-  /// Approximate size (diagnostics).
-  int64_t sizeApprox() const {
-    return Bottom.load(std::memory_order_relaxed) -
-           Top.load(std::memory_order_relaxed);
-  }
-
 private:
+  static constexpr lib::WsDequeOrders Ord{}; ///< Shared with lib::WsDeque.
   std::atomic<int64_t> Top{0};
   std::atomic<int64_t> Bottom{0};
   std::vector<std::atomic<T>> Buf;

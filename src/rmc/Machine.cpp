@@ -69,8 +69,8 @@ void Machine::reset() {
   ReserveSeq = 0;
   RfFloorOn = false;
   RfFloorEmpty = false;
-  // Counters and OpSeqN are monotonic across resets by design; Tracing is
-  // sticky (its enabler re-asserts it per run).
+  // OpSeqN is monotonic across resets by design; Tracing is sticky (its
+  // enabler re-asserts it per run).
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,7 +280,6 @@ Timestamp Machine::applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
 }
 
 Value Machine::load(unsigned T, Loc L, MemOrder O) {
-  ++Counters.Loads;
   noteOp(L, Footprint::Kind::Read, O == MemOrder::SeqCst,
          O != MemOrder::NonAtomic);
   ThreadState &TS = thread(T);
@@ -334,7 +333,6 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
 
 Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
                          const ValuePred &Pred) {
-  ++Counters.Loads;
   noteOp(L, Footprint::Kind::Read, O == MemOrder::SeqCst,
          O != MemOrder::NonAtomic);
   ThreadState &TS = thread(T);
@@ -409,7 +407,6 @@ bool Machine::anyReadableSatisfies(unsigned T, Loc L,
 }
 
 void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
-  ++Counters.Stores;
   noteOp(L, Footprint::Kind::Write, O == MemOrder::SeqCst,
          O != MemOrder::NonAtomic);
   ThreadState &TS = thread(T);
@@ -438,7 +435,6 @@ void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
 Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
                                 Value Desired, MemOrder SuccO,
                                 MemOrder FailO) {
-  ++Counters.Rmws;
   const bool Sc = SuccO == MemOrder::SeqCst || FailO == MemOrder::SeqCst;
   ThreadState &TS = thread(T);
   const Cell &C = Mem.cell(L);
@@ -526,7 +522,6 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
 }
 
 Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
-  ++Counters.Rmws;
   noteOp(L, Footprint::Kind::Update, O == MemOrder::SeqCst,
          /*Atomic=*/true);
   ThreadState &TS = thread(T);
@@ -558,7 +553,6 @@ Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
 }
 
 void Machine::fence(unsigned T, MemOrder O) {
-  ++Counters.Fences;
   noteOp(0, Footprint::Kind::Fence, O == MemOrder::SeqCst);
   ThreadState &TS = thread(T);
   switch (O) {

@@ -94,14 +94,6 @@ public:
     Value Old = 0; ///< The value read (== expected iff Success).
   };
 
-  /// Operation counters for the simulator microbenchmarks.
-  struct Stats {
-    uint64_t Loads = 0;
-    uint64_t Stores = 0;
-    uint64_t Rmws = 0;
-    uint64_t Fences = 0;
-  };
-
   explicit Machine(ChoiceSource &Choices) : Choices(Choices) {}
 
   /// Registers a new thread; returns its id. Thread ids are dense from 0.
@@ -114,8 +106,8 @@ public:
   /// Rewinds the machine to its freshly constructed logical state while
   /// retaining all heap storage (memory cells, thread view vectors, release
   /// maps, scratch buffers). A Machine reused across the explorer's replays
-  /// reaches steady-state capacity once and stops allocating. Stats and the
-  /// operation sequence number are monotonic across resets.
+  /// reaches steady-state capacity once and stops allocating. The operation
+  /// sequence number is monotonic across resets.
   void reset();
 
   /// The footprint of the most recently executed operation (load / store /
@@ -221,8 +213,6 @@ public:
   /// "USE_AFTER_RETIRE", or "PREMATURE_FREE". Meaningful only when
   /// raceDetected().
   const char *faultRule() const { return FaultRule; }
-
-  const Stats &stats() const { return Counters; }
 
   /// When enabled, every memory operation appends a human-readable line to
   /// trace(); used to print counterexample executions.
@@ -476,7 +466,6 @@ private:
   bool Raced = false;
   std::string RaceMsg;
   const char *FaultRule = "RACE"; ///< Rule of the recorded fault.
-  Stats Counters;
   bool Tracing = false;
   std::vector<std::string> Trace;
 

@@ -97,9 +97,6 @@ public:
   unsigned registerObject(std::string Name);
 
   const std::string &objectName(unsigned ObjId) const;
-  unsigned numObjects() const {
-    return static_cast<unsigned>(ObjectNames.size());
-  }
 
   /// Allocates an event id and injects it into thread \p T's knowledge.
   graph::EventId reserve(rmc::Machine &M, unsigned T);

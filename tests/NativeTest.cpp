@@ -1,11 +1,18 @@
 //===-- tests/NativeTest.cpp - Native (std::atomic) container tests --------===//
 //
 // Functional tests for the real-atomics library: single-threaded
-// semantics, and multi-threaded stress tests checking conservation (every
-// value produced is consumed exactly once) and container discipline.
+// semantics, multi-threaded stress tests checking conservation (every
+// value produced is consumed exactly once) and container discipline, and
+// the memory-order tables (lib/Orders.h) the native and simulated twins
+// share.
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/Scenario.h"
+#include "lib/MsQueue.h"
+#include "lib/Orders.h"
+#include "lib/TreiberStack.h"
+#include "lib/WsDeque.h"
 #include "native/ElimStack.h"
 #include "native/Exchanger.h"
 #include "native/HwQueue.h"
@@ -18,7 +25,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <map>
+#include <regex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -302,5 +312,87 @@ TEST(NativeExchangerTest, StressMatchesArePairwise) {
         << Mine << " got " << Got << ", whose exchange did not complete";
     EXPECT_EQ(It->second, Mine)
         << Mine << " got " << Got << ", which got " << It->second;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Order tables: one source for the native and simulated twins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using compass::lib::MemOrder;
+using compass::lib::stdOrder;
+using compass::lib::Mutation;
+
+static_assert(stdOrder(MemOrder::Relaxed) == std::memory_order_relaxed);
+static_assert(stdOrder(MemOrder::Acquire) == std::memory_order_acquire);
+static_assert(stdOrder(MemOrder::Release) == std::memory_order_release);
+static_assert(stdOrder(MemOrder::AcqRel) == std::memory_order_acq_rel);
+static_assert(stdOrder(MemOrder::SeqCst) == std::memory_order_seq_cst);
+
+/// Expects \p Got to be the pristine table with exactly \p Fields relaxed
+/// when \p Relaxes holds, and the pristine table otherwise.
+template <typename Table>
+void expectRelaxes(const Table &Got,
+                   std::initializer_list<MemOrder Table::*> Fields,
+                   bool Relaxes = true) {
+  const Table Pristine{};
+  Table Want = Pristine;
+  for (MemOrder Table::*F : Fields) {
+    EXPECT_NE(Pristine.*F, MemOrder::Relaxed) << "field is already relaxed";
+    if (Relaxes)
+      Want.*F = MemOrder::Relaxed;
+  }
+  EXPECT_TRUE(Got == Want);
+}
+
+} // namespace
+
+TEST(OrderTableTest, OrderMutantsRelaxOnlyTheirField) {
+  namespace lib = compass::lib;
+  for (unsigned I = 0; I != compass::check::NumMutations; ++I) {
+    auto M = static_cast<Mutation>(I);
+    SCOPED_TRACE(compass::check::mutationName(M));
+    expectRelaxes(lib::MsQueue::orders(lib::MsQueue::SyncProfile::RelAcq, M),
+                  {&lib::MsQueueOrders::LinkCas},
+                  M == Mutation::MsQueueRelaxedPublish);
+    expectRelaxes(lib::TreiberStack::orders(M),
+                  {&lib::TreiberOrders::PopHeadLoad},
+                  M == Mutation::TreiberRelaxedPopHead);
+    expectRelaxes(lib::WsDeque::orders(M), {&lib::WsDequeOrders::TakeFence},
+                  M == Mutation::WsDequeTakeNoFence);
+  }
+}
+
+TEST(OrderTableTest, MsQueueProfilesRelaxEveryAccess) {
+  using Profile = compass::lib::MsQueue::SyncProfile;
+  using O = compass::lib::MsQueueOrders;
+  for (Profile P : {Profile::Fenced, Profile::BrokenRelaxed})
+    expectRelaxes(compass::lib::MsQueue::orders(P, Mutation::None),
+                  {&O::TailLoad, &O::NextLoad, &O::TailCas, &O::LinkCas,
+                   &O::HeadLoad, &O::HeadCas});
+}
+
+TEST(OrderTableTest, NativeAlgorithmsSpellNoSynchronizingOrder) {
+  // Every synchronizing access of the six native twins reads its table
+  // through lib::stdOrder; only native-only relaxed accesses
+  // (constructors, destructors, relaxed CAS failure orders) may be spelled
+  // out.
+  const std::regex Literal(
+      "memory_order(_|::)(acquire|release|acq_rel|seq_cst|consume)");
+  for (const char *Name : {"MsQueue.h", "HwQueue.h", "TreiberStack.h",
+                           "TreiberStackEbr.h", "Exchanger.h", "WsDeque.h"}) {
+    std::string Path = std::string(COMPASS_NATIVE_DIR) + "/" + Name;
+    std::ifstream In(Path);
+    ASSERT_TRUE(In) << "cannot read " << Path;
+    bool ReadsTable = false;
+    std::string Line;
+    for (unsigned No = 1; std::getline(In, Line); ++No) {
+      EXPECT_FALSE(std::regex_search(Line, Literal))
+          << Path << ":" << No << ": " << Line;
+      ReadsTable |= Line.find("lib::stdOrder(Ord.") != std::string::npos;
+    }
+    EXPECT_TRUE(ReadsTable) << Path << " reads no order table";
   }
 }

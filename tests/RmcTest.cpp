@@ -397,21 +397,6 @@ TEST(MachineTest, LastReadTracksMostRecentRead) {
   EXPECT_TRUE(M.lastReadKnowledge(T1).Events.contains(9));
 }
 
-TEST(MachineTest, StatsCountOperations) {
-  ScriptedChoice C;
-  Machine M(C);
-  unsigned T0 = M.addThread();
-  Loc X = M.alloc("x");
-  M.store(T0, X, 1, MemOrder::Relaxed);
-  M.load(T0, X, MemOrder::Relaxed);
-  M.cas(T0, X, 1, 2, MemOrder::AcqRel);
-  M.fence(T0, MemOrder::SeqCst);
-  EXPECT_EQ(M.stats().Stores, 1u);
-  EXPECT_EQ(M.stats().Loads, 1u);
-  EXPECT_EQ(M.stats().Rmws, 1u);
-  EXPECT_EQ(M.stats().Fences, 1u);
-}
-
 TEST(MachineTest, TraceRecordsOperations) {
   ScriptedChoice C;
   Machine M(C);

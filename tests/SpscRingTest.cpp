@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "lib/SpscRing.h"
-#include "native/SpscRing.h"
 #include "sim/Workload.h"
 #include "spec/Consistency.h"
 #include "spec/Linearization.h"
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 
 using namespace compass;
 using namespace compass::rmc;
@@ -129,49 +127,4 @@ TEST(SpscRingSimTest, NonBlockingEmptyDequeuesConsistent) {
   EXPECT_GT(Stats.Checked, 0u);
   EXPECT_EQ(Stats.Races, 0u) << Stats.FirstViolation;
   EXPECT_EQ(Stats.GraphViolations, 0u) << Stats.FirstViolation;
-}
-
-//===----------------------------------------------------------------------===//
-// Native twin
-//===----------------------------------------------------------------------===//
-
-TEST(SpscRingNativeTest, FifoSingleThread) {
-  native::SpscRing<uint64_t> Q(2);
-  EXPECT_FALSE(Q.dequeue().has_value());
-  EXPECT_TRUE(Q.tryEnqueue(1));
-  EXPECT_TRUE(Q.tryEnqueue(2));
-  EXPECT_FALSE(Q.tryEnqueue(3)) << "full ring must reject";
-  EXPECT_EQ(*Q.dequeue(), 1u);
-  EXPECT_TRUE(Q.tryEnqueue(3)); // Wrap-around.
-  EXPECT_EQ(*Q.dequeue(), 2u);
-  EXPECT_EQ(*Q.dequeue(), 3u);
-  EXPECT_FALSE(Q.dequeue().has_value());
-}
-
-TEST(SpscRingNativeTest, PipelinePreservesOrder) {
-  native::SpscRing<uint64_t> Q(64);
-  constexpr uint64_t N = 50'000;
-  std::vector<uint64_t> Seen;
-  Seen.reserve(N);
-  std::thread Producer([&] {
-    for (uint64_t I = 1; I <= N;) {
-      if (Q.tryEnqueue(I))
-        ++I;
-      else
-        std::this_thread::yield(); // Single-core host: let the consumer run.
-    }
-  });
-  std::thread Consumer([&] {
-    while (Seen.size() < N) {
-      if (auto V = Q.dequeue())
-        Seen.push_back(*V);
-      else
-        std::this_thread::yield();
-    }
-  });
-  Producer.join();
-  Consumer.join();
-  ASSERT_EQ(Seen.size(), N);
-  for (uint64_t I = 0; I != N; ++I)
-    ASSERT_EQ(Seen[I], I + 1);
 }
