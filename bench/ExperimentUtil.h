@@ -233,7 +233,8 @@ inline sim::Workload queueWorkload(QueueImpl Impl,
         [St](rmc::Machine &, sim::Scheduler &, sim::Scheduler::RunResult R) {
           if (R != sim::Scheduler::RunResult::Done)
             return true; // Deadlocks and limits are counted, not failed.
-          return spec::checkQueueConsistent(St->Mon->graph(), St->Q->objId())
+          return spec::checkConsistent(St->Mon->graph(), St->Q->objId(),
+                                       spec::SeqSpec::Queue)
               .ok();
         }};
     // The cross-step client state is the monitor plus the Got vectors (the

@@ -91,7 +91,7 @@ EsRow runWorkload(std::vector<std::vector<Value>> Pushers,
               Mon->graph().isCommitted(Id) &&
               Mon->graph().event(Id).Kind == graph::OpKind::Exchange)
             ++Row.Eliminations;
-        if (!checkStackConsistent(Es, EsObjId).ok())
+        if (!checkConsistent(Es, EsObjId, SeqSpec::Stack).ok())
           ++Row.Violations;
         if (!findLinearization(Es, EsObjId, SeqSpec::Stack).Found)
           ++Row.NoWitness;

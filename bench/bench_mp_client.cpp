@@ -63,7 +63,9 @@ MpRow runMp(QueueImpl Impl, MemOrder FlagStore, MemOrder FlagRead) {
         ++Row.Checked;
         if (Out.Right == graph::EmptyVal)
           ++Row.RightEmpty;
-        if (!spec::checkQueueConsistent(Mon->graph(), Q->objId()).ok())
+        if (!spec::checkConsistent(Mon->graph(), Q->objId(),
+                                   spec::SeqSpec::Queue)
+                 .ok())
           ++Row.GraphViolations;
       });
   Row.Executions = Sum.Executions;

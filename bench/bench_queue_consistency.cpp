@@ -70,16 +70,19 @@ QcRow runWorkload(QueueImpl Impl,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Row.Checked;
-        if (!checkQueueConsistent(Mon->graph(), Q->objId()).ok())
+        if (!checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Row.GraphViolations;
-        if (!checkQueueAbsState(Mon->graph(), Q->objId()).ok())
+        if (!checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Row.AbsViolations;
         ContainerCheckOptions Strict;
         Strict.StrictEmpty = true;
         AbsStateOptions StrictAbs;
         StrictAbs.RequireTrueEmpty = true;
-        if (!checkQueueConsistent(Mon->graph(), Q->objId(), Strict).ok() ||
-            !checkQueueAbsState(Mon->graph(), Q->objId(), StrictAbs).ok())
+        if (!checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue, Strict)
+                 .ok() ||
+            !checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue,
+                           StrictAbs)
+                 .ok())
           ++Row.StrictViolations;
       });
   Row.Executions = Sum.Executions;

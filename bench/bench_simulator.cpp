@@ -114,7 +114,8 @@ void bmExplorerExecution(benchmark::State &State) {
     S.start(E1, benchDequeuer(E1, Q));
     auto R = S.run(100000);
     benchmark::DoNotOptimize(
-        spec::checkQueueConsistent(Mon.graph(), Q.objId()).ok());
+        spec::checkConsistent(Mon.graph(), Q.objId(), spec::SeqSpec::Queue)
+            .ok());
     Ex->endExecution(R);
   }
   State.SetItemsProcessed(State.iterations());

@@ -118,7 +118,9 @@ int main() {
             return;
           if (Got != Items)
             ++OrderBad;
-          if (!spec::checkQueueConsistent(Mon->graph(), Q->objId()).ok())
+          if (!spec::checkConsistent(Mon->graph(), Q->objId(),
+                                     spec::SeqSpec::Queue)
+                   .ok())
             ++GraphBad;
         });
     AllOk &= OrderBad == 0 && GraphBad == 0 && Sum.Races == 0;

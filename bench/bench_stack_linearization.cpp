@@ -63,7 +63,7 @@ LinRow runWorkload(StackImpl Impl,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Row.Checked;
-        if (!checkStackConsistent(Mon->graph(), St->objId()).ok())
+        if (!checkConsistent(Mon->graph(), St->objId(), SeqSpec::Stack).ok())
           ++Row.GraphViolations;
         auto LR = findLinearization(Mon->graph(), St->objId(),
                                     SeqSpec::Stack);

@@ -145,8 +145,8 @@ int main(int Argc, char **Argv) {
     Rows.push_back(verify(queueImplName(Impl), "LAT_hb (QueueConsistent)",
                           Setup, [&](uint64_t &Events) {
                             Events = Mon->graph().committedEvents().size();
-                            return checkQueueConsistent(Mon->graph(),
-                                                        Q->objId())
+                            return checkConsistent(Mon->graph(), Q->objId(),
+                                                   SeqSpec::Queue)
                                 .ok();
                           }));
     if (Impl != QueueImpl::Hw)
@@ -154,8 +154,8 @@ int main(int Argc, char **Argv) {
                             Setup, [&](uint64_t &Events) {
                               Events =
                                   Mon->graph().committedEvents().size();
-                              return checkQueueAbsState(Mon->graph(),
-                                                        Q->objId())
+                              return checkAbsState(Mon->graph(), Q->objId(),
+                                                   SeqSpec::Queue)
                                   .ok();
                             }));
   }
@@ -179,8 +179,8 @@ int main(int Argc, char **Argv) {
     Rows.push_back(verify(stackImplName(Impl), "LAT_hb (StackConsistent)",
                           Setup, [&](uint64_t &Events) {
                             Events = Mon->graph().committedEvents().size();
-                            return checkStackConsistent(Mon->graph(),
-                                                        St->objId())
+                            return checkConsistent(Mon->graph(), St->objId(),
+                                                   SeqSpec::Stack)
                                 .ok();
                           }));
     Rows.push_back(verify(stackImplName(Impl), "LAT_hist_hb (linearizable)",
@@ -256,7 +256,7 @@ int main(int Argc, char **Argv) {
                      Mon->graph(), St->baseObjId(), St->exchangerObjId(),
                      100);
                  Events = Es.objectEvents(100).size();
-                 return checkStackConsistent(Es, 100).ok();
+                 return checkConsistent(Es, 100, SeqSpec::Stack).ok();
                }));
   }
 

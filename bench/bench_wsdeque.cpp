@@ -6,9 +6,11 @@
 // deque with the C11 orderings of Lê et al. [50] is checked, over every
 // explored execution, against
 //
-//  * WsDequeConsistent — the graph conditions (owner discipline, MATCHES,
-//    injectivity, so ⊆ lhb, the empty axioms over lhb);
-//  * the double-ended abstract-state replay (LAT_abs_hb style);
+//  * checkConsistent with the SeqSpec::WsDeque table entry — the graph
+//    conditions (owner discipline, MATCHES, injectivity, so ⊆ lhb, the
+//    empty axioms over lhb at both ends);
+//  * checkAbsState with the same entry — the double-ended abstract-state
+//    replay (LAT_abs_hb style);
 //  * the SeqSpec::WsDeque linearization search (LAT_hist_hb style).
 //
 // Also includes native throughput rows for the std::atomic twin.
@@ -86,9 +88,9 @@ DqRow runWorkload(std::vector<Value> Pushes, unsigned Takes,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Row.Checked;
-        if (!checkWsDequeConsistent(Mon->graph(), D->objId()).ok())
+        if (!checkConsistent(Mon->graph(), D->objId(), SeqSpec::WsDeque).ok())
           ++Row.GraphViolations;
-        if (!checkWsDequeAbsState(Mon->graph(), D->objId()).ok())
+        if (!checkAbsState(Mon->graph(), D->objId(), SeqSpec::WsDeque).ok())
           ++Row.AbsViolations;
         if (!findLinearization(Mon->graph(), D->objId(),
                                SeqSpec::WsDeque)

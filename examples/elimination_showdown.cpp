@@ -74,7 +74,7 @@ bool verifiedShowdown() {
         if (SampleGraph.empty())
           SampleGraph = Es.str();
       }
-      if (!spec::checkStackConsistent(Es, 100).ok())
+      if (!spec::checkConsistent(Es, 100, spec::SeqSpec::Stack).ok())
         ++Violations;
     }
     Ex.endExecution(R);

@@ -87,7 +87,9 @@ void verifiedQuickstart() {
           return;
         // The paper's QueueConsistent (Figure 2): FIFO, MATCHES,
         // EMPDEQ... checked on the event graph of this execution.
-        if (!spec::checkQueueConsistent(Mon->graph(), Q->objId()).ok())
+        if (!spec::checkConsistent(Mon->graph(), Q->objId(),
+                                   spec::SeqSpec::Queue)
+                 .ok())
           ++Violations;
       });
 

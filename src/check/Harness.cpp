@@ -128,20 +128,18 @@ Verdict ContainerAdapter::verdict(
     const std::vector<std::vector<Observed>> &Results,
     spec::LinearizeLimits Limits) const {
   const graph::EventGraph &G = Mon.graph();
-  // Structural sanity of the *recorded* graph only: derived elim-stack
-  // graphs legitimately reference vanished failed-exchange ids in logical
-  // views, so checkWellFormed is not run on them.
+  if (L != Lib::ElimStack)
+    return checkExecution(G, Obj, libSpec(L), Results, Limits,
+                          libStrength(L));
+  // The graph checks below see only the derived graph, so the recorded
+  // one gets its structural sanity check here.
   std::string WF = G.checkWellFormed();
   if (!WF.empty())
     return Verdict::fail("WELL-FORMED", WF);
-
-  if (L == Lib::ElimStack) {
-    graph::EventGraph Derived = spec::buildElimStackGraph(
-        G, Elim->baseObjId(), Elim->exchangerObjId(), DerivedEsObj);
-    return checkExecution(Derived, DerivedEsObj, lib::ContainerFamily::Stack,
-                          Results, Limits);
-  }
-  return checkExecution(G, Obj, libFamily(L), Results, Limits, libStrength(L));
+  graph::EventGraph Derived = spec::buildElimStackGraph(
+      G, Elim->baseObjId(), Elim->exchangerObjId(), DerivedEsObj);
+  return checkExecution(Derived, DerivedEsObj, spec::SeqSpec::Stack, Results,
+                        Limits);
 }
 
 sim::Explorer::Options check::scenarioOptions(const Scenario &S,

@@ -12,40 +12,36 @@ using namespace compass::graph;
 
 namespace {
 
-bool isProducerKind(OpKind K) {
-  return K == OpKind::Enq || K == OpKind::Push;
-}
-
-bool isConsumerKind(OpKind K) {
-  return K == OpKind::DeqOk || K == OpKind::PopOk || K == OpKind::Steal;
-}
-
 /// Step 1: injectivity prescan. The axiom checkers (and
 /// EventGraph::matchOfProducer) assume at most one match per event;
 /// duplication mutants violate exactly that, so report it first.
-Verdict injPrescan(const EventGraph &G, unsigned ObjId) {
+Verdict injPrescan(const EventGraph &G, unsigned ObjId,
+                   const spec::ContainerSpec &S) {
+  auto IsConsumer = [&](const Event &E) {
+    return E.ObjId == ObjId && S.role(E.Kind).R == spec::Role::Consume;
+  };
   std::vector<EventId> Evs = G.objectEvents(ObjId);
   for (EventId E : Evs) {
     const Event &Ev = G.event(E);
-    if (isProducerKind(Ev.Kind)) {
+    if (Ev.Kind == S.Produce) {
       std::vector<EventId> Succ = G.soSuccessors(E);
       unsigned Consumers = 0;
-      for (EventId S : Succ)
-        if (G.event(S).ObjId == ObjId && isConsumerKind(G.event(S).Kind))
+      for (EventId C : Succ)
+        if (IsConsumer(G.event(C)))
           ++Consumers;
       if (Consumers > 1) {
         std::ostringstream OS;
         OS << "producer " << Ev.str(E) << " consumed " << Consumers
            << " times:";
-        for (EventId S : Succ)
-          OS << ' ' << G.event(S).str(S);
+        for (EventId C : Succ)
+          OS << ' ' << G.event(C).str(C);
         return Verdict::fail("INJ", OS.str());
       }
     }
-    if (isConsumerKind(Ev.Kind)) {
+    if (IsConsumer(Ev)) {
       unsigned Producers = 0;
       for (EventId P : G.soPredecessors(E))
-        if (G.event(P).ObjId == ObjId && isProducerKind(G.event(P).Kind))
+        if (G.event(P).ObjId == ObjId && G.event(P).Kind == S.Produce)
           ++Producers;
       if (Producers > 1)
         return Verdict::fail("INJ", "consumer " + Ev.str(E) +
@@ -55,79 +51,7 @@ Verdict injPrescan(const EventGraph &G, unsigned ObjId) {
   return {};
 }
 
-/// Independent sequential oracle used to re-validate linearization
-/// witnesses (step 4): a deque of values interpreted per SeqSpec, written
-/// without reference to the search in spec/Linearization.cpp.
-struct SeqOracle {
-  spec::SeqSpec Spec;
-  std::vector<rmc::Value> State; ///< Index 0 = FIFO head / steal end.
-
-  explicit SeqOracle(spec::SeqSpec Spec) : Spec(Spec) {}
-
-  std::string stateStr() const {
-    std::ostringstream OS;
-    OS << '[';
-    for (size_t I = 0; I != State.size(); ++I)
-      OS << (I ? "," : "") << State[I];
-    OS << ']';
-    return OS.str();
-  }
-
-  /// Applies \p E; false (with \p Why set) when the event is not legal in
-  /// the current state.
-  bool apply(const Event &E, std::string &Why) {
-    auto Illegal = [&](const char *What) {
-      Why = std::string(What) + " at state " + stateStr();
-      return false;
-    };
-    switch (E.Kind) {
-    case OpKind::Enq:
-      if (Spec != spec::SeqSpec::Queue)
-        return Illegal("Enq against non-queue oracle");
-      State.push_back(E.V1);
-      return true;
-    case OpKind::Push:
-      if (Spec == spec::SeqSpec::Queue)
-        return Illegal("Push against queue oracle");
-      State.push_back(E.V1);
-      return true;
-    case OpKind::DeqOk:
-      if (Spec != spec::SeqSpec::Queue || State.empty() ||
-          State.front() != E.V1)
-        return Illegal("DeqOk of non-head value");
-      State.erase(State.begin());
-      return true;
-    case OpKind::PopOk:
-      if (Spec == spec::SeqSpec::Queue || State.empty() ||
-          State.back() != E.V1)
-        return Illegal("PopOk of non-top value");
-      State.pop_back();
-      return true;
-    case OpKind::Steal:
-      if (Spec != spec::SeqSpec::WsDeque || State.empty() ||
-          State.front() != E.V1)
-        return Illegal("Steal of non-top value");
-      State.erase(State.begin());
-      return true;
-    case OpKind::DeqEmpty:
-      if (Spec != spec::SeqSpec::Queue || !State.empty())
-        return Illegal("DeqEmpty at non-empty state");
-      return true;
-    case OpKind::PopEmpty:
-      if (Spec == spec::SeqSpec::Queue || !State.empty())
-        return Illegal("PopEmpty at non-empty state");
-      return true;
-    case OpKind::StealEmpty:
-      if (Spec != spec::SeqSpec::WsDeque || !State.empty())
-        return Illegal("StealEmpty at non-empty state");
-      return true;
-    default:
-      return Illegal("foreign event kind");
-    }
-  }
-};
-
-/// Steps 3-4: witness search plus independent oracle replay.
+/// Steps 3-4: witness search plus the oracle's re-check.
 Verdict checkWitness(const EventGraph &G, unsigned ObjId,
                      spec::SeqSpec Spec, spec::LinearizeLimits Limits,
                      Verdict &Out) {
@@ -145,21 +69,7 @@ Verdict checkWitness(const EventGraph &G, unsigned ObjId,
       OS << ' ' << G.event(E).str(E);
     return Verdict::fail("WITNESS", OS.str());
   }
-  // Re-validate the witness against the independent oracle.
-  SeqOracle O(Spec);
-  for (size_t I = 0; I != R.Order.size(); ++I) {
-    std::string Why;
-    if (!O.apply(G.event(R.Order[I]), Why)) {
-      std::ostringstream OS;
-      OS << "witness step " << I << " (" << G.event(R.Order[I]).str(R.Order[I])
-         << ") rejected by reference oracle: " << Why;
-      return Verdict::fail("ORACLE", OS.str());
-    }
-  }
-  if (R.Order.size() != G.objectEvents(ObjId).size())
-    return Verdict::fail("ORACLE", "witness is not a permutation of the "
-                                   "object's history");
-  return {};
+  return checkWitnessOrder(G, ObjId, Spec, R.Order);
 }
 
 /// The expected committed event for one observed op, or "skip" when the op
@@ -172,7 +82,7 @@ struct Expect {
   rmc::Value V2 = 0;
 };
 
-Expect expectFor(const Observed &O, lib::ContainerFamily F) {
+Expect expectFor(const Observed &O) {
   Expect X;
   switch (O.Code) {
   case OpCode::Enq:
@@ -219,7 +129,6 @@ Expect expectFor(const Observed &O, lib::ContainerFamily F) {
     X.V2 = O.Result; // BottomVal on failure.
     return X;
   }
-  (void)F;
   X.Skip = true;
   return X;
 }
@@ -240,7 +149,7 @@ Verdict obsCheck(const EventGraph &G, unsigned ObjId,
     size_t Pos = 0;
     for (size_t I = 0; I != PerThread[T].size(); ++I) {
       const Observed &O = PerThread[T][I];
-      Expect X = expectFor(O, lib::ContainerFamily::Queue);
+      Expect X = expectFor(O);
       if (X.Skip)
         continue;
       if (Pos >= ByThread[T].size()) {
@@ -280,50 +189,75 @@ Verdict obsCheck(const EventGraph &G, unsigned ObjId,
 
 } // namespace
 
+Verdict check::checkWitnessOrder(const EventGraph &G, unsigned ObjId,
+                                 spec::SeqSpec Spec,
+                                 const std::vector<EventId> &Order) {
+  auto Fail = [&](size_t Step, const std::string &Why) {
+    EventId E = Order[Step];
+    std::string Ev = G.isCommitted(E) ? G.event(E).str(E)
+                                      : "#" + std::to_string(E);
+    return Verdict::fail("ORACLE", "witness step " + std::to_string(Step) +
+                                       " (" + Ev + ") " + Why);
+  };
+  // `to` is a permutation of the history and respects lhb; pairwise
+  // checks keep this allocation-free (Order holds at most 64 events).
+  for (size_t J = 0; J != Order.size(); ++J) {
+    if (!G.isCommitted(Order[J]) || G.event(Order[J]).ObjId != ObjId)
+      return Fail(J, "is not an event of obj" + std::to_string(ObjId));
+    for (size_t I = 0; I != J; ++I) {
+      if (Order[I] == Order[J])
+        return Fail(J, "is listed twice (also step " + std::to_string(I) +
+                           ")");
+      if (G.lhb(Order[J], Order[I]))
+        return Fail(J, "is placed after its lhb-successor " +
+                           G.event(Order[I]).str(Order[I]));
+    }
+  }
+  size_t HistoryLen = 0;
+  for (EventId E = 0; E != G.size(); ++E)
+    if (G.isCommitted(E) && G.event(E).ObjId == ObjId)
+      ++HistoryLen;
+  if (Order.size() != HistoryLen)
+    return Verdict::fail("ORACLE", "witness lists " +
+                                       std::to_string(Order.size()) +
+                                       " of the object's " +
+                                       std::to_string(HistoryLen) + " events");
+  // interp(to): every step is legal in the sequential semantics.
+  const spec::ContainerSpec &S = spec::containerSpec(Spec);
+  spec::SeqState State;
+  for (size_t J = 0; J != Order.size(); ++J)
+    if (State.apply(S, G.event(Order[J])) != spec::SeqStep::Ok)
+      return Fail(J, "is illegal for the " + std::string(S.Name) +
+                         " at state " + State.str());
+  return {};
+}
+
 Verdict check::checkExecution(
-    const EventGraph &G, unsigned ObjId, lib::ContainerFamily Family,
+    const EventGraph &G, unsigned ObjId, std::optional<spec::SeqSpec> Spec,
     const std::vector<std::vector<Observed>> &PerThread,
     spec::LinearizeLimits Limits, SpecStrength Strength) {
   Verdict Out;
 
   // Exchangers: pairing axioms + OBS; no linearization spec.
-  if (Family == lib::ContainerFamily::Exchanger) {
+  if (!Spec) {
     spec::CheckResult C = spec::checkExchangerConsistent(G, ObjId);
     if (!C.ok())
       return Verdict::fail("CONSISTENCY", C.str());
     return obsCheck(G, ObjId, PerThread);
   }
 
-  Verdict V = injPrescan(G, ObjId);
+  Verdict V = injPrescan(G, ObjId, spec::containerSpec(*Spec));
   if (!V.Ok)
     return V;
 
-  spec::CheckResult C;
-  spec::SeqSpec Spec;
-  switch (Family) {
-  case lib::ContainerFamily::Queue:
-  case lib::ContainerFamily::SpscRing:
-    C = spec::checkQueueConsistent(G, ObjId);
-    Spec = spec::SeqSpec::Queue;
-    break;
-  case lib::ContainerFamily::Stack:
-    C = spec::checkStackConsistent(G, ObjId);
-    Spec = spec::SeqSpec::Stack;
-    break;
-  case lib::ContainerFamily::WsDeque:
-    C = spec::checkWsDequeConsistent(G, ObjId);
-    Spec = spec::SeqSpec::WsDeque;
-    break;
-  default:
-    return Verdict::fail("INTERNAL", "unhandled family");
-  }
+  spec::CheckResult C = spec::checkConsistent(G, ObjId, *Spec);
   if (!C.ok())
     return Verdict::fail("CONSISTENCY", C.str());
 
   // Steps 3-4 only at LAT_hist_hb strength: an HbOnly library (the relaxed
   // HW queue) is *specified* to admit witness-less executions (§3.2).
   if (Strength == SpecStrength::Linearizable) {
-    V = checkWitness(G, ObjId, Spec, Limits, Out);
+    V = checkWitness(G, ObjId, *Spec, Limits, Out);
     if (!V.Ok) {
       V.LinStates = Out.LinStates;
       V.LinAborted = Out.LinAborted;

@@ -46,23 +46,22 @@ bool check::parseLib(const std::string &Name, Lib &Out) {
   return false;
 }
 
-lib::ContainerFamily check::libFamily(Lib L) {
+std::optional<spec::SeqSpec> check::libSpec(Lib L) {
   switch (L) {
   case Lib::MsQueue:
   case Lib::HwQueue:
-    return lib::ContainerFamily::Queue;
+  case Lib::SpscRing:
+    return spec::SeqSpec::Queue;
   case Lib::TreiberStack:
   case Lib::ElimStack:
   case Lib::TreiberEbr:
-    return lib::ContainerFamily::Stack;
-  case Lib::Exchanger:
-    return lib::ContainerFamily::Exchanger;
-  case Lib::SpscRing:
-    return lib::ContainerFamily::SpscRing;
+    return spec::SeqSpec::Stack;
   case Lib::WsDeque:
-    return lib::ContainerFamily::WsDeque;
+    return spec::SeqSpec::WsDeque;
+  case Lib::Exchanger:
+    break;
   }
-  return lib::ContainerFamily::Queue;
+  return std::nullopt;
 }
 
 SpecStrength check::libStrength(Lib L) {

@@ -32,8 +32,10 @@
 
 #include "lib/Container.h"
 #include "rmc/Memory.h"
+#include "spec/SeqSpec.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,8 +63,9 @@ const Lib *allLibs();
 const char *libName(Lib L);
 bool parseLib(const std::string &Name, Lib &Out);
 
-/// The behavioural family \p L belongs to (selects the reference oracle).
-lib::ContainerFamily libFamily(Lib L);
+/// The sequential spec \p L is checked against (selects the reference
+/// model); empty for the exchanger, which has none.
+std::optional<spec::SeqSpec> libSpec(Lib L);
 
 /// The spec strength a library is *specified* to satisfy — the reference
 /// model checks each library at exactly this strength, no stronger.

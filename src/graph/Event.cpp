@@ -31,24 +31,6 @@ const char *compass::graph::opKindName(OpKind K) {
   return "?";
 }
 
-bool compass::graph::isWriteKind(OpKind K) {
-  switch (K) {
-  case OpKind::Enq:
-  case OpKind::DeqOk:
-  case OpKind::Push:
-  case OpKind::PopOk:
-  case OpKind::Exchange:
-  case OpKind::Steal:
-    return true;
-  case OpKind::Invalid:
-  case OpKind::DeqEmpty:
-  case OpKind::PopEmpty:
-  case OpKind::StealEmpty:
-    return false;
-  }
-  return false;
-}
-
 static std::string valueStr(rmc::Value V) {
   if (V == EmptyVal)
     return "eps";

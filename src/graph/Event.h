@@ -55,9 +55,6 @@ enum class OpKind : uint8_t {
 
 const char *opKindName(OpKind K);
 
-/// True for kinds that modify the abstract state of their object.
-bool isWriteKind(OpKind K);
-
 /// One committed library operation.
 struct Event {
   OpKind Kind = OpKind::Invalid;

@@ -4,22 +4,6 @@
 
 using namespace compass::lib;
 
-const char *compass::lib::containerFamilyName(ContainerFamily F) {
-  switch (F) {
-  case ContainerFamily::Queue:
-    return "queue";
-  case ContainerFamily::Stack:
-    return "stack";
-  case ContainerFamily::Exchanger:
-    return "exchanger";
-  case ContainerFamily::SpscRing:
-    return "spsc_ring";
-  case ContainerFamily::WsDeque:
-    return "ws_deque";
-  }
-  return "?";
-}
-
 // Out-of-line anchors for the interface vtables.
 SimQueue::~SimQueue() = default;
 SimStack::~SimStack() = default;

@@ -26,21 +26,6 @@
 
 namespace compass::lib {
 
-/// The behavioural family a container belongs to. The conformance harness
-/// (src/check/) keys its sequential reference oracle and scenario shapes on
-/// this, so every adapter over a library names its family explicitly.
-enum class ContainerFamily : uint8_t {
-  Queue,     ///< FIFO: MsQueue, HwQueue (LAT_hb), LockedQueue.
-  Stack,     ///< LIFO: TreiberStack, ElimStack, LockedStack.
-  Exchanger, ///< Pairwise value crossing.
-  SpscRing,  ///< Single-producer single-consumer FIFO ring.
-  WsDeque    ///< Owner push/take at the bottom, thieves steal at the top.
-};
-
-/// Stable lower-case name for \p F ("queue", "stack", ...), used in
-/// diagnostics and corpus files.
-const char *containerFamilyName(ContainerFamily F);
-
 /// The seeded library faults of the mutation campaign (src/check). A
 /// library that owns a fault takes the mutation as its last constructor
 /// argument and applies it at the one place the bug lives; any other

@@ -24,8 +24,9 @@
 /// twin of a sufficiently large ring).
 ///
 /// Events: Push / PopOk / PopEmpty (owner), Steal / StealEmpty (thieves),
-/// checked by spec::checkWsDequeConsistent, the abstract double-ended
-/// replay, and the SeqSpec::WsDeque linearization search.
+/// checked against the SeqSpec::WsDeque table entry (spec/SeqSpec.h) by
+/// spec::checkConsistent and spec::checkAbsState, and by the
+/// SeqSpec::WsDeque linearization search.
 ///
 /// Seeded fault (lib::Mutation): WsDequeTakeNoFence drops take's SC fence.
 ///

@@ -2,7 +2,6 @@
 
 #include "spec/Consistency.h"
 
-#include <deque>
 #include <map>
 
 using namespace compass;
@@ -23,37 +22,40 @@ std::string CheckResult::str() const {
 
 namespace {
 
-/// Shared machinery for queue and stack graph checks: the two containers
-/// differ only in event kinds and in the ordering axiom (FIFO vs LIFO).
-struct ContainerShape {
-  OpKind Produce;    ///< Enq / Push.
-  OpKind ConsumeOk;  ///< DeqOk / PopOk.
-  OpKind ConsumeEmp; ///< DeqEmpty / PopEmpty.
-  bool Lifo;         ///< false: FIFO (queue); true: LIFO (stack).
-  const char *Name;  ///< "queue" / "stack".
-};
-
 std::string evStr(const EventGraph &G, EventId Id) {
   return G.event(Id).str(Id);
 }
 
-/// The common structural conditions: kinds are legal for the container,
-/// so edges go producer -> consumer with matching values (MATCHES),
-/// matching is injective, every successful consume has a producer, and
-/// so ⊆ lhb.
+/// The common structural conditions: kinds are legal for the container
+/// (and, for a single-owner container, come from the right threads), so
+/// edges go producer -> consumer with matching values (MATCHES), matching
+/// is injective, every successful consume has a producer, and so ⊆ lhb.
 void checkContainerStructure(const EventGraph &G, unsigned ObjId,
-                             const ContainerShape &S, CheckResult &R) {
-  std::vector<EventId> Evs = G.objectEvents(ObjId);
-  std::map<EventId, unsigned> ProducerMatches, ConsumerMatches;
-
+                             const std::vector<EventId> &Evs,
+                             const ContainerSpec &S, CheckResult &R) {
+  // Single-owner rule: the first producer or Back operation names the
+  // owner; later ones must come from it and Front ones must not.
+  unsigned Owner = ~0u;
   for (EventId Id : Evs) {
     const Event &E = G.event(Id);
-    if (E.Kind != S.Produce && E.Kind != S.ConsumeOk &&
-        E.Kind != S.ConsumeEmp)
+    KindRole K = S.role(E.Kind);
+    if (K.R == Role::Foreign)
       R.add("KINDS", std::string("foreign event in ") + S.Name + " graph: " +
                          evStr(G, Id));
+    else if (S.SingleOwner && K.At == End::Back && Owner == ~0u)
+      Owner = E.Thread;
+    else if (S.SingleOwner && K.At == End::Back && E.Thread != Owner)
+      R.add("OWNER", "owner operations from two threads: " + evStr(G, Id));
+  }
+  for (EventId Id : Evs) {
+    const Event &E = G.event(Id);
+    KindRole K = S.role(E.Kind);
+    if (S.SingleOwner && K.R != Role::Foreign && K.At == End::Front &&
+        E.Thread == Owner)
+      R.add("OWNER", "owner stealing from its own deque: " + evStr(G, Id));
   }
 
+  std::map<EventId, unsigned> ProducerMatches, ConsumerMatches;
   for (const SoEdge &Edge : G.so()) {
     if (!G.isCommitted(Edge.From) || !G.isCommitted(Edge.To))
       continue;
@@ -66,7 +68,7 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
                           " -> " + evStr(G, Edge.To));
       continue;
     }
-    if (From.Kind != S.Produce || To.Kind != S.ConsumeOk) {
+    if (From.Kind != S.Produce || S.role(To.Kind).R != Role::Consume) {
       R.add("SO-KINDS", "so edge with wrong kinds: " + evStr(G, Edge.From) +
                             " -> " + evStr(G, Edge.To));
       continue;
@@ -91,7 +93,8 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
     if (N > 1)
       R.add("INJ", "consumer matched more than once: " + evStr(G, Id));
   for (EventId Id : Evs)
-    if (G.event(Id).Kind == S.ConsumeOk && !ConsumerMatches.count(Id))
+    if (S.role(G.event(Id).Kind).R == Role::Consume &&
+        !ConsumerMatches.count(Id))
       R.add("UNMATCHED", "successful consume without a producer: " +
                              evStr(G, Id));
 }
@@ -106,8 +109,9 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
 /// (d1, d2) ∉ lhb — an element pushed on top of e1 and visible to e1's pop
 /// must be gone by then.
 void checkOrderingAxiom(const EventGraph &G, unsigned ObjId,
-                        const ContainerShape &S, CheckResult &R) {
-  std::vector<EventId> Evs = G.objectEvents(ObjId);
+                        const std::vector<EventId> &Evs,
+                        const ContainerSpec &S, CheckResult &R) {
+  bool Lifo = S.Order == OrderAxiom::Lifo;
   for (const SoEdge &Edge : G.so()) {
     if (!G.isCommitted(Edge.From) || G.event(Edge.From).ObjId != ObjId)
       continue;
@@ -117,12 +121,11 @@ void checkOrderingAxiom(const EventGraph &G, unsigned ObjId,
     for (EventId E2 : Evs) {
       if (E2 == E || G.event(E2).Kind != S.Produce)
         continue;
-      bool Covered = S.Lifo ? (G.lhb(E, E2) && G.lhb(E2, D))
-                            : G.lhb(E2, E);
+      bool Covered = Lifo ? (G.lhb(E, E2) && G.lhb(E2, D)) : G.lhb(E2, E);
       if (!Covered)
         continue;
       std::optional<EventId> D2 = G.matchOfProducer(E2);
-      const char *Rule = S.Lifo ? "LIFO" : "FIFO";
+      const char *Rule = Lifo ? "LIFO" : "FIFO";
       if (!D2) {
         R.add(Rule, "unconsumed " + evStr(G, E2) + " should precede " +
                         evStr(G, E) + " consumed by " + evStr(G, D));
@@ -136,17 +139,16 @@ void checkOrderingAxiom(const EventGraph &G, unsigned ObjId,
   }
 }
 
-/// Empty-consume axiom (paper QUEUE-EMPDEQ): for every empty consume d and
-/// every produce e with (e, d) ∈ lhb, e must be consumed by a d' with
-/// (d, d') ∉ lhb — if something the empty consume knew about were still
-/// present, the consume could not have failed. StrictEmpty additionally
-/// requires d' to have committed before d.
-void checkEmptyAxiom(const EventGraph &G, unsigned ObjId,
-                     const ContainerShape &S, ContainerCheckOptions Opts,
+/// Empty-consume axiom (paper QUEUE-EMPDEQ), at either end: for every
+/// empty consume d and every produce e with (e, d) ∈ lhb, e must be
+/// consumed by a d' with (d, d') ∉ lhb — if something the empty consume
+/// knew about were still present, the consume could not have failed.
+/// StrictEmpty additionally requires d' to have committed before d.
+void checkEmptyAxiom(const EventGraph &G, const std::vector<EventId> &Evs,
+                     const ContainerSpec &S, ContainerCheckOptions Opts,
                      CheckResult &R) {
-  std::vector<EventId> Evs = G.objectEvents(ObjId);
   for (EventId D : Evs) {
-    if (G.event(D).Kind != S.ConsumeEmp)
+    if (S.role(G.event(D).Kind).R != Role::Empty)
       continue;
     for (EventId E : Evs) {
       if (G.event(E).Kind != S.Produce || !G.lhb(E, D))
@@ -170,33 +172,21 @@ void checkEmptyAxiom(const EventGraph &G, unsigned ObjId,
   }
 }
 
-CheckResult checkContainer(const EventGraph &G, unsigned ObjId,
-                           const ContainerShape &S,
-                           ContainerCheckOptions Opts) {
+} // namespace
+
+CheckResult spec::checkConsistent(const EventGraph &G, unsigned ObjId,
+                                  SeqSpec Spec, ContainerCheckOptions Opts) {
+  const ContainerSpec &S = containerSpec(Spec);
   CheckResult R;
   std::string WF = G.checkWellFormed();
   if (!WF.empty())
     R.add("WELLFORMED", WF);
-  checkContainerStructure(G, ObjId, S, R);
-  checkOrderingAxiom(G, ObjId, S, R);
-  checkEmptyAxiom(G, ObjId, S, Opts, R);
+  std::vector<EventId> Evs = G.objectEvents(ObjId);
+  checkContainerStructure(G, ObjId, Evs, S, R);
+  if (S.Order != OrderAxiom::None)
+    checkOrderingAxiom(G, ObjId, Evs, S, R);
+  checkEmptyAxiom(G, Evs, S, Opts, R);
   return R;
-}
-
-} // namespace
-
-CheckResult spec::checkQueueConsistent(const EventGraph &G, unsigned ObjId,
-                                       ContainerCheckOptions Opts) {
-  ContainerShape S{OpKind::Enq, OpKind::DeqOk, OpKind::DeqEmpty,
-                   /*Lifo=*/false, "queue"};
-  return checkContainer(G, ObjId, S, Opts);
-}
-
-CheckResult spec::checkStackConsistent(const EventGraph &G, unsigned ObjId,
-                                       ContainerCheckOptions Opts) {
-  ContainerShape S{OpKind::Push, OpKind::PopOk, OpKind::PopEmpty,
-                   /*Lifo=*/true, "stack"};
-  return checkContainer(G, ObjId, S, Opts);
 }
 
 CheckResult spec::checkExchangerConsistent(const EventGraph &G,
@@ -261,202 +251,33 @@ CheckResult spec::checkExchangerConsistent(const EventGraph &G,
   return R;
 }
 
-namespace {
-
-CheckResult checkAbsState(const EventGraph &G, unsigned ObjId, bool Lifo,
-                          AbsStateOptions Opts) {
+CheckResult spec::checkAbsState(const EventGraph &G, unsigned ObjId,
+                                SeqSpec Spec, AbsStateOptions Opts) {
+  const ContainerSpec &S = containerSpec(Spec);
   CheckResult R;
-  ContainerShape S = Lifo ? ContainerShape{OpKind::Push, OpKind::PopOk,
-                                           OpKind::PopEmpty, true, "stack"}
-                          : ContainerShape{OpKind::Enq, OpKind::DeqOk,
-                                           OpKind::DeqEmpty, false, "queue"};
-  std::deque<rmc::Value> State;
+  SeqState State;
   for (EventId Id : G.objectEvents(ObjId)) {
     const Event &E = G.event(Id);
-    if (E.Kind == S.Produce) {
-      State.push_back(E.V1);
-      continue;
-    }
-    if (E.Kind == S.ConsumeOk) {
-      if (State.empty()) {
-        R.add("ABS", "consume from empty abstract state: " + evStr(G, Id));
-        continue;
-      }
-      rmc::Value Expect = Lifo ? State.back() : State.front();
-      if (Expect != E.V1)
-        R.add("ABS", "abstract state yields " + std::to_string(Expect) +
-                         " but operation returned: " + evStr(G, Id));
-      if (Lifo)
-        State.pop_back();
-      else
-        State.pop_front();
-      continue;
-    }
-    if (E.Kind == S.ConsumeEmp) {
-      if (Opts.RequireTrueEmpty && !State.empty())
+    switch (State.apply(S, E)) {
+    case SeqStep::Ok:
+      break;
+    case SeqStep::Foreign:
+      R.add("ABS-KIND", "foreign event kind: " + evStr(G, Id));
+      break;
+    case SeqStep::Underflow:
+      R.add("ABS", "consume from empty abstract state: " + evStr(G, Id));
+      break;
+    case SeqStep::Mismatch:
+      R.add("ABS", "abstract state yields " +
+                       std::to_string(State.at(S.role(E.Kind).At)) +
+                       " but operation returned: " + evStr(G, Id));
+      break;
+    case SeqStep::NotEmpty:
+      if (Opts.RequireTrueEmpty)
         R.add("ABS-EMPTY", "empty consume while abstract state holds " +
                                std::to_string(State.size()) +
                                " elements: " + evStr(G, Id));
-      continue;
-    }
-    R.add("ABS-KIND", "foreign event kind: " + evStr(G, Id));
-  }
-  return R;
-}
-
-} // namespace
-
-CheckResult spec::checkQueueAbsState(const EventGraph &G, unsigned ObjId,
-                                     AbsStateOptions Opts) {
-  return checkAbsState(G, ObjId, /*Lifo=*/false, Opts);
-}
-
-CheckResult spec::checkStackAbsState(const EventGraph &G, unsigned ObjId,
-                                     AbsStateOptions Opts) {
-  return checkAbsState(G, ObjId, /*Lifo=*/true, Opts);
-}
-
-CheckResult spec::checkWsDequeConsistent(const EventGraph &G,
-                                         unsigned ObjId,
-                                         ContainerCheckOptions Opts) {
-  CheckResult R;
-  std::string WF = G.checkWellFormed();
-  if (!WF.empty())
-    R.add("WELLFORMED", WF);
-
-  std::vector<EventId> Evs = G.objectEvents(ObjId);
-
-  // Single-owner discipline: all Push/PopOk/PopEmpty come from one
-  // thread; every Steal/StealEmpty from a different thread.
-  unsigned OwnerThread = ~0u;
-  for (EventId Id : Evs) {
-    const Event &E = G.event(Id);
-    switch (E.Kind) {
-    case OpKind::Push:
-    case OpKind::PopOk:
-    case OpKind::PopEmpty:
-      if (OwnerThread == ~0u)
-        OwnerThread = E.Thread;
-      else if (E.Thread != OwnerThread)
-        R.add("OWNER", "owner operations from two threads: " +
-                           evStr(G, Id));
       break;
-    case OpKind::Steal:
-    case OpKind::StealEmpty:
-      break;
-    default:
-      R.add("KINDS", "foreign event in deque graph: " + evStr(G, Id));
-    }
-  }
-  for (EventId Id : Evs) {
-    const Event &E = G.event(Id);
-    if ((E.Kind == OpKind::Steal || E.Kind == OpKind::StealEmpty) &&
-        E.Thread == OwnerThread)
-      R.add("OWNER", "owner stealing from its own deque: " + evStr(G, Id));
-  }
-
-  // Matching: so edges are Push -> (PopOk | Steal), values agree, each
-  // element consumed at most once, every consume matched, consumers
-  // observe their producer.
-  std::map<EventId, unsigned> ProducerMatches, ConsumerMatches;
-  for (const SoEdge &Edge : G.so()) {
-    if (!G.isCommitted(Edge.From) || !G.isCommitted(Edge.To))
-      continue;
-    const Event &From = G.event(Edge.From);
-    const Event &To = G.event(Edge.To);
-    if (From.ObjId != ObjId && To.ObjId != ObjId)
-      continue;
-    if (From.ObjId != To.ObjId) {
-      R.add("SO-OBJ", "so edge across objects: " + evStr(G, Edge.From));
-      continue;
-    }
-    if (From.Kind != OpKind::Push ||
-        (To.Kind != OpKind::PopOk && To.Kind != OpKind::Steal)) {
-      R.add("SO-KINDS", "so edge with wrong kinds: " +
-                            evStr(G, Edge.From) + " -> " +
-                            evStr(G, Edge.To));
-      continue;
-    }
-    if (From.V1 != To.V1)
-      R.add("MATCHES", "value mismatch: " + evStr(G, Edge.From) + " -> " +
-                           evStr(G, Edge.To));
-    if (!G.lhb(Edge.From, Edge.To))
-      R.add("SO-LHB", "consumer does not observe its producer: " +
-                          evStr(G, Edge.From) + " -> " +
-                          evStr(G, Edge.To));
-    ++ProducerMatches[Edge.From];
-    ++ConsumerMatches[Edge.To];
-  }
-  for (auto &[Id, N] : ProducerMatches)
-    if (N > 1)
-      R.add("INJ", "element consumed more than once: " + evStr(G, Id));
-  for (EventId Id : Evs) {
-    const Event &E = G.event(Id);
-    if ((E.Kind == OpKind::PopOk || E.Kind == OpKind::Steal) &&
-        !ConsumerMatches.count(Id))
-      R.add("UNMATCHED", "consume without a producer: " + evStr(G, Id));
-  }
-
-  // Empty axioms (the QUEUE-EMPDEQ analog): an empty take/steal that
-  // happens-after an unconsumed push is impossible.
-  for (EventId D : Evs) {
-    const Event &ED = G.event(D);
-    if (ED.Kind != OpKind::PopEmpty && ED.Kind != OpKind::StealEmpty)
-      continue;
-    for (EventId E : Evs) {
-      if (G.event(E).Kind != OpKind::Push || !G.lhb(E, D))
-        continue;
-      std::optional<EventId> D2 = G.matchOfProducer(E);
-      if (!D2) {
-        R.add("EMPTY", "empty consume " + evStr(G, D) +
-                           " despite knowing unconsumed " + evStr(G, E));
-        continue;
-      }
-      if (G.lhb(D, *D2))
-        R.add("EMPTY", "empty consume " + evStr(G, D) +
-                           " happens before the consumption of known " +
-                           evStr(G, E));
-      if (Opts.StrictEmpty &&
-          G.event(*D2).CommitIdx >= G.event(D).CommitIdx)
-        R.add("EMPTY-STRICT", "known " + evStr(G, E) +
-                                  " consumed only after empty consume " +
-                                  evStr(G, D));
-    }
-  }
-  return R;
-}
-
-CheckResult spec::checkWsDequeAbsState(const EventGraph &G, unsigned ObjId,
-                                       AbsStateOptions Opts) {
-  CheckResult R;
-  std::deque<rmc::Value> State; // Front = top (steal end), back = bottom.
-  for (EventId Id : G.objectEvents(ObjId)) {
-    const Event &E = G.event(Id);
-    switch (E.Kind) {
-    case OpKind::Push:
-      State.push_back(E.V1);
-      break;
-    case OpKind::PopOk:
-      if (State.empty() || State.back() != E.V1)
-        R.add("ABS", "owner take does not match the bottom: " +
-                         evStr(G, Id));
-      else
-        State.pop_back();
-      break;
-    case OpKind::Steal:
-      if (State.empty() || State.front() != E.V1)
-        R.add("ABS", "steal does not match the top: " + evStr(G, Id));
-      else
-        State.pop_front();
-      break;
-    case OpKind::PopEmpty:
-    case OpKind::StealEmpty:
-      if (Opts.RequireTrueEmpty && !State.empty())
-        R.add("ABS-EMPTY", "empty consume on non-empty abstract state: " +
-                               evStr(G, Id));
-      break;
-    default:
-      R.add("ABS-KIND", "foreign event kind: " + evStr(G, Id));
     }
   }
   return R;

@@ -20,19 +20,12 @@
 #define COMPASS_SPEC_LINEARIZATION_H
 
 #include "graph/EventGraph.h"
+#include "spec/SeqSpec.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace compass::spec {
-
-/// The sequential specification interpreting the total order.
-enum class SeqSpec {
-  Stack,  ///< LIFO with Push/PopOk/PopEmpty.
-  Queue,  ///< FIFO with Enq/DeqOk/DeqEmpty.
-  WsDeque ///< Work-stealing deque: Push/PopOk at the bottom, Steal at
-          ///< the top, PopEmpty/StealEmpty only on empty states.
-};
 
 struct LinearizationResult {
   bool Found = false;

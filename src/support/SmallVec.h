@@ -13,8 +13,9 @@
 /// storage makes that rebuild allocation-free even on a freshly constructed
 /// Machine (replay and shrinking construct machines constantly).
 ///
-/// Deliberately tiny: push_back / clear / indexing / iteration only, and
-/// only for trivially copyable T (elements are memcpy-moved on spill).
+/// Deliberately tiny: push_back / pop_back / clear / indexing / iteration
+/// only, and only for trivially copyable T (elements are memcpy-moved on
+/// spill).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +49,7 @@ public:
     Data[Len++] = V;
   }
 
+  void pop_back() { --Len; }
   void clear() { Len = 0; }
 
   size_t size() const { return Len; }

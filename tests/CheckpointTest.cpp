@@ -74,8 +74,8 @@ Workload msQueueWorkload(unsigned Workers, ReductionMode Red) {
         [St](Machine &, Scheduler &, Scheduler::RunResult R) {
           if (R != Scheduler::RunResult::Done)
             return false;
-          return spec::checkQueueConsistent(St->Mon->graph(),
-                                            St->Q->objId())
+          return spec::checkConsistent(St->Mon->graph(), St->Q->objId(),
+                                       spec::SeqSpec::Queue)
               .ok();
         }};
   });

@@ -98,7 +98,8 @@ MpStats exploreMp(QueueKind K, const MpConfig &Cfg, unsigned Preemptions,
           ++Stats.RightEmpty;
         else
           Stats.RightValues.insert(Out.Right);
-        auto CR = spec::checkQueueConsistent(Mon->graph(), Q->objId());
+        auto CR = spec::checkConsistent(Mon->graph(), Q->objId(),
+                                        spec::SeqSpec::Queue);
         if (!CR.ok()) {
           ++Stats.GraphViolations;
           if (Stats.FirstViolation.empty())

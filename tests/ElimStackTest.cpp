@@ -101,7 +101,7 @@ ElimStats exploreElimStack(std::vector<std::vector<Value>> Pushes,
               Mon->graph().isCommitted(Id) &&
               Mon->graph().event(Id).Kind == OpKind::Exchange)
             ++Stats.Eliminations;
-        auto CR = checkStackConsistent(Es, EsObjId);
+        auto CR = checkConsistent(Es, EsObjId, SeqSpec::Stack);
         if (!CR.ok()) {
           ++Stats.Violations;
           if (Stats.FirstViolation.empty())

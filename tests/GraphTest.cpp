@@ -35,13 +35,6 @@ TEST(EventTest, KindNames) {
   EXPECT_STREQ(opKindName(OpKind::Exchange), "Xchg");
 }
 
-TEST(EventTest, WriteKinds) {
-  EXPECT_TRUE(isWriteKind(OpKind::Enq));
-  EXPECT_TRUE(isWriteKind(OpKind::PopOk));
-  EXPECT_FALSE(isWriteKind(OpKind::DeqEmpty));
-  EXPECT_FALSE(isWriteKind(OpKind::Invalid));
-}
-
 TEST(EventTest, StrShowsPayloadAndSentinels) {
   Event E = mkEvent(OpKind::Exchange, 5, 0, 2, 3, 0);
   E.V2 = BottomVal;

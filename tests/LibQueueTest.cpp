@@ -100,13 +100,13 @@ exploreQueue(QueueKind K, std::vector<std::vector<Value>> Enqs,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Stats.Checked;
-        auto GR = checkQueueConsistent(Mon->graph(), Q->objId());
+        auto GR = checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue);
         if (!GR.ok()) {
           ++Stats.GraphViolations;
           if (Stats.FirstGraphViolation.empty())
             Stats.FirstGraphViolation = GR.str();
         }
-        if (!checkQueueAbsState(Mon->graph(), Q->objId()).ok())
+        if (!checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Stats.AbsViolations;
 
         // Functional sanity: each dequeued value was enqueued, no value
@@ -217,11 +217,13 @@ TEST(QueueSpecStrengthTest, LockedQueueSatisfiesStrictSpecs) {
         ++Checked;
         ContainerCheckOptions StrictG;
         StrictG.StrictEmpty = true;
-        auto GR = checkQueueConsistent(Mon->graph(), Q->objId(), StrictG);
+        auto GR =
+            checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue, StrictG);
         EXPECT_TRUE(GR.ok()) << GR.str();
         AbsStateOptions StrictA;
         StrictA.RequireTrueEmpty = true;
-        auto AR = checkQueueAbsState(Mon->graph(), Q->objId(), StrictA);
+        auto AR =
+            checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue, StrictA);
         EXPECT_TRUE(AR.ok()) << AR.str();
       });
   EXPECT_GT(Checked, 0u);
@@ -264,9 +266,9 @@ ProfileStats exploreMsProfile(lib::MsQueue::SyncProfile Profile) {
         if (R != Scheduler::RunResult::Done)
           return;
         ++Stats.Checked;
-        if (!checkQueueConsistent(Mon->graph(), Q->objId()).ok())
+        if (!checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Stats.GraphViolations;
-        if (!checkQueueAbsState(Mon->graph(), Q->objId()).ok())
+        if (!checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Stats.AbsViolations;
       });
   Stats.Races = Sum.Races;

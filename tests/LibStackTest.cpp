@@ -78,13 +78,13 @@ exploreStack(StackKind K, std::vector<std::vector<Value>> Pushes,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Stats.Checked;
-        auto GR = checkStackConsistent(Mon->graph(), St->objId());
+        auto GR = checkConsistent(Mon->graph(), St->objId(), SeqSpec::Stack);
         if (!GR.ok()) {
           ++Stats.GraphViolations;
           if (Stats.FirstViolation.empty())
             Stats.FirstViolation = GR.str() + Mon->graph().str();
         }
-        if (!checkStackAbsState(Mon->graph(), St->objId()).ok())
+        if (!checkAbsState(Mon->graph(), St->objId(), SeqSpec::Stack).ok())
           ++Stats.AbsViolations;
         auto LR = findLinearization(Mon->graph(), St->objId(),
                                     SeqSpec::Stack);
@@ -177,7 +177,7 @@ TEST(StackTryOpsTest, TryPushTryPopSingleThread) {
   EXPECT_EQ(Popped1, 7u);
   EXPECT_EQ(PoppedEmpty, graph::EmptyVal);
   EXPECT_EQ(Popped2, 9u);
-  auto R = checkStackConsistent(Mon.graph(), St.objId());
+  auto R = checkConsistent(Mon.graph(), St.objId(), SeqSpec::Stack);
   EXPECT_TRUE(R.ok()) << R.str();
   Ex.endExecution(Scheduler::RunResult::Done);
 }

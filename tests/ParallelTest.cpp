@@ -180,8 +180,8 @@ Workload msQueueWorkload(unsigned Workers) {
         [St](Machine &, Scheduler &, Scheduler::RunResult R) {
           if (R != Scheduler::RunResult::Done)
             return false;
-          return spec::checkQueueConsistent(St->Mon->graph(),
-                                            St->Q->objId())
+          return spec::checkConsistent(St->Mon->graph(), St->Q->objId(),
+                                       spec::SeqSpec::Queue)
               .ok();
         }};
     // Copy-on-write client state: the monitor's event graph rewinds by

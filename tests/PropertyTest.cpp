@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "check/Harness.h"
+#include "check/RefModel.h"
 #include "check/ScenarioGen.h"
 #include "graph/EventGraph.h"
 #include "rmc/Machine.h"
@@ -44,6 +45,54 @@ IdSet randomSet(Rng &R, unsigned MaxId) {
     if (R.chance(1, 3))
       S.insert(I);
   return S;
+}
+
+/// Commits \p K(V) on object 0, lhb-after every event in \p SoFar.
+graph::EventId appendEvent(graph::EventGraph &G, IdSet &SoFar,
+                           graph::OpKind K, Value V) {
+  graph::EventId Id = G.reserve();
+  graph::Event E;
+  E.Kind = K;
+  E.V1 = V;
+  E.LogView = SoFar;
+  E.LogView.insert(Id);
+  SoFar.insert(Id);
+  G.commit(Id, std::move(E));
+  return Id;
+}
+
+/// The witness oracle accepts \p Witness, the search's answer on a
+/// generated history (whose lhb is total), and rejects it with its first
+/// two events swapped or with its first event listed again in place of
+/// its last.
+void expectOracleJudges(const graph::EventGraph &G, spec::SeqSpec Spec,
+                        const std::vector<graph::EventId> &Witness) {
+  check::Verdict V = check::checkWitnessOrder(G, 0, Spec, Witness);
+  EXPECT_TRUE(V.Ok) << V.str();
+  ASSERT_GE(Witness.size(), 2u);
+
+  std::vector<graph::EventId> Swapped = Witness;
+  std::swap(Swapped[0], Swapped[1]);
+  V = check::checkWitnessOrder(G, 0, Spec, Swapped);
+  EXPECT_EQ(V.Rule, "ORACLE");
+  EXPECT_NE(V.Detail.find("lhb-successor"), std::string::npos) << V.str();
+
+  std::vector<graph::EventId> Twice = Witness;
+  Twice.back() = Twice.front();
+  V = check::checkWitnessOrder(G, 0, Spec, Twice);
+  EXPECT_EQ(V.Rule, "ORACLE");
+  EXPECT_NE(V.Detail.find("listed twice"), std::string::npos) << V.str();
+}
+
+/// The oracle rejects \p Witness extended by \p Tail, a step sequence
+/// illegal in \p Spec's sequential semantics.
+void expectOracleRejectsStep(const graph::EventGraph &G, spec::SeqSpec Spec,
+                             std::vector<graph::EventId> Witness,
+                             std::initializer_list<graph::EventId> Tail) {
+  Witness.insert(Witness.end(), Tail);
+  check::Verdict V = check::checkWitnessOrder(G, 0, Spec, Witness);
+  EXPECT_EQ(V.Rule, "ORACLE");
+  EXPECT_NE(V.Detail.find("is illegal"), std::string::npos) << V.str();
 }
 
 } // namespace
@@ -217,16 +266,26 @@ TEST_P(SeededProperty, GeneratedQueueHistoriesLinearizable) {
   auto Res = spec::findLinearization(G, 0, spec::SeqSpec::Queue);
   EXPECT_TRUE(Res.Found) << "valid sequential history must linearize";
   EXPECT_EQ(Res.Order.size(), Order.size());
+  expectOracleJudges(G, spec::SeqSpec::Queue, Res.Order);
 
-  // Corrupt: append a dequeue of a value that was never enqueued.
-  graph::EventId Bad = G.reserve();
-  graph::Event E;
-  E.Kind = graph::OpKind::DeqOk;
-  E.V1 = 99'999;
-  E.ObjId = 0;
-  E.LogView = SoFar;
-  E.LogView.insert(Bad);
-  G.commit(Bad, std::move(E));
+  // A FIFO-illegal step, on a copy of the valid history: two more
+  // enqueues, then a dequeue of the newer.
+  {
+    graph::EventGraph Fifo = G;
+    IdSet FifoSoFar = SoFar;
+    graph::EventId E1 =
+        appendEvent(Fifo, FifoSoFar, graph::OpKind::Enq, 1001);
+    graph::EventId E2 =
+        appendEvent(Fifo, FifoSoFar, graph::OpKind::Enq, 1002);
+    graph::EventId D2 =
+        appendEvent(Fifo, FifoSoFar, graph::OpKind::DeqOk, 1002);
+    expectOracleRejectsStep(Fifo, spec::SeqSpec::Queue, Res.Order,
+                            {E1, E2, D2});
+  }
+
+  // Corrupt the valid history: append a dequeue of a value that was never
+  // enqueued.
+  appendEvent(G, SoFar, graph::OpKind::DeqOk, 99'999);
   EXPECT_FALSE(spec::findLinearization(G, 0, spec::SeqSpec::Queue).Found);
 }
 
@@ -268,8 +327,16 @@ TEST_P(SeededProperty, GeneratedDequeHistoriesLinearizable) {
 
   auto Res = spec::findLinearization(G, 0, spec::SeqSpec::WsDeque);
   EXPECT_TRUE(Res.Found);
-  auto Abs = spec::checkWsDequeAbsState(G, 0);
+  auto Abs = spec::checkAbsState(G, 0, spec::SeqSpec::WsDeque);
   EXPECT_TRUE(Abs.ok()) << Abs.str();
+  expectOracleJudges(G, spec::SeqSpec::WsDeque, Res.Order);
+
+  // A LIFO-illegal step: two more pushes, then an owner take of the older.
+  graph::EventId P1 = appendEvent(G, SoFar, graph::OpKind::Push, 1001);
+  graph::EventId P2 = appendEvent(G, SoFar, graph::OpKind::Push, 1002);
+  graph::EventId T1 = appendEvent(G, SoFar, graph::OpKind::PopOk, 1001);
+  expectOracleRejectsStep(G, spec::SeqSpec::WsDeque, Res.Order,
+                          {P1, P2, T1});
 }
 
 namespace {

@@ -137,7 +137,8 @@ Workload msQueueWorkload(unsigned Workers, ReductionMode Red) {
             return R == Scheduler::RunResult::Pruned ||
                    R == Scheduler::RunResult::SleepPruned ||
                    R == Scheduler::RunResult::RfPruned;
-          return spec::checkQueueConsistent(St->Mon->graph(), St->Q->objId())
+          return spec::checkConsistent(St->Mon->graph(), St->Q->objId(),
+                                       spec::SeqSpec::Queue)
               .ok();
         }};
     // Copy-on-write client state (same pattern as the harness bodies):

@@ -2,8 +2,10 @@
 //
 // Validates the spec layer on hand-crafted event graphs: each consistency
 // condition of Figure 2 / Sections 3.3, 4.2 is exercised with a positive
-// and a negative instance, and the LAT_hist linearization search is tested
-// on histories with known answers.
+// and a negative instance, one table-driven suite makes every container
+// rule fire at every end of the queue, the stack and the work-stealing
+// deque, and the LAT_hist linearization search is tested on histories with
+// known answers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +55,15 @@ bool hasViolation(const CheckResult &R, const char *Rule) {
   return false;
 }
 
+/// How many violations name exactly \p Rule ("EMPTY" does not count
+/// "EMPTY-STRICT").
+unsigned countRule(const CheckResult &R, const std::string &Rule) {
+  unsigned N = 0;
+  for (const std::string &V : R.Violations)
+    N += V.rfind(Rule + ": ", 0) == 0;
+  return N;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -61,7 +72,7 @@ bool hasViolation(const CheckResult &R, const char *Rule) {
 
 TEST(QueueConsistencyTest, EmptyGraphIsConsistent) {
   EventGraph G;
-  EXPECT_TRUE(checkQueueConsistent(G, 0).ok());
+  EXPECT_TRUE(checkConsistent(G, 0, SeqSpec::Queue).ok());
 }
 
 TEST(QueueConsistencyTest, MatchedPairIsConsistent) {
@@ -69,7 +80,7 @@ TEST(QueueConsistencyTest, MatchedPairIsConsistent) {
   EventId E1 = B.add(OpKind::Enq, 1);
   EventId D1 = B.add(OpKind::DeqOk, 1, {E1}, 1);
   B.so(E1, D1);
-  auto R = checkQueueConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Queue);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -78,7 +89,7 @@ TEST(QueueConsistencyTest, ValueMismatchViolatesMatches) {
   EventId E1 = B.add(OpKind::Enq, 1);
   EventId D1 = B.add(OpKind::DeqOk, 2, {E1}, 1); // Wrong value.
   B.so(E1, D1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "MATCHES"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "MATCHES"));
 }
 
 TEST(QueueConsistencyTest, UnobservedProducerViolatesSoLhb) {
@@ -86,7 +97,7 @@ TEST(QueueConsistencyTest, UnobservedProducerViolatesSoLhb) {
   EventId E1 = B.add(OpKind::Enq, 1);
   EventId D1 = B.add(OpKind::DeqOk, 1, {}, 1); // No lhb edge.
   B.so(E1, D1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "SO-LHB"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "SO-LHB"));
 }
 
 TEST(QueueConsistencyTest, DoubleDequeueViolatesInj) {
@@ -96,13 +107,14 @@ TEST(QueueConsistencyTest, DoubleDequeueViolatesInj) {
   EventId D2 = B.add(OpKind::DeqOk, 1, {E1}, 2);
   B.so(E1, D1);
   B.so(E1, D2);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "INJ"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "INJ"));
 }
 
 TEST(QueueConsistencyTest, ConsumeWithoutProducerViolates) {
   GraphBuilder B;
   B.add(OpKind::DeqOk, 1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "UNMATCHED"));
+  EXPECT_TRUE(
+      hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "UNMATCHED"));
 }
 
 TEST(QueueConsistencyTest, FifoViolationDetected) {
@@ -112,7 +124,7 @@ TEST(QueueConsistencyTest, FifoViolationDetected) {
   EventId E2 = B.add(OpKind::Enq, 2, {E1}, 0);
   EventId D2 = B.add(OpKind::DeqOk, 2, {E2}, 1);
   B.so(E2, D2);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "FIFO"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "FIFO"));
 }
 
 TEST(QueueConsistencyTest, FifoOrderWithBothDequeuedIsConsistent) {
@@ -123,7 +135,7 @@ TEST(QueueConsistencyTest, FifoOrderWithBothDequeuedIsConsistent) {
   EventId D2 = B.add(OpKind::DeqOk, 2, {E2, D1}, 1);
   B.so(E1, D1);
   B.so(E2, D2);
-  auto R = checkQueueConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Queue);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -137,7 +149,7 @@ TEST(QueueConsistencyTest, FifoInverseDequeueOrderViolates) {
   EventId D1 = B.add(OpKind::DeqOk, 1, {E1, D2}, 1); // D2 lhb D1.
   B.so(E2, D2);
   B.so(E1, D1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "FIFO"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "FIFO"));
 }
 
 TEST(QueueConsistencyTest, UnrelatedEnqueuesNeedNoFifo) {
@@ -149,7 +161,7 @@ TEST(QueueConsistencyTest, UnrelatedEnqueuesNeedNoFifo) {
   EventId E2 = B.add(OpKind::Enq, 2, {}, 1);
   EventId D2 = B.add(OpKind::DeqOk, 2, {E2}, 2);
   B.so(E2, D2);
-  auto R = checkQueueConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Queue);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -159,7 +171,7 @@ TEST(QueueConsistencyTest, EmpDeqKnowingUnconsumedViolates) {
   GraphBuilder B;
   EventId E1 = B.add(OpKind::Enq, 1, {}, 0);
   B.add(OpKind::DeqEmpty, EmptyVal, {E1}, 1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "EMPTY"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "EMPTY"));
 }
 
 TEST(QueueConsistencyTest, EmpDeqAfterConsumptionIsConsistent) {
@@ -168,7 +180,7 @@ TEST(QueueConsistencyTest, EmpDeqAfterConsumptionIsConsistent) {
   EventId D1 = B.add(OpKind::DeqOk, 1, {E1}, 1);
   B.so(E1, D1);
   B.add(OpKind::DeqEmpty, EmptyVal, {E1}, 2);
-  auto R = checkQueueConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Queue);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -180,17 +192,18 @@ TEST(QueueConsistencyTest, EmpDeqBeforeLaterConsumerStrictMode) {
   B.add(OpKind::DeqEmpty, EmptyVal, {E1}, 1);
   EventId D1 = B.add(OpKind::DeqOk, 1, {E1}, 2);
   B.so(E1, D1);
-  EXPECT_TRUE(checkQueueConsistent(B.G, 0).ok());
+  EXPECT_TRUE(checkConsistent(B.G, 0, SeqSpec::Queue).ok());
   ContainerCheckOptions Strict;
   Strict.StrictEmpty = true;
   EXPECT_TRUE(
-      hasViolation(checkQueueConsistent(B.G, 0, Strict), "EMPTY-STRICT"));
+      hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue, Strict),
+                   "EMPTY-STRICT"));
 }
 
 TEST(QueueConsistencyTest, ForeignKindsRejected) {
   GraphBuilder B;
   B.add(OpKind::Push, 1);
-  EXPECT_TRUE(hasViolation(checkQueueConsistent(B.G, 0), "KINDS"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Queue), "KINDS"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,7 +215,7 @@ TEST(StackConsistencyTest, LifoPairConsistent) {
   EventId P1 = B.add(OpKind::Push, 1);
   EventId O1 = B.add(OpKind::PopOk, 1, {P1}, 1);
   B.so(P1, O1);
-  auto R = checkStackConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Stack);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -214,7 +227,7 @@ TEST(StackConsistencyTest, LifoViolationDetected) {
   EventId P2 = B.add(OpKind::Push, 2, {P1}, 0);
   EventId O1 = B.add(OpKind::PopOk, 1, {P2}, 1);
   B.so(P1, O1);
-  EXPECT_TRUE(hasViolation(checkStackConsistent(B.G, 0), "LIFO"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Stack), "LIFO"));
 }
 
 TEST(StackConsistencyTest, PopInLifoOrderConsistent) {
@@ -225,7 +238,7 @@ TEST(StackConsistencyTest, PopInLifoOrderConsistent) {
   EventId O1 = B.add(OpKind::PopOk, 1, {O2}, 1);
   B.so(P2, O2);
   B.so(P1, O1);
-  auto R = checkStackConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Stack);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -238,7 +251,7 @@ TEST(StackConsistencyTest, PopsWithoutKnowledgeOfLaterPushConsistent) {
   (void)P2;
   EventId O1 = B.add(OpKind::PopOk, 1, {P1}, 1);
   B.so(P1, O1);
-  auto R = checkStackConsistent(B.G, 0);
+  auto R = checkConsistent(B.G, 0, SeqSpec::Stack);
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
@@ -246,7 +259,7 @@ TEST(StackConsistencyTest, EmptyPopKnowingUnpoppedViolates) {
   GraphBuilder B;
   EventId P1 = B.add(OpKind::Push, 1, {}, 0);
   B.add(OpKind::PopEmpty, EmptyVal, {P1}, 1);
-  EXPECT_TRUE(hasViolation(checkStackConsistent(B.G, 0), "EMPTY"));
+  EXPECT_TRUE(hasViolation(checkConsistent(B.G, 0, SeqSpec::Stack), "EMPTY"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -328,7 +341,7 @@ TEST(AbsStateTest, FifoReplayConsistent) {
   EventId D2 = B.add(OpKind::DeqOk, 2, {E2}, 1);
   B.so(E1, D1);
   B.so(E2, D2);
-  EXPECT_TRUE(checkQueueAbsState(B.G, 0).ok());
+  EXPECT_TRUE(checkAbsState(B.G, 0, SeqSpec::Queue).ok());
 }
 
 TEST(AbsStateTest, FifoReplayOutOfOrderViolates) {
@@ -337,7 +350,7 @@ TEST(AbsStateTest, FifoReplayOutOfOrderViolates) {
   EventId E2 = B.add(OpKind::Enq, 2, {E1});
   EventId D2 = B.add(OpKind::DeqOk, 2, {E2}, 1); // Pops 2 while 1 in front.
   B.so(E2, D2);
-  EXPECT_TRUE(hasViolation(checkQueueAbsState(B.G, 0), "ABS"));
+  EXPECT_TRUE(hasViolation(checkAbsState(B.G, 0, SeqSpec::Queue), "ABS"));
 }
 
 TEST(AbsStateTest, LifoReplayConsistent) {
@@ -348,14 +361,14 @@ TEST(AbsStateTest, LifoReplayConsistent) {
   EventId O1 = B.add(OpKind::PopOk, 1, {O2}, 1);
   B.so(P2, O2);
   B.so(P1, O1);
-  EXPECT_TRUE(checkStackAbsState(B.G, 0).ok());
+  EXPECT_TRUE(checkAbsState(B.G, 0, SeqSpec::Stack).ok());
 }
 
 TEST(AbsStateTest, ConsumeFromEmptyViolates) {
   GraphBuilder B;
   EventId D = B.add(OpKind::DeqOk, 1);
   (void)D;
-  EXPECT_TRUE(hasViolation(checkQueueAbsState(B.G, 0), "ABS"));
+  EXPECT_TRUE(hasViolation(checkAbsState(B.G, 0, SeqSpec::Queue), "ABS"));
 }
 
 TEST(AbsStateTest, TrueEmptyOptionFlagsNonEmptyEmpties) {
@@ -363,12 +376,190 @@ TEST(AbsStateTest, TrueEmptyOptionFlagsNonEmptyEmpties) {
   EventId E1 = B.add(OpKind::Enq, 1);
   (void)E1;
   B.add(OpKind::DeqEmpty, EmptyVal, {}, 1);
-  EXPECT_TRUE(checkQueueAbsState(B.G, 0).ok());
+  EXPECT_TRUE(checkAbsState(B.G, 0, SeqSpec::Queue).ok());
   AbsStateOptions Strict;
   Strict.RequireTrueEmpty = true;
   EXPECT_TRUE(
-      hasViolation(checkQueueAbsState(B.G, 0, Strict), "ABS-EMPTY"));
+      hasViolation(checkAbsState(B.G, 0, SeqSpec::Queue, Strict), "ABS-EMPTY"));
 }
+
+//===----------------------------------------------------------------------===//
+// Every container rule at every end (table-driven)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One end of one container. The kinds are spelled out here rather than
+/// read from spec::ContainerSpecs, so the suite checks that table too.
+struct EndCase {
+  const char *Name;
+  SeqSpec Spec;
+  OpKind Produce, Consume, Empty;
+  unsigned Consumer; ///< A thread that may consume here; producers run on
+                     ///< thread 0, the deque's owner.
+  bool SingleOwner;  ///< Consuming from the other thread breaks OWNER.
+  bool TakesNewest;  ///< The LIFO end: stack top, deque bottom.
+  OrderAxiom Order;
+};
+
+const EndCase EndCases[] = {
+    {"queue", SeqSpec::Queue, OpKind::Enq, OpKind::DeqOk, OpKind::DeqEmpty, 1,
+     false, false, OrderAxiom::Fifo},
+    {"stack", SeqSpec::Stack, OpKind::Push, OpKind::PopOk, OpKind::PopEmpty,
+     1, false, true, OrderAxiom::Lifo},
+    {"deque_take", SeqSpec::WsDeque, OpKind::Push, OpKind::PopOk,
+     OpKind::PopEmpty, 0, true, true, OrderAxiom::None},
+    {"deque_steal", SeqSpec::WsDeque, OpKind::Push, OpKind::Steal,
+     OpKind::StealEmpty, 1, true, false, OrderAxiom::None},
+};
+
+class ContainerRuleTest : public ::testing::TestWithParam<EndCase> {
+protected:
+  const EndCase &C = GetParam();
+  GraphBuilder B;
+
+  EventId produce(rmc::Value V, std::initializer_list<EventId> Seen = {}) {
+    return B.add(C.Produce, V, Seen, 0);
+  }
+  EventId consume(rmc::Value V, std::initializer_list<EventId> Seen = {}) {
+    return B.add(C.Consume, V, Seen, C.Consumer);
+  }
+  EventId empty(std::initializer_list<EventId> Seen = {}) {
+    return B.add(C.Empty, EmptyVal, Seen, C.Consumer);
+  }
+  CheckResult graph(ContainerCheckOptions O = {}) {
+    return checkConsistent(B.G, 0, C.Spec, O);
+  }
+  CheckResult abs(AbsStateOptions O = {}) {
+    return checkAbsState(B.G, 0, C.Spec, O);
+  }
+};
+
+} // namespace
+
+TEST_P(ContainerRuleTest, TableAgreesWithTheCase) {
+  const ContainerSpec &S = containerSpec(C.Spec);
+  End At = C.TakesNewest ? End::Back : End::Front;
+  EXPECT_EQ(S.Produce, C.Produce);
+  EXPECT_EQ(S.Consume[unsigned(At)], C.Consume);
+  EXPECT_EQ(S.Empty[unsigned(At)], C.Empty);
+  EXPECT_EQ(S.SingleOwner, C.SingleOwner);
+  EXPECT_EQ(S.Order, C.Order);
+}
+
+TEST_P(ContainerRuleTest, MatchedPairIsConsistent) {
+  EventId P = produce(1);
+  B.so(P, consume(1, {P}));
+  EXPECT_TRUE(graph().ok()) << graph().str();
+  EXPECT_TRUE(abs().ok()) << abs().str();
+}
+
+TEST_P(ContainerRuleTest, ForeignKindFiresKinds) {
+  B.add(OpKind::Exchange, 1, {}, 0, 2);
+  EXPECT_EQ(countRule(graph(), "KINDS"), 1u);
+  EXPECT_EQ(countRule(abs(), "ABS-KIND"), 1u);
+}
+
+TEST_P(ContainerRuleTest, SoIntoEmptyConsumeFiresSoKinds) {
+  EventId P = produce(1);
+  B.so(P, empty({P}));
+  EXPECT_EQ(countRule(graph(), "SO-KINDS"), 1u);
+}
+
+TEST_P(ContainerRuleTest, ValueMismatchFiresMatches) {
+  EventId P = produce(1);
+  B.so(P, consume(2, {P}));
+  EXPECT_EQ(countRule(graph(), "MATCHES"), 1u);
+  EXPECT_EQ(countRule(abs(), "ABS"), 1u);
+}
+
+TEST_P(ContainerRuleTest, UnobservedProducerFiresSoLhb) {
+  EventId P = produce(1);
+  B.so(P, consume(1));
+  EXPECT_EQ(countRule(graph(), "SO-LHB"), 1u);
+}
+
+TEST_P(ContainerRuleTest, ElementConsumedTwiceFiresInj) {
+  EventId P = produce(1);
+  B.so(P, consume(1, {P}));
+  B.so(P, consume(1, {P}));
+  EXPECT_EQ(countRule(graph(), "INJ"), 1u);
+}
+
+TEST_P(ContainerRuleTest, ConsumeOfTwoProducersFiresInj) {
+  EventId P1 = produce(1);
+  EventId P2 = produce(1, {P1});
+  EventId D = consume(1, {P2});
+  B.so(P1, D);
+  B.so(P2, D);
+  EXPECT_EQ(countRule(graph(), "INJ"), 1u) << graph().str();
+}
+
+TEST_P(ContainerRuleTest, ConsumeWithoutProducerFiresUnmatched) {
+  consume(1);
+  EXPECT_EQ(countRule(graph(), "UNMATCHED"), 1u);
+  EXPECT_EQ(countRule(abs(), "ABS"), 1u); // Consume from the empty state.
+}
+
+TEST_P(ContainerRuleTest, EmptyConsumeKnowingUnconsumedFiresEmpty) {
+  EventId P = produce(1);
+  empty({P});
+  EXPECT_EQ(countRule(graph(), "EMPTY"), 1u);
+}
+
+TEST_P(ContainerRuleTest, EmptyConsumeBeforeLaterConsumerFiresStrictOnly) {
+  EventId P = produce(1);
+  empty({P});
+  B.so(P, consume(1, {P}));
+  EXPECT_TRUE(graph().ok()) << graph().str();
+  ContainerCheckOptions Strict;
+  Strict.StrictEmpty = true;
+  EXPECT_EQ(countRule(graph(Strict), "EMPTY-STRICT"), 1u);
+}
+
+TEST_P(ContainerRuleTest, EmptyConsumeOnNonEmptyStateFiresTrueEmptyOnly) {
+  produce(1);
+  empty();
+  EXPECT_TRUE(abs().ok()) << abs().str();
+  AbsStateOptions Strict;
+  Strict.RequireTrueEmpty = true;
+  EXPECT_EQ(countRule(abs(Strict), "ABS-EMPTY"), 1u);
+}
+
+TEST_P(ContainerRuleTest, ConsumingTheNewerOfTwoNeedsFifoOnly) {
+  // p1 lhb p2 and only p2 is consumed: QUEUE-FIFO. In commit order this
+  // takes the newest, legal at the stack's top and the deque's bottom.
+  EventId P1 = produce(1);
+  EventId P2 = produce(2, {P1});
+  B.so(P2, consume(2, {P2}));
+  EXPECT_EQ(countRule(graph(), "FIFO"), C.Order == OrderAxiom::Fifo ? 1u : 0u);
+  EXPECT_EQ(graph().ok(), C.Order != OrderAxiom::Fifo) << graph().str();
+  EXPECT_EQ(abs().ok(), C.TakesNewest) << abs().str();
+}
+
+TEST_P(ContainerRuleTest, ConsumingTheOlderPastANewerNeedsLifoOnly) {
+  // p1 lhb p2 lhb d, d consumes p1 and p2 stays: the stack analog. An
+  // owner take of the deque's top breaks the abstract state, not the graph.
+  EventId P1 = produce(1);
+  EventId P2 = produce(2, {P1});
+  B.so(P1, consume(1, {P2}));
+  EXPECT_EQ(countRule(graph(), "LIFO"), C.Order == OrderAxiom::Lifo ? 1u : 0u);
+  EXPECT_EQ(graph().ok(), C.Order != OrderAxiom::Lifo) << graph().str();
+  EXPECT_EQ(abs().ok(), !C.TakesNewest) << abs().str();
+}
+
+TEST_P(ContainerRuleTest, ConsumesFromTheOtherSideFireOwner) {
+  EventId P = produce(1);
+  unsigned Other = 1 - C.Consumer;
+  B.so(P, B.add(C.Consume, 1, {P}, Other));
+  B.add(C.Empty, EmptyVal, {}, Other);
+  EXPECT_EQ(countRule(graph(), "OWNER"), C.SingleOwner ? 2u : 0u)
+      << graph().str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ends, ContainerRuleTest, ::testing::ValuesIn(EndCases),
+    [](const ::testing::TestParamInfo<EndCase> &I) { return I.param.Name; });
 
 //===----------------------------------------------------------------------===//
 // Linearization search (LAT_hist_hb)

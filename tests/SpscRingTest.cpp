@@ -84,13 +84,13 @@ RingStats exploreRing(unsigned Capacity, std::vector<Value> Items,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Stats.Checked;
-        auto GR = checkQueueConsistent(Mon->graph(), Q->objId());
+        auto GR = checkConsistent(Mon->graph(), Q->objId(), SeqSpec::Queue);
         if (!GR.ok()) {
           ++Stats.GraphViolations;
           if (Stats.FirstViolation.empty())
             Stats.FirstViolation = GR.str() + Mon->graph().str();
         }
-        if (!checkQueueAbsState(Mon->graph(), Q->objId()).ok())
+        if (!checkAbsState(Mon->graph(), Q->objId(), SeqSpec::Queue).ok())
           ++Stats.AbsViolations;
       });
   Stats.Races = Sum.Races;

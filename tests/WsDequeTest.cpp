@@ -2,9 +2,9 @@
 //
 // The paper's Section 6 future-work library, realized and verified: every
 // explored execution of the Chase-Lev deque (Lê et al. C11 orderings) is
-// checked against WsDequeConsistent, the double-ended abstract-state
-// replay, and the SeqSpec::WsDeque linearization search. Also stress-
-// tests the native std::atomic twin.
+// checked against the SeqSpec::WsDeque table entry (its graph axioms and
+// its double-ended abstract-state replay) and the SeqSpec::WsDeque
+// linearization search. Also stress-tests the native std::atomic twin.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,13 +112,13 @@ DequeStats exploreDeque(OwnerFactoryT MakeOwner, unsigned Thieves,
         if (R != Scheduler::RunResult::Done)
           return;
         ++Stats.Checked;
-        auto GR = checkWsDequeConsistent(Mon->graph(), D->objId());
+        auto GR = checkConsistent(Mon->graph(), D->objId(), SeqSpec::WsDeque);
         if (!GR.ok()) {
           ++Stats.GraphViolations;
           if (Stats.FirstViolation.empty())
             Stats.FirstViolation = GR.str() + Mon->graph().str();
         }
-        auto AR = checkWsDequeAbsState(Mon->graph(), D->objId());
+        auto AR = checkAbsState(Mon->graph(), D->objId(), SeqSpec::WsDeque);
         if (!AR.ok()) {
           ++Stats.AbsViolations;
           if (Stats.FirstViolation.empty())
