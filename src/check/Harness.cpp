@@ -142,6 +142,43 @@ Verdict ContainerAdapter::verdict(
                         Limits);
 }
 
+void check::verdictKey(const graph::EventGraph &G,
+                       const std::vector<std::vector<Observed>> &Results,
+                       std::vector<uint64_t> &Key) {
+  Key.clear();
+  Key.push_back(G.size());
+  for (graph::EventId Id = 0; Id != G.size(); ++Id) {
+    if (!G.isCommitted(Id)) {
+      Key.push_back(0);
+      continue;
+    }
+    // Bit 32 marks a committed id, so no event's first word is 0.
+    const graph::Event &E = G.event(Id);
+    Key.push_back(uint64_t(E.Kind) << 33 | 1ull << 32 | E.CommitIdx);
+    Key.push_back(uint64_t(E.ObjId) << 32 | E.Thread);
+    Key.push_back(E.V1);
+    Key.push_back(E.V2);
+    const std::vector<uint64_t> &View = E.LogView.words();
+    size_t N = View.size();
+    while (N && !View[N - 1])
+      --N;
+    Key.push_back(N);
+    Key.insert(Key.end(), View.begin(), View.begin() + N);
+  }
+  Key.push_back(G.so().size());
+  for (const graph::SoEdge &Edge : G.so())
+    Key.push_back(uint64_t(Edge.From) << 32 | Edge.To);
+  Key.push_back(Results.size());
+  for (const std::vector<Observed> &Thread : Results) {
+    Key.push_back(Thread.size());
+    for (const Observed &O : Thread) {
+      Key.push_back(uint64_t(O.Code));
+      Key.push_back(O.Arg);
+      Key.push_back(O.Result);
+    }
+  }
+}
+
 sim::Explorer::Options check::scenarioOptions(const Scenario &S,
                                               uint64_t MaxExecutions,
                                               unsigned Workers,
@@ -218,7 +255,17 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
     case sim::Scheduler::RunResult::Done:
       break;
     }
-    Verdict V = St->A->verdict(*St->Mon, St->Results, St->Limits);
+    // The verdict memo (RunState::Passes); failures are always recomputed.
+    verdictKey(St->Mon->graph(), St->Results, St->Key);
+    Verdict V;
+    if (auto Hit = St->Passes.find(St->Key); Hit != St->Passes.end()) {
+      ++St->MemoHits;
+      V.LinAborted = Hit->second;
+    } else {
+      V = St->A->verdict(*St->Mon, St->Results, St->Limits);
+      if (V.Ok)
+        St->Passes.emplace(St->Key, V.LinAborted);
+    }
     if (V.LinAborted) {
       ++St->LinAborts;
       if (St->SharedLinAborts)

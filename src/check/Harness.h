@@ -11,7 +11,7 @@
 /// per-thread coroutines execute the op lists while recording the
 /// observed results, and the workload's Check closure hands every completed
 /// execution's event graph plus observations to the reference model
-/// (check/RefModel.h).
+/// (check/RefModel.h), unless the same body already passed the same input.
 ///
 /// Observed-result encoding (Observed::Result):
 ///  * enq/push: the pushed value on success; 0 when an SPSC tryEnqueue
@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <memory>
+#include <unordered_map>
 
 namespace compass::check {
 
@@ -74,9 +75,34 @@ private:
   unsigned Obj = 0; ///< Object id under which events are committed.
 };
 
+/// Writes into \p Key (cleared first) everything ContainerAdapter::verdict
+/// reads of one completed execution: \p G's size, which ids are committed,
+/// each committed event's kind, V1, V2, ObjId, Thread, CommitIdx and
+/// logical view, the so edges in order, and \p Results. Physical views are
+/// left out (no check reads them). Equal keys mean equal inputs, so, for
+/// one scenario, mutation and search budget, equal verdicts.
+void verdictKey(const graph::EventGraph &G,
+                const std::vector<std::vector<Observed>> &Results,
+                std::vector<uint64_t> &Key);
+
+/// Hashes a verdictKey. RunState::Passes also compares keys whole, so a
+/// collision costs a probe, never a wrong verdict.
+struct VerdictKeyHash {
+  size_t operator()(const std::vector<uint64_t> &Key) const {
+    uint64_t H = Key.size();
+    for (uint64_t W : Key) {
+      H = (H ^ W) * 0x9e3779b97f4a7c15ull;
+      H ^= H >> 29;
+    }
+    return H;
+  }
+};
+
 /// Per-body state shared between the workload closures and the caller;
 /// lets the driver read the last execution's verdict after a replay.
 struct RunState {
+  // S, Mut and Limits must not change once exploration starts: the verdict
+  // memo's keys leave them out.
   Scenario S;
   Mutation Mut = Mutation::None;
   spec::LinearizeLimits Limits{200000};
@@ -93,6 +119,14 @@ struct RunState {
   /// When set, budget overruns are also folded into this cross-worker
   /// counter (see makeWorkload).
   std::shared_ptr<std::atomic<uint64_t>> SharedLinAborts;
+
+  /// The verdict memo (DESIGN.md §7): each passing verdict's verdictKey,
+  /// mapped to its LinAborted bit. Failures are never stored. The table
+  /// lives as long as this body (one worker, one scenario) and is not
+  /// checkpointed.
+  std::unordered_map<std::vector<uint64_t>, bool, VerdictKeyHash> Passes;
+  std::vector<uint64_t> Key; ///< verdictKey's buffer, reused.
+  uint64_t MemoHits = 0;     ///< Checks answered from Passes.
 };
 
 /// Exploration options tuned for \p S (preemption bound from the scenario,

@@ -54,11 +54,10 @@ Verdict injPrescan(const EventGraph &G, unsigned ObjId,
 /// Steps 3-4: witness search plus the oracle's re-check.
 Verdict checkWitness(const EventGraph &G, unsigned ObjId,
                      spec::SeqSpec Spec, spec::LinearizeLimits Limits,
-                     Verdict &Out) {
+                     bool &Aborted) {
   spec::LinearizationResult R =
       spec::findLinearization(G, ObjId, Spec, Limits);
-  Out.LinStates = R.StatesExplored;
-  Out.LinAborted = R.Aborted;
+  Aborted = R.Aborted;
   if (R.Aborted)
     return {}; // Unknown: budget ran out; the driver counts these.
   if (!R.Found) {
@@ -236,8 +235,6 @@ Verdict check::checkExecution(
     const EventGraph &G, unsigned ObjId, std::optional<spec::SeqSpec> Spec,
     const std::vector<std::vector<Observed>> &PerThread,
     spec::LinearizeLimits Limits, SpecStrength Strength) {
-  Verdict Out;
-
   // Exchangers: pairing axioms + OBS; no linearization spec.
   if (!Spec) {
     spec::CheckResult C = spec::checkExchangerConsistent(G, ObjId);
@@ -256,17 +253,14 @@ Verdict check::checkExecution(
 
   // Steps 3-4 only at LAT_hist_hb strength: an HbOnly library (the relaxed
   // HW queue) is *specified* to admit witness-less executions (§3.2).
+  bool LinAborted = false;
   if (Strength == SpecStrength::Linearizable) {
-    V = checkWitness(G, ObjId, *Spec, Limits, Out);
-    if (!V.Ok) {
-      V.LinStates = Out.LinStates;
-      V.LinAborted = Out.LinAborted;
-      return V;
-    }
+    V = checkWitness(G, ObjId, *Spec, Limits, LinAborted);
+    if (!V.Ok)
+      return V; // An aborted search returns ok, so LinAborted is false.
   }
 
   V = obsCheck(G, ObjId, PerThread);
-  V.LinStates = Out.LinStates;
-  V.LinAborted = Out.LinAborted;
+  V.LinAborted = LinAborted;
   return V;
 }

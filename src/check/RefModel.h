@@ -59,7 +59,6 @@ struct Verdict {
   std::string Rule;   ///< Violated rule ("INJ", "QUEUE-FIFO", "WITNESS",
                       ///< "ORACLE", "OBS", "RACE", ...). Empty when Ok.
   std::string Detail; ///< Human-readable mismatch diagnostics.
-  uint64_t LinStates = 0; ///< Linearization search effort.
   bool LinAborted = false; ///< The state budget ran out (result unknown;
                            ///< treated as pass, counted by the driver).
 

@@ -96,6 +96,10 @@ public:
     }
   }
 
+  /// The backing bitset: id I is bit I % 64 of word I / 64. Trailing words
+  /// may be zero.
+  const std::vector<uint64_t> &words() const { return Words; }
+
   /// Materializes the set as a sorted vector of ids.
   std::vector<uint32_t> toVector() const {
     std::vector<uint32_t> Out;

@@ -7,11 +7,14 @@
 //  * every seeded mutant is killed, each through the intended oracle stage
 //    (race detector, consistency axioms, INJ prescan, observed results);
 //  * the shrinker strictly reduces and its output still fails on replay;
-//  * diagnoseTrace canonicalizes traces into divergence-free replays.
+//  * diagnoseTrace canonicalizes traces into divergence-free replays;
+//  * the verdict memo's key covers every input the verdict reads, and the
+//    memoised verdict equals the uncached one on every execution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/Conformance.h"
+#include "check/ScenarioGen.h"
 #include "rmc/Machine.h"
 #include "sim/Explorer.h"
 #include "spec/Linearization.h"
@@ -520,4 +523,201 @@ TEST(VerdictTest, DiagnoseReportsStructuredRule) {
   EXPECT_FALSE(D.V.Rule.empty());
   EXPECT_FALSE(D.V.Detail.empty());
   EXPECT_NE(D.V.str(), "ok");
+}
+
+//===----------------------------------------------------------------------===//
+// The verdict memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One verdictKey input, built from parts so a test can change one of them.
+struct KeyInput {
+  std::vector<std::pair<graph::EventId, graph::Event>> Events; ///< Committed.
+  unsigned Size = 0; ///< Ids past the last event are left reserved.
+  std::vector<graph::SoEdge> So;
+  std::vector<std::vector<Observed>> Results;
+
+  std::vector<uint64_t> key() const {
+    graph::EventGraph G;
+    for (const auto &[Id, E] : Events)
+      G.addRaw(Id, E); // Skipped ids become retracted.
+    while (G.size() < Size)
+      G.reserve();
+    for (graph::SoEdge Edge : So)
+      G.addSo(Edge.From, Edge.To);
+    std::vector<uint64_t> Key;
+    verdictKey(G, Results, Key);
+    return Key;
+  }
+};
+
+graph::Event keyEvent(graph::OpKind Kind, rmc::Value V1, unsigned Thread,
+                      uint32_t CommitIdx, std::vector<graph::EventId> View) {
+  graph::Event E;
+  E.Kind = Kind;
+  E.V1 = V1;
+  E.Thread = Thread;
+  E.CommitIdx = CommitIdx;
+  E.PhysView.raise(3, 1);
+  for (graph::EventId Id : View)
+    E.LogView.insert(Id);
+  return E;
+}
+
+/// #0 Enq(1) by thread 0, #1 retracted, #2 Deq(1) by thread 1 matched to
+/// #0, and both threads' observed results.
+KeyInput keyBase() {
+  KeyInput In;
+  In.Events = {{0, keyEvent(graph::OpKind::Enq, 1, 0, 0, {0})},
+               {2, keyEvent(graph::OpKind::DeqOk, 1, 1, 1, {0, 2})}};
+  In.Size = 3;
+  In.So = {{0, 2}};
+  In.Results = {{{OpCode::Enq, 1, 1}}, {{OpCode::Deq, 0, 1}}};
+  return In;
+}
+
+} // namespace
+
+TEST(VerdictMemo, KeyCoversEveryCheckedInput) {
+  const std::vector<uint64_t> Base = keyBase().key();
+  ASSERT_EQ(keyBase().key(), Base);
+  using Tweak = void (*)(KeyInput &);
+  const std::pair<const char *, Tweak> Changes[] = {
+      {"kind", [](KeyInput &In) {
+         In.Events[1].second.Kind = graph::OpKind::DeqEmpty;
+       }},
+      {"V1", [](KeyInput &In) { In.Events[1].second.V1 = 2; }},
+      {"V2", [](KeyInput &In) { In.Events[1].second.V2 = 7; }},
+      {"ObjId", [](KeyInput &In) { In.Events[1].second.ObjId = 1; }},
+      {"Thread", [](KeyInput &In) { In.Events[1].second.Thread = 0; }},
+      {"CommitIdx", [](KeyInput &In) { In.Events[1].second.CommitIdx = 5; }},
+      {"logical view", [](KeyInput &In) {
+         In.Events[1].second.LogView.erase(0);
+       }},
+      {"so edge", [](KeyInput &In) { In.So = {{2, 0}}; }},
+      {"committed state", [](KeyInput &In) {
+         In.Events.push_back({1, keyEvent(graph::OpKind::Enq, 3, 0, 2, {1})});
+       }},
+      {"G.size()", [](KeyInput &In) { In.Size = 4; }},
+      {"Observed code", [](KeyInput &In) {
+         In.Results[1][0].Code = OpCode::Pop;
+       }},
+      {"Observed arg", [](KeyInput &In) { In.Results[0][0].Arg = 2; }},
+      {"Observed result", [](KeyInput &In) {
+         In.Results[1][0].Result = graph::EmptyVal;
+       }},
+  };
+  for (const auto &[What, Change] : Changes) {
+    KeyInput In = keyBase();
+    Change(In);
+    EXPECT_NE(In.key(), Base) << "changing the " << What
+                              << " leaves the key unchanged";
+  }
+
+  // No check reads physical views, and trailing zero words of a logical
+  // view mean nothing.
+  KeyInput In = keyBase();
+  In.Events[0].second.PhysView.raise(5, 9);
+  In.Events[1].second.LogView.insert(200);
+  In.Events[1].second.LogView.erase(200);
+  EXPECT_EQ(In.key(), Base);
+}
+
+namespace {
+
+/// What one differential exploration compared.
+struct MemoTally {
+  uint64_t Done = 0;
+  uint64_t Failures = 0; ///< Failing uncached verdicts.
+  uint64_t Aborts = 0;   ///< Uncached verdicts whose search aborted.
+  uint64_t Hits = 0;     ///< Done executions answered from the memo.
+  uint64_t LinAborts = 0; ///< RunState::LinAborts at the end.
+};
+
+/// Explores \p S under \p Mut with the instrumented body's Check wrapped:
+/// after each Done execution the wrapper recomputes the uncached verdict
+/// and requires the memoised one (RunState::LastVerdict) to equal it.
+/// \p Limits is set before exploring.
+MemoTally exploreMemoAgainstUncached(const Scenario &S, Mutation Mut,
+                                     sim::ReductionMode Red,
+                                     spec::LinearizeLimits Limits = {200000}) {
+  Instrumented I = makeInstrumented(S, Mut, scenarioOptions(S, 3000, 1, Red));
+  RunState &St = *I.State;
+  St.Limits = Limits;
+  MemoTally T;
+  sim::Workload::Body B = I.W.makeBody();
+  B.Check = [&, Check = std::move(B.Check)](rmc::Machine &M,
+                                            sim::Scheduler &Sch,
+                                            sim::Scheduler::RunResult R) {
+    bool Ok = Check(M, Sch, R);
+    if (R != sim::Scheduler::RunResult::Done)
+      return Ok;
+    Verdict U = St.A->verdict(*St.Mon, St.Results, St.Limits);
+    const Verdict &V = St.LastVerdict;
+    EXPECT_EQ(V.Ok, U.Ok) << S.str() << " -> " << U.str();
+    EXPECT_EQ(V.Rule, U.Rule) << S.str();
+    EXPECT_EQ(V.Detail, U.Detail) << S.str();
+    EXPECT_EQ(V.LinAborted, U.LinAborted) << S.str();
+    ++T.Done;
+    T.Failures += !U.Ok;
+    T.Aborts += U.LinAborted;
+    return Ok;
+  };
+  sim::exploreSerial(sim::Workload(I.W.options(), std::move(B)));
+  T.Hits = St.MemoHits;
+  T.LinAborts = St.LinAborts;
+  EXPECT_LE(T.Hits, T.Done) << S.str();
+  return T;
+}
+
+/// Small generated shapes: 2 threads, at most 3 ops each, bound 1-2.
+Scenario memoScenario(Lib L, uint64_t Seed) {
+  GenOptions G;
+  G.MaxThreads = 2;
+  G.MaxOpsPerThread = 3;
+  G.MinPreemptions = 1;
+  G.MaxPreemptions = 2;
+  return generateScenario(L, scenarioSeed(Seed, L, 0), G);
+}
+
+} // namespace
+
+TEST(VerdictMemo, MemoisedVerdictEqualsUncachedOnEveryExecution) {
+  std::vector<std::pair<Lib, Mutation>> Cases;
+  for (unsigned I = 0; I != NumLibs; ++I)
+    Cases.push_back({allLibs()[I], Mutation::None});
+  for (unsigned I = 1; I != NumMutations; ++I) {
+    auto Mut = static_cast<Mutation>(I);
+    Cases.push_back({mutationLib(Mut), Mut});
+  }
+  MemoTally Sum;
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+    for (sim::ReductionMode Red :
+         {sim::ReductionMode::None, sim::ReductionMode::SourceSet})
+      for (const auto &[L, Mut] : Cases) {
+        MemoTally T = exploreMemoAgainstUncached(memoScenario(L, Seed), Mut,
+                                                 Red);
+        Sum.Done += T.Done;
+        Sum.Failures += T.Failures;
+        Sum.Hits += T.Hits;
+      }
+  EXPECT_GT(Sum.Hits, 0u) << "no execution was answered from the memo";
+  EXPECT_GT(Sum.Failures, 0u) << "no failing verdict was compared";
+  EXPECT_LT(Sum.Hits, Sum.Done);
+}
+
+TEST(VerdictMemo, HitsCountTheirLinearizationAborts) {
+  // A two-state search budget aborts almost every search; a hit must add
+  // its stored LinAborted exactly as a computed verdict does.
+  Scenario S;
+  S.L = Lib::MsQueue;
+  S.PreemptionBound = 1;
+  S.Threads = {{{OpCode::Enq, 1}, {OpCode::Deq, 0}, {OpCode::Enq, 2}},
+               {{OpCode::Enq, 3}, {OpCode::Deq, 0}}};
+  MemoTally T = exploreMemoAgainstUncached(S, Mutation::None,
+                                           sim::ReductionMode::None, {2});
+  EXPECT_GT(T.Hits, 0u);
+  EXPECT_GT(T.Aborts, T.Done / 2);
+  EXPECT_EQ(T.LinAborts, T.Aborts);
 }
