@@ -11,8 +11,8 @@ Sections:
   * configuration  — from the run_start record(s); a file holds several
     when runs append to the same path (each resume adds one);
   * progress       — execs/sec over time from heartbeat records, with a
-    small ASCII sparkline, queue/busy-worker extremes, and per-worker
-    donation totals;
+    small ASCII sparkline, queue/busy-worker extremes, and the last
+    heartbeat's per-worker samples (execs, donated, frontier, depth);
   * violations     — every violation record with its replayable decision
     trace (feed to `compass_check replay`);
   * checkpoints    — when/why checkpoints were cut;
@@ -123,6 +123,11 @@ def report(records, truncated):
         donations = max(int(h.get("donations", 0)) for h in hbs)
         print(f"  peak queue {peak_q}  peak busy workers {peak_busy}  "
               f"donations {donations}")
+        for i, w in enumerate(hbs[-1].get("per_worker", [])):
+            print(f"  worker {i}: execs {w.get('execs', 0):,}  "
+                  f"donated {w.get('donated', 0):,}  "
+                  f"frontier {w.get('frontier', 0):,}  "
+                  f"depth {w.get('depth', 0)}")
         last = hbs[-1].get("sweep", {})
         if last:
             print(f"  last sweep counters: "

@@ -266,11 +266,8 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
       if (V.Ok)
         St->Passes.emplace(St->Key, V.LinAborted);
     }
-    if (V.LinAborted) {
-      ++St->LinAborts;
-      if (St->SharedLinAborts)
-        St->SharedLinAborts->fetch_add(1, std::memory_order_relaxed);
-    }
+    if (V.LinAborted && St->SharedLinAborts)
+      St->SharedLinAborts->fetch_add(1, std::memory_order_relaxed);
     St->LastVerdict = V;
     return V.Ok;
   };

@@ -115,9 +115,8 @@ struct RunState {
   // Written by Check:
   Verdict LastVerdict;
   sim::Scheduler::RunResult LastRun = sim::Scheduler::RunResult::Done;
-  uint64_t LinAborts = 0; ///< Accumulated linearization budget overruns.
-  /// When set, budget overruns are also folded into this cross-worker
-  /// counter (see makeWorkload).
+  /// When set, counts the linearization budget overruns across workers
+  /// (see makeWorkload).
   std::shared_ptr<std::atomic<uint64_t>> SharedLinAborts;
 
   /// The verdict memo (DESIGN.md §7): each passing verdict's verdictKey,

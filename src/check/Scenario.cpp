@@ -2,7 +2,7 @@
 
 #include "check/Scenario.h"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 using namespace compass;
@@ -282,18 +282,48 @@ std::vector<std::string> splitOn(const std::string &S, char Sep) {
   return Out;
 }
 
-bool parseU64(const std::string &S, uint64_t &Out) {
+/// Parses an unsigned decimal no greater than \p Max: digits only (no
+/// sign, space or base prefix), rejecting overflow instead of wrapping.
+bool parseDecimal(const std::string &S, uint64_t Max, uint64_t &Out) {
   if (S.empty())
     return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End && *End == '\0';
+  Out = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (Out > (Max - D) / 10)
+      return false;
+    Out = Out * 10 + D;
+  }
+  return true;
+}
+
+/// True when \p L runs op \p C (ContainerAdapter::apply has a path for it).
+bool libRunsOp(Lib L, OpCode C) {
+  switch (L) {
+  case Lib::MsQueue:
+  case Lib::HwQueue:
+  case Lib::SpscRing:
+    return C == OpCode::Enq || C == OpCode::Deq;
+  case Lib::TreiberStack:
+  case Lib::ElimStack:
+  case Lib::TreiberEbr:
+    return C == OpCode::Push || C == OpCode::Pop;
+  case Lib::Exchanger:
+    return C == OpCode::Exchange;
+  case Lib::WsDeque:
+    return C == OpCode::Push || C == OpCode::Take || C == OpCode::Steal;
+  }
+  return false;
 }
 
 } // namespace
 
 bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
                              std::string &Err) {
+  constexpr uint64_t MaxU64 = std::numeric_limits<uint64_t>::max();
+  constexpr uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
   Out = CorpusEntry();
   bool SawLib = false;
   std::istringstream IS(Text);
@@ -319,35 +349,28 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
       return false;
     }
     std::string Key = Line.substr(0, Eq), Val = Line.substr(Eq + 1);
+    auto Bad = [&](const std::string &What) {
+      Err = Key + ": " + What;
+      return false;
+    };
     uint64_t U;
     if (Key == "lib") {
-      if (!parseLib(Val, Out.S.L)) {
-        Err = "unknown lib '" + Val + "'";
-        return false;
-      }
+      if (!parseLib(Val, Out.S.L))
+        return Bad("unknown library '" + Val + "'");
       SawLib = true;
     } else if (Key == "mut") {
-      if (!parseMutation(Val, Out.Mut)) {
-        Err = "unknown mutation '" + Val + "'";
-        return false;
-      }
+      if (!parseMutation(Val, Out.Mut))
+        return Bad("unknown mutation '" + Val + "'");
     } else if (Key == "seed") {
-      if (!parseU64(Val, U)) {
-        Err = "bad seed";
-        return false;
-      }
-      Out.S.Seed = U;
+      if (!parseDecimal(Val, MaxU64, Out.S.Seed))
+        return Bad("bad value '" + Val + "'");
     } else if (Key == "pb") {
-      if (!parseU64(Val, U)) {
-        Err = "bad pb";
-        return false;
-      }
+      if (!parseDecimal(Val, MaxUnsigned, U))
+        return Bad("bad value '" + Val + "'");
       Out.S.PreemptionBound = static_cast<unsigned>(U);
     } else if (Key == "cap") {
-      if (!parseU64(Val, U)) {
-        Err = "bad cap";
-        return false;
-      }
+      if (!parseDecimal(Val, MaxUnsigned, U))
+        return Bad("bad value '" + Val + "'");
       Out.S.Capacity = static_cast<unsigned>(U);
     } else if (Key == "thread") {
       std::vector<Op> Ops;
@@ -356,15 +379,11 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
         size_t Colon = Tok.find(':');
         std::string Name =
             Colon == std::string::npos ? Tok : Tok.substr(0, Colon);
-        if (!parseOpCode(Name, O.Code)) {
-          Err = "unknown op '" + Name + "'";
-          return false;
-        }
+        if (!parseOpCode(Name, O.Code))
+          return Bad("unknown op '" + Name + "'");
         if (Colon != std::string::npos) {
-          if (!parseU64(Tok.substr(Colon + 1), U)) {
-            Err = "bad op arg in '" + Tok + "'";
-            return false;
-          }
+          if (!parseDecimal(Tok.substr(Colon + 1), MaxU64, U))
+            return Bad("bad op arg in '" + Tok + "'");
           O.Arg = U;
         }
         Ops.push_back(O);
@@ -372,10 +391,8 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
       Out.S.Threads.push_back(std::move(Ops));
     } else if (Key == "decisions") {
       for (const std::string &Tok : splitOn(Val, ',')) {
-        if (!parseU64(Tok, U)) {
-          Err = "bad decision '" + Tok + "'";
-          return false;
-        }
+        if (!parseDecimal(Tok, MaxUnsigned, U))
+          return Bad("bad decision '" + Tok + "'");
         Out.Decisions.push_back(static_cast<unsigned>(U));
       }
     } else {
@@ -391,5 +408,19 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
     Err = "missing thread= lines";
     return false;
   }
+  // A replay must run what the entry names: a mutation of another
+  // library or an op this one lacks would replay something else or crash.
+  if (Out.Mut != Mutation::None && mutationLib(Out.Mut) != Out.S.L) {
+    Err = std::string("mut: '") + mutationName(Out.Mut) + "' belongs to " +
+          libName(mutationLib(Out.Mut)) + ", not " + libName(Out.S.L);
+    return false;
+  }
+  for (const std::vector<Op> &T : Out.S.Threads)
+    for (const Op &O : T)
+      if (!libRunsOp(Out.S.L, O.Code)) {
+        Err = std::string("thread: ") + libName(Out.S.L) +
+              " does not run op '" + opCodeName(O.Code) + "'";
+        return false;
+      }
   return true;
 }

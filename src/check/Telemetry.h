@@ -47,7 +47,8 @@
 namespace compass::check {
 
 /// Append-only JSONL sink; see file comment. Thread-safe (heartbeats
-/// arrive from the exploration coordinator thread).
+/// arrive from whichever exploration worker finds one due, the calling
+/// thread included).
 class Telemetry {
 public:
   /// Opens \p Path for appending. ok() is false when the file could not

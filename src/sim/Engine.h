@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execution engine behind exploreSerial and the parallel workers: it
-/// owns the per-execution state-reset protocol between an Explorer and a
-/// Machine/Scheduler pair (DESIGN.md Section 11).
+/// The execution engine behind every exploration worker
+/// (sim/ParallelExplorer.h): it owns the per-execution state-reset
+/// protocol between an Explorer and a Machine/Scheduler pair (DESIGN.md
+/// Section 11).
 ///
 /// Classic stateless model checking re-executes every explored execution
 /// from the root, so an execution at depth d costs O(d) machine operations
@@ -50,7 +51,7 @@ namespace compass::sim {
 /// protocol and loops:
 ///
 /// \code
-///   Engine Eng(Ex, M, S, Body, Opts);
+///   Engine Eng(Ex, M, S, Body);
 ///   while (Ex.beginExecution()) {
 ///     Engine::ExecResult R = Eng.runOne();
 ///     Ex.recordCheck(R.CheckOk);

@@ -32,8 +32,7 @@ bool sim::parseReductionMode(const std::string &S, ReductionMode &Out) {
 }
 
 Explorer::Explorer(Options O)
-    : Opts(O), RedEnabled(O.Reduction == ReductionMode::SourceSet),
-      Start(std::chrono::steady_clock::now()) {}
+    : Opts(O), RedEnabled(O.Reduction == ReductionMode::SourceSet) {}
 
 Explorer::Explorer() : Explorer(Options{}) {}
 
@@ -188,17 +187,6 @@ void Explorer::endExecution(Scheduler::RunResult R) {
   }
   if (!HasWork)
     Sum.Exhausted = true;
-
-  finalizePerf();
-}
-
-void Explorer::finalizePerf() {
-  double Wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-  Sum.Perf.WallSeconds = Wall;
-  Sum.Perf.ExecsPerSec =
-      Wall > 0 ? static_cast<double>(Sum.Executions) / Wall : 0.0;
 }
 
 bool Explorer::skippable(size_t Pos, const DecisionTree::Decision &D) const {
@@ -269,7 +257,6 @@ std::vector<DecisionTree::Prefix> Explorer::drainFrontier() {
   // remainder now lives in Out and carries its own exhaustion accounting.
   HasWork = false;
   Sum.Exhausted = true;
-  finalizePerf();
   return Out;
 }
 

@@ -17,14 +17,15 @@
 ///    bookkeeping, backtracking, subtree splitting. No I/O; unit-testable.
 ///  - Explorer (this file): one search worker — binds a DecisionTree to the
 ///    ChoiceSource interface the Machine/Scheduler consume, and accumulates
-///    the Summary (counters, per-kind choice statistics, throughput,
+///    the Summary (counters, per-kind choice statistics, peak frontier,
 ///    first-violation trace).
 ///  - Workload / explore / replay (Workload.h): a bounded program as a
-///    first-class value, the serial driver, and deterministic single-trace
-///    replay for counterexample reproduction.
-///  - exploreResumable (ParallelExplorer.h): N workers over a shared queue
-///    of unexplored subtree prefixes; its Summary's deterministic core is
-///    bit-identical to the serial explorer's regardless of worker count.
+///    first-class value, the exploration entry points, and deterministic
+///    single-trace replay for counterexample reproduction.
+///  - exploreResumable (ParallelExplorer.h): the one exploration loop — N
+///    workers, the caller among them, over per-worker deques of
+///    unexplored subtree prefixes; its Summary's deterministic core is
+///    bit-identical at any worker count.
 ///
 /// Usage (manual driving; prefer explore()/Workload for the common case):
 /// \code
@@ -51,7 +52,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -91,8 +91,9 @@ public:
     uint64_t MaxExecutions = 2'000'000; ///< Execution cap.
     uint64_t MaxStepsPerExec = 100'000; ///< Scheduler step budget.
     unsigned PreemptionBound = ~0u;     ///< Scheduler preemption budget.
-    unsigned Workers = 1;      ///< Worker threads; >1 selects the parallel
-                               ///< explorer in explore(Workload).
+    unsigned Workers = 1; ///< Workers of explore(Workload) and
+                          ///< exploreResumable: the caller plus Workers-1
+                          ///< threads. exploreSerial runs one.
     bool StopOnViolation = false; ///< Stop at the first failed check. Note:
                                   ///< truncates the run, so counters are no
                                   ///< longer worker-count independent.
@@ -163,10 +164,12 @@ public:
 
     // -- Observability (timing-dependent; excluded from coreEquals) ----
     struct Perf {
+      // Both 0 on a manually driven Explorer; the entry points set them.
       double WallSeconds = 0;
       double ExecsPerSec = 0;
       uint64_t PeakFrontier = 0; ///< Largest DFS frontier seen (per worker).
-      uint64_t PeakQueue = 0;    ///< Largest shared work queue (parallel).
+      uint64_t PeakQueue = 0;    ///< Largest shared work queue (the root
+                                 ///< prefix makes it 1 at one worker).
       uint64_t Donations = 0;    ///< Prefixes donated between workers.
       unsigned Workers = 1;
       // Copy-on-write engine effectiveness (sim/Engine.h). StepsLogical
@@ -324,9 +327,6 @@ private:
   bool InExecution = false;
   bool HasWork = true;
   SnapshotHook SnapHook;
-  std::chrono::steady_clock::time_point Start;
-
-  void finalizePerf();
 };
 
 } // namespace compass::sim

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,9 +59,8 @@ private:
   ChoiceSource *Cur = nullptr;
 };
 
-/// Per-worker observability counters, sampled by the coordinator for
-/// heartbeats. Cache-line padded; all accesses relaxed — these are
-/// telemetry, not synchronization.
+/// Per-worker observability counters, sampled for heartbeats. Cache-line
+/// padded; all accesses relaxed — these are telemetry, not synchronization.
 struct alignas(64) WorkerStats {
   std::atomic<uint64_t> Execs{0};
   std::atomic<uint64_t> Donated{0};
@@ -100,10 +98,9 @@ struct SharedState {
   std::atomic<uint64_t> Donations{0};
 
   /// Global execution budget (Options::MaxExecutions), claimed one ticket
-  /// per execution so the parallel run performs exactly as many executions
-  /// as the serial one would. Seeded with the resumed snapshot's executed
-  /// base so the budget (and InterruptAtExecs) stay global across
-  /// segments.
+  /// per execution so a run performs exactly as many executions at any
+  /// worker count. Seeded with the resumed snapshot's executed base so the
+  /// budget (and InterruptAtExecs) stay global across segments.
   std::atomic<uint64_t> Tickets{0};
 
   /// Cooperative interrupt: workers finish their in-flight execution,
@@ -239,8 +236,8 @@ struct SharedState {
       if (Done)
         return false;
       if (Interrupt.load(std::memory_order_relaxed)) {
-        // Leave the queued prefixes in place: the coordinator collects
-        // them into the snapshot frontier after the workers exit.
+        // Leave the queued prefixes in place: they join the snapshot
+        // frontier after the workers exit.
         Done = true;
         Cv.notify_all();
         return false;
@@ -258,14 +255,16 @@ struct SharedState {
   }
 };
 
-} // namespace
-
-ExploreResult compass::sim::exploreResumable(const Workload &W,
-                                             const ExploreControl &Ctl,
-                                             const ExplorationSnapshot *Resume) {
+/// The one exploration loop behind exploreResumable, explore and
+/// exploreSerial: \p N workers, of which the calling thread is worker 0.
+ExploreResult runWorkers(const Workload &W, unsigned N,
+                         const ExploreControl &Ctl,
+                         const ExplorationSnapshot *Resume) {
   const Explorer::Options &Opts = W.options();
-  unsigned N = std::max(1u, Opts.Workers);
-  auto Start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  auto Elapsed = [Start = Clock::now()] {
+    return std::chrono::duration<double>(Clock::now() - Start).count();
+  };
 
   SharedState Sh(N);
   {
@@ -303,6 +302,62 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   const size_t DonateBatch = 2 * N;         // prefixes per refill
   const uint64_t DonateMinFrontier = 2 * DonateBatch; // size threshold
 
+  // Heartbeats come from whichever worker finds one due; the try-lock
+  // keeps them one at a time and the relaxed pre-check keeps the lock
+  // off the per-execution path.
+  const bool NeedHeartbeat =
+      Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
+  const bool NeedClock = NeedHeartbeat || Ctl.DeadlineSec > 0;
+  std::mutex HbMu;
+  std::atomic<double> LastHeartbeat{0};
+  auto Heartbeat = [&](double Wall, uint64_t Execs) {
+    if (Wall - LastHeartbeat.load(std::memory_order_relaxed) <
+        Ctl.HeartbeatIntervalSec)
+      return;
+    std::unique_lock<std::mutex> L(HbMu, std::try_to_lock);
+    if (!L.owns_lock() || Wall - LastHeartbeat.load(std::memory_order_relaxed) <
+                              Ctl.HeartbeatIntervalSec)
+      return;
+    LastHeartbeat.store(Wall, std::memory_order_relaxed);
+    ExploreHeartbeat Hb;
+    Hb.WallSeconds = Wall;
+    Hb.Executions = Execs;
+    Hb.ExecsPerSec = Wall > 0 ? Execs / Wall : 0.0;
+    Hb.QueueSize = Sh.QueuedTotal.load(std::memory_order_relaxed);
+    Hb.BusyWorkers = Sh.Busy.load(std::memory_order_relaxed);
+    Hb.Workers = N;
+    Hb.Donations = Sh.Donations.load(std::memory_order_relaxed);
+    for (const WorkerStats &St : Stats)
+      Hb.PerWorker.push_back({St.Execs.load(std::memory_order_relaxed),
+                              St.Donated.load(std::memory_order_relaxed),
+                              St.Frontier.load(std::memory_order_relaxed),
+                              St.Depth.load(std::memory_order_relaxed)});
+    Ctl.OnHeartbeat(Hb);
+  };
+
+  // Checked by every worker before each execution: true once the
+  // exploration is interrupted, raising the interrupt when one of the
+  // external controls trips; otherwise emits a heartbeat when one is due.
+  auto Interrupted = [&] {
+    if (Sh.Interrupt.load(std::memory_order_relaxed))
+      return true;
+    double Wall = NeedClock ? Elapsed() : 0;
+    uint64_t Execs = std::min<uint64_t>(
+        Sh.Tickets.load(std::memory_order_relaxed), Opts.MaxExecutions);
+    if ((Ctl.StopRequested &&
+         Ctl.StopRequested->load(std::memory_order_relaxed)) ||
+        (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec) ||
+        (Ctl.InterruptAtExecs > 0 && Execs >= Ctl.InterruptAtExecs)) {
+      Sh.Interrupt.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> L(Sh.Mu);
+      Sh.Cv.notify_all(); // wakes sleeping workers
+      return true;
+    }
+    if (NeedHeartbeat)
+      Heartbeat(Wall, Execs);
+    return false;
+  };
+
   auto WorkerMain = [&](unsigned Wid) {
     Workload::Body Body = W.makeBody();
     Explorer::Options WOpts = Opts;
@@ -315,8 +370,8 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
     // One persistent simulation arena per worker: machine and scheduler
     // outlive the subtrees (reset() rewinds watermarks without freeing),
     // so steady-state allocation happens once per worker, not once per
-    // donated prefix — and the per-subtree Engine gives every worker the
-    // same copy-on-write fast path as the serial explorer.
+    // donated prefix — and the per-subtree Engine runs every execution
+    // through the copy-on-write fast path.
     ChoiceSlot Choices;
     rmc::Machine M(Choices);
     Scheduler S(M, Choices);
@@ -329,18 +384,7 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
       S.setReduction(Ex.reduction());
       Engine Eng(Ex, M, S, Body);
       for (;;) {
-        // The execution-count tripwire is checked worker-side (not only in
-        // the coordinator's 50ms poll) so it lands precisely even on trees
-        // that finish faster than a poll interval.
-        if (Ctl.InterruptAtExecs > 0 &&
-            !Sh.Interrupt.load(std::memory_order_relaxed) &&
-            Sh.Tickets.load(std::memory_order_relaxed) >=
-                Ctl.InterruptAtExecs) {
-          Sh.Interrupt.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> L(Sh.Mu);
-          Sh.Cv.notify_all();
-        }
-        if (Sh.Interrupt.load(std::memory_order_relaxed)) {
+        if (Interrupted()) {
           // Cooperative checkpoint: convert this subtree's unexplored
           // remainder into pinned prefixes for the snapshot frontier.
           // The executed share stays in Ex's summary (Exhausted set).
@@ -354,7 +398,7 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         if (!Ex.hasWork())
           break;
         // Claim a budget ticket before committing to the execution so the
-        // global execution count matches the serial explorer's.
+        // global execution count is the same at any worker count.
         uint64_t T = Sh.Tickets.fetch_add(1, std::memory_order_relaxed);
         if (T >= Opts.MaxExecutions)
           break;
@@ -373,8 +417,6 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
           // subtree is finished; publish the find and let the search
           // continue only where a lex-smaller violation could hide.
           Sh.offerViolation(Ex.summary().firstViolationDecisions());
-          std::lock_guard<std::mutex> L(Sh.Mu);
-          Sh.Cv.notify_all();
           break;
         }
 
@@ -399,78 +441,12 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
     }
   };
 
-  std::vector<std::thread> Workers;
-  Workers.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Workers.emplace_back(WorkerMain, I);
-
-  // Coordinator loop: polls the external controls and emits heartbeats
-  // until the workers are done.
-  {
-    const bool NeedPoll =
-        Ctl.StopRequested || Ctl.DeadlineSec > 0 || Ctl.InterruptAtExecs > 0;
-    const bool NeedHeartbeat =
-        Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
-    double WaitSec = std::numeric_limits<double>::infinity();
-    if (NeedPoll)
-      WaitSec = 0.05;
-    if (NeedHeartbeat)
-      WaitSec = std::min(WaitSec, Ctl.HeartbeatIntervalSec);
-
-    double LastHeartbeat = 0;
-    std::unique_lock<std::mutex> L(Sh.Mu);
-    while (!Sh.Done) {
-      if (WaitSec == std::numeric_limits<double>::infinity())
-        Sh.Cv.wait(L);
-      else
-        Sh.Cv.wait_for(L, std::chrono::duration<double>(WaitSec));
-      if (Sh.Done)
-        break;
-      double Wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
-      uint64_t Execs = std::min<uint64_t>(
-          Sh.Tickets.load(std::memory_order_relaxed), Opts.MaxExecutions);
-      if (!Sh.Interrupt.load(std::memory_order_relaxed)) {
-        bool Trip =
-            (Ctl.StopRequested &&
-             Ctl.StopRequested->load(std::memory_order_relaxed)) ||
-            (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec) ||
-            (Ctl.InterruptAtExecs > 0 && Execs >= Ctl.InterruptAtExecs);
-        if (Trip) {
-          Sh.Interrupt.store(true, std::memory_order_relaxed);
-          Sh.Cv.notify_all();
-        }
-      }
-      if (NeedHeartbeat && Wall - LastHeartbeat >= Ctl.HeartbeatIntervalSec) {
-        LastHeartbeat = Wall;
-        ExploreHeartbeat Hb;
-        Hb.WallSeconds = Wall;
-        Hb.Executions = Execs;
-        Hb.ExecsPerSec = Wall > 0 ? Execs / Wall : 0.0;
-        Hb.QueueSize = Sh.QueuedTotal.load(std::memory_order_relaxed);
-        Hb.BusyWorkers = Sh.Busy.load(std::memory_order_relaxed);
-        Hb.Workers = N;
-        Hb.Donations = Sh.Donations.load(std::memory_order_relaxed);
-        Hb.PerWorker.resize(N);
-        for (unsigned I = 0; I != N; ++I) {
-          Hb.PerWorker[I].Execs =
-              Stats[I].Execs.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Donated =
-              Stats[I].Donated.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Frontier =
-              Stats[I].Frontier.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Depth =
-              Stats[I].Depth.load(std::memory_order_relaxed);
-        }
-        L.unlock();
-        Ctl.OnHeartbeat(Hb); // user callback runs outside the lock
-        L.lock();
-      }
-    }
-  }
-
-  for (std::thread &Th : Workers)
+  std::vector<std::thread> Threads;
+  Threads.reserve(N - 1);
+  for (unsigned I = 1; I != N; ++I)
+    Threads.emplace_back(WorkerMain, I);
+  WorkerMain(0);
+  for (std::thread &Th : Threads)
     Th.join();
 
   ExploreResult Res;
@@ -487,9 +463,7 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
     Agg.Perf.RootRuns += P.Perf.RootRuns;
   }
 
-  double Wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  double Wall = Elapsed();
   Agg.Perf.WallSeconds = Wall;
   Agg.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Agg.Executions) / Wall : 0.0;
@@ -517,8 +491,18 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   return Res;
 }
 
+} // namespace
+
+ExploreResult compass::sim::exploreResumable(const Workload &W,
+                                             const ExploreControl &Ctl,
+                                             const ExplorationSnapshot *Resume) {
+  return runWorkers(W, std::max(1u, W.options().Workers), Ctl, Resume);
+}
+
 Explorer::Summary compass::sim::explore(const Workload &W) {
-  if (W.options().Workers > 1)
-    return exploreResumable(W, ExploreControl{}).Sum;
-  return exploreSerial(W);
+  return exploreResumable(W, ExploreControl{}).Sum;
+}
+
+Explorer::Summary compass::sim::exploreSerial(const Workload &W) {
+  return runWorkers(W, 1, ExploreControl{}, nullptr).Sum;
 }

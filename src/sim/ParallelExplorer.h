@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel exhaustive exploration: N std::thread workers, each owning a
+/// Exhaustive exploration, the one loop behind explore, exploreSerial and
+/// exploreResumable: N workers — the calling thread is worker 0 and N-1
+/// std::threads run the rest, none at one worker — each owning a
 /// persistent Machine/Scheduler arena plus a per-subtree Explorer (and
 /// thus a private DecisionTree), fed from per-worker deques of unexplored
 /// subtree prefixes with work stealing.
@@ -16,10 +18,10 @@
 /// worker takes from the back of its own deque (deepest donation first),
 /// steals from the front of another's when its own is empty (shallowest =
 /// largest subtree), seeds an Explorer with the prefix, and DFS-enumerates
-/// that subtree under the copy-on-write engine (sim/Engine.h) — exactly
-/// the serial explorer's execution path. Donation is proactive, batched,
-/// and gated: after an execution, a worker whose tree still has a healthy
-/// open frontier refills the pool with a batch of its shallowest untried
+/// that subtree under the copy-on-write engine (sim/Engine.h). Donation
+/// (only with more than one worker) is proactive, batched, and gated:
+/// after an execution, a worker whose tree still has a healthy open
+/// frontier refills the pool with a batch of its shallowest untried
 /// alternatives (DecisionTree::split) whenever the total queued work drops
 /// below the low-water mark. Termination is unit-counted: the worker that
 /// retires the last queued-or-running prefix ends the exploration.
@@ -27,33 +29,34 @@
 /// Determinism guarantee: the donated prefixes partition the decision tree,
 /// every decision sequence is enumerated by exactly one worker, and every
 /// Summary field in the deterministic core is a sum / max / AND / lex-min
-/// over executions — so the aggregated Summary core is **bit-identical to
-/// the serial explorer's** for any worker count, and likewise across any
-/// interrupt/resume segmentation (provided the run is not truncated by
-/// StopOnViolation or the execution budget).
+/// over executions — so the aggregated Summary core is **bit-identical at
+/// any worker count**, and likewise across any interrupt/resume
+/// segmentation (provided the run is not truncated by StopOnViolation or
+/// the execution budget).
 ///
 /// StopOnViolation guarantee: the first violation surfaced is the
 /// lexicographically least violating decision sequence — exactly the one
-/// serial DFS finds first, identical at any worker count. Workers share the
-/// best (lex-min) violation found so far; a worker abandons its subtree at
-/// its own first violation (DFS yields each subtree's least first) and the
-/// search continues only where a lex-smaller violation could still hide
-/// (prefixes and pending paths that are lex-below the current best).
+/// a one-worker DFS finds first, identical at any worker count. Workers
+/// share the best (lex-min) violation found so far; a worker abandons its
+/// subtree at its own first violation (DFS yields each subtree's least
+/// first) and the search continues only where a lex-smaller violation
+/// could still hide (prefixes and pending paths that are lex-below the
+/// current best).
 /// Reproduce the result with replay(W, Summary::firstViolationDecisions()).
 /// The remaining counters are still truncation-dependent.
 ///
 /// The global MaxExecutions budget is enforced with a shared atomic ticket
-/// counter, so the *number* of executions also matches the serial explorer
+/// counter, so the *number* of executions is the same at any worker count
 /// when the budget truncates the search (the particular executions explored
 /// then depend on scheduling, and the remaining counters may differ).
 ///
-/// exploreResumable() adds cooperative interruption on top: an external
-/// stop flag (signal handlers), a wall-clock deadline, and an execution-
-/// count tripwire all make the workers finish their current execution,
-/// convert every unexplored remainder into pinned prefixes
-/// (Explorer::drainFrontier), and hand back an ExplorationSnapshot that a
-/// later call — at any worker count — resumes to the bit-identical final
-/// summary core.
+/// Cooperative interruption (ExploreControl): every worker checks the
+/// external stop flag (signal handlers), the wall-clock deadline and the
+/// execution-count tripwire before each execution. Once one trips, the
+/// workers finish their current execution, convert every unexplored
+/// remainder into pinned prefixes (Explorer::drainFrontier), and hand back
+/// an ExplorationSnapshot that a later call — at any worker count —
+/// resumes to the bit-identical final summary core.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,9 +74,10 @@
 namespace compass::sim {
 
 /// A point-in-time progress sample of a running exploration, delivered to
-/// ExploreControl::OnHeartbeat from the coordinating thread. Values are
-/// sampled with relaxed loads — approximate by design; only the final
-/// Summary core is exact.
+/// ExploreControl::OnHeartbeat by whichever worker finds it due (the
+/// calling thread included), one at a time. Values are sampled with
+/// relaxed loads — approximate by design; only the final Summary core is
+/// exact.
 struct ExploreHeartbeat {
   double WallSeconds = 0;  ///< Wall time since this segment started.
   uint64_t Executions = 0; ///< Total executions incl. any resumed base.
@@ -94,11 +98,11 @@ struct ExploreHeartbeat {
 };
 
 /// External control over a resumable exploration. All fields optional; a
-/// default-constructed ExploreControl reproduces plain run() behavior.
+/// default-constructed ExploreControl reproduces explore(W).
 struct ExploreControl {
   /// Cooperative interrupt, typically set from a SIGINT/SIGTERM handler:
-  /// polled ~20x/s by the coordinator; once true, workers finish their
-  /// in-flight execution and drain into the snapshot.
+  /// checked by every worker before each execution; once true, workers
+  /// finish their in-flight execution and drain into the snapshot.
   const std::atomic<bool> *StopRequested = nullptr;
 
   /// >0: interrupt once this much wall time (seconds) has elapsed in this
@@ -111,7 +115,8 @@ struct ExploreControl {
   /// exact regardless of where the interrupt lands.
   uint64_t InterruptAtExecs = 0;
 
-  /// >0 with OnHeartbeat set: emit a heartbeat every interval (seconds).
+  /// >0 with OnHeartbeat set: emit a heartbeat every interval (seconds),
+  /// from a worker thread, before one of its executions.
   double HeartbeatIntervalSec = 0;
   std::function<void(const ExploreHeartbeat &)> OnHeartbeat;
 };
@@ -120,7 +125,7 @@ struct ExploreControl {
 struct ExploreResult {
   /// Aggregated summary. When Interrupted, this is the deterministic core
   /// of the executed share (== Snapshot.Partial); when not, it is the
-  /// final summary, bit-identical to an uninterrupted serial run's core.
+  /// final summary, bit-identical to an uninterrupted run's core.
   Explorer::Summary Sum;
 
   /// True when the segment was cut short by ExploreControl and unexplored
@@ -133,9 +138,9 @@ struct ExploreResult {
   ExplorationSnapshot Snapshot;
 };
 
-/// Explores \p W under W.options().Workers threads (values < 2 still run
-/// the full parallel machinery with one worker) with cooperative
-/// interruption. Pass \p Resume to continue a previous segment's snapshot
+/// Explores \p W at W.options().Workers workers (values < 2 mean one): the
+/// calling thread runs worker 0 and starts one std::thread per further
+/// worker. Pass \p Resume to continue a previous segment's snapshot
 /// instead of starting at the root; the final merged summary core is
 /// bit-identical to an uninterrupted run at any worker count and any
 /// interrupt/resume segmentation.

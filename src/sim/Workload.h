@@ -10,10 +10,10 @@
 /// per-execution property check, and the exploration options — into one
 /// re-runnable value. This makes three things first-class:
 ///
-///  - exploreSerial(W) / explore(W): run the workload to completion under
-///    the serial or (Options::Workers > 1) parallel explorer; the
+///  - exploreSerial(W) / explore(W): run the workload to completion at one
+///    worker or at Options::Workers workers (sim/ParallelExplorer.h); the
 ///    explore(Opts, Setup, Check) shorthand wraps a closure pair into a
-///    serial Workload;
+///    one-worker Workload;
 ///  - replay(W, Decisions): deterministically re-execute ONE decision
 ///    sequence — the counterexample-reproduction entry point. Feed it
 ///    Summary::firstViolationDecisions() or Explorer::currentDecisions();
@@ -212,13 +212,15 @@ inline std::string formatReplayCall(const std::vector<unsigned> &Decisions,
   return Out;
 }
 
-/// Runs \p W to completion under the serial explorer, re-establishing
-/// state between executions through the copy-on-write engine when the
-/// workload is eligible (see Body and sim/Engine.h). Defined in Engine.cpp.
+/// Runs \p W to completion at one worker, on the calling thread, whatever
+/// Options::Workers says; the copy-on-write engine re-establishes state
+/// between executions when the workload is eligible (see Body and
+/// sim/Engine.h). Defined in ParallelExplorer.cpp.
 Explorer::Summary exploreSerial(const Workload &W);
 
-/// Runs \p W under the serial explorer, or under exploreResumable when
-/// Options::Workers > 1. Defined in ParallelExplorer.cpp.
+/// Runs \p W to completion at Options::Workers workers, the calling thread
+/// among them (exploreResumable without controls). Defined in
+/// ParallelExplorer.cpp.
 Explorer::Summary explore(const Workload &W);
 
 /// Convenience driver: runs \p Setup then the scheduler for every explored
@@ -228,10 +230,10 @@ Explorer::Summary explore(const Workload &W);
 /// may return void (informational) or bool (false = property violation,
 /// counted in Summary::Violations with the trace captured).
 ///
-/// Always serial, whatever Options::Workers says: the closures are shared,
-/// not instantiated per worker, so this wraps them in a single-body
-/// Workload for exploreSerial (root replay, since the body is not marked
-/// copy-on-write safe).
+/// Always one worker, whatever Options::Workers says: the closures are
+/// shared, not instantiated per worker, so this wraps them in a
+/// single-body Workload for exploreSerial (root replay, since the body is
+/// not marked copy-on-write safe).
 template <typename SetupT, typename CheckT>
 Explorer::Summary explore(Explorer::Options Opts, SetupT Setup,
                           CheckT Check) {

@@ -2,8 +2,6 @@
 
 #include "spec/SpecMonitor.h"
 
-#include "support/Error.h"
-
 #include <cassert>
 
 using namespace compass;
@@ -19,12 +17,6 @@ unsigned SpecMonitor::registerObject(std::string Name) {
   }
   ObjectNames.push_back(std::move(Name));
   return static_cast<unsigned>(ObjectNames.size()) - 1;
-}
-
-const std::string &SpecMonitor::objectName(unsigned ObjId) const {
-  if (ObjId >= ObjectNames.size())
-    fatalError("unknown object id");
-  return ObjectNames[ObjId];
 }
 
 EventId SpecMonitor::reserve(rmc::Machine &M, unsigned T) {

@@ -96,8 +96,6 @@ public:
   /// Registers a library object; returns its ObjId.
   unsigned registerObject(std::string Name);
 
-  const std::string &objectName(unsigned ObjId) const;
-
   /// Allocates an event id and injects it into thread \p T's knowledge.
   graph::EventId reserve(rmc::Machine &M, unsigned T);
 

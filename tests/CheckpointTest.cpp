@@ -526,6 +526,32 @@ TEST(ResumeExactness, ManySegmentsStillExact) {
       << "reference: " << Ref.str() << "\nchained:   " << Final.str();
 }
 
+TEST(ResumeExactness, StopRequestedBeforeTheCallStopsAtTheRoot) {
+  // Every worker checks the stop flag before each execution, so a request
+  // already set when the call starts interrupts before the first one,
+  // however small the tree: the snapshot is the bare root prefix.
+  const ReductionMode Red = ReductionMode::SourceSet;
+  auto Ref = explore(msQueueWorkload(1, Red));
+  ASSERT_TRUE(Ref.Exhausted);
+  std::atomic<bool> Stop{true};
+  ExploreControl Ctl;
+  Ctl.StopRequested = &Stop;
+  for (unsigned Workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    ExploreResult Seg = exploreResumable(msQueueWorkload(Workers, Red), Ctl);
+    ASSERT_TRUE(Seg.Interrupted);
+    EXPECT_EQ(Seg.Sum.Executions, 0u);
+    ASSERT_EQ(Seg.Snapshot.Frontier.size(), 1u);
+    EXPECT_TRUE(prefixEquals(Seg.Snapshot.Frontier[0], DecisionTree::Prefix{}));
+
+    ExploreResult Done = exploreResumable(msQueueWorkload(Workers, Red),
+                                          ExploreControl{}, &Seg.Snapshot);
+    EXPECT_FALSE(Done.Interrupted);
+    EXPECT_TRUE(Done.Sum.coreEquals(Ref))
+        << "reference: " << Ref.str() << "\nresumed:   " << Done.Sum.str();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Sweep-level resume exactness
 //===----------------------------------------------------------------------===//
@@ -637,88 +663,94 @@ TEST(SweepResume, CadenceCheckpointsAreEachResumable) {
 TEST(SweepResume, HeartbeatsCarryTheRunningSweepTotals) {
   using namespace compass::check;
 
-  SweepOptions O;
-  O.Seed = 5;
-  O.ScenariosPerLib = 2;
-  O.Workers = 2;
-  O.MaxExecutionsPerScenario = 60000;
-  O.Libs = {Lib::TreiberStack, Lib::MsQueue, Lib::ElimStack};
+  // Heartbeats come from a worker, which at one worker is the caller.
+  for (unsigned Workers : {1u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    SweepOptions O;
+    O.Seed = 5;
+    O.ScenariosPerLib = 2;
+    O.Workers = Workers;
+    O.MaxExecutionsPerScenario = 60000;
+    O.Libs = {Lib::TreiberStack, Lib::MsQueue, Lib::ElimStack};
 
-  // A heartbeat's "sweep" object totals the finished scenarios, so while
-  // scenario 0 of library Li runs it holds the libraries before Li.
-  SweepReport Ref;
-  auto Expected = [&Ref](size_t Li) {
-    LibSweepStats T;
-    for (size_t J = 0; J != Li; ++J)
-      T.add(Ref.PerLib[J]);
-    return "\"sweep\":{\"scenarios\":" + std::to_string(T.Scenarios) +
-           ",\"executions\":" + std::to_string(T.Executions) +
-           ",\"completed\":" + std::to_string(T.Completed) +
-           ",\"races\":" + std::to_string(T.Races) +
-           ",\"deadlocks\":" + std::to_string(T.Deadlocks) +
-           ",\"violations\":" + std::to_string(T.Violations) +
-           ",\"sleep_pruned\":" + std::to_string(T.SleepPruned) +
-           ",\"rf_pruned\":" + std::to_string(T.RfPruned) +
-           ",\"source_pruned\":" + std::to_string(T.SourcePruned) + "}";
-  };
-  // Checks each heartbeat of \p Path taken during some library's scenario
-  // 0; returns how many there were.
-  auto CheckHeartbeats = [&](const std::string &Path) {
-    std::ifstream In(Path);
-    unsigned N = 0;
-    for (std::string Line; std::getline(In, Line);) {
-      if (Line.find("\"kind\":\"heartbeat\"") == std::string::npos ||
-          Line.find("\"scenario\":0,") == std::string::npos)
-        continue;
-      for (size_t Li = 0; Li != O.Libs.size(); ++Li)
-        if (Line.find(std::string("\"lib\":\"") + libName(O.Libs[Li]) +
-                      "\"") != std::string::npos) {
-          EXPECT_NE(Line.find(Expected(Li)), std::string::npos)
-              << "want " << Expected(Li) << "\nin   " << Line;
-          ++N;
-        }
+    // A heartbeat's "sweep" object totals the finished scenarios, so while
+    // scenario 0 of library Li runs it holds the libraries before Li.
+    SweepReport Ref;
+    auto Expected = [&Ref](size_t Li) {
+      LibSweepStats T;
+      for (size_t J = 0; J != Li; ++J)
+        T.add(Ref.PerLib[J]);
+      return "\"sweep\":{\"scenarios\":" + std::to_string(T.Scenarios) +
+             ",\"executions\":" + std::to_string(T.Executions) +
+             ",\"completed\":" + std::to_string(T.Completed) +
+             ",\"races\":" + std::to_string(T.Races) +
+             ",\"deadlocks\":" + std::to_string(T.Deadlocks) +
+             ",\"violations\":" + std::to_string(T.Violations) +
+             ",\"sleep_pruned\":" + std::to_string(T.SleepPruned) +
+             ",\"rf_pruned\":" + std::to_string(T.RfPruned) +
+             ",\"source_pruned\":" + std::to_string(T.SourcePruned) + "}";
+    };
+    // Checks each heartbeat of \p Path taken during some library's scenario
+    // 0; returns how many there were.
+    auto CheckHeartbeats = [&](const std::string &Path) {
+      std::ifstream In(Path);
+      unsigned N = 0;
+      for (std::string Line; std::getline(In, Line);) {
+        if (Line.find("\"kind\":\"heartbeat\"") == std::string::npos ||
+            Line.find("\"scenario\":0,") == std::string::npos)
+          continue;
+        for (size_t Li = 0; Li != O.Libs.size(); ++Li)
+          if (Line.find(std::string("\"lib\":\"") + libName(O.Libs[Li]) +
+                        "\"") != std::string::npos) {
+            EXPECT_NE(Line.find(Expected(Li)), std::string::npos)
+                << "want " << Expected(Li) << "\nin   " << Line;
+            ++N;
+          }
+      }
+      return N;
+    };
+
+    const std::string FreshPath = testing::TempDir() + "hb_fresh" +
+                                  std::to_string(Workers) + ".jsonl";
+    const std::string ResumedPath = testing::TempDir() + "hb_resumed" +
+                                    std::to_string(Workers) + ".jsonl";
+    std::remove(FreshPath.c_str());
+    std::remove(ResumedPath.c_str());
+
+    // An uninterrupted run that also hands out cadence checkpoints...
+    std::vector<SweepCheckpoint> Ckpts;
+    {
+      Telemetry T(FreshPath);
+      ASSERT_TRUE(T.ok());
+      SweepControl Ctl;
+      Ctl.Telem = &T;
+      Ctl.HeartbeatIntervalSec = 1e-4;
+      Ctl.CheckpointEveryExecs = 1500;
+      Ctl.OnCheckpoint = [&](const SweepCheckpoint &C) { Ckpts.push_back(C); };
+      SweepResult R = runSweepResumable(O, Ctl);
+      ASSERT_FALSE(R.Interrupted);
+      Ref = R.Rep;
     }
-    return N;
-  };
+    EXPECT_GT(CheckHeartbeats(FreshPath), 0u);
 
-  const std::string FreshPath = testing::TempDir() + "hb_fresh.jsonl";
-  const std::string ResumedPath = testing::TempDir() + "hb_resumed.jsonl";
-  std::remove(FreshPath.c_str());
-  std::remove(ResumedPath.c_str());
-
-  // An uninterrupted run that also hands out cadence checkpoints...
-  std::vector<SweepCheckpoint> Ckpts;
-  {
-    Telemetry T(FreshPath);
-    ASSERT_TRUE(T.ok());
-    SweepControl Ctl;
-    Ctl.Telem = &T;
-    Ctl.HeartbeatIntervalSec = 1e-4;
-    Ctl.CheckpointEveryExecs = 1500;
-    Ctl.OnCheckpoint = [&](const SweepCheckpoint &C) { Ckpts.push_back(C); };
-    SweepResult R = runSweepResumable(O, Ctl);
-    ASSERT_FALSE(R.Interrupted);
-    Ref = R.Rep;
+    // ...and a resume of one taken after the first library and a scenario
+    // of the second finished: its running total starts from the
+    // checkpoint's completed libraries and current-library aggregate.
+    auto It = std::find_if(
+        Ckpts.begin(), Ckpts.end(),
+        [](const SweepCheckpoint &C) { return C.LibIndex && C.ScenarioIndex; });
+    ASSERT_NE(It, Ckpts.end()) << "no checkpoint inside the second library";
+    {
+      Telemetry T(ResumedPath);
+      SweepControl Ctl;
+      Ctl.Telem = &T;
+      Ctl.HeartbeatIntervalSec = 1e-4;
+      SweepResult R = runSweepResumable(O, Ctl, &*It);
+      ASSERT_FALSE(R.Interrupted);
+      EXPECT_EQ(R.Rep.fingerprint(), Ref.fingerprint());
+    }
+    EXPECT_GT(CheckHeartbeats(ResumedPath), 0u);
+    std::remove(FreshPath.c_str());
+    std::remove(ResumedPath.c_str());
   }
-  EXPECT_GT(CheckHeartbeats(FreshPath), 0u);
-
-  // ...and a resume of one taken after the first library and a scenario
-  // of the second finished: its running total starts from the
-  // checkpoint's completed libraries and current-library aggregate.
-  auto It = std::find_if(
-      Ckpts.begin(), Ckpts.end(),
-      [](const SweepCheckpoint &C) { return C.LibIndex && C.ScenarioIndex; });
-  ASSERT_NE(It, Ckpts.end()) << "no checkpoint inside the second library";
-  {
-    Telemetry T(ResumedPath);
-    SweepControl Ctl;
-    Ctl.Telem = &T;
-    Ctl.HeartbeatIntervalSec = 1e-4;
-    SweepResult R = runSweepResumable(O, Ctl, &*It);
-    ASSERT_FALSE(R.Interrupted);
-    EXPECT_EQ(R.Rep.fingerprint(), Ref.fingerprint());
-  }
-  EXPECT_GT(CheckHeartbeats(ResumedPath), 0u);
-  std::remove(FreshPath.c_str());
-  std::remove(ResumedPath.c_str());
 }

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 using namespace compass;
 using namespace compass::check;
@@ -162,9 +163,43 @@ TEST(ScenarioText, CorpusEntryRoundTrips) {
   EXPECT_EQ(Back.Decisions, E.Decisions);
   EXPECT_EQ(Back.Note, E.Note);
 
-  CorpusEntry Bad;
-  EXPECT_FALSE(parseCorpusEntry("lib=ms_queue\nbogus=1\n", Bad, Err));
-  EXPECT_NE(Err.find("bogus"), std::string::npos);
+  // Input that would crash a replay or silently replay something else is
+  // rejected, and the message names the key at fault.
+  const std::pair<const char *, const char *> Rejected[] = {
+      {"lib=ms_queue\nbogus=1\n", "bogus"},
+      // Numbers are unsigned decimals that fit their field.
+      {"lib=ms_queue\npb=-1\nthread=enq:1\n", "pb"},
+      {"lib=ms_queue\npb= 1\nthread=enq:1\n", "pb"},
+      {"lib=ms_queue\npb=+1\nthread=enq:1\n", "pb"},
+      {"lib=ms_queue\npb=4294967296\nthread=enq:1\n", "pb"},
+      {"lib=hw_queue\ncap=0x10\nthread=enq:1\n", "cap"},
+      {"lib=ms_queue\nseed=18446744073709551616\nthread=enq:1\n", "seed"},
+      {"lib=ms_queue\nthread=enq:-1\n", "thread"},
+      {"lib=ms_queue\nthread=enq:1\ndecisions=0,4294967296,1\n",
+       "decisions"},
+      {"lib=ms_queue\nthread=enq:1\ndecisions=0,-1\n", "decisions"},
+      // The mutation and the ops belong to the library.
+      {"lib=ms_queue\nmut=treiber_pop_below_top\nthread=enq:1\n", "mut"},
+      {"mut=treiber_pop_below_top\nlib=ms_queue\nthread=enq:1\n", "mut"},
+      {"lib=ms_queue\nthread=push:1\n", "thread"},
+      {"lib=ws_deque\ncap=2\nthread=push:1,pop\n", "thread"},
+  };
+  for (const auto &[Text, Key] : Rejected) {
+    CorpusEntry Bad;
+    EXPECT_FALSE(parseCorpusEntry(Text, Bad, Err)) << Text;
+    EXPECT_NE(Err.find(Key), std::string::npos)
+        << "the error for\n" << Text << "names no '" << Key << "': " << Err;
+  }
+  // The largest values that fit are still accepted.
+  CorpusEntry Max;
+  ASSERT_TRUE(parseCorpusEntry("lib=ms_queue\nseed=18446744073709551615\n"
+                               "pb=4294967295\nthread=enq:1\n"
+                               "decisions=4294967295\n",
+                               Max, Err))
+      << Err;
+  EXPECT_EQ(Max.S.Seed, ~0ull);
+  EXPECT_EQ(Max.S.PreemptionBound, ~0u);
+  EXPECT_EQ(Max.Decisions, std::vector<unsigned>{~0u});
 }
 
 //===----------------------------------------------------------------------===//
@@ -632,7 +667,7 @@ struct MemoTally {
   uint64_t Failures = 0; ///< Failing uncached verdicts.
   uint64_t Aborts = 0;   ///< Uncached verdicts whose search aborted.
   uint64_t Hits = 0;     ///< Done executions answered from the memo.
-  uint64_t LinAborts = 0; ///< RunState::LinAborts at the end.
+  uint64_t LinAborts = 0; ///< Aborts the body counted (SharedLinAborts).
 };
 
 /// Explores \p S under \p Mut with the instrumented body's Check wrapped:
@@ -645,6 +680,7 @@ MemoTally exploreMemoAgainstUncached(const Scenario &S, Mutation Mut,
   Instrumented I = makeInstrumented(S, Mut, scenarioOptions(S, 3000, 1, Red));
   RunState &St = *I.State;
   St.Limits = Limits;
+  St.SharedLinAborts = std::make_shared<std::atomic<uint64_t>>(0);
   MemoTally T;
   sim::Workload::Body B = I.W.makeBody();
   B.Check = [&, Check = std::move(B.Check)](rmc::Machine &M,
@@ -666,7 +702,7 @@ MemoTally exploreMemoAgainstUncached(const Scenario &S, Mutation Mut,
   };
   sim::exploreSerial(sim::Workload(I.W.options(), std::move(B)));
   T.Hits = St.MemoHits;
-  T.LinAborts = St.LinAborts;
+  T.LinAborts = St.SharedLinAborts->load();
   EXPECT_LE(T.Hits, T.Done) << S.str();
   return T;
 }

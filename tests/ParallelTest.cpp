@@ -23,7 +23,10 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -266,6 +269,65 @@ TEST(ParallelDeterminism, CoRRLitmus) {
 TEST(ParallelDeterminism, MsQueueE2Workload) {
   expectDeterministic(+[](unsigned W) { return msQueueWorkload(W); },
                       "MS queue E2");
+}
+
+//===----------------------------------------------------------------------===//
+// The calling thread is worker 0
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The ids of the threads that ran a workload's Setup.
+struct ThreadLog {
+  std::mutex Mu;
+  std::set<std::thread::id> Ids;
+};
+
+/// msQueueWorkload(Workers) whose Setup also records its thread in \p Log.
+Workload loggedWorkload(unsigned Workers, std::shared_ptr<ThreadLog> Log) {
+  Workload Inner = msQueueWorkload(Workers);
+  return Workload(Inner.options(), [Inner, Log] {
+    Workload::Body B = Inner.makeBody();
+    B.Setup = [Setup = std::move(B.Setup), Log](Machine &M, Scheduler &S) {
+      {
+        std::lock_guard<std::mutex> L(Log->Mu);
+        Log->Ids.insert(std::this_thread::get_id());
+      }
+      Setup(M, S);
+    };
+    return B;
+  });
+}
+
+} // namespace
+
+TEST(CallerIsWorkerZero, OneWorkerRunsEveryExecutionOnTheCaller) {
+  const std::set<std::thread::id> Caller{std::this_thread::get_id()};
+  auto Log = std::make_shared<ThreadLog>();
+  EXPECT_TRUE(explore(loggedWorkload(1, Log)).Exhausted);
+  EXPECT_EQ(Log->Ids, Caller) << "explore";
+
+  Log->Ids.clear();
+  EXPECT_FALSE(
+      exploreResumable(loggedWorkload(1, Log), ExploreControl{}).Interrupted);
+  EXPECT_EQ(Log->Ids, Caller) << "exploreResumable";
+
+  // exploreSerial runs one worker whatever Options::Workers says.
+  for (unsigned Workers : {1u, 4u}) {
+    Log->Ids.clear();
+    Explorer::Summary S = exploreSerial(loggedWorkload(Workers, Log));
+    EXPECT_EQ(S.Perf.Workers, 1u);
+    EXPECT_EQ(Log->Ids, Caller) << "exploreSerial, Workers=" << Workers;
+  }
+}
+
+TEST(CallerIsWorkerZero, TheCallerIsOneOfFourWorkers) {
+  auto Log = std::make_shared<ThreadLog>();
+  Explorer::Summary S = explore(loggedWorkload(4, Log));
+  EXPECT_TRUE(S.Exhausted);
+  EXPECT_EQ(S.Perf.Workers, 4u);
+  EXPECT_EQ(Log->Ids.count(std::this_thread::get_id()), 1u);
+  EXPECT_LE(Log->Ids.size(), 4u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,8 @@ execution cap says so in its verdict line, its --json report and its
 telemetry instead of reading as plain clean. Pins the verdict contract:
 two reference sweeps print fixed fingerprint lines. Also pins the
 regression corpus: `mutants --seed 1 --emit-corpus` rewrites tests/corpus/
-byte for byte, and `replay` reproduces every entry, one line each.
+byte for byte, `replay` reproduces every entry, one line each, and refuses
+an entry it cannot replay faithfully.
 Invoked by ctest as `test_cli <path-to-compass_check>`.
 """
 
@@ -145,6 +146,31 @@ def main():
         check("telemetry report shows the truncated count",
               r.returncode == 0 and "truncated 2" in r.stdout, r)
 
+    # The report prints the last heartbeat's per-worker samples.
+    with tempfile.TemporaryDirectory() as td:
+        telem = Path(td) / "two_heartbeats.jsonl"
+
+        def heartbeat(elapsed, per_worker):
+            return {"kind": "heartbeat", "elapsed": elapsed, "lib": "ms_queue",
+                    "scenario": 0, "execs_per_sec": 100.0, "queue": 1,
+                    "busy": 2, "workers": 2, "donations": 3,
+                    "per_worker": [dict(zip(("execs", "donated", "frontier",
+                                             "depth"), w))
+                                   for w in per_worker]}
+        telem.write_text("\n".join(json.dumps(r) for r in [
+            {"kind": "run_start", "seed": 1, "workers": 2},
+            heartbeat(1.0, [(10, 1, 5, 3), (20, 2, 6, 4)]),
+            heartbeat(2.0, [(1234, 7, 11, 9), (5678, 8, 12, 10)]),
+        ]) + "\n")
+        r = subprocess.run([sys.executable, str(TELEMETRY_REPORT), str(telem)],
+                           capture_output=True, text=True, timeout=60)
+        check("telemetry report prints the last heartbeat per worker",
+              r.returncode == 0 and
+              "worker 0: execs 1,234  donated 7  frontier 11  depth 9"
+              in r.stdout and
+              "worker 1: execs 5,678  donated 8  frontier 12  depth 10"
+              in r.stdout and "execs 10 " not in r.stdout, r)
+
     # --- verdict contract ---------------------------------------------------
     # Fixed sweeps print fixed fingerprints. A change that alters what any
     # exhausted scenario explores, or which scenarios exhaust, moves them.
@@ -254,6 +280,15 @@ def main():
     check("replay prints one reproduced line per entry",
           len(lines) == len(corpus) and
           all(": reproduced [" in line for line in lines), p)
+
+    # A corpus file naming an op its library does not run is a parse
+    # error (exit 2) that names the key, not a crashed replay.
+    with tempfile.TemporaryDirectory() as td:
+        bad = Path(td) / "foreign_op.corpus"
+        bad.write_text("lib=ms_queue\nthread=push:1\ndecisions=0\n")
+        p = run("replay", str(bad))
+        check("replay of a corpus entry with a foreign op exits 2",
+              p.returncode == 2 and "thread:" in p.stderr, p)
 
     if failures:
         print(f"\ncli_test FAILED: {len(failures)} check(s)")
