@@ -415,12 +415,28 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
           libName(mutationLib(Out.Mut)) + ", not " + libName(Out.S.L);
     return false;
   }
+  unsigned Producers = 0;
   for (const std::vector<Op> &T : Out.S.Threads)
-    for (const Op &O : T)
+    for (const Op &O : T) {
       if (!libRunsOp(Out.S.L, O.Code)) {
         Err = std::string("thread: ") + libName(Out.S.L) +
               " does not run op '" + opCodeName(O.Code) + "'";
         return false;
       }
+      Producers += O.Code == OpCode::Enq || O.Code == OpCode::Push;
+    }
+  // HwQueue and WsDeque abort once their enqs or pushes outrun the
+  // capacity, and a ring of capacity 0 is always full.
+  unsigned MinCap = 0;
+  if (Out.S.L == Lib::HwQueue || Out.S.L == Lib::WsDeque)
+    MinCap = Producers;
+  else if (Out.S.L == Lib::SpscRing)
+    MinCap = 1;
+  if (Out.S.Capacity < MinCap) {
+    Err = std::string("cap: ") + libName(Out.S.L) + " needs at least " +
+          std::to_string(MinCap) + ", not " +
+          std::to_string(Out.S.Capacity);
+    return false;
+  }
   return true;
 }

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -255,6 +257,96 @@ struct SharedState {
   }
 };
 
+/// The process-wide parked helper threads behind every multi-worker call
+/// (see the file comment of sim/ParallelExplorer.h).
+class Helpers {
+public:
+  using Job = std::function<void(unsigned Wid)>;
+
+  static Helpers &get() {
+    static Helpers Pool;
+    return Pool;
+  }
+
+  /// Runs \p Fn(0) on the calling thread and Fn(1) .. Fn(N-1) on helpers;
+  /// returns once every helper it took has finished and parked again. An
+  /// exception escaping a worker ends the process, wherever it runs.
+  void run(unsigned N, const Job &Fn) noexcept {
+    Call C{&Fn, N - 1, {}};
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      for (unsigned Wid = 1; Wid != N; ++Wid) {
+        Helper *H;
+        if (Parked.empty()) {
+          All.push_back(std::make_unique<Helper>());
+          H = All.back().get();
+          H->Th = std::thread(&Helpers::serve, this, H);
+        } else {
+          H = Parked.back();
+          Parked.pop_back();
+        }
+        H->C = &C;
+        H->Wid = Wid;
+        H->Wake.notify_one();
+      }
+    }
+    Fn(0);
+    std::unique_lock<std::mutex> L(Mu);
+    C.Finished.wait(L, [&C] { return C.Pending == 0; });
+  }
+
+  ~Helpers() {
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Quit = true;
+      for (const std::unique_ptr<Helper> &H : All)
+        H->Wake.notify_one();
+    }
+    for (const std::unique_ptr<Helper> &H : All)
+      H->Th.join();
+  }
+
+private:
+  /// One run() call; lives on the caller's stack.
+  struct Call {
+    const Job *Fn;
+    unsigned Pending; ///< Helpers not yet parked again; guarded by Mu.
+    std::condition_variable Finished;
+  };
+
+  struct Helper {
+    std::thread Th;
+    std::condition_variable Wake;
+    Call *C = nullptr; ///< The call to serve; guarded by Mu.
+    unsigned Wid = 0;
+  };
+
+  /// A helper's life: wait for a call, run its worker, park again.
+  void serve(Helper *H) {
+    std::unique_lock<std::mutex> L(Mu);
+    for (;;) {
+      H->Wake.wait(L, [&] { return H->C || Quit; });
+      if (!H->C)
+        return;
+      Call *C = H->C;
+      L.unlock();
+      (*C->Fn)(H->Wid);
+      L.lock();
+      H->C = nullptr;
+      Parked.push_back(H);
+      // Notified under Mu: the caller cannot see Pending reach 0, return
+      // and free C before this helper lets go of Mu.
+      if (--C->Pending == 0)
+        C->Finished.notify_one();
+    }
+  }
+
+  std::mutex Mu;
+  bool Quit = false;
+  std::vector<std::unique_ptr<Helper>> All;
+  std::vector<Helper *> Parked; ///< Back = most recently parked.
+};
+
 /// The one exploration loop behind exploreResumable, explore and
 /// exploreSerial: \p N workers, of which the calling thread is worker 0.
 ExploreResult runWorkers(const Workload &W, unsigned N,
@@ -291,16 +383,6 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
   std::vector<Explorer::Summary> Partials(N);
   std::vector<uint64_t> PeakFrontiers(N, 0);
   std::vector<WorkerStats> Stats(N);
-
-  // Donation policy: proactive, batched, and gated. A worker refills the
-  // shared pool after an execution only when the pool is below the
-  // low-water mark (fewer queued prefixes than idle mouths to feed) AND
-  // its own tree still has enough open alternatives that sharing leaves
-  // the local DFS with real work. DecisionTree::split donates from the
-  // shallowest open depth, so each donated prefix is a maximal subtree.
-  const uint64_t DonateLowWater = N;        // pool "starved" below this
-  const size_t DonateBatch = 2 * N;         // prefixes per refill
-  const uint64_t DonateMinFrontier = 2 * DonateBatch; // size threshold
 
   // Heartbeats come from whichever worker finds one due; the try-lock
   // keeps them one at a time and the relaxed pre-check keeps the lock
@@ -420,12 +502,14 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
           break;
         }
 
-        // Work sharing (see the donation-policy comment above).
-        if (N > 1 &&
-            Sh.QueuedTotal.load(std::memory_order_relaxed) <
-                DonateLowWater &&
-            Ex.frontierSize() >= DonateMinFrontier && Ex.splittable()) {
-          std::vector<DecisionTree::Prefix> Don = Ex.split(DonateBatch);
+        // Donation on demand: while some worker holds no subtree and has
+        // nothing queued for it, hand out up to N of the shallowest untried
+        // alternatives, each a maximal subtree (DecisionTree::split). Never
+        // at one worker, which is always busy here.
+        uint64_t Held = Sh.QueuedTotal.load(std::memory_order_relaxed) +
+                        Sh.Busy.load(std::memory_order_relaxed);
+        if (Held < N && Ex.splittable()) {
+          std::vector<DecisionTree::Prefix> Don = Ex.split(N);
           St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
           Sh.pushBatch(Wid, std::move(Don), /*CountAsDonation=*/true);
         }
@@ -441,13 +525,10 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     }
   };
 
-  std::vector<std::thread> Threads;
-  Threads.reserve(N - 1);
-  for (unsigned I = 1; I != N; ++I)
-    Threads.emplace_back(WorkerMain, I);
-  WorkerMain(0);
-  for (std::thread &Th : Threads)
-    Th.join();
+  if (N == 1)
+    WorkerMain(0); // a one-worker call takes no helper
+  else
+    Helpers::get().run(N, WorkerMain);
 
   ExploreResult Res;
 

@@ -7,10 +7,16 @@
 /// \file
 /// Exhaustive exploration, the one loop behind explore, exploreSerial and
 /// exploreResumable: N workers — the calling thread is worker 0 and N-1
-/// std::threads run the rest, none at one worker — each owning a
-/// persistent Machine/Scheduler arena plus a per-subtree Explorer (and
+/// parked helper threads run the rest, none at one worker — each owning a
+/// Machine/Scheduler arena for the call plus a per-subtree Explorer (and
 /// thus a private DecisionTree), fed from per-worker deques of unexplored
 /// subtree prefixes with work stealing.
+///
+/// Helpers: the process keeps one set of parked helper threads. A call
+/// takes N-1 of them and starts a thread only when none is parked, so
+/// concurrent or nested callers never wait on each other; it returns once
+/// every helper it took has finished with the call and parked again. The
+/// helpers are joined at process exit.
 ///
 /// Protocol: worker 0's deque starts with the root (empty) prefix — or,
 /// when resuming from a checkpoint (sim/Checkpoint.h), the deques are
@@ -18,13 +24,14 @@
 /// worker takes from the back of its own deque (deepest donation first),
 /// steals from the front of another's when its own is empty (shallowest =
 /// largest subtree), seeds an Explorer with the prefix, and DFS-enumerates
-/// that subtree under the copy-on-write engine (sim/Engine.h). Donation
-/// (only with more than one worker) is proactive, batched, and gated:
-/// after an execution, a worker whose tree still has a healthy open
-/// frontier refills the pool with a batch of its shallowest untried
-/// alternatives (DecisionTree::split) whenever the total queued work drops
-/// below the low-water mark. Termination is unit-counted: the worker that
-/// retires the last queued-or-running prefix ends the exploration.
+/// that subtree under the copy-on-write engine (sim/Engine.h). Donation is
+/// demand-driven: after an execution, a worker whose tree can split
+/// donates up to N of its shallowest untried alternatives
+/// (DecisionTree::split) when the queued prefixes plus the busy workers
+/// number fewer than N — that is, when some worker holds no subtree and has
+/// nothing queued for it (never at one worker). Termination is
+/// unit-counted: the worker that retires the last queued-or-running prefix
+/// ends the exploration.
 ///
 /// Determinism guarantee: the donated prefixes partition the decision tree,
 /// every decision sequence is enumerated by exactly one worker, and every
@@ -139,11 +146,11 @@ struct ExploreResult {
 };
 
 /// Explores \p W at W.options().Workers workers (values < 2 mean one): the
-/// calling thread runs worker 0 and starts one std::thread per further
-/// worker. Pass \p Resume to continue a previous segment's snapshot
-/// instead of starting at the root; the final merged summary core is
-/// bit-identical to an uninterrupted run at any worker count and any
-/// interrupt/resume segmentation.
+/// calling thread runs worker 0 and a parked helper thread runs each
+/// further worker (see the file comment). Pass \p Resume to continue a
+/// previous segment's snapshot instead of starting at the root; the final
+/// merged summary core is bit-identical to an uninterrupted run at any
+/// worker count and any interrupt/resume segmentation.
 ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl,
                                const ExplorationSnapshot *Resume = nullptr);
 

@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace compass;
 using namespace compass::rmc;
 using namespace compass::sim;
@@ -710,10 +712,12 @@ TEST(SweepResume, HeartbeatsCarryTheRunningSweepTotals) {
       return N;
     };
 
-    const std::string FreshPath = testing::TempDir() + "hb_fresh" +
-                                  std::to_string(Workers) + ".jsonl";
-    const std::string ResumedPath = testing::TempDir() + "hb_resumed" +
-                                    std::to_string(Workers) + ".jsonl";
+    // The process id keeps concurrent runs of this binary (say a Release
+    // and a TSan build) off each other's files.
+    const std::string Tag =
+        std::to_string(getpid()) + "_" + std::to_string(Workers) + ".jsonl";
+    const std::string FreshPath = testing::TempDir() + "hb_fresh" + Tag;
+    const std::string ResumedPath = testing::TempDir() + "hb_resumed" + Tag;
     std::remove(FreshPath.c_str());
     std::remove(ResumedPath.c_str());
 

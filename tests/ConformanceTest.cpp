@@ -183,6 +183,11 @@ TEST(ScenarioText, CorpusEntryRoundTrips) {
       {"mut=treiber_pop_below_top\nlib=ms_queue\nthread=enq:1\n", "mut"},
       {"lib=ms_queue\nthread=push:1\n", "thread"},
       {"lib=ws_deque\ncap=2\nthread=push:1,pop\n", "thread"},
+      // The capacity fits the ops: fewer slots than enqs or pushes would
+      // abort the replay, and a ring of capacity 0 is always full.
+      {"lib=hw_queue\ncap=0\nthread=enq:1\nthread=deq\n", "cap"},
+      {"lib=ws_deque\ncap=1\nthread=push:1,push:2,push:3,take\n", "cap"},
+      {"lib=spsc_ring\ncap=0\nthread=enq:1\nthread=deq\n", "cap"},
   };
   for (const auto &[Text, Key] : Rejected) {
     CorpusEntry Bad;

@@ -7,7 +7,9 @@
 // violating trace — must be bit-identical across 1, 2, and 4 workers. Also
 // covers counterexample surfacing + replay() reproduction, the Workload
 // replay entry point, and the conformance harness (generated scenario
-// workloads and the sweep fingerprint, DESIGN.md §7) across worker counts.
+// workloads and the sweep fingerprint, DESIGN.md §7) across worker counts,
+// and the parked helper threads: reused across calls, shared by
+// concurrent callers, never taken by a one-worker call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -319,6 +323,14 @@ TEST(CallerIsWorkerZero, OneWorkerRunsEveryExecutionOnTheCaller) {
     EXPECT_EQ(S.Perf.Workers, 1u);
     EXPECT_EQ(Log->Ids, Caller) << "exploreSerial, Workers=" << Workers;
   }
+
+  // A one-worker call takes no helper, even with helpers parked after a
+  // 4-worker call.
+  EXPECT_TRUE(explore(loggedWorkload(4, std::make_shared<ThreadLog>()))
+                  .Exhausted);
+  Log->Ids.clear();
+  EXPECT_TRUE(explore(loggedWorkload(1, Log)).Exhausted);
+  EXPECT_EQ(Log->Ids, Caller) << "explore after a 4-worker call";
 }
 
 TEST(CallerIsWorkerZero, TheCallerIsOneOfFourWorkers) {
@@ -401,6 +413,74 @@ TEST(ParallelDeterminism, SweepFingerprintAcrossWorkers) {
       << "serial:\n" << R1.str() << "4 workers:\n" << R4.str();
   EXPECT_EQ(R1.totalExecutions(), R4.totalExecutions());
   EXPECT_EQ(R1.totalViolations(), R4.totalViolations());
+}
+
+//===----------------------------------------------------------------------===//
+// Parked helper threads
+//===----------------------------------------------------------------------===//
+
+TEST(ParkedHelpers, ConsecutiveCallsReuseThreeHelpers) {
+  // Threads other than the caller that ran a Setup in this run of the
+  // test, each counted once: a thread_local mark is fresh in every new
+  // thread, even one that reuses an exited thread's id, and the run number
+  // keeps a repeated test from trusting an earlier run's marks.
+  static std::atomic<unsigned> Runs{0};
+  const unsigned Run = ++Runs;
+  auto Helpers = std::make_shared<std::atomic<unsigned>>(0);
+  const std::thread::id Caller = std::this_thread::get_id();
+  Workload Inner = msQueueWorkload(4);
+  Workload W(Inner.options(), [Inner, Run, Helpers, Caller] {
+    Workload::Body B = Inner.makeBody();
+    B.Setup = [Setup = std::move(B.Setup), Run, Helpers,
+               Caller](Machine &M, Scheduler &S) {
+      thread_local unsigned Marked = 0;
+      if (Marked != Run && std::this_thread::get_id() != Caller)
+        Helpers->fetch_add(1);
+      Marked = Run;
+      Setup(M, S);
+    };
+    return B;
+  });
+  for (int Call = 0; Call != 20; ++Call)
+    EXPECT_TRUE(explore(W).Exhausted);
+  EXPECT_GE(Helpers->load(), 1u) << "no helper ever ran an execution";
+  EXPECT_LE(Helpers->load(), 3u) << "4-worker calls started new threads";
+}
+
+TEST(ParkedHelpers, ConcurrentCallersEachGetTheirOneWorkerCore) {
+  // Two callers explore different workloads at 4 workers at once, again
+  // and again, so their calls overlap and share the parked helpers.
+  auto Queue = [](unsigned W) { return msQueueWorkload(W); };
+  auto Stack = [](unsigned W) {
+    return conformanceWorkload(check::Lib::TreiberStack,
+                               check::Mutation::TreiberRelaxedPopHead, 13, W);
+  };
+  // The number of calls whose summary core differs from \p Want's.
+  auto Mismatches = [](const Workload &W, const Explorer::Summary &Want,
+                       int Calls) {
+    unsigned N = 0;
+    for (int Call = 0; Call != Calls; ++Call) {
+      Explorer::Summary S = explore(W);
+      N += S.Perf.Workers != 4 || !Want.coreEquals(S);
+    }
+    return N;
+  };
+  const Explorer::Summary SerialQueue = explore(Queue(1));
+  const Explorer::Summary SerialStack = explore(Stack(1));
+  unsigned QueueBad = 0, StackBad = 0;
+  std::latch Start(2);
+  std::thread A([&] {
+    Start.arrive_and_wait();
+    QueueBad = Mismatches(Queue(4), SerialQueue, 5);
+  });
+  std::thread B([&] {
+    Start.arrive_and_wait();
+    StackBad = Mismatches(Stack(4), SerialStack, 200);
+  });
+  A.join();
+  B.join();
+  EXPECT_EQ(QueueBad, 0u);
+  EXPECT_EQ(StackBad, 0u);
 }
 
 //===----------------------------------------------------------------------===//

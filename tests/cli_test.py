@@ -289,6 +289,13 @@ def main():
         p = run("replay", str(bad))
         check("replay of a corpus entry with a foreign op exits 2",
               p.returncode == 2 and "thread:" in p.stderr, p)
+        # Likewise a capacity the ops would overrun (HwQueue aborts).
+        small = Path(td) / "small_cap.corpus"
+        small.write_text("lib=hw_queue\ncap=0\nthread=enq:1\nthread=deq\n"
+                         "decisions=0\n")
+        p = run("replay", str(small))
+        check("replay of a corpus entry with too small a cap exits 2",
+              p.returncode == 2 and "cap:" in p.stderr, p)
 
     if failures:
         print(f"\ncli_test FAILED: {len(failures)} check(s)")
