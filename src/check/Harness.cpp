@@ -30,37 +30,37 @@ ContainerAdapter::ContainerAdapter(const Scenario &S, Mutation Mut,
          "mutation seeded into a library that does not own it");
   switch (S.L) {
   case Lib::MsQueue:
-    Q = std::make_unique<lib::MsQueue>(
-        M, Mon, "q", lib::MsQueue::SyncProfile::RelAcq, Mut);
+    Q = &Impl.emplace<lib::MsQueue>(M, Mon, "q",
+                                    lib::MsQueue::SyncProfile::RelAcq, Mut);
     Obj = Q->objId();
     break;
   case Lib::HwQueue:
-    Q = std::make_unique<lib::HwQueue>(M, Mon, "q", S.Capacity);
+    Q = &Impl.emplace<lib::HwQueue>(M, Mon, "q", S.Capacity);
     Obj = Q->objId();
     break;
   case Lib::TreiberStack:
-    Stk = std::make_unique<lib::TreiberStack>(M, Mon, "s", Mut);
+    Stk = &Impl.emplace<lib::TreiberStack>(M, Mon, "s", Mut);
     Obj = Stk->objId();
     break;
   case Lib::TreiberEbr:
-    Stk = std::make_unique<lib::TreiberStackEbr>(
+    Stk = &Impl.emplace<lib::TreiberStackEbr>(
         M, Mon, "s", static_cast<unsigned>(S.Threads.size()), Mut);
     Obj = Stk->objId();
     break;
   case Lib::ElimStack:
-    Elim = std::make_unique<lib::ElimStack>(M, Mon, "es");
+    Elim = &Impl.emplace<lib::ElimStack>(M, Mon, "es");
     Obj = DerivedEsObj; // Events are checked on the derived graph.
     break;
   case Lib::Exchanger:
-    Ex = std::make_unique<lib::Exchanger>(M, Mon, "x", Mut);
+    Ex = &Impl.emplace<lib::Exchanger>(M, Mon, "x", Mut);
     Obj = Ex->objId();
     break;
   case Lib::SpscRing:
-    Ring = std::make_unique<lib::SpscRing>(M, Mon, "r", S.Capacity, Mut);
+    Ring = &Impl.emplace<lib::SpscRing>(M, Mon, "r", S.Capacity, Mut);
     Obj = Ring->objId();
     break;
   case Lib::WsDeque:
-    Deq = std::make_unique<lib::WsDeque>(M, Mon, "d", S.Capacity, Mut);
+    Deq = &Impl.emplace<lib::WsDeque>(M, Mon, "d", S.Capacity, Mut);
     Obj = Deq->objId();
     break;
   }
@@ -195,7 +195,8 @@ sim::Explorer::Options check::scenarioOptions(const Scenario &S,
 namespace {
 
 /// One scenario thread: runs its op list, recording observed results.
-sim::Task<void> opThread(ContainerAdapter &A, std::vector<Op> Ops,
+/// \p Ops is the RunState's scenario thread, which outlives the task.
+sim::Task<void> opThread(ContainerAdapter &A, const std::vector<Op> &Ops,
                          sim::Env &E, std::vector<Observed> &Out) {
   for (Op O : Ops) {
     auto T = A.apply(E, O);
@@ -207,14 +208,17 @@ sim::Task<void> opThread(ContainerAdapter &A, std::vector<Op> Ops,
 /// Setup/Check pair over one RunState (shared per body instantiation).
 sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
   sim::Workload::SetupFn Setup = [St](rmc::Machine &M, sim::Scheduler &Sch) {
-    // The monitor is reused across executions (reset, not reallocated), so
-    // its graph vectors reach steady-state capacity once. beginExecution
-    // keeps the graph intact during a copy-on-write fast-forward; the
-    // engine epoch-trims it afterwards (see CowSave below).
+    // Runs before every execution, root or copy-on-write resume, and
+    // allocates nothing once warm: the monitor is rewound, not
+    // reallocated (beginExecution keeps the graph intact during a
+    // fast-forward; the engine epoch-trims it afterwards, see CowSave
+    // below), the adapter and its library are rebuilt in RunState::A's
+    // storage, the result vectors keep their capacity, and the thread
+    // coroutines' frames come from the frame pool (sim/Task.h).
     if (!St->Mon)
       St->Mon = std::make_unique<spec::SpecMonitor>();
     St->Mon->beginExecution(M);
-    St->A = std::make_unique<ContainerAdapter>(St->S, St->Mut, M, *St->Mon);
+    St->A.emplace(St->S, St->Mut, M, *St->Mon);
     St->Results.assign(St->S.Threads.size(), {});
     for (size_t T = 0; T != St->S.Threads.size(); ++T) {
       sim::Env &E = Sch.newThread();

@@ -38,15 +38,21 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <variant>
 
 namespace compass::check {
 
 /// Instantiates and drives one scenario's library (pristine or mutated).
+/// The library is built inside the adapter, so an adapter constructed into
+/// retained storage (RunState::A) allocates nothing itself.
 class ContainerAdapter {
 public:
   ContainerAdapter(const Scenario &S, Mutation Mut, rmc::Machine &M,
                    spec::SpecMonitor &Mon);
+  ContainerAdapter(const ContainerAdapter &) = delete;
+  ContainerAdapter &operator=(const ContainerAdapter &) = delete;
 
   /// Executes one op, returning the observed result (see file comment).
   sim::Task<rmc::Value> apply(sim::Env &E, Op O);
@@ -65,13 +71,18 @@ public:
 
 private:
   Lib L;
-  // Exactly one of these is set, per L.
-  std::unique_ptr<lib::SimQueue> Q;   ///< MsQueue or HwQueue.
-  std::unique_ptr<lib::SimStack> Stk; ///< TreiberStack or TreiberStackEbr.
-  std::unique_ptr<lib::ElimStack> Elim;
-  std::unique_ptr<lib::Exchanger> Ex;
-  std::unique_ptr<lib::SpscRing> Ring;
-  std::unique_ptr<lib::WsDeque> Deq;
+  /// The library instance, per L.
+  std::variant<std::monostate, lib::MsQueue, lib::HwQueue, lib::TreiberStack,
+               lib::TreiberStackEbr, lib::ElimStack, lib::Exchanger,
+               lib::SpscRing, lib::WsDeque>
+      Impl;
+  // Exactly one of these points into Impl, per L.
+  lib::SimQueue *Q = nullptr;   ///< MsQueue or HwQueue.
+  lib::SimStack *Stk = nullptr; ///< TreiberStack or TreiberStackEbr.
+  lib::ElimStack *Elim = nullptr;
+  lib::Exchanger *Ex = nullptr;
+  lib::SpscRing *Ring = nullptr;
+  lib::WsDeque *Deq = nullptr;
   unsigned Obj = 0; ///< Object id under which events are committed.
 };
 
@@ -107,9 +118,11 @@ struct RunState {
   Mutation Mut = Mutation::None;
   spec::LinearizeLimits Limits{200000};
 
-  // Reset by Setup each execution:
+  // Created by the first Setup and kept for the body's lifetime; each
+  // execution's Setup rewinds the monitor, rebuilds the adapter in place
+  // and clears the results, reusing their storage (DESIGN.md §11).
   std::unique_ptr<spec::SpecMonitor> Mon;
-  std::unique_ptr<ContainerAdapter> A;
+  std::optional<ContainerAdapter> A;
   std::vector<std::vector<Observed>> Results;
 
   // Written by Check:

@@ -4,6 +4,7 @@
 
 #include "spec/Consistency.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace compass;
@@ -20,29 +21,31 @@ Verdict injPrescan(const EventGraph &G, unsigned ObjId,
   auto IsConsumer = [&](const Event &E) {
     return E.ObjId == ObjId && S.role(E.Kind).R == spec::Role::Consume;
   };
-  std::vector<EventId> Evs = G.objectEvents(ObjId);
-  for (EventId E : Evs) {
+  for (EventId E : G.objectEvents(ObjId)) {
     const Event &Ev = G.event(E);
     if (Ev.Kind == S.Produce) {
-      std::vector<EventId> Succ = G.soSuccessors(E);
       unsigned Consumers = 0;
-      for (EventId C : Succ)
-        if (IsConsumer(G.event(C)))
+      for (const SoEdge &Edge : G.so())
+        if (Edge.From == E && IsConsumer(G.event(Edge.To)))
           ++Consumers;
       if (Consumers > 1) {
         std::ostringstream OS;
         OS << "producer " << Ev.str(E) << " consumed " << Consumers
            << " times:";
-        for (EventId C : Succ)
+        for (EventId C : G.soSuccessors(E))
           OS << ' ' << G.event(C).str(C);
         return Verdict::fail("INJ", OS.str());
       }
     }
     if (IsConsumer(Ev)) {
       unsigned Producers = 0;
-      for (EventId P : G.soPredecessors(E))
-        if (G.event(P).ObjId == ObjId && G.event(P).Kind == S.Produce)
+      for (const SoEdge &Edge : G.so()) {
+        if (Edge.To != E)
+          continue;
+        const Event &P = G.event(Edge.From);
+        if (P.ObjId == ObjId && P.Kind == S.Produce)
           ++Producers;
+      }
       if (Producers > 1)
         return Verdict::fail("INJ", "consumer " + Ev.str(E) +
                                         " matched to multiple producers");
@@ -137,21 +140,19 @@ Expect expectFor(const Observed &O) {
 /// values lie (e.g. ExchangerEchoValue).
 Verdict obsCheck(const EventGraph &G, unsigned ObjId,
                  const std::vector<std::vector<Observed>> &PerThread) {
-  // Events per thread, commit order (== program order within a thread).
-  std::vector<std::vector<EventId>> ByThread(PerThread.size());
-  for (EventId E : G.objectEvents(ObjId)) {
-    unsigned T = G.event(E).Thread;
-    if (T < ByThread.size())
-      ByThread[T].push_back(E);
-  }
+  const std::vector<EventId> &Evs = G.objectEvents(ObjId);
   for (unsigned T = 0; T != PerThread.size(); ++T) {
-    size_t Pos = 0;
+    // Thread T's events, in commit order (== program order within a
+    // thread): Next walks them.
+    auto OfT = [&](EventId E) { return G.event(E).Thread == T; };
+    auto Next = std::find_if(Evs.begin(), Evs.end(), OfT);
+    size_t Pos = 0; ///< Events of T matched so far.
     for (size_t I = 0; I != PerThread[T].size(); ++I) {
       const Observed &O = PerThread[T][I];
       Expect X = expectFor(O);
       if (X.Skip)
         continue;
-      if (Pos >= ByThread[T].size()) {
+      if (Next == Evs.end()) {
         std::ostringstream OS;
         OS << "thread " << T << " op #" << I << " (" << opCodeName(O.Code)
            << " -> " << O.Result
@@ -159,7 +160,9 @@ Verdict obsCheck(const EventGraph &G, unsigned ObjId,
            << ")";
         return Verdict::fail("OBS", OS.str());
       }
-      const Event &Ev = G.event(ByThread[T][Pos]);
+      const EventId Id = *Next;
+      const Event &Ev = G.event(Id);
+      Next = std::find_if(Next + 1, Evs.end(), OfT);
       ++Pos;
       bool KindOk = Ev.Kind == X.Kind;
       bool V1Ok = !KindOk || Ev.Kind == OpKind::DeqEmpty ||
@@ -172,14 +175,15 @@ Verdict obsCheck(const EventGraph &G, unsigned ObjId,
         if (O.Arg)
           OS << ':' << O.Arg;
         OS << ") observed result " << O.Result
-           << " but committed event is " << Ev.str(ByThread[T][Pos - 1]);
+           << " but committed event is " << Ev.str(Id);
         return Verdict::fail("OBS", OS.str());
       }
     }
-    if (Pos != ByThread[T].size()) {
+    if (Next != Evs.end()) {
       std::ostringstream OS;
-      OS << "thread " << T << " committed " << ByThread[T].size()
-         << " events for " << Pos << " observed-op expectations";
+      OS << "thread " << T << " committed "
+         << std::count_if(Evs.begin(), Evs.end(), OfT) << " events for "
+         << Pos << " observed-op expectations";
       return Verdict::fail("OBS", OS.str());
     }
   }

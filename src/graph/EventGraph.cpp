@@ -11,23 +11,36 @@ using namespace compass;
 using namespace compass::graph;
 
 EventId EventGraph::reserve() {
-  Events.emplace_back();
+  EventId Id = static_cast<EventId>(States.size());
+  if (Id == Events.size())
+    Events.emplace_back();
   States.push_back(State::Reserved);
-  return static_cast<EventId>(Events.size()) - 1;
+  return Id;
+}
+
+Event &EventGraph::slot(EventId Id) {
+  if (Id >= States.size() || States[Id] != State::Reserved)
+    fatalError("slot of an id that is not reserved");
+  return Events[Id];
+}
+
+void EventGraph::commit(EventId Id) {
+  Event &E = slot(Id);
+  assert(E.Kind != OpKind::Invalid && "committing an empty event");
+  E.CommitIdx = NextCommitIdx++;
+  States[Id] = State::Committed;
+  UndoLog.push_back(Id);
+  Order.push_back(Id);
+  objOrder(E.ObjId).push_back(Id);
 }
 
 void EventGraph::commit(EventId Id, Event E) {
-  if (Id >= Events.size() || States[Id] != State::Reserved)
-    fatalError("commit of an id that is not reserved");
-  E.CommitIdx = NextCommitIdx++;
-  Events[Id] = std::move(E);
-  States[Id] = State::Committed;
-  UndoLog.push_back(Id);
-  assert(Events[Id].Kind != OpKind::Invalid && "committing an empty event");
+  slot(Id) = std::move(E);
+  commit(Id);
 }
 
 void EventGraph::retract(EventId Id) {
-  if (Id >= Events.size() || States[Id] != State::Reserved)
+  if (Id >= States.size() || States[Id] != State::Reserved)
     fatalError("retract of an id that is not reserved");
   States[Id] = State::Retracted;
   UndoLog.push_back(Id);
@@ -40,16 +53,25 @@ void EventGraph::trimToEpoch(const Epoch &E) {
     if (Id < E.NumEvents)
       States[Id] = State::Reserved;
   }
+  // Everything committed after the mark got a later commit index, so it
+  // sits at the tail of its commit-order lists.
+  while (!Order.empty() && Events[Order.back()].CommitIdx >= E.NextCommit) {
+    std::vector<EventId> &Obj = objOrder(Events[Order.back()].ObjId);
+    assert(!Obj.empty() && Obj.back() == Order.back() &&
+           "per-object commit order out of step");
+    Obj.pop_back();
+    Order.pop_back();
+  }
   UndoLog.resize(E.UndoMark);
-  Events.resize(E.NumEvents);
   States.resize(E.NumEvents, State::Reserved);
   So.resize(E.NumSo);
   NextCommitIdx = E.NextCommit;
 }
 
 void EventGraph::addRaw(EventId Id, Event E) {
-  if (Id >= Events.size()) {
-    Events.resize(Id + 1);
+  if (Id >= States.size()) {
+    if (Id >= Events.size())
+      Events.resize(Id + 1);
     States.resize(Id + 1, State::Retracted);
   }
   if (States[Id] == State::Committed)
@@ -60,6 +82,23 @@ void EventGraph::addRaw(EventId Id, Event E) {
   if (E.CommitIdx >= NextCommitIdx)
     NextCommitIdx = E.CommitIdx + 1;
   Events[Id] = std::move(E);
+  insertOrdered(Id);
+}
+
+std::vector<EventId> &EventGraph::objOrder(unsigned ObjId) {
+  for (ObjOrder &O : ByObj)
+    if (O.ObjId == ObjId)
+      return O.Ids;
+  ByObj.push_back({ObjId, {}});
+  return ByObj.back().Ids;
+}
+
+void EventGraph::insertOrdered(EventId Id) {
+  auto ByIdx = [&](EventId A, EventId B) {
+    return Events[A].CommitIdx < Events[B].CommitIdx;
+  };
+  for (std::vector<EventId> *L : {&Order, &objOrder(Events[Id].ObjId)})
+    L->insert(std::upper_bound(L->begin(), L->end(), Id, ByIdx), Id);
 }
 
 void EventGraph::addSo(EventId From, EventId To) {
@@ -69,7 +108,7 @@ void EventGraph::addSo(EventId From, EventId To) {
 }
 
 bool EventGraph::isCommitted(EventId Id) const {
-  return Id < Events.size() && States[Id] == State::Committed;
+  return Id < States.size() && States[Id] == State::Committed;
 }
 
 const Event &EventGraph::event(EventId Id) const {
@@ -84,24 +123,12 @@ bool EventGraph::lhb(EventId E, EventId D) const {
   return Events[D].LogView.contains(E);
 }
 
-std::vector<EventId> EventGraph::committedEvents() const {
-  std::vector<EventId> Out;
-  for (EventId Id = 0, N = static_cast<EventId>(Events.size()); Id != N;
-       ++Id)
-    if (States[Id] == State::Committed)
-      Out.push_back(Id);
-  std::sort(Out.begin(), Out.end(), [&](EventId A, EventId B) {
-    return Events[A].CommitIdx < Events[B].CommitIdx;
-  });
-  return Out;
-}
-
-std::vector<EventId> EventGraph::objectEvents(unsigned ObjId) const {
-  std::vector<EventId> Out;
-  for (EventId Id : committedEvents())
-    if (Events[Id].ObjId == ObjId)
-      Out.push_back(Id);
-  return Out;
+const std::vector<EventId> &EventGraph::objectEvents(unsigned ObjId) const {
+  for (const ObjOrder &O : ByObj)
+    if (O.ObjId == ObjId)
+      return O.Ids;
+  static const std::vector<EventId> None;
+  return None;
 }
 
 std::vector<EventId> EventGraph::soSuccessors(EventId Id) const {
@@ -121,23 +148,31 @@ std::vector<EventId> EventGraph::soPredecessors(EventId Id) const {
 }
 
 std::optional<EventId> EventGraph::matchOfProducer(EventId Id) const {
-  std::vector<EventId> Succ = soSuccessors(Id);
-  assert(Succ.size() <= 1 && "producer matched more than once");
-  if (Succ.empty())
-    return std::nullopt;
-  return Succ.front();
+  std::optional<EventId> Match;
+  for (const SoEdge &Edge : So) {
+    if (Edge.From != Id)
+      continue;
+    assert(!Match && "producer matched more than once");
+    if (!Match)
+      Match = Edge.To;
+  }
+  return Match;
 }
 
 std::optional<EventId> EventGraph::matchOfConsumer(EventId Id) const {
-  std::vector<EventId> Pred = soPredecessors(Id);
-  assert(Pred.size() <= 1 && "consumer matched more than once");
-  if (Pred.empty())
-    return std::nullopt;
-  return Pred.front();
+  std::optional<EventId> Match;
+  for (const SoEdge &Edge : So) {
+    if (Edge.To != Id)
+      continue;
+    assert(!Match && "consumer matched more than once");
+    if (!Match)
+      Match = Edge.From;
+  }
+  return Match;
 }
 
 std::string EventGraph::checkWellFormed() const {
-  std::vector<EventId> Committed = committedEvents();
+  const std::vector<EventId> &Committed = Order;
 
   // Commit indices are unique (committedEvents sorted by them).
   for (size_t I = 1; I < Committed.size(); ++I)
@@ -155,7 +190,7 @@ std::string EventGraph::checkWellFormed() const {
     Ev.LogView.forEach([&](EventId E) {
       if (Bad || E == D)
         return;
-      if (E >= Events.size()) {
+      if (E >= States.size()) {
         Bad = true;
         Err = "logical view contains unknown id";
         return;

@@ -44,15 +44,24 @@ struct SoEdge {
 };
 
 /// The (global) event graph; see file comment.
+///
+/// Event slots are retained storage, as rmc::Memory's cells are: reset()
+/// and trimToEpoch() only lower the live watermark, so a reused slot keeps
+/// its views' heap storage and a committer fills it in place (slot(), then
+/// commit(Id)). The commit order, overall and per object, is kept as
+/// events commit, so committedEvents() and objectEvents() cost no sort and
+/// no allocation.
 class EventGraph {
 public:
-  /// Rewinds to the empty graph, keeping vector capacity for reuse.
+  /// Rewinds to the empty graph, keeping all storage for reuse.
   void reset() {
-    Events.clear();
     States.clear();
     So.clear();
     UndoLog.clear();
     NextCommitIdx = 0;
+    Order.clear();
+    for (ObjOrder &O : ByObj)
+      O.Ids.clear();
   }
 
   /// A point in this graph's mutation history, for the copy-on-write
@@ -67,7 +76,7 @@ public:
   };
 
   Epoch epoch() const {
-    return {Events.size(), So.size(), NextCommitIdx, UndoLog.size()};
+    return {States.size(), So.size(), NextCommitIdx, UndoLog.size()};
   }
 
   /// Rewinds to \p E: ids reserved after the mark are dropped; ids
@@ -78,6 +87,16 @@ public:
 
   /// Allocates a fresh id in Reserved state.
   EventId reserve();
+
+  /// The reserved id \p Id's event slot, for its committer to fill in
+  /// place before commit(Id). The slot still holds whatever event it held
+  /// before (its view storage is what gets reused), so the committer sets
+  /// every field but CommitIdx.
+  Event &slot(EventId Id);
+
+  /// Commits a reserved id whose slot the caller has filled, assigning the
+  /// next commit index.
+  void commit(EventId Id);
 
   /// Fills in the event for a reserved id and assigns the next commit
   /// index. \p E.CommitIdx is overwritten.
@@ -94,7 +113,7 @@ public:
   /// Adds an so edge between two committed events.
   void addSo(EventId From, EventId To);
 
-  unsigned size() const { return static_cast<unsigned>(Events.size()); }
+  unsigned size() const { return static_cast<unsigned>(States.size()); }
 
   /// True if \p Id is committed (has a real event).
   bool isCommitted(EventId Id) const;
@@ -109,10 +128,10 @@ public:
   bool lhb(EventId E, EventId D) const;
 
   /// Ids of committed events belonging to \p ObjId, in commit order.
-  std::vector<EventId> objectEvents(unsigned ObjId) const;
+  const std::vector<EventId> &objectEvents(unsigned ObjId) const;
 
   /// Ids of all committed events, in commit order.
-  std::vector<EventId> committedEvents() const;
+  const std::vector<EventId> &committedEvents() const { return Order; }
 
   /// The so-matches of \p Id (edges Id -> x).
   std::vector<EventId> soSuccessors(EventId Id) const;
@@ -139,13 +158,28 @@ public:
 private:
   enum class State : uint8_t { Reserved, Committed, Retracted };
 
-  std::vector<Event> Events;
-  std::vector<State> States;
+  /// One object's committed ids, in commit order.
+  struct ObjOrder {
+    unsigned ObjId = 0;
+    std::vector<EventId> Ids;
+  };
+
+  /// The commit-order list of \p ObjId, created on first use.
+  std::vector<EventId> &objOrder(unsigned ObjId);
+
+  /// Adds committed \p Id to the commit-order lists at its CommitIdx.
+  void insertOrdered(EventId Id);
+
+  std::vector<Event> Events;  ///< Slots; [0, size()) are live, the rest
+                              ///< is retained storage.
+  std::vector<State> States;  ///< One per live id.
   std::vector<SoEdge> So;
   uint32_t NextCommitIdx = 0;
   /// Ids whose state left Reserved (commit or retract), in order; popping
   /// one reverts the id to Reserved. Truncations handle everything else.
   std::vector<EventId> UndoLog;
+  std::vector<EventId> Order;  ///< Committed ids, by CommitIdx.
+  std::vector<ObjOrder> ByObj; ///< Order split by object (kept when empty).
 };
 
 } // namespace compass::graph

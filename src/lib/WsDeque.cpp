@@ -23,6 +23,8 @@ WsDeque::WsDeque(Machine &M, spec::SpecMonitor &Mon, std::string Name,
   Bottom = M.alloc(Name + ".bottom");
   Buf = M.alloc(Name + ".buf", Capacity);
   Eids = M.alloc(Name + ".eids", Capacity);
+  for (unsigned I = 0; I != Capacity; ++I)
+    OwnerShadow.push_back({});
 }
 
 WsDequeOrders WsDeque::orders(Mutation Mut) {
@@ -57,7 +59,7 @@ Task<void> WsDeque::push(Env &E, Value V) {
   co_await E.store(Bottom, B + 1, Ord.BottomStore);
   // Commit point: the bottom store.
   Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Push, V);
-  OwnerShadow[B] = {V, Ev};
+  OwnerShadow[B] = {V, Ev, true};
   co_return;
 }
 
@@ -79,10 +81,10 @@ Task<Value> WsDeque::take(Env &E) {
     co_return EmptyVal;
   }
 
-  auto ShadowIt = OwnerShadow.find(static_cast<uint64_t>(BI));
-  if (ShadowIt == OwnerShadow.end())
+  if (static_cast<uint64_t>(BI) >= OwnerShadow.size() ||
+      !OwnerShadow[BI].Live)
     fatalError("WsDeque owner shadow out of sync");
-  ShadowEntry Shadow = ShadowIt->second;
+  ShadowEntry Shadow = OwnerShadow[BI];
 
   if (TI != BI) {
     // More than one element: the bottom one is owner-exclusive. Commit
@@ -90,7 +92,7 @@ Task<Value> WsDeque::take(Env &E) {
     EventId Ev = Mon.reserve(E.M, E.Tid);
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, Shadow.Val, 0,
                Shadow.Ev);
-    OwnerShadow.erase(static_cast<uint64_t>(BI));
+    OwnerShadow[BI].Live = false;
     // Fidelity: the algorithm reads the buffer; assert against the
     // shadow.
     Value V = co_await E.load(Buf + static_cast<Loc>(BI), Ord.SlotLoad);
@@ -104,7 +106,7 @@ Task<Value> WsDeque::take(Env &E) {
   if (R.Success) {
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, Shadow.Val, 0,
                Shadow.Ev);
-    OwnerShadow.erase(static_cast<uint64_t>(BI));
+    OwnerShadow[BI].Live = false;
     co_await E.store(Bottom, static_cast<Value>(BI + 1), Ord.BottomStore);
     co_return Shadow.Val;
   }

@@ -38,8 +38,8 @@
 #include "lib/Container.h"
 #include "lib/Orders.h"
 #include "spec/SpecMonitor.h"
+#include "support/SmallVec.h"
 
-#include <map>
 #include <string>
 
 namespace compass::lib {
@@ -82,12 +82,14 @@ private:
   /// Owner-side shadow of its own pushes (index -> value and event id),
   /// used to keep the take commit in the same scheduler step as its
   /// decisive instruction. Plain ghost state; the simulated reads still
-  /// happen and are asserted against it.
+  /// happen and are asserted against it. One entry per lifetime index,
+  /// inline, so a deque rebuilt every execution allocates no shadow.
   struct ShadowEntry {
-    rmc::Value Val;
-    graph::EventId Ev;
+    rmc::Value Val = 0;
+    graph::EventId Ev = 0;
+    bool Live = false;
   };
-  std::map<uint64_t, ShadowEntry> OwnerShadow;
+  SmallVec<ShadowEntry, 8> OwnerShadow; ///< Capacity entries.
 };
 
 } // namespace compass::lib

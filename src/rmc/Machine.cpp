@@ -266,7 +266,7 @@ const Knowledge &Machine::relView(const ThreadState &TS, Loc L) {
 }
 
 Timestamp Machine::applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
-                              Knowledge MsgK, bool Release) {
+                              const Knowledge &MsgK, bool Release) {
   Timestamp Ts = Mem.append(L, V, MsgK, T);
   // The message's view includes the write itself (REL-WRITE's
   // `h[t ↦ (v, V')]` with `t ∈ V'`).
@@ -423,9 +423,10 @@ void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
     return;
   }
 
+  // The append copies the view into the message slot before applyWrite
+  // raises the thread's own views.
   bool Release = isRelease(O);
-  Knowledge MsgK = Release ? TS.Cur : relView(TS, L);
-  applyWrite(T, TS, L, V, std::move(MsgK), Release);
+  applyWrite(T, TS, L, V, Release ? TS.Cur : relView(TS, L), Release);
   if (O == MemOrder::SeqCst)
     ScPhys.joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("st.") + memOrderName(O) + " " +
@@ -497,9 +498,9 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
     applyRead(TS, L, C, Latest, SuccO);
     // Release-sequence behaviour: the new message carries the read
     // message's view, so a chain of RMWs forwards earlier releases.
-    Knowledge MsgK = C.know(Latest);
-    MsgK.joinWith(isRelease(SuccO) ? TS.Cur : relView(TS, L));
-    applyWrite(T, TS, L, Desired, std::move(MsgK), isRelease(SuccO));
+    MsgScratch = C.know(Latest);
+    MsgScratch.joinWith(isRelease(SuccO) ? TS.Cur : relView(TS, L));
+    applyWrite(T, TS, L, Desired, MsgScratch, isRelease(SuccO));
     if (SuccO == MemOrder::SeqCst)
       ScPhys.joinWith(TS.Cur.Phys);
     COMPASS_TRACE(T, std::string("cas.") + memOrderName(SuccO) + " " +
@@ -541,9 +542,9 @@ Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
   Timestamp RTs = C.latestTs();
   Value Old = C.val(RTs);
   applyRead(TS, L, C, RTs, O);
-  Knowledge MsgK = C.know(RTs);
-  MsgK.joinWith(isRelease(O) ? TS.Cur : relView(TS, L));
-  applyWrite(T, TS, L, Old + Add, std::move(MsgK), isRelease(O));
+  MsgScratch = C.know(RTs);
+  MsgScratch.joinWith(isRelease(O) ? TS.Cur : relView(TS, L));
+  applyWrite(T, TS, L, Old + Add, MsgScratch, isRelease(O));
   if (O == MemOrder::SeqCst)
     ScPhys.joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("faa.") + memOrderName(O) + " " +

@@ -419,9 +419,11 @@ private:
   /// until the next relView call.
   const Knowledge &relView(const ThreadState &TS, Loc L);
 
-  /// Appends a write and applies writer-side effects. Returns new ts.
+  /// Appends a write carrying \p MsgK and applies writer-side effects.
+  /// Returns new ts. \p MsgK must not be a history slot's Knowledge: the
+  /// append may reallocate the cell's history arrays.
   Timestamp applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
-                       Knowledge MsgK, bool Release);
+                       const Knowledge &MsgK, bool Release);
 
   void reportRace(unsigned T, Loc L, const char *What);
   void reportFault(const char *Rule, std::string Msg);
@@ -474,8 +476,9 @@ private:
 
   /// Scratch buffers reused across operations so the hot paths allocate
   /// nothing at steady state (SmallVec keeps the common case inline; the
-  /// Knowledge keeps its capacity across relView calls).
+  /// Knowledges keep their capacity across calls).
   Knowledge RelScratch;
+  Knowledge MsgScratch; ///< An RMW's message view, built before the append.
   SmallVec<Timestamp, 16> CandScratch; ///< loadWhere candidate timestamps.
   SmallVec<Timestamp, 16> FailScratch; ///< CAS failure-read timestamps.
 

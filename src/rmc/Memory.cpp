@@ -112,23 +112,24 @@ unsigned Memory::countReadableFrom(Loc L, Timestamp From) const {
 
 void Memory::setLife(Loc L, CellLife NewLife) {
   Cell &C = cell(L);
-  LifeEvent E;
+  if (LifeLive == LifeLog.size())
+    LifeLog.emplace_back();
+  LifeEvent &E = LifeLog[LifeLive++];
   E.L = L;
   E.PrevLife = C.Life;
-  E.PrevPins = C.RetirePins;
-  LifeLog.push_back(std::move(E));
+  E.PrevPins = C.RetirePins; // Capacity-reusing copy.
   C.Life = NewLife;
 }
 
 void Memory::reset() {
   Live = 0;
   AppendLog.clear();
-  LifeLog.clear();
+  LifeLive = 0;
 }
 
 void Memory::trimToEpoch(const Epoch &E) {
   assert(E.Appends <= AppendLog.size() && "epoch from the future");
-  assert(E.LifeEvents <= LifeLog.size() && "epoch from the future");
+  assert(E.LifeEvents <= LifeLive && "epoch from the future");
   while (AppendLog.size() > E.Appends) {
     Loc L = AppendLog.back();
     AppendLog.pop_back();
@@ -136,12 +137,12 @@ void Memory::trimToEpoch(const Epoch &E) {
     assert(C.Len > 1 && "append undo would drop the init message");
     --C.Len;
   }
-  while (LifeLog.size() > E.LifeEvents) {
-    LifeEvent &Ev = LifeLog.back();
+  while (LifeLive > E.LifeEvents) {
+    LifeEvent &Ev = LifeLog[--LifeLive];
     Cell &C = Cells[Ev.L];
     C.Life = Ev.PrevLife;
-    C.RetirePins = std::move(Ev.PrevPins);
-    LifeLog.pop_back();
+    // A swap, so both vectors keep their storage.
+    C.RetirePins.swap(Ev.PrevPins);
   }
   assert(E.Live <= Live && "epoch allocated more than the present");
   Live = E.Live;

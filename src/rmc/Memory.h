@@ -141,10 +141,10 @@ public:
   struct Epoch {
     size_t Live = 0;       ///< Allocation watermark.
     size_t Appends = 0;    ///< AppendLog length.
-    size_t LifeEvents = 0; ///< LifeLog length.
+    size_t LifeEvents = 0; ///< Live LifeLog records.
   };
 
-  Epoch epoch() const { return {Live, AppendLog.size(), LifeLog.size()}; }
+  Epoch epoch() const { return {Live, AppendLog.size(), LifeLive}; }
 
   /// Rewinds to \p E: pops appends (decrementing cell watermarks) and
   /// lifecycle transitions (restoring Life + RetirePins) recorded after
@@ -186,13 +186,15 @@ private:
   /// decrements that cell's watermark (slot contents stay for reuse).
   std::vector<Loc> AppendLog;
 
-  /// Undo log of lifecycle transitions.
+  /// Undo log of lifecycle transitions: [0, LifeLive) are live; records
+  /// past the watermark keep their PrevPins storage for reuse.
   struct LifeEvent {
     Loc L = 0;
     CellLife PrevLife = CellLife::Live;
     std::vector<PinRef> PrevPins;
   };
   std::vector<LifeEvent> LifeLog;
+  size_t LifeLive = 0;
 };
 
 } // namespace compass::rmc

@@ -2,8 +2,6 @@
 
 #include "sim/Ebr.h"
 
-#include <utility>
-
 using namespace compass;
 using namespace compass::sim;
 using namespace compass::rmc;
@@ -78,7 +76,9 @@ Task<bool> Ebr::advanceOnce(Env &E) {
   // Reclaim-vs-SC dependence in rmc::independent makes this pairing
   // visible to the sleep-set reduction.) The claim is a local snapshot: a
   // concurrent advancer must never see these entries again.
-  std::vector<Batch> Claimed = std::move(Bins[(Ep + 1) % 3]);
+  Bin Claimed;
+  for (const Batch &B : Bins[(Ep + 1) % 3])
+    Claimed.push_back(B);
   Bins[(Ep + 1) % 3].clear();
   for (const Batch &B : Claimed)
     co_await E.freeCells(B.L, B.Count);

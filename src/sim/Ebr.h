@@ -37,9 +37,9 @@
 #define COMPASS_SIM_EBR_H
 
 #include "sim/Scheduler.h"
+#include "support/SmallVec.h"
 
 #include <string>
-#include <vector>
 
 namespace compass::sim {
 
@@ -90,8 +90,11 @@ private:
   rmc::Loc EpochLoc; ///< Global epoch counter (starts at 0).
   rmc::Loc SlotLoc;  ///< NumThreads announcement slots: 0 = unpinned,
                      ///< else announced epoch + 1.
-  std::vector<Batch> Bins[3]; ///< Ghost retire bins, indexed by epoch % 3;
-                              ///< mutated only on Reclaim/SC steps.
+  /// Ghost retire bins, indexed by epoch % 3; mutated only on Reclaim/SC
+  /// steps. Inline storage: a domain rebuilt every execution (as the
+  /// checker's adapter rebuilds its library) allocates no bins.
+  using Bin = SmallVec<Batch, 8>;
+  Bin Bins[3];
 };
 
 } // namespace compass::sim

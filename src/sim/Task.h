@@ -21,6 +21,13 @@
 /// explicit form costs one native stack frame per nesting level, which is
 /// bounded by the library call depth (< 10).
 ///
+/// Coroutine frames come from a per-thread pool (detail::FramePool): a
+/// destroyed frame's block goes onto its thread's free list for its size
+/// class, so an execution that re-creates the coroutines of the one before
+/// it (a root replay, a copy-on-write resume) reuses their blocks instead
+/// of calling operator new. A frame may be destroyed on another thread than
+/// the one that created it; its block then joins that thread's pool.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_SIM_TASK_H
@@ -28,18 +35,113 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdlib>
+#include <new>
 #include <optional>
 #include <utility>
+
+#include <sanitizer/asan_interface.h>
 
 namespace compass::sim {
 
 namespace detail {
 
+/// Per-thread free lists of coroutine-frame blocks, one list per size class
+/// (frames up to MaxPooled bytes, rounded up to Granule). Every block of a
+/// class has the class's full size, wherever it was allocated or is freed,
+/// so a block only ever serves frames of its own class. A pooled block is
+/// poisoned under AddressSanitizer until it is handed out again (the
+/// macros are no-ops in other builds). At thread exit the pool returns its
+/// blocks to operator delete; a frame freed on the thread after that goes
+/// there directly.
+class FramePool {
+public:
+  static void *allocate(std::size_t Size) {
+    const std::size_t C = sizeClass(Size);
+    if (C >= NumClasses)
+      return ::operator new(Size);
+    if (!Dead) {
+      if (!Registered)
+        registerTeardown();
+      if (Block *B = Heads[C]) {
+        ASAN_UNPOISON_MEMORY_REGION(B, blockSize(C));
+        Heads[C] = B->Next;
+        return B;
+      }
+    }
+    return ::operator new(blockSize(C));
+  }
+
+  static void deallocate(void *P, std::size_t Size) noexcept {
+    const std::size_t C = sizeClass(Size);
+    if (C >= NumClasses || Dead) {
+      ::operator delete(P);
+      return;
+    }
+    if (!Registered)
+      registerTeardown(); // A frame created on another thread.
+    Block *B = static_cast<Block *>(P);
+    B->Next = Heads[C];
+    Heads[C] = B;
+    ASAN_POISON_MEMORY_REGION(B, blockSize(C));
+  }
+
+private:
+  static constexpr std::size_t Granule = 64;
+  static constexpr std::size_t MaxPooled = 4096;
+  static constexpr std::size_t NumClasses = MaxPooled / Granule;
+
+  struct Block {
+    Block *Next;
+  };
+
+  static std::size_t sizeClass(std::size_t Size) {
+    return (Size + Granule - 1) / Granule - 1;
+  }
+  static std::size_t blockSize(std::size_t C) { return (C + 1) * Granule; }
+
+  /// Returns every pooled block when the thread exits (see class comment).
+  struct Teardown {
+    Teardown() = default;
+    Teardown(const Teardown &) = delete;
+    Teardown &operator=(const Teardown &) = delete;
+    ~Teardown() {
+      Dead = true;
+      for (std::size_t C = 0; C != NumClasses; ++C)
+        while (Block *B = Heads[C]) {
+          ASAN_UNPOISON_MEMORY_REGION(B, blockSize(C));
+          Heads[C] = B->Next;
+          ::operator delete(B);
+        }
+    }
+  };
+
+  static void registerTeardown() {
+    Registered = true;
+    static thread_local Teardown T;
+    (void)T;
+  }
+
+  // Trivially destructible, so they stay readable while the thread's
+  // thread_local destructors run (Dead routes late frees past the pool).
+  static inline thread_local Block *Heads[NumClasses] = {};
+  static inline thread_local bool Registered = false;
+  static inline thread_local bool Dead = false;
+};
+
 /// State shared by all task promises: the continuation to resume when the
-/// task completes (the awaiting parent coroutine, if any).
+/// task completes (the awaiting parent coroutine, if any). Frames are
+/// allocated from the thread's FramePool.
 struct PromiseBase {
   std::coroutine_handle<> Continuation;
+
+  static void *operator new(std::size_t Size) {
+    return FramePool::allocate(Size);
+  }
+  static void operator delete(void *P, std::size_t Size) noexcept {
+    FramePool::deallocate(P, Size);
+  }
 
   struct FinalAwaiter {
     bool await_ready() noexcept { return false; }

@@ -2,8 +2,6 @@
 
 #include "spec/Consistency.h"
 
-#include <map>
-
 using namespace compass;
 using namespace compass::spec;
 using namespace compass::graph;
@@ -55,7 +53,15 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
       R.add("OWNER", "owner stealing from its own deque: " + evStr(G, Id));
   }
 
-  std::map<EventId, unsigned> ProducerMatches, ConsumerMatches;
+  // A match is an so edge of this object from a producer to a consumer.
+  auto IsMatch = [&](const SoEdge &Edge) {
+    if (!G.isCommitted(Edge.From) || !G.isCommitted(Edge.To))
+      return false;
+    const Event &From = G.event(Edge.From);
+    const Event &To = G.event(Edge.To);
+    return From.ObjId == ObjId && To.ObjId == ObjId &&
+           From.Kind == S.Produce && S.role(To.Kind).R == Role::Consume;
+  };
   for (const SoEdge &Edge : G.so()) {
     if (!G.isCommitted(Edge.From) || !G.isCommitted(Edge.To))
       continue;
@@ -68,7 +74,7 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
                           " -> " + evStr(G, Edge.To));
       continue;
     }
-    if (From.Kind != S.Produce || S.role(To.Kind).R != Role::Consume) {
+    if (!IsMatch(Edge)) {
       R.add("SO-KINDS", "so edge with wrong kinds: " + evStr(G, Edge.From) +
                             " -> " + evStr(G, Edge.To));
       continue;
@@ -81,20 +87,26 @@ void checkContainerStructure(const EventGraph &G, unsigned ObjId,
     if (!G.lhb(Edge.From, Edge.To))
       R.add("SO-LHB", "consumer does not observe its producer: " +
                           evStr(G, Edge.From) + " -> " + evStr(G, Edge.To));
-    ++ProducerMatches[Edge.From];
-    ++ConsumerMatches[Edge.To];
   }
 
-  for (auto &[Id, N] : ProducerMatches)
-    if (N > 1)
+  // Injectivity, by ascending id: each producer and each consumer in at
+  // most one match; every successful consume in one.
+  auto Matches = [&](EventId Id, EventId SoEdge::*End) {
+    unsigned N = 0;
+    for (const SoEdge &Edge : G.so())
+      N += Edge.*End == Id && IsMatch(Edge);
+    return N;
+  };
+  for (EventId Id = 0; Id != G.size(); ++Id)
+    if (Matches(Id, &SoEdge::From) > 1)
       R.add("INJ", "produced element consumed more than once: " +
                        evStr(G, Id));
-  for (auto &[Id, N] : ConsumerMatches)
-    if (N > 1)
+  for (EventId Id = 0; Id != G.size(); ++Id)
+    if (Matches(Id, &SoEdge::To) > 1)
       R.add("INJ", "consumer matched more than once: " + evStr(G, Id));
   for (EventId Id : Evs)
     if (S.role(G.event(Id).Kind).R == Role::Consume &&
-        !ConsumerMatches.count(Id))
+        !Matches(Id, &SoEdge::To))
       R.add("UNMATCHED", "successful consume without a producer: " +
                              evStr(G, Id));
 }

@@ -49,13 +49,13 @@ void SpecMonitor::retract(rmc::Machine &M, unsigned T, EventId Id) {
   M.threadAcq(T).Events.erase(Id);
 }
 
-IdSet SpecMonitor::committedKnown(rmc::Machine &M, unsigned T) const {
-  IdSet Out;
+void SpecMonitor::committedKnown(const rmc::Machine &M, unsigned T,
+                                 IdSet &Out) const {
+  Out.clear();
   M.threadCur(T).Events.forEach([&](uint32_t Id) {
     if (G.isCommitted(Id))
       Out.insert(Id);
   });
-  return Out;
 }
 
 void SpecMonitor::commit(rmc::Machine &M, unsigned T, EventId Id,
@@ -63,16 +63,17 @@ void SpecMonitor::commit(rmc::Machine &M, unsigned T, EventId Id,
                          rmc::Value V2, std::optional<EventId> SoFrom) {
   if (M.replaying())
     return; // Fast-forward: graph state restores from the snapshot.
-  Event E;
+  // Filled in place: the slot's views keep their storage (EventGraph).
+  Event &E = G.slot(Id);
   E.Kind = Kind;
   E.V1 = V1;
   E.V2 = V2;
   E.ObjId = ObjId;
   E.Thread = T;
   E.PhysView = M.threadCur(T).Phys;
-  E.LogView = committedKnown(M, T);
+  committedKnown(M, T, E.LogView);
   E.LogView.insert(Id);
-  G.commit(Id, std::move(E));
+  G.commit(Id);
   if (SoFrom)
     G.addSo(*SoFrom, Id);
 }
@@ -89,27 +90,27 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
   // logical view is the helper's, which cannot yet contain the helper's
   // own event (not committed), realizing footnote 7: the helpee does not
   // happen-after the helper.
-  Event E2;
+  Event &E2 = G.slot(HelpeeId);
   E2.Kind = OpKind::Exchange;
   E2.V1 = HelpeeVal;
   E2.V2 = HelperVal;
   E2.ObjId = ObjId;
   E2.Thread = HelpeeT;
   E2.PhysView = HelpeePhys;
-  E2.LogView = committedKnown(M, HelperT);
+  committedKnown(M, HelperT, E2.LogView);
   E2.LogView.insert(HelpeeId);
-  G.commit(HelpeeId, std::move(E2));
+  G.commit(HelpeeId);
 
-  Event E1;
+  Event &E1 = G.slot(HelperId);
   E1.Kind = OpKind::Exchange;
   E1.V1 = HelperVal;
   E1.V2 = HelpeeVal;
   E1.ObjId = ObjId;
   E1.Thread = HelperT;
   E1.PhysView = M.threadCur(HelperT).Phys;
-  E1.LogView = committedKnown(M, HelperT); // Now includes HelpeeId.
+  committedKnown(M, HelperT, E1.LogView); // Now includes HelpeeId.
   E1.LogView.insert(HelperId);
-  G.commit(HelperId, std::move(E1));
+  G.commit(HelperId);
 
   G.addSo(HelperId, HelpeeId);
   G.addSo(HelpeeId, HelperId);

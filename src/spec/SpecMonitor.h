@@ -123,8 +123,9 @@ public:
   const graph::EventGraph &graph() const { return G; }
 
 private:
-  /// The thread's known ids restricted to committed events.
-  IdSet committedKnown(rmc::Machine &M, unsigned T) const;
+  /// Writes into \p Out (an event slot's logical view, whose storage is
+  /// reused) thread \p T's known ids restricted to committed events.
+  void committedKnown(const rmc::Machine &M, unsigned T, IdSet &Out) const;
 
   graph::EventGraph G;
   std::vector<std::string> ObjectNames;

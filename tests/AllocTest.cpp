@@ -1,0 +1,126 @@
+//===-- tests/AllocTest.cpp - Allocation budget of one execution ----------===//
+//
+// Part of compass-cxx. Distributed under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Pins the allocation discipline of DESIGN.md §11: recycled coroutine
+/// frames, and the per-execution operator new calls of the checker's
+/// unreduced serial exploration. The binary replaces the global operator
+/// new and delete with counting versions, so it is a binary of its own;
+/// the sanitizer builds leave it out (their runtimes replace the same
+/// functions).
+///
+//===----------------------------------------------------------------------===//
+
+#include "check/Harness.h"
+#include "check/ScenarioGen.h"
+#include "sim/Task.h"
+#include "sim/Workload.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<uint64_t> NewCalls{0};
+} // namespace
+
+void *operator new(std::size_t Size) {
+  NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+
+using namespace compass;
+using namespace compass::check;
+
+namespace {
+
+sim::Task<int> leaf(int X) { co_return X + 1; }
+
+sim::Task<int> parent(int X) {
+  auto T = leaf(X);
+  int V = co_await T;
+  co_return 2 * V;
+}
+
+/// Creates a two-frame task, runs it to completion and destroys it.
+void runTask(int X) {
+  sim::Task<int> T = parent(X);
+  T.handle().resume();
+  ASSERT_TRUE(T.done());
+}
+
+} // namespace
+
+TEST(FramePool, RecycledFramesCallNoOperatorNew) {
+  runTask(0); // Warm-up: the first frames of each size come from new.
+  const uint64_t Before = NewCalls.load();
+  for (int I = 0; I != 1000; ++I) {
+    runTask(I);
+    sim::Task<int> Unstarted = leaf(I); // Destroyed without running.
+  }
+  EXPECT_EQ(NewCalls.load() - Before, 0u)
+      << "a task's frame came from operator new after the warm-up";
+}
+
+// operator new calls per execution of unreduced serial exploration (the
+// perfbench oracle configuration): 2 threads of 1-3 ops, preemption bound
+// 1, eight generated scenarios per library, every execution verdict-checked.
+// Counted from the end of each exploration's first execution, so the
+// exploration's warm-up (a fresh machine, scheduler and RunState per
+// scenario, and the first execution's frames) is left out; memo inserts,
+// verdicts on memo misses and the storage deeper paths first need are in.
+// Measured (GCC 12, Release and Debug): 2.3 per execution (ms_queue) to
+// 9.0 (elim_stack, whose verdicts build a derived graph); the bound is the
+// largest plus 2. Before frame recycling and retained per-execution
+// storage the same scenarios took 23-59 per execution.
+TEST(AllocBudget, UnreducedExplorationPerExecution) {
+  constexpr double Bound = 11.0;
+  GenOptions G;
+  G.MinThreads = G.MaxThreads = 2;
+  G.MinOpsPerThread = 1;
+  G.MaxOpsPerThread = 3;
+  G.MinPreemptions = G.MaxPreemptions = 1;
+  for (unsigned I = 0; I != NumLibs; ++I) {
+    const Lib L = allLibs()[I];
+    uint64_t Calls = 0, Execs = 0;
+    for (unsigned K = 0; K != 8; ++K) {
+      Scenario S = generateScenario(L, scenarioSeed(1, L, K), G);
+      sim::Workload W =
+          makeWorkload(S, Mutation::None,
+                       scenarioOptions(S, 50000, 1, sim::ReductionMode::None));
+      sim::Workload::Body B = W.makeBody();
+      uint64_t Checks = 0, AfterFirst = 0;
+      B.Check = [&, Check = std::move(B.Check)](rmc::Machine &M,
+                                                sim::Scheduler &Sch,
+                                                sim::Scheduler::RunResult R) {
+        bool Ok = Check(M, Sch, R);
+        if (Checks++ == 0)
+          AfterFirst = NewCalls.load();
+        return Ok;
+      };
+      sim::Explorer::Summary Sum =
+          sim::explore(sim::Workload(W.options(), std::move(B)));
+      ASSERT_EQ(Checks, Sum.Executions);
+      Calls += NewCalls.load() - AfterFirst;
+      Execs += Sum.Executions - 1;
+      EXPECT_EQ(Sum.Violations, 0u) << S.str();
+    }
+    ASSERT_GT(Execs, 0u);
+    const double PerExec = double(Calls) / double(Execs);
+    std::printf("%-14s %8llu executions %9llu operator new  %.2f per "
+                "execution\n",
+                libName(L), static_cast<unsigned long long>(Execs),
+                static_cast<unsigned long long>(Calls), PerExec);
+    EXPECT_LE(PerExec, Bound) << libName(L);
+  }
+}

@@ -15,9 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 using namespace compass;
 using namespace compass::rmc;
@@ -428,4 +434,199 @@ TEST(ExplorerTest, SummaryStringMentionsCounts) {
   std::string Str = Sum.str();
   EXPECT_NE(Str.find("executions=3"), std::string::npos);
   EXPECT_NE(Str.find("exhaustive"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Coroutine frame pool (sim/Task.h). CI runs this suite under TSan and
+// under ASan, where pooled blocks are poisoned.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Suspends its awaiter and keeps the handle, to be resumed later.
+struct Gate {
+  std::vector<std::coroutine_handle<>> Waiting;
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> H) { Waiting.push_back(H); }
+  void await_resume() const {}
+  void openAll() {
+    std::vector<std::coroutine_handle<>> Hs;
+    Hs.swap(Waiting);
+    for (std::coroutine_handle<> H : Hs)
+      H.resume();
+  }
+};
+
+/// What a patterned task reports: where its buffer lives and whether the
+/// pattern survived the suspension.
+struct PatternOut {
+  const unsigned char *Buf = nullptr;
+  size_t Size = 0;
+  bool Intact = false;
+};
+
+/// A task whose frame holds an N-byte buffer across a suspension: it
+/// writes a pattern derived from \p Seed, suspends on \p G, and checks
+/// the pattern when resumed.
+template <size_t N>
+Task<void> patterned(unsigned Seed, Gate &G, PatternOut &Out) {
+  unsigned char Buf[N] = {};
+  for (size_t I = 0; I != N; ++I)
+    Buf[I] = static_cast<unsigned char>(Seed * 31 + I);
+  Out.Buf = Buf;
+  Out.Size = N;
+  co_await G;
+  bool Intact = true;
+  for (size_t I = 0; I != N; ++I)
+    Intact &= Buf[I] == static_cast<unsigned char>(Seed * 31 + I);
+  Out.Intact = Intact;
+}
+
+/// Creates a patterned task of the I-th size (the last one is larger than
+/// the pool's biggest class, so it bypasses the pool).
+Task<void> patternedOfSize(unsigned I, unsigned Seed, Gate &G,
+                           PatternOut &Out) {
+  switch (I % 9) {
+  case 0: return patterned<8>(Seed, G, Out);
+  case 1: return patterned<56>(Seed, G, Out);
+  case 2: return patterned<120>(Seed, G, Out);
+  case 3: return patterned<130>(Seed, G, Out);
+  case 4: return patterned<500>(Seed, G, Out);
+  case 5: return patterned<1000>(Seed, G, Out);
+  case 6: return patterned<2000>(Seed, G, Out);
+  case 7: return patterned<4000>(Seed, G, Out);
+  default: return patterned<6000>(Seed, G, Out);
+  }
+}
+
+} // namespace
+
+TEST(FramePoolTest, FramesOfDifferentSizesNeverShareABlock) {
+  // Rounds of 36 live frames of nine sizes; each round destroys the
+  // previous round's frames in a shuffled order first, so blocks are
+  // recycled across rounds. Live buffers must be disjoint and keep their
+  // patterns across the suspension.
+  std::vector<std::optional<Task<void>>> Tasks(36);
+  std::vector<PatternOut> Outs(36);
+  Gate G;
+  for (unsigned Round = 0; Round != 6; ++Round) {
+    for (unsigned K = 0; K != Tasks.size(); ++K)
+      Tasks[(K * 7 + Round) % Tasks.size()].reset();
+    for (unsigned I = 0; I != Tasks.size(); ++I) {
+      Outs[I] = PatternOut();
+      Tasks[I].emplace(patternedOfSize(I + Round, Round * 100 + I, G, Outs[I]));
+      Tasks[I]->handle().resume();
+    }
+    for (unsigned I = 0; I != Outs.size(); ++I)
+      for (unsigned J = 0; J != I; ++J)
+        EXPECT_TRUE(Outs[I].Buf + Outs[I].Size <= Outs[J].Buf ||
+                    Outs[J].Buf + Outs[J].Size <= Outs[I].Buf)
+            << "round " << Round << ": frames " << J << " and " << I
+            << " overlap";
+    G.openAll();
+    for (unsigned I = 0; I != Tasks.size(); ++I) {
+      EXPECT_TRUE(Tasks[I]->done());
+      EXPECT_TRUE(Outs[I].Intact) << "round " << Round << ", frame " << I;
+    }
+  }
+}
+
+TEST(FramePoolTest, TaskDestroyedOnAnotherThread) {
+  Gate G;
+  PatternOut Out;
+  std::optional<Task<void>> T;
+  // Created on a thread that exits (returning its pool) while the frame
+  // lives on; finished and destroyed here, where the block joins this
+  // thread's pool and serves the next frame of its class.
+  std::thread([&] {
+    T.emplace(patterned<300>(1, G, Out));
+    T->handle().resume();
+  }).join();
+  G.openAll();
+  EXPECT_TRUE(Out.Intact);
+  T.reset();
+  // Created here; finished and destroyed on a thread.
+  T.emplace(patterned<300>(2, G, Out));
+  T->handle().resume();
+  std::thread([&] {
+    G.openAll();
+    T.reset();
+  }).join();
+  EXPECT_TRUE(Out.Intact);
+  // Created on a thread and destroyed unstarted here.
+  std::thread([&] { T.emplace(patterned<300>(3, G, Out)); }).join();
+  T.reset();
+  T.emplace(patterned<300>(4, G, Out));
+  T->handle().resume();
+  G.openAll();
+  EXPECT_TRUE(Out.Intact);
+}
+
+TEST(FramePoolTest, BlockFromADeadPoolHasItsClassSize) {
+  // A frame allocated while its thread exits, after the thread's pool was
+  // torn down, bypasses the pool. It still needs its class's full block:
+  // freed on another thread, it joins that pool and may serve a larger
+  // frame of the class.
+  using detail::FramePool;
+  struct Late {
+    void **Out = nullptr;
+    ~Late() {
+      if (Out)
+        *Out = FramePool::allocate(65);
+    }
+  };
+  void *P = nullptr;
+  std::thread([&] {
+    static thread_local Late L; // Destroyed after the pool's teardown,
+    L.Out = &P;                 // which the next line registers.
+    FramePool::deallocate(FramePool::allocate(65), 65);
+  }).join();
+  ASSERT_NE(P, nullptr);
+  FramePool::deallocate(P, 65); // Pooled here, in the 65-128 byte class.
+  void *Q = FramePool::allocate(128);
+  ASSERT_EQ(Q, P);
+  EXPECT_GE(malloc_usable_size(Q), 128u);
+  FramePool::deallocate(Q, 128);
+}
+
+namespace {
+
+Task<void> loadTwiceThenStore(Env &E, Loc X, Value V) {
+  auto A = addSub(E, X);
+  co_await A;
+  auto B = addSub(E, X);
+  co_await B;
+  co_await E.store(X, V, MemOrder::Release);
+}
+
+} // namespace
+
+TEST(FramePoolTest, ParallelExploreRecyclesFramesOnHelperThreads) {
+  // Every worker creates and destroys its threads' frames in its own
+  // thread's pool and tears down its arena (machine, scheduler and the
+  // last execution's frames) before the call returns; the parked helpers
+  // outlive the call, so the second call starts on their pooled blocks.
+  Explorer::Options Opts;
+  Opts.Workers = 4;
+  Workload W(Opts, [] {
+    Workload::Body B;
+    B.Setup = [](Machine &M, Scheduler &S) {
+      Loc X = M.alloc("x");
+      for (Value V = 1; V != 4; ++V) {
+        Env &E = S.newThread();
+        S.start(E, loadTwiceThenStore(E, X, V));
+      }
+    };
+    B.CowSafe = true;
+    return B;
+  });
+  Explorer::Summary Serial = exploreSerial(W);
+  ASSERT_TRUE(Serial.Exhausted);
+  ASSERT_GT(Serial.Executions, 100u);
+  for (int Call = 0; Call != 2; ++Call) {
+    Explorer::Summary Sum = explore(W);
+    EXPECT_TRUE(Sum.Exhausted);
+    EXPECT_EQ(Sum.Executions, Serial.Executions);
+    EXPECT_EQ(Sum.Completed, Serial.Completed);
+  }
 }
