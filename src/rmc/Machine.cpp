@@ -38,7 +38,6 @@ void Machine::ThreadState::clear() {
   RelFence.clear();
   RelLive = 0;
   HasRead = false;
-  LastReadLoc = 0;
   LastReadTs = 0;
   Pinned = false;
   PinSession = 0;
@@ -62,10 +61,6 @@ void Machine::reset() {
   Trace.clear();
   LastFp = Footprint();
   Replaying = false;
-  ReadTsLog.clear();
-  ReadTsCursor = 0;
-  ReadKnowLog.clear();
-  ReadKnowCursor = 0;
   ReserveSeq = 0;
   RfFloorOn = false;
   RfFloorEmpty = false;
@@ -79,8 +74,6 @@ void Machine::reset() {
 
 void Machine::beginReplay() {
   Replaying = true;
-  ReadTsCursor = 0;
-  ReadKnowCursor = 0;
   ReserveSeq = 0;
   Mem.beginReplayAlloc();
   // Threads re-register densely during Setup; their retained states are
@@ -89,19 +82,14 @@ void Machine::beginReplay() {
 }
 
 void Machine::endReplay(const AuxMark &Boundary) {
-  if (ReadTsCursor != Boundary.ReadTs ||
-      ReadKnowCursor != Boundary.ReadKnow ||
-      ReserveSeq != Boundary.Reserves)
-    fatalError("copy-on-write fast-forward diverged: last-read query "
-               "journals out of sync with the snapshot boundary");
-  ReadTsLog.resize(Boundary.ReadTs);
-  ReadKnowLog.resize(Boundary.ReadKnow);
+  if (ReserveSeq != Boundary.Reserves)
+    fatalError("copy-on-write fast-forward diverged: event reservations "
+               "out of sync with the snapshot boundary");
   Replaying = false;
   Mem.setReplayAlloc(false);
 }
 
-void Machine::saveSnapshot(Snap &S, unsigned FixTid, const View *FixCur,
-                           const View *FixAcq) const {
+void Machine::saveSnapshot(Snap &S) const {
   S.LiveThreads = LiveThreads;
   if (S.Threads.size() < LiveThreads)
     S.Threads.resize(LiveThreads);
@@ -119,18 +107,9 @@ void Machine::saveSnapshot(Snap &S, unsigned FixTid, const View *FixCur,
     }
     Out.RelLive = TS.RelLive;
     Out.HasRead = TS.HasRead;
-    Out.LastReadLoc = TS.LastReadLoc;
     Out.LastReadTs = TS.LastReadTs;
     Out.Pinned = TS.Pinned;
     Out.PinSession = TS.PinSession;
-    if (T == FixTid) {
-      // Mid-operation snapshot: undo this step's SC pre-join (the only
-      // pre-choice mutation) so the snapshot is boundary-exact.
-      if (FixCur)
-        Out.Cur.Phys = *FixCur;
-      if (FixAcq)
-        Out.Acq.Phys = *FixAcq;
-    }
   }
   S.ScPhys = ScPhys;
   S.MemEpoch = Mem.epoch();
@@ -154,7 +133,6 @@ void Machine::restoreSnapshot(const Snap &S) {
     }
     TS.RelLive = In.RelLive;
     TS.HasRead = In.HasRead;
-    TS.LastReadLoc = In.LastReadLoc;
     TS.LastReadTs = In.LastReadTs;
     TS.Pinned = In.Pinned;
     TS.PinSession = In.PinSession;
@@ -187,33 +165,17 @@ const Knowledge &Machine::threadCur(unsigned T) const {
 
 Knowledge &Machine::threadAcq(unsigned T) { return thread(T).Acq; }
 
-const Knowledge &Machine::lastReadKnowledge(unsigned T) const {
-  if (Replaying) {
-    if (ReadKnowCursor >= ReadKnowLog.size())
-      fatalError("lastReadKnowledge journal underrun during fast-forward");
-    auto [L, Ts] = ReadKnowLog[ReadKnowCursor++];
-    // The prefix's messages are still in memory (replay-alloc preserves
-    // histories), so the journaled coordinates resolve to the same view.
-    return Mem.cell(L).know(Ts);
-  }
-  const ThreadState &TS = thread(T);
-  if (!TS.HasRead)
-    fatalError("lastReadKnowledge: thread has not performed a read");
-  ReadKnowLog.push_back({TS.LastReadLoc, TS.LastReadTs});
-  return Mem.cell(TS.LastReadLoc).know(TS.LastReadTs);
-}
-
 Timestamp Machine::lastReadTs(unsigned T) const {
-  if (Replaying) {
-    if (ReadTsCursor >= ReadTsLog.size())
-      fatalError("lastReadTs journal underrun during fast-forward");
-    return ReadTsLog[ReadTsCursor++];
-  }
   const ThreadState &TS = thread(T);
   if (!TS.HasRead)
     fatalError("lastReadTs: thread has not performed a read");
-  ReadTsLog.push_back(TS.LastReadTs);
   return TS.LastReadTs;
+}
+
+void Machine::setLastReadTs(unsigned T, Timestamp Ts) {
+  ThreadState &TS = thread(T);
+  TS.HasRead = true;
+  TS.LastReadTs = Ts;
 }
 
 void Machine::reportFault(const char *Rule, std::string Msg) {
@@ -244,7 +206,11 @@ void Machine::traceOp(unsigned T, const std::string &Line) {
 }
 
 void Machine::applyRead(ThreadState &TS, Loc L, const Cell &C,
-                        Timestamp Ts, MemOrder O) {
+                        Timestamp Ts, MemOrder O, bool Sc) {
+  if (Sc) {
+    TS.Cur.Phys.joinWith(ScPhys);
+    TS.Acq.Phys.joinWith(ScPhys);
+  }
   // Every atomic read raises the per-location component of cur and folds
   // the message into acq; acquire reads fold it into cur as well
   // (ACQ-READ, Section 2.3).
@@ -254,7 +220,6 @@ void Machine::applyRead(ThreadState &TS, Loc L, const Cell &C,
   if (isAcquire(O))
     TS.Cur.joinWith(C.know(Ts));
   TS.HasRead = true;
-  TS.LastReadLoc = L;
   TS.LastReadTs = Ts;
 }
 
@@ -294,18 +259,10 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
     return C.latestVal();
   }
 
-  if (ScratchOn) {
-    // Boundary scratch for a mid-operation snapshot (see Machine.h): the
-    // SC pre-join below is the only pre-choice thread-view mutation.
-    PickCurScratch = TS.Cur.Phys;
-    PickAcqScratch = TS.Acq.Phys;
-  }
-  if (O == MemOrder::SeqCst) {
-    TS.Cur.Phys.joinWith(ScPhys);
-    TS.Acq.Phys.joinWith(ScPhys);
-  }
-
-  Timestamp From = TS.Cur.Phys.get(L);
+  // No view changes before the choice (see Machine.h): an SC read's floor
+  // includes the SC view, which applyRead joins after the choice.
+  const bool Sc = O == MemOrder::SeqCst;
+  const Timestamp From = readFloor(TS, L, Sc);
   const unsigned NFull = Mem.countReadableFrom(L, From);
   unsigned N = NFull;
   // A pending reads-from floor (source-set restricted re-run) cuts the old
@@ -321,8 +278,8 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
   unsigned Pick = NFull == 1 ? 0 : Choices.choose(NFull, N, ChoiceKind::Load);
   // Choice 0 reads the newest message; choice N-1 the oldest readable.
   Timestamp Ts = C.latestTs() - Pick;
-  applyRead(TS, L, C, Ts, O);
-  if (O == MemOrder::SeqCst)
+  applyRead(TS, L, C, Ts, O, Sc);
+  if (Sc)
     ScPhys.joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("ld.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " -> " +
@@ -340,16 +297,8 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
   checkNotFreed(T, L, "conditional load");
   assert(O != MemOrder::NonAtomic && "conditional loads must be atomic");
 
-  if (ScratchOn) {
-    PickCurScratch = TS.Cur.Phys;
-    PickAcqScratch = TS.Acq.Phys;
-  }
-  if (O == MemOrder::SeqCst) {
-    TS.Cur.Phys.joinWith(ScPhys);
-    TS.Acq.Phys.joinWith(ScPhys);
-  }
-
-  Timestamp From = TS.Cur.Phys.get(L);
+  const bool Sc = O == MemOrder::SeqCst;
+  const Timestamp From = readFloor(TS, L, Sc);
   // Collect readable messages satisfying the predicate, newest first.
   SmallVec<Timestamp, 16> &Candidates = CandScratch;
   Candidates.clear();
@@ -386,8 +335,8 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
   if (!RestrictedEmpty && NumFull > 1)
     Pick = Choices.choose(NumFull, NumChoices, ChoiceKind::LoadWhere);
   Timestamp Ts = Candidates[Pick];
-  applyRead(TS, L, C, Ts, O);
-  if (O == MemOrder::SeqCst)
+  applyRead(TS, L, C, Ts, O, Sc);
+  if (Sc)
     ScPhys.joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("ld-wait.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " -> " +
@@ -443,16 +392,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
   assert(SuccO != MemOrder::NonAtomic && FailO != MemOrder::NonAtomic &&
          "CAS must be atomic");
 
-  if (ScratchOn) {
-    PickCurScratch = TS.Cur.Phys;
-    PickAcqScratch = TS.Acq.Phys;
-  }
-  if (Sc) {
-    TS.Cur.Phys.joinWith(ScPhys);
-    TS.Acq.Phys.joinWith(ScPhys);
-  }
-
-  Timestamp From = TS.Cur.Phys.get(L);
+  const Timestamp From = readFloor(TS, L, Sc);
   Timestamp Latest = C.latestTs();
 
   // Alternative 0 (when available): succeed against the mo-maximal message.
@@ -495,7 +435,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
 
   if (CanSucceed && Pick == 0) {
     noteOp(L, Footprint::Kind::Update, Sc, /*Atomic=*/true);
-    applyRead(TS, L, C, Latest, SuccO);
+    applyRead(TS, L, C, Latest, SuccO, Sc);
     // Release-sequence behaviour: the new message carries the read
     // message's view, so a chain of RMWs forwards earlier releases.
     MsgScratch = C.know(Latest);
@@ -512,7 +452,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
   // A failed CAS only reads.
   noteOp(L, Footprint::Kind::Read, Sc, /*Atomic=*/true);
   Timestamp RTs = FailTs[Pick - (CanSucceed ? 1 : 0)];
-  applyRead(TS, L, C, RTs, FailO);
+  applyRead(TS, L, C, RTs, FailO, Sc);
   if (FailO == MemOrder::SeqCst)
     ScPhys.joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("cas.") + memOrderName(FailO) + " " +
@@ -533,15 +473,10 @@ Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
   // is always at or past any pending floor); just consume the floor.
   (void)takeRfFloor(L);
 
-  if (O == MemOrder::SeqCst) {
-    TS.Cur.Phys.joinWith(ScPhys);
-    TS.Acq.Phys.joinWith(ScPhys);
-  }
-
   // An RMW reads the mo-maximal message (DESIGN.md Section 4).
   Timestamp RTs = C.latestTs();
   Value Old = C.val(RTs);
-  applyRead(TS, L, C, RTs, O);
+  applyRead(TS, L, C, RTs, O, O == MemOrder::SeqCst);
   MsgScratch = C.know(RTs);
   MsgScratch.joinWith(isRelease(O) ? TS.Cur : relView(TS, L));
   applyWrite(T, TS, L, Old + Add, MsgScratch, isRelease(O));

@@ -39,6 +39,7 @@
 #include "support/Choice.h"
 #include "support/SmallVec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <new>
@@ -190,14 +191,11 @@ public:
   /// bookkeeping.
   Knowledge &threadAcq(unsigned T);
 
-  /// The knowledge of the message the thread read most recently (via any
-  /// load or RMW). Used by the exchanger monitor to record the helpee's
-  /// view at its offer (Section 4.2). Fatal if the thread never read.
-  const Knowledge &lastReadKnowledge(unsigned T) const;
-
-  /// Timestamp of the thread's most recent read. Retry loops use it as a
-  /// stutter fingerprint: re-reading the same *message* (not merely the
-  /// same value) is a no-progress iteration.
+  /// Timestamp of the thread's most recent atomic read (load, conditional
+  /// load or RMW; a non-atomic load does not count). Retry loops use it as
+  /// a stutter fingerprint: re-reading the same *message* (not merely the
+  /// same value) is a no-progress iteration; the exchanger names its offer
+  /// message by it. Fatal if the thread never read.
   Timestamp lastReadTs(unsigned T) const;
 
   const Memory &memory() const { return Mem; }
@@ -223,9 +221,14 @@ public:
   // Copy-on-write execution support (DESIGN.md Section 11). The engine
   // snapshots the machine at decision boundaries and, on backtrack,
   // fast-forwards client coroutines through the shared prefix with all
-  // machine operations elided: awaiters return journaled values instead of
-  // calling into the machine, and the direct last-read queries below are
-  // served from their own journals.
+  // machine operations elided: awaiters return the scheduler's journaled
+  // results instead of calling into the machine, and hand each journaled
+  // read's timestamp to setLastReadTs so lastReadTs answers as it did live.
+  //
+  // An operation changes no view before its choice: load, loadWhere and
+  // cas read their lower bound through the SC view and join it after
+  // choosing. A snapshot taken at any choice is therefore the loop-top
+  // state of the step that makes it.
   //===--------------------------------------------------------------------===//
 
   /// True while an execution prefix is being fast-forwarded. Machine
@@ -234,19 +237,18 @@ public:
   /// knowledge injection and event commits during the replay.
   bool replaying() const { return Replaying; }
 
-  /// Journal cursors/lengths for the last-read query journals plus the
-  /// event-reservation sequence number; captured in snapshots, recorded
-  /// per step by the scheduler, and validated after a fast-forward.
+  /// Replay-mode stand-in for an elided atomic read: makes \p Ts, the
+  /// journaled read's timestamp, thread \p T's last read.
+  void setLastReadTs(unsigned T, Timestamp Ts);
+
+  /// The allocation watermark plus the event-reservation sequence number;
+  /// captured in snapshots, recorded per step by the scheduler, and
+  /// validated after a fast-forward.
   struct AuxMark {
-    size_t ReadTs = 0;
-    size_t ReadKnow = 0;
     size_t MemLive = 0; ///< Allocation watermark (allocs are per-step too).
     uint32_t Reserves = 0;
   };
-  AuxMark auxMark() const {
-    return {ReadTsLog.size(), ReadKnowLog.size(), Mem.epoch().Live,
-            ReserveSeq};
-  }
+  AuxMark auxMark() const { return {Mem.epoch().Live, ReserveSeq}; }
 
   /// Advances the event-reservation sequence. Event ids are allocated
   /// densely from 0 in reservation order each execution, so this counter
@@ -255,25 +257,22 @@ public:
   /// the machine lets the scheduler skip-jump it per step.
   uint32_t bumpReserveSeq() { return ReserveSeq++; }
 
-  /// Jumps every replay journal cursor to \p A — used by the scheduler's
-  /// fast-forward to elide a whole step of a thread that is finished at
-  /// the snapshot boundary.
+  /// Jumps the allocation watermark and the reservation sequence to \p A —
+  /// used by the scheduler's fast-forward to elide a whole step of a
+  /// thread that is finished at the snapshot boundary.
   void setReplayAux(const AuxMark &A) {
-    ReadTsCursor = A.ReadTs;
-    ReadKnowCursor = A.ReadKnow;
     ReserveSeq = A.Reserves;
     Mem.setReplayWatermark(A.MemLive);
   }
 
-  /// Enters replay mode: query journals replay from the start, allocation
-  /// becomes watermark-only (Memory::setReplayAlloc). Thread registration
-  /// restarts (addThread re-registers the same dense ids over retained
-  /// state; the states are overwritten wholesale by restoreSnapshot).
+  /// Enters replay mode: reservations restart from 0, allocation becomes
+  /// watermark-only (Memory::setReplayAlloc). Thread registration restarts
+  /// (addThread re-registers the same dense ids over retained state; the
+  /// states are overwritten wholesale by restoreSnapshot).
   void beginReplay();
 
-  /// Leaves replay mode after a fast-forward that must have consumed the
-  /// journals exactly up to \p Boundary; truncates them there so the live
-  /// suffix records fresh entries.
+  /// Leaves replay mode after a fast-forward that must have reserved
+  /// exactly as many events as the execution had at \p Boundary.
   void endReplay(const AuxMark &Boundary);
 
   /// Deep snapshot of one thread's view state (storage recycled across
@@ -283,7 +282,6 @@ public:
     std::vector<std::pair<Loc, Knowledge>> Rel;
     size_t RelLive = 0;
     bool HasRead = false;
-    Loc LastReadLoc = 0;
     Timestamp LastReadTs = 0;
     bool Pinned = false;
     uint64_t PinSession = 0;
@@ -299,15 +297,10 @@ public:
     AuxMark Aux;
   };
 
-  /// Captures the machine into \p S, reusing its storage. When \p FixTid is
-  /// valid (not ~0u), that thread's physical cur/acq views are substituted
-  /// from \p FixCur / \p FixAcq — the scheduler's pick-time scratch — so a
-  /// snapshot taken mid-operation (at an op-level choice point) still
-  /// represents the exact step-boundary state (the only pre-choice view
-  /// mutation an operation performs is the SC pre-join into those two).
-  void saveSnapshot(Snap &S, unsigned FixTid = ~0u,
-                    const View *FixCur = nullptr,
-                    const View *FixAcq = nullptr) const;
+  /// Captures the machine into \p S, reusing its storage. Taken at a
+  /// choice, it is the loop-top state of the step making the choice (see
+  /// the section comment).
+  void saveSnapshot(Snap &S) const;
 
   /// Restores thread/SC state from \p S (memory is rewound separately via
   /// Memory::trimToEpoch) and clears the fault flags — a snapshot is only
@@ -326,15 +319,6 @@ public:
   /// within one execution a cell's history only grows, so a blocked
   /// thread's wait predicate cannot change verdict until the length does.
   size_t historyLen(Loc L) const { return Mem.cell(L).Len; }
-
-  /// When enabled, load/loadWhere/cas copy the choosing thread's physical
-  /// cur/acq views into the pick scratch right before the SC pre-join —
-  /// the only thread-view mutation that precedes the operation's choice
-  /// point. A snapshot hook firing at that choice passes the scratch to
-  /// saveSnapshot (FixCur/FixAcq) to reconstruct the step-boundary state.
-  void enableBoundaryScratch(bool On) { ScratchOn = On; }
-  const View &pickCurScratch() const { return PickCurScratch; }
-  const View &pickAcqScratch() const { return PickAcqScratch; }
 
   //===--------------------------------------------------------------------===//
   // Source-set reduction support (sim/Reduction.h). Both hooks are driven
@@ -386,8 +370,7 @@ private:
     Knowledge RelFence; ///< Released by the last release fence.
     std::vector<RelEntry> Rel; ///< Per-loc release views; [0, RelLive) live.
     size_t RelLive = 0;
-    bool HasRead = false; ///< Whether LastRead{Loc,Ts} are valid.
-    Loc LastReadLoc = 0;
+    bool HasRead = false; ///< Whether LastReadTs is valid.
     Timestamp LastReadTs = 0;
     bool Pinned = false;     ///< Inside an EBR-pinned critical section.
     uint64_t PinSession = 0; ///< Per-execution pin-session counter.
@@ -409,10 +392,18 @@ private:
   ThreadState &thread(unsigned T);
   const ThreadState &thread(unsigned T) const;
 
+  /// The oldest timestamp of \p L that thread state \p TS may read: its
+  /// cur view's, raised to the SC view's for an SC access.
+  Timestamp readFloor(const ThreadState &TS, Loc L, bool Sc) const {
+    const Timestamp From = TS.Cur.Phys.get(L);
+    return Sc ? std::max(From, ScPhys.get(L)) : From;
+  }
+
   /// Applies the read-side view effects of reading the message at \p Ts
-  /// from cell \p C (location \p L).
+  /// from cell \p C (location \p L), after the choice; an SC access
+  /// (\p Sc) first joins the SC view into the physical cur and acq views.
   void applyRead(ThreadState &TS, Loc L, const Cell &C, Timestamp Ts,
-                 MemOrder O);
+                 MemOrder O, bool Sc);
 
   /// The view a relaxed write to \p L releases (rel(l) ⊔ fence-release).
   /// Returns a reference to the member scratch buffer RelScratch; valid
@@ -482,12 +473,7 @@ private:
   SmallVec<Timestamp, 16> CandScratch; ///< loadWhere candidate timestamps.
   SmallVec<Timestamp, 16> FailScratch; ///< CAS failure-read timestamps.
 
-  // Copy-on-write journals (see the COW section above). Record mode
-  // appends on every lastReadTs/lastReadKnowledge query; replay mode
-  // serves queries from the cursors (client retry loops call these between
-  // awaits, in an order the fast-forward reproduces exactly).
-  bool Replaying = false;
-  bool ScratchOn = false; ///< Boundary scratch copies enabled (COW engine).
+  bool Replaying = false; ///< See the COW section above.
   // Source-set reduction state (see the section above). All of it is
   // step-scoped: a floor is installed right before the restricted step and
   // cleared right after it, never across snapshots or executions.
@@ -495,12 +481,6 @@ private:
   bool RfFloorEmpty = false;
   Loc RfFloorLoc = 0;
   uint32_t RfFloorTs = 0;
-  View PickCurScratch;    ///< Choosing thread's Cur.Phys before SC pre-join.
-  View PickAcqScratch;    ///< Choosing thread's Acq.Phys before SC pre-join.
-  mutable std::vector<Timestamp> ReadTsLog;
-  mutable size_t ReadTsCursor = 0;
-  mutable std::vector<std::pair<Loc, Timestamp>> ReadKnowLog;
-  mutable size_t ReadKnowCursor = 0;
   uint32_t ReserveSeq = 0; ///< Event reservations this execution.
 };
 

@@ -14,40 +14,28 @@ Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S,
   CowEligible = Ex.options().Engine != EnginePath::RootReplay &&
                 (Body.CowSafe || (Body.CowSave && Body.CowRestore)) &&
                 !M.tracingEnabled();
-  M.enableBoundaryScratch(CowEligible);
   if (CowEligible)
-    Ex.setSnapshotHook([this](size_t NodeIndex, ChoiceKind K) {
-      onSnapshot(NodeIndex, K);
-    });
+    Ex.setSnapshotHook([this](size_t NodeIndex) { onSnapshot(NodeIndex); });
   else
     S.stopJournal();
 }
 
 Engine::~Engine() {
   Ex.setSnapshotHook(nullptr);
-  M.enableBoundaryScratch(false);
   S.stopJournal();
 }
 
-void Engine::onSnapshot(size_t NodeIndex, ChoiceKind K) {
+void Engine::onSnapshot(size_t NodeIndex) {
   if (S.journalMode() != Scheduler::JournalMode::Record)
     return; // Decision outside a journaled run (defensive; not expected).
   if (Depth == Slots.size())
     Slots.emplace_back();
   SnapSlot &Slot = Slots[Depth++];
   Slot.NodeIndex = NodeIndex;
-  if (K == ChoiceKind::Sched) {
-    // Scheduler pick: nothing has mutated since the loop top.
-    M.saveSnapshot(Slot.MSnap);
-  } else {
-    // Operation-level choice (load / load-where / cas) inside a step: the
-    // only pre-choice mutation is the choosing thread's SC pre-join, which
-    // the machine stashed in the pick scratch; substitute it back so the
-    // snapshot is loop-top exact. The divergent sibling re-executes the
-    // whole step, re-applying the pre-join itself.
-    M.saveSnapshot(Slot.MSnap, S.currentStepThread(), &M.pickCurScratch(),
-                   &M.pickAcqScratch());
-  }
+  // Nothing has changed since the step's loop top, whether the choice is
+  // the scheduler's pick or an operation's (no operation changes a view
+  // before its choice); the divergent sibling re-executes the whole step.
+  M.saveSnapshot(Slot.MSnap);
   Slot.SBound = S.captureBoundary();
   if (Red)
     Slot.RBound = Red->boundary();

@@ -102,7 +102,7 @@ private:
     std::shared_ptr<void> Client; ///< Body.CowSave state (e.g. monitor).
   };
 
-  void onSnapshot(size_t NodeIndex, ChoiceKind K);
+  void onSnapshot(size_t NodeIndex);
   void resumeFrom(const SnapSlot &Slot);
   void rootSetup();
 

@@ -74,7 +74,7 @@ unsigned Explorer::choose(unsigned Count, unsigned Limit, ChoiceKind K) {
   // Limit == 1 nodes (a restricted set collapsed to one alternative) are
   // never advance()/split() targets, so they need no snapshot.
   if (SnapHook && Limit > 1 && !Tree.replaying())
-    SnapHook(Tree.position(), K);
+    SnapHook(Tree.position());
 
   return Tree.next(Count, Limit, K);
 }

@@ -241,7 +241,7 @@ public:
   /// the decision's index on the path; the engine snapshots machine /
   /// scheduler / reduction state so sibling alternatives of this node can
   /// resume here instead of replaying from the root.
-  using SnapshotHook = std::function<void(size_t NodeIndex, ChoiceKind K)>;
+  using SnapshotHook = std::function<void(size_t NodeIndex)>;
   void setSnapshotHook(SnapshotHook H) { SnapHook = std::move(H); }
 
   /// Jumps the decision-tree replay cursor to \p Pos for an execution

@@ -284,7 +284,7 @@ void Scheduler::fastForward(uint64_t NSteps, uint64_t SkipMask) {
     if (Ent.Tid < 64 && (SkipMask >> Ent.Tid & 1)) {
       // The thread is finished at the target boundary, so its recomputed
       // coroutine frame is never resumed in the subtree: skip the resume
-      // entirely and jump every journal cursor over the step's entries.
+      // entirely and jump the op cursor and the aux marks over the step.
       OpCursor = Ent.OpEnd;
       M.setReplayAux(Ent.AuxEnd);
       continue;

@@ -141,23 +141,27 @@ public:
   // returned (OpLog). A later fast-forward re-resumes the same threads in
   // the same order while the awaiters serve results from the journal
   // instead of re-executing machine operations — client coroutine state is
-  // recomputed, machine state is restored from a snapshot.
+  // recomputed, machine state is restored from a snapshot. The op journal
+  // is the only thing a fast-forward replays.
   //===--------------------------------------------------------------------===//
 
   enum class JournalMode : uint8_t { Off, Record, Replay };
 
   /// One journaled operation result: the returned value (for a CAS, the
-  /// observed old value) plus a CAS's success flag.
+  /// observed old value), the timestamp of the message an atomic read read
+  /// (replayed into Machine::setLastReadTs, so client code between awaits
+  /// sees the same lastReadTs), plus a CAS's success flag.
   struct OpEntry {
     rmc::Value Val = 0;
+    rmc::Timestamp Ts = 0;
     bool Flag = false;
   };
+  static_assert(sizeof(OpEntry) == 16, "OpEntry grew");
 
-  /// One journaled step: the scheduled thread plus every journal cursor's
-  /// position right *after* the step (operation journal and the machine's
-  /// aux journals). Fast-forward can skip a whole step of a thread that is
-  /// finished at the snapshot boundary by jumping the cursors to these
-  /// marks instead of re-resuming the coroutine.
+  /// One journaled step: the scheduled thread plus the op journal's and
+  /// the machine's aux marks right *after* the step. Fast-forward can skip
+  /// a whole step of a thread that is finished at the snapshot boundary by
+  /// jumping to these marks instead of re-resuming the coroutine.
   struct StepEnt {
     unsigned Tid = 0;
     uint32_t OpEnd = 0;
@@ -206,17 +210,18 @@ public:
   /// the rewind point.
   const Boundary &captureBoundary() const { return LoopTop; }
 
-  /// Thread id of the step currently executing (valid during a resume).
-  unsigned currentStepThread() const { return LastRun; }
-
-  // Journal access for the awaiters (hot path).
-  void recordOp(rmc::Value V, bool Flag = false) {
-    OpLog.push_back({V, Flag});
+  // Journal access for the awaiters (hot path). \p Read says whether the
+  // operation is an atomic read, which sets thread \p Tid's last read.
+  void recordOp(unsigned Tid, bool Read, rmc::Value V, bool Flag = false) {
+    OpLog.push_back({V, Read ? M.lastReadTs(Tid) : 0, Flag});
   }
-  const OpEntry &nextOp() {
+  const OpEntry &nextOp(unsigned Tid, bool Read) {
     if (OpCursor >= OpLog.size())
       journalUnderrun();
-    return OpLog[OpCursor++];
+    const OpEntry &En = OpLog[OpCursor++];
+    if (Read)
+      M.setLastReadTs(Tid, En.Ts);
+    return En;
   }
 
   /// Enters Replay mode: fastForward() resumes serve journaled results.
@@ -307,8 +312,8 @@ namespace detail {
 /// (announcing the pending operation's footprint), perform the access on
 /// resume. During a copy-on-write fast-forward (JournalMode::Replay) the
 /// machine call is elided: value-returning operations serve the journaled
-/// result, void operations do nothing — the machine's state is restored
-/// from a snapshot instead.
+/// result (an atomic read also hands back its timestamp), void operations
+/// do nothing — the machine's state is restored from a snapshot instead.
 struct OpAwaiterBase {
   Env &E;
   rmc::Footprint Fp;
@@ -327,11 +332,12 @@ struct LoadAwaiter : OpAwaiterBase {
         L(L), O(O) {}
   rmc::Value await_resume() {
     Scheduler &S = E.S;
+    const bool Atomic = O != rmc::MemOrder::NonAtomic;
     if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp().Val;
+      return S.nextOp(E.Tid, Atomic).Val;
     rmc::Value V = E.M.load(E.Tid, L, O);
     if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(V);
+      S.recordOp(E.Tid, Atomic, V);
     return V;
   }
 };
@@ -370,13 +376,13 @@ struct CasAwaiter : OpAwaiterBase {
   rmc::Machine::CasResult await_resume() {
     Scheduler &S = E.S;
     if (S.journalMode() == Scheduler::JournalMode::Replay) {
-      const Scheduler::OpEntry &En = S.nextOp();
+      const Scheduler::OpEntry &En = S.nextOp(E.Tid, true);
       return {En.Flag, En.Val};
     }
     rmc::Machine::CasResult R =
         E.M.cas(E.Tid, L, Expected, Desired, SuccO, FailO);
     if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(R.Old, R.Success);
+      S.recordOp(E.Tid, true, R.Old, R.Success);
     return R;
   }
 };
@@ -392,10 +398,10 @@ struct FaaAwaiter : OpAwaiterBase {
   rmc::Value await_resume() {
     Scheduler &S = E.S;
     if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp().Val;
+      return S.nextOp(E.Tid, true).Val;
     rmc::Value V = E.M.fetchAdd(E.Tid, L, Add, O);
     if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(V);
+      S.recordOp(E.Tid, true, V);
     return V;
   }
 };
@@ -485,10 +491,10 @@ struct SpinAwaiter {
   rmc::Value await_resume() {
     Scheduler &S = E.S;
     if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp().Val;
+      return S.nextOp(E.Tid, true).Val;
     rmc::Value V = E.M.loadWhere(E.Tid, L, O, Pred);
     if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(V);
+      S.recordOp(E.Tid, true, V);
     return V;
   }
 };

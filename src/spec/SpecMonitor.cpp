@@ -82,7 +82,8 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
                                      EventId HelperId, rmc::Value HelperVal,
                                      unsigned HelpeeT, EventId HelpeeId,
                                      rmc::Value HelpeeVal,
-                                     const rmc::View &HelpeePhys,
+                                     rmc::Loc OfferLoc,
+                                     rmc::Timestamp OfferTs,
                                      unsigned ObjId) {
   if (M.replaying())
     return; // Fast-forward: graph state restores from the snapshot.
@@ -96,7 +97,7 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
   E2.V2 = HelperVal;
   E2.ObjId = ObjId;
   E2.Thread = HelpeeT;
-  E2.PhysView = HelpeePhys;
+  E2.PhysView = M.memory().cell(OfferLoc).know(OfferTs).Phys;
   committedKnown(M, HelperT, E2.LogView);
   E2.LogView.insert(HelpeeId);
   G.commit(HelpeeId);

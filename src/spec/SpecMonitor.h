@@ -27,10 +27,11 @@
 ///    instruction failed (e.g. a lost CAS).
 ///  * `commitExchangePair(...)` performs the helpee-then-helper double
 ///    commit with adjacent commit indices and symmetric so edges; the
-///    helpee's event records the helpee's physical view at its offer while
-///    both events share the helper's logical view (paper Figure 5, with
-///    the footnote-7 refinement that the helpee's logical view does not
-///    contain the helper's event).
+///    helpee's event records the helpee's physical view at its offer (the
+///    offer message's view, read from memory at commit) while both events
+///    share the helper's logical view (paper Figure 5, with the footnote-7
+///    refinement that the helpee's logical view does not contain the
+///    helper's event).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,15 +111,16 @@ public:
               std::optional<graph::EventId> SoFrom = std::nullopt);
 
   /// Commits a matched exchange pair atomically: first the helpee's event
-  /// \p HelpeeId (performed on behalf of thread \p HelpeeT, physical view
-  /// \p HelpeePhys from its offer message), then the helper's \p HelperId
-  /// (thread \p HelperT). Values cross: helpee exchanged \p HelpeeVal for
-  /// \p HelperVal.
+  /// \p HelpeeId (performed on behalf of thread \p HelpeeT), then the
+  /// helper's \p HelperId (thread \p HelperT). Values cross: helpee
+  /// exchanged \p HelpeeVal for \p HelperVal. The helpee's physical view is
+  /// that of its offer message, named by its coordinates (\p OfferLoc,
+  /// \p OfferTs) and read from memory here, which happens live only.
   void commitExchangePair(rmc::Machine &M, unsigned HelperT,
                           graph::EventId HelperId, rmc::Value HelperVal,
                           unsigned HelpeeT, graph::EventId HelpeeId,
-                          rmc::Value HelpeeVal, const rmc::View &HelpeePhys,
-                          unsigned ObjId);
+                          rmc::Value HelpeeVal, rmc::Loc OfferLoc,
+                          rmc::Timestamp OfferTs, unsigned ObjId);
 
   const graph::EventGraph &graph() const { return G; }
 

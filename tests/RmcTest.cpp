@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 using namespace compass;
@@ -389,12 +390,98 @@ TEST(MachineTest, LastReadTracksMostRecentRead) {
   ScriptedChoice C;
   Machine M(C);
   unsigned T0 = M.addThread(), T1 = M.addThread();
-  Loc X = M.alloc("x");
+  Loc X = M.alloc("x"), Y = M.alloc("y");
   M.threadCur(T0).Events.insert(9);
   M.store(T0, X, 4, MemOrder::Release);
   M.load(T1, X, MemOrder::Acquire);
   EXPECT_EQ(M.lastReadTs(T1), 1u);
-  EXPECT_TRUE(M.lastReadKnowledge(T1).Events.contains(9));
+  // The timestamp names the message, whose view carries the writer's ids.
+  EXPECT_TRUE(M.memory().cell(X).know(M.lastReadTs(T1)).Events.contains(9));
+  // A non-atomic load is not a last read.
+  M.store(T1, Y, 1, MemOrder::NonAtomic);
+  M.store(T1, Y, 2, MemOrder::NonAtomic);
+  EXPECT_EQ(M.load(T1, Y, MemOrder::NonAtomic), 2u);
+  EXPECT_EQ(M.lastReadTs(T1), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Machine: an operation changes no view before its choice
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// At every choice, compares the choosing thread's physical cur and acq
+/// views with their values before the operation began, then picks the
+/// last alternative. The copy-on-write engine snapshots at choices and
+/// treats each snapshot as the loop-top state of the choosing step, so an
+/// operation must not change a view before it chooses.
+class PreChoiceProbe final : public ChoiceSource {
+public:
+  void arm(Machine &Mach, unsigned T) {
+    M = &Mach;
+    Tid = T;
+    CurBefore = Mach.threadCur(T).Phys;
+    AcqBefore = Mach.threadAcq(T).Phys;
+  }
+
+  unsigned choose(unsigned, unsigned Limit, ChoiceKind) override {
+    ++Choices;
+    EXPECT_TRUE(M->threadCur(Tid).Phys == CurBefore)
+        << "cur changed before the choice";
+    EXPECT_TRUE(M->threadAcq(Tid).Phys == AcqBefore)
+        << "acq changed before the choice";
+    return Limit - 1;
+  }
+
+  unsigned Choices = 0;
+
+private:
+  Machine *M = nullptr;
+  unsigned Tid = 0;
+  View CurBefore, AcqBefore;
+};
+
+} // namespace
+
+TEST(MachineTest, OperationsChangeNoViewBeforeTheirChoice) {
+  enum class Op { Load, LoadWhere, Cas };
+  for (Op K : {Op::Load, Op::LoadWhere, Op::Cas})
+    for (MemOrder O :
+         {MemOrder::Relaxed, MemOrder::Acquire, MemOrder::SeqCst}) {
+      SCOPED_TRACE(std::string(K == Op::Load        ? "load"
+                               : K == Op::LoadWhere ? "loadWhere"
+                                                    : "cas") +
+                   "." + memOrderName(O));
+      PreChoiceProbe C;
+      Machine M(C);
+      unsigned T0 = M.addThread(), T1 = M.addThread();
+      Loc X = M.alloc("x"), Y = M.alloc("y");
+      // T1's SC store makes the SC view {y@1}; its relaxed stores then
+      // leave T0 three readable messages of x, the SC view bounding none.
+      M.store(T1, Y, 1, MemOrder::SeqCst);
+      const View Sc = M.threadCur(T1).Phys;
+      M.store(T1, X, 1, MemOrder::Relaxed);
+      M.store(T1, X, 2, MemOrder::Relaxed);
+
+      C.arm(M, T0);
+      switch (K) {
+      case Op::Load:
+        M.load(T0, X, O);
+        break;
+      case Op::LoadWhere:
+        M.loadWhere(T0, X, O, [](Value V) { return V != 0; });
+        break;
+      case Op::Cas:
+        M.cas(T0, X, 2, 3, O, O);
+        break;
+      }
+      EXPECT_EQ(C.Choices, 1u);
+      // An SC read still ends up with the SC view in both views.
+      if (O == MemOrder::SeqCst) {
+        EXPECT_TRUE(Sc.includedIn(M.threadCur(T0).Phys));
+        EXPECT_TRUE(Sc.includedIn(M.threadAcq(T0).Phys));
+      }
+    }
 }
 
 TEST(MachineTest, TraceRecordsOperations) {
