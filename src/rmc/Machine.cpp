@@ -345,11 +345,10 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
   return C.val(Ts);
 }
 
-bool Machine::anyReadableSatisfies(unsigned T, Loc L,
+bool Machine::anyReadableSatisfies(unsigned T, Loc L, bool Sc,
                                    const ValuePred &Pred) const {
-  const ThreadState &TS = thread(T);
   const Cell &C = Mem.cell(L);
-  for (Timestamp Ts = TS.Cur.Phys.get(L); Ts <= C.latestTs(); ++Ts)
+  for (Timestamp Ts = readFloor(T, L, Sc); Ts <= C.latestTs(); ++Ts)
     if (Pred(C.val(Ts)))
       return true;
   return false;

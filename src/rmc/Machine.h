@@ -136,8 +136,16 @@ public:
   Value loadWhere(unsigned T, Loc L, MemOrder O, const ValuePred &Pred);
 
   /// True if thread \p T could currently read a message of \p L whose value
-  /// satisfies \p Pred. Does not modify any state.
-  bool anyReadableSatisfies(unsigned T, Loc L, const ValuePred &Pred) const;
+  /// satisfies \p Pred, scanning from readFloor(T, L, Sc) — pass \p Sc for
+  /// a seq_cst wait. Does not modify any state.
+  bool anyReadableSatisfies(unsigned T, Loc L, bool Sc,
+                            const ValuePred &Pred) const;
+
+  /// The oldest timestamp of \p L that thread \p T may read: its cur
+  /// view's, raised to the SC view's for an SC access (\p Sc).
+  Timestamp readFloor(unsigned T, Loc L, bool Sc) const {
+    return readFloor(thread(T), L, Sc);
+  }
 
   /// Stores \p V to \p L with order \p O (NonAtomic / Relaxed / Release /
   /// SeqCst).

@@ -25,6 +25,11 @@ Engine::~Engine() {
   S.stopJournal();
 }
 
+void Engine::seed(DecisionTree::Prefix P) {
+  Depth = 0;
+  Ex.seed(std::move(P));
+}
+
 void Engine::onSnapshot(size_t NodeIndex) {
   if (S.journalMode() != Scheduler::JournalMode::Record)
     return; // Decision outside a journaled run (defensive; not expected).

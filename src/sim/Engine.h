@@ -46,16 +46,19 @@
 
 namespace compass::sim {
 
-/// Drives executions of one explorer subtree over a Machine/Scheduler
-/// pair; see file comment. The caller owns the begin/record/end explorer
-/// protocol and loops:
+/// Drives an explorer's executions over a Machine/Scheduler pair, one
+/// seeded subtree after another; see file comment. The caller owns the
+/// begin/record/end explorer protocol and loops:
 ///
 /// \code
 ///   Engine Eng(Ex, M, S, Body);
-///   while (Ex.beginExecution()) {
-///     Engine::ExecResult R = Eng.runOne();
-///     Ex.recordCheck(R.CheckOk);
-///     Ex.endExecution(R.Run);
+///   for (DecisionTree::Prefix P : Subtrees) {
+///     Eng.seed(std::move(P));
+///     while (Ex.beginExecution()) {
+///       Engine::ExecResult R = Eng.runOne();
+///       Ex.recordCheck(R.CheckOk);
+///       Ex.endExecution(R.Run);
+///     }
 ///   }
 /// \endcode
 class Engine {
@@ -73,6 +76,11 @@ public:
 
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
+
+  /// Starts the explorer on the subtree below \p P (Explorer::seed) and
+  /// drops the snapshot stack, whose snapshots belong to the previous
+  /// subtree; the slots' storage is kept for the new one.
+  void seed(DecisionTree::Prefix P);
 
   /// Runs one execution (the caller's beginExecution() must have returned
   /// true): resumes from the deepest matching snapshot when possible,

@@ -36,13 +36,15 @@ Explorer::Explorer(Options O)
 
 Explorer::Explorer() : Explorer(Options{}) {}
 
-Explorer::Explorer(Options O, DecisionTree::Prefix Seed) : Explorer(O) {
+void Explorer::seed(DecisionTree::Prefix Seed) {
+  assert(!InExecution && "seed mid-execution");
   // Consume the donor's sleep snapshot before the path moves into the
   // tree; the reduction validates its recomputed state against it when
   // replay reaches the seeded ordinal.
-  if (RedEnabled && Seed.HasSleep)
-    Red.setSeed(std::move(Seed.Sleep), Seed.SleepOrdinal);
+  Red.seed(Seed);
   Tree = DecisionTree(std::move(Seed));
+  HasWork = true;
+  Sum.Exhausted = false;
 }
 
 bool Explorer::hasWork() const {

@@ -23,9 +23,9 @@
 ///    first-class value, the exploration entry points, and deterministic
 ///    single-trace replay for counterexample reproduction.
 ///  - exploreResumable (ParallelExplorer.h): the one exploration loop — N
-///    workers, the caller among them, over per-worker deques of
-///    unexplored subtree prefixes; its Summary's deterministic core is
-///    bit-identical at any worker count.
+///    workers, the caller among them, each re-seeding one Explorer from a
+///    shared queue of unexplored subtree prefixes; its Summary's
+///    deterministic core is bit-identical at any worker count.
 ///
 /// Usage (manual driving; prefer explore()/Workload for the common case):
 /// \code
@@ -93,10 +93,12 @@ public:
     unsigned PreemptionBound = ~0u;     ///< Scheduler preemption budget.
     unsigned Workers = 1; ///< Workers of explore(Workload) and
                           ///< exploreResumable: the caller plus Workers-1
-                          ///< threads. exploreSerial runs one.
-    bool StopOnViolation = false; ///< Stop at the first failed check. Note:
-                                  ///< truncates the run, so counters are no
-                                  ///< longer worker-count independent.
+                          ///< threads. exploreSerial, and any
+                          ///< StopOnViolation search, runs one.
+    bool StopOnViolation = false; ///< Stop at the first failed check, the
+                                  ///< lex-least violation: the search runs
+                                  ///< at one worker and cannot resume from
+                                  ///< a snapshot. Truncates the counters.
     /// State-space reduction; replay always runs unreduced. Keep None when
     /// an execution-count baseline (e.g. a pinned fingerprint comparison
     /// against unreduced exploration) is required.
@@ -203,9 +205,12 @@ public:
   explicit Explorer(Options O);
   Explorer();
 
-  /// Constructs a worker explorer that enumerates exactly the subtree below
-  /// \p Seed (see DecisionTree splitting). Used by exploreResumable.
-  Explorer(Options O, DecisionTree::Prefix Seed);
+  /// Restarts the explorer on exactly the subtree below \p Seed (see
+  /// DecisionTree splitting), dropping the previous subtree's tree, donor
+  /// sleep snapshot and sched points; the summary keeps accumulating, and
+  /// its Exhausted bit restarts at false for the new subtree. Used by
+  /// exploreResumable's workers through Engine::seed.
+  void seed(DecisionTree::Prefix Seed);
 
   /// Prepares the next execution; false when exploration is finished.
   bool beginExecution();

@@ -3,7 +3,7 @@
 #include "sim/ParallelExplorer.h"
 
 #include "sim/Engine.h"
-#include "support/Choice.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,45 +23,6 @@ using namespace compass::sim;
 
 namespace {
 
-/// True iff the decision path \p Path is lexicographically below the full
-/// sequence \p Best (proper prefixes count as below). A prefix that is NOT
-/// below Best cannot contain a violating sequence smaller than Best: every
-/// extension of it is lex >= Best.
-bool pathLexBelow(const std::vector<DecisionTree::Decision> &Path,
-                  const std::vector<unsigned> &Best) {
-  size_t N = std::min(Path.size(), Best.size());
-  for (size_t I = 0; I != N; ++I)
-    if (Path[I].Chosen != Best[I])
-      return Path[I].Chosen < Best[I];
-  return Path.size() < Best.size();
-}
-
-bool seqLexLess(const std::vector<unsigned> &A,
-                const std::vector<unsigned> &B) {
-  return std::lexicographical_compare(A.begin(), A.end(), B.begin(),
-                                      B.end());
-}
-
-/// A stable ChoiceSource facade over a worker's *current* Explorer. The
-/// machine and scheduler bind their ChoiceSource by reference once at
-/// construction, but a worker explores many donated subtrees, each with a
-/// fresh Explorer (the decision tree is per-subtree state). The slot lets
-/// one persistent machine/scheduler arena serve them all: each subtree
-/// re-points the slot and the simulation never re-allocates.
-class ChoiceSlot : public ChoiceSource {
-public:
-  void bind(ChoiceSource &S) { Cur = &S; }
-  unsigned choose(unsigned Count, unsigned Limit, ChoiceKind K) override {
-    return Cur->choose(Count, Limit, K);
-  }
-  size_t decisionPosition() const override {
-    return Cur->decisionPosition();
-  }
-
-private:
-  ChoiceSource *Cur = nullptr;
-};
-
 /// Per-worker observability counters, sampled for heartbeats. Cache-line
 /// padded; all accesses relaxed — these are telemetry, not synchronization.
 struct alignas(64) WorkerStats {
@@ -70,31 +32,19 @@ struct alignas(64) WorkerStats {
   std::atomic<uint64_t> Depth{0};
 };
 
-/// One worker's stealable prefix deque. The owner pushes donation batches
-/// to the back and pops from the back (deepest donations first — smallest
-/// subtrees, warmest caches); thieves pop from the front, where the
-/// shallowest — and hence largest — subtrees sit. A plain mutex per deque
-/// is enough: all touches are batched and the common case is uncontended.
-struct alignas(64) WorkerDeque {
-  std::mutex Mu;
-  std::deque<DecisionTree::Prefix> Dq;
-};
-
-/// State shared by all workers of one parallel exploration.
-///
-/// Work distribution is decentralized: each worker owns a deque seeded /
-/// refilled by its own donations, and steals from other deques only when
-/// its own is empty. Termination is unit-counted: Outstanding tracks
-/// prefixes that are queued or in progress; the worker that retires the
-/// last unit flips Done.
+/// State shared by all workers of one exploration: one FIFO queue of
+/// unexplored subtree prefixes under one lock. The exploration is over
+/// once the queue is empty and no worker holds a subtree — only a busy
+/// worker pushes, so nothing can arrive after that.
 struct SharedState {
-  std::mutex Mu; ///< Guards Done and the sleep/wake protocol only.
+  std::mutex Mu; ///< Guards Queue and Done.
   std::condition_variable Cv;
+  std::deque<DecisionTree::Prefix> Queue;
   bool Done = false;
 
-  std::vector<WorkerDeque> Deques;
-  std::atomic<uint64_t> Outstanding{0}; ///< Queued + in-progress prefixes.
-  std::atomic<uint64_t> QueuedTotal{0}; ///< Prefixes sitting in deques.
+  // Written under Mu, read without it by the donation rule, heartbeats
+  // and the final Perf fields.
+  std::atomic<uint64_t> QueuedTotal{0}; ///< Queue.size().
   std::atomic<unsigned> Busy{0};        ///< Workers holding a subtree.
   std::atomic<uint64_t> PeakQueue{0};
   std::atomic<uint64_t> Donations{0};
@@ -106,135 +56,29 @@ struct SharedState {
   std::atomic<uint64_t> Tickets{0};
 
   /// Cooperative interrupt: workers finish their in-flight execution,
-  /// drain their tree's unexplored remainder into Drained, and exit.
+  /// return their tree's unexplored remainder to the queue, and exit.
   std::atomic<bool> Interrupt{false};
 
-  // -- StopOnViolation: shared lex-min violation -----------------------
-  /// Cheap pre-check before taking BestMu; set once any violation exists.
-  std::atomic<bool> HaveViolation{false};
-  std::mutex BestMu;
-  std::vector<unsigned> Best; // lex-min violating sequence so far
-
-  // -- Checkpoint drain -------------------------------------------------
-  std::mutex DrainMu;
-  std::vector<DecisionTree::Prefix> Drained;
-
-  explicit SharedState(unsigned Workers) : Deques(Workers) {}
-
-  /// Lowers the shared best violation to \p Seq if it is lex-smaller.
-  void offerViolation(std::vector<unsigned> Seq) {
-    std::lock_guard<std::mutex> L(BestMu);
-    if (!HaveViolation.load(std::memory_order_relaxed) ||
-        seqLexLess(Seq, Best))
-      Best = std::move(Seq);
-    HaveViolation.store(true, std::memory_order_relaxed);
-  }
-
-  /// True while work whose decision path starts with \p Path could still
-  /// contain a violation lex-smaller than the current best (or no
-  /// violation exists yet). Callers pre-check HaveViolation.
-  bool mayImprove(const std::vector<DecisionTree::Decision> &Path) {
-    std::lock_guard<std::mutex> L(BestMu);
-    return pathLexBelow(Path, Best);
-  }
-
-  void addDrained(std::vector<DecisionTree::Prefix> Prefixes) {
+  /// Appends \p Prefixes to the queue and wakes sleeping workers.
+  void push(std::vector<DecisionTree::Prefix> Prefixes, bool CountAsDonation) {
     if (Prefixes.empty())
       return;
-    std::lock_guard<std::mutex> L(DrainMu);
+    std::lock_guard<std::mutex> L(Mu);
     for (DecisionTree::Prefix &P : Prefixes)
-      Drained.push_back(std::move(P));
-  }
-
-  /// Appends \p Prefixes to worker \p Wid's deque and wakes sleepers. The
-  /// notify is taken under Mu unconditionally, which makes the sleep/wake
-  /// race-free: a would-be sleeper re-checks QueuedTotal under Mu before
-  /// waiting, so it either sees this batch or receives this notify.
-  void pushBatch(unsigned Wid, std::vector<DecisionTree::Prefix> Prefixes,
-                 bool CountAsDonation) {
-    if (Prefixes.empty())
-      return;
-    uint64_t K = Prefixes.size();
-    Outstanding.fetch_add(K, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> L(Deques[Wid].Mu);
-      for (DecisionTree::Prefix &P : Prefixes)
-        Deques[Wid].Dq.push_back(std::move(P));
-    }
-    uint64_t Q = QueuedTotal.fetch_add(K, std::memory_order_relaxed) + K;
-    uint64_t Pk = PeakQueue.load(std::memory_order_relaxed);
-    while (Q > Pk &&
-           !PeakQueue.compare_exchange_weak(Pk, Q,
-                                            std::memory_order_relaxed))
-      ;
+      Queue.push_back(std::move(P));
+    QueuedTotal.store(Queue.size(), std::memory_order_relaxed);
+    if (Queue.size() > PeakQueue.load(std::memory_order_relaxed))
+      PeakQueue.store(Queue.size(), std::memory_order_relaxed);
     if (CountAsDonation)
-      Donations.fetch_add(K, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Cv.notify_all();
-    }
-  }
-
-  /// Retires one work unit (finished subtree or discarded prefix); the
-  /// last retirement terminates the exploration.
-  void retireUnit() {
-    if (Outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> L(Mu);
-      Done = true;
-      Cv.notify_all();
-    }
-  }
-
-  enum class Take { Got, Retry, None };
-
-  /// One scan over the deques: the worker's own back first (LIFO keeps it
-  /// on the deepest, cache-warmest donation), then other workers' fronts
-  /// (FIFO steals the shallowest = largest subtree). Lex-dead prefixes
-  /// are retired on the spot.
-  Take tryTakeOne(unsigned Wid, DecisionTree::Prefix &Out,
-                  bool StopOnViolation) {
-    unsigned N = static_cast<unsigned>(Deques.size());
-    for (unsigned K = 0; K != N; ++K) {
-      unsigned V = (Wid + K) % N;
-      WorkerDeque &D = Deques[V];
-      {
-        std::lock_guard<std::mutex> L(D.Mu);
-        if (D.Dq.empty())
-          continue;
-        if (V == Wid) {
-          Out = std::move(D.Dq.back());
-          D.Dq.pop_back();
-        } else {
-          Out = std::move(D.Dq.front());
-          D.Dq.pop_front();
-        }
-      }
-      QueuedTotal.fetch_sub(1, std::memory_order_relaxed);
-      if (StopOnViolation &&
-          HaveViolation.load(std::memory_order_relaxed) &&
-          !mayImprove(Out.Path)) {
-        retireUnit(); // cannot contain a violation below the best: dead
-        return Take::Retry;
-      }
-      Busy.fetch_add(1, std::memory_order_relaxed);
-      return Take::Got;
-    }
-    return Take::None;
+      Donations.fetch_add(Prefixes.size(), std::memory_order_relaxed);
+    Cv.notify_all();
   }
 
   /// Blocks until a prefix is available (true) or the exploration is over
-  /// (false) — either all units retired or an interrupt was raised.
-  bool acquire(unsigned Wid, DecisionTree::Prefix &Out,
-               bool StopOnViolation) {
+  /// (false) — every subtree finished, or an interrupt was raised.
+  bool acquire(DecisionTree::Prefix &Out) {
+    std::unique_lock<std::mutex> L(Mu);
     for (;;) {
-      if (!Interrupt.load(std::memory_order_relaxed)) {
-        Take T = tryTakeOne(Wid, Out, StopOnViolation);
-        if (T == Take::Got)
-          return true;
-        if (T == Take::Retry)
-          continue;
-      }
-      std::unique_lock<std::mutex> L(Mu);
       if (Done)
         return false;
       if (Interrupt.load(std::memory_order_relaxed)) {
@@ -244,16 +88,25 @@ struct SharedState {
         Cv.notify_all();
         return false;
       }
-      if (QueuedTotal.load(std::memory_order_relaxed) > 0)
-        continue; // a batch landed between the scan and the lock
+      if (!Queue.empty()) {
+        Out = std::move(Queue.front());
+        Queue.pop_front();
+        QueuedTotal.store(Queue.size(), std::memory_order_relaxed);
+        Busy.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
       Cv.wait(L);
     }
   }
 
-  /// Marks the worker's current subtree finished and retires its unit.
+  /// Marks the worker's current subtree finished; the last one ends the
+  /// exploration.
   void finishSubtree() {
-    Busy.fetch_sub(1, std::memory_order_relaxed);
-    retireUnit();
+    std::lock_guard<std::mutex> L(Mu);
+    if (Busy.fetch_sub(1, std::memory_order_relaxed) == 1 && Queue.empty()) {
+      Done = true;
+      Cv.notify_all();
+    }
   }
 };
 
@@ -358,30 +211,20 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     return std::chrono::duration<double>(Clock::now() - Start).count();
   };
 
-  SharedState Sh(N);
-  {
-    // Seed the deques round-robin with the initial frontier: the root
-    // prefix, or a resumed snapshot's pinned subtrees.
-    std::vector<std::vector<DecisionTree::Prefix>> Seed(N);
-    if (Resume && !Resume->Frontier.empty()) {
-      for (size_t I = 0; I != Resume->Frontier.size(); ++I)
-        Seed[I % N].push_back(Resume->Frontier[I]);
-      Sh.Tickets.store(Resume->Partial.Executions,
-                       std::memory_order_relaxed);
-    } else {
-      Seed[0].push_back(DecisionTree::Prefix{}); // the root subtree
-    }
-    for (unsigned I = 0; I != N; ++I)
-      Sh.pushBatch(I, std::move(Seed[I]), /*CountAsDonation=*/false);
+  // The initial frontier: the root prefix, or a resumed snapshot's pinned
+  // subtrees.
+  SharedState Sh;
+  if (Resume && !Resume->Frontier.empty()) {
+    Sh.push(Resume->Frontier, /*CountAsDonation=*/false);
+    Sh.Tickets.store(Resume->Partial.Executions, std::memory_order_relaxed);
+  } else {
+    Sh.push({DecisionTree::Prefix{}}, /*CountAsDonation=*/false);
   }
-  if (Resume && Resume->Partial.HasViolation)
-    Sh.offerViolation(Resume->Partial.firstViolationDecisions());
 
   // Per-worker partial summaries, merged in worker order at the end (all
   // core fields merge commutatively, so the order is immaterial — it just
   // keeps the aggregation obviously deterministic).
   std::vector<Explorer::Summary> Partials(N);
-  std::vector<uint64_t> PeakFrontiers(N, 0);
   std::vector<WorkerStats> Stats(N);
 
   // Heartbeats come from whichever worker finds one due; the try-lock
@@ -444,39 +287,31 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     Workload::Body Body = W.makeBody();
     Explorer::Options WOpts = Opts;
     WOpts.MaxExecutions = ~0ull; // budget enforced via shared tickets
-
-    Explorer::Summary &Local = Partials[Wid];
-    Local.Exhausted = true; // AND-folded over the worker's subtrees
     WorkerStats &St = Stats[Wid];
 
-    // One persistent simulation arena per worker: machine and scheduler
-    // outlive the subtrees (reset() rewinds watermarks without freeing),
-    // so steady-state allocation happens once per worker, not once per
-    // donated prefix — and the per-subtree Engine runs every execution
-    // through the copy-on-write fast path.
-    ChoiceSlot Choices;
-    rmc::Machine M(Choices);
-    Scheduler S(M, Choices);
+    // One explorer, machine, scheduler and engine per worker for the whole
+    // call; each subtree re-seeds the engine and its explorer, so their
+    // storage is allocated once per worker, not once per donated prefix.
+    Explorer Ex(WOpts);
+    rmc::Machine M(Ex);
+    Scheduler S(M, Ex);
     S.setPreemptionBound(Opts.PreemptionBound);
+    S.setReduction(Ex.reduction());
+    Engine Eng(Ex, M, S, Body);
 
+    bool Exhausted = true; // AND-folded over the worker's subtrees
     DecisionTree::Prefix Prefix;
-    while (Sh.acquire(Wid, Prefix, Opts.StopOnViolation)) {
-      Explorer Ex(WOpts, std::move(Prefix));
-      Choices.bind(Ex);
-      S.setReduction(Ex.reduction());
-      Engine Eng(Ex, M, S, Body);
+    while (Sh.acquire(Prefix)) {
+      Eng.seed(std::move(Prefix));
       for (;;) {
         if (Interrupted()) {
-          // Cooperative checkpoint: convert this subtree's unexplored
-          // remainder into pinned prefixes for the snapshot frontier.
-          // The executed share stays in Ex's summary (Exhausted set).
-          Sh.addDrained(Ex.drainFrontier());
+          // Cooperative checkpoint: queue this subtree's unexplored
+          // remainder as pinned prefixes for the snapshot frontier (nobody
+          // takes work once the interrupt is raised). The executed share
+          // stays in Ex's summary (Exhausted set).
+          Sh.push(Ex.drainFrontier(), /*CountAsDonation=*/false);
           break;
         }
-        if (Opts.StopOnViolation &&
-            Sh.HaveViolation.load(std::memory_order_relaxed) &&
-            !Sh.mayImprove(Ex.currentTrace()))
-          break; // pending path lex >= best violation: nothing to gain
         if (!Ex.hasWork())
           break;
         // Claim a budget ticket before committing to the execution so the
@@ -494,13 +329,10 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
         St.Execs.fetch_add(1, std::memory_order_relaxed);
         St.Frontier.store(Ex.frontierSize(), std::memory_order_relaxed);
         St.Depth.store(Ex.currentDepth(), std::memory_order_relaxed);
-        if (!R.CheckOk && Opts.StopOnViolation) {
-          // DFS yields each subtree's lex-least violation first, so this
-          // subtree is finished; publish the find and let the search
-          // continue only where a lex-smaller violation could hide.
-          Sh.offerViolation(Ex.summary().firstViolationDecisions());
+        // A StopOnViolation search runs at one worker, whose DFS meets the
+        // lex-least violation first.
+        if (!R.CheckOk && Opts.StopOnViolation)
           break;
-        }
 
         // Donation on demand: while some worker holds no subtree and has
         // nothing queued for it, hand out up to N of the shallowest untried
@@ -511,18 +343,19 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
         if (Held < N && Ex.splittable()) {
           std::vector<DecisionTree::Prefix> Don = Ex.split(N);
           St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
-          Sh.pushBatch(Wid, std::move(Don), /*CountAsDonation=*/true);
+          Sh.push(std::move(Don), /*CountAsDonation=*/true);
         }
       }
-      PeakFrontiers[Wid] =
-          std::max(PeakFrontiers[Wid], Ex.summary().Perf.PeakFrontier);
-      Local.mergeCore(Ex.summary()); // AND-folds the subtree's Exhausted bit
-      Local.Perf.StepsExecuted += Eng.stepsExecuted();
-      Local.Perf.StepsLogical += Eng.stepsLogical();
-      Local.Perf.CowResumes += Eng.cowResumes();
-      Local.Perf.RootRuns += Eng.rootRuns();
+      Exhausted = Exhausted && Ex.summary().Exhausted;
       Sh.finishSubtree();
     }
+    Explorer::Summary &Local = Partials[Wid];
+    Local = Ex.summary();
+    Local.Exhausted = Exhausted;
+    Local.Perf.StepsExecuted = Eng.stepsExecuted();
+    Local.Perf.StepsLogical = Eng.stepsLogical();
+    Local.Perf.CowResumes = Eng.cowResumes();
+    Local.Perf.RootRuns = Eng.rootRuns();
   };
 
   if (N == 1)
@@ -538,6 +371,8 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     Agg.mergeCore(Resume->Partial);
   for (const Explorer::Summary &P : Partials) {
     Agg.mergeCore(P);
+    Agg.Perf.PeakFrontier =
+        std::max(Agg.Perf.PeakFrontier, P.Perf.PeakFrontier);
     Agg.Perf.StepsExecuted += P.Perf.StepsExecuted;
     Agg.Perf.StepsLogical += P.Perf.StepsLogical;
     Agg.Perf.CowResumes += P.Perf.CowResumes;
@@ -548,20 +383,16 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
   Agg.Perf.WallSeconds = Wall;
   Agg.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Agg.Executions) / Wall : 0.0;
-  for (uint64_t Pf : PeakFrontiers)
-    Agg.Perf.PeakFrontier = std::max(Agg.Perf.PeakFrontier, Pf);
   Agg.Perf.PeakQueue = Sh.PeakQueue.load(std::memory_order_relaxed);
   Agg.Perf.Donations = Sh.Donations.load(std::memory_order_relaxed);
   Agg.Perf.Workers = N;
 
   if (Sh.Interrupt.load(std::memory_order_relaxed)) {
-    // Frontier = every worker's drained remainder plus the prefixes still
-    // sitting in the deques. Empty means the interrupt raced with natural
+    // Frontier = the queue: the prefixes nobody took plus every worker's
+    // drained remainder. Empty means the interrupt raced with natural
     // completion: the run actually finished.
-    Res.Snapshot.Frontier = std::move(Sh.Drained);
-    for (WorkerDeque &D : Sh.Deques)
-      for (DecisionTree::Prefix &P : D.Dq)
-        Res.Snapshot.Frontier.push_back(std::move(P));
+    Res.Snapshot.Frontier.assign(std::make_move_iterator(Sh.Queue.begin()),
+                                 std::make_move_iterator(Sh.Queue.end()));
     Res.Interrupted = !Res.Snapshot.Frontier.empty();
     if (Res.Interrupted)
       Res.Snapshot.Partial = Agg;
@@ -577,7 +408,16 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
 ExploreResult compass::sim::exploreResumable(const Workload &W,
                                              const ExploreControl &Ctl,
                                              const ExplorationSnapshot *Resume) {
-  return runWorkers(W, std::max(1u, W.options().Workers), Ctl, Resume);
+  const Explorer::Options &Opts = W.options();
+  if (!Opts.StopOnViolation)
+    return runWorkers(W, std::max(1u, Opts.Workers), Ctl, Resume);
+  // A search that stops at its first violation runs at one worker, whose
+  // DFS meets the lex-least violation first. Only one uninterrupted DFS
+  // keeps that order, so such a search does not resume.
+  if (Resume)
+    fatalError("exploreResumable: a StopOnViolation search cannot resume "
+               "from a snapshot");
+  return runWorkers(W, 1, Ctl, nullptr);
 }
 
 Explorer::Summary compass::sim::explore(const Workload &W) {

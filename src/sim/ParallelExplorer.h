@@ -7,10 +7,10 @@
 /// \file
 /// Exhaustive exploration, the one loop behind explore, exploreSerial and
 /// exploreResumable: N workers — the calling thread is worker 0 and N-1
-/// parked helper threads run the rest, none at one worker — each owning a
-/// Machine/Scheduler arena for the call plus a per-subtree Explorer (and
-/// thus a private DecisionTree), fed from per-worker deques of unexplored
-/// subtree prefixes with work stealing.
+/// parked helper threads run the rest, none at one worker — each owning
+/// one Explorer (and thus a private DecisionTree), Machine, Scheduler and
+/// copy-on-write Engine (sim/Engine.h) for the whole call, fed from one
+/// shared FIFO queue of unexplored subtree prefixes.
 ///
 /// Helpers: the process keeps one set of parked helper threads. A call
 /// takes N-1 of them and starts a thread only when none is parked, so
@@ -18,20 +18,17 @@
 /// every helper it took has finished with the call and parked again. The
 /// helpers are joined at process exit.
 ///
-/// Protocol: worker 0's deque starts with the root (empty) prefix — or,
-/// when resuming from a checkpoint (sim/Checkpoint.h), the deques are
-/// seeded round-robin with the snapshot's frontier of pinned prefixes. A
-/// worker takes from the back of its own deque (deepest donation first),
-/// steals from the front of another's when its own is empty (shallowest =
-/// largest subtree), seeds an Explorer with the prefix, and DFS-enumerates
-/// that subtree under the copy-on-write engine (sim/Engine.h). Donation is
-/// demand-driven: after an execution, a worker whose tree can split
-/// donates up to N of its shallowest untried alternatives
-/// (DecisionTree::split) when the queued prefixes plus the busy workers
-/// number fewer than N — that is, when some worker holds no subtree and has
-/// nothing queued for it (never at one worker). Termination is
-/// unit-counted: the worker that retires the last queued-or-running prefix
-/// ends the exploration.
+/// Protocol: the queue starts with the root (empty) prefix — or, when
+/// resuming from a checkpoint (sim/Checkpoint.h), with the snapshot's
+/// frontier of pinned prefixes. A worker takes the oldest prefix,
+/// re-seeds its engine and explorer with it (Engine::seed), and
+/// DFS-enumerates that subtree. Donation is demand-driven: after an
+/// execution, a worker whose tree can split donates up to N of its
+/// shallowest untried alternatives (DecisionTree::split) when the queued
+/// prefixes plus the busy workers number fewer than N — that is, when
+/// some worker holds no subtree and has nothing queued for it (never at
+/// one worker). The exploration ends once the queue is empty and no
+/// worker holds a subtree.
 ///
 /// Determinism guarantee: the donated prefixes partition the decision tree,
 /// every decision sequence is enumerated by exactly one worker, and every
@@ -41,14 +38,12 @@
 /// segmentation (provided the run is not truncated by StopOnViolation or
 /// the execution budget).
 ///
-/// StopOnViolation guarantee: the first violation surfaced is the
-/// lexicographically least violating decision sequence — exactly the one
-/// a one-worker DFS finds first, identical at any worker count. Workers
-/// share the best (lex-min) violation found so far; a worker abandons its
-/// subtree at its own first violation (DFS yields each subtree's least
-/// first) and the search continues only where a lex-smaller violation
-/// could still hide (prefixes and pending paths that are lex-below the
-/// current best).
+/// StopOnViolation: such a search runs at one worker whatever Workers
+/// says, and stops at its first violation. One DFS meets the
+/// lexicographically least violating decision sequence first, so the
+/// surfaced violation is that one at any Workers setting. Only an
+/// uninterrupted DFS keeps that order: resuming such a search from a
+/// snapshot is a fatal error.
 /// Reproduce the result with replay(W, Summary::firstViolationDecisions()).
 /// The remaining counters are still truncation-dependent.
 ///
@@ -60,9 +55,9 @@
 /// Cooperative interruption (ExploreControl): every worker checks the
 /// external stop flag (signal handlers), the wall-clock deadline and the
 /// execution-count tripwire before each execution. Once one trips, the
-/// workers finish their current execution, convert every unexplored
-/// remainder into pinned prefixes (Explorer::drainFrontier), and hand back
-/// an ExplorationSnapshot that a later call — at any worker count —
+/// workers finish their current execution, return every unexplored
+/// remainder to the queue as pinned prefixes (Explorer::drainFrontier),
+/// and hand back an ExplorationSnapshot that a later call — at any worker count —
 /// resumes to the bit-identical final summary core.
 ///
 //===----------------------------------------------------------------------===//
@@ -145,12 +140,13 @@ struct ExploreResult {
   ExplorationSnapshot Snapshot;
 };
 
-/// Explores \p W at W.options().Workers workers (values < 2 mean one): the
-/// calling thread runs worker 0 and a parked helper thread runs each
-/// further worker (see the file comment). Pass \p Resume to continue a
-/// previous segment's snapshot instead of starting at the root; the final
-/// merged summary core is bit-identical to an uninterrupted run at any
-/// worker count and any interrupt/resume segmentation.
+/// Explores \p W at W.options().Workers workers (values < 2 mean one; a
+/// StopOnViolation search always runs at one): the calling thread runs
+/// worker 0 and a parked helper thread runs each further worker (see the
+/// file comment). Pass \p Resume to continue a previous segment's snapshot
+/// instead of starting at the root (fatal for a StopOnViolation search);
+/// the final merged summary core is bit-identical to an uninterrupted run
+/// at any worker count and any interrupt/resume segmentation.
 ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl,
                                const ExplorationSnapshot *Resume = nullptr);
 

@@ -157,10 +157,13 @@ void Reduction::onStepExecuted(unsigned Tid, const rmc::Footprint &F) {
   Cur.resize(Out);
 }
 
-void Reduction::setSeed(std::vector<SleepMove> Sleep, size_t Ordinal) {
-  Seed = std::move(Sleep);
-  SeedOrdinal = Ordinal;
-  HasSeed = true;
+void Reduction::seed(DecisionTree::Prefix &P) {
+  NumPoints = 0;
+  HasSeed = P.HasSleep;
+  if (HasSeed) {
+    Seed = std::move(P.Sleep);
+    SeedOrdinal = P.SleepOrdinal;
+  }
 }
 
 void Reduction::annotate(DecisionTree::Prefix &P) const {

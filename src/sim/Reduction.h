@@ -113,11 +113,13 @@ public:
   /// ordinals/alternatives.
   bool skipAlternative(size_t Ordinal, unsigned Alt) const;
 
-  /// Installs the donor's sleep snapshot for a seeded (donated) prefix:
-  /// when the recomputed state reaches sched ordinal \p Ordinal, it is
-  /// compared against \p Sleep; divergence is fatal (it would mean reduced
-  /// exploration depends on the work distribution).
-  void setSeed(std::vector<SleepMove> Sleep, size_t Ordinal);
+  /// Starts the subtree below the seeded (donated) prefix \p P: drops the
+  /// previous subtree's sched points and donor snapshot, and takes over
+  /// P's snapshot (P.Sleep, moved out) when P.HasSleep. Once the recomputed
+  /// state reaches sched ordinal P.SleepOrdinal, it is compared against
+  /// that snapshot; divergence is fatal (it would mean reduced exploration
+  /// depends on the work distribution).
+  void seed(DecisionTree::Prefix &P);
 
   /// Annotates a donated prefix with the sleep state in force after its
   /// final decision. Only prefixes ending in a `sched` decision are

@@ -114,16 +114,21 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
         continue;
       }
       // Memoized wait scan: a blocked thread's verdict can only change
-      // when the awaited cell's history grows (its own view is frozen).
+      // when the awaited cell's history grows or the scan's floor rises.
+      // Its own view is frozen, but a seq_cst wait reads from the SC view
+      // too, which an SC fence raises without appending to the cell.
+      const bool Sc = Rec.NextFp.Sc;
       const size_t Len = M.historyLen(Rec.WaitLoc);
+      const rmc::Timestamp From = M.readFloor(Tid, Rec.WaitLoc, Sc);
       bool Ready;
       if (Rec.CacheValid && Rec.CacheLoc == Rec.WaitLoc &&
-          Rec.CacheLen == Len) {
+          Rec.CacheLen == Len && Rec.CacheFrom == From) {
         Ready = Rec.CacheResult;
       } else {
-        Ready = M.anyReadableSatisfies(Tid, Rec.WaitLoc, Rec.WaitPred);
+        Ready = M.anyReadableSatisfies(Tid, Rec.WaitLoc, Sc, Rec.WaitPred);
         Rec.CacheLoc = Rec.WaitLoc;
         Rec.CacheLen = Len;
+        Rec.CacheFrom = From;
         Rec.CacheResult = Ready;
         Rec.CacheValid = true;
       }

@@ -264,11 +264,13 @@ private:
     rmc::ValuePred WaitPred;
     // Memoized wait-scan verdict: within one execution a cell's history
     // only grows and a blocked thread's own view is frozen, so the scan
-    // result holds until the history length changes. Invalidated on
+    // result holds until the history length or the scan's floor (raised
+    // by the SC view for a seq_cst wait) changes. Invalidated on
     // (re)parking and across execution/rewind boundaries, where the same
     // length can denote different slot contents.
     rmc::Loc CacheLoc = 0;
     size_t CacheLen = 0;
+    rmc::Timestamp CacheFrom = 0;
     bool CacheResult = false;
     bool CacheValid = false;
   };

@@ -307,11 +307,11 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
   // leave the recipient with exactly the donor's sleep set.
   for (size_t I = 0; I != Donated.size(); ++I) {
     std::vector<SleepMove> Snapshot = Donated[I].Sleep;
-    size_t Ordinal = Donated[I].SleepOrdinal;
     unsigned Chosen = Donated[I].Path.back().Chosen;
 
     Reduction R2;
-    R2.setSeed(Snapshot, Ordinal);
+    R2.seed(Donated[I]);
+    EXPECT_TRUE(Donated[I].Sleep.empty()) << "seed() takes the snapshot";
     DecisionTree T2(std::move(Donated[I]));
     T2.beginExecution();
     R2.beginExecution();
@@ -325,6 +325,34 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
               Reduction::Verdict::Run);
     EXPECT_EQ(R2.current(), Snapshot);
   }
+}
+
+TEST(DecisionTreeTest, ReseedDropsThePreviousSubtreesSeedAndPoints) {
+  std::vector<unsigned> En = {0, 1, 2};
+  std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
+
+  // A first subtree whose donor snapshot (nothing asleep after pick 0)
+  // the next subtree's replay would contradict (pick 2 recomputes {0, 1}).
+  Reduction R;
+  DecisionTree::Prefix First;
+  First.Path = {{0, 1, 3, ChoiceKind::Sched}};
+  First.HasSleep = true;
+  R.seed(First);
+  R.beginExecution();
+  ASSERT_EQ(R.onSchedChoice(En, Fps, {0, 0, 0}, 0), Reduction::Verdict::Run);
+
+  // Re-seeding with an unannotated prefix forgets both the snapshot (no
+  // validation, so no fatal divergence) and the recorded sched point (no
+  // annotation of a drained prefix from the stale point).
+  DecisionTree::Prefix Second;
+  Second.Path = {{2, 3, 3, ChoiceKind::Sched}};
+  R.seed(Second);
+  DecisionTree::Prefix Drained = Second;
+  R.annotate(Drained);
+  EXPECT_FALSE(Drained.HasSleep);
+  R.beginExecution();
+  EXPECT_EQ(R.onSchedChoice(En, Fps, {0, 0, 0}, 2), Reduction::Verdict::Run);
+  EXPECT_EQ(R.current(), (std::vector<SleepMove>{{0, Fps[0]}, {1, Fps[1]}}));
 }
 
 TEST(DecisionTreeTest, AnnotateSkipsPrefixesNotEndingInSchedDecisions) {
@@ -360,7 +388,11 @@ TEST(DecisionTreeDeathTest, DivergentSleepSeedIsFatal) {
   std::vector<unsigned> En = {0, 1, 2};
   std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
   Reduction R;
-  R.setSeed({{1, Fps[1]}}, 0); // Donor claims only thread 1 sleeps...
+  DecisionTree::Prefix P;
+  P.Path = {{2, 3, 3, ChoiceKind::Sched}};
+  P.Sleep = {{1, Fps[1]}}; // Donor claims only thread 1 sleeps...
+  P.HasSleep = true;
+  R.seed(P);
   R.beginExecution();
   // ...but replaying pick 2 recomputes {0, 1}.
   EXPECT_DEATH(R.onSchedChoice(En, Fps, {0, 0, 0}, 2), "diverged");

@@ -518,26 +518,6 @@ TEST(ParallelCounterexample, CleanWorkloadHasNoViolation) {
   EXPECT_TRUE(Sum.Exhausted);
 }
 
-TEST(ParallelCounterexample, StopOnViolationStopsEarly) {
-  // Serial: deterministic truncation at the first violating execution.
-  Workload W1 = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed);
-  W1.options().StopOnViolation = true;
-  auto Sum = explore(W1);
-  ASSERT_TRUE(Sum.HasViolation);
-  EXPECT_EQ(Sum.Violations, 1u);
-  auto Full = explore(mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed));
-  EXPECT_LT(Sum.Executions, Full.Executions);
-
-  // Parallel: stops soon after any worker hits a violation; whichever one
-  // was surfaced, its trace replays to the same failing check.
-  Workload W4 = mpWorkload(4, MemOrder::Relaxed, MemOrder::Relaxed);
-  W4.options().StopOnViolation = true;
-  auto S4 = explore(W4);
-  ASSERT_TRUE(S4.HasViolation);
-  EXPECT_GE(S4.Violations, 1u);
-  EXPECT_FALSE(replay(W4, S4.firstViolationDecisions()).CheckOk);
-}
-
 namespace {
 
 /// Reference: the lexicographically least violating decision sequence is
@@ -545,23 +525,26 @@ namespace {
 /// recordCheck keeps the lex-min across the whole run).
 std::vector<unsigned> lexMinViolation(Workload W) {
   W.options().StopOnViolation = false;
+  W.options().Workers = 1;
   auto Sum = explore(W);
   EXPECT_TRUE(Sum.HasViolation);
   return Sum.firstViolationDecisions();
 }
 
-/// Pins the documented StopOnViolation guarantee: the surfaced first
-/// violation is the lex-min violating decision sequence, identical at
-/// 1/2/4 workers. \p Make builds the workload at a given worker count
-/// with a given reduction mode.
-void expectLexMinStop(Workload (*Make)(unsigned, ReductionMode),
-                      ReductionMode Red, const char *Name) {
-  std::vector<unsigned> Ref = lexMinViolation(Make(1, Red));
+/// Pins the StopOnViolation guarantee: whatever Workers says, the search
+/// runs at one worker, stops at its first violation, and that violation
+/// is the lex-min violating decision sequence. \p Make builds the
+/// workload at a given worker count.
+void expectLexMinStop(const std::function<Workload(unsigned)> &Make,
+                      const char *Name) {
+  std::vector<unsigned> Ref = lexMinViolation(Make(1));
   ASSERT_FALSE(Ref.empty()) << Name;
   for (unsigned W : {1u, 2u, 4u}) {
-    Workload Wl = Make(W, Red);
+    Workload Wl = Make(W);
     Wl.options().StopOnViolation = true;
     auto Sum = explore(Wl);
+    EXPECT_EQ(Sum.Perf.Workers, 1u) << Name << " workers=" << W;
+    EXPECT_EQ(Sum.Violations, 1u) << Name << " workers=" << W;
     ASSERT_TRUE(Sum.HasViolation) << Name << " workers=" << W;
     EXPECT_EQ(Sum.firstViolationDecisions(), Ref)
         << Name << " workers=" << W
@@ -572,44 +555,59 @@ void expectLexMinStop(Workload (*Make)(unsigned, ReductionMode),
   }
 }
 
+Workload mpRelaxed(unsigned W, ReductionMode R) {
+  Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
+  Wl.options().Reduction = R;
+  return Wl;
+}
+
 } // namespace
 
-TEST(ParallelCounterexample, StopOnViolationIsLexMinAcrossWorkers) {
-  expectLexMinStop(
-      +[](unsigned W, ReductionMode R) {
-        Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
-        Wl.options().Reduction = R;
-        return Wl;
-      },
-      ReductionMode::None, "MP relaxed, no reduction");
+TEST(ParallelCounterexample, StopOnViolationStopsEarly) {
+  auto Full = explore(mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed));
+  for (unsigned W : {1u, 2u, 4u}) {
+    Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
+    Wl.options().StopOnViolation = true;
+    auto Sum = explore(Wl);
+    EXPECT_EQ(Sum.Perf.Workers, 1u) << "workers=" << W;
+    EXPECT_EQ(Sum.Violations, 1u) << "workers=" << W;
+    EXPECT_LT(Sum.Executions, Full.Executions) << "workers=" << W;
+    EXPECT_EQ(Sum.firstViolationDecisions(), Full.firstViolationDecisions())
+        << "workers=" << W;
+  }
 }
 
-TEST(ParallelCounterexample, StopOnViolationIsLexMinUnderSourceReduction) {
-  // Same guarantee with source-set reduction enabled: the reduced tree is
-  // deterministic, so its lex-min violating sequence is too.
+TEST(ParallelCounterexample, StopOnViolationIsLexMin) {
+  expectLexMinStop([](unsigned W) { return mpRelaxed(W, ReductionMode::None); },
+                   "MP relaxed, no reduction");
+  // The reduced tree is deterministic, so its lex-min violating sequence
+  // is too.
   expectLexMinStop(
-      +[](unsigned W, ReductionMode R) {
-        Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
-        Wl.options().Reduction = R;
-        return Wl;
-      },
-      ReductionMode::SourceSet, "MP relaxed, source reduction");
-}
-
-TEST(ParallelCounterexample, StopOnViolationIsLexMinOnMutatedConformance) {
+      [](unsigned W) { return mpRelaxed(W, ReductionMode::SourceSet); },
+      "MP relaxed, source reduction");
   // A violation-dense conformance workload (mutated Treiber stack) under
-  // the harness's default source-set reduction — the configuration long
-  // sweeps actually run with.
+  // the harness's default source-set reduction.
   expectLexMinStop(
-      +[](unsigned W, ReductionMode R) {
-        Workload Wl = conformanceWorkload(
-            check::Lib::TreiberStack, check::Mutation::TreiberRelaxedPopHead,
-            13, W);
-        Wl.options().Reduction = R;
-        return Wl;
+      [](unsigned W) {
+        return conformanceWorkload(check::Lib::TreiberStack,
+                                   check::Mutation::TreiberRelaxedPopHead,
+                                   13, W);
       },
-      ReductionMode::SourceSet, "treiber mutant, source reduction");
+      "treiber mutant, source reduction");
 }
+
+#if GTEST_HAS_DEATH_TEST
+TEST(ParallelCounterexampleDeathTest, StopOnViolationRefusesToResume) {
+  // Only one uninterrupted DFS meets the lex-least violation first, so a
+  // stop-at-first-violation search has no resumable segments.
+  Workload W = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed);
+  W.options().StopOnViolation = true;
+  ExplorationSnapshot Snap;
+  Snap.Frontier.push_back(DecisionTree::Prefix{});
+  EXPECT_DEATH(exploreResumable(W, ExploreControl{}, &Snap),
+               "StopOnViolation search cannot resume");
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // Workload plumbing
@@ -890,4 +888,44 @@ TEST(ParallelEngineAB, CheckpointResumeMatchesRootReplay) {
   EXPECT_FALSE(Seg2.Interrupted);
   EXPECT_TRUE(Ref.coreEquals(Seg2.Sum))
       << "root-replay: " << Ref.str() << "\nresumed cow: " << Seg2.Sum.str();
+}
+
+TEST(ParallelEngineAB, EachSubtreeStartsWithItsOnlyRootRun) {
+  // One engine serves all of a worker's subtrees. Re-seeding it drops the
+  // previous subtree's snapshots, so each subtree's first execution runs
+  // from the root and every later one resumes from its own snapshots: one
+  // root run for the root subtree plus one per donated prefix.
+  const std::vector<std::pair<const char *, std::function<Workload(unsigned)>>>
+      Cases = {
+          {"SB", [](unsigned W) { return sbWorkload(W, false); }},
+          {"MP relaxed",
+           [](unsigned W) {
+             return mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
+           }},
+          {"E2 ms_queue", msQueueWorkload},
+          {"conformance ms_queue",
+           [](unsigned W) {
+             return conformanceWorkload(check::Lib::MsQueue,
+                                        check::Mutation::None, 11, W);
+           }},
+          {"treiber mutant, source reduction",
+           [](unsigned W) {
+             return conformanceWorkload(
+                 check::Lib::TreiberStack,
+                 check::Mutation::TreiberRelaxedPopHead, 13, W);
+           }},
+      };
+  for (const auto &[Name, Make] : Cases)
+    for (unsigned Wk : {1u, 2u, 4u}) {
+      Explorer::Summary S = explore(Make(Wk));
+      ASSERT_TRUE(S.Exhausted) << Name << " workers=" << Wk;
+      // A second worker starts idle, so the first execution donates.
+      if (Wk > 1) {
+        EXPECT_GT(S.Perf.Donations, 0u) << Name << " workers=" << Wk;
+      }
+      EXPECT_EQ(S.Perf.RootRuns, S.Perf.Donations + 1)
+          << Name << " workers=" << Wk;
+      EXPECT_EQ(S.Perf.RootRuns + S.Perf.CowResumes, S.Executions)
+          << Name << " workers=" << Wk;
+    }
 }

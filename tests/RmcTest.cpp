@@ -504,9 +504,31 @@ TEST(MachineTest, LoadWhereReadsSatisfyingMessage) {
   Loc X = M.alloc("x");
   M.store(T0, X, 1, MemOrder::Relaxed);
   M.store(T0, X, 2, MemOrder::Relaxed);
-  EXPECT_FALSE(M.anyReadableSatisfies(T1, X, [](Value V) { return V > 2; }));
-  EXPECT_TRUE(M.anyReadableSatisfies(T1, X, [](Value V) { return V == 1; }));
+  EXPECT_FALSE(
+      M.anyReadableSatisfies(T1, X, false, [](Value V) { return V > 2; }));
+  EXPECT_TRUE(
+      M.anyReadableSatisfies(T1, X, false, [](Value V) { return V == 1; }));
   EXPECT_EQ(M.loadWhere(T1, X, MemOrder::Acquire,
                         [](Value V) { return V == 1; }),
             1u);
+}
+
+TEST(MachineTest, SeqCstWaitScanStartsAtTheScView) {
+  // A seq_cst conditional load reads from max(cur(x), SC(x)); the wait
+  // scan must agree, or a blocked seq_cst spin is reported enabled on a
+  // message its load cannot read.
+  ScriptedChoice C;
+  Machine M(C);
+  unsigned T0 = M.addThread(), T1 = M.addThread();
+  Loc X = M.alloc("x");
+  M.store(T1, X, 1, MemOrder::Relaxed);
+  M.store(T1, X, 2, MemOrder::SeqCst); // SC(x) now names the 2
+  auto IsOne = [](Value V) { return V == 1; };
+  EXPECT_EQ(M.readFloor(T0, X, false), 0u);
+  EXPECT_EQ(M.readFloor(T0, X, true), 2u);
+  EXPECT_TRUE(M.anyReadableSatisfies(T0, X, false, IsOne));
+  EXPECT_FALSE(M.anyReadableSatisfies(T0, X, true, IsOne));
+  EXPECT_EQ(M.loadWhere(T0, X, MemOrder::Acquire, IsOne), 1u);
+  EXPECT_TRUE(M.anyReadableSatisfies(
+      T0, X, true, [](Value V) { return V == 2; }));
 }

@@ -331,6 +331,58 @@ TEST(SchedulerTest, UnsatisfiableSpinIsDeadlock) {
   EXPECT_EQ(Sum.Deadlocks, Sum.Executions);
 }
 
+namespace {
+
+Task<void> scSpinForOne(Env &E, Loc F) {
+  co_await E.spinUntil(
+      F, [](Value V) { return V == 1; }, MemOrder::SeqCst);
+}
+
+Task<void> storeOneThenTwo(Env &E, Loc F, MemOrder Second, bool ScFence) {
+  co_await E.store(F, 1, MemOrder::Relaxed);
+  co_await E.store(F, 2, Second);
+  if (ScFence)
+    co_await E.fence(MemOrder::SeqCst);
+}
+
+/// Explores a seq_cst spin for f == 1 against a thread that stores f = 1
+/// then f = 2 (with \p Second), then optionally runs an SC fence. Once the
+/// SC view names the 2, the spinner can no longer read the 1: the wait
+/// scan must then report it blocked, not enabled on an unreadable message.
+Explorer::Summary exploreScSpin(MemOrder Second, bool ScFence) {
+  return explore(
+      Explorer::Options{},
+      [=](Machine &M, Scheduler &S) {
+        Loc F = M.alloc("f");
+        Env &E0 = S.newThread();
+        S.start(E0, scSpinForOne(E0, F));
+        Env &E1 = S.newThread();
+        S.start(E1, storeOneThenTwo(E1, F, Second, ScFence));
+      },
+      [](Machine &, Scheduler &, Scheduler::RunResult) {});
+}
+
+} // namespace
+
+TEST(SchedulerTest, SeqCstSpinIsBlockedBelowTheScView) {
+  // Raised by the seq_cst store of f = 2 itself.
+  Explorer::Summary Sum = exploreScSpin(MemOrder::SeqCst, false);
+  EXPECT_TRUE(Sum.Exhausted);
+  EXPECT_EQ(Sum.Executions, 7u);
+  EXPECT_EQ(Sum.Completed, 3u);
+  EXPECT_EQ(Sum.Deadlocks, 4u);
+}
+
+TEST(SchedulerTest, SeqCstSpinSeesAnScFenceRaiseTheFloor) {
+  // Raised by an SC fence, which appends nothing to f: a wait memo keyed
+  // on f's history length alone keeps the stale "enabled" verdict.
+  Explorer::Summary Sum = exploreScSpin(MemOrder::Relaxed, true);
+  EXPECT_TRUE(Sum.Exhausted);
+  EXPECT_EQ(Sum.Executions, 12u);
+  EXPECT_EQ(Sum.Completed, 7u);
+  EXPECT_EQ(Sum.Deadlocks, 5u);
+}
+
 TEST(SchedulerTest, DivergentThreadHitsStepLimit) {
   Explorer::Options Opts;
   Opts.MaxStepsPerExec = 100;
