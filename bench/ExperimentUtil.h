@@ -219,7 +219,7 @@ inline sim::Workload queueWorkload(QueueImpl Impl,
         [St, Impl](rmc::Machine &M, sim::Scheduler &S) {
           if (!St->Mon)
             St->Mon = std::make_unique<spec::SpecMonitor>();
-          St->Mon->beginExecution(M);
+          St->Mon->reset();
           St->Q = makeQueue(Impl, M, *St->Mon);
           St->Got0.clear();
           St->Got1.clear();
@@ -237,9 +237,8 @@ inline sim::Workload queueWorkload(QueueImpl Impl,
                                        spec::SeqSpec::Queue)
               .ok();
         }};
-    // The cross-step client state is the monitor plus the Got vectors (the
-    // queue is rebuilt by Setup). Restoring Got after the fast-forward
-    // also covers finished-thread skipping.
+    // The client state threads change is the monitor plus the Got vectors
+    // (the queue keeps none of its own).
     struct CowState {
       spec::SpecMonitor::Epoch MonEpoch;
       std::vector<rmc::Value> Got0, Got1;
@@ -258,7 +257,6 @@ inline sim::Workload queueWorkload(QueueImpl Impl,
       St->Got0 = C.Got0;
       St->Got1 = C.Got1;
     };
-    B.CowSkipFinished = true;
     return B;
   });
 }

@@ -126,7 +126,7 @@ sim::Task<rmc::Value> ContainerAdapter::apply(sim::Env &E, Op O) {
 Verdict ContainerAdapter::verdict(
     const spec::SpecMonitor &Mon,
     const std::vector<std::vector<Observed>> &Results,
-    spec::LinearizeLimits Limits) const {
+    spec::LinearizeLimits Limits, graph::EventGraph &Derived) const {
   const graph::EventGraph &G = Mon.graph();
   if (L != Lib::ElimStack)
     return checkExecution(G, Obj, libSpec(L), Results, Limits,
@@ -136,10 +136,28 @@ Verdict ContainerAdapter::verdict(
   std::string WF = G.checkWellFormed();
   if (!WF.empty())
     return Verdict::fail("WELL-FORMED", WF);
-  graph::EventGraph Derived = spec::buildElimStackGraph(
-      G, Elim->baseObjId(), Elim->exchangerObjId(), DerivedEsObj);
+  spec::buildElimStackGraph(G, Elim->baseObjId(), Elim->exchangerObjId(),
+                            DerivedEsObj, Derived);
   return checkExecution(Derived, DerivedEsObj, spec::SeqSpec::Stack, Results,
                         Limits);
+}
+
+void ContainerAdapter::saveOpState(OpState &Out) const {
+  if (L == Lib::TreiberEbr)
+    Out.Bins = std::get<lib::TreiberStackEbr>(Impl).bins();
+  else if (Deq)
+    Out.Owner = Deq->owner();
+  else if (Ring)
+    Out.Roles = Ring->roles();
+}
+
+void ContainerAdapter::restoreOpState(const OpState &In) {
+  if (L == Lib::TreiberEbr)
+    std::get<lib::TreiberStackEbr>(Impl).setBins(In.Bins);
+  else if (Deq)
+    Deq->setOwner(In.Owner);
+  else if (Ring)
+    Ring->setRoles(In.Roles);
 }
 
 void check::verdictKey(const graph::EventGraph &G,
@@ -208,16 +226,15 @@ sim::Task<void> opThread(ContainerAdapter &A, const std::vector<Op> &Ops,
 /// Setup/Check pair over one RunState (shared per body instantiation).
 sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
   sim::Workload::SetupFn Setup = [St](rmc::Machine &M, sim::Scheduler &Sch) {
-    // Runs before every execution, root or copy-on-write resume, and
-    // allocates nothing once warm: the monitor is rewound, not
-    // reallocated (beginExecution keeps the graph intact during a
-    // fast-forward; the engine epoch-trims it afterwards, see CowSave
-    // below), the adapter and its library are rebuilt in RunState::A's
-    // storage, the result vectors keep their capacity, and the thread
-    // coroutines' frames come from the frame pool (sim/Task.h).
+    // Runs before every root run (a copy-on-write resume restores state
+    // instead, see CowSave below) and allocates nothing once warm: the
+    // monitor is rewound, not reallocated, the adapter and its library
+    // are rebuilt in RunState::A's storage, the result vectors keep their
+    // capacity, and the thread coroutines' frames come from the engine's
+    // frame arena (sim/Task.h).
     if (!St->Mon)
       St->Mon = std::make_unique<spec::SpecMonitor>();
-    St->Mon->beginExecution(M);
+    St->Mon->reset();
     St->A.emplace(St->S, St->Mut, M, *St->Mon);
     St->Results.assign(St->S.Threads.size(), {});
     for (size_t T = 0; T != St->S.Threads.size(); ++T) {
@@ -266,7 +283,7 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
       ++St->MemoHits;
       V.LinAborted = Hit->second;
     } else {
-      V = St->A->verdict(*St->Mon, St->Results, St->Limits);
+      V = St->A->verdict(*St->Mon, St->Results, St->Limits, St->Derived);
       if (V.Ok)
         St->Passes.emplace(St->Key, V.LinAborted);
     }
@@ -276,17 +293,16 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
     return V.Ok;
   };
   sim::Workload::Body B{std::move(Setup), std::move(Check)};
-  // Copy-on-write eligibility: the cross-step state outside the machine
-  // and coroutine locals is the spec monitor plus the per-thread Results
-  // vectors. The monitor's event graph is append-only with an undo
-  // journal, so a snapshot is an O(1) epoch and a restore an O(delta)
-  // trim — no deep copies; Results are small and copied wholesale (the
-  // restore runs after the fast-forward, so it also overwrites the
-  // partial re-pushes of replayed threads). The adapter is rebuilt by
-  // Setup; the verdict fields are written only at Check time.
+  // Copy-on-write client state: everything outside the machine and the
+  // coroutine frames that threads change after Setup. The monitor's event
+  // graph is append-only with an undo journal, so a snapshot is an O(1)
+  // epoch and a restore an O(delta) trim; the per-thread Results and the
+  // library's op-time state are small and copied whole. The verdict
+  // fields are written only at Check time.
   struct CowState {
     spec::SpecMonitor::Epoch MonEpoch;
     std::vector<std::vector<Observed>> Results;
+    ContainerAdapter::OpState Lib;
   };
   B.CowSave = [St](std::shared_ptr<void> &Slot) {
     if (!Slot)
@@ -294,18 +310,14 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
     auto &C = *std::static_pointer_cast<CowState>(Slot);
     C.MonEpoch = St->Mon->epoch();
     C.Results = St->Results;
+    St->A->saveOpState(C.Lib);
   };
   B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
     const auto &C = *std::static_pointer_cast<CowState>(Slot);
     St->Mon->trimToEpoch(C.MonEpoch);
     St->Results = C.Results;
+    St->A->restoreOpState(C.Lib);
   };
-  // Finished-thread skipping: a finished scenario thread's only client
-  // effects are its Results entries (restored above) — except when the
-  // library itself keeps op-time C++ state that other threads' re-run
-  // steps read: the EBR wrapper's ghost retire bins and the work-stealing
-  // deque's owner shadow map.
-  B.CowSkipFinished = St->S.L != Lib::TreiberEbr && St->S.L != Lib::WsDeque;
   return B;
 }
 

@@ -59,15 +59,29 @@ public:
 
   /// Runs the reference-model pipeline over \p Mon's recorded graph. For
   /// the elimination stack the checked graph is first *derived* from the
-  /// base stack's and exchanger's events (spec/Composition.h).
+  /// base stack's and exchanger's events (spec/Composition.h), into
+  /// \p Derived, whose storage is reused (other libraries leave it alone).
   Verdict verdict(const spec::SpecMonitor &Mon,
                   const std::vector<std::vector<Observed>> &Results,
-                  spec::LinearizeLimits Limits) const;
+                  spec::LinearizeLimits Limits,
+                  graph::EventGraph &Derived) const;
 
   /// Object id under which the library commits its events (for checks that
   /// want to interrogate the recorded graph directly, e.g. the HW-queue
   /// spec-strength separation test).
   unsigned objId() const { return Obj; }
+
+  /// What the library's operations change outside the machine and the
+  /// coroutine frames: the EBR stack's retire bins, the deque's owner and
+  /// shadow, the ring's roles (the other libraries keep none). The
+  /// copy-on-write body saves it at every snapshot.
+  struct OpState {
+    sim::Ebr::RetireBins Bins;
+    lib::WsDeque::OwnerState Owner;
+    lib::SpscRing::Roles Roles;
+  };
+  void saveOpState(OpState &Out) const;
+  void restoreOpState(const OpState &In);
 
 private:
   Lib L;
@@ -139,6 +153,9 @@ struct RunState {
   std::unordered_map<std::vector<uint64_t>, bool, VerdictKeyHash> Passes;
   std::vector<uint64_t> Key; ///< verdictKey's buffer, reused.
   uint64_t MemoHits = 0;     ///< Checks answered from Passes.
+  /// The elimination stack's derived graph, rebuilt by each verdict in
+  /// place (ContainerAdapter::verdict).
+  graph::EventGraph Derived;
 };
 
 /// Exploration options tuned for \p S (preemption bound from the scenario,

@@ -68,7 +68,7 @@ void EventGraph::trimToEpoch(const Epoch &E) {
   NextCommitIdx = E.NextCommit;
 }
 
-void EventGraph::addRaw(EventId Id, Event E) {
+Event &EventGraph::rawSlot(EventId Id) {
   if (Id >= States.size()) {
     if (Id >= Events.size())
       Events.resize(Id + 1);
@@ -76,12 +76,16 @@ void EventGraph::addRaw(EventId Id, Event E) {
   }
   if (States[Id] == State::Committed)
     fatalError("addRaw would overwrite a committed event");
+  return Events[Id];
+}
+
+void EventGraph::commitRaw(EventId Id) {
+  const Event &E = Events[Id];
   if (E.Kind == OpKind::Invalid)
     fatalError("addRaw of an invalid event");
   States[Id] = State::Committed;
   if (E.CommitIdx >= NextCommitIdx)
     NextCommitIdx = E.CommitIdx + 1;
-  Events[Id] = std::move(E);
   insertOrdered(Id);
 }
 

@@ -108,7 +108,16 @@ public:
   /// Composition/testing support: inserts a committed event with an
   /// explicit id and commit index (both must be unused). Used to build
   /// derived graphs (spec/Composition.h) and hand-crafted graphs in tests.
-  void addRaw(EventId Id, Event E);
+  void addRaw(EventId Id, Event E) {
+    rawSlot(Id) = std::move(E);
+    commitRaw(Id);
+  }
+
+  /// addRaw in place, for graphs rebuilt into retained storage: the slot
+  /// of the unused id \p Id, which the caller fills (every field, CommitIdx
+  /// included; the views keep their storage) before commitRaw(Id).
+  Event &rawSlot(EventId Id);
+  void commitRaw(EventId Id);
 
   /// Adds an so edge between two committed events.
   void addSo(EventId From, EventId To);

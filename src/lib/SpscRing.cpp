@@ -30,7 +30,7 @@ void SpscRing::checkRole(unsigned &Role, unsigned Tid, const char *What) {
 }
 
 Task<bool> SpscRing::tryEnqueue(Env &E, Value V) {
-  checkRole(ProducerTid, E.Tid, "producer");
+  checkRole(Pinned.Producer, E.Tid, "producer");
   Value T = co_await E.load(TailIdx, MemOrder::Relaxed); // Own writes.
   Value H = co_await E.load(HeadIdx, MemOrder::Acquire);
   if (T - H == Capacity)
@@ -69,7 +69,7 @@ Task<void> SpscRing::enqueueBlocking(Env &E, Value V) {
 }
 
 Task<Value> SpscRing::dequeue(Env &E) {
-  checkRole(ConsumerTid, E.Tid, "consumer");
+  checkRole(Pinned.Consumer, E.Tid, "consumer");
   Value H = co_await E.load(HeadIdx, MemOrder::Relaxed); // Own writes.
   Value T = co_await E.load(TailIdx, MemOrder::Acquire);
   if (H == T) {
@@ -91,7 +91,7 @@ Task<Value> SpscRing::dequeue(Env &E) {
 }
 
 Task<Value> SpscRing::dequeueBlocking(Env &E) {
-  checkRole(ConsumerTid, E.Tid, "consumer");
+  checkRole(Pinned.Consumer, E.Tid, "consumer");
   Value H = co_await E.load(HeadIdx, MemOrder::Relaxed);
   co_await E.spinUntil(
       TailIdx, [H](Value T) { return T != H; }, MemOrder::Acquire);

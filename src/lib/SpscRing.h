@@ -54,6 +54,17 @@ public:
 
   unsigned objId() const { return Obj; }
 
+  /// The producer and consumer threads, pinned by their first operations:
+  /// the ring's only state outside the machine that its operations change,
+  /// which copy-on-write bodies save and restore
+  /// (Workload::Body::CowSave).
+  struct Roles {
+    unsigned Producer = ~0u;
+    unsigned Consumer = ~0u;
+  };
+  const Roles &roles() const { return Pinned; }
+  void setRoles(const Roles &R) { Pinned = R; }
+
 private:
   void checkRole(unsigned &Role, unsigned Tid, const char *What);
 
@@ -61,8 +72,7 @@ private:
   unsigned Obj;
   unsigned Capacity;
   Mutation Mut;
-  unsigned ProducerTid = ~0u;
-  unsigned ConsumerTid = ~0u;
+  Roles Pinned;
   rmc::Loc HeadIdx; ///< Next index to dequeue (consumer-owned, released).
   rmc::Loc TailIdx; ///< Next index to enqueue (producer-owned, released).
   rmc::Loc Buf;     ///< Capacity na cells, ownership alternating.

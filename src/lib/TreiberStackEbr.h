@@ -49,6 +49,11 @@ public:
 
   unsigned objId() const override { return Obj; }
 
+  /// The EBR domain's retire bins (sim::Ebr::bins), the stack's only
+  /// state outside the machine that its operations change.
+  const sim::Ebr::RetireBins &bins() const { return Dom.bins(); }
+  void setBins(const sim::Ebr::RetireBins &B) { Dom.setBins(B); }
+
 private:
   // Node layout: [value (na), ghost push-event id (na), next (na)].
   static constexpr unsigned ValOff = 0;

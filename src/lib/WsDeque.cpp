@@ -24,7 +24,7 @@ WsDeque::WsDeque(Machine &M, spec::SpecMonitor &Mon, std::string Name,
   Buf = M.alloc(Name + ".buf", Capacity);
   Eids = M.alloc(Name + ".eids", Capacity);
   for (unsigned I = 0; I != Capacity; ++I)
-    OwnerShadow.push_back({});
+    Own.Shadow.push_back({});
 }
 
 WsDequeOrders WsDeque::orders(Mutation Mut) {
@@ -35,9 +35,9 @@ WsDequeOrders WsDeque::orders(Mutation Mut) {
 }
 
 void WsDeque::checkOwner(unsigned Tid) {
-  if (OwnerTid == ~0u)
-    OwnerTid = Tid;
-  else if (OwnerTid != Tid)
+  if (Own.Tid == ~0u)
+    Own.Tid = Tid;
+  else if (Own.Tid != Tid)
     fatalError("WsDeque owner operations must come from one thread");
 }
 
@@ -59,7 +59,7 @@ Task<void> WsDeque::push(Env &E, Value V) {
   co_await E.store(Bottom, B + 1, Ord.BottomStore);
   // Commit point: the bottom store.
   Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::Push, V);
-  OwnerShadow[B] = {V, Ev, true};
+  Own.Shadow[B] = {V, Ev, true};
   co_return;
 }
 
@@ -81,10 +81,10 @@ Task<Value> WsDeque::take(Env &E) {
     co_return EmptyVal;
   }
 
-  if (static_cast<uint64_t>(BI) >= OwnerShadow.size() ||
-      !OwnerShadow[BI].Live)
+  if (static_cast<uint64_t>(BI) >= Own.Shadow.size() ||
+      !Own.Shadow[BI].Live)
     fatalError("WsDeque owner shadow out of sync");
-  ShadowEntry Shadow = OwnerShadow[BI];
+  ShadowEntry Shadow = Own.Shadow[BI];
 
   if (TI != BI) {
     // More than one element: the bottom one is owner-exclusive. Commit
@@ -92,7 +92,7 @@ Task<Value> WsDeque::take(Env &E) {
     EventId Ev = Mon.reserve(E.M, E.Tid);
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, Shadow.Val, 0,
                Shadow.Ev);
-    OwnerShadow[BI].Live = false;
+    Own.Shadow[BI].Live = false;
     // Fidelity: the algorithm reads the buffer; assert against the
     // shadow.
     Value V = co_await E.load(Buf + static_cast<Loc>(BI), Ord.SlotLoad);
@@ -106,7 +106,7 @@ Task<Value> WsDeque::take(Env &E) {
   if (R.Success) {
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, Shadow.Val, 0,
                Shadow.Ev);
-    OwnerShadow[BI].Live = false;
+    Own.Shadow[BI].Live = false;
     co_await E.store(Bottom, static_cast<Value>(BI + 1), Ord.BottomStore);
     co_return Shadow.Val;
   }

@@ -66,6 +66,29 @@ public:
 
   unsigned objId() const { return Obj; }
 
+  /// One owner-side shadow entry: the value and event id the owner pushed
+  /// at an index, while not yet taken.
+  struct ShadowEntry {
+    rmc::Value Val = 0;
+    graph::EventId Ev = 0;
+    bool Live = false;
+  };
+
+  /// The owner's op-time state: the owner thread (pinned by its first
+  /// operation) and the shadow of its own pushes, one entry per lifetime
+  /// index, used to keep the take commit in the same scheduler step as its
+  /// decisive instruction (plain ghost state; the simulated reads still
+  /// happen and are asserted against it). It is the deque's only state
+  /// outside the machine that its operations change, which copy-on-write
+  /// bodies save and restore (Workload::Body::CowSave). Inline, so a deque
+  /// rebuilt every execution allocates no shadow.
+  struct OwnerState {
+    unsigned Tid = ~0u;
+    SmallVec<ShadowEntry, 8> Shadow; ///< Capacity entries.
+  };
+  const OwnerState &owner() const { return Own; }
+  void setOwner(const OwnerState &O) { Own = O; }
+
 private:
   void checkOwner(unsigned Tid);
 
@@ -73,23 +96,11 @@ private:
   unsigned Obj;
   unsigned Capacity;
   WsDequeOrders Ord;
-  unsigned OwnerTid = ~0u;
   rmc::Loc Top;    ///< Next index to steal.
   rmc::Loc Bottom; ///< Next index to push.
   rmc::Loc Buf;    ///< Capacity cells, one per lifetime index.
   rmc::Loc Eids;   ///< Ghost push-event ids, parallel to Buf.
-
-  /// Owner-side shadow of its own pushes (index -> value and event id),
-  /// used to keep the take commit in the same scheduler step as its
-  /// decisive instruction. Plain ghost state; the simulated reads still
-  /// happen and are asserted against it. One entry per lifetime index,
-  /// inline, so a deque rebuilt every execution allocates no shadow.
-  struct ShadowEntry {
-    rmc::Value Val = 0;
-    graph::EventId Ev = 0;
-    bool Live = false;
-  };
-  SmallVec<ShadowEntry, 8> OwnerShadow; ///< Capacity entries.
+  OwnerState Own;
 };
 
 } // namespace compass::lib

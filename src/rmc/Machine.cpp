@@ -60,8 +60,6 @@ void Machine::reset() {
   FaultRule = "RACE";
   Trace.clear();
   LastFp = Footprint();
-  Replaying = false;
-  ReserveSeq = 0;
   RfFloorOn = false;
   RfFloorEmpty = false;
   // OpSeqN is monotonic across resets by design; Tracing is sticky (its
@@ -71,23 +69,6 @@ void Machine::reset() {
 //===----------------------------------------------------------------------===//
 // Copy-on-write support
 //===----------------------------------------------------------------------===//
-
-void Machine::beginReplay() {
-  Replaying = true;
-  ReserveSeq = 0;
-  Mem.beginReplayAlloc();
-  // Threads re-register densely during Setup; their retained states are
-  // garbage until restoreSnapshot overwrites them.
-  LiveThreads = 0;
-}
-
-void Machine::endReplay(const AuxMark &Boundary) {
-  if (ReserveSeq != Boundary.Reserves)
-    fatalError("copy-on-write fast-forward diverged: event reservations "
-               "out of sync with the snapshot boundary");
-  Replaying = false;
-  Mem.setReplayAlloc(false);
-}
 
 void Machine::saveSnapshot(Snap &S) const {
   S.LiveThreads = LiveThreads;
@@ -113,7 +94,6 @@ void Machine::saveSnapshot(Snap &S) const {
   }
   S.ScPhys = ScPhys;
   S.MemEpoch = Mem.epoch();
-  S.Aux = auxMark();
 }
 
 void Machine::restoreSnapshot(const Snap &S) {
@@ -172,12 +152,6 @@ Timestamp Machine::lastReadTs(unsigned T) const {
   return TS.LastReadTs;
 }
 
-void Machine::setLastReadTs(unsigned T, Timestamp Ts) {
-  ThreadState &TS = thread(T);
-  TS.HasRead = true;
-  TS.LastReadTs = Ts;
-}
-
 void Machine::reportFault(const char *Rule, std::string Msg) {
   if (Raced)
     return; // First fault wins; the scheduler stops at the next step.
@@ -202,7 +176,13 @@ void Machine::checkNotFreed(unsigned T, Loc L, const char *What) {
 }
 
 void Machine::traceOp(unsigned T, const std::string &Line) {
-  Trace.push_back("T" + std::to_string(T) + ": " + Line);
+  // Appended piecewise: GCC 12 reports a false -Wrestrict on the inlined
+  // `"T" + std::string` form.
+  std::string Out = "T";
+  Out += std::to_string(T);
+  Out += ": ";
+  Out += Line;
+  Trace.push_back(std::move(Out));
 }
 
 void Machine::applyRead(ThreadState &TS, Loc L, const Cell &C,

@@ -227,61 +227,15 @@ public:
 
   //===--------------------------------------------------------------------===//
   // Copy-on-write execution support (DESIGN.md Section 11). The engine
-  // snapshots the machine at decision boundaries and, on backtrack,
-  // fast-forwards client coroutines through the shared prefix with all
-  // machine operations elided: awaiters return the scheduler's journaled
-  // results instead of calling into the machine, and hand each journaled
-  // read's timestamp to setLastReadTs so lastReadTs answers as it did live.
+  // snapshots the machine at decision boundaries and restores it on
+  // backtrack, together with the scheduler's records and the coroutine
+  // frames; no machine operation of the shared prefix runs again.
   //
   // An operation changes no view before its choice: load, loadWhere and
   // cas read their lower bound through the SC view and join it after
   // choosing. A snapshot taken at any choice is therefore the loop-top
   // state of the step that makes it.
   //===--------------------------------------------------------------------===//
-
-  /// True while an execution prefix is being fast-forwarded. Machine
-  /// operations must not be invoked in this mode (awaiters consult the
-  /// scheduler's journal instead); the spec monitor uses it to suppress
-  /// knowledge injection and event commits during the replay.
-  bool replaying() const { return Replaying; }
-
-  /// Replay-mode stand-in for an elided atomic read: makes \p Ts, the
-  /// journaled read's timestamp, thread \p T's last read.
-  void setLastReadTs(unsigned T, Timestamp Ts);
-
-  /// The allocation watermark plus the event-reservation sequence number;
-  /// captured in snapshots, recorded per step by the scheduler, and
-  /// validated after a fast-forward.
-  struct AuxMark {
-    size_t MemLive = 0; ///< Allocation watermark (allocs are per-step too).
-    uint32_t Reserves = 0;
-  };
-  AuxMark auxMark() const { return {Mem.epoch().Live, ReserveSeq}; }
-
-  /// Advances the event-reservation sequence. Event ids are allocated
-  /// densely from 0 in reservation order each execution, so this counter
-  /// mirrors the graph's id allocation exactly; during a fast-forward it
-  /// *is* the id source (the graph is not touched), and routing it through
-  /// the machine lets the scheduler skip-jump it per step.
-  uint32_t bumpReserveSeq() { return ReserveSeq++; }
-
-  /// Jumps the allocation watermark and the reservation sequence to \p A —
-  /// used by the scheduler's fast-forward to elide a whole step of a
-  /// thread that is finished at the snapshot boundary.
-  void setReplayAux(const AuxMark &A) {
-    ReserveSeq = A.Reserves;
-    Mem.setReplayWatermark(A.MemLive);
-  }
-
-  /// Enters replay mode: reservations restart from 0, allocation becomes
-  /// watermark-only (Memory::setReplayAlloc). Thread registration restarts
-  /// (addThread re-registers the same dense ids over retained state; the
-  /// states are overwritten wholesale by restoreSnapshot).
-  void beginReplay();
-
-  /// Leaves replay mode after a fast-forward that must have reserved
-  /// exactly as many events as the execution had at \p Boundary.
-  void endReplay(const AuxMark &Boundary);
 
   /// Deep snapshot of one thread's view state (storage recycled across
   /// snapshots via capacity-reusing assignment).
@@ -302,7 +256,6 @@ public:
     size_t LiveThreads = 0;
     View ScPhys;
     Memory::Epoch MemEpoch;
-    AuxMark Aux;
   };
 
   /// Captures the machine into \p S, reusing its storage. Taken at a
@@ -319,8 +272,8 @@ public:
   Memory &memoryMut() { return Mem; }
 
   /// Whether per-operation tracing is on. The copy-on-write engine falls
-  /// back to full root-replay while tracing: an elided prefix would emit no
-  /// trace lines.
+  /// back to full root-replay while tracing: a resumed execution would
+  /// lack its prefix's trace lines.
   bool tracingEnabled() const { return Tracing; }
 
   /// Live history length of \p L, for the scheduler's memoized wait scans:
@@ -481,7 +434,6 @@ private:
   SmallVec<Timestamp, 16> CandScratch; ///< loadWhere candidate timestamps.
   SmallVec<Timestamp, 16> FailScratch; ///< CAS failure-read timestamps.
 
-  bool Replaying = false; ///< See the COW section above.
   // Source-set reduction state (see the section above). All of it is
   // step-scoped: a floor is installed right before the restricted step and
   // cleared right after it, never across snapshots or executions.
@@ -489,7 +441,6 @@ private:
   bool RfFloorEmpty = false;
   Loc RfFloorLoc = 0;
   uint32_t RfFloorTs = 0;
-  uint32_t ReserveSeq = 0; ///< Event reservations this execution.
 };
 
 } // namespace compass::rmc

@@ -12,21 +12,6 @@ using namespace compass::rmc;
 Loc Memory::alloc(const std::string &Name, unsigned Count, Value Init) {
   assert(Count >= 1 && "allocating zero cells");
   Loc Base = static_cast<Loc>(Live);
-  if (ReplayAlloc) {
-    // Copy-on-write fast-forward: the same allocation sequence replays over
-    // cells whose histories still hold the prefix's messages. Only the
-    // watermark moves; a cheap shape check guards against divergence.
-    if (Live + Count > Cells.size())
-      fatalError("replay-alloc beyond retained cells (divergent prefix?)");
-    for (unsigned I = 0; I != Count; ++I) {
-      Cell &C = Cells[Live + I];
-      assert(C.Len >= 1 && "replay-alloc over an uninitialized cell");
-      assert(C.Name == Name && "replay-alloc name mismatch");
-      (void)C;
-    }
-    Live += Count;
-    return Base;
-  }
   for (unsigned I = 0; I != Count; ++I) {
     if (Live < Cells.size()) {
       // Reuse a retained cell from an earlier execution: rewind the history

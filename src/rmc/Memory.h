@@ -29,9 +29,7 @@
 
 #include "rmc/Knowledge.h"
 #include "rmc/View.h"
-#include "support/Error.h"
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -94,10 +92,6 @@ public:
   /// Allocates \p Count fresh cells, named Name, Name+1, ... Each starts
   /// with an initial message at timestamp 0 holding \p Init and empty
   /// knowledge (everyone can read it). Returns the first location.
-  ///
-  /// In replay-alloc mode (copy-on-write fast-forward of an execution
-  /// prefix) the call only re-advances the allocation watermark over cells
-  /// that still hold the prefix's messages; histories are untouched.
   Loc alloc(const std::string &Name, unsigned Count = 1, Value Init = 0);
 
   /// Number of allocated (live) cells.
@@ -132,7 +126,7 @@ public:
   void reset();
 
   //===--------------------------------------------------------------------===//
-  // Copy-on-write support: epochs, trimming, replay-alloc.
+  // Copy-on-write support: epochs and trimming.
   //===--------------------------------------------------------------------===//
 
   /// A point in this memory's mutation history. Capturing one is O(1);
@@ -151,36 +145,10 @@ public:
   /// the epoch, then rewinds the allocation watermark.
   void trimToEpoch(const Epoch &E);
 
-  /// Replay-alloc mode: alloc() only re-advances the watermark (see
-  /// alloc()). Entered for the Setup + fast-forward phase of a
-  /// copy-on-write execution, left before the live suffix runs.
-  void setReplayAlloc(bool On) { ReplayAlloc = On; }
-
-  /// Enters replay-alloc mode *and* rewinds the allocation watermark to
-  /// zero, so the replayed Setup + prefix re-cover exactly the locations
-  /// they allocated originally. Histories and undo logs are untouched;
-  /// the fast-forward re-advances the watermark to the snapshot epoch.
-  void beginReplayAlloc() {
-    ReplayAlloc = true;
-    Live = 0;
-  }
-
-  /// Jumps the allocation watermark during replay-alloc mode. Fast-forward
-  /// uses this to elide a whole step of a finished thread: the step's
-  /// allocations never re-run, so the cursor jumps to its recorded end
-  /// mark instead, keeping every later allocation's address aligned.
-  void setReplayWatermark(size_t N) {
-    assert(ReplayAlloc && "watermark jump outside replay-alloc mode");
-    if (N > Cells.size())
-      fatalError("replay watermark beyond retained cells");
-    Live = N;
-  }
-
 private:
   std::vector<Cell> Cells; ///< Cells[0..Live) are allocated; the rest is
                            ///< retained storage from earlier executions.
   size_t Live = 0;
-  bool ReplayAlloc = false;
 
   /// Undo log of appends: one Loc per append, in order. Popping one
   /// decrements that cell's watermark (slot contents stay for reuse).

@@ -4,19 +4,32 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace compass;
 using namespace compass::sim;
 
-DecisionTree::DecisionTree(Prefix Seed)
-    : Trace(std::move(Seed.Path)), SeedLen(Trace.size()) {
-#ifndef NDEBUG
-  for (const Decision &D : Trace) {
+DecisionTree::DecisionTree(Prefix Seed) : SeedLen(Seed.Path.size()) {
+  for (const Decision &D : Seed.Path) {
     assert(D.Chosen < D.Count && "seed decision out of range");
     assert(D.Limit == D.Chosen + 1 && "seed decisions must be pinned");
+    push(D);
   }
-#endif
+}
+
+void DecisionTree::push(Decision D) {
+  KindTotals T = Totals.empty() ? KindTotals() : Totals.back();
+  const size_t K = static_cast<size_t>(D.Kind);
+  ++T.Choices[K];
+  T.AltSum[K] += D.Count;
+  T.MaxArity[K] = std::max(T.MaxArity[K], D.Count);
+  D.SchedOrd = Trace.empty() ? 0
+                             : Trace.back().SchedOrd +
+                                   (Trace.back().Kind == ChoiceKind::Sched);
+  Frontier += D.Limit - D.Chosen - 1;
+  Trace.push_back(D);
+  Totals.push_back(T);
 }
 
 unsigned DecisionTree::next(unsigned Count, unsigned Limit, ChoiceKind K) {
@@ -37,7 +50,7 @@ unsigned DecisionTree::next(unsigned Count, unsigned Limit, ChoiceKind K) {
     ++Pos;
     return D.Chosen;
   }
-  Trace.push_back({0, Limit, Count, K});
+  push({0, Limit, Count, K});
   ++Pos;
   return 0;
 }
@@ -54,22 +67,17 @@ bool DecisionTree::advance() {
     Decision &D = Trace.back();
     if (D.Chosen + 1 < D.Limit) {
       ++D.Chosen;
+      --Frontier;
       Pos = Trace.size();
       return true;
     }
+    // A popped decision has no untried alternative: Frontier is unchanged.
     Trace.pop_back();
+    Totals.pop_back();
   }
   Pos = Trace.size();
   Exhausted = true;
   return false;
-}
-
-size_t DecisionTree::schedOrdinal(const std::vector<Decision> &Path,
-                                  size_t End) {
-  size_t K = 0;
-  for (size_t I = 0; I != End; ++I)
-    K += Path[I].Kind == ChoiceKind::Sched;
-  return K;
 }
 
 std::vector<unsigned> DecisionTree::decisions() const {
@@ -78,13 +86,6 @@ std::vector<unsigned> DecisionTree::decisions() const {
   for (const Decision &D : Trace)
     Out.push_back(D.Chosen);
   return Out;
-}
-
-uint64_t DecisionTree::frontierSize() const {
-  uint64_t N = 0;
-  for (const Decision &D : Trace)
-    N += D.Limit - D.Chosen - 1;
-  return N;
 }
 
 bool DecisionTree::splittable() const {
@@ -156,6 +157,7 @@ std::vector<DecisionTree::Prefix> DecisionTree::split(size_t MaxDonations) {
       Out.push_back(std::move(P));
     }
     D.Limit -= Donate;
+    Frontier -= Donate;
     return Out;
   }
   return Out;

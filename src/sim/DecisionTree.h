@@ -30,6 +30,7 @@
 #include "rmc/Footprint.h"
 #include "support/Choice.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -65,6 +66,23 @@ public:
     unsigned Limit;  ///< Exclusive bound of alternatives this tree owns.
     unsigned Count;  ///< Total arity observed at this choice point.
     ChoiceKind Kind; ///< What the decision resolves.
+    /// Sched decisions before this one on the path: a sched decision's
+    /// ordinal among the path's sched decisions, which correspond 1:1, in
+    /// order, to the reduction's recorded choice points
+    /// (sim/Reduction.h). Set when the tree records or is seeded with the
+    /// decision, and carried by the prefixes it donates.
+    uint32_t SchedOrd = 0;
+  };
+
+  /// Per-kind totals over a prefix of the path: how many decisions of each
+  /// kind, the sum of their arities and the largest one (indexed by
+  /// ChoiceKind).
+  struct KindTotals {
+    std::array<uint64_t, NumChoiceKinds> Choices{};
+    std::array<uint64_t, NumChoiceKinds> AltSum{};
+    std::array<unsigned, NumChoiceKinds> MaxArity{};
+
+    bool operator==(const KindTotals &) const = default;
   };
 
   /// An unexplored subtree, produced by split(): a decision prefix that a
@@ -141,8 +159,15 @@ public:
   std::vector<unsigned> decisions() const;
 
   /// Number of untried alternatives hanging off the current path — the DFS
-  /// frontier size.
-  uint64_t frontierSize() const;
+  /// frontier size. Kept as the path changes, so O(1).
+  uint64_t frontierSize() const { return Frontier; }
+
+  /// Per-kind totals of the path's first \p Len decisions, kept per depth
+  /// as the path grows, so O(1).
+  const KindTotals &prefixTotals(size_t Len) const {
+    static const KindTotals None;
+    return Len == 0 ? None : Totals[Len - 1];
+  }
 
   /// True if split() would produce at least one donation.
   bool splittable() const;
@@ -168,14 +193,14 @@ public:
   /// beginExecution()).
   std::vector<Prefix> split(size_t MaxDonations);
 
-  /// Number of sched decisions in \p Path before position \p End: the
-  /// ordinal of a sched decision at End among the path's sched decisions,
-  /// which correspond 1:1, in order, to the reduction's recorded choice
-  /// points (sim/Reduction.h).
-  static size_t schedOrdinal(const std::vector<Decision> &Path, size_t End);
-
 private:
+  /// Appends \p D to the path, setting its SchedOrd and the per-depth
+  /// totals and frontier count it adds.
+  void push(Decision D);
+
   std::vector<Decision> Trace;
+  std::vector<KindTotals> Totals; ///< Totals[I] covers Trace[0..I].
+  uint64_t Frontier = 0;          ///< See frontierSize().
   size_t Pos = 0;
   size_t SeedLen = 0;
   bool Exhausted = false;

@@ -2,6 +2,8 @@
 
 #include "sim/Ebr.h"
 
+#include "support/Error.h"
+
 using namespace compass;
 using namespace compass::sim;
 using namespace compass::rmc;
@@ -32,7 +34,7 @@ Task<void> Ebr::unpin(Env &E) {
   // Reading the bins rides on the pinExit ghost step (Kind::Reclaim),
   // which is dependent with every other bin mutation.
   bool Work =
-      !Bins[0].empty() || !Bins[1].empty() || !Bins[2].empty();
+      Bins[0].Len != 0 || Bins[1].Len != 0 || Bins[2].Len != 0;
   co_await E.store(SlotLoc + E.Tid, 0, MemOrder::Release);
   if (!Work)
     co_return;
@@ -51,7 +53,10 @@ Task<void> Ebr::retire(Env &E, Loc L, unsigned Count) {
   // The ghost retire step marks the cells Retired and snapshots the pinned
   // readers; the bin push rides on the same step.
   co_await E.retire(L, Count);
-  Bins[Ep % 3].push_back({L, Count});
+  Bin &B = Bins[Ep % 3];
+  if (B.Len == Bin::MaxBatches)
+    fatalError("EBR retire bin overflow; size the workload");
+  B.Items[B.Len++] = {L, Count};
 }
 
 Task<bool> Ebr::advanceOnce(Env &E) {
@@ -76,10 +81,8 @@ Task<bool> Ebr::advanceOnce(Env &E) {
   // Reclaim-vs-SC dependence in rmc::independent makes this pairing
   // visible to the sleep-set reduction.) The claim is a local snapshot: a
   // concurrent advancer must never see these entries again.
-  Bin Claimed;
-  for (const Batch &B : Bins[(Ep + 1) % 3])
-    Claimed.push_back(B);
-  Bins[(Ep + 1) % 3].clear();
+  const Bin Claimed = Bins[(Ep + 1) % 3];
+  Bins[(Ep + 1) % 3].Len = 0;
   for (const Batch &B : Claimed)
     co_await E.freeCells(B.L, B.Count);
   co_return true;

@@ -37,8 +37,8 @@
 #define COMPASS_SIM_EBR_H
 
 #include "sim/Scheduler.h"
-#include "support/SmallVec.h"
 
+#include <array>
 #include <string>
 
 namespace compass::sim {
@@ -73,12 +73,34 @@ public:
   /// current epoch's bin.
   Task<void> retire(Env &E, rmc::Loc L, unsigned Count);
 
-private:
   /// A retired allocation awaiting its grace period.
   struct Batch {
     rmc::Loc L = 0;
     unsigned Count = 0;
   };
+
+  /// One ghost retire bin: up to MaxBatches allocations, inline (a domain
+  /// rebuilt every execution allocates no bins, and a coroutine local
+  /// copy owns no heap memory, as sim/Task.h requires). A retire past
+  /// MaxBatches is fatal; size the workload.
+  struct Bin {
+    static constexpr unsigned MaxBatches = 8;
+    Batch Items[MaxBatches];
+    unsigned Len = 0;
+
+    const Batch *begin() const { return Items; }
+    const Batch *end() const { return Items + Len; }
+  };
+
+  /// The ghost retire bins, indexed by epoch % 3: the domain's only state
+  /// outside the machine that its operations change, which copy-on-write
+  /// bodies save and restore (Workload::Body::CowSave). Mutated only on
+  /// Reclaim/SC steps.
+  using RetireBins = std::array<Bin, 3>;
+  const RetireBins &bins() const { return Bins; }
+  void setBins(const RetireBins &B) { Bins = B; }
+
+private:
 
   /// One advance attempt: scan announcements (unless SkipGracePeriod),
   /// CAS the epoch forward, and free the bin the new epoch retires into.
@@ -90,11 +112,7 @@ private:
   rmc::Loc EpochLoc; ///< Global epoch counter (starts at 0).
   rmc::Loc SlotLoc;  ///< NumThreads announcement slots: 0 = unpinned,
                      ///< else announced epoch + 1.
-  /// Ghost retire bins, indexed by epoch % 3; mutated only on Reclaim/SC
-  /// steps. Inline storage: a domain rebuilt every execution (as the
-  /// checker's adapter rebuilds its library) allocates no bins.
-  using Bin = SmallVec<Batch, 8>;
-  Bin Bins[3];
+  RetireBins Bins;
 };
 
 } // namespace compass::sim

@@ -3,6 +3,7 @@
 #include "sim/Engine.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace compass;
 using namespace compass::sim;
@@ -16,13 +17,15 @@ Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S,
                 !M.tracingEnabled();
   if (CowEligible)
     Ex.setSnapshotHook([this](size_t NodeIndex) { onSnapshot(NodeIndex); });
-  else
-    S.stopJournal();
+  S.setBoundaries(CowEligible);
 }
 
 Engine::~Engine() {
   Ex.setSnapshotHook(nullptr);
-  S.stopJournal();
+  S.setBoundaries(false);
+  // The frames live in this engine's arena, which goes with the engine.
+  detail::FrameArena::Scope InArena(Frames);
+  S.reset();
 }
 
 void Engine::seed(DecisionTree::Prefix P) {
@@ -31,51 +34,47 @@ void Engine::seed(DecisionTree::Prefix P) {
 }
 
 void Engine::onSnapshot(size_t NodeIndex) {
-  if (S.journalMode() != Scheduler::JournalMode::Record)
-    return; // Decision outside a journaled run (defensive; not expected).
   if (Depth == Slots.size())
     Slots.emplace_back();
   SnapSlot &Slot = Slots[Depth++];
   Slot.NodeIndex = NodeIndex;
   // Nothing has changed since the step's loop top, whether the choice is
-  // the scheduler's pick or an operation's (no operation changes a view
-  // before its choice); the divergent sibling re-executes the whole step.
+  // the scheduler's pick or an operation's: no operation changes a view
+  // before its choice, the operation is the first thing its resumed frame
+  // runs, and the scheduler keeps the running thread's loop-top record.
+  // The divergent sibling re-executes the whole step.
   M.saveSnapshot(Slot.MSnap);
-  Slot.SBound = S.captureBoundary();
+  S.saveBoundary(Slot.SBound);
   if (Red)
     Slot.RBound = Red->boundary();
   if (Body.CowSave)
     Body.CowSave(Slot.Client);
+  const SnapSlot *Below = Depth > 1 ? &Slots[Depth - 2] : nullptr;
+  Slot.FrameOff = Below ? Below->FrameOff + Below->FrameLen : 0;
+  Slot.FrameLen = Frames.used();
+  if (FrameBytes.size() < Slot.FrameOff + Slot.FrameLen)
+    FrameBytes.resize(Slot.FrameOff + Slot.FrameLen);
+  std::memcpy(FrameBytes.data() + Slot.FrameOff, Frames.data(),
+              Slot.FrameLen);
 }
 
 void Engine::rootSetup() {
   M.reset();
   S.reset();
-  if (CowEligible)
-    S.beginJournal();
+  Frames.clear();
   Body.Setup(M, S);
   ++Roots;
 }
 
 void Engine::resumeFrom(const SnapSlot &Slot) {
-  // Coroutine frames cannot be copied, so client state is re-established
-  // by re-running Setup and fast-forwarding the journaled step sequence
-  // with machine operations elided; machine state is restored from the
-  // snapshot and the memory undo logs.
-  S.beginFastForward();
-  M.beginReplay();
-  S.reset();
-  Body.Setup(M, S);
-  S.fastForward(Slot.SBound.Steps,
-                Body.CowSkipFinished ? Slot.SBound.FinishedMask : 0);
+  Frames.restore(FrameBytes.data() + Slot.FrameOff, Slot.FrameLen);
+  S.restoreBoundary(Slot.SBound);
   M.memoryMut().trimToEpoch(Slot.MSnap.MemEpoch);
-  M.endReplay(Slot.MSnap.Aux);
   M.restoreSnapshot(Slot.MSnap);
   if (Red)
     Red->restore(Slot.RBound);
   if (Body.CowRestore)
     Body.CowRestore(Slot.Client);
-  S.endFastForward(Slot.SBound);
   // The decisions before the boundary are already on the tree path; skip
   // their replay but credit their per-kind statistics so the summary core
   // stays engine-path independent.
@@ -85,32 +84,35 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
 }
 
 Engine::ExecResult Engine::runOne() {
-  bool Resumed = false;
-  uint64_t BaseSteps = 0;
-  if (CowEligible) {
-    const auto &Trace = Ex.currentTrace();
-    if (!Trace.empty()) {
-      // The DFS just advanced the decision at the path's tail; pop the
-      // snapshots of the discarded deeper subtree back into the pool.
-      const size_t DivIdx = Trace.size() - 1;
-      while (Depth != 0 && Slots[Depth - 1].NodeIndex > DivIdx)
-        --Depth;
-      if (Depth != 0 && Slots[Depth - 1].NodeIndex == DivIdx) {
-        resumeFrom(Slots[Depth - 1]);
-        BaseSteps = Slots[Depth - 1].SBound.Steps;
-        Resumed = true;
-      }
-      // else: no snapshot for the divergence node (e.g. the previous
-      // execution ran under a fallback) — execute from the root below.
-    }
-  }
-  if (!Resumed)
-    rootSetup();
-
   ExecResult Out;
-  Out.Run = S.run(MaxSteps);
-  StepsLogical += S.steps();
-  StepsExecuted += S.steps() - BaseSteps;
+  {
+    detail::FrameArena::Scope InArena(Frames);
+    bool Resumed = false;
+    uint64_t BaseSteps = 0;
+    if (CowEligible) {
+      const auto &Trace = Ex.currentTrace();
+      if (!Trace.empty()) {
+        // The DFS just advanced the decision at the path's tail; pop the
+        // snapshots of the discarded deeper subtree back into the pool.
+        const size_t DivIdx = Trace.size() - 1;
+        while (Depth != 0 && Slots[Depth - 1].NodeIndex > DivIdx)
+          --Depth;
+        if (Depth != 0 && Slots[Depth - 1].NodeIndex == DivIdx) {
+          resumeFrom(Slots[Depth - 1]);
+          BaseSteps = Slots[Depth - 1].SBound.Steps;
+          Resumed = true;
+        }
+        // else: no snapshot for the divergence node (e.g. the previous
+        // execution ran under a fallback) — execute from the root below.
+      }
+    }
+    if (!Resumed)
+      rootSetup();
+
+    Out.Run = S.run(MaxSteps);
+    StepsLogical += S.steps();
+    StepsExecuted += S.steps() - BaseSteps;
+  }
   if (Body.Check)
     Out.CheckOk = Body.Check(M, S, Out.Run);
   return Out;

@@ -14,16 +14,17 @@
 /// from the root, so an execution at depth d costs O(d) machine operations
 /// even when it shares a d-1 prefix with its predecessor. This engine
 /// instead snapshots the simulation at every fresh multi-alternative
-/// decision node (a Machine::Snap of thread views + an O(1) memory epoch, a
-/// Scheduler::Boundary, the reduction's sleep state, and the body's
-/// client-state slot) and keeps the snapshots on a stack mirroring the DFS
-/// path. When the explorer backtracks to a node, the engine rewinds: memory
-/// is trimmed to the node's epoch via the undo logs, views are restored
-/// from the snapshot, and — since C++20 coroutine frames cannot be copied —
-/// the client coroutines are *fast-forwarded*: re-created by Setup and
-/// resumed through the journaled step sequence with every machine operation
-/// elided (awaiters return journaled values). Only the divergent suffix
-/// executes machine operations for real.
+/// decision node and keeps the snapshots on a stack mirroring the DFS
+/// path. A snapshot is a Machine::Snap (thread views plus an O(1) memory
+/// epoch), a Scheduler::Boundary (counters and every thread's loop-top
+/// record), the reduction's sleep state, the body's client state
+/// (Workload::Body::CowSave) and the used bytes of the engine's coroutine
+/// frame arena (sim/Task.h), pushed onto one byte stack. When the explorer
+/// backtracks to a node, the engine rewinds: memory is trimmed to the
+/// node's epoch via the undo logs, and everything else is copied back —
+/// the frames to the same addresses, so the scheduler's pending handles
+/// stay valid. Neither Setup nor any step of the shared prefix runs
+/// again; only the divergent suffix executes.
 ///
 /// The engine is observationally identical to root replay: summaries,
 /// per-tag statistics, sweep fingerprints and first-violation traces are
@@ -69,8 +70,9 @@ public:
   };
 
   /// Binds the engine to one explorer/machine/scheduler/body quadruple.
-  /// Installs the explorer's snapshot hook; uninstalls it on destruction.
-  /// The referenced objects must outlive the engine.
+  /// Installs the explorer's snapshot hook; uninstalls it and destroys
+  /// the scheduler's coroutine frames on destruction. The referenced
+  /// objects must outlive the engine.
   Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S, Workload::Body &Body);
   ~Engine();
 
@@ -101,13 +103,17 @@ private:
   /// One snapshot on the DFS-path stack: everything needed to resume the
   /// simulation right before the decision at NodeIndex. Slots are pooled
   /// in a watermarked vector so steady-state exploration reuses their
-  /// heap storage (views, journals, client state) instead of reallocating.
+  /// heap storage (views, thread records, client state) instead of
+  /// reallocating.
   struct SnapSlot {
     size_t NodeIndex = 0;
     rmc::Machine::Snap MSnap;
     Scheduler::Boundary SBound;
     Reduction::Boundary RBound;
     std::shared_ptr<void> Client; ///< Body.CowSave state (e.g. monitor).
+    /// The frame arena's used bytes, at FrameBytes[FrameOff, +FrameLen).
+    size_t FrameOff = 0;
+    size_t FrameLen = 0;
   };
 
   void onSnapshot(size_t NodeIndex);
@@ -124,6 +130,12 @@ private:
 
   std::vector<SnapSlot> Slots; ///< [0, Depth) live; rest retained storage.
   size_t Depth = 0;
+
+  /// Every frame of this engine's executions, root runs included.
+  detail::FrameArena Frames;
+  /// The live slots' frame bytes, one slot after another (the byte stack;
+  /// its size is a high-water mark, never shrunk).
+  std::vector<unsigned char> FrameBytes;
 
   uint64_t Resumes = 0;
   uint64_t Roots = 0;

@@ -92,12 +92,16 @@ void Explorer::creditReplayedPrefix(size_t Pos) {
   // The skipped prefix's decisions still exist on the tree path; account
   // for the choose() calls a root replay would have made for them, so the
   // deterministic core (per-kind totals) is engine-path independent.
-  const auto &Trace = Tree.trace();
-  assert(Pos <= Trace.size());
   // Count==1 decisions never reach choose(); the tree records only real
-  // alternatives, so every entry counts.
-  for (size_t I = 0; I != Pos; ++I)
-    Sum.Tags[static_cast<size_t>(Trace[I].Kind)].add(Trace[I].Count);
+  // alternatives, so its per-depth totals are exactly those calls.
+  assert(Pos <= Tree.depth());
+  const DecisionTree::KindTotals &T = Tree.prefixTotals(Pos);
+  for (size_t K = 0; K != NumChoiceKinds; ++K) {
+    TagStat &Stat = Sum.Tags[K];
+    Stat.Choices += T.Choices[K];
+    Stat.AltSum += T.AltSum[K];
+    Stat.MaxArity = std::max(Stat.MaxArity, T.MaxArity[K]);
+  }
 }
 
 const std::vector<DecisionTree::Decision> &Explorer::currentTrace() const {
@@ -182,7 +186,7 @@ void Explorer::endExecution(Scheduler::RunResult R) {
   // alternative would have received.
   while (HasWork) {
     const auto &Trace = Tree.trace();
-    if (Trace.empty() || !skippable(Trace.size() - 1, Trace.back()))
+    if (Trace.empty() || !skippable(Trace.back()))
       break;
     ++Sum.SourcePruned;
     HasWork = Tree.advance();
@@ -191,16 +195,12 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     Sum.Exhausted = true;
 }
 
-bool Explorer::skippable(size_t Pos, const DecisionTree::Decision &D) const {
+bool Explorer::skippable(const DecisionTree::Decision &D) const {
   if (!RedEnabled || D.Kind != ChoiceKind::Sched)
     return false;
-  // Counting the sched ordinal over the live trace is valid for donated
-  // prefixes too — a donation's path matches the live trace on every
-  // position before its final decision.
-  const auto &Trace = Tree.trace();
-  return Red.skipAlternative(
-      DecisionTree::schedOrdinal(Trace, std::min(Pos, Trace.size())),
-      D.Chosen);
+  // A donated prefix's final decision carries the ordinal it had on the
+  // live trace, whose path it matches before that decision.
+  return Red.skipAlternative(D.SchedOrd, D.Chosen);
 }
 
 void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
@@ -210,8 +210,7 @@ void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
   const size_t Limit = Out.size() - (KeepLast ? 1 : 0);
   size_t W = 0;
   for (size_t I = 0, E = Out.size(); I != E; ++I) {
-    if (I < Limit && !Out[I].Path.empty() &&
-        skippable(Out[I].Path.size() - 1, Out[I].Path.back())) {
+    if (I < Limit && !Out[I].Path.empty() && skippable(Out[I].Path.back())) {
       ++Sum.SourcePruned;
       continue;
     }

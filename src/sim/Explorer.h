@@ -177,7 +177,7 @@ public:
       // Copy-on-write engine effectiveness (sim/Engine.h). StepsLogical
       // counts every scheduler step of every execution (what root replay
       // would run); StepsExecuted counts the steps actually performed —
-      // the gap is the work the snapshot/fast-forward path avoided.
+      // the gap is the work the snapshot/restore path avoided.
       uint64_t StepsExecuted = 0;
       uint64_t StepsLogical = 0;
       uint64_t CowResumes = 0; ///< Executions resumed from a snapshot.
@@ -315,13 +315,13 @@ private:
   DecisionTree Tree;
   Reduction Red;
   bool RedEnabled = false;
-  /// Whether decision \p D at path position \p Pos, a donated or freshly
-  /// advanced alternative, is a covered sched sibling the explorer may skip
-  /// without running it (Summary::SourcePruned). Used by endExecution's
+  /// Whether decision \p D, a donated or freshly advanced alternative, is a
+  /// covered sched sibling the explorer may skip without running it
+  /// (Summary::SourcePruned). Used by endExecution's
   /// advance loop and by split()/drainFrontier() donation filtering — both
   /// must agree with the serial skip decision for cross-worker fingerprint
   /// parity.
-  bool skippable(size_t Pos, const DecisionTree::Decision &D) const;
+  bool skippable(const DecisionTree::Decision &D) const;
   /// Removes skip-marked prefixes from a donation batch, counting them into
   /// this (the donor's) summary — a recipient would otherwise burn an
   /// execution on a subtree serial exploration skips without one. KeepLast

@@ -179,7 +179,7 @@ void Reduction::annotate(DecisionTree::Prefix &P) const {
   // the execution the path was split from (annotation runs between
   // executions, when the donor's trace prefix up to the split node still
   // matches the last executed path).
-  const size_t K = DecisionTree::schedOrdinal(P.Path, P.Path.size() - 1);
+  const size_t K = Last.SchedOrd;
   if (K >= NumPoints)
     return; // No execution has reached this point yet; leave unannotated.
 

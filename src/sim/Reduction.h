@@ -133,11 +133,12 @@ public:
 
   //===--------------------------------------------------------------------===//
   // Copy-on-write boundaries. The scheduler calls saveBoundary() at the
-  // top of every recorded step; the engine copies the saved state into its
-  // snapshot and hands it back through restore() when rewinding. Only Cur
-  // and the point count need capturing: Points entries are written once at
-  // their sched choice and never mutated afterwards, so a rewind that
-  // re-runs the divergent step recycles the next Points slot naturally.
+  // top of every step while boundaries are on (Scheduler::setBoundaries);
+  // the engine copies the saved state into its snapshot and hands it back
+  // through restore() when rewinding. Only Cur and the point count need
+  // capturing: Points entries are written once at their sched choice and
+  // never mutated afterwards, so a rewind that re-runs the divergent step
+  // recycles the next Points slot naturally.
   //===--------------------------------------------------------------------===//
 
   /// Sleep-set state at a step boundary (storage recycled across saves).

@@ -20,7 +20,6 @@ Env &Scheduler::newThread() {
     ThreadRec &Rec = *Threads[LiveThreads];
     assert(Rec.E && Rec.E->Tid == Tid &&
            "thread records must be recycled in creation order");
-    Rec.Root = Task<void>(); // Destroys any leftover coroutine frame.
     Rec.Pending = nullptr;
     Rec.NextFp = rmc::Footprint();
     Rec.Started = false;
@@ -43,15 +42,44 @@ Env &Scheduler::newThread() {
 }
 
 void Scheduler::reset() {
+  // The frames go first: an engine rewinds their arena right after.
+  for (const std::unique_ptr<ThreadRec> &Rec : Threads)
+    Rec->Root = Task<void>();
   LiveThreads = 0;
   Steps = 0;
   Preemptions = 0;
   LastRun = ~0u;
   PruneRequested = false;
-  DoneMask = 0;
-  // Thread records, PreemptionBound and the reduction hook persist; the
-  // caller resets the machine and (for reduced runs) the Reduction
-  // separately.
+  Running = ~0u;
+  // Thread records, PreemptionBound, the reduction hook and the boundary
+  // setting persist; the caller resets the machine and (for reduced runs)
+  // the Reduction separately.
+}
+
+void Scheduler::saveBoundary(Boundary &B) const {
+  static_cast<LoopTop &>(B) = Top;
+  B.Threads.resize(LiveThreads);
+  for (size_t I = 0; I != LiveThreads; ++I)
+    B.Threads[I] = *Threads[I];
+  if (Running != ~0u) {
+    B.Threads[Running].Pending = RunningPending;
+    B.Threads[Running].Blocked = RunningBlocked;
+  }
+}
+
+void Scheduler::restoreBoundary(const Boundary &B) {
+  if (B.Threads.size() != LiveThreads)
+    fatalError("copy-on-write restore: thread count diverged from snapshot");
+  for (size_t I = 0; I != LiveThreads; ++I) {
+    ThreadRec &Rec = *Threads[I];
+    static_cast<ThreadMark &>(Rec) = B.Threads[I];
+    Rec.CacheValid = false;
+  }
+  Steps = B.Steps;
+  Preemptions = B.Preemptions;
+  LastRun = B.LastRun;
+  PruneRequested = false;
+  Running = ~0u;
 }
 
 void Scheduler::start(Env &E, Task<void> Root) {
@@ -143,16 +171,11 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
     if (Steps >= MaxSteps)
       return RunResult::StepLimit;
 
-    if (Mode == JournalMode::Record) {
+    if (Boundaries) {
       // Loop-top boundary of the step about to execute: the state a
       // snapshot taken at any choice inside it must rewind to. Captured
       // before the scheduler pick below mutates Preemptions/LastRun.
-      LoopTop.Steps = Steps;
-      LoopTop.Preemptions = Preemptions;
-      LoopTop.LastRun = LastRun;
-      LoopTop.OpEntries = OpLog.size();
-      LoopTop.TreePos = Choices.decisionPosition();
-      LoopTop.FinishedMask = DoneMask;
+      Top = {Steps, Preemptions, LastRun, Choices.decisionPosition()};
       if (Red)
         Red->saveBoundary();
     }
@@ -222,21 +245,16 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
 
     LastRun = Enabled[Pick];
     ThreadRec &Rec = *Threads[Enabled[Pick]];
-    Rec.Blocked = false;
     std::coroutine_handle<> H = Rec.Pending;
+    Running = LastRun;
+    RunningPending = H;
+    RunningBlocked = Rec.Blocked;
+    Rec.Blocked = false;
     Rec.Pending = nullptr;
-    if (Mode == JournalMode::Record)
-      StepLog.push_back({LastRun, 0, {}});
     const uint64_t Seq0 = M.opSeq();
     H.resume();
+    Running = ~0u;
     ++Steps;
-    if (Mode == JournalMode::Record) {
-      // End-of-step cursor marks, so a fast-forward can skip the whole
-      // step (finished thread) by jumping the cursors here.
-      StepEnt &Ent = StepLog.back();
-      Ent.OpEnd = static_cast<uint32_t>(OpLog.size());
-      Ent.AuxEnd = M.auxMark();
-    }
 
     if (RestrictedStep) {
       // The restricted choice set can come up empty only for a predicated
@@ -268,74 +286,6 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       if (!Rec.Root.done())
         fatalError("thread stopped without parking or ending");
       Rec.Done = true;
-      if (LastRun < 64)
-        DoneMask |= uint64_t{1} << LastRun;
     }
   }
-}
-
-void Scheduler::journalUnderrun() const {
-  fatalError("copy-on-write fast-forward diverged: operation journal "
-             "exhausted before the snapshot boundary");
-}
-
-void Scheduler::fastForward(uint64_t NSteps, uint64_t SkipMask) {
-  assert(Mode == JournalMode::Replay &&
-         "fastForward requires beginFastForward");
-  if (NSteps > StepLog.size())
-    fatalError("fast-forward past the recorded prefix");
-  for (uint64_t I = 0; I != NSteps; ++I) {
-    const StepEnt &Ent = StepLog[I];
-    if (Ent.Tid < 64 && (SkipMask >> Ent.Tid & 1)) {
-      // The thread is finished at the target boundary, so its recomputed
-      // coroutine frame is never resumed in the subtree: skip the resume
-      // entirely and jump the op cursor and the aux marks over the step.
-      OpCursor = Ent.OpEnd;
-      M.setReplayAux(Ent.AuxEnd);
-      continue;
-    }
-    ThreadRec &Rec = *Threads[Ent.Tid];
-    if (!Rec.Pending)
-      fatalError("fast-forward scheduled a thread with no pending step");
-    Rec.Blocked = false;
-    std::coroutine_handle<> H = Rec.Pending;
-    Rec.Pending = nullptr;
-    H.resume();
-    if (!Rec.Pending) {
-      if (!Rec.Root.done())
-        fatalError("thread stopped without parking or ending");
-      Rec.Done = true;
-      if (Ent.Tid < 64)
-        DoneMask |= uint64_t{1} << Ent.Tid;
-    }
-  }
-  // Mark the skipped threads finished; their never-resumed start frames
-  // are destroyed by the next Setup's start().
-  for (unsigned Tid = 0; Tid < LiveThreads && Tid < 64; ++Tid)
-    if (SkipMask >> Tid & 1) {
-      ThreadRec &Rec = *Threads[Tid];
-      Rec.Pending = nullptr;
-      Rec.Done = true;
-      DoneMask |= uint64_t{1} << Tid;
-    }
-}
-
-void Scheduler::endFastForward(const Boundary &B) {
-  if (OpCursor != B.OpEntries)
-    fatalError("copy-on-write fast-forward diverged: operation journal "
-               "out of sync with the snapshot boundary");
-  StepLog.resize(B.Steps);
-  OpLog.resize(B.OpEntries);
-  OpCursor = 0;
-  Steps = B.Steps;
-  Preemptions = B.Preemptions;
-  LastRun = B.LastRun;
-  PruneRequested = false;
-  Mode = JournalMode::Record;
-  LoopTop = B;
-  DoneMask = B.FinishedMask;
-  // The rewind may have changed slot contents under unchanged history
-  // lengths; every memoized wait verdict is suspect.
-  for (size_t I = 0; I != LiveThreads; ++I)
-    Threads[I]->CacheValid = false;
 }

@@ -110,11 +110,12 @@ public:
   /// reset().
   void setReduction(Reduction *R) { Red = R; }
 
-  /// Rewinds the scheduler to its pre-newThread() state while retaining
-  /// thread records (Env objects, coroutine task slots, scratch vectors)
-  /// for reuse by the next execution's newThread() calls, which must
-  /// re-create threads in the same order. PreemptionBound and the
-  /// reduction hook persist.
+  /// Rewinds the scheduler to its pre-newThread() state: destroys the
+  /// threads' coroutine frames while retaining thread records (Env
+  /// objects, coroutine task slots, scratch vectors) for reuse by the next
+  /// execution's newThread() calls, which must re-create threads in the
+  /// same order. PreemptionBound, the reduction hook and the boundary
+  /// setting persist.
   void reset();
 
   /// Creates a new simulated thread and returns its environment. The
@@ -136,112 +137,55 @@ public:
   bool finished(unsigned Tid) const { return Threads[Tid]->Done; }
 
   //===--------------------------------------------------------------------===//
-  // Copy-on-write journaling (sim/Engine.h). In Record mode run() logs
-  // every scheduled thread (StepLog) and every value a memory operation
-  // returned (OpLog). A later fast-forward re-resumes the same threads in
-  // the same order while the awaiters serve results from the journal
-  // instead of re-executing machine operations — client coroutine state is
-  // recomputed, machine state is restored from a snapshot. The op journal
-  // is the only thing a fast-forward replays.
+  // Copy-on-write boundaries (sim/Engine.h). With boundaries on, run()
+  // keeps the loop-top state of the step it is executing: the counters and
+  // the tree position before the step's scheduler pick, and the running
+  // thread's pending handle and blocked flag, which the pick clears. A
+  // snapshot taken at any choice inside the step saves that state with
+  // every thread's record (saveBoundary); restoreBoundary puts it back, and
+  // the next run() executes the step again from its loop top. The
+  // coroutine frames the records point into are restored by the engine
+  // (sim/Task.h's FrameArena), so no client code re-runs.
   //===--------------------------------------------------------------------===//
 
-  enum class JournalMode : uint8_t { Off, Record, Replay };
-
-  /// One journaled operation result: the returned value (for a CAS, the
-  /// observed old value), the timestamp of the message an atomic read read
-  /// (replayed into Machine::setLastReadTs, so client code between awaits
-  /// sees the same lastReadTs), plus a CAS's success flag.
-  struct OpEntry {
-    rmc::Value Val = 0;
-    rmc::Timestamp Ts = 0;
-    bool Flag = false;
-  };
-  static_assert(sizeof(OpEntry) == 16, "OpEntry grew");
-
-  /// One journaled step: the scheduled thread plus the op journal's and
-  /// the machine's aux marks right *after* the step. Fast-forward can skip
-  /// a whole step of a thread that is finished at the snapshot boundary by
-  /// jumping to these marks instead of re-resuming the coroutine.
-  struct StepEnt {
-    unsigned Tid = 0;
-    uint32_t OpEnd = 0;
-    rmc::Machine::AuxMark AuxEnd;
+  /// One thread's scheduler record at a loop top.
+  struct ThreadMark {
+    std::coroutine_handle<> Pending;
+    rmc::Footprint NextFp; ///< Footprint of the pending operation.
+    rmc::Loc WaitLoc = 0;
+    rmc::ValuePred WaitPred;
+    bool Blocked = false;
+    bool Done = false;
   };
 
-  /// The scheduler's loop-top state right before a step — a decision
-  /// boundary the copy-on-write engine can rewind to. TreePos is the
+  /// The scheduler's counters right before a step. TreePos is the
   /// ChoiceSource's decision count at the loop top, i.e. before this
   /// step's scheduler pick and any operation-level choices it leads to.
-  struct Boundary {
+  struct LoopTop {
     uint64_t Steps = 0;
     unsigned Preemptions = 0;
     unsigned LastRun = ~0u;
-    size_t OpEntries = 0;
     size_t TreePos = 0;
-    /// Bitmask of threads (tid < 64) already finished at the boundary.
-    /// A fast-forward targeting this boundary may skip their steps when
-    /// the workload declares that sound (Workload::Body::CowSkipFinished):
-    /// a finished thread never runs in the subtree, so its recomputed
-    /// coroutine frame is never needed again.
-    uint64_t FinishedMask = 0;
   };
 
-  JournalMode journalMode() const { return Mode; }
+  /// The scheduler's loop-top state right before a step — a decision
+  /// boundary the copy-on-write engine can rewind to.
+  struct Boundary : LoopTop {
+    std::vector<ThreadMark> Threads; ///< Storage reused across saves.
+  };
 
-  /// Starts a recorded execution: clears both journals, enters Record mode.
-  void beginJournal() {
-    StepLog.clear();
-    OpLog.clear();
-    OpCursor = 0;
-    Mode = JournalMode::Record;
-    LoopTop = Boundary();
-  }
+  /// Turns loop-top capture on or off (off by default; persists across
+  /// reset()).
+  void setBoundaries(bool On) { Boundaries = On; }
 
-  /// Leaves journaling entirely (classic exploration / replay() paths).
-  void stopJournal() {
-    StepLog.clear();
-    OpLog.clear();
-    OpCursor = 0;
-    Mode = JournalMode::Off;
-  }
+  /// Saves the loop-top state of the current step, captured before its
+  /// scheduler pick, into \p B, reusing its storage.
+  void saveBoundary(Boundary &B) const;
 
-  /// The loop-top boundary of the step currently executing (Record mode).
-  /// A snapshot hook firing at a choice inside the step reads it to mark
-  /// the rewind point.
-  const Boundary &captureBoundary() const { return LoopTop; }
-
-  // Journal access for the awaiters (hot path). \p Read says whether the
-  // operation is an atomic read, which sets thread \p Tid's last read.
-  void recordOp(unsigned Tid, bool Read, rmc::Value V, bool Flag = false) {
-    OpLog.push_back({V, Read ? M.lastReadTs(Tid) : 0, Flag});
-  }
-  const OpEntry &nextOp(unsigned Tid, bool Read) {
-    if (OpCursor >= OpLog.size())
-      journalUnderrun();
-    const OpEntry &En = OpLog[OpCursor++];
-    if (Read)
-      M.setLastReadTs(Tid, En.Ts);
-    return En;
-  }
-
-  /// Enters Replay mode: fastForward() resumes serve journaled results.
-  void beginFastForward() {
-    Mode = JournalMode::Replay;
-    OpCursor = 0;
-  }
-
-  /// Re-resumes the first \p NSteps journaled steps with machine operations
-  /// elided. The caller must have reset the scheduler and re-run Setup (so
-  /// the coroutines exist afresh) and put the machine in replay mode.
-  /// Steps of threads in \p SkipMask (the boundary's FinishedMask, when
-  /// the workload allows skipping) are not re-resumed at all: the journal
-  /// cursors jump over them and the threads are marked finished afterwards.
-  void fastForward(uint64_t NSteps, uint64_t SkipMask = 0);
-
-  /// Leaves Replay at boundary \p B: validates the journal cursor,
-  /// truncates both journals to the boundary, restores the step/preemption
-  /// counters, and resumes Record mode for the live suffix.
-  void endFastForward(const Boundary &B);
+  /// Rewinds to \p B, saved in this execution or an earlier one with the
+  /// same threads. The wait-scan memos are dropped: a rewind can change
+  /// slot contents under unchanged history lengths.
+  void restoreBoundary(const Boundary &B);
 
   // Internal API used by the awaitables. \p Fp is the footprint of the
   // operation the thread will perform when next scheduled, for the
@@ -252,16 +196,12 @@ public:
   void requestPrune() { PruneRequested = true; }
 
 private:
-  struct ThreadRec {
+  /// A thread: its loop-top record (the ThreadMark base) plus what a
+  /// rewind keeps or recomputes.
+  struct ThreadRec : ThreadMark {
     std::unique_ptr<Env> E;
     Task<void> Root;
-    std::coroutine_handle<> Pending;
-    rmc::Footprint NextFp; ///< Footprint of the pending operation.
     bool Started = false;
-    bool Done = false;
-    bool Blocked = false;
-    rmc::Loc WaitLoc = 0;
-    rmc::ValuePred WaitPred;
     // Memoized wait-scan verdict: within one execution a cell's history
     // only grows and a blocked thread's own view is frozen, so the scan
     // result holds until the history length or the scan's floor (raised
@@ -275,8 +215,6 @@ private:
     bool CacheValid = false;
   };
 
-  [[noreturn]] void journalUnderrun() const;
-
   rmc::Machine &M;
   ChoiceSource &Choices;
   std::vector<std::unique_ptr<ThreadRec>> Threads; ///< [0, LiveThreads)
@@ -289,15 +227,14 @@ private:
   bool PruneRequested = false;
   Reduction *Red = nullptr;
 
-  // Copy-on-write journals (see the COW section above). Persist across
-  // reset(): the engine controls their lifetime via beginJournal /
-  // beginFastForward / endFastForward.
-  JournalMode Mode = JournalMode::Off;
-  std::vector<StepEnt> StepLog; ///< Executed steps with cursor end marks.
-  std::vector<OpEntry> OpLog;   ///< Results of value-returning ops.
-  size_t OpCursor = 0;
-  Boundary LoopTop; ///< Loop-top scratch, updated per step in Record mode.
-  uint64_t DoneMask = 0; ///< Finished threads with tid < 64 (live mirror).
+  // Copy-on-write boundaries (see the COW section above).
+  bool Boundaries = false;
+  LoopTop Top; ///< Captured at each loop top while Boundaries is on.
+  /// The running thread (~0u between steps) and its record's loop-top
+  /// pending handle and blocked flag, which the step's pick cleared.
+  unsigned Running = ~0u;
+  std::coroutine_handle<> RunningPending;
+  bool RunningBlocked = false;
 
   /// Scratch for run()'s per-step enabled-thread scan (allocation-free at
   /// steady state). EnabledHist carries, per enabled thread, the current
@@ -312,10 +249,8 @@ namespace detail {
 
 /// Base for one-shot memory-operation awaitables: suspend to the scheduler
 /// (announcing the pending operation's footprint), perform the access on
-/// resume. During a copy-on-write fast-forward (JournalMode::Replay) the
-/// machine call is elided: value-returning operations serve the journaled
-/// result (an atomic read also hands back its timestamp), void operations
-/// do nothing — the machine's state is restored from a snapshot instead.
+/// resume. The access is the first thing a resumed step does, so a
+/// snapshot taken at its choice sees the frame as it was at the loop top.
 struct OpAwaiterBase {
   Env &E;
   rmc::Footprint Fp;
@@ -332,16 +267,7 @@ struct LoadAwaiter : OpAwaiterBase {
                           O == rmc::MemOrder::SeqCst,
                           O != rmc::MemOrder::NonAtomic}),
         L(L), O(O) {}
-  rmc::Value await_resume() {
-    Scheduler &S = E.S;
-    const bool Atomic = O != rmc::MemOrder::NonAtomic;
-    if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp(E.Tid, Atomic).Val;
-    rmc::Value V = E.M.load(E.Tid, L, O);
-    if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(E.Tid, Atomic, V);
-    return V;
-  }
+  rmc::Value await_resume() { return E.M.load(E.Tid, L, O); }
 };
 
 struct StoreAwaiter : OpAwaiterBase {
@@ -353,11 +279,7 @@ struct StoreAwaiter : OpAwaiterBase {
                           O == rmc::MemOrder::SeqCst,
                           O != rmc::MemOrder::NonAtomic}),
         L(L), V(V), O(O) {}
-  void await_resume() {
-    if (E.S.journalMode() == Scheduler::JournalMode::Replay)
-      return;
-    E.M.store(E.Tid, L, V, O);
-  }
+  void await_resume() { E.M.store(E.Tid, L, V, O); }
 };
 
 struct CasAwaiter : OpAwaiterBase {
@@ -376,16 +298,7 @@ struct CasAwaiter : OpAwaiterBase {
         L(L), Expected(Expected), Desired(Desired), SuccO(SuccO),
         FailO(FailO) {}
   rmc::Machine::CasResult await_resume() {
-    Scheduler &S = E.S;
-    if (S.journalMode() == Scheduler::JournalMode::Replay) {
-      const Scheduler::OpEntry &En = S.nextOp(E.Tid, true);
-      return {En.Flag, En.Val};
-    }
-    rmc::Machine::CasResult R =
-        E.M.cas(E.Tid, L, Expected, Desired, SuccO, FailO);
-    if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(E.Tid, true, R.Old, R.Success);
-    return R;
+    return E.M.cas(E.Tid, L, Expected, Desired, SuccO, FailO);
   }
 };
 
@@ -397,15 +310,7 @@ struct FaaAwaiter : OpAwaiterBase {
       : OpAwaiterBase(E, {L, rmc::Footprint::Kind::Update,
                           O == rmc::MemOrder::SeqCst, /*Atomic=*/true}),
         L(L), Add(Add), O(O) {}
-  rmc::Value await_resume() {
-    Scheduler &S = E.S;
-    if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp(E.Tid, true).Val;
-    rmc::Value V = E.M.fetchAdd(E.Tid, L, Add, O);
-    if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(E.Tid, true, V);
-    return V;
-  }
+  rmc::Value await_resume() { return E.M.fetchAdd(E.Tid, L, Add, O); }
 };
 
 struct FenceAwaiter : OpAwaiterBase {
@@ -414,11 +319,7 @@ struct FenceAwaiter : OpAwaiterBase {
       : OpAwaiterBase(E, {0, rmc::Footprint::Kind::Fence,
                           O == rmc::MemOrder::SeqCst}),
         O(O) {}
-  void await_resume() {
-    if (E.S.journalMode() == Scheduler::JournalMode::Replay)
-      return;
-    E.M.fence(E.Tid, O);
-  }
+  void await_resume() { E.M.fence(E.Tid, O); }
 };
 
 struct PinAwaiter : OpAwaiterBase {
@@ -427,8 +328,6 @@ struct PinAwaiter : OpAwaiterBase {
       : OpAwaiterBase(E, {0, rmc::Footprint::Kind::Reclaim, false}),
         Enter(Enter) {}
   void await_resume() {
-    if (E.S.journalMode() == Scheduler::JournalMode::Replay)
-      return;
     if (Enter)
       E.M.pinEnter(E.Tid);
     else
@@ -442,11 +341,7 @@ struct RetireAwaiter : OpAwaiterBase {
   RetireAwaiter(Env &E, rmc::Loc L, unsigned Count)
       : OpAwaiterBase(E, {L, rmc::Footprint::Kind::Reclaim, false}), L(L),
         Count(Count) {}
-  void await_resume() {
-    if (E.S.journalMode() == Scheduler::JournalMode::Replay)
-      return;
-    E.M.retire(E.Tid, L, Count);
-  }
+  void await_resume() { E.M.retire(E.Tid, L, Count); }
 };
 
 struct FreeAwaiter : OpAwaiterBase {
@@ -455,11 +350,7 @@ struct FreeAwaiter : OpAwaiterBase {
   FreeAwaiter(Env &E, rmc::Loc L, unsigned Count)
       : OpAwaiterBase(E, {L, rmc::Footprint::Kind::Free, false}), L(L),
         Count(Count) {}
-  void await_resume() {
-    if (E.S.journalMode() == Scheduler::JournalMode::Replay)
-      return;
-    E.M.freeCells(E.Tid, L, Count);
-  }
+  void await_resume() { E.M.freeCells(E.Tid, L, Count); }
 };
 
 struct PruneAwaiter {
@@ -490,15 +381,7 @@ struct SpinAwaiter {
                      O == rmc::MemOrder::SeqCst,
                      O != rmc::MemOrder::NonAtomic});
   }
-  rmc::Value await_resume() {
-    Scheduler &S = E.S;
-    if (S.journalMode() == Scheduler::JournalMode::Replay)
-      return S.nextOp(E.Tid, true).Val;
-    rmc::Value V = E.M.loadWhere(E.Tid, L, O, Pred);
-    if (S.journalMode() == Scheduler::JournalMode::Record)
-      S.recordOp(E.Tid, true, V);
-    return V;
-  }
+  rmc::Value await_resume() { return E.M.loadWhere(E.Tid, L, O, Pred); }
 };
 
 } // namespace detail

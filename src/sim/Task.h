@@ -21,22 +21,41 @@
 /// explicit form costs one native stack frame per nesting level, which is
 /// bounded by the library call depth (< 10).
 ///
-/// Coroutine frames come from a per-thread pool (detail::FramePool): a
-/// destroyed frame's block goes onto its thread's free list for its size
-/// class, so an execution that re-creates the coroutines of the one before
-/// it (a root replay, a copy-on-write resume) reuses their blocks instead
-/// of calling operator new. A frame may be destroyed on another thread than
-/// the one that created it; its block then joins that thread's pool.
+/// Inside an execution engine (sim/Engine.h) coroutine frames come from
+/// the engine's detail::FrameArena, a fixed block whose addresses never
+/// move; elsewhere they come from operator new. The copy-on-write engine
+/// snapshots an execution's frames by copying the arena's used bytes and
+/// resumes it by copying them back to the same addresses, so every pointer
+/// and handle inside the frames stays valid. That copy is outside the C++
+/// object model: it relies on GCC and Clang laying a frame out as plain
+/// bytes that a resume reads back, which the engine's root-replay A/B
+/// tests check. It also fixes one rule for every coroutine a simulated
+/// thread runs:
+///
+///   No local that owns heap memory (a std::string, a std::vector, a
+///   std::function, a unique_ptr, ...) may live across a co_await.
+///
+/// A restore would revive such a local's pointer to a block that a later
+/// destructor already freed, and a frame abandoned by a restore is never
+/// destroyed, so its heap block would leak. Keep such state in the body's
+/// own objects, saved through Workload::Body::CowSave, or in the machine.
+/// The one exception is a parameter of a thread's root coroutine that the
+/// coroutine never modifies (an op list taken by value): the root frame
+/// lives from Setup to the next root run, so its parameters' heap blocks
+/// outlive every snapshot of it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_SIM_TASK_H
 #define COMPASS_SIM_TASK_H
 
+#include "support/Error.h"
+
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <optional>
 #include <utility>
@@ -47,100 +66,156 @@ namespace compass::sim {
 
 namespace detail {
 
-/// Per-thread free lists of coroutine-frame blocks, one list per size class
-/// (frames up to MaxPooled bytes, rounded up to Granule). Every block of a
-/// class has the class's full size, wherever it was allocated or is freed,
-/// so a block only ever serves frames of its own class. A pooled block is
-/// poisoned under AddressSanitizer until it is handed out again (the
-/// macros are no-ops in other builds). At thread exit the pool returns its
-/// blocks to operator delete; a frame freed on the thread after that goes
-/// there directly.
-class FramePool {
+/// The coroutine frames of one execution engine's executions, in one
+/// fixed block allocated once (DESIGN.md Section 11). The block's first
+/// bytes hold the heads of the free lists, one per size class (frames up
+/// to MaxPooled bytes, rounded up to Granule); a freed block of a class
+/// keeps its list link in its own first bytes. Blocks are handed out from
+/// a free list or bumped off the used end, and frames larger than
+/// MaxPooled are never reused before the next clear(). The whole
+/// allocator state is therefore the used bytes [0, used()): copying them
+/// out and back (restore()) rewinds every frame and the free lists at
+/// once. A block freed after a copy comes back with its frame; a block
+/// taken after a copy is abandoned, its frame never destroyed. Bytes past
+/// used() are poisoned under AddressSanitizer.
+///
+/// Frames are routed here while a Scope is active on the thread; a frame
+/// must be destroyed under a Scope of its own arena.
+class FrameArena {
 public:
-  static void *allocate(std::size_t Size) {
+  FrameArena() : Base(new unsigned char[Capacity]) {
+    ASAN_POISON_MEMORY_REGION(Base, Capacity);
+    clear();
+  }
+  ~FrameArena() {
+    ASAN_UNPOISON_MEMORY_REGION(Base, Capacity);
+    delete[] Base;
+  }
+  FrameArena(const FrameArena &) = delete;
+  FrameArena &operator=(const FrameArena &) = delete;
+
+  void *allocate(std::size_t Size) {
     const std::size_t C = sizeClass(Size);
-    if (C >= NumClasses)
-      return ::operator new(Size);
-    if (!Dead) {
-      if (!Registered)
-        registerTeardown();
-      if (Block *B = Heads[C]) {
-        ASAN_UNPOISON_MEMORY_REGION(B, blockSize(C));
-        Heads[C] = B->Next;
+    if (C < NumClasses) {
+      if (Block *B = heads()[C]) {
+        heads()[C] = B->Next;
         return B;
       }
+      return bump(blockSize(C));
     }
-    return ::operator new(blockSize(C));
+    return bump(roundUp(Size));
   }
 
-  static void deallocate(void *P, std::size_t Size) noexcept {
+  void deallocate(void *P, std::size_t Size) noexcept {
     const std::size_t C = sizeClass(Size);
-    if (C >= NumClasses || Dead) {
-      ::operator delete(P);
+    if (C >= NumClasses)
       return;
-    }
-    if (!Registered)
-      registerTeardown(); // A frame created on another thread.
     Block *B = static_cast<Block *>(P);
-    B->Next = Heads[C];
-    Heads[C] = B;
-    ASAN_POISON_MEMORY_REGION(B, blockSize(C));
+    B->Next = heads()[C];
+    heads()[C] = B;
   }
+
+  bool owns(const void *P) const {
+    const unsigned char *B = static_cast<const unsigned char *>(P);
+    return B >= Base && B < Base + Capacity;
+  }
+
+  /// The bytes in use: the free-list heads and every block handed out
+  /// since the last clear().
+  std::size_t used() const { return Mark; }
+  const unsigned char *data() const { return Base; }
+
+  /// Empties the arena. Every frame in it must have been destroyed.
+  void clear() {
+    setMark(HeadBytes);
+    std::memset(Base, 0, HeadBytes);
+  }
+
+  /// Rewinds to a state whose used bytes \p Bytes (\p N of them) were
+  /// copied out earlier (see class comment).
+  void restore(const unsigned char *Bytes, std::size_t N) {
+    setMark(N);
+    std::memcpy(Base, Bytes, N);
+  }
+
+  /// Routes the frames this thread allocates to \p A, and their frees
+  /// back to it, until the scope ends. Scopes nest.
+  class Scope {
+  public:
+    explicit Scope(FrameArena &A) : Prev(Current) { Current = &A; }
+    ~Scope() { Current = Prev; }
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    FrameArena *Prev;
+  };
+
+  /// The arena of the innermost active Scope on this thread, or null.
+  static FrameArena *current() { return Current; }
 
 private:
   static constexpr std::size_t Granule = 64;
-  static constexpr std::size_t MaxPooled = 4096;
+  static constexpr std::size_t MaxPooled = 2048;
   static constexpr std::size_t NumClasses = MaxPooled / Granule;
+  static constexpr std::size_t Capacity = std::size_t(1) << 20;
 
   struct Block {
     Block *Next;
   };
+  static constexpr std::size_t HeadBytes = NumClasses * sizeof(Block *);
+  static_assert(HeadBytes % Granule == 0, "blocks must stay aligned");
 
   static std::size_t sizeClass(std::size_t Size) {
     return (Size + Granule - 1) / Granule - 1;
   }
   static std::size_t blockSize(std::size_t C) { return (C + 1) * Granule; }
-
-  /// Returns every pooled block when the thread exits (see class comment).
-  struct Teardown {
-    Teardown() = default;
-    Teardown(const Teardown &) = delete;
-    Teardown &operator=(const Teardown &) = delete;
-    ~Teardown() {
-      Dead = true;
-      for (std::size_t C = 0; C != NumClasses; ++C)
-        while (Block *B = Heads[C]) {
-          ASAN_UNPOISON_MEMORY_REGION(B, blockSize(C));
-          Heads[C] = B->Next;
-          ::operator delete(B);
-        }
-    }
-  };
-
-  static void registerTeardown() {
-    Registered = true;
-    static thread_local Teardown T;
-    (void)T;
+  static std::size_t roundUp(std::size_t Size) {
+    return (Size + Granule - 1) / Granule * Granule;
   }
 
-  // Trivially destructible, so they stay readable while the thread's
-  // thread_local destructors run (Dead routes late frees past the pool).
-  static inline thread_local Block *Heads[NumClasses] = {};
-  static inline thread_local bool Registered = false;
-  static inline thread_local bool Dead = false;
+  Block **heads() { return reinterpret_cast<Block **>(Base); }
+
+  void *bump(std::size_t N) {
+    if (N > Capacity - Mark)
+      fatalError("coroutine frame arena exhausted");
+    void *P = Base + Mark;
+    setMark(Mark + N);
+    return P;
+  }
+
+  /// Moves the used end, keeping exactly the bytes past it poisoned.
+  void setMark(std::size_t N) {
+    if (N > Mark)
+      ASAN_UNPOISON_MEMORY_REGION(Base + Mark, N - Mark);
+    else
+      ASAN_POISON_MEMORY_REGION(Base + N, Mark - N);
+    Mark = N;
+  }
+
+  unsigned char *Base;
+  std::size_t Mark = 0;
+
+  static inline thread_local FrameArena *Current = nullptr;
 };
 
 /// State shared by all task promises: the continuation to resume when the
 /// task completes (the awaiting parent coroutine, if any). Frames are
-/// allocated from the thread's FramePool.
+/// allocated from the current FrameArena, if any.
 struct PromiseBase {
   std::coroutine_handle<> Continuation;
 
   static void *operator new(std::size_t Size) {
-    return FramePool::allocate(Size);
+    if (FrameArena *A = FrameArena::current())
+      return A->allocate(Size);
+    return ::operator new(Size);
   }
   static void operator delete(void *P, std::size_t Size) noexcept {
-    FramePool::deallocate(P, Size);
+    FrameArena *A = FrameArena::current();
+    if (A && A->owns(P))
+      A->deallocate(P, Size);
+    else
+      ::operator delete(P, Size);
   }
 
   struct FinalAwaiter {

@@ -49,38 +49,38 @@ public:
   using CheckFn =
       std::function<bool(rmc::Machine &, Scheduler &, Scheduler::RunResult)>;
 
-  /// Saves the body's non-machine state (e.g. a spec monitor) into the
-  /// engine-owned slot, reusing its storage across saves. Called when the
-  /// copy-on-write engine snapshots a decision boundary.
+  /// Saves the body's client state (see Body) into the engine-owned slot,
+  /// reusing its storage across saves. Called when the copy-on-write
+  /// engine snapshots a decision boundary.
   using CowSaveFn = std::function<void(std::shared_ptr<void> &)>;
-  /// Restores the state saved by CowSaveFn after a fast-forward.
+  /// Restores the state saved by CowSaveFn when the engine resumes from
+  /// that boundary.
   using CowRestoreFn = std::function<void(const std::shared_ptr<void> &)>;
 
   /// One instantiation of the program body. Parallel workers each hold
   /// their own Body, so closures built by a factory may freely mutate the
   /// state they capture.
   ///
-  /// Copy-on-write eligibility (sim/Engine.h): a body that keeps NO state
-  /// across scheduler steps outside (a) the machine, (b) coroutine locals
-  /// recomputed from journaled operation results, may set CowSafe. A body
-  /// with extra cross-step state (the harness's spec monitor) instead
-  /// provides CowSave/CowRestore; the engine then snapshots/restores that
-  /// state at decision boundaries. Bodies with neither run under the
-  /// classic root-replay engine.
+  /// Copy-on-write eligibility (sim/Engine.h): a resume restores the
+  /// machine, the scheduler and the threads' coroutine frames, and runs
+  /// neither Setup nor any step of the shared prefix again. A body whose
+  /// threads change NO state after Setup outside the machine and their
+  /// coroutine frames may set CowSafe. A body whose threads write other
+  /// state — a result sink, a spec monitor, a library's C++ members —
+  /// provides CowSave/CowRestore for all of it instead; the engine then
+  /// snapshots and restores that state at decision boundaries. A sink left
+  /// out is stale after a resume whenever the previous execution wrote it
+  /// after the boundary. Bodies with neither run under the classic
+  /// root-replay engine.
   struct Body {
     SetupFn Setup;
     CheckFn Check; ///< May be empty: every execution passes.
     bool CowSafe = false;
     CowSaveFn CowSave;
     CowRestoreFn CowRestore;
-    /// Allows fast-forward to skip re-running steps of threads already
-    /// finished at the snapshot boundary (their coroutine frames are never
-    /// resumed in the subtree). Sound only when no live code reads a
-    /// finished thread's client-side effects outside the machine, the
-    /// monitor, and state covered by CowSave/CowRestore — e.g. the EBR
-    /// wrapper's ghost retire bins (sim/Ebr.h) live in the shared library
-    /// object and are recomputed by thread code, so EBR workloads must
-    /// leave this off.
+    /// Unread: a resume runs no step of the prefix, finished threads'
+    /// included. Kept declared only for perfbench/perfbench.cpp, which
+    /// copies it.
     bool CowSkipFinished = false;
 
     Body() = default;

@@ -6,15 +6,17 @@ using namespace compass;
 using namespace compass::spec;
 using namespace compass::graph;
 
-EventGraph spec::buildElimStackGraph(const EventGraph &G, unsigned BaseObj,
-                                     unsigned ExObj, unsigned EsObj) {
-  EventGraph Out;
+void spec::buildElimStackGraph(const EventGraph &G, unsigned BaseObj,
+                               unsigned ExObj, unsigned EsObj,
+                               EventGraph &Out) {
+  Out.reset();
 
   // Base-stack events carry over unchanged (modulo the object id).
   for (EventId Id : G.objectEvents(BaseObj)) {
-    Event E = G.event(Id);
+    Event &E = Out.rawSlot(Id);
+    E = G.event(Id);
     E.ObjId = EsObj;
-    Out.addRaw(Id, std::move(E));
+    Out.commitRaw(Id);
   }
   for (const SoEdge &Edge : G.so()) {
     if (!G.isCommitted(Edge.From) || !G.isCommitted(Edge.To))
@@ -50,28 +52,29 @@ EventGraph spec::buildElimStackGraph(const EventGraph &G, unsigned BaseObj,
     const Event &Helper = A.CommitIdx < B.CommitIdx ? B : A;
     uint32_t C1 = A.CommitIdx;
 
-    Event PushE;
+    Event &PushE = Out.rawSlot(PushId);
     PushE.Kind = OpKind::Push;
     PushE.V1 = Pusher.V1;
+    PushE.V2 = 0;
     PushE.ObjId = EsObj;
     PushE.Thread = Pusher.Thread;
     PushE.CommitIdx = C1;
     PushE.PhysView = Pusher.PhysView;
     PushE.LogView = Helper.LogView;
     PushE.LogView.erase(PopId);
-    Out.addRaw(PushId, std::move(PushE));
+    Out.commitRaw(PushId);
 
-    Event PopE;
+    Event &PopE = Out.rawSlot(PopId);
     PopE.Kind = OpKind::PopOk;
     PopE.V1 = Pusher.V1;
+    PopE.V2 = 0;
     PopE.ObjId = EsObj;
     PopE.Thread = Popper.Thread;
     PopE.CommitIdx = C1 + 1;
     PopE.PhysView = Popper.PhysView;
     PopE.LogView = Helper.LogView;
-    Out.addRaw(PopId, std::move(PopE));
+    Out.commitRaw(PopId);
 
     Out.addSo(PushId, PopId);
   }
-  return Out;
 }

@@ -32,14 +32,23 @@
 namespace compass::spec {
 
 /// Builds the elimination stack's derived event graph from the base
-/// stack's (\p BaseObj) and exchanger's (\p ExObj) events in \p G. All
-/// derived events carry \p EsObj as their object id; ids and commit
-/// indices are inherited (within an eliminated pair, the push always takes
-/// the smaller index and the pop's logical view is the pair's shared
-/// one).
-graph::EventGraph buildElimStackGraph(const graph::EventGraph &G,
-                                      unsigned BaseObj, unsigned ExObj,
-                                      unsigned EsObj);
+/// stack's (\p BaseObj) and exchanger's (\p ExObj) events in \p G into
+/// \p Out, reset first and its event slots' storage reused. All derived
+/// events carry \p EsObj as their object id; ids and commit indices are
+/// inherited (within an eliminated pair, the push always takes the smaller
+/// index and the pop's logical view is the pair's shared one).
+void buildElimStackGraph(const graph::EventGraph &G, unsigned BaseObj,
+                         unsigned ExObj, unsigned EsObj,
+                         graph::EventGraph &Out);
+
+/// The same, into a fresh graph.
+inline graph::EventGraph buildElimStackGraph(const graph::EventGraph &G,
+                                             unsigned BaseObj, unsigned ExObj,
+                                             unsigned EsObj) {
+  graph::EventGraph Out;
+  buildElimStackGraph(G, BaseObj, ExObj, EsObj, Out);
+  return Out;
+}
 
 } // namespace compass::spec
 

@@ -2,48 +2,23 @@
 
 #include "spec/SpecMonitor.h"
 
-#include <cassert>
-
 using namespace compass;
 using namespace compass::spec;
 using namespace compass::graph;
 
 unsigned SpecMonitor::registerObject(std::string Name) {
-  if (ReplayPrefix && RegCursor < ObjectNames.size()) {
-    // Copy-on-write fast-forward over a reused monitor: Setup re-registers
-    // the same objects in the same order; re-yield their existing ids.
-    assert(ObjectNames[RegCursor] == Name && "divergent replay Setup");
-    return RegCursor++;
-  }
   ObjectNames.push_back(std::move(Name));
   return static_cast<unsigned>(ObjectNames.size()) - 1;
 }
 
 EventId SpecMonitor::reserve(rmc::Machine &M, unsigned T) {
-  // Ids are allocated densely from 0 in reservation order each execution,
-  // so the machine's reservation sequence number mirrors the graph's id
-  // allocation exactly. During a copy-on-write fast-forward the graph is
-  // not touched at all: the counter reproduces the exact ids the original
-  // prefix handed to coroutine locals (whether the monitor was reset,
-  // reallocated, or — under beginExecution — left at the previous
-  // execution's state to be epoch-trimmed afterwards), and the scheduler
-  // can skip-jump it over whole steps of finished threads. Knowledge
-  // injection and every other monitor mutation is restored from the
-  // snapshot, so both are skipped during replay.
-  EventId Seq = M.bumpReserveSeq();
-  if (M.replaying())
-    return Seq;
   EventId Id = G.reserve();
-  assert(Id == Seq && "reservation sequence diverged from graph ids");
-  (void)Seq;
   M.threadCur(T).Events.insert(Id);
   M.threadAcq(T).Events.insert(Id);
   return Id;
 }
 
 void SpecMonitor::retract(rmc::Machine &M, unsigned T, EventId Id) {
-  if (M.replaying())
-    return;
   G.retract(Id);
   M.threadCur(T).Events.erase(Id);
   M.threadAcq(T).Events.erase(Id);
@@ -61,8 +36,6 @@ void SpecMonitor::committedKnown(const rmc::Machine &M, unsigned T,
 void SpecMonitor::commit(rmc::Machine &M, unsigned T, EventId Id,
                          unsigned ObjId, OpKind Kind, rmc::Value V1,
                          rmc::Value V2, std::optional<EventId> SoFrom) {
-  if (M.replaying())
-    return; // Fast-forward: graph state restores from the snapshot.
   // Filled in place: the slot's views keep their storage (EventGraph).
   Event &E = G.slot(Id);
   E.Kind = Kind;
@@ -85,8 +58,6 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
                                      rmc::Loc OfferLoc,
                                      rmc::Timestamp OfferTs,
                                      unsigned ObjId) {
-  if (M.replaying())
-    return; // Fast-forward: graph state restores from the snapshot.
   // Helpee first (the paper's commit order e2 < e1 when e1 helps). Its
   // logical view is the helper's, which cannot yet contain the helper's
   // own event (not committed), realizing footnote 7: the helpee does not

@@ -56,24 +56,6 @@ public:
   void reset() {
     G.reset();
     ObjectNames.clear();
-    ReplayPrefix = false;
-    RegCursor = 0;
-  }
-
-  /// Per-execution entry point for monitors reused across the explorer's
-  /// executions. On a normal (root) execution this is reset(). During a
-  /// copy-on-write fast-forward (M.replaying()) the graph is left at the
-  /// previous execution's state — the engine trims it to the snapshot
-  /// epoch afterwards — and the monitor switches to replay mode:
-  /// registerObject re-yields existing ids and reserve counts ids without
-  /// touching the graph (the id sequence is deterministic per prefix).
-  void beginExecution(const rmc::Machine &M) {
-    if (M.replaying()) {
-      ReplayPrefix = true;
-      RegCursor = 0;
-    } else {
-      reset();
-    }
   }
 
   /// A point in the monitor's mutation history; O(1) to capture, O(delta)
@@ -91,7 +73,6 @@ public:
   void trimToEpoch(const Epoch &E) {
     G.trimToEpoch(E.G);
     ObjectNames.resize(E.NumObjects);
-    ReplayPrefix = false;
   }
 
   /// Registers a library object; returns its ObjId.
@@ -115,7 +96,7 @@ public:
   /// helper's \p HelperId (thread \p HelperT). Values cross: helpee
   /// exchanged \p HelpeeVal for \p HelperVal. The helpee's physical view is
   /// that of its offer message, named by its coordinates (\p OfferLoc,
-  /// \p OfferTs) and read from memory here, which happens live only.
+  /// \p OfferTs) and read from memory here.
   void commitExchangePair(rmc::Machine &M, unsigned HelperT,
                           graph::EventId HelperId, rmc::Value HelperVal,
                           unsigned HelpeeT, graph::EventId HelpeeId,
@@ -131,12 +112,6 @@ private:
 
   graph::EventGraph G;
   std::vector<std::string> ObjectNames;
-
-  /// Copy-on-write replay state (see beginExecution). Reservation ids come
-  /// from the machine's sequence counter (Machine::bumpReserveSeq), which
-  /// the scheduler's fast-forward can skip-jump per step.
-  bool ReplayPrefix = false;
-  unsigned RegCursor = 0; ///< Next object id to re-yield.
 };
 
 } // namespace compass::spec

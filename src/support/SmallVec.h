@@ -14,8 +14,8 @@
 /// Machine (replay and shrinking construct machines constantly).
 ///
 /// Deliberately tiny: push_back / pop_back / clear / indexing / iteration
-/// only, and only for trivially copyable T (elements are memcpy-moved on
-/// spill).
+/// and copy assignment (which reuses the target's storage) only, and only
+/// for trivially copyable T (elements are memcpy-moved on spill).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,15 @@ template <typename T, size_t N> class SmallVec {
 public:
   SmallVec() : Data(Inline), Cap(N) {}
   SmallVec(const SmallVec &) = delete;
-  SmallVec &operator=(const SmallVec &) = delete;
+  SmallVec &operator=(const SmallVec &O) {
+    if (this != &O) {
+      while (Cap < O.Len)
+        grow();
+      std::memcpy(Data, O.Data, O.Len * sizeof(T));
+      Len = O.Len;
+    }
+    return *this;
+  }
   ~SmallVec() {
     if (Data != Inline)
       std::free(Data);

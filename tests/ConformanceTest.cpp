@@ -694,7 +694,9 @@ MemoTally exploreMemoAgainstUncached(const Scenario &S, Mutation Mut,
     bool Ok = Check(M, Sch, R);
     if (R != sim::Scheduler::RunResult::Done)
       return Ok;
-    Verdict U = St.A->verdict(*St.Mon, St.Results, St.Limits);
+    // A fresh derived graph, against the memo path's retained one.
+    graph::EventGraph Fresh;
+    Verdict U = St.A->verdict(*St.Mon, St.Results, St.Limits, Fresh);
     const Verdict &V = St.LastVerdict;
     EXPECT_EQ(V.Ok, U.Ok) << S.str() << " -> " << U.str();
     EXPECT_EQ(V.Rule, U.Rule) << S.str();

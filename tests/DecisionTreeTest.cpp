@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 using namespace compass;
@@ -416,3 +417,79 @@ TEST(DecisionTreeDeathTest, KindChangeDuringReplayIsFatal) {
   EXPECT_DEATH(T.next(3, 3, ChoiceKind::Load), "decision kind changed");
 }
 #endif
+
+namespace {
+
+/// Recounts what DecisionTree keeps per path change and compares: the
+/// frontier size, each decision's sched ordinal and the per-kind totals of
+/// every prefix.
+void expectKeptValuesMatchRecount(const DecisionTree &T,
+                                  const std::string &Where) {
+  const std::vector<DecisionTree::Decision> &Path = T.trace();
+  uint64_t Frontier = 0;
+  uint32_t Sched = 0;
+  DecisionTree::KindTotals Totals;
+  ASSERT_EQ(T.prefixTotals(0), Totals) << Where;
+  for (size_t I = 0; I != Path.size(); ++I) {
+    const DecisionTree::Decision &D = Path[I];
+    Frontier += D.Limit - D.Chosen - 1;
+    ASSERT_EQ(D.SchedOrd, Sched) << Where << ", decision " << I;
+    Sched += D.Kind == ChoiceKind::Sched;
+    const size_t K = static_cast<size_t>(D.Kind);
+    ++Totals.Choices[K];
+    Totals.AltSum[K] += D.Count;
+    Totals.MaxArity[K] = std::max(Totals.MaxArity[K], D.Count);
+    ASSERT_EQ(T.prefixTotals(I + 1), Totals) << Where << ", prefix " << I + 1;
+  }
+  ASSERT_EQ(T.frontierSize(), Frontier) << Where;
+}
+
+} // namespace
+
+TEST(DecisionTreeProperty, KeptScansMatchARecountAfterEveryCall) {
+  // Random trees driven through next, advance, split, seed and resumeAt.
+  // Each execution replays the recorded path (the same arities and kinds,
+  // as a deterministic program would) and extends it with random choice
+  // points; between executions the test sometimes donates, and
+  // sometimes continues on a tree seeded with one of the donations.
+  constexpr ChoiceKind Kinds[] = {ChoiceKind::Cas, ChoiceKind::Load,
+                                  ChoiceKind::LoadWhere, ChoiceKind::Sched};
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    DecisionTree T;
+    std::vector<DecisionTree::Prefix> Donated;
+    for (unsigned Exec = 0; Exec != 60 && !T.exhausted(); ++Exec) {
+      const std::string Where =
+          "seed " + std::to_string(Seed) + ", execution " +
+          std::to_string(Exec);
+      T.beginExecution();
+      if (R.chance(1, 3) && T.depth() != 0)
+        T.resumeAt(R.below(T.depth() + 1));
+      expectKeptValuesMatchRecount(T, Where + ", begin");
+      while (T.position() < T.depth()) {
+        const DecisionTree::Decision D = T.trace()[T.position()];
+        T.next(D.Count, D.Count, D.Kind);
+        expectKeptValuesMatchRecount(T, Where + ", replay");
+      }
+      const unsigned Fresh = static_cast<unsigned>(R.below(5));
+      for (unsigned I = 0; I != Fresh; ++I) {
+        const unsigned Count = static_cast<unsigned>(R.range(2, 4));
+        const unsigned Limit = static_cast<unsigned>(R.range(1, Count));
+        T.next(Count, Limit, Kinds[R.below(4)]);
+        expectKeptValuesMatchRecount(T, Where + ", next");
+      }
+      T.advance();
+      expectKeptValuesMatchRecount(T, Where + ", advance");
+      if (R.chance(1, 3) && T.splittable()) {
+        for (DecisionTree::Prefix &P : T.split(R.range(1, 3)))
+          Donated.push_back(std::move(P));
+        expectKeptValuesMatchRecount(T, Where + ", split");
+      }
+      if (R.chance(1, 6) && !Donated.empty()) {
+        T = DecisionTree(std::move(Donated.back()));
+        Donated.pop_back();
+        expectKeptValuesMatchRecount(T, Where + ", seed");
+      }
+    }
+  }
+}

@@ -96,9 +96,8 @@ Workload sbWorkload(unsigned Workers, bool FailOnWeak) {
             return false; // the store-buffering outcome
           return true;
         }};
-    // The only client state is the two result sinks, fully rewritten by
-    // the fast-forward resume: safe for the copy-on-write engine.
-    B.CowSafe = true;
+    // The only client state is the two result sinks.
+    test::saveSinks(B, {R0, R1});
     return B;
   });
 }
@@ -125,7 +124,7 @@ Workload mpWorkload(unsigned Workers, MemOrder StoreO, MemOrder LoadO) {
             return false;
           return !(*Flag == 1 && *Data == 0); // no stale data
         }};
-    B.CowSafe = true; // sinks are rewritten by the fast-forward resume
+    test::saveSinks(B, {Flag, Data});
     return B;
   });
 }
@@ -149,7 +148,7 @@ Workload corrWorkload(unsigned Workers) {
         [R1, R2](Machine &, Scheduler &, Scheduler::RunResult) {
           return *R1 <= *R2;
         }};
-    B.CowSafe = true; // sinks are rewritten by the fast-forward resume
+    test::saveSinks(B, {R1, R2});
     return B;
   });
 }
@@ -173,7 +172,7 @@ Workload msQueueWorkload(unsigned Workers) {
         [St](Machine &M, Scheduler &S) {
           if (!St->Mon)
             St->Mon = std::make_unique<spec::SpecMonitor>();
-          St->Mon->beginExecution(M);
+          St->Mon->reset();
           St->Q = std::make_unique<lib::MsQueue>(M, *St->Mon, "q");
           St->Got0.clear();
           St->Got1.clear();
@@ -211,7 +210,6 @@ Workload msQueueWorkload(unsigned Workers) {
       St->Got0 = C.Got0;
       St->Got1 = C.Got1;
     };
-    B.CowSkipFinished = true;
     return B;
   });
 }
@@ -743,6 +741,19 @@ void expectEngineAB(const std::function<Workload(unsigned)> &Make,
   }
 }
 
+/// expectEngineAB for a one-worker workload whose tree may be cut by its
+/// execution cap: both paths explore the same DFS prefix of it.
+void expectCappedEngineAB(Workload W, const std::string &Name) {
+  ASSERT_EQ(W.options().Workers, 1u) << Name;
+  Explorer::Summary Root = exploreWithEngine(W, EnginePath::RootReplay);
+  Explorer::Summary Cow = exploreWithEngine(W, EnginePath::Auto);
+  EXPECT_GT(Cow.Perf.CowResumes, 0u) << Name << ": cow path never engaged";
+  EXPECT_TRUE(Root.coreEquals(Cow))
+      << Name << "\nroot: " << Root.str() << "\ncow:  " << Cow.str();
+  EXPECT_EQ(Root.firstViolationDecisions(), Cow.firstViolationDecisions())
+      << Name;
+}
+
 Task<void> lastReadReader(Env &E, Loc X, Loc Y, Loc Z, Value *Got,
                           Value *Ts) {
   *Got = co_await E.load(X, MemOrder::Relaxed);
@@ -757,11 +768,10 @@ Task<void> lastReadWriter(Env &E, Loc X, Loc Z) {
 }
 
 /// Thread 0 reads x, loads its own non-atomic y and records lastReadTs;
-/// thread 1 writes x and then reads thread 0's z, whose choice sends
-/// copy-on-write resumes through thread 0's recording step. The check
-/// wants the recorded timestamp to name the x message read (x@t holds t):
-/// a replayed atomic read hands back its timestamp, and a non-atomic load
-/// is no last read, live or replayed.
+/// thread 1 writes x and then reads thread 0's z, whose choice makes
+/// copy-on-write resumes restore thread 0's last read from a snapshot.
+/// The check wants the recorded timestamp to name the x message read (x@t
+/// holds t): a non-atomic load is no last read, live or restored.
 Workload lastReadWorkload(unsigned Workers) {
   Explorer::Options Opts;
   Opts.Workers = Workers;
@@ -779,14 +789,14 @@ Workload lastReadWorkload(unsigned Workers) {
         [Got, Ts](Machine &, Scheduler &, Scheduler::RunResult R) {
           return R == Scheduler::RunResult::Done && *Ts == *Got;
         }};
-    B.CowSafe = true; // sinks are rewritten by the fast-forward resume
+    test::saveSinks(B, {Got, Ts});
     return B;
   });
 }
 
 } // namespace
 
-TEST(ParallelEngineAB, ReplayedLastReadNamesTheMessageRead) {
+TEST(ParallelEngineAB, RestoredLastReadNamesTheMessageRead) {
   Explorer::Summary Cow = explore(lastReadWorkload(1));
   EXPECT_EQ(Cow.Violations, 0u) << Cow.str();
   expectEngineAB(+[](unsigned W) { return lastReadWorkload(W); },
@@ -800,8 +810,8 @@ TEST(ParallelEngineAB, MpLitmus) {
       },
       "MP rlx A/B", true);
   // SC stores and loads through the copy-on-write engine's snapshots and
-  // fast-forwards: the data load's op-level snapshots follow the SC flag
-  // load, whose SC view join happens after its choice.
+  // restores: the data load's op-level snapshots follow the SC flag load,
+  // whose SC view join happens after its choice.
   expectEngineAB(
       +[](unsigned W) {
         return mpWorkload(W, MemOrder::SeqCst, MemOrder::SeqCst);
@@ -837,8 +847,11 @@ TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
   // Copy-on-write must equal root replay on generated scenarios of every
   // library, pristine and with each seeded mutation on its own library,
   // under both reduction modes. This covers the libraries no hand-written
-  // workload reaches, among them the two whose bodies must re-run finished
-  // threads on resume (treiber_ebr and ws_deque leave CowSkipFinished off).
+  // workload reaches, among them the three whose C++ state the harness
+  // body saves (treiber_ebr's retire bins, ws_deque's owner shadow and
+  // spsc_ring's roles). The hunting shape (2-3 threads of 2-3 ops, bound
+  // 2) grows trees past a small cap; one worker explores the same capped
+  // DFS prefix on either path.
   std::vector<std::pair<check::Lib, check::Mutation>> Cases;
   for (unsigned I = 0; I != check::NumLibs; ++I)
     Cases.push_back({check::allLibs()[I], check::Mutation::None});
@@ -858,6 +871,18 @@ TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
                 check::mutationName(Case.second) + "/" +
                 reductionModeName(Red) + " seed " + std::to_string(Seed),
             true);
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
+    for (const auto &Case : Cases) {
+      check::Scenario S = check::generateScenario(
+          Case.first, check::scenarioSeed(1, Case.first, 0),
+          check::GenOptions::hunting());
+      expectCappedEngineAB(
+          check::makeWorkload(S, Case.second,
+                              check::scenarioOptions(S, 1500, 1, Red)),
+          std::string(check::libName(Case.first)) + "/" +
+              check::mutationName(Case.second) + "/" +
+              reductionModeName(Red) + " hunting " + S.str());
+    }
 }
 
 TEST(ParallelEngineAB, CheckpointResumeMatchesRootReplay) {

@@ -98,7 +98,7 @@ Workload mpWorkload(unsigned Workers, MemOrder StoreO, MemOrder LoadO,
             return true; // sleep-pruned / pruned runs are not violations
           return !(*Flag == 1 && *Data == 0); // no stale data
         }};
-    B.CowSafe = true; // sinks are rewritten by the fast-forward resume
+    test::saveSinks(B, {Flag, Data});
     return B;
   });
 }
@@ -121,7 +121,7 @@ Workload msQueueWorkload(unsigned Workers, ReductionMode Red) {
         [St](Machine &M, Scheduler &S) {
           if (!St->Mon)
             St->Mon = std::make_unique<spec::SpecMonitor>();
-          St->Mon->beginExecution(M);
+          St->Mon->reset();
           St->Q = std::make_unique<lib::MsQueue>(M, *St->Mon, "q");
           St->Got0.clear();
           St->Got1.clear();
@@ -161,7 +161,6 @@ Workload msQueueWorkload(unsigned Workers, ReductionMode Red) {
       St->Got0 = C.Got0;
       St->Got1 = C.Got1;
     };
-    B.CowSkipFinished = true;
     return B;
   });
 }

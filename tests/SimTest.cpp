@@ -13,16 +13,16 @@
 #include "sim/Task.h"
 #include "sim/Workload.h"
 
-#include <gtest/gtest.h>
+#include "SimTestUtil.h"
 
-#include <malloc.h>
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 using namespace compass;
@@ -489,8 +489,8 @@ TEST(ExplorerTest, SummaryStringMentionsCounts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Coroutine frame pool (sim/Task.h). CI runs this suite under TSan and
-// under ASan, where pooled blocks are poisoned.
+// Coroutine frame arena (sim/Task.h). CI runs this suite under TSan and
+// under ASan, where the bytes past the arena's used end are poisoned.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -534,8 +534,8 @@ Task<void> patterned(unsigned Seed, Gate &G, PatternOut &Out) {
   Out.Intact = Intact;
 }
 
-/// Creates a patterned task of the I-th size (the last one is larger than
-/// the pool's biggest class, so it bypasses the pool).
+/// Creates a patterned task of the I-th size (the last three are larger
+/// than the arena's biggest size class, so their blocks are not reused).
 Task<void> patternedOfSize(unsigned I, unsigned Seed, Gate &G,
                            PatternOut &Out) {
   switch (I % 9) {
@@ -553,11 +553,13 @@ Task<void> patternedOfSize(unsigned I, unsigned Seed, Gate &G,
 
 } // namespace
 
-TEST(FramePoolTest, FramesOfDifferentSizesNeverShareABlock) {
+TEST(FrameArenaTest, FramesOfDifferentSizesNeverShareABlock) {
   // Rounds of 36 live frames of nine sizes; each round destroys the
   // previous round's frames in a shuffled order first, so blocks are
-  // recycled across rounds. Live buffers must be disjoint and keep their
-  // patterns across the suspension.
+  // recycled across rounds. Live buffers must be disjoint, inside the
+  // arena, and keep their patterns across the suspension.
+  detail::FrameArena A;
+  detail::FrameArena::Scope In(A);
   std::vector<std::optional<Task<void>>> Tasks(36);
   std::vector<PatternOut> Outs(36);
   Gate G;
@@ -568,6 +570,7 @@ TEST(FramePoolTest, FramesOfDifferentSizesNeverShareABlock) {
       Outs[I] = PatternOut();
       Tasks[I].emplace(patternedOfSize(I + Round, Round * 100 + I, G, Outs[I]));
       Tasks[I]->handle().resume();
+      EXPECT_TRUE(A.owns(Tasks[I]->handle().address()));
     }
     for (unsigned I = 0; I != Outs.size(); ++I)
       for (unsigned J = 0; J != I; ++J)
@@ -583,62 +586,55 @@ TEST(FramePoolTest, FramesOfDifferentSizesNeverShareABlock) {
   }
 }
 
-TEST(FramePoolTest, TaskDestroyedOnAnotherThread) {
+TEST(FrameArenaTest, FramesOutsideAScopeComeFromOperatorNew) {
   Gate G;
   PatternOut Out;
-  std::optional<Task<void>> T;
-  // Created on a thread that exits (returning its pool) while the frame
-  // lives on; finished and destroyed here, where the block joins this
-  // thread's pool and serves the next frame of its class.
-  std::thread([&] {
-    T.emplace(patterned<300>(1, G, Out));
-    T->handle().resume();
-  }).join();
-  G.openAll();
-  EXPECT_TRUE(Out.Intact);
-  T.reset();
-  // Created here; finished and destroyed on a thread.
-  T.emplace(patterned<300>(2, G, Out));
-  T->handle().resume();
-  std::thread([&] {
-    G.openAll();
-    T.reset();
-  }).join();
-  EXPECT_TRUE(Out.Intact);
-  // Created on a thread and destroyed unstarted here.
-  std::thread([&] { T.emplace(patterned<300>(3, G, Out)); }).join();
-  T.reset();
-  T.emplace(patterned<300>(4, G, Out));
-  T->handle().resume();
-  G.openAll();
-  EXPECT_TRUE(Out.Intact);
+  detail::FrameArena A;
+  std::optional<Task<void>> Outside(patterned<300>(1, G, Out));
+  EXPECT_FALSE(A.owns(Outside->handle().address()));
+  {
+    detail::FrameArena::Scope In(A);
+    Task<void> Inside = patterned<300>(2, G, Out);
+    EXPECT_TRUE(A.owns(Inside.handle().address()));
+    // A frame from operator new goes back there, scope or not.
+    Outside.reset();
+  }
+  EXPECT_EQ(detail::FrameArena::current(), nullptr);
 }
 
-TEST(FramePoolTest, BlockFromADeadPoolHasItsClassSize) {
-  // A frame allocated while its thread exits, after the thread's pool was
-  // torn down, bypasses the pool. It still needs its class's full block:
-  // freed on another thread, it joins that pool and may serve a larger
-  // frame of the class.
-  using detail::FramePool;
-  struct Late {
-    void **Out = nullptr;
-    ~Late() {
-      if (Out)
-        *Out = FramePool::allocate(65);
-    }
-  };
-  void *P = nullptr;
-  std::thread([&] {
-    static thread_local Late L; // Destroyed after the pool's teardown,
-    L.Out = &P;                 // which the next line registers.
-    FramePool::deallocate(FramePool::allocate(65), 65);
-  }).join();
-  ASSERT_NE(P, nullptr);
-  FramePool::deallocate(P, 65); // Pooled here, in the 65-128 byte class.
-  void *Q = FramePool::allocate(128);
-  ASSERT_EQ(Q, P);
-  EXPECT_GE(malloc_usable_size(Q), 128u);
-  FramePool::deallocate(Q, 128);
+TEST(FrameArenaTest, RestoreRevivesABlockFreedAfterTheCopy) {
+  // A frame destroyed after a snapshot comes back on restore: its bytes,
+  // and its block's absence from the free list.
+  detail::FrameArena A;
+  auto *P = static_cast<unsigned char *>(A.allocate(300));
+  std::memset(P, 0xAB, 300);
+  std::vector<unsigned char> Copy(A.data(), A.data() + A.used());
+  A.deallocate(P, 300);
+  auto *Q = static_cast<unsigned char *>(A.allocate(300));
+  ASSERT_EQ(Q, P) << "a freed block serves the next frame of its class";
+  std::memset(Q, 0xCD, 300);
+  A.restore(Copy.data(), Copy.size());
+  EXPECT_EQ(A.used(), Copy.size());
+  for (size_t I = 0; I != 300; ++I)
+    ASSERT_EQ(P[I], 0xAB) << "byte " << I;
+  EXPECT_NE(A.allocate(300), P) << "the revived block was handed out";
+}
+
+TEST(FrameArenaTest, RestoreAbandonsABlockTakenAfterTheCopy) {
+  // A frame created after a snapshot is abandoned on restore, whether its
+  // block came off the used end or off a free list.
+  detail::FrameArena A;
+  void *Freed = A.allocate(200);
+  A.deallocate(Freed, 200);
+  std::vector<unsigned char> Copy(A.data(), A.data() + A.used());
+  void *FromList = A.allocate(200);
+  void *FromEnd = A.allocate(1000);
+  EXPECT_EQ(FromList, Freed);
+  EXPECT_GT(A.used(), Copy.size());
+  A.restore(Copy.data(), Copy.size());
+  EXPECT_EQ(A.used(), Copy.size());
+  EXPECT_EQ(A.allocate(200), FromList);
+  EXPECT_EQ(A.allocate(1000), FromEnd);
 }
 
 namespace {
@@ -653,11 +649,11 @@ Task<void> loadTwiceThenStore(Env &E, Loc X, Value V) {
 
 } // namespace
 
-TEST(FramePoolTest, ParallelExploreRecyclesFramesOnHelperThreads) {
-  // Every worker creates and destroys its threads' frames in its own
-  // thread's pool and tears down its arena (machine, scheduler and the
-  // last execution's frames) before the call returns; the parked helpers
-  // outlive the call, so the second call starts on their pooled blocks.
+TEST(FrameArenaTest, ParallelExploreOnHelperThreads) {
+  // Every worker's engine creates, snapshots, restores and destroys its
+  // executions' frames in its own arena on its own thread, and destroys
+  // the last execution's frames before the call returns; the parked
+  // helpers outlive the call and serve the second one.
   Explorer::Options Opts;
   Opts.Workers = 4;
   Workload W(Opts, [] {
@@ -681,4 +677,78 @@ TEST(FramePoolTest, ParallelExploreRecyclesFramesOnHelperThreads) {
     EXPECT_EQ(Sum.Executions, Serial.Executions);
     EXPECT_EQ(Sum.Completed, Serial.Completed);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Copy-on-write client state (Workload::Body::CowSave)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Reads x (choosing between thread 1's write and the initial value), sets
+/// the sink only when it read 1, then records what it read in z.
+Task<void> conditionalSinkReader(Env &E, Loc X, Loc Z, Value *Sink) {
+  Value V = co_await E.load(X, MemOrder::Relaxed);
+  if (V == 1)
+    *Sink = 1;
+  co_await E.store(Z, V, MemOrder::Relaxed);
+}
+
+Task<void> storeOne(Env &E, Loc X) {
+  co_await E.store(X, 1, MemOrder::Relaxed);
+}
+
+/// The sink must say whether thread 0 read 1, which z records in the
+/// machine. A resume from the read's snapshot runs no step before it, so
+/// after a sibling that read 1 the sink keeps that sibling's write unless
+/// the body saves it (\p SaveSink) instead of declaring itself CowSafe.
+Workload conditionalSinkWorkload(EnginePath Engine, bool SaveSink) {
+  Explorer::Options Opts;
+  Opts.Engine = Engine;
+  return Workload(Opts, [SaveSink]() -> Workload::Body {
+    auto Sink = std::make_shared<Value>();
+    auto ZLoc = std::make_shared<Loc>();
+    Workload::Body B{
+        [Sink, ZLoc](Machine &M, Scheduler &S) {
+          *Sink = 0;
+          Loc X = M.alloc("x");
+          *ZLoc = M.alloc("z");
+          Env &E0 = S.newThread();
+          S.start(E0, conditionalSinkReader(E0, X, *ZLoc, Sink.get()));
+          Env &E1 = S.newThread();
+          S.start(E1, storeOne(E1, X));
+        },
+        [Sink, ZLoc](Machine &M, Scheduler &, Scheduler::RunResult R) {
+          return R == Scheduler::RunResult::Done &&
+                 *Sink == (M.memory().cell(*ZLoc).latestVal() == 1);
+        }};
+    if (SaveSink)
+      test::saveSinks(B, {Sink});
+    else
+      B.CowSafe = true;
+    return B;
+  });
+}
+
+} // namespace
+
+TEST(CowClientState, ConditionalSinkMatchesRootReplayOnlyWhenSaved) {
+  Explorer::Summary Root =
+      exploreSerial(conditionalSinkWorkload(EnginePath::RootReplay, true));
+  ASSERT_TRUE(Root.Exhausted);
+  EXPECT_EQ(Root.Violations, 0u) << Root.str();
+  EXPECT_EQ(Root.Perf.CowResumes, 0u);
+
+  Explorer::Summary Saved =
+      exploreSerial(conditionalSinkWorkload(EnginePath::Auto, true));
+  EXPECT_GT(Saved.Perf.CowResumes, 0u);
+  EXPECT_TRUE(Root.coreEquals(Saved))
+      << "root: " << Root.str() << "\ncow:  " << Saved.str();
+
+  // Declared CowSafe, the body is wrong: a resumed execution that reads 0
+  // sees the sink its sibling set.
+  Explorer::Summary Unsaved =
+      exploreSerial(conditionalSinkWorkload(EnginePath::Auto, false));
+  EXPECT_GT(Unsaved.Violations, 0u) << Unsaved.str();
+  EXPECT_FALSE(Root.coreEquals(Unsaved));
 }

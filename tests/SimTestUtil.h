@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace compass::test {
@@ -41,6 +42,27 @@ exploreExpectNoViolations(const sim::Workload &W,
                   << (RR.CheckOk ? "NO (check passed on replay!)" : "yes");
   }
   return Sum;
+}
+
+/// Makes \p B copy-on-write eligible by saving and restoring \p Sinks,
+/// the values its threads write outside the machine, at every snapshot
+/// (Workload::Body::CowSave).
+inline void saveSinks(sim::Workload::Body &B,
+                      std::vector<std::shared_ptr<rmc::Value>> Sinks) {
+  using Saved = std::vector<rmc::Value>;
+  B.CowSave = [Sinks](std::shared_ptr<void> &Slot) {
+    if (!Slot)
+      Slot = std::make_shared<Saved>();
+    auto &V = *std::static_pointer_cast<Saved>(Slot);
+    V.resize(Sinks.size());
+    for (size_t I = 0; I != Sinks.size(); ++I)
+      V[I] = *Sinks[I];
+  };
+  B.CowRestore = [Sinks](const std::shared_ptr<void> &Slot) {
+    const auto &V = *std::static_pointer_cast<Saved>(Slot);
+    for (size_t I = 0; I != Sinks.size(); ++I)
+      *Sinks[I] = V[I];
+  };
 }
 
 /// Enqueues each value of \p Vs in order.
