@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,10 +41,11 @@ namespace compass::bench {
 
 /// Parses and removes a `--bench-out <dir>` flag from argv (so later flag
 /// parsers, e.g. benchmark::Initialize, never see it), defaulting to the
-/// current working directory. Prints the resolved absolute output
-/// directory, and — when the binary was built with assertions enabled
-/// (no NDEBUG) — emits a loud warning so Debug numbers never silently land
-/// in the committed perf trajectory.
+/// current working directory. Exits 2 when the directory does not exist,
+/// before any row runs. Prints the resolved absolute output directory,
+/// and — when the binary was built with assertions enabled (no NDEBUG) —
+/// emits a loud warning so Debug numbers never silently land in the
+/// committed perf trajectory.
 inline std::string benchOutDir(int &Argc, char **Argv) {
   std::string Dir = ".";
   for (int I = 1; I < Argc; ++I)
@@ -68,10 +70,29 @@ inline std::string benchOutDir(int &Argc, char **Argv) {
                "***********************************************************\n");
 #endif
   std::error_code Ec;
+  if (!std::filesystem::is_directory(Dir, Ec)) {
+    std::fprintf(stderr, "--bench-out: no such directory: %s\n", Dir.c_str());
+    std::exit(2);
+  }
   std::filesystem::path Abs = std::filesystem::absolute(Dir, Ec);
   std::string Out = Ec ? Dir : Abs.lexically_normal().string();
   std::printf("bench output directory: %s\n", Out.c_str());
   return Out;
+}
+
+/// Writes \p Json and a newline to \p Dir/\p Name and reports the path;
+/// exits 1 when the file cannot be written.
+inline void writeBenchJson(const std::string &Dir, const char *Name,
+                           const std::string &Json) {
+  std::string Path = Dir + "/" + Name;
+  std::ofstream Out(Path);
+  Out << Json << "\n";
+  Out.close();
+  if (!Out) {
+    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+    std::exit(1);
+  }
+  std::printf("\nwrote %s\n", Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -162,10 +161,7 @@ void writeJson(const std::vector<Row> &Rows, const std::string &OutDir) {
   }
   J.endArray();
   J.endObject();
-  std::string Path = OutDir + "/BENCH_interpreter.json";
-  std::ofstream Out(Path);
-  Out << J.str() << "\n";
-  std::printf("\nwrote %s\n", Path.c_str());
+  bench::writeBenchJson(OutDir, "BENCH_interpreter.json", J.str());
 }
 
 //===----------------------------------------------------------------------===//

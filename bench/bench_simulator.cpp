@@ -24,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -377,10 +376,7 @@ void writeJson(const std::vector<ScaleRow> &Rows,
   }
   J.endArray();
   J.endObject();
-  std::string Path = OutDir + "/BENCH_simulator.json";
-  std::ofstream Out(Path);
-  Out << J.str() << "\n";
-  std::printf("\nwrote %s\n", Path.c_str());
+  bench::writeBenchJson(OutDir, "BENCH_simulator.json", J.str());
 }
 
 } // namespace

@@ -88,10 +88,7 @@ void writeJson(const std::vector<VerifyRow> &Rows, const std::string &OutDir) {
   }
   J.endArray();
   J.endObject();
-  std::string Path = OutDir + "/BENCH_verification_summary.json";
-  std::ofstream Out(Path);
-  Out << J.str() << "\n";
-  std::printf("\nwrote %s\n", Path.c_str());
+  writeBenchJson(OutDir, "BENCH_verification_summary.json", J.str());
 }
 
 uint64_t countLines(const std::filesystem::path &Dir) {

@@ -2,11 +2,17 @@
 """Compare a fresh BENCH_simulator.json against the committed baseline.
 
 Matches scaling rows on (workload, workers) and reduction rows on
-(workload, reduction), then compares throughput (execs_per_sec). By
-default the script only *reports*: regressions beyond the threshold are
-printed as GitHub Actions `::warning::` annotations and the exit code
-stays 0, so a noisy CI runner cannot block a merge. Pass --strict to turn
-regressions into a nonzero exit (for local perf work).
+(workload, reduction), then compares throughput (execs_per_sec) and the
+execution count (executions). By default the script only *reports*:
+regressions beyond the threshold and changed execution counts are printed
+as GitHub Actions `::warning::` annotations and the exit code stays 0, so
+a noisy CI runner cannot block a merge. Pass --strict to turn either into
+a nonzero exit (for local perf work).
+
+A row's execution count is deterministic: an exhausted tree's summary core
+is the same at any worker count, and a capped run spends exactly its
+execution budget. So it is compared exactly, oversubscribed rows included,
+and no host can move it; a change means the explored trees changed.
 
 Robustness contract (pinned by --self-test):
   * multi-worker scaling rows are exempt from regression checks when the
@@ -69,6 +75,15 @@ def metric(row):
     return float(v) if v > 0 else None
 
 
+def executions(row):
+    """Returns the row's execution count as an int, or None when missing
+    or not an integer."""
+    v = row.get("executions")
+    if not isinstance(v, int) or isinstance(v, bool):
+        return None
+    return v
+
+
 def fmt_key(key):
     kind, workload, variant = key
     unit = "workers" if kind == "scaling" else "reduction"
@@ -113,11 +128,15 @@ def compare(new, base, threshold, strict, hw=None):
     """Core comparison over two key->row maps; returns the exit code."""
     regressions = []
     improvements = []
+    changed = []
     for key, brow in sorted(base.items()):
         nrow = new.get(key)
         if nrow is None:
             print(f"  removed (no new row): {fmt_key(key)}")
             continue
+        be, ne = executions(brow), executions(nrow)
+        if be is not None and ne is not None and be != ne:
+            changed.append(f"{fmt_key(key)}: {be:,} -> {ne:,} executions")
         if oversubscribed(key, hw, nrow):
             print(f"  skipped (oversubscribed): {fmt_key(key)}")
             continue
@@ -146,15 +165,22 @@ def compare(new, base, threshold, strict, hw=None):
         # Non-blocking by default: annotate, do not fail the job.
         print(f"::warning::bench_compare regression: {line}")
 
+    for line in changed:
+        print(f"::warning::bench_compare executions changed: {line}")
+
     for key in sorted(set(new) - set(base)):
         print(f"  new row (no baseline): {fmt_key(key)}")
 
+    blocking = '' if not strict else ', but --strict is set'
+    if changed:
+        print(f"\n{len(changed)} row(s) with changed executions "
+              f"(non-blocking{blocking})")
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond "
-              f"{threshold:.0%} (non-blocking"
-              f"{'' if not strict else ', but --strict is set'})")
+              f"{threshold:.0%} (non-blocking{blocking})")
+    if regressions or changed:
         return 1 if strict else 0
-    print("\nno regressions beyond threshold")
+    print("\nno regressions beyond threshold, execution counts unchanged")
     return 0
 
 
@@ -303,6 +329,51 @@ def self_test():
                      "reduction_rows": base["reduction_rows"]}
     code, out = run(stamped_false, one_core_base, strict=True)
     check("stamped-false row counts despite 1 thread", code == 1)
+
+    # 10. Execution counts are deterministic: a changed count on a matched
+    #     row fails --strict even at unchanged throughput, oversubscribed
+    #     rows included; equal counts, or a count missing on one side,
+    #     pass.
+    def counted(workload, workers, eps, execs):
+        r = row(workload, workers, eps)
+        r["executions"] = execs
+        return r
+    counted_base = {"rows": [counted("queue", 1, 1000.0, 64),
+                             counted("queue", 4, 1900.0, 64)],
+                    "reduction_rows": [{"workload": "queue",
+                                        "reduction": "none",
+                                        "executions": 500,
+                                        "execs_per_sec": 800.0}]}
+    code, out = run(counted_base, counted_base, strict=True)
+    check("equal executions pass strict", code == 0)
+    check("equal executions report unchanged",
+          "execution counts unchanged" in out)
+    drifted = {"rows": [counted("queue", 1, 1000.0, 64),
+                        counted("queue", 4, 1900.0, 64)],
+               "reduction_rows": [{"workload": "queue", "reduction": "none",
+                                   "executions": 499,
+                                   "execs_per_sec": 800.0}]}
+    code, out = run(drifted, counted_base)
+    check("changed executions non-strict exits 0", code == 0)
+    check("changed executions annotated",
+          "::warning::bench_compare executions changed: queue "
+          "[reduction=none]: 500 -> 499 executions" in out)
+    code, _ = run(drifted, counted_base, strict=True)
+    check("changed executions strict exits 1", code == 1)
+    one_core_drift = {"hardware_threads": 1,
+                      "rows": [counted("queue", 1, 1000.0, 64),
+                               counted("queue", 4, 1900.0, 65)],
+                      "reduction_rows": counted_base["reduction_rows"]}
+    code, out = run(one_core_drift, counted_base, strict=True)
+    check("changed executions of an oversubscribed row strict exits 1",
+          code == 1 and "skipped (oversubscribed)" in out)
+    code, _ = run({"rows": [row("queue", 1, 1000.0),
+                            row("queue", 4, 1900.0)],
+                   "reduction_rows": [{"workload": "queue",
+                                       "reduction": "none",
+                                       "execs_per_sec": 800.0}]},
+                  counted_base, strict=True)
+    check("missing executions pass strict", code == 0)
 
     if failures:
         print(f"\nself-test FAILED: {len(failures)} check(s)")

@@ -271,9 +271,9 @@ public:
 
   Memory &memoryMut() { return Mem; }
 
-  /// Whether per-operation tracing is on. The copy-on-write engine falls
-  /// back to full root-replay while tracing: a resumed execution would
-  /// lack its prefix's trace lines.
+  /// Whether per-operation tracing is on. An exploration engine turns it
+  /// off when it binds (sim/Engine.h): a resumed execution would lack its
+  /// prefix's trace lines.
   bool tracingEnabled() const { return Tracing; }
 
   /// Live history length of \p L, for the scheduler's memoized wait scans:

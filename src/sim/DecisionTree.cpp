@@ -10,7 +10,13 @@
 using namespace compass;
 using namespace compass::sim;
 
-DecisionTree::DecisionTree(Prefix Seed) : SeedLen(Seed.Path.size()) {
+void DecisionTree::seed(const Prefix &Seed) {
+  Trace.clear();
+  Totals.clear();
+  Frontier = 0;
+  Pos = 0;
+  SeedLen = Seed.Path.size();
+  Exhausted = false;
   for (const Decision &D : Seed.Path) {
     assert(D.Chosen < D.Count && "seed decision out of range");
     assert(D.Limit == D.Chosen + 1 && "seed decisions must be pinned");

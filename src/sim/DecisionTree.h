@@ -112,7 +112,11 @@ public:
 
   /// Seeds the tree with a fixed \p Seed prefix; enumeration covers exactly
   /// the subtree below it.
-  explicit DecisionTree(Prefix Seed);
+  explicit DecisionTree(const Prefix &Seed) { seed(Seed); }
+
+  /// Restarts the tree on the subtree below \p Seed, as the constructor
+  /// would, keeping the path's storage.
+  void seed(const Prefix &Seed);
 
   /// Resets the replay cursor; call before each execution.
   void beginExecution() { Pos = 0; }

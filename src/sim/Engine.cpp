@@ -8,24 +8,38 @@
 using namespace compass;
 using namespace compass::sim;
 
-Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S,
-               Workload::Body &Body)
-    : Ex(Ex), M(M), S(S), Body(Body), Red(Ex.reduction()),
-      MaxSteps(Ex.options().MaxStepsPerExec) {
+Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S)
+    : Ex(Ex), M(M), S(S) {}
+
+void Engine::bind(Workload::Body &B) {
+  assert(!Body && "engine already bound");
+  Body = &B;
+  Red = Ex.reduction();
+  MaxSteps = Ex.options().MaxStepsPerExec;
+  // A resumed execution would lack its prefix's trace lines.
+  M.enableTrace(false);
+  S.setPreemptionBound(Ex.options().PreemptionBound);
+  S.setReduction(Red);
   CowEligible = Ex.options().Engine != EnginePath::RootReplay &&
-                (Body.CowSafe || (Body.CowSave && Body.CowRestore)) &&
-                !M.tracingEnabled();
+                (B.CowSafe || (B.CowSave && B.CowRestore));
   if (CowEligible)
     Ex.setSnapshotHook([this](size_t NodeIndex) { onSnapshot(NodeIndex); });
+  else
+    Ex.setSnapshotHook(nullptr);
   S.setBoundaries(CowEligible);
+  Depth = 0;
+  Resumes = Roots = StepsExecuted = StepsLogical = 0;
 }
 
-Engine::~Engine() {
-  Ex.setSnapshotHook(nullptr);
-  S.setBoundaries(false);
-  // The frames live in this engine's arena, which goes with the engine.
-  detail::FrameArena::Scope InArena(Frames);
-  S.reset();
+void Engine::unbind() {
+  {
+    // The last execution's frames live in this engine's arena.
+    detail::FrameArena::Scope InArena(Frames);
+    S.reset();
+  }
+  for (SnapSlot &Slot : Slots)
+    Slot.Client.reset();
+  Body = nullptr;
 }
 
 void Engine::seed(DecisionTree::Prefix P) {
@@ -47,8 +61,8 @@ void Engine::onSnapshot(size_t NodeIndex) {
   S.saveBoundary(Slot.SBound);
   if (Red)
     Slot.RBound = Red->boundary();
-  if (Body.CowSave)
-    Body.CowSave(Slot.Client);
+  if (Body->CowSave)
+    Body->CowSave(Slot.Client);
   const SnapSlot *Below = Depth > 1 ? &Slots[Depth - 2] : nullptr;
   Slot.FrameOff = Below ? Below->FrameOff + Below->FrameLen : 0;
   Slot.FrameLen = Frames.used();
@@ -62,7 +76,7 @@ void Engine::rootSetup() {
   M.reset();
   S.reset();
   Frames.clear();
-  Body.Setup(M, S);
+  Body->Setup(M, S);
   ++Roots;
 }
 
@@ -73,8 +87,8 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
   M.restoreSnapshot(Slot.MSnap);
   if (Red)
     Red->restore(Slot.RBound);
-  if (Body.CowRestore)
-    Body.CowRestore(Slot.Client);
+  if (Body->CowRestore)
+    Body->CowRestore(Slot.Client);
   // The decisions before the boundary are already on the tree path; skip
   // their replay but credit their per-kind statistics so the summary core
   // stays engine-path independent.
@@ -113,7 +127,7 @@ Engine::ExecResult Engine::runOne() {
     StepsLogical += S.steps();
     StepsExecuted += S.steps() - BaseSteps;
   }
-  if (Body.Check)
-    Out.CheckOk = Body.Check(M, S, Out.Run);
+  if (Body->Check)
+    Out.CheckOk = Body->Check(M, S, Out.Run);
   return Out;
 }

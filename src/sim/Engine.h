@@ -8,7 +8,11 @@
 /// The execution engine behind every exploration worker
 /// (sim/ParallelExplorer.h): it owns the per-execution state-reset
 /// protocol between an Explorer and a Machine/Scheduler pair (DESIGN.md
-/// Section 11).
+/// Section 11). An engine belongs to one thread's exploration kit and
+/// outlives the calls it serves: each call binds it to the call's body and
+/// unbinds it at the end, and the frame arena, the snapshot slots' views
+/// and thread records and the byte stack stay with the engine from call to
+/// call.
 ///
 /// Classic stateless model checking re-executes every explored execution
 /// from the root, so an execution at depth d costs O(d) machine operations
@@ -52,7 +56,8 @@ namespace compass::sim {
 /// begin/record/end explorer protocol and loops:
 ///
 /// \code
-///   Engine Eng(Ex, M, S, Body);
+///   Engine Eng(Ex, M, S);
+///   Eng.bind(Body);
 ///   for (DecisionTree::Prefix P : Subtrees) {
 ///     Eng.seed(std::move(P));
 ///     while (Ex.beginExecution()) {
@@ -61,6 +66,7 @@ namespace compass::sim {
 ///       Ex.endExecution(R.Run);
 ///     }
 ///   }
+///   Eng.unbind();
 /// \endcode
 class Engine {
 public:
@@ -69,15 +75,26 @@ public:
     bool CheckOk = true;
   };
 
-  /// Binds the engine to one explorer/machine/scheduler/body quadruple.
-  /// Installs the explorer's snapshot hook; uninstalls it and destroys
-  /// the scheduler's coroutine frames on destruction. The referenced
-  /// objects must outlive the engine.
-  Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S, Workload::Body &Body);
-  ~Engine();
+  /// An unbound engine over one explorer/machine/scheduler triple, which
+  /// must outlive it. Unbind it before it goes.
+  Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S);
 
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
+
+  /// Binds the engine to \p Body for one call, under the explorer's
+  /// current options: decides whether the call runs copy-on-write,
+  /// installs the explorer's snapshot hook and the scheduler's boundaries
+  /// accordingly, sets the scheduler's preemption bound and reduction
+  /// hook, turns machine tracing off and zeroes the counters. \p Body must
+  /// stay alive until unbind().
+  void bind(Workload::Body &Body);
+
+  /// Ends the call: destroys the last execution's coroutine frames and
+  /// drops every snapshot slot's client state, whose type belongs to the
+  /// body. The frame arena, the slots' other storage and the byte stack
+  /// are kept for the next bind(), which sets the hooks afresh.
+  void unbind();
 
   /// Starts the explorer on the subtree below \p P (Explorer::seed) and
   /// drops the snapshot stack, whose snapshots belong to the previous
@@ -89,13 +106,13 @@ public:
   /// otherwise executes from the root.
   ExecResult runOne();
 
-  /// Executions resumed from a snapshot vs. executed from the root, for
-  /// diagnostics and the interpreter microbenchmark.
+  /// Executions resumed from a snapshot vs. executed from the root since
+  /// bind(), for diagnostics and the interpreter microbenchmark.
   uint64_t cowResumes() const { return Resumes; }
   uint64_t rootRuns() const { return Roots; }
 
   /// Scheduler steps actually executed vs. the logical total a root-replay
-  /// engine would have run (see Explorer::Summary::Perf).
+  /// engine would have run since bind() (see Explorer::Summary::Perf).
   uint64_t stepsExecuted() const { return StepsExecuted; }
   uint64_t stepsLogical() const { return StepsLogical; }
 
@@ -103,8 +120,8 @@ private:
   /// One snapshot on the DFS-path stack: everything needed to resume the
   /// simulation right before the decision at NodeIndex. Slots are pooled
   /// in a watermarked vector so steady-state exploration reuses their
-  /// heap storage (views, thread records, client state) instead of
-  /// reallocating.
+  /// heap storage (views and thread records across calls, client state
+  /// within one) instead of reallocating.
   struct SnapSlot {
     size_t NodeIndex = 0;
     rmc::Machine::Snap MSnap;
@@ -123,7 +140,7 @@ private:
   Explorer &Ex;
   rmc::Machine &M;
   Scheduler &S;
-  Workload::Body &Body;
+  Workload::Body *Body = nullptr; ///< The bound call's body.
   Reduction *Red = nullptr;
   uint64_t MaxSteps = 0;
   bool CowEligible = false;
@@ -131,7 +148,8 @@ private:
   std::vector<SnapSlot> Slots; ///< [0, Depth) live; rest retained storage.
   size_t Depth = 0;
 
-  /// Every frame of this engine's executions, root runs included.
+  /// Every frame of this engine's executions, root runs included, in every
+  /// call it serves.
   detail::FrameArena Frames;
   /// The live slots' frame bytes, one slot after another (the byte stack;
   /// its size is a high-water mark, never shrunk).

@@ -36,13 +36,20 @@ Explorer::Explorer(Options O)
 
 Explorer::Explorer() : Explorer(Options{}) {}
 
+void Explorer::reset(Options O) {
+  assert(!InExecution && "reset mid-execution");
+  Opts = O;
+  RedEnabled = O.Reduction == ReductionMode::SourceSet;
+  Sum = Summary();
+  seed(DecisionTree::Prefix());
+}
+
 void Explorer::seed(DecisionTree::Prefix Seed) {
   assert(!InExecution && "seed mid-execution");
-  // Consume the donor's sleep snapshot before the path moves into the
-  // tree; the reduction validates its recomputed state against it when
-  // replay reaches the seeded ordinal.
+  // Consume the donor's sleep snapshot; the reduction validates its
+  // recomputed state against it when replay reaches the seeded ordinal.
   Red.seed(Seed);
-  Tree = DecisionTree(std::move(Seed));
+  Tree.seed(Seed);
   HasWork = true;
   Sum.Exhausted = false;
 }

@@ -205,11 +205,19 @@ public:
   explicit Explorer(Options O);
   Explorer();
 
+  /// Puts the explorer in the state Explorer(\p O) starts in — a fresh
+  /// summary and the whole tree to explore — keeping the decision tree's
+  /// and the reduction's storage. Used by exploreResumable's workers,
+  /// which keep one explorer per thread from call to call. Must be called
+  /// between executions.
+  void reset(Options O);
+
   /// Restarts the explorer on exactly the subtree below \p Seed (see
   /// DecisionTree splitting), dropping the previous subtree's tree, donor
-  /// sleep snapshot and sched points; the summary keeps accumulating, and
-  /// its Exhausted bit restarts at false for the new subtree. Used by
-  /// exploreResumable's workers through Engine::seed.
+  /// sleep snapshot and sched points but keeping their storage; the
+  /// summary keeps accumulating, and its Exhausted bit restarts at false
+  /// for the new subtree. Used by exploreResumable's workers through
+  /// Engine::seed.
   void seed(DecisionTree::Prefix Seed);
 
   /// Prepares the next execution; false when exploration is finished.

@@ -200,6 +200,52 @@ private:
   std::vector<Helper *> Parked; ///< Back = most recently parked.
 };
 
+/// One worker's exploration kit: an explorer and the machine, scheduler
+/// and copy-on-write engine bound to it (see the file comment of
+/// sim/ParallelExplorer.h).
+struct Kit {
+  Explorer Ex;
+  rmc::Machine M{Ex};
+  Scheduler S{M, Ex};
+  Engine Eng{Ex, M, S};
+};
+
+/// A kit leased from the calling thread's idle kits for one worker of one
+/// call: reset to the call's options and bound to the worker's body, then
+/// unbound and handed back. A thread builds a kit only when it has no idle
+/// one (its first worker, or a call nested in a worker on the same
+/// thread), and keeps its kits until it exits.
+class KitLease {
+public:
+  KitLease(const Explorer::Options &Opts, Workload::Body &Body) {
+    std::vector<std::unique_ptr<Kit>> &Idle = idle();
+    if (Idle.empty()) {
+      K = std::make_unique<Kit>();
+    } else {
+      K = std::move(Idle.back());
+      Idle.pop_back();
+    }
+    K->Ex.reset(Opts);
+    K->Eng.bind(Body);
+  }
+  ~KitLease() {
+    K->Eng.unbind();
+    idle().push_back(std::move(K));
+  }
+  KitLease(const KitLease &) = delete;
+  KitLease &operator=(const KitLease &) = delete;
+
+  Kit *operator->() { return K.get(); }
+
+private:
+  static std::vector<std::unique_ptr<Kit>> &idle() {
+    thread_local std::vector<std::unique_ptr<Kit>> Idle;
+    return Idle;
+  }
+
+  std::unique_ptr<Kit> K;
+};
+
 /// The one exploration loop behind exploreResumable, explore and
 /// exploreSerial: \p N workers, of which the calling thread is worker 0.
 ExploreResult runWorkers(const Workload &W, unsigned N,
@@ -289,15 +335,12 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     WOpts.MaxExecutions = ~0ull; // budget enforced via shared tickets
     WorkerStats &St = Stats[Wid];
 
-    // One explorer, machine, scheduler and engine per worker for the whole
-    // call; each subtree re-seeds the engine and its explorer, so their
-    // storage is allocated once per worker, not once per donated prefix.
-    Explorer Ex(WOpts);
-    rmc::Machine M(Ex);
-    Scheduler S(M, Ex);
-    S.setPreemptionBound(Opts.PreemptionBound);
-    S.setReduction(Ex.reduction());
-    Engine Eng(Ex, M, S, Body);
+    // One kit per worker, leased from this thread's kits; each subtree
+    // re-seeds its engine and explorer, so their storage is allocated once
+    // per thread, not once per call or donated prefix.
+    KitLease Lease(WOpts, Body);
+    Explorer &Ex = Lease->Ex;
+    Engine &Eng = Lease->Eng;
 
     bool Exhausted = true; // AND-folded over the worker's subtrees
     DecisionTree::Prefix Prefix;

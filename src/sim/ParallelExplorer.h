@@ -7,10 +7,22 @@
 /// \file
 /// Exhaustive exploration, the one loop behind explore, exploreSerial and
 /// exploreResumable: N workers — the calling thread is worker 0 and N-1
-/// parked helper threads run the rest, none at one worker — each owning
-/// one Explorer (and thus a private DecisionTree), Machine, Scheduler and
-/// copy-on-write Engine (sim/Engine.h) for the whole call, fed from one
-/// shared FIFO queue of unexplored subtree prefixes.
+/// parked helper threads run the rest, none at one worker — each running
+/// one kit, that is one Explorer (and thus a private DecisionTree),
+/// Machine, Scheduler and copy-on-write Engine (sim/Engine.h), fed from
+/// one shared FIFO queue of unexplored subtree prefixes.
+///
+/// Kits: a kit outlives the call. Each thread keeps its idle kits; a
+/// worker leases one (built only when the thread has none idle), resets
+/// it in place to the call's options, binds its engine to the worker's
+/// body, and hands it back unbound when the worker is done. The caller and
+/// each parked helper thus keep one kit from call to call, and a call
+/// nested in a worker on the same thread (an explore inside a Check)
+/// leases a kit of its own. A reset kit starts the call as a new one
+/// would, so a summary does not depend on what the thread ran before. A
+/// thread keeps its kits' storage — the engine's frame arena, snapshot
+/// slots and byte stack, the machine's cells and views, the tree's path —
+/// until it exits.
 ///
 /// Helpers: the process keeps one set of parked helper threads. A call
 /// takes N-1 of them and starts a thread only when none is parked, so

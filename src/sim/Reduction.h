@@ -114,8 +114,9 @@ public:
   bool skipAlternative(size_t Ordinal, unsigned Alt) const;
 
   /// Starts the subtree below the seeded (donated) prefix \p P: drops the
-  /// previous subtree's sched points and donor snapshot, and takes over
-  /// P's snapshot (P.Sleep, moved out) when P.HasSleep. Once the recomputed
+  /// previous subtree's sched points and donor snapshot, keeping their
+  /// storage, and takes over P's snapshot (P.Sleep, moved out) when
+  /// P.HasSleep. Once the recomputed
   /// state reaches sched ordinal P.SleepOrdinal, it is compared against
   /// that snapshot; divergence is fatal (it would mean reduced exploration
   /// depends on the work distribution).

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Pins the allocation discipline of DESIGN.md §11: coroutine frames from
-/// the engine's arena, and the per-execution operator new calls of the
-/// checker's unreduced serial exploration. The binary replaces the global operator
+/// the engine's arena, one arena per thread rather than per call, and the
+/// per-execution operator new calls of the checker's unreduced serial
+/// exploration. The binary replaces the global operator
 /// new and delete with counting versions, so it is a binary of its own;
 /// the sanitizer builds leave it out (their runtimes replace the same
 /// functions).
@@ -26,13 +27,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 namespace {
 std::atomic<uint64_t> NewCalls{0};
+/// operator new calls of 1 MiB or more (a frame arena is one).
+std::atomic<uint64_t> BigNewCalls{0};
 } // namespace
 
 void *operator new(std::size_t Size) {
   NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (Size >= (std::size_t(1) << 20))
+    BigNewCalls.fetch_add(1, std::memory_order_relaxed);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
@@ -95,20 +101,39 @@ TEST(FrameArena, RootRunsCallNoOperatorNewOnceWarm) {
   S.reset();
 }
 
+TEST(FrameArena, ASecondCallOnAWarmThreadBuildsNoArena) {
+  // The calling thread keeps its kit, frame arena included, from one
+  // explore call to the next (sim/ParallelExplorer.h).
+  Scenario S = generateScenario(Lib::MsQueue, scenarioSeed(1, Lib::MsQueue, 0));
+  sim::Workload W = makeWorkload(
+      S, Mutation::None, scenarioOptions(S, 50000, 1, sim::ReductionMode::None));
+  std::thread T([&] {
+    const uint64_t Before = BigNewCalls.load();
+    EXPECT_TRUE(sim::explore(W).Exhausted);
+    EXPECT_GE(BigNewCalls.load() - Before, 1u)
+        << "the first call on a thread builds its kit's arena";
+    const uint64_t Warm = BigNewCalls.load();
+    EXPECT_TRUE(sim::explore(W).Exhausted);
+    EXPECT_EQ(BigNewCalls.load() - Warm, 0u)
+        << "a call on a warm thread allocated a block of 1 MiB or more";
+  });
+  T.join();
+}
+
 // operator new calls per execution of unreduced serial exploration (the
 // perfbench oracle configuration): 2 threads of 1-3 ops, preemption bound
 // 1, eight generated scenarios per library, every execution verdict-checked.
 // Counted from the end of each exploration's first execution, so the
-// exploration's warm-up (a fresh machine, scheduler and RunState per
-// scenario, and the first execution's frames) is left out; memo inserts,
-// verdicts on memo misses and the storage deeper paths first need are in.
-// Measured (GCC 12, Release): 2.3 per execution (ms_queue) to 5.4
-// (spsc_ring); elim_stack, whose verdicts build a derived graph, reads 4.1
-// since that graph is rebuilt in retained storage (8.8 before). The bound
-// is the largest plus 2. Before frame recycling and retained per-execution
-// storage the same scenarios took 23-59 per execution.
+// exploration's warm-up (the body's RunState, the thread's kit on its first
+// call, and the first execution's frames) is left out; memo inserts,
+// verdicts on memo misses and the snapshot storage deeper paths than any
+// earlier call's first need are in. Measured (GCC 12, Release): 1.05 per
+// execution (exchanger) to 3.79 (spsc_ring); 5.42 for spsc_ring while every
+// call built its own kit and so regrew its snapshot slots. The bound is the
+// largest plus 2. Before frame recycling and retained per-execution storage
+// the same scenarios took 23-59 per execution.
 TEST(AllocBudget, UnreducedExplorationPerExecution) {
-  constexpr double Bound = 7.5;
+  constexpr double Bound = 5.8;
   GenOptions G;
   G.MinThreads = G.MaxThreads = 2;
   G.MinOpsPerThread = 1;

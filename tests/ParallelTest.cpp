@@ -8,8 +8,9 @@
 // covers counterexample surfacing + replay() reproduction, the Workload
 // replay entry point, and the conformance harness (generated scenario
 // workloads and the sweep fingerprint, DESIGN.md §7) across worker counts,
-// and the parked helper threads: reused across calls, shared by
-// concurrent callers, never taken by a one-worker call.
+// the parked helper threads: reused across calls, shared by concurrent
+// callers, never taken by a one-worker call, and the kits each thread
+// keeps from call to call: a warm kit gives a call what a new one gives.
 //
 //===----------------------------------------------------------------------===//
 
@@ -953,4 +954,204 @@ TEST(ParallelEngineAB, EachSubtreeStartsWithItsOnlyRootRun) {
       EXPECT_EQ(S.Perf.RootRuns + S.Perf.CowResumes, S.Executions)
           << Name << " workers=" << Wk;
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Warm kits: a thread keeps its explorer, machine, scheduler and engine from
+// call to call (sim/ParallelExplorer.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Fn on a new thread, which has no kit yet, and returns its result.
+template <typename F> auto onFreshThread(F Fn) {
+  decltype(Fn()) Out;
+  std::thread T([&] { Out = Fn(); });
+  T.join();
+  return Out;
+}
+
+/// \p W with every body's client state tagged by the body that saved it. A
+/// snapshot slot whose client state another body saved must never reach a
+/// body's CowSave: it would be read as the wrong type. Each such slot is
+/// counted into \p Foreign (and replaced, so the run goes on).
+Workload ownSlotsOnly(Workload W,
+                      std::shared_ptr<std::atomic<unsigned>> Foreign) {
+  return Workload(W.options(), [W, Foreign] {
+    struct Tagged {
+      uint64_t Owner;
+      std::shared_ptr<void> Inner;
+    };
+    static std::atomic<uint64_t> NextBody{0};
+    Workload::Body B = W.makeBody();
+    if (!B.CowSave)
+      return B;
+    const uint64_t Id = ++NextBody;
+    B.CowSave = [Id, Foreign,
+                 Save = std::move(B.CowSave)](std::shared_ptr<void> &Slot) {
+      if (!Slot)
+        Slot = std::make_shared<Tagged>(Tagged{Id, nullptr});
+      Tagged &T = *std::static_pointer_cast<Tagged>(Slot);
+      if (T.Owner != Id) {
+        Foreign->fetch_add(1);
+        T = Tagged{Id, nullptr};
+      }
+      Save(T.Inner);
+    };
+    B.CowRestore = [Restore = std::move(B.CowRestore)](
+                       const std::shared_ptr<void> &Slot) {
+      Restore(std::static_pointer_cast<Tagged>(Slot)->Inner);
+    };
+    return B;
+  });
+}
+
+/// A warm kit must give a call what a new one gives: the same core and, at
+/// one worker, the same engine and explorer counters.
+void expectSameCall(const Explorer::Summary &Fresh,
+                    const Explorer::Summary &Warm, const std::string &Name) {
+  EXPECT_TRUE(Fresh.coreEquals(Warm))
+      << Name << "\nfresh: " << Fresh.str() << "\nwarm:  " << Warm.str();
+  EXPECT_EQ(Fresh.Perf.Workers, Warm.Perf.Workers) << Name;
+  if (Fresh.Perf.Workers != 1)
+    return;
+  EXPECT_EQ(Fresh.Perf.StepsExecuted, Warm.Perf.StepsExecuted) << Name;
+  EXPECT_EQ(Fresh.Perf.StepsLogical, Warm.Perf.StepsLogical) << Name;
+  EXPECT_EQ(Fresh.Perf.CowResumes, Warm.Perf.CowResumes) << Name;
+  EXPECT_EQ(Fresh.Perf.RootRuns, Warm.Perf.RootRuns) << Name;
+  EXPECT_EQ(Fresh.Perf.PeakFrontier, Warm.Perf.PeakFrontier) << Name;
+}
+
+/// A generated scenario of the hunting shape, capped at \p Cap executions
+/// at one worker.
+Workload huntingWorkload(check::Lib L, check::Mutation Mut, ReductionMode Red,
+                         uint64_t Cap) {
+  check::Scenario S = check::generateScenario(
+      L, check::scenarioSeed(1, L, 0), check::GenOptions::hunting());
+  return check::makeWorkload(S, Mut, check::scenarioOptions(S, Cap, 1, Red));
+}
+
+} // namespace
+
+TEST(WarmKits, ConsecutiveCallsMatchAFreshThread) {
+  // Calls of different bodies and options, one- and four-worker calls
+  // alternating: scenario, thread count, reduction mode, engine path,
+  // preemption bound, StopOnViolation and execution cap all change from
+  // one call to the next.
+  using check::Lib;
+  using check::Mutation;
+  const std::vector<std::pair<std::string, std::function<Workload()>>>
+      Calls = {
+          {"treiber mutant, unreduced, root replay",
+           [] {
+             Workload W = conformanceWorkload(Lib::TreiberStack,
+                                              Mutation::TreiberRelaxedPopHead,
+                                              13, 1, ReductionMode::None);
+             W.options().Engine = EnginePath::RootReplay;
+             return W;
+           }},
+          {"E2 ms_queue, 4 workers", [] { return msQueueWorkload(4); }},
+          {"MP relaxed, stop on violation",
+           [] {
+             Workload W = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed);
+             W.options().StopOnViolation = true;
+             return W;
+           }},
+          {"conformance ms_queue, 4 workers",
+           [] {
+             return conformanceWorkload(Lib::MsQueue, Mutation::None, 11, 4);
+           }},
+          {"hunting ms_queue, unreduced, capped",
+           [] {
+             return huntingWorkload(Lib::MsQueue, Mutation::None,
+                                    ReductionMode::None, 1500);
+           }},
+          {"SB with violations, 4 workers",
+           [] { return sbWorkload(4, true); }},
+          {"E2 ms_queue, bound 1, capped",
+           [] {
+             Workload W = msQueueWorkload(1);
+             W.options().PreemptionBound = 1;
+             W.options().MaxExecutions = 300;
+             return W;
+           }},
+          {"hunting treiber_ebr mutant, capped",
+           [] {
+             return huntingWorkload(Lib::TreiberEbr,
+                                    Mutation::EbrEarlyUnpin,
+                                    ReductionMode::SourceSet, 1000);
+           }},
+          {"conformance exchanger, 4 workers",
+           [] {
+             return conformanceWorkload(Lib::Exchanger, Mutation::None, 2, 4);
+           }},
+          {"MP seq_cst", [] {
+             return mpWorkload(1, MemOrder::SeqCst, MemOrder::SeqCst);
+           }},
+      };
+  auto Foreign = std::make_shared<std::atomic<unsigned>>(0);
+  std::vector<Explorer::Summary> Fresh;
+  for (const auto &[Name, Make] : Calls)
+    Fresh.push_back(onFreshThread(
+        [&, &Make = Make] { return explore(ownSlotsOnly(Make(), Foreign)); }));
+  // Twice through the list on one thread, so that every call also follows
+  // the calls listed after it.
+  std::vector<Explorer::Summary> Warm = onFreshThread([&] {
+    std::vector<Explorer::Summary> Out;
+    for (int Round = 0; Round != 2; ++Round)
+      for (const auto &Call : Calls)
+        Out.push_back(explore(ownSlotsOnly(Call.second(), Foreign)));
+    return Out;
+  });
+  ASSERT_EQ(Warm.size(), 2 * Calls.size());
+  for (size_t I = 0; I != Warm.size(); ++I)
+    expectSameCall(Fresh[I % Calls.size()], Warm[I],
+                   Calls[I % Calls.size()].first + ", call " +
+                       std::to_string(I));
+  EXPECT_EQ(Foreign->load(), 0u)
+      << "a body was handed client state another body saved";
+  // The list must exercise what it claims to.
+  EXPECT_GT(Fresh[0].Violations, 0u);
+  EXPECT_EQ(Fresh[0].Perf.CowResumes, 0u);
+  EXPECT_EQ(Fresh[2].Violations, 1u);
+  EXPECT_EQ(Fresh[4].Executions, 1500u);
+  EXPECT_GT(Fresh[4].Perf.CowResumes, 0u);
+  EXPECT_EQ(Fresh[6].Executions, 300u);
+  EXPECT_EQ(Fresh[7].Executions, 1000u);
+  EXPECT_GT(Fresh[7].Violations, 0u);
+  EXPECT_EQ(Fresh[1].Perf.Workers, 4u);
+}
+
+TEST(WarmKits, AnExploreInsideACheckLeasesAKitOfItsOwn) {
+  // Every check of the outer call runs a whole call of its own on the
+  // same worker thread, while that worker's kit is in use.
+  const Workload Inner = lastReadWorkload(1);
+  const Explorer::Summary InnerAlone =
+      onFreshThread([&] { return explore(Inner); });
+  for (unsigned Workers : {1u, 4u}) {
+    const Workload Base = mpWorkload(Workers, MemOrder::Relaxed,
+                                     MemOrder::Relaxed);
+    auto Nested = std::make_shared<std::vector<Explorer::Summary>>();
+    auto Mu = std::make_shared<std::mutex>();
+    Workload Outer(Base.options(), [Base, Inner, Nested, Mu] {
+      Workload::Body B = Base.makeBody();
+      B.Check = [Check = std::move(B.Check), Inner, Nested,
+                 Mu](Machine &M, Scheduler &S, Scheduler::RunResult R) {
+        Explorer::Summary Sum = explore(Inner);
+        {
+          std::lock_guard<std::mutex> L(*Mu);
+          Nested->push_back(std::move(Sum));
+        }
+        return Check(M, S, R);
+      };
+      return B;
+    });
+    const std::string Name = "workers=" + std::to_string(Workers);
+    const Explorer::Summary OuterAlone =
+        onFreshThread([&] { return explore(Base); });
+    expectSameCall(OuterAlone, explore(Outer), "outer, " + Name);
+    ASSERT_EQ(Nested->size(), OuterAlone.Executions) << Name;
+    for (const Explorer::Summary &S : *Nested)
+      expectSameCall(InnerAlone, S, "inner, " + Name);
+  }
 }
