@@ -4,6 +4,7 @@
 
 #include "spec/Composition.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace compass;
@@ -197,6 +198,84 @@ void check::verdictKey(const graph::EventGraph &G,
   }
 }
 
+uint64_t check::memoKeyTail(const graph::EventGraph &G,
+                            const std::vector<std::vector<Observed>> &Results,
+                            std::vector<uint64_t> &Tail) {
+  // Bits 63 and 62: neither a commit record (bit 63 clear) nor an so
+  // record (bit 62 clear) starts like this.
+  Tail.clear();
+  Tail.push_back(3ull << 62 | G.size());
+  Tail.push_back(Results.size());
+  for (const std::vector<Observed> &Thread : Results) {
+    Tail.push_back(Thread.size());
+    for (const Observed &O : Thread) {
+      Tail.push_back(uint64_t(O.Code));
+      Tail.push_back(O.Arg);
+      Tail.push_back(O.Result);
+    }
+  }
+  uint64_t H = G.keyHash();
+  for (uint64_t W : Tail)
+    H = graph::keyMix(H, W);
+  return H;
+}
+
+const bool *VerdictMemo::find(const graph::EventGraph &G,
+                              const std::vector<uint64_t> &Tail,
+                              uint64_t Hash) const {
+  if (Table.empty())
+    return nullptr;
+  const std::vector<uint64_t> &Words = G.keyWords();
+  const size_t Len = Words.size() + Tail.size();
+  const size_t Mask = Table.size() - 1;
+  for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+    const Entry &E = Table[I];
+    if (!E.Len)
+      return nullptr;
+    if (E.Hash != Hash || E.Len != Len)
+      continue;
+    const uint64_t *Key = Arena.data() + E.Off;
+    if (std::equal(Words.begin(), Words.end(), Key) &&
+        std::equal(Tail.begin(), Tail.end(), Key + Words.size()))
+      return &E.LinAborted;
+  }
+}
+
+void VerdictMemo::insert(const graph::EventGraph &G,
+                         const std::vector<uint64_t> &Tail, uint64_t Hash,
+                         bool LinAborted) {
+  if (2 * (Count + 1) > Table.size())
+    grow();
+  const std::vector<uint64_t> &Words = G.keyWords();
+  Entry New;
+  New.Hash = Hash;
+  New.Off = Arena.size();
+  New.Len = static_cast<uint32_t>(Words.size() + Tail.size());
+  New.LinAborted = LinAborted;
+  Arena.insert(Arena.end(), Words.begin(), Words.end());
+  Arena.insert(Arena.end(), Tail.begin(), Tail.end());
+  const size_t Mask = Table.size() - 1;
+  size_t I = Hash & Mask;
+  while (Table[I].Len)
+    I = (I + 1) & Mask;
+  Table[I] = New;
+  ++Count;
+}
+
+void VerdictMemo::grow() {
+  std::vector<Entry> Old(std::max<size_t>(64, 2 * Table.size()));
+  Old.swap(Table);
+  const size_t Mask = Table.size() - 1;
+  for (const Entry &E : Old) {
+    if (!E.Len)
+      continue;
+    size_t I = E.Hash & Mask;
+    while (Table[I].Len)
+      I = (I + 1) & Mask;
+    Table[I] = E;
+  }
+}
+
 sim::Explorer::Options check::scenarioOptions(const Scenario &S,
                                               uint64_t MaxExecutions,
                                               unsigned Workers,
@@ -276,16 +355,18 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
     case sim::Scheduler::RunResult::Done:
       break;
     }
-    // The verdict memo (RunState::Passes); failures are always recomputed.
-    verdictKey(St->Mon->graph(), St->Results, St->Key);
+    // The verdict memo (RunState::Memo); failures are always recomputed.
+    // The graph grew its key as it grew, so only the tail is hashed here.
+    const graph::EventGraph &G = St->Mon->graph();
+    const uint64_t Hash = memoKeyTail(G, St->Results, St->KeyTail);
     Verdict V;
-    if (auto Hit = St->Passes.find(St->Key); Hit != St->Passes.end()) {
+    if (const bool *Hit = St->Memo.find(G, St->KeyTail, Hash)) {
       ++St->MemoHits;
-      V.LinAborted = Hit->second;
+      V.LinAborted = *Hit;
     } else {
       V = St->A->verdict(*St->Mon, St->Results, St->Limits, St->Derived);
       if (V.Ok)
-        St->Passes.emplace(St->Key, V.LinAborted);
+        St->Memo.insert(G, St->KeyTail, Hash, V.LinAborted);
     }
     if (V.LinAborted && St->SharedLinAborts)
       St->SharedLinAborts->fetch_add(1, std::memory_order_relaxed);
@@ -296,12 +377,13 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
   // Copy-on-write client state: everything outside the machine and the
   // coroutine frames that threads change after Setup. The monitor's event
   // graph is append-only with an undo journal, so a snapshot is an O(1)
-  // epoch and a restore an O(delta) trim; the per-thread Results and the
-  // library's op-time state are small and copied whole. The verdict
-  // fields are written only at Check time.
+  // epoch and a restore an O(delta) trim. Each thread's Results only grow
+  // within an execution, so a snapshot records their lengths and a
+  // restore truncates to them. The library's op-time state is small and
+  // copied whole. The verdict fields are written only at Check time.
   struct CowState {
     spec::SpecMonitor::Epoch MonEpoch;
-    std::vector<std::vector<Observed>> Results;
+    std::vector<size_t> ResultLens;
     ContainerAdapter::OpState Lib;
   };
   B.CowSave = [St](std::shared_ptr<void> &Slot) {
@@ -309,13 +391,16 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
       Slot = std::make_shared<CowState>();
     auto &C = *std::static_pointer_cast<CowState>(Slot);
     C.MonEpoch = St->Mon->epoch();
-    C.Results = St->Results;
+    C.ResultLens.resize(St->Results.size());
+    for (size_t T = 0; T != St->Results.size(); ++T)
+      C.ResultLens[T] = St->Results[T].size();
     St->A->saveOpState(C.Lib);
   };
   B.CowRestore = [St](const std::shared_ptr<void> &Slot) {
     const auto &C = *std::static_pointer_cast<CowState>(Slot);
     St->Mon->trimToEpoch(C.MonEpoch);
-    St->Results = C.Results;
+    for (size_t T = 0; T != St->Results.size(); ++T)
+      St->Results[T].resize(C.ResultLens[T]);
     St->A->restoreOpState(C.Lib);
   };
   return B;

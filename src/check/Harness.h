@@ -39,7 +39,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <variant>
 
 namespace compass::check {
@@ -105,22 +104,52 @@ private:
 /// each committed event's kind, V1, V2, ObjId, Thread, CommitIdx and
 /// logical view, the so edges in order, and \p Results. Physical views are
 /// left out (no check reads them). Equal keys mean equal inputs, so, for
-/// one scenario, mutation and search budget, equal verdicts.
+/// one scenario, mutation and search budget, equal verdicts. The memo keys
+/// on the graph's incremental key instead (memoKeyTail); this whole-graph
+/// form is the reference tests hold it to.
 void verdictKey(const graph::EventGraph &G,
                 const std::vector<std::vector<Observed>> &Results,
                 std::vector<uint64_t> &Key);
 
-/// Hashes a verdictKey. RunState::Passes also compares keys whole, so a
-/// collision costs a probe, never a wrong verdict.
-struct VerdictKeyHash {
-  size_t operator()(const std::vector<uint64_t> &Key) const {
-    uint64_t H = Key.size();
-    for (uint64_t W : Key) {
-      H = (H ^ W) * 0x9e3779b97f4a7c15ull;
-      H ^= H >> 29;
-    }
-    return H;
-  }
+/// Writes into \p Tail (cleared first) the verdict memo key's tail: \p G's
+/// size and \p Results, after a header word no record of
+/// EventGraph::keyWords() starts with. The memo's key is \p G's key words
+/// followed by the tail; it determines verdictKey and is determined by it.
+/// Returns the whole key's hash: the tail folded onto G.keyHash().
+uint64_t memoKeyTail(const graph::EventGraph &G,
+                     const std::vector<std::vector<Observed>> &Results,
+                     std::vector<uint64_t> &Tail);
+
+/// The verdict memo (DESIGN.md §7): passing verdicts' keys (a graph's key
+/// words plus memoKeyTail's tail), each mapped to its LinAborted bit, in a
+/// flat open-addressing table over one key arena. A lookup probes by the
+/// key's hash and compares the whole key on a hash match, so a collision
+/// costs a comparison, never a wrong verdict.
+class VerdictMemo {
+public:
+  /// The stored LinAborted bit of the key \p G, \p Tail with hash \p Hash,
+  /// or nullptr when the key is not stored.
+  const bool *find(const graph::EventGraph &G,
+                   const std::vector<uint64_t> &Tail, uint64_t Hash) const;
+
+  /// Stores the key (not already stored) with \p LinAborted.
+  void insert(const graph::EventGraph &G, const std::vector<uint64_t> &Tail,
+              uint64_t Hash, bool LinAborted);
+
+private:
+  struct Entry {
+    uint64_t Hash = 0;
+    size_t Off = 0;     ///< The key's first word in Arena.
+    uint32_t Len = 0;   ///< Key words; 0 marks an empty entry.
+    bool LinAborted = false;
+  };
+
+  /// Doubles the table (at least 64 entries), re-placing every entry.
+  void grow();
+
+  std::vector<Entry> Table; ///< A power of two in size, at most half full.
+  size_t Count = 0;
+  std::vector<uint64_t> Arena; ///< Every stored key, one after another.
 };
 
 /// Per-body state shared between the workload closures and the caller;
@@ -146,13 +175,12 @@ struct RunState {
   /// (see makeWorkload).
   std::shared_ptr<std::atomic<uint64_t>> SharedLinAborts;
 
-  /// The verdict memo (DESIGN.md §7): each passing verdict's verdictKey,
-  /// mapped to its LinAborted bit. Failures are never stored. The table
-  /// lives as long as this body (one worker, one scenario) and is not
-  /// checkpointed.
-  std::unordered_map<std::vector<uint64_t>, bool, VerdictKeyHash> Passes;
-  std::vector<uint64_t> Key; ///< verdictKey's buffer, reused.
-  uint64_t MemoHits = 0;     ///< Checks answered from Passes.
+  /// The verdict memo (DESIGN.md §7) of passing verdicts. Failures are
+  /// never stored. It lives as long as this body (one worker, one
+  /// scenario) and is not checkpointed.
+  VerdictMemo Memo;
+  std::vector<uint64_t> KeyTail; ///< memoKeyTail's buffer, reused.
+  uint64_t MemoHits = 0;         ///< Checks answered from Memo.
   /// The elimination stack's derived graph, rebuilt by each verdict in
   /// place (ContainerAdapter::verdict).
   graph::EventGraph Derived;

@@ -32,6 +32,24 @@ void EventGraph::commit(EventId Id) {
   UndoLog.push_back(Id);
   Order.push_back(Id);
   objOrder(E.ObjId).push_back(Id);
+  appendKey(Id);
+}
+
+void EventGraph::appendKey(EventId Id) {
+  // Bit 32 marks a commit record's first word and bit 63 an so record's,
+  // so no record starts like another.
+  const Event &E = Events[Id];
+  const std::vector<uint64_t> &View = E.LogView.words();
+  size_t N = View.size();
+  while (N && !View[N - 1])
+    --N;
+  addKeyWord(uint64_t(E.Kind) << 33 | 1ull << 32 | E.CommitIdx);
+  addKeyWord(uint64_t(E.ObjId) << 32 | E.Thread);
+  addKeyWord(E.V1);
+  addKeyWord(E.V2);
+  addKeyWord(uint64_t(Id) << 32 | N);
+  for (size_t I = 0; I != N; ++I)
+    addKeyWord(View[I]);
 }
 
 void EventGraph::commit(EventId Id, Event E) {
@@ -65,6 +83,8 @@ void EventGraph::trimToEpoch(const Epoch &E) {
   UndoLog.resize(E.UndoMark);
   States.resize(E.NumEvents, State::Reserved);
   So.resize(E.NumSo);
+  KeyWords.resize(E.KeyLen);
+  KeyHash = E.KeyHash;
   NextCommitIdx = E.NextCommit;
 }
 
@@ -87,6 +107,7 @@ void EventGraph::commitRaw(EventId Id) {
   if (E.CommitIdx >= NextCommitIdx)
     NextCommitIdx = E.CommitIdx + 1;
   insertOrdered(Id);
+  appendKey(Id);
 }
 
 std::vector<EventId> &EventGraph::objOrder(unsigned ObjId) {
@@ -109,6 +130,8 @@ void EventGraph::addSo(EventId From, EventId To) {
   if (!isCommitted(From) || !isCommitted(To))
     fatalError("so edge between uncommitted events");
   So.push_back({From, To});
+  addKeyWord(1ull << 63 | From);
+  addKeyWord(To);
 }
 
 bool EventGraph::isCommitted(EventId Id) const {

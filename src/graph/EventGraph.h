@@ -34,6 +34,12 @@
 
 namespace compass::graph {
 
+/// Folds \p W into the running key hash \p H (EventGraph::keyHash).
+inline uint64_t keyMix(uint64_t H, uint64_t W) {
+  H = (H ^ W) * 0x9e3779b97f4a7c15ull;
+  return H ^ (H >> 29);
+}
+
 /// A pair in the synchronized-with relation; for container objects the
 /// first component is the producing event (Enq/Push) and the second the
 /// consuming one (DeqOk/PopOk); for exchangers so-pairs come in both
@@ -57,6 +63,8 @@ public:
   void reset() {
     States.clear();
     So.clear();
+    KeyWords.clear();
+    KeyHash = 0;
     UndoLog.clear();
     NextCommitIdx = 0;
     Order.clear();
@@ -73,10 +81,13 @@ public:
     size_t NumSo = 0;
     uint32_t NextCommit = 0;
     size_t UndoMark = 0;
+    size_t KeyLen = 0;
+    uint64_t KeyHash = 0;
   };
 
   Epoch epoch() const {
-    return {States.size(), So.size(), NextCommitIdx, UndoLog.size()};
+    return {States.size(), So.size(), NextCommitIdx,
+            UndoLog.size(), KeyWords.size(), KeyHash};
   }
 
   /// Rewinds to \p E: ids reserved after the mark are dropped; ids
@@ -132,6 +143,16 @@ public:
 
   const std::vector<SoEdge> &so() const { return So; }
 
+  /// The verdict memo's key of this graph (DESIGN.md §7), grown as the
+  /// graph grows: each commit appends its event's words (kind, commit
+  /// index, object, thread, values, id and logical view, trailing zero
+  /// view words dropped), each so edge its two ends, and keyHash() folds
+  /// every word in (keyMix). Records are self-delimiting, so equal words
+  /// mean an equal sequence of commits and so edges. An epoch rewinds
+  /// both; physical views are left out.
+  const std::vector<uint64_t> &keyWords() const { return KeyWords; }
+  uint64_t keyHash() const { return KeyHash; }
+
   /// Local happens-before: e != d, both committed, and e is in d's logical
   /// view (Section 3.1's `(e, d) ∈ G.lhb`).
   bool lhb(EventId E, EventId D) const;
@@ -179,10 +200,19 @@ private:
   /// Adds committed \p Id to the commit-order lists at its CommitIdx.
   void insertOrdered(EventId Id);
 
+  /// Appends committed \p Id's key record (see keyWords()).
+  void appendKey(EventId Id);
+  void addKeyWord(uint64_t W) {
+    KeyWords.push_back(W);
+    KeyHash = keyMix(KeyHash, W);
+  }
+
   std::vector<Event> Events;  ///< Slots; [0, size()) are live, the rest
                               ///< is retained storage.
   std::vector<State> States;  ///< One per live id.
   std::vector<SoEdge> So;
+  std::vector<uint64_t> KeyWords; ///< See keyWords().
+  uint64_t KeyHash = 0;
   uint32_t NextCommitIdx = 0;
   /// Ids whose state left Reserved (commit or retract), in order; popping
   /// one reverts the id to Reserved. Truncations handle everything else.

@@ -5,6 +5,8 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <type_traits>
+#include <utility>
 
 using namespace compass;
 using namespace compass::rmc;
@@ -43,11 +45,31 @@ void Machine::ThreadState::clear() {
   PinSession = 0;
 }
 
+void Machine::ThreadState::copyFrom(const ThreadState &O) {
+  Cur = O.Cur;
+  Acq = O.Acq;
+  RelFence = O.RelFence;
+  if (Rel.size() < O.RelLive)
+    Rel.resize(O.RelLive);
+  for (size_t I = 0; I != O.RelLive; ++I) {
+    Rel[I].L = O.Rel[I].L;
+    Rel[I].K = O.Rel[I].K;
+  }
+  RelLive = O.RelLive;
+  HasRead = O.HasRead;
+  LastReadTs = O.LastReadTs;
+  Pinned = O.Pinned;
+  PinSession = O.PinSession;
+}
+
 unsigned Machine::addThread() {
-  if (LiveThreads < Threads.size())
+  if (LiveThreads < Threads.size()) {
     Threads[LiveThreads].clear();
-  else
+    Saved[LiveThreads].Changed = true;
+  } else {
     Threads.emplace_back();
+    Saved.emplace_back();
+  }
   return static_cast<unsigned>(LiveThreads++);
 }
 
@@ -55,6 +77,7 @@ void Machine::reset() {
   Mem.reset();
   LiveThreads = 0;
   ScPhys.clear();
+  ScSaved.Changed = true;
   Raced = false;
   RaceMsg.clear();
   FaultRule = "RACE";
@@ -63,61 +86,71 @@ void Machine::reset() {
   RfFloorOn = false;
   RfFloorEmpty = false;
   // OpSeqN is monotonic across resets by design; Tracing is sticky (its
-  // enabler re-asserts it per run).
+  // enabler re-asserts it per run). The snapshot copies stay: a root run
+  // below live snapshots marks every thread changed (addThread), and the
+  // next save drops the copies of the levels it reuses.
 }
 
 //===----------------------------------------------------------------------===//
 // Copy-on-write support
 //===----------------------------------------------------------------------===//
 
-void Machine::saveSnapshot(Snap &S) const {
-  S.LiveThreads = LiveThreads;
-  if (S.Threads.size() < LiveThreads)
-    S.Threads.resize(LiveThreads);
-  for (size_t T = 0; T != LiveThreads; ++T) {
-    const ThreadState &TS = Threads[T];
-    ThreadSnap &Out = S.Threads[T];
-    Out.Cur = TS.Cur;
-    Out.Acq = TS.Acq;
-    Out.RelFence = TS.RelFence;
-    if (Out.Rel.size() < TS.RelLive)
-      Out.Rel.resize(TS.RelLive);
-    for (size_t I = 0; I != TS.RelLive; ++I) {
-      Out.Rel[I].first = TS.Rel[I].L;
-      Out.Rel[I].second = TS.Rel[I].K;
-    }
-    Out.RelLive = TS.RelLive;
-    Out.HasRead = TS.HasRead;
-    Out.LastReadTs = TS.LastReadTs;
-    Out.Pinned = TS.Pinned;
-    Out.PinSession = TS.PinSession;
+template <typename T>
+bool Machine::CopyStack<T>::save(unsigned Level, const T &Now) {
+  while (Live && Entries[Live - 1].Level >= Level)
+    --Live;
+  assert((Changed || Live) && "unchanged state with no copy below the level");
+  if (!Changed)
+    return false;
+  if (Live == Entries.size())
+    Entries.emplace_back();
+  Entry &E = Entries[Live++];
+  E.Level = Level;
+  if constexpr (std::is_same_v<T, View>)
+    E.Copy = Now;
+  else
+    E.Copy.copyFrom(Now);
+  Changed = false;
+  return true;
+}
+
+template <typename T>
+bool Machine::CopyStack<T>::restore(unsigned Level, T &Now) {
+  // A copy above the level means Now changed after the level was saved.
+  bool Copy = Changed;
+  while (Live && Entries[Live - 1].Level > Level) {
+    --Live;
+    Copy = true;
   }
-  S.ScPhys = ScPhys;
+  Changed = false;
+  if (!Copy)
+    return false;
+  assert(Live && "no copy at or below a live snapshot's level");
+  if constexpr (std::is_same_v<T, View>)
+    Now = Entries[Live - 1].Copy;
+  else
+    Now.copyFrom(Entries[Live - 1].Copy);
+  return true;
+}
+
+void Machine::saveSnapshot(Snap &S, unsigned Level) {
+  S.Level = Level;
+  S.LiveThreads = LiveThreads;
   S.MemEpoch = Mem.epoch();
+  unsigned Copies = ScSaved.save(Level, ScPhys);
+  for (size_t T = 0; T != LiveThreads; ++T)
+    Copies += Saved[T].save(Level, Threads[T]);
+  LastCopies = Copies;
 }
 
 void Machine::restoreSnapshot(const Snap &S) {
   if (LiveThreads != S.LiveThreads)
     fatalError("copy-on-write restore: thread count diverged from snapshot");
-  for (size_t T = 0; T != LiveThreads; ++T) {
-    const ThreadSnap &In = S.Threads[T];
-    ThreadState &TS = Threads[T];
-    TS.Cur = In.Cur;
-    TS.Acq = In.Acq;
-    TS.RelFence = In.RelFence;
-    if (TS.Rel.size() < In.RelLive)
-      TS.Rel.resize(In.RelLive);
-    for (size_t I = 0; I != In.RelLive; ++I) {
-      TS.Rel[I].L = In.Rel[I].first;
-      TS.Rel[I].K = In.Rel[I].second;
-    }
-    TS.RelLive = In.RelLive;
-    TS.HasRead = In.HasRead;
-    TS.LastReadTs = In.LastReadTs;
-    TS.Pinned = In.Pinned;
-    TS.PinSession = In.PinSession;
-  }
-  ScPhys = S.ScPhys;
+  Mem.trimToEpoch(S.MemEpoch);
+  unsigned Copies = ScSaved.restore(S.Level, ScPhys);
+  for (size_t T = 0; T != LiveThreads; ++T)
+    Copies += Saved[T].restore(S.Level, Threads[T]);
+  LastCopies = Copies;
   // A snapshot boundary is a step the execution passed without a pending
   // fault, so fault state restores to the constant no-fault value.
   Raced = false;
@@ -125,9 +158,49 @@ void Machine::restoreSnapshot(const Snap &S) {
   FaultRule = "RACE";
 }
 
+uint64_t Machine::stateDigest() const {
+  uint64_t H = LiveThreads;
+  auto Mix = [&H](uint64_t W) {
+    H = (H ^ W) * 0x9e3779b97f4a7c15ull;
+    H ^= H >> 29;
+  };
+  const Loc NumLocs = Mem.size();
+  auto MixView = [&](const View &V) {
+    for (Loc L = 0; L != NumLocs; ++L)
+      Mix(V.get(L));
+  };
+  auto MixKnow = [&](const Knowledge &K) {
+    MixView(K.Phys);
+    const std::vector<uint64_t> &W = K.Events.words();
+    size_t N = W.size();
+    while (N && !W[N - 1])
+      --N;
+    Mix(N);
+    for (size_t I = 0; I != N; ++I)
+      Mix(W[I]);
+  };
+  MixView(ScPhys);
+  for (size_t T = 0; T != LiveThreads; ++T) {
+    const ThreadState &TS = Threads[T];
+    MixKnow(TS.Cur);
+    MixKnow(TS.Acq);
+    MixKnow(TS.RelFence);
+    Mix(TS.RelLive);
+    for (size_t I = 0; I != TS.RelLive; ++I) {
+      Mix(TS.Rel[I].L);
+      MixKnow(TS.Rel[I].K);
+    }
+    Mix(TS.HasRead ? uint64_t(TS.LastReadTs) + 1 : 0);
+    Mix(TS.Pinned);
+    Mix(TS.PinSession);
+  }
+  return H;
+}
+
 Machine::ThreadState &Machine::thread(unsigned T) {
   if (T >= LiveThreads)
     fatalError("unknown thread id");
+  Saved[T].Changed = true;
   return Threads[T];
 }
 
@@ -227,12 +300,13 @@ Timestamp Machine::applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
 Value Machine::load(unsigned T, Loc L, MemOrder O) {
   noteOp(L, Footprint::Kind::Read, O == MemOrder::SeqCst,
          O != MemOrder::NonAtomic);
-  ThreadState &TS = thread(T);
+  // Read-only until the choice (see thread() in Machine.h).
+  const ThreadState &Seen = std::as_const(*this).thread(T);
   const Cell &C = Mem.cell(L);
   checkNotFreed(T, L, "load");
 
   if (O == MemOrder::NonAtomic) {
-    if (TS.Cur.Phys.get(L) != C.latestTs())
+    if (Seen.Cur.Phys.get(L) != C.latestTs())
       reportRace(T, L, "non-atomic read");
     COMPASS_TRACE(T, "ld.na " + Mem.cellName(L) + " -> " +
                          std::to_string(C.latestVal()));
@@ -242,7 +316,7 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
   // No view changes before the choice (see Machine.h): an SC read's floor
   // includes the SC view, which applyRead joins after the choice.
   const bool Sc = O == MemOrder::SeqCst;
-  const Timestamp From = readFloor(TS, L, Sc);
+  const Timestamp From = readFloor(Seen, L, Sc);
   const unsigned NFull = Mem.countReadableFrom(L, From);
   unsigned N = NFull;
   // A pending reads-from floor (source-set restricted re-run) cuts the old
@@ -258,9 +332,10 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
   unsigned Pick = NFull == 1 ? 0 : Choices.choose(NFull, N, ChoiceKind::Load);
   // Choice 0 reads the newest message; choice N-1 the oldest readable.
   Timestamp Ts = C.latestTs() - Pick;
+  ThreadState &TS = thread(T);
   applyRead(TS, L, C, Ts, O, Sc);
   if (Sc)
-    ScPhys.joinWith(TS.Cur.Phys);
+    scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("ld.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " -> " +
                        std::to_string(C.val(Ts)) + " @t" +
@@ -272,13 +347,12 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
                          const ValuePred &Pred) {
   noteOp(L, Footprint::Kind::Read, O == MemOrder::SeqCst,
          O != MemOrder::NonAtomic);
-  ThreadState &TS = thread(T);
   const Cell &C = Mem.cell(L);
   checkNotFreed(T, L, "conditional load");
   assert(O != MemOrder::NonAtomic && "conditional loads must be atomic");
 
   const bool Sc = O == MemOrder::SeqCst;
-  const Timestamp From = readFloor(TS, L, Sc);
+  const Timestamp From = readFloor(T, L, Sc);
   // Collect readable messages satisfying the predicate, newest first.
   SmallVec<Timestamp, 16> &Candidates = CandScratch;
   Candidates.clear();
@@ -315,9 +389,10 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
   if (!RestrictedEmpty && NumFull > 1)
     Pick = Choices.choose(NumFull, NumChoices, ChoiceKind::LoadWhere);
   Timestamp Ts = Candidates[Pick];
+  ThreadState &TS = thread(T);
   applyRead(TS, L, C, Ts, O, Sc);
   if (Sc)
-    ScPhys.joinWith(TS.Cur.Phys);
+    scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("ld-wait.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " -> " +
                        std::to_string(C.val(Ts)) + " @t" +
@@ -356,7 +431,7 @@ void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
   bool Release = isRelease(O);
   applyWrite(T, TS, L, V, Release ? TS.Cur : relView(TS, L), Release);
   if (O == MemOrder::SeqCst)
-    ScPhys.joinWith(TS.Cur.Phys);
+    scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("st.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " := " + std::to_string(V));
 }
@@ -365,13 +440,12 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
                                 Value Desired, MemOrder SuccO,
                                 MemOrder FailO) {
   const bool Sc = SuccO == MemOrder::SeqCst || FailO == MemOrder::SeqCst;
-  ThreadState &TS = thread(T);
   const Cell &C = Mem.cell(L);
   checkNotFreed(T, L, "compare-and-swap");
   assert(SuccO != MemOrder::NonAtomic && FailO != MemOrder::NonAtomic &&
          "CAS must be atomic");
 
-  const Timestamp From = readFloor(TS, L, Sc);
+  const Timestamp From = readFloor(T, L, Sc);
   Timestamp Latest = C.latestTs();
 
   // Alternative 0 (when available): succeed against the mo-maximal message.
@@ -412,6 +486,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
           ? 0
           : Choices.choose(NumAllFull, NumAlternatives, ChoiceKind::Cas);
 
+  ThreadState &TS = thread(T);
   if (CanSucceed && Pick == 0) {
     noteOp(L, Footprint::Kind::Update, Sc, /*Atomic=*/true);
     applyRead(TS, L, C, Latest, SuccO, Sc);
@@ -421,7 +496,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
     MsgScratch.joinWith(isRelease(SuccO) ? TS.Cur : relView(TS, L));
     applyWrite(T, TS, L, Desired, MsgScratch, isRelease(SuccO));
     if (SuccO == MemOrder::SeqCst)
-      ScPhys.joinWith(TS.Cur.Phys);
+      scMut().joinWith(TS.Cur.Phys);
     COMPASS_TRACE(T, std::string("cas.") + memOrderName(SuccO) + " " +
                          Mem.cellName(L) + " " + std::to_string(Expected) +
                          " -> " + std::to_string(Desired) + " ok");
@@ -433,7 +508,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
   Timestamp RTs = FailTs[Pick - (CanSucceed ? 1 : 0)];
   applyRead(TS, L, C, RTs, FailO, Sc);
   if (FailO == MemOrder::SeqCst)
-    ScPhys.joinWith(TS.Cur.Phys);
+    scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("cas.") + memOrderName(FailO) + " " +
                        Mem.cellName(L) + " exp " +
                        std::to_string(Expected) + " saw " +
@@ -460,7 +535,7 @@ Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
   MsgScratch.joinWith(isRelease(O) ? TS.Cur : relView(TS, L));
   applyWrite(T, TS, L, Old + Add, MsgScratch, isRelease(O));
   if (O == MemOrder::SeqCst)
-    ScPhys.joinWith(TS.Cur.Phys);
+    scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("faa.") + memOrderName(O) + " " +
                        Mem.cellName(L) + " " + std::to_string(Old) +
                        " += " + std::to_string(Add));
@@ -485,7 +560,7 @@ void Machine::fence(unsigned T, MemOrder O) {
     TS.Cur.joinWith(TS.Acq);
     TS.Cur.Phys.joinWith(ScPhys);
     TS.Acq.Phys.joinWith(ScPhys);
-    ScPhys = TS.Cur.Phys;
+    scMut() = TS.Cur.Phys;
     TS.RelFence = TS.Cur;
     break;
   default:

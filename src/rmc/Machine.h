@@ -44,6 +44,7 @@
 #include <functional>
 #include <new>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -122,7 +123,7 @@ public:
   uint64_t opSeq() const { return OpSeqN; }
 
   /// Allocates \p Count cells initialized to \p Init; see Memory::alloc.
-  Loc alloc(const std::string &Name, unsigned Count = 1, Value Init = 0) {
+  Loc alloc(std::string_view Name, unsigned Count = 1, Value Init = 0) {
     return Mem.alloc(Name, Count, Init);
   }
 
@@ -237,39 +238,41 @@ public:
   // state of the step that makes it.
   //===--------------------------------------------------------------------===//
 
-  /// Deep snapshot of one thread's view state (storage recycled across
-  /// snapshots via capacity-reusing assignment).
-  struct ThreadSnap {
-    Knowledge Cur, Acq, RelFence;
-    std::vector<std::pair<Loc, Knowledge>> Rel;
-    size_t RelLive = 0;
-    bool HasRead = false;
-    Timestamp LastReadTs = 0;
-    bool Pinned = false;
-    uint64_t PinSession = 0;
-  };
-
-  /// Snapshot of the whole machine at a step boundary. Memory is captured
-  /// as an O(1) epoch (undo-log marks), not a copy.
+  /// A snapshot of the machine at a step boundary: a level on the
+  /// machine's snapshot stack plus the memory's O(1) epoch (undo-log
+  /// marks). The machine keeps the thread and SC-view copies itself, one
+  /// stack each, and copies a thread only at a level where it had changed
+  /// since the previous save or restore (see saveSnapshot).
   struct Snap {
-    std::vector<ThreadSnap> Threads;
+    unsigned Level = 0;
     size_t LiveThreads = 0;
-    View ScPhys;
     Memory::Epoch MemEpoch;
   };
 
-  /// Captures the machine into \p S, reusing its storage. Taken at a
-  /// choice, it is the loop-top state of the step making the choice (see
-  /// the section comment).
-  void saveSnapshot(Snap &S) const;
+  /// Captures the machine into \p S at stack level \p Level: the
+  /// copy-on-write engine's slot index, one above the previous live
+  /// snapshot on the DFS path (copies at \p Level or above belong to
+  /// snapshots the engine has dropped and are discarded). Copies only the
+  /// threads, and the SC view, modified since the previous save or
+  /// restore. Taken at a choice, it is the loop-top state of the step
+  /// making the choice (see the section comment).
+  void saveSnapshot(Snap &S, unsigned Level);
 
-  /// Restores thread/SC state from \p S (memory is rewound separately via
-  /// Memory::trimToEpoch) and clears the fault flags — a snapshot is only
-  /// ever taken at a boundary the execution passed, where no fault was
-  /// pending.
+  /// Rewinds the machine to \p S, a live snapshot: trims memory to its
+  /// epoch, drops the copies of deeper levels, copies back only the
+  /// threads (and the SC view) modified since \p S was taken, and clears
+  /// the fault flags — a snapshot is only ever taken at a boundary the
+  /// execution passed, where no fault was pending.
   void restoreSnapshot(const Snap &S);
 
-  Memory &memoryMut() { return Mem; }
+  /// Threads (and the SC view, counted as one more) copied by the last
+  /// saveSnapshot or restoreSnapshot call.
+  unsigned lastSnapshotCopies() const { return LastCopies; }
+
+  /// A hash of every live thread's views, release map, last read and pin
+  /// state, and of the SC view, over the allocated locations. Equal states
+  /// give equal digests; tests compare execution paths by it.
+  uint64_t stateDigest() const;
 
   /// Whether per-operation tracing is on. An exploration engine turns it
   /// off when it binds (sim/Engine.h): a resumed execution would lack its
@@ -348,8 +351,37 @@ private:
 
     /// Empties the state while keeping all backing storage.
     void clear();
+
+    /// Copies \p O's live state into this one, reusing storage (release
+    /// entries past O's watermark are not copied).
+    void copyFrom(const ThreadState &O);
   };
 
+  /// Copies of one thread's state, or of the SC view, taken at the
+  /// snapshot levels of the DFS path where it had changed, deepest last:
+  /// [0, Live) are live, the rest retained storage. Its value at a live
+  /// snapshot is the last copy at or below that snapshot's level.
+  template <typename T> struct CopyStack {
+    struct Entry {
+      unsigned Level = 0;
+      T Copy;
+    };
+    std::vector<Entry> Entries;
+    size_t Live = 0;
+    bool Changed = true; ///< Modified since the last save or restore.
+
+    /// Drops copies at \p Level or above, then copies \p Now at
+    /// \p Level if it changed; returns whether it copied.
+    bool save(unsigned Level, const T &Now);
+    /// Drops copies above \p Level and copies the last one left back into
+    /// \p Now if \p Now changed since it; returns whether it copied.
+    bool restore(unsigned Level, T &Now);
+  };
+
+  /// Thread \p T's state. The mutable access marks the thread changed for
+  /// the next snapshot, so an operation that chooses takes it only after
+  /// its choice: a snapshot taken at the choice must be the last save
+  /// before the operation's changes, not after them.
   ThreadState &thread(unsigned T);
   const ThreadState &thread(unsigned T) const;
 
@@ -358,6 +390,12 @@ private:
   Timestamp readFloor(const ThreadState &TS, Loc L, bool Sc) const {
     const Timestamp From = TS.Cur.Phys.get(L);
     return Sc ? std::max(From, ScPhys.get(L)) : From;
+  }
+
+  /// The SC view, for an operation about to change it.
+  View &scMut() {
+    ScSaved.Changed = true;
+    return ScPhys;
   }
 
   /// Applies the read-side view effects of reading the message at \p Ts
@@ -409,6 +447,9 @@ private:
   std::vector<ThreadState> Threads; ///< [0, LiveThreads) are registered;
                                     ///< the rest is retained storage.
   size_t LiveThreads = 0;
+  /// Snapshot copies, one stack per entry of Threads (see saveSnapshot).
+  /// A mutable thread() access marks its thread changed.
+  std::vector<CopyStack<ThreadState>> Saved;
 
   /// Global SC view (fences and SeqCst accesses) — *physical only*.
   /// RC11's happens-before orders two SC fences' surroundings only when a
@@ -417,6 +458,8 @@ private:
   /// itself would over-approximate lhb and make the empty-consume axioms
   /// spuriously demanding (observed on the Chase-Lev deque).
   View ScPhys;
+  CopyStack<View> ScSaved; ///< Snapshot copies of ScPhys; see scMut().
+  unsigned LastCopies = 0; ///< See lastSnapshotCopies().
   bool Raced = false;
   std::string RaceMsg;
   const char *FaultRule = "RACE"; ///< Rule of the recorded fault.

@@ -9,7 +9,7 @@
 using namespace compass;
 using namespace compass::rmc;
 
-Loc Memory::alloc(const std::string &Name, unsigned Count, Value Init) {
+Loc Memory::alloc(std::string_view Name, unsigned Count, Value Init) {
   assert(Count >= 1 && "allocating zero cells");
   Loc Base = static_cast<Loc>(Live);
   for (unsigned I = 0; I != Count; ++I) {
@@ -20,7 +20,7 @@ Loc Memory::alloc(const std::string &Name, unsigned Count, Value Init) {
       // usually matches and the compare avoids a string assignment.
       Cell &C = Cells[Live];
       if (C.Name != Name)
-        C.Name = Name;
+        C.Name.assign(Name);
       C.Off = Count == 1 ? ~0u : I;
       C.Life = CellLife::Live;
       C.RetirePins.clear();
@@ -36,7 +36,7 @@ Loc Memory::alloc(const std::string &Name, unsigned Count, Value Init) {
       }
     } else {
       Cell C;
-      C.Name = Name;
+      C.Name.assign(Name);
       C.Off = Count == 1 ? ~0u : I;
       C.Vals.push_back(Init);
       C.Knows.emplace_back();

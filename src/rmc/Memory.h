@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace compass::rmc {
@@ -91,8 +92,10 @@ class Memory {
 public:
   /// Allocates \p Count fresh cells, named Name, Name+1, ... Each starts
   /// with an initial message at timestamp 0 holding \p Init and empty
-  /// knowledge (everyone can read it). Returns the first location.
-  Loc alloc(const std::string &Name, unsigned Count = 1, Value Init = 0);
+  /// knowledge (everyone can read it). Returns the first location. A
+  /// retained cell keeps its name string and is assigned \p Name only
+  /// when that differs, so a steady-state allocation builds no string.
+  Loc alloc(std::string_view Name, unsigned Count = 1, Value Init = 0);
 
   /// Number of allocated (live) cells.
   unsigned size() const { return static_cast<unsigned>(Live); }

@@ -57,7 +57,7 @@ void Engine::onSnapshot(size_t NodeIndex) {
   // before its choice, the operation is the first thing its resumed frame
   // runs, and the scheduler keeps the running thread's loop-top record.
   // The divergent sibling re-executes the whole step.
-  M.saveSnapshot(Slot.MSnap);
+  M.saveSnapshot(Slot.MSnap, static_cast<unsigned>(Depth - 1));
   S.saveBoundary(Slot.SBound);
   if (Red)
     Slot.RBound = Red->boundary();
@@ -81,14 +81,20 @@ void Engine::rootSetup() {
 }
 
 void Engine::resumeFrom(const SnapSlot &Slot) {
-  Frames.restore(FrameBytes.data() + Slot.FrameOff, Slot.FrameLen);
+  // The previous execution passed this slot's loop top. If it ran no step
+  // since, it stopped at the slot's own pick (a sleep-blocked sibling):
+  // the frames, the machine, memory and the client state are as the
+  // snapshot left them, and only the loop-top state the pick changed
+  // goes back.
+  if (S.steps() != Slot.SBound.Steps) {
+    Frames.restore(FrameBytes.data() + Slot.FrameOff, Slot.FrameLen);
+    M.restoreSnapshot(Slot.MSnap);
+    if (Body->CowRestore)
+      Body->CowRestore(Slot.Client);
+  }
   S.restoreBoundary(Slot.SBound);
-  M.memoryMut().trimToEpoch(Slot.MSnap.MemEpoch);
-  M.restoreSnapshot(Slot.MSnap);
   if (Red)
     Red->restore(Slot.RBound);
-  if (Body->CowRestore)
-    Body->CowRestore(Slot.Client);
   // The decisions before the boundary are already on the tree path; skip
   // their replay but credit their per-kind statistics so the summary core
   // stays engine-path independent.

@@ -10,8 +10,8 @@
 /// protocol between an Explorer and a Machine/Scheduler pair (DESIGN.md
 /// Section 11). An engine belongs to one thread's exploration kit and
 /// outlives the calls it serves: each call binds it to the call's body and
-/// unbinds it at the end, and the frame arena, the snapshot slots' views
-/// and thread records and the byte stack stay with the engine from call to
+/// unbinds it at the end, and the frame arena, the snapshot slots'
+/// thread records and the byte stack stay with the engine from call to
 /// call.
 ///
 /// Classic stateless model checking re-executes every explored execution
@@ -19,16 +19,21 @@
 /// even when it shares a d-1 prefix with its predecessor. This engine
 /// instead snapshots the simulation at every fresh multi-alternative
 /// decision node and keeps the snapshots on a stack mirroring the DFS
-/// path. A snapshot is a Machine::Snap (thread views plus an O(1) memory
-/// epoch), a Scheduler::Boundary (counters and every thread's loop-top
-/// record), the reduction's sleep state, the body's client state
-/// (Workload::Body::CowSave) and the used bytes of the engine's coroutine
-/// frame arena (sim/Task.h), pushed onto one byte stack. When the explorer
-/// backtracks to a node, the engine rewinds: memory is trimmed to the
-/// node's epoch via the undo logs, and everything else is copied back —
-/// the frames to the same addresses, so the scheduler's pending handles
-/// stay valid. Neither Setup nor any step of the shared prefix runs
-/// again; only the divergent suffix executes.
+/// path. A snapshot is a Machine::Snap (a level on the machine's
+/// per-thread copy stacks, which copy only the threads changed since the
+/// previous save, plus an O(1) memory epoch), a Scheduler::Boundary
+/// (counters and every thread's loop-top record), the reduction's sleep
+/// state, the body's client state (Workload::Body::CowSave) and the used
+/// bytes of the engine's coroutine frame arena (sim/Task.h), pushed onto
+/// one byte stack. When the explorer backtracks to a node, the engine
+/// rewinds: memory is trimmed to the node's epoch via the undo logs, the
+/// threads changed since the snapshot are copied back, and so is
+/// everything else — the frames to the same addresses, so the
+/// scheduler's pending handles stay valid. Neither Setup nor any step of
+/// the shared prefix runs again; only the divergent suffix executes. A
+/// resume right after an execution that stopped at the node's own pick
+/// (no step ran since) restores only the scheduler's and the reduction's
+/// loop-top state.
 ///
 /// The engine is observationally identical to root replay: summaries,
 /// per-tag statistics, sweep fingerprints and first-violation traces are
@@ -120,8 +125,8 @@ private:
   /// One snapshot on the DFS-path stack: everything needed to resume the
   /// simulation right before the decision at NodeIndex. Slots are pooled
   /// in a watermarked vector so steady-state exploration reuses their
-  /// heap storage (views and thread records across calls, client state
-  /// within one) instead of reallocating.
+  /// heap storage (thread records across calls, client state within one)
+  /// instead of reallocating.
   struct SnapSlot {
     size_t NodeIndex = 0;
     rmc::Machine::Snap MSnap;

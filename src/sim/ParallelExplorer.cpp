@@ -49,15 +49,17 @@ struct SharedState {
   std::atomic<uint64_t> PeakQueue{0};
   std::atomic<uint64_t> Donations{0};
 
-  /// Global execution budget (Options::MaxExecutions), claimed one ticket
-  /// per execution so a run performs exactly as many executions at any
-  /// worker count. Seeded with the resumed snapshot's executed base so the
-  /// budget (and InterruptAtExecs) stay global across segments.
-  std::atomic<uint64_t> Tickets{0};
-
   /// Cooperative interrupt: workers finish their in-flight execution,
   /// return their tree's unexplored remainder to the queue, and exit.
   std::atomic<bool> Interrupt{false};
+
+  /// Global execution budget (Options::MaxExecutions), claimed one ticket
+  /// per execution so a run performs exactly as many executions at any
+  /// worker count. Seeded with the resumed snapshot's executed base so the
+  /// budget (and InterruptAtExecs) stay global across segments. Every
+  /// worker writes it after every execution, so it has a cache line to
+  /// itself, away from the fields above that every worker reads then.
+  alignas(64) std::atomic<uint64_t> Tickets{0};
 
   /// Appends \p Prefixes to the queue and wakes sleeping workers.
   void push(std::vector<DecisionTree::Prefix> Prefixes, bool CountAsDonation) {
@@ -309,12 +311,17 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
   // Checked by every worker before each execution: true once the
   // exploration is interrupted, raising the interrupt when one of the
   // external controls trips; otherwise emits a heartbeat when one is due.
+  // The shared ticket count is read only when one of these needs it.
+  const bool NeedExecs = NeedHeartbeat || Ctl.InterruptAtExecs > 0;
   auto Interrupted = [&] {
     if (Sh.Interrupt.load(std::memory_order_relaxed))
       return true;
     double Wall = NeedClock ? Elapsed() : 0;
-    uint64_t Execs = std::min<uint64_t>(
-        Sh.Tickets.load(std::memory_order_relaxed), Opts.MaxExecutions);
+    uint64_t Execs =
+        NeedExecs ? std::min<uint64_t>(
+                        Sh.Tickets.load(std::memory_order_relaxed),
+                        Opts.MaxExecutions)
+                  : 0;
     if ((Ctl.StopRequested &&
          Ctl.StopRequested->load(std::memory_order_relaxed)) ||
         (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec) ||

@@ -54,7 +54,9 @@ public:
   /// engine snapshots a decision boundary.
   using CowSaveFn = std::function<void(std::shared_ptr<void> &)>;
   /// Restores the state saved by CowSaveFn when the engine resumes from
-  /// that boundary.
+  /// that boundary. Not called when no step ran since the boundary (the
+  /// previous execution stopped at its pick), so Check must not change
+  /// what CowSaveFn saves.
   using CowRestoreFn = std::function<void(const std::shared_ptr<void> &)>;
 
   /// One instantiation of the program body. Parallel workers each hold

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <utility>
 
@@ -578,7 +579,9 @@ struct KeyInput {
   std::vector<graph::SoEdge> So;
   std::vector<std::vector<Observed>> Results;
 
-  std::vector<uint64_t> key() const {
+  /// verdictKey of the input or, with \p Memo, the verdict memo's key:
+  /// the graph's incremental key words followed by memoKeyTail's tail.
+  std::vector<uint64_t> key(bool Memo = false) const {
     graph::EventGraph G;
     for (const auto &[Id, E] : Events)
       G.addRaw(Id, E); // Skipped ids become retracted.
@@ -587,7 +590,14 @@ struct KeyInput {
     for (graph::SoEdge Edge : So)
       G.addSo(Edge.From, Edge.To);
     std::vector<uint64_t> Key;
-    verdictKey(G, Results, Key);
+    if (!Memo) {
+      verdictKey(G, Results, Key);
+      return Key;
+    }
+    std::vector<uint64_t> Tail;
+    memoKeyTail(G, Results, Tail);
+    Key = G.keyWords();
+    Key.insert(Key.end(), Tail.begin(), Tail.end());
     return Key;
   }
 };
@@ -620,48 +630,52 @@ KeyInput keyBase() {
 } // namespace
 
 TEST(VerdictMemo, KeyCoversEveryCheckedInput) {
-  const std::vector<uint64_t> Base = keyBase().key();
-  ASSERT_EQ(keyBase().key(), Base);
-  using Tweak = void (*)(KeyInput &);
-  const std::pair<const char *, Tweak> Changes[] = {
-      {"kind", [](KeyInput &In) {
-         In.Events[1].second.Kind = graph::OpKind::DeqEmpty;
-       }},
-      {"V1", [](KeyInput &In) { In.Events[1].second.V1 = 2; }},
-      {"V2", [](KeyInput &In) { In.Events[1].second.V2 = 7; }},
-      {"ObjId", [](KeyInput &In) { In.Events[1].second.ObjId = 1; }},
-      {"Thread", [](KeyInput &In) { In.Events[1].second.Thread = 0; }},
-      {"CommitIdx", [](KeyInput &In) { In.Events[1].second.CommitIdx = 5; }},
-      {"logical view", [](KeyInput &In) {
-         In.Events[1].second.LogView.erase(0);
-       }},
-      {"so edge", [](KeyInput &In) { In.So = {{2, 0}}; }},
-      {"committed state", [](KeyInput &In) {
-         In.Events.push_back({1, keyEvent(graph::OpKind::Enq, 3, 0, 2, {1})});
-       }},
-      {"G.size()", [](KeyInput &In) { In.Size = 4; }},
-      {"Observed code", [](KeyInput &In) {
-         In.Results[1][0].Code = OpCode::Pop;
-       }},
-      {"Observed arg", [](KeyInput &In) { In.Results[0][0].Arg = 2; }},
-      {"Observed result", [](KeyInput &In) {
-         In.Results[1][0].Result = graph::EmptyVal;
-       }},
-  };
-  for (const auto &[What, Change] : Changes) {
-    KeyInput In = keyBase();
-    Change(In);
-    EXPECT_NE(In.key(), Base) << "changing the " << What
-                              << " leaves the key unchanged";
-  }
+  // Both the reference verdictKey and the memo's incremental key.
+  for (bool Memo : {false, true}) {
+    SCOPED_TRACE(Memo ? "incremental key" : "verdictKey");
+    const std::vector<uint64_t> Base = keyBase().key(Memo);
+    ASSERT_EQ(keyBase().key(Memo), Base);
+    using Tweak = void (*)(KeyInput &);
+    const std::pair<const char *, Tweak> Changes[] = {
+        {"kind", [](KeyInput &In) {
+           In.Events[1].second.Kind = graph::OpKind::DeqEmpty;
+         }},
+        {"V1", [](KeyInput &In) { In.Events[1].second.V1 = 2; }},
+        {"V2", [](KeyInput &In) { In.Events[1].second.V2 = 7; }},
+        {"ObjId", [](KeyInput &In) { In.Events[1].second.ObjId = 1; }},
+        {"Thread", [](KeyInput &In) { In.Events[1].second.Thread = 0; }},
+        {"CommitIdx", [](KeyInput &In) { In.Events[1].second.CommitIdx = 5; }},
+        {"logical view", [](KeyInput &In) {
+           In.Events[1].second.LogView.erase(0);
+         }},
+        {"so edge", [](KeyInput &In) { In.So = {{2, 0}}; }},
+        {"committed state", [](KeyInput &In) {
+           In.Events.push_back({1, keyEvent(graph::OpKind::Enq, 3, 0, 2, {1})});
+         }},
+        {"G.size()", [](KeyInput &In) { In.Size = 4; }},
+        {"Observed code", [](KeyInput &In) {
+           In.Results[1][0].Code = OpCode::Pop;
+         }},
+        {"Observed arg", [](KeyInput &In) { In.Results[0][0].Arg = 2; }},
+        {"Observed result", [](KeyInput &In) {
+           In.Results[1][0].Result = graph::EmptyVal;
+         }},
+    };
+    for (const auto &[What, Change] : Changes) {
+      KeyInput In = keyBase();
+      Change(In);
+      EXPECT_NE(In.key(Memo), Base) << "changing the " << What
+                                    << " leaves the key unchanged";
+    }
 
-  // No check reads physical views, and trailing zero words of a logical
-  // view mean nothing.
-  KeyInput In = keyBase();
-  In.Events[0].second.PhysView.raise(5, 9);
-  In.Events[1].second.LogView.insert(200);
-  In.Events[1].second.LogView.erase(200);
-  EXPECT_EQ(In.key(), Base);
+    // No check reads physical views, and trailing zero words of a logical
+    // view mean nothing.
+    KeyInput In = keyBase();
+    In.Events[0].second.PhysView.raise(5, 9);
+    In.Events[1].second.LogView.insert(200);
+    In.Events[1].second.LogView.erase(200);
+    EXPECT_EQ(In.key(Memo), Base);
+  }
 }
 
 namespace {
@@ -763,4 +777,65 @@ TEST(VerdictMemo, HitsCountTheirLinearizationAborts) {
   EXPECT_GT(T.Hits, 0u);
   EXPECT_GT(T.Aborts, T.Done / 2);
   EXPECT_EQ(T.LinAborts, T.Aborts);
+}
+
+namespace {
+
+/// Explores \p S under \p Mut at one worker and records, for every Done
+/// execution, the memo's incremental key and verdictKey. Returns the
+/// number of Done executions; fails the test if two executions share one
+/// key but not the other.
+uint64_t expectKeysAgree(const Scenario &S, Mutation Mut,
+                         sim::ReductionMode Red) {
+  Instrumented I = makeInstrumented(S, Mut, scenarioOptions(S, 3000, 1, Red));
+  const RunState &St = *I.State;
+  using Key = std::vector<uint64_t>;
+  std::map<Key, Key> ByMemo, ByVerdict;
+  uint64_t Done = 0;
+  sim::Workload::Body B = I.W.makeBody();
+  B.Check = [&, Check = std::move(B.Check)](rmc::Machine &M,
+                                            sim::Scheduler &Sch,
+                                            sim::Scheduler::RunResult R) {
+    if (R == sim::Scheduler::RunResult::Done) {
+      const graph::EventGraph &G = St.Mon->graph();
+      Key Memo = G.keyWords(), Tail, Verdict;
+      memoKeyTail(G, St.Results, Tail);
+      Memo.insert(Memo.end(), Tail.begin(), Tail.end());
+      verdictKey(G, St.Results, Verdict);
+      auto [M1, New1] = ByMemo.emplace(Memo, Verdict);
+      auto [M2, New2] = ByVerdict.emplace(Verdict, Memo);
+      EXPECT_EQ(M1->second, Verdict)
+          << S.str() << ": equal incremental keys, different verdictKeys";
+      EXPECT_EQ(M2->second, Memo)
+          << S.str() << ": equal verdictKeys, different incremental keys";
+      ++Done;
+    }
+    return Check(M, Sch, R);
+  };
+  sim::exploreSerial(sim::Workload(I.W.options(), std::move(B)));
+  EXPECT_EQ(ByMemo.size(), ByVerdict.size()) << S.str();
+  return Done - ByMemo.size(); // Executions that repeated a key.
+}
+
+} // namespace
+
+TEST(VerdictMemo, IncrementalKeysAgreeWithVerdictKeys) {
+  // Over the explored executions of generated scenarios of every library,
+  // pristine and with each mutation, in both reduction modes: two
+  // executions share an incremental key if and only if their verdictKeys
+  // are equal.
+  uint64_t Repeats = 0;
+  for (uint64_t Seed = 1; Seed <= 2; ++Seed)
+    for (sim::ReductionMode Red :
+         {sim::ReductionMode::None, sim::ReductionMode::SourceSet}) {
+      for (unsigned I = 0; I != NumLibs; ++I)
+        Repeats += expectKeysAgree(memoScenario(allLibs()[I], Seed),
+                                   Mutation::None, Red);
+      for (unsigned I = 1; I != NumMutations; ++I) {
+        auto Mut = static_cast<Mutation>(I);
+        Repeats += expectKeysAgree(memoScenario(mutationLib(Mut), Seed), Mut,
+                                   Red);
+      }
+    }
+  EXPECT_GT(Repeats, 0u) << "no two executions shared a key";
 }

@@ -346,21 +346,24 @@ TEST(CallerIsWorkerZero, TheCallerIsOneOfFourWorkers) {
 
 namespace {
 
-/// A generated conformance workload over the pristine (or mutated) library;
-/// the Summary core must be worker-count independent like any other
-/// workload. Hunting-sized scenarios keep the decision tree comfortably
-/// inside the execution budget — a *truncated* tree's explored subset (and
-/// hence MaxDepth) is worker-count dependent by design, which is also why
-/// SweepReport's fingerprint only folds exhausted scenarios.
-Workload conformanceWorkload(check::Lib L, check::Mutation Mut, uint64_t Seed,
-                             unsigned Workers,
-                             ReductionMode Red = ReductionMode::SourceSet) {
+/// A generated conformance scenario, and its workload over the pristine (or
+/// mutated) library; the Summary core must be worker-count independent like
+/// any other workload. Hunting-sized scenarios keep the decision tree
+/// comfortably inside the execution budget — a *truncated* tree's explored
+/// subset (and hence MaxDepth) is worker-count dependent by design, which
+/// is also why SweepReport's fingerprint only folds exhausted scenarios.
+check::Scenario conformanceScenario(check::Lib L, uint64_t Seed) {
   check::GenOptions G;
   G.MaxThreads = 2;
   G.MaxOpsPerThread = 2;
   G.MinPreemptions = G.MaxPreemptions = 1;
-  check::Scenario S =
-      check::generateScenario(L, check::scenarioSeed(Seed, L, 0), G);
+  return check::generateScenario(L, check::scenarioSeed(Seed, L, 0), G);
+}
+
+Workload conformanceWorkload(check::Lib L, check::Mutation Mut, uint64_t Seed,
+                             unsigned Workers,
+                             ReductionMode Red = ReductionMode::SourceSet) {
+  check::Scenario S = conformanceScenario(L, Seed);
   return check::makeWorkload(
       S, Mut, check::scenarioOptions(S, 200000, Workers, Red));
 }
@@ -755,6 +758,53 @@ void expectCappedEngineAB(Workload W, const std::string &Name) {
       << Name;
 }
 
+/// One digest per execution of a one-worker exploration of \p S on engine
+/// path \p E, taken as its Check begins: the machine's state digest (every
+/// thread's views, release map, last read and pin state, and the SC view),
+/// the run result and the observed results.
+std::vector<uint64_t> checkDigests(const check::Scenario &S,
+                                   check::Mutation Mut, Explorer::Options Opts,
+                                   EnginePath E) {
+  Opts.Workers = 1;
+  Opts.Engine = E;
+  check::Instrumented I = check::makeInstrumented(S, Mut, Opts);
+  const check::RunState &St = *I.State;
+  std::vector<uint64_t> Out;
+  Workload::Body B = I.W.makeBody();
+  B.Check = [&, Check = std::move(B.Check)](Machine &M, Scheduler &Sch,
+                                            Scheduler::RunResult R) {
+    uint64_t H = graph::keyMix(M.stateDigest(), uint64_t(R));
+    for (const std::vector<check::Observed> &Thread : St.Results) {
+      H = graph::keyMix(H, Thread.size());
+      for (const check::Observed &O : Thread)
+        H = graph::keyMix(graph::keyMix(graph::keyMix(H, uint64_t(O.Code)),
+                                        O.Arg),
+                          O.Result);
+    }
+    Out.push_back(H);
+    return Check(M, Sch, R);
+  };
+  exploreSerial(Workload(I.W.options(), std::move(B)));
+  return Out;
+}
+
+/// The state-level A/B: copy-on-write resumes must reach, execution by
+/// execution, the machine state and results root replay reaches.
+void expectEqualCheckDigests(const check::Scenario &S, check::Mutation Mut,
+                             const Explorer::Options &Opts,
+                             const std::string &Name) {
+  std::vector<uint64_t> Root =
+      checkDigests(S, Mut, Opts, EnginePath::RootReplay);
+  std::vector<uint64_t> Cow = checkDigests(S, Mut, Opts, EnginePath::Auto);
+  size_t I = 0;
+  while (I != Root.size() && I != Cow.size() && Root[I] == Cow[I])
+    ++I;
+  EXPECT_TRUE(I == Root.size() && I == Cow.size())
+      << Name << ": the state at Check first differs at execution " << I
+      << " (root replay ran " << Root.size() << ", copy-on-write "
+      << Cow.size() << ")";
+}
+
 Task<void> lastReadReader(Env &E, Loc X, Loc Y, Loc Z, Value *Got,
                           Value *Ts) {
   *Got = co_await E.load(X, MemOrder::Relaxed);
@@ -847,12 +897,13 @@ TEST(ParallelEngineAB, ConformanceMutatedTreiberFirstViolation) {
 TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
   // Copy-on-write must equal root replay on generated scenarios of every
   // library, pristine and with each seeded mutation on its own library,
-  // under both reduction modes. This covers the libraries no hand-written
-  // workload reaches, among them the three whose C++ state the harness
-  // body saves (treiber_ebr's retire bins, ws_deque's owner shadow and
-  // spsc_ring's roles). The hunting shape (2-3 threads of 2-3 ops, bound
-  // 2) grows trees past a small cap; one worker explores the same capped
-  // DFS prefix on either path.
+  // under both reduction modes, in its summaries and, at one worker, in
+  // the state every execution's Check sees. This covers the libraries no
+  // hand-written workload reaches, among them the three whose C++ state
+  // the harness body saves (treiber_ebr's retire bins, ws_deque's owner
+  // shadow and spsc_ring's roles). The hunting shape (2-3 threads of 2-3
+  // ops, bound 2) grows trees past a small cap; one worker explores the
+  // same capped DFS prefix on either path.
   std::vector<std::pair<check::Lib, check::Mutation>> Cases;
   for (unsigned I = 0; I != check::NumLibs; ++I)
     Cases.push_back({check::allLibs()[I], check::Mutation::None});
@@ -860,29 +911,37 @@ TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
     auto Mut = static_cast<check::Mutation>(I);
     Cases.push_back({check::mutationLib(Mut), Mut});
   }
+  // At one worker, both paths run the same executions in the same order,
+  // so every Check must also see the same machine state and results.
   for (uint64_t Seed = 1; Seed <= 4; ++Seed)
     for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
-      for (const auto &Case : Cases)
+      for (const auto &Case : Cases) {
+        const std::string Name = std::string(check::libName(Case.first)) +
+                                 "/" + check::mutationName(Case.second) +
+                                 "/" + reductionModeName(Red) + " seed " +
+                                 std::to_string(Seed);
         expectEngineAB(
             [=](unsigned W) {
               return conformanceWorkload(Case.first, Case.second, Seed, W,
                                          Red);
             },
-            std::string(check::libName(Case.first)) + "/" +
-                check::mutationName(Case.second) + "/" +
-                reductionModeName(Red) + " seed " + std::to_string(Seed),
-            true);
+            Name, true);
+        check::Scenario S = conformanceScenario(Case.first, Seed);
+        expectEqualCheckDigests(S, Case.second,
+                                check::scenarioOptions(S, 200000, 1, Red),
+                                Name);
+      }
   for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
     for (const auto &Case : Cases) {
       check::Scenario S = check::generateScenario(
           Case.first, check::scenarioSeed(1, Case.first, 0),
           check::GenOptions::hunting());
-      expectCappedEngineAB(
-          check::makeWorkload(S, Case.second,
-                              check::scenarioOptions(S, 1500, 1, Red)),
-          std::string(check::libName(Case.first)) + "/" +
-              check::mutationName(Case.second) + "/" +
-              reductionModeName(Red) + " hunting " + S.str());
+      const std::string Name = std::string(check::libName(Case.first)) +
+                               "/" + check::mutationName(Case.second) + "/" +
+                               reductionModeName(Red) + " hunting " + S.str();
+      const Explorer::Options Opts = check::scenarioOptions(S, 1500, 1, Red);
+      expectCappedEngineAB(check::makeWorkload(S, Case.second, Opts), Name);
+      expectEqualCheckDigests(S, Case.second, Opts, Name);
     }
 }
 

@@ -532,3 +532,173 @@ TEST(MachineTest, SeqCstWaitScanStartsAtTheScView) {
   EXPECT_TRUE(M.anyReadableSatisfies(
       T0, X, true, [](Value V) { return V == 2; }));
 }
+
+//===----------------------------------------------------------------------===//
+// Machine: per-thread snapshots
+//===----------------------------------------------------------------------===//
+
+TEST(MachineSnapshotTest, NestedSnapshotsRestoreLifoCopyingOnlyChangedThreads) {
+  ScriptedChoice C;
+  Machine M(C);
+  unsigned T0 = M.addThread(), T1 = M.addThread(), T2 = M.addThread();
+  Loc X = M.alloc("x"), Y = M.alloc("y"), Z = M.alloc("z");
+  // A snapshot copies the threads (and the SC view, counted as one more)
+  // changed since the previous save or restore; a restore copies back the
+  // ones changed since the snapshot it restores.
+  Machine::Snap S0, S1, S2;
+  M.saveSnapshot(S0, 0);
+  EXPECT_EQ(M.lastSnapshotCopies(), 4u) << "first save copies everything";
+  const uint64_t D0 = M.stateDigest();
+
+  // Steps by one thread.
+  M.store(T0, X, 1, MemOrder::Release);
+  M.load(T0, Y, MemOrder::Acquire);
+  M.saveSnapshot(S1, 1);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  const uint64_t D1 = M.stateDigest();
+  EXPECT_NE(D1, D0);
+
+  // Steps by two threads.
+  M.store(T1, Y, 1, MemOrder::Release);
+  M.load(T2, X, MemOrder::Acquire);
+  M.saveSnapshot(S2, 2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 2u);
+  const uint64_t D2 = M.stateDigest();
+  EXPECT_NE(D2, D1);
+
+  // LIFO: the deepest snapshot first. Only T0 ran since S2.
+  M.store(T0, Z, 1, MemOrder::Relaxed);
+  M.restoreSnapshot(S2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  EXPECT_EQ(M.stateDigest(), D2);
+  EXPECT_EQ(M.memory().cell(Z).Len, 1u) << "memory trims with the threads";
+
+  // A restore with no step since its snapshot copies nothing.
+  M.restoreSnapshot(S2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 0u);
+  EXPECT_EQ(M.stateDigest(), D2);
+
+  // T1 and T2 changed after S1; T0 did not.
+  M.restoreSnapshot(S1);
+  EXPECT_EQ(M.lastSnapshotCopies(), 2u);
+  EXPECT_EQ(M.stateDigest(), D1);
+
+  // A new level 2 replaces the dropped one: T2 changes alone.
+  M.load(T2, X, MemOrder::Relaxed);
+  M.saveSnapshot(S2, 2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  M.restoreSnapshot(S1);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  EXPECT_EQ(M.stateDigest(), D1);
+
+  M.restoreSnapshot(S0);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u) << "only T0 changed after S0";
+  EXPECT_EQ(M.stateDigest(), D0);
+  EXPECT_EQ(M.memory().cell(X).Len, 1u);
+  EXPECT_EQ(M.memory().cell(Y).Len, 1u);
+}
+
+TEST(MachineSnapshotTest, MonitorScFenceAndPinChangesAreRestored) {
+  ScriptedChoice C;
+  Machine M(C);
+  unsigned T0 = M.addThread(), T1 = M.addThread();
+  Loc X = M.alloc("x");
+  M.store(T0, X, 1, MemOrder::Relaxed);
+  Machine::Snap S0, S1, S2;
+  M.saveSnapshot(S0, 0);
+  const uint64_t D0 = M.stateDigest();
+
+  // A monitor's write through threadCur / threadAcq (an event id it
+  // reserves) changes that thread alone.
+  M.threadCur(T1).Events.insert(3);
+  M.threadAcq(T1).Events.insert(3);
+  M.saveSnapshot(S1, 1);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  const uint64_t D1 = M.stateDigest();
+  EXPECT_NE(D1, D0);
+
+  // An SC fence changes its thread and the SC view.
+  M.fence(T0, MemOrder::SeqCst);
+  M.saveSnapshot(S2, 2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 2u);
+  const uint64_t D2 = M.stateDigest();
+  EXPECT_NE(D2, D1);
+  EXPECT_EQ(M.readFloor(T1, X, /*Sc=*/true), 1u);
+
+  // Pin state: a pinned thread's session is restored with it.
+  M.pinEnter(T1);
+  M.pinExit(T1);
+  M.pinEnter(T1);
+  EXPECT_TRUE(M.pinned(T1));
+  M.restoreSnapshot(S2);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  EXPECT_FALSE(M.pinned(T1));
+  EXPECT_EQ(M.stateDigest(), D2);
+
+  // Back past the fence: T0 and the SC view; then past the monitor: T1.
+  M.restoreSnapshot(S1);
+  EXPECT_EQ(M.lastSnapshotCopies(), 2u);
+  EXPECT_EQ(M.stateDigest(), D1);
+  EXPECT_EQ(M.readFloor(T1, X, /*Sc=*/true), 0u);
+  M.restoreSnapshot(S0);
+  EXPECT_EQ(M.lastSnapshotCopies(), 1u);
+  EXPECT_EQ(M.stateDigest(), D0);
+  EXPECT_FALSE(M.threadCur(T1).Events.contains(3));
+}
+
+namespace {
+
+/// Saves a snapshot at the first choice it is asked for, as the
+/// copy-on-write engine does, and picks the last alternative.
+class SnapshotAtChoice final : public ChoiceSource {
+public:
+  unsigned choose(unsigned, unsigned Limit, ChoiceKind) override {
+    if (!Saved) {
+      M->saveSnapshot(S, 0);
+      Digest = M->stateDigest();
+      Saved = true;
+    }
+    return Limit - 1;
+  }
+
+  Machine *M = nullptr;
+  Machine::Snap S;
+  uint64_t Digest = 0;
+  bool Saved = false;
+};
+
+} // namespace
+
+TEST(MachineSnapshotTest, ASnapshotAtAChoiceRestoresTheOperationsChanges) {
+  // A snapshot taken at an operation's choice is the loop-top state of
+  // its step; the operation's changes after the choice must count as
+  // changes since the snapshot, or the restore would keep them.
+  enum class Op { Load, LoadWhere, Cas };
+  for (Op K : {Op::Load, Op::LoadWhere, Op::Cas}) {
+    SCOPED_TRACE(K == Op::Load ? "load" : K == Op::LoadWhere ? "loadWhere"
+                                                            : "cas");
+    SnapshotAtChoice C;
+    Machine M(C);
+    C.M = &M;
+    unsigned T0 = M.addThread(), T1 = M.addThread();
+    Loc X = M.alloc("x");
+    M.store(T1, X, 1, MemOrder::Release);
+    M.store(T1, X, 2, MemOrder::Release);
+    switch (K) {
+    case Op::Load:
+      M.load(T0, X, MemOrder::SeqCst);
+      break;
+    case Op::LoadWhere:
+      M.loadWhere(T0, X, MemOrder::SeqCst, [](Value V) { return V != 0; });
+      break;
+    case Op::Cas:
+      M.cas(T0, X, 2, 3, MemOrder::SeqCst, MemOrder::SeqCst);
+      break;
+    }
+    ASSERT_TRUE(C.Saved);
+    EXPECT_NE(M.stateDigest(), C.Digest);
+    M.restoreSnapshot(C.S);
+    EXPECT_EQ(M.stateDigest(), C.Digest);
+    EXPECT_EQ(M.readFloor(T0, X, /*Sc=*/false), 0u);
+  }
+}
