@@ -274,14 +274,8 @@ public:
   /// give equal digests; tests compare execution paths by it.
   uint64_t stateDigest() const;
 
-  /// Whether per-operation tracing is on. An exploration engine turns it
-  /// off when it binds (sim/Engine.h): a resumed execution would lack its
-  /// prefix's trace lines.
-  bool tracingEnabled() const { return Tracing; }
-
-  /// Live history length of \p L, for the scheduler's memoized wait scans:
-  /// within one execution a cell's history only grows, so a blocked
-  /// thread's wait predicate cannot change verdict until the length does.
+  /// Live history length of \p L: the reads-from watermark the source-set
+  /// reduction stamps on a sleeping move of \p L (sim/Reduction.h).
   size_t historyLen(Loc L) const { return Mem.cell(L).Len; }
 
   //===--------------------------------------------------------------------===//

@@ -25,11 +25,8 @@ void DecisionTree::seed(const Prefix &Seed) {
 }
 
 void DecisionTree::push(Decision D) {
-  KindTotals T = Totals.empty() ? KindTotals() : Totals.back();
-  const size_t K = static_cast<size_t>(D.Kind);
-  ++T.Choices[K];
-  T.AltSum[K] += D.Count;
-  T.MaxArity[K] = std::max(T.MaxArity[K], D.Count);
+  KindTotals T = pathTotals();
+  T[static_cast<size_t>(D.Kind)].add(D.Count);
   D.SchedOrd = Trace.empty() ? 0
                              : Trace.back().SchedOrd +
                                    (Trace.back().Kind == ChoiceKind::Sched);

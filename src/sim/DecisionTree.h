@@ -30,6 +30,7 @@
 #include "rmc/Footprint.h"
 #include "support/Choice.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -74,16 +75,36 @@ public:
     uint32_t SchedOrd = 0;
   };
 
-  /// Per-kind totals over a prefix of the path: how many decisions of each
-  /// kind, the sum of their arities and the largest one (indexed by
-  /// ChoiceKind).
-  struct KindTotals {
-    std::array<uint64_t, NumChoiceKinds> Choices{};
-    std::array<uint64_t, NumChoiceKinds> AltSum{};
-    std::array<unsigned, NumChoiceKinds> MaxArity{};
+  /// Statistics over decisions of one kind: how many, the sum of their
+  /// arities and the largest one.
+  struct TagStat {
+    uint64_t Choices = 0; ///< Decisions of this kind.
+    uint64_t AltSum = 0;  ///< Sum of their arities.
+    unsigned MaxArity = 0;
 
-    bool operator==(const KindTotals &) const = default;
+    /// Counts one decision of arity \p Count.
+    void add(unsigned Count) {
+      ++Choices;
+      AltSum += Count;
+      MaxArity = std::max(MaxArity, Count);
+    }
+
+    /// Adds \p O's decisions to these.
+    void merge(const TagStat &O) {
+      Choices += O.Choices;
+      AltSum += O.AltSum;
+      MaxArity = std::max(MaxArity, O.MaxArity);
+    }
+
+    double avgArity() const {
+      return Choices ? static_cast<double>(AltSum) / Choices : 0.0;
+    }
+
+    bool operator==(const TagStat &) const = default;
   };
+
+  /// Per-kind statistics, indexed by ChoiceKind.
+  using KindTotals = std::array<TagStat, NumChoiceKinds>;
 
   /// An unexplored subtree, produced by split(): a decision prefix that a
   /// fresh DecisionTree can be seeded with, plus an optional snapshot of
@@ -166,11 +187,11 @@ public:
   /// frontier size. Kept as the path changes, so O(1).
   uint64_t frontierSize() const { return Frontier; }
 
-  /// Per-kind totals of the path's first \p Len decisions, kept per depth
-  /// as the path grows, so O(1).
-  const KindTotals &prefixTotals(size_t Len) const {
-    static const KindTotals None;
-    return Len == 0 ? None : Totals[Len - 1];
+  /// Per-kind totals of the path's decisions, kept per depth as the path
+  /// changes, so O(1).
+  const KindTotals &pathTotals() const {
+    static const KindTotals None{};
+    return Totals.empty() ? None : Totals.back();
   }
 
   /// True if split() would produce at least one donation.

@@ -14,19 +14,17 @@ Engine::Engine(Explorer &Ex, rmc::Machine &M, Scheduler &S)
 void Engine::bind(Workload::Body &B) {
   assert(!Body && "engine already bound");
   Body = &B;
-  Red = Ex.reduction();
   MaxSteps = Ex.options().MaxStepsPerExec;
   // A resumed execution would lack its prefix's trace lines.
   M.enableTrace(false);
   S.setPreemptionBound(Ex.options().PreemptionBound);
-  S.setReduction(Red);
+  S.setReduction(Ex.reduction());
   CowEligible = Ex.options().Engine != EnginePath::RootReplay &&
                 (B.CowSafe || (B.CowSave && B.CowRestore));
   if (CowEligible)
     Ex.setSnapshotHook([this](size_t NodeIndex) { onSnapshot(NodeIndex); });
   else
     Ex.setSnapshotHook(nullptr);
-  S.setBoundaries(CowEligible);
   Depth = 0;
   Resumes = Roots = StepsExecuted = StepsLogical = 0;
 }
@@ -55,12 +53,10 @@ void Engine::onSnapshot(size_t NodeIndex) {
   // Nothing has changed since the step's loop top, whether the choice is
   // the scheduler's pick or an operation's: no operation changes a view
   // before its choice, the operation is the first thing its resumed frame
-  // runs, and the scheduler keeps the running thread's loop-top record.
-  // The divergent sibling re-executes the whole step.
+  // runs, and the step writes no scheduler or sleep state before that
+  // resume. The divergent sibling re-executes the whole step.
   M.saveSnapshot(Slot.MSnap, static_cast<unsigned>(Depth - 1));
   S.saveBoundary(Slot.SBound);
-  if (Red)
-    Slot.RBound = Red->boundary();
   if (Body->CowSave)
     Body->CowSave(Slot.Client);
   const SnapSlot *Below = Depth > 1 ? &Slots[Depth - 2] : nullptr;
@@ -84,8 +80,8 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
   // The previous execution passed this slot's loop top. If it ran no step
   // since, it stopped at the slot's own pick (a sleep-blocked sibling):
   // the frames, the machine, memory and the client state are as the
-  // snapshot left them, and only the loop-top state the pick changed
-  // goes back.
+  // snapshot left them, and only the sleep state the pruned pick
+  // committed goes back, with the scheduler's records.
   if (S.steps() != Slot.SBound.Steps) {
     Frames.restore(FrameBytes.data() + Slot.FrameOff, Slot.FrameLen);
     M.restoreSnapshot(Slot.MSnap);
@@ -93,13 +89,8 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
       Body->CowRestore(Slot.Client);
   }
   S.restoreBoundary(Slot.SBound);
-  if (Red)
-    Red->restore(Slot.RBound);
-  // The decisions before the boundary are already on the tree path; skip
-  // their replay but credit their per-kind statistics so the summary core
-  // stays engine-path independent.
+  // The decisions before the boundary are already on the tree path.
   Ex.resumeReplayAt(Slot.SBound.TreePos);
-  Ex.creditReplayedPrefix(Slot.SBound.TreePos);
   ++Resumes;
 }
 

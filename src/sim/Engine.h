@@ -19,24 +19,26 @@
 /// even when it shares a d-1 prefix with its predecessor. This engine
 /// instead snapshots the simulation at every fresh multi-alternative
 /// decision node and keeps the snapshots on a stack mirroring the DFS
-/// path. A snapshot is a Machine::Snap (a level on the machine's
-/// per-thread copy stacks, which copy only the threads changed since the
-/// previous save, plus an O(1) memory epoch), a Scheduler::Boundary
-/// (counters and every thread's loop-top record), the reduction's sleep
-/// state, the body's client state (Workload::Body::CowSave) and the used
-/// bytes of the engine's coroutine frame arena (sim/Task.h), pushed onto
-/// one byte stack. When the explorer backtracks to a node, the engine
-/// rewinds: memory is trimmed to the node's epoch via the undo logs, the
-/// threads changed since the snapshot are copied back, and so is
-/// everything else — the frames to the same addresses, so the
-/// scheduler's pending handles stay valid. Neither Setup nor any step of
-/// the shared prefix runs again; only the divergent suffix executes. A
-/// resume right after an execution that stopped at the node's own pick
-/// (no step ran since) restores only the scheduler's and the reduction's
-/// loop-top state.
+/// path. No step writes state a snapshot saves before the choices inside
+/// it are made (Scheduler.h), so a snapshot copies the live state: a
+/// Machine::Snap (a level on the machine's per-thread copy stacks, which
+/// copy only the threads changed since the previous save, plus an O(1)
+/// memory epoch), a Scheduler::Boundary (counters, the loop-top tree
+/// position, every thread's record and the reduction's sleep state), the
+/// body's client state (Workload::Body::CowSave) and the used bytes of the
+/// engine's coroutine frame arena (sim/Task.h), pushed onto one byte stack.
+/// When the explorer backtracks to a node, the engine rewinds: memory is
+/// trimmed to the node's epoch via the undo logs, the threads changed
+/// since the snapshot are copied back, and so is everything else — the
+/// frames to the same addresses, so the scheduler's pending handles stay
+/// valid. Neither Setup nor any step of the shared prefix runs again; only
+/// the divergent suffix executes. A resume right after an execution that
+/// stopped at the node's own pick (no step ran since) restores only the
+/// scheduler's boundary.
 ///
 /// The engine is observationally identical to root replay: summaries,
-/// per-tag statistics, sweep fingerprints and first-violation traces are
+/// per-tag statistics (which count each execution's whole path, skipped
+/// prefix included), sweep fingerprints and first-violation traces are
 /// bit-identical (tests pin this via Options::Engine = RootReplay A/B
 /// runs). Any stack/trace mismatch falls back to a root execution, so the
 /// copy-on-write path is a pure optimization, never a correctness
@@ -89,10 +91,10 @@ public:
 
   /// Binds the engine to \p Body for one call, under the explorer's
   /// current options: decides whether the call runs copy-on-write,
-  /// installs the explorer's snapshot hook and the scheduler's boundaries
-  /// accordingly, sets the scheduler's preemption bound and reduction
-  /// hook, turns machine tracing off and zeroes the counters. \p Body must
-  /// stay alive until unbind().
+  /// installs the explorer's snapshot hook accordingly, sets the
+  /// scheduler's preemption bound and reduction hook, turns machine
+  /// tracing off and zeroes the counters. \p Body must stay alive until
+  /// unbind().
   void bind(Workload::Body &Body);
 
   /// Ends the call: destroys the last execution's coroutine frames and
@@ -131,7 +133,6 @@ private:
     size_t NodeIndex = 0;
     rmc::Machine::Snap MSnap;
     Scheduler::Boundary SBound;
-    Reduction::Boundary RBound;
     std::shared_ptr<void> Client; ///< Body.CowSave state (e.g. monitor).
     /// The frame arena's used bytes, at FrameBytes[FrameOff, +FrameLen).
     size_t FrameOff = 0;
@@ -146,7 +147,6 @@ private:
   rmc::Machine &M;
   Scheduler &S;
   Workload::Body *Body = nullptr; ///< The bound call's body.
-  Reduction *Red = nullptr;
   uint64_t MaxSteps = 0;
   bool CowEligible = false;
 

@@ -74,8 +74,6 @@ unsigned Explorer::choose(unsigned Count, unsigned Limit, ChoiceKind K) {
   assert(Count >= 1 && "choice with no alternatives");
   assert(Limit >= 1 && Limit <= Count && "enumeration limit out of range");
 
-  Sum.Tags[static_cast<size_t>(K)].add(Count);
-
   // A fresh multi-enumerable node is a potential backtrack target: let
   // the copy-on-write engine snapshot the pre-decision state so sibling
   // alternatives resume here. Replayed nodes (including the pinned seed)
@@ -93,22 +91,6 @@ size_t Explorer::decisionPosition() const { return Tree.position(); }
 void Explorer::resumeReplayAt(size_t Pos) {
   assert(InExecution && "resumeReplayAt outside an execution");
   Tree.resumeAt(Pos);
-}
-
-void Explorer::creditReplayedPrefix(size_t Pos) {
-  // The skipped prefix's decisions still exist on the tree path; account
-  // for the choose() calls a root replay would have made for them, so the
-  // deterministic core (per-kind totals) is engine-path independent.
-  // Count==1 decisions never reach choose(); the tree records only real
-  // alternatives, so its per-depth totals are exactly those calls.
-  assert(Pos <= Tree.depth());
-  const DecisionTree::KindTotals &T = Tree.prefixTotals(Pos);
-  for (size_t K = 0; K != NumChoiceKinds; ++K) {
-    TagStat &Stat = Sum.Tags[K];
-    Stat.Choices += T.Choices[K];
-    Stat.AltSum += T.AltSum[K];
-    Stat.MaxArity = std::max(Stat.MaxArity, T.MaxArity[K]);
-  }
 }
 
 const std::vector<DecisionTree::Decision> &Explorer::currentTrace() const {
@@ -180,6 +162,11 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     break;
   }
 
+  // Every choice of the execution is a decision on its path, whether it was
+  // replayed, skipped by a copy-on-write resume or made fresh.
+  const DecisionTree::KindTotals &PathTags = Tree.pathTotals();
+  for (size_t K = 0; K != NumChoiceKinds; ++K)
+    Sum.Tags[K].merge(PathTags[K]);
   Sum.MaxDepth = std::max<uint64_t>(Sum.MaxDepth, Tree.trace().size());
   Sum.Perf.PeakFrontier = std::max(Sum.Perf.PeakFrontier, Tree.frontierSize());
 
@@ -334,11 +321,8 @@ void Explorer::Summary::mergeCore(const Summary &O) {
     HasViolation = true;
     FirstViolation = O.FirstViolation;
   }
-  for (size_t K = 0; K != NumChoiceKinds; ++K) {
-    Tags[K].Choices += O.Tags[K].Choices;
-    Tags[K].AltSum += O.Tags[K].AltSum;
-    Tags[K].MaxArity = std::max(Tags[K].MaxArity, O.Tags[K].MaxArity);
-  }
+  for (size_t K = 0; K != NumChoiceKinds; ++K)
+    Tags[K].merge(O.Tags[K]);
 }
 
 std::string Explorer::Summary::str() const {

@@ -17,8 +17,8 @@
 ///    bookkeeping, backtracking, subtree splitting. No I/O; unit-testable.
 ///  - Explorer (this file): one search worker — binds a DecisionTree to the
 ///    ChoiceSource interface the Machine/Scheduler consume, and accumulates
-///    the Summary (counters, per-kind choice statistics, peak frontier,
-///    first-violation trace).
+///    the Summary (counters, per-kind choice statistics over each
+///    execution's whole path, peak frontier, first-violation trace).
 ///  - Workload / explore / replay (Workload.h): a bounded program as a
 ///    first-class value, the exploration entry points, and deterministic
 ///    single-trace replay for counterexample reproduction.
@@ -50,8 +50,6 @@
 #include "sim/Scheduler.h"
 #include "support/Choice.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -110,27 +108,11 @@ public:
   };
 
   /// Statistics over the choice points of one kind in all explored
-  /// executions. Every choose() call (including replays of backtracked
-  /// prefixes) is counted, so totals are a worker-count-independent measure
-  /// of search effort per decision kind.
-  struct TagStat {
-    uint64_t Choices = 0; ///< choose() calls of this kind.
-    uint64_t AltSum = 0;  ///< Sum of arities over those calls.
-    unsigned MaxArity = 0;
-
-    /// Counts one choice of arity \p Count.
-    void add(unsigned Count) {
-      ++Choices;
-      AltSum += Count;
-      MaxArity = std::max(MaxArity, Count);
-    }
-
-    double avgArity() const {
-      return Choices ? static_cast<double>(AltSum) / Choices : 0.0;
-    }
-
-    bool operator==(const TagStat &) const = default;
-  };
+  /// executions. Every decision on each execution's path is counted,
+  /// replayed, skipped by a copy-on-write resume or fresh, so totals are an
+  /// engine- and worker-count-independent measure of search effort per
+  /// decision kind.
+  using TagStat = DecisionTree::TagStat;
 
   struct Summary {
     // -- Deterministic core -------------------------------------------
@@ -162,7 +144,7 @@ public:
     std::vector<DecisionTree::Decision> FirstViolation;
     /// Choice-point statistics, indexed by ChoiceKind. Listings (JSON,
     /// checkpoints) name each kind and leave out kinds with no choices.
-    std::array<TagStat, NumChoiceKinds> Tags;
+    DecisionTree::KindTotals Tags{};
 
     // -- Observability (timing-dependent; excluded from coreEquals) ----
     struct Perf {
@@ -251,21 +233,18 @@ public:
 
   /// Called from choose() right before a *fresh* multi-alternative decision
   /// is appended to the tree (not replaying). NodeIndex is
-  /// the decision's index on the path; the engine snapshots machine /
-  /// scheduler / reduction state so sibling alternatives of this node can
-  /// resume here instead of replaying from the root.
+  /// the decision's index on the path; the engine snapshots the machine's
+  /// and the scheduler's state (the sleep state included) so sibling
+  /// alternatives of this node can resume here instead of replaying from
+  /// the root.
   using SnapshotHook = std::function<void(size_t NodeIndex)>;
   void setSnapshotHook(SnapshotHook H) { SnapHook = std::move(H); }
 
   /// Jumps the decision-tree replay cursor to \p Pos for an execution
   /// resumed from a snapshot (the skipped decisions were validated when
-  /// the snapshot's execution recorded them).
+  /// the snapshot's execution recorded them). endExecution() still counts
+  /// them in the per-kind statistics: it counts the whole path.
   void resumeReplayAt(size_t Pos);
-
-  /// Adds the per-kind statistics the skipped prefix [0, \p Pos) would have
-  /// contributed had it been replayed through choose(), keeping the
-  /// summary's deterministic core independent of the engine path.
-  void creditReplayedPrefix(size_t Pos);
 
   /// The decision sequence of the current (or last) execution; useful for
   /// reporting reproducible counterexamples.

@@ -70,26 +70,18 @@ void Reduction::insertMove(std::vector<SleepMove> &S, unsigned Tid,
   S.insert(S.begin() + I, SleepMove{Tid, Fp, Ver});
 }
 
-Reduction::Verdict
-Reduction::onSchedChoice(const std::vector<unsigned> &Enabled,
-                         const std::vector<rmc::Footprint> &Fps,
-                         const std::vector<uint32_t> &HistLens,
-                         unsigned Pick) {
-  assert(Enabled.size() == Fps.size() && Enabled.size() == HistLens.size() &&
-         Pick < Enabled.size());
-  const size_t Ord = NumPoints;
-
+Reduction::Verdict Reduction::onSchedChoice(const std::vector<SleepMove> &Alts,
+                                            unsigned Pick) {
+  assert(Pick < Alts.size());
   // Record the point so split()-time annotation can reconstruct the sleep
   // state of any alternative at it, and so the explorer can consult the
   // per-alternative verdicts at advance time.
   if (NumPoints == Points.size())
     Points.emplace_back();
-  SchedPoint &Pt = Points[NumPoints++];
-  Pt.Entry = Cur; // Capacity-reusing copy.
-  Pt.Alts.clear();
-  Pt.Skip.clear();
-  for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-    Pt.Alts.push_back(SleepMove{Enabled[I], Fps[I], HistLens[I]});
+  SchedPoint &Pt = Points[NumPoints];
+  Pt.Entry = Cur; // Capacity-reusing copies.
+  Pt.Alts = Alts;
+  PendingPick = Pick;
 
   // Per-alternative verdicts, against the *entry* sleep set. Both the sleep
   // set and the history lengths at this point are pure functions of the
@@ -97,29 +89,37 @@ Reduction::onSchedChoice(const std::vector<unsigned> &Enabled,
   // equals the verdict a later execution choosing A here would compute —
   // which is what lets the explorer skip Prune-marked siblings at advance
   // time without running them.
-  for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-    Pt.Skip.push_back(static_cast<uint8_t>(
-        verdictFor(findAsleep(Enabled[I]), HistLens[I])));
+  Pt.Skip.clear();
+  for (const SleepMove &A : Alts)
+    Pt.Skip.push_back(
+        static_cast<uint8_t>(verdictFor(findAsleep(A.Tid), A.Ver)));
   const Verdict PickV = static_cast<Verdict>(Pt.Skip[Pick]);
   if (PickV == Verdict::Restricted) {
-    const SleepMove *E = findAsleep(Enabled[Pick]);
+    const SleepMove *E = findAsleep(Alts[Pick].Tid);
     RestrictL = E->Fp.L;
     RestrictVer = E->Ver;
   }
+  if (PickV == Verdict::Prune)
+    commitChoice();
+  return PickV;
+}
+
+void Reduction::commitChoice() {
+  assert(NumPoints < Points.size() && "commit without a recorded point");
+  const size_t Ord = NumPoints++;
+  const SchedPoint &Pt = Points[Ord];
 
   // DFS order: alternatives j < Pick were fully explored in sibling
   // branches (by this worker or, for donated prefixes, by the donor side),
   // so delaying them past covered steps is redundant.
-  for (unsigned J = 0; J != Pick; ++J)
-    insertMove(Cur, Enabled[J], Fps[J], HistLens[J]);
+  for (unsigned J = 0; J != PendingPick; ++J)
+    insertMove(Cur, Pt.Alts[J].Tid, Pt.Alts[J].Fp, Pt.Alts[J].Ver);
 
   // Cross-worker validation: when replaying a donated seed, the state we
   // just recomputed must match the donor's snapshot exactly.
   if (HasSeed && Ord == SeedOrdinal && !(Cur == Seed))
     fatalError("sleep-set state diverged from the donated prefix snapshot; "
                "reduced exploration would depend on work distribution");
-
-  return PickV;
 }
 
 Reduction::Verdict Reduction::onSchedule(unsigned Tid, uint32_t HistLen) {

@@ -45,6 +45,13 @@
 /// (DecisionTree::Prefix::Sleep) that the recipient validates against its
 /// recomputation.
 ///
+/// A sched point is recorded at its choice and committed — counted, its
+/// earlier alternatives put to sleep, the donor snapshot checked — right
+/// after the picked thread's resume, or at once when the pick is pruned.
+/// So the sleep state at any choice inside a step is the state at the
+/// step's loop top, which a copy-on-write snapshot saves as part of
+/// Scheduler::Boundary.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_SIM_REDUCTION_H
@@ -76,18 +83,22 @@ public:
   void beginExecution();
 
   /// Hook for a real `sched` choice (arity > 1, not preemption-forced):
-  /// records the choice point, puts alternatives j < \p Pick to sleep
-  /// (stamping their history watermarks from \p HistLens),
-  /// validates against the donated seed snapshot when this is the seeded
-  /// ordinal, and returns the verdict for the picked move.
-  ///
-  /// \p Enabled are the schedulable threads, \p Fps their pending-operation
-  /// footprints, \p HistLens the current history length of each pending
-  /// footprint's location (parallel arrays), \p Pick the index chosen by
-  /// the decision tree.
-  Verdict onSchedChoice(const std::vector<unsigned> &Enabled,
-                        const std::vector<rmc::Footprint> &Fps,
-                        const std::vector<uint32_t> &HistLens, unsigned Pick);
+  /// records the choice point — its alternatives \p Alts, the schedulable
+  /// threads in choice order, each with its pending operation's footprint
+  /// and, as Ver, the current history length of that footprint's location;
+  /// and each alternative's verdict — and returns the verdict for \p Pick,
+  /// the index chosen by the decision tree. It writes no sleep state:
+  /// commitChoice() does, once the picked thread has resumed. A Prune
+  /// verdict ends the execution at the pick, so it commits at once.
+  Verdict onSchedChoice(const std::vector<SleepMove> &Alts, unsigned Pick);
+
+  /// Commits the choice point the last onSchedChoice recorded: counts it,
+  /// puts its alternatives before the pick to sleep (stamped with their
+  /// history watermarks), and validates the sleep set against the donated
+  /// seed snapshot when this is the seeded ordinal. The scheduler calls it
+  /// right after the picked thread's resume, so a snapshot taken at any
+  /// choice inside the step saves the sleep state of its loop top.
+  void commitChoice();
 
   /// Hook for a forced or singleton schedule (no tree decision recorded):
   /// verdict only — never adds sleeps, because no sibling branch exists at
@@ -132,35 +143,27 @@ public:
   /// The current sleep set (sorted by Tid); exposed for tests.
   const std::vector<SleepMove> &current() const { return Cur; }
 
-  //===--------------------------------------------------------------------===//
-  // Copy-on-write boundaries. The scheduler calls saveBoundary() at the
-  // top of every step while boundaries are on (Scheduler::setBoundaries);
-  // the engine copies the saved state into its snapshot and hands it back
-  // through restore() when rewinding. Only Cur and the point count need
-  // capturing: Points entries are written once at their sched choice and
-  // never mutated afterwards, so a rewind that re-runs the divergent step
-  // recycles the next Points slot naturally.
-  //===--------------------------------------------------------------------===//
-
-  /// Sleep-set state at a step boundary (storage recycled across saves).
-  struct Boundary {
+  /// The sleep state a copy-on-write snapshot saves, as part of
+  /// Scheduler::Boundary: the sleep set and the number of recorded sched
+  /// points. Points entries are written once at their sched choice and
+  /// never changed afterwards, so a rewind that re-runs the divergent step
+  /// recycles the next Points slot naturally.
+  struct SleepState {
     std::vector<SleepMove> Cur;
     size_t NumPoints = 0;
   };
 
-  /// Records the current state into the loop-top scratch (capacity-reusing
-  /// assignment; allocation-free at steady state).
-  void saveBoundary() {
-    LoopTop.Cur = Cur;
-    LoopTop.NumPoints = NumPoints;
+  /// Saves the state into \p S (capacity-reusing assignment;
+  /// allocation-free at steady state).
+  void save(SleepState &S) const {
+    S.Cur = Cur;
+    S.NumPoints = NumPoints;
   }
 
-  const Boundary &boundary() const { return LoopTop; }
-
-  /// Rewinds to \p B (capacity-reusing assignment).
-  void restore(const Boundary &B) {
-    Cur = B.Cur;
-    NumPoints = B.NumPoints;
+  /// Rewinds to \p S (capacity-reusing assignment).
+  void restore(const SleepState &S) {
+    Cur = S.Cur;
+    NumPoints = S.NumPoints;
   }
 
 private:
@@ -182,8 +185,11 @@ private:
   };
 
   std::vector<SleepMove> Cur;     ///< Current sleep set, sorted by Tid.
-  std::vector<SchedPoint> Points; ///< [0, NumPoints) valid this execution.
+  std::vector<SchedPoint> Points; ///< [0, NumPoints) valid this execution;
+                                  ///< Points[NumPoints] is recorded until
+                                  ///< commitChoice() counts it.
   size_t NumPoints = 0;
+  unsigned PendingPick = 0; ///< The pick at the recorded point.
 
   std::vector<SleepMove> Seed; ///< Donor snapshot (sorted by Tid).
   size_t SeedOrdinal = 0;
@@ -191,8 +197,6 @@ private:
 
   rmc::Loc RestrictL = 0;    ///< Floor location of the last Restricted.
   uint32_t RestrictVer = 0;  ///< Floor watermark of the last Restricted.
-
-  Boundary LoopTop; ///< saveBoundary() scratch (see the COW section).
 };
 
 } // namespace compass::sim

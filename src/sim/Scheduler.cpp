@@ -3,7 +3,6 @@
 
 #include "sim/Scheduler.h"
 
-#include "sim/Reduction.h"
 #include "support/Error.h"
 
 #include <cassert>
@@ -27,7 +26,6 @@ Env &Scheduler::newThread() {
     Rec.Blocked = false;
     Rec.WaitLoc = 0;
     Rec.WaitPred = nullptr;
-    Rec.CacheValid = false;
     ++LiveThreads;
     return *Rec.E;
   }
@@ -50,36 +48,36 @@ void Scheduler::reset() {
   Preemptions = 0;
   LastRun = ~0u;
   PruneRequested = false;
-  Running = ~0u;
-  // Thread records, PreemptionBound, the reduction hook and the boundary
-  // setting persist; the caller resets the machine and (for reduced runs)
-  // the Reduction separately.
+  // Thread records, PreemptionBound and the reduction hook persist; the
+  // caller resets the machine and (for reduced runs) the Reduction
+  // separately.
 }
 
 void Scheduler::saveBoundary(Boundary &B) const {
-  static_cast<LoopTop &>(B) = Top;
+  // Nothing the step does before its resume writes this state, so the live
+  // counters and records are the loop top's (see Scheduler.h).
+  B.Steps = Steps;
+  B.Preemptions = Preemptions;
+  B.LastRun = LastRun;
+  B.TreePos = TopPos;
   B.Threads.resize(LiveThreads);
   for (size_t I = 0; I != LiveThreads; ++I)
     B.Threads[I] = *Threads[I];
-  if (Running != ~0u) {
-    B.Threads[Running].Pending = RunningPending;
-    B.Threads[Running].Blocked = RunningBlocked;
-  }
+  if (Red)
+    Red->save(B.Sleep);
 }
 
 void Scheduler::restoreBoundary(const Boundary &B) {
   if (B.Threads.size() != LiveThreads)
     fatalError("copy-on-write restore: thread count diverged from snapshot");
-  for (size_t I = 0; I != LiveThreads; ++I) {
-    ThreadRec &Rec = *Threads[I];
-    static_cast<ThreadMark &>(Rec) = B.Threads[I];
-    Rec.CacheValid = false;
-  }
+  for (size_t I = 0; I != LiveThreads; ++I)
+    static_cast<ThreadMark &>(*Threads[I]) = B.Threads[I];
   Steps = B.Steps;
   Preemptions = B.Preemptions;
   LastRun = B.LastRun;
   PruneRequested = false;
-  Running = ~0u;
+  if (Red)
+    Red->restore(B.Sleep);
 }
 
 void Scheduler::start(Env &E, Task<void> Root) {
@@ -96,26 +94,22 @@ void Scheduler::start(Env &E, Task<void> Root) {
 
 void Scheduler::park(unsigned Tid, std::coroutine_handle<> H,
                      rmc::Footprint Fp) {
+  assert(!Parked && "thread parked twice in one step");
   ThreadRec &Rec = *Threads[Tid];
-  assert(!Rec.Pending && "thread parked twice without being scheduled");
   Rec.Pending = H;
   Rec.NextFp = Fp;
   Rec.Blocked = false;
+  Parked = true;
 }
 
 void Scheduler::parkBlocked(unsigned Tid, std::coroutine_handle<> H,
                             rmc::Loc L, rmc::ValuePred Pred,
                             rmc::Footprint Fp) {
+  park(Tid, H, Fp);
   ThreadRec &Rec = *Threads[Tid];
-  assert(!Rec.Pending && "thread parked twice without being scheduled");
-  Rec.Pending = H;
-  Rec.NextFp = Fp;
   Rec.Blocked = true;
   Rec.WaitLoc = L;
   Rec.WaitPred = std::move(Pred);
-  // The thread just ran (its view may have risen), so any memoized wait
-  // verdict is stale.
-  Rec.CacheValid = false;
 }
 
 Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
@@ -133,34 +127,14 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
     bool AnyUnfinished = false;
     for (unsigned Tid = 0, E = static_cast<unsigned>(LiveThreads); Tid != E;
          ++Tid) {
-      ThreadRec &Rec = *Threads[Tid];
+      const ThreadRec &Rec = *Threads[Tid];
       if (Rec.Done)
         continue;
       AnyUnfinished = true;
-      if (!Rec.Blocked) {
-        Enabled.push_back(Tid);
-        continue;
-      }
-      // Memoized wait scan: a blocked thread's verdict can only change
-      // when the awaited cell's history grows or the scan's floor rises.
-      // Its own view is frozen, but a seq_cst wait reads from the SC view
-      // too, which an SC fence raises without appending to the cell.
-      const bool Sc = Rec.NextFp.Sc;
-      const size_t Len = M.historyLen(Rec.WaitLoc);
-      const rmc::Timestamp From = M.readFloor(Tid, Rec.WaitLoc, Sc);
-      bool Ready;
-      if (Rec.CacheValid && Rec.CacheLoc == Rec.WaitLoc &&
-          Rec.CacheLen == Len && Rec.CacheFrom == From) {
-        Ready = Rec.CacheResult;
-      } else {
-        Ready = M.anyReadableSatisfies(Tid, Rec.WaitLoc, Sc, Rec.WaitPred);
-        Rec.CacheLoc = Rec.WaitLoc;
-        Rec.CacheLen = Len;
-        Rec.CacheFrom = From;
-        Rec.CacheResult = Ready;
-        Rec.CacheValid = true;
-      }
-      if (Ready)
+      // A blocked thread is enabled once a message it may read satisfies
+      // its wait (a seq_cst wait reads from the SC view too).
+      if (!Rec.Blocked || M.anyReadableSatisfies(Tid, Rec.WaitLoc,
+                                                 Rec.NextFp.Sc, Rec.WaitPred))
         Enabled.push_back(Tid);
     }
 
@@ -171,14 +145,10 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
     if (Steps >= MaxSteps)
       return RunResult::StepLimit;
 
-    if (Boundaries) {
-      // Loop-top boundary of the step about to execute: the state a
-      // snapshot taken at any choice inside it must rewind to. Captured
-      // before the scheduler pick below mutates Preemptions/LastRun.
-      Top = {Steps, Preemptions, LastRun, Choices.decisionPosition()};
-      if (Red)
-        Red->saveBoundary();
-    }
+    // The loop top of the step about to execute: a snapshot taken at any
+    // choice inside it rewinds here. Until the picked thread resumes,
+    // nothing below writes the scheduler's or the reduction's state.
+    TopPos = Choices.decisionPosition();
 
     // Preemption bounding (CHESS): once the budget is spent, a thread that
     // is still enabled keeps running; switches are only explored when the
@@ -192,17 +162,15 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       Pick = 0;
       while (Enabled[Pick] != LastRun)
         ++Pick;
+    } else if (Enabled.size() == 1) {
+      Pick = 0;
     } else {
-      if (Enabled.size() == 1) {
-        Pick = 0;
-      } else {
-        const unsigned N = static_cast<unsigned>(Enabled.size());
-        Pick = Choices.choose(N, N, ChoiceKind::Sched);
-        Chose = true;
-      }
-      if (LastEnabled && Enabled[Pick] != LastRun)
-        ++Preemptions;
+      const unsigned N = static_cast<unsigned>(Enabled.size());
+      Pick = Choices.choose(N, N, ChoiceKind::Sched);
+      Chose = true;
     }
+    const unsigned Tid = Enabled[Pick];
+    ThreadRec &Rec = *Threads[Tid];
 
     bool RestrictedStep = false;
     if (Red) {
@@ -218,22 +186,21 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       Reduction::Verdict V;
       if (Chose) {
         // A real choice point: siblings exist, so alternatives before the
-        // pick go to sleep and the pick itself is prune-checked.
-        EnabledFps.clear();
-        EnabledHist.clear();
-        for (unsigned Tid : Enabled) {
-          EnabledFps.push_back(Threads[Tid]->NextFp);
-          EnabledHist.push_back(HistOf(EnabledFps.back()));
+        // pick go to sleep (when the step commits) and the pick itself is
+        // prune-checked.
+        Alts.clear();
+        for (unsigned T : Enabled) {
+          const rmc::Footprint &Fp = Threads[T]->NextFp;
+          Alts.push_back(SleepMove{T, Fp, HistOf(Fp)});
         }
-        V = Red->onSchedChoice(Enabled, EnabledFps, EnabledHist, Pick);
+        V = Red->onSchedChoice(Alts, Pick);
       } else {
         // Forced or singleton pick: no sibling branch covers a delayed
         // version of a sleeping move here, so only prune-check.
-        V = Red->onSchedule(Enabled[Pick],
-                            HistOf(Threads[Enabled[Pick]]->NextFp));
+        V = Red->onSchedule(Tid, HistOf(Rec.NextFp));
       }
       if (V == Reduction::Verdict::Prune)
-        return RunResult::SleepPruned;
+        return RunResult::SleepPruned; // The point committed at once.
       if (V == Reduction::Verdict::Restricted) {
         // Source-set restricted re-run of a sleeping read/update: only the
         // reads-from options at or past the watermark are new; the machine
@@ -243,18 +210,16 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       }
     }
 
-    LastRun = Enabled[Pick];
-    ThreadRec &Rec = *Threads[Enabled[Pick]];
-    std::coroutine_handle<> H = Rec.Pending;
-    Running = LastRun;
-    RunningPending = H;
-    RunningBlocked = Rec.Blocked;
-    Rec.Blocked = false;
-    Rec.Pending = nullptr;
+    const bool Preempts = LastEnabled && Tid != LastRun;
+    const std::coroutine_handle<> H = Rec.Pending;
     const uint64_t Seq0 = M.opSeq();
+    Parked = false;
     H.resume();
-    Running = ~0u;
     ++Steps;
+    Preemptions += Preempts;
+    LastRun = Tid;
+    if (Chose && Red)
+      Red->commitChoice();
 
     if (RestrictedStep) {
       // The restricted choice set can come up empty only for a predicated
@@ -275,17 +240,16 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       // conservative but sound.
       const uint64_t Delta = M.opSeq() - Seq0;
       if (Delta == 1)
-        Red->onStepExecuted(LastRun, M.lastFootprint());
+        Red->onStepExecuted(Tid, M.lastFootprint());
       else if (Delta > 1)
-        Red->onStepExecuted(LastRun, rmc::Footprint());
+        Red->onStepExecuted(Tid, rmc::Footprint());
     }
 
-    // The thread either parked a new pending handle (at its next memory
-    // operation) or ran to completion.
-    if (!Rec.Pending) {
-      if (!Rec.Root.done())
-        fatalError("thread stopped without parking or ending");
+    // The thread either parked at its next memory operation (overwriting
+    // its record) or ran to completion.
+    if (Rec.Root.done())
       Rec.Done = true;
-    }
+    else if (!Parked)
+      fatalError("thread stopped without parking or ending");
   }
 }

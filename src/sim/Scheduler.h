@@ -13,10 +13,15 @@
 ///
 /// Threads may also *block* on a predicate over a location's readable
 /// messages (`spinUntil`), modelling fair spin loops: a blocked thread is
-/// scheduled only when a satisfying message is readable. Unbounded spinning
-/// that cannot be expressed this way is handled by the per-execution step
-/// budget (executions exceeding it are reported as StepLimit and counted as
+/// scheduled only when a satisfying message is readable, which the
+/// scheduler rescans at every step. Unbounded spinning that cannot be
+/// expressed this way is handled by the per-execution step budget
+/// (executions exceeding it are reported as StepLimit and counted as
 /// diverged by the explorer; safety checking remains sound).
+///
+/// A step writes no scheduler or sleep state until its thread has resumed,
+/// so a copy-on-write snapshot taken at any choice inside the step saves
+/// the live state as the step's loop top (see the boundary section below).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +29,7 @@
 #define COMPASS_SIM_SCHEDULER_H
 
 #include "rmc/Machine.h"
+#include "sim/Reduction.h"
 #include "sim/Task.h"
 #include "support/Choice.h"
 
@@ -33,7 +39,6 @@
 
 namespace compass::sim {
 
-class Reduction;
 class Scheduler;
 
 /// Per-thread execution environment handed to simulated-thread coroutines.
@@ -114,8 +119,7 @@ public:
   /// threads' coroutine frames while retaining thread records (Env
   /// objects, coroutine task slots, scratch vectors) for reuse by the next
   /// execution's newThread() calls, which must re-create threads in the
-  /// same order. PreemptionBound, the reduction hook and the boundary
-  /// setting persist.
+  /// same order. PreemptionBound and the reduction hook persist.
   void reset();
 
   /// Creates a new simulated thread and returns its environment. The
@@ -137,20 +141,24 @@ public:
   bool finished(unsigned Tid) const { return Threads[Tid]->Done; }
 
   //===--------------------------------------------------------------------===//
-  // Copy-on-write boundaries (sim/Engine.h). With boundaries on, run()
-  // keeps the loop-top state of the step it is executing: the counters and
-  // the tree position before the step's scheduler pick, and the running
-  // thread's pending handle and blocked flag, which the pick clears. A
-  // snapshot taken at any choice inside the step saves that state with
-  // every thread's record (saveBoundary); restoreBoundary puts it back, and
-  // the next run() executes the step again from its loop top. The
-  // coroutine frames the records point into are restored by the engine
-  // (sim/Task.h's FrameArena), so no client code re-runs.
+  // Copy-on-write boundaries (sim/Engine.h). A step writes no scheduler or
+  // sleep state before its thread has resumed: the pick's preemption, LastRun
+  // and the step count are added after the resume, the running thread's
+  // record keeps its pending handle and blocked flag until the thread parks
+  // again, and the reduction commits the step's sched point after the resume
+  // (Reduction::commitChoice). So at any choice inside a step, the
+  // scheduler's pick or an operation's, the live state is the state at the
+  // step's loop top; only the loop top's tree position is captured per step.
+  // saveBoundary copies that state; restoreBoundary puts it back, and the
+  // next run() executes the step again from its loop top. The coroutine
+  // frames the records point into are restored by the engine (sim/Task.h's
+  // FrameArena), so no client code re-runs.
   //===--------------------------------------------------------------------===//
 
-  /// One thread's scheduler record at a loop top.
+  /// One thread's scheduler record.
   struct ThreadMark {
-    std::coroutine_handle<> Pending;
+    std::coroutine_handle<> Pending; ///< Resumed at the thread's next step
+                                     ///< (stale once Done).
     rmc::Footprint NextFp; ///< Footprint of the pending operation.
     rmc::Loc WaitLoc = 0;
     rmc::ValuePred WaitPred;
@@ -158,33 +166,25 @@ public:
     bool Done = false;
   };
 
-  /// The scheduler's counters right before a step. TreePos is the
-  /// ChoiceSource's decision count at the loop top, i.e. before this
-  /// step's scheduler pick and any operation-level choices it leads to.
-  struct LoopTop {
+  /// The scheduler's state at a step's loop top — a decision boundary the
+  /// copy-on-write engine can rewind to. TreePos is the ChoiceSource's
+  /// decision count at the loop top, i.e. before the step's scheduler pick
+  /// and any operation-level choices it leads to.
+  struct Boundary {
     uint64_t Steps = 0;
     unsigned Preemptions = 0;
     unsigned LastRun = ~0u;
     size_t TreePos = 0;
-  };
-
-  /// The scheduler's loop-top state right before a step — a decision
-  /// boundary the copy-on-write engine can rewind to.
-  struct Boundary : LoopTop {
     std::vector<ThreadMark> Threads; ///< Storage reused across saves.
+    Reduction::SleepState Sleep;     ///< The attached reduction's, if any.
   };
 
-  /// Turns loop-top capture on or off (off by default; persists across
-  /// reset()).
-  void setBoundaries(bool On) { Boundaries = On; }
-
-  /// Saves the loop-top state of the current step, captured before its
-  /// scheduler pick, into \p B, reusing its storage.
+  /// Saves the loop-top state of the current step into \p B, reusing its
+  /// storage. Valid at any choice inside the step.
   void saveBoundary(Boundary &B) const;
 
   /// Rewinds to \p B, saved in this execution or an earlier one with the
-  /// same threads. The wait-scan memos are dropped: a rewind can change
-  /// slot contents under unchanged history lengths.
+  /// same threads and the same reduction attached.
   void restoreBoundary(const Boundary &B);
 
   // Internal API used by the awaitables. \p Fp is the footprint of the
@@ -196,23 +196,11 @@ public:
   void requestPrune() { PruneRequested = true; }
 
 private:
-  /// A thread: its loop-top record (the ThreadMark base) plus what a
-  /// rewind keeps or recomputes.
+  /// A thread: its record (the ThreadMark base) plus what a rewind keeps.
   struct ThreadRec : ThreadMark {
     std::unique_ptr<Env> E;
     Task<void> Root;
     bool Started = false;
-    // Memoized wait-scan verdict: within one execution a cell's history
-    // only grows and a blocked thread's own view is frozen, so the scan
-    // result holds until the history length or the scan's floor (raised
-    // by the SC view for a seq_cst wait) changes. Invalidated on
-    // (re)parking and across execution/rewind boundaries, where the same
-    // length can denote different slot contents.
-    rmc::Loc CacheLoc = 0;
-    size_t CacheLen = 0;
-    rmc::Timestamp CacheFrom = 0;
-    bool CacheResult = false;
-    bool CacheValid = false;
   };
 
   rmc::Machine &M;
@@ -227,22 +215,15 @@ private:
   bool PruneRequested = false;
   Reduction *Red = nullptr;
 
-  // Copy-on-write boundaries (see the COW section above).
-  bool Boundaries = false;
-  LoopTop Top; ///< Captured at each loop top while Boundaries is on.
-  /// The running thread (~0u between steps) and its record's loop-top
-  /// pending handle and blocked flag, which the step's pick cleared.
-  unsigned Running = ~0u;
-  std::coroutine_handle<> RunningPending;
-  bool RunningBlocked = false;
+  size_t TopPos = 0;   ///< The current step's loop-top tree position.
+  bool Parked = false; ///< Whether the running thread parked in this step.
 
-  /// Scratch for run()'s per-step enabled-thread scan (allocation-free at
-  /// steady state). EnabledHist carries, per enabled thread, the current
-  /// history length of its pending footprint's location — the reads-from
-  /// watermark material for the source-set reduction.
+  /// Scratch for run()'s per-step enabled-thread scan and, at a sched
+  /// choice, the reduction's view of it: each enabled thread's pending
+  /// footprint and the current history length of its location
+  /// (allocation-free at steady state).
   std::vector<unsigned> Enabled;
-  std::vector<rmc::Footprint> EnabledFps;
-  std::vector<uint32_t> EnabledHist;
+  std::vector<SleepMove> Alts;
 };
 
 namespace detail {

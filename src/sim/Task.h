@@ -58,6 +58,7 @@
 #include <cstring>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include <sanitizer/asan_interface.h>
@@ -239,18 +240,27 @@ struct PromiseBase {
   void unhandled_exception() noexcept { std::abort(); }
 };
 
+/// The promise state a Task<T> adds to PromiseBase: the result slot, which
+/// a task producing no value does not have.
+template <typename T> struct ResultPromise : PromiseBase {
+  std::optional<T> Result;
+  void return_value(T V) { Result.emplace(std::move(V)); }
+};
+
+template <> struct ResultPromise<void> : PromiseBase {
+  void return_void() {}
+};
+
 } // namespace detail
 
-/// An owning, lazily-started coroutine task producing a T.
+/// An owning, lazily-started coroutine task producing a T (nothing for
+/// Task<void>).
 template <typename T> class [[nodiscard]] Task {
 public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> Result;
-
+  struct promise_type : detail::ResultPromise<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T V) { Result.emplace(std::move(V)); }
   };
 
   Task() = default;
@@ -288,8 +298,10 @@ public:
       H.promise().Continuation = Parent;
     }
     T await_resume() {
-      assert(H.promise().Result && "task finished without a value");
-      return std::move(*H.promise().Result);
+      if constexpr (!std::is_void_v<T>) {
+        assert(H.promise().Result && "task finished without a value");
+        return std::move(*H.promise().Result);
+      }
     }
   };
 
@@ -301,60 +313,6 @@ public:
   ///   auto T = stack.push(E, V);
   ///   co_await T;
   /// \endcode
-  Awaiter operator co_await() & { return Awaiter{Handle}; }
-  Awaiter operator co_await() && = delete;
-
-  std::coroutine_handle<> handle() const { return Handle; }
-  bool done() const { return !Handle || Handle.done(); }
-
-private:
-  explicit Task(std::coroutine_handle<promise_type> H) : Handle(H) {}
-  std::coroutine_handle<promise_type> Handle;
-};
-
-/// Specialization for tasks producing no value.
-template <> class [[nodiscard]] Task<void> {
-public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Task() = default;
-  Task(Task &&Other) noexcept : Handle(Other.Handle) {
-    Other.Handle = nullptr;
-  }
-  Task &operator=(Task &&Other) noexcept {
-    if (this != &Other) {
-      if (Handle)
-        Handle.destroy();
-      Handle = Other.Handle;
-      Other.Handle = nullptr;
-    }
-    return *this;
-  }
-  Task(const Task &) = delete;
-  Task &operator=(const Task &) = delete;
-  ~Task() {
-    if (Handle)
-      Handle.destroy();
-  }
-
-  struct Awaiter {
-    std::coroutine_handle<promise_type> H;
-    bool await_ready() {
-      H.resume();
-      return H.done();
-    }
-    void await_suspend(std::coroutine_handle<> Parent) {
-      H.promise().Continuation = Parent;
-    }
-    void await_resume() {}
-  };
-
-  /// See Task<T>::operator co_await: awaiting temporaries is disabled.
   Awaiter operator co_await() & { return Awaiter{Handle}; }
   Awaiter operator co_await() && = delete;
 

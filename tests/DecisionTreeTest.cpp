@@ -257,20 +257,38 @@ rmc::Footprint writeFp(rmc::Loc L) {
   return F;
 }
 
+/// The alternatives of a sched point: thread I of \p Fps, pending
+/// footprint Fps[I], at history length 0.
+std::vector<SleepMove> alts(const std::vector<rmc::Footprint> &Fps) {
+  std::vector<SleepMove> Out;
+  for (unsigned I = 0; I != Fps.size(); ++I)
+    Out.push_back(SleepMove{I, Fps[I], 0});
+  return Out;
+}
+
+/// Feeds \p Red one sched point and its step's commit, as the scheduler
+/// does around the picked thread's resume; returns the pick's verdict.
+Reduction::Verdict schedStep(Reduction &Red,
+                             const std::vector<rmc::Footprint> &Fps,
+                             unsigned Pick) {
+  const Reduction::Verdict V = Red.onSchedChoice(alts(Fps), Pick);
+  if (V != Reduction::Verdict::Prune)
+    Red.commitChoice();
+  return V;
+}
+
 /// Drives one donor execution of a two-level, arity-3, sched-only
 /// program against \p T while feeding \p Red the hooks exactly as the
-/// scheduler would: choice, then the chosen thread's step.
+/// scheduler would: choice, the chosen thread's step and its commit, then
+/// the step's wake-ups.
 void runSchedExecution(DecisionTree &T, Reduction &Red,
-                       const std::vector<unsigned> &En,
                        const std::vector<rmc::Footprint> &Fps) {
-  const std::vector<uint32_t> Hist(En.size(), 0);
   T.beginExecution();
   Red.beginExecution();
   for (int Level = 0; Level != 2; ++Level) {
     unsigned Pick = T.next(3, 3, ChoiceKind::Sched);
-    ASSERT_EQ(Red.onSchedChoice(En, Fps, Hist, Pick),
-              Reduction::Verdict::Run);
-    Red.onStepExecuted(En[Pick], Fps[Pick]);
+    ASSERT_EQ(schedStep(Red, Fps, Pick), Reduction::Verdict::Run);
+    Red.onStepExecuted(Pick, Fps[Pick]);
   }
 }
 
@@ -280,12 +298,11 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
   // Three threads writing the same cell: pairwise *dependent* moves, so
   // sleeps put in place at a choice point survive the subsequent step and
   // the snapshot is non-trivial.
-  std::vector<unsigned> En = {0, 1, 2};
   std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
 
   DecisionTree T;
   Reduction Red;
-  runSchedExecution(T, Red, En, Fps);
+  runSchedExecution(T, Red, Fps);
   ASSERT_TRUE(T.advance()); // path {0,1}; root alternatives 1,2 open
   auto Donated = T.split(8);
   ASSERT_EQ(Donated.size(), 2u);
@@ -304,7 +321,7 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
 
   // Round-trip: a recipient re-seeds its tree from the donated prefix and
   // recomputes the sleep state while replaying; the recomputation must
-  // agree with the carried snapshot (validated inside onSchedChoice) and
+  // agree with the carried snapshot (validated when the step commits) and
   // leave the recipient with exactly the donor's sleep set.
   for (size_t I = 0; I != Donated.size(); ++I) {
     std::vector<SleepMove> Snapshot = Donated[I].Sleep;
@@ -321,15 +338,12 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
     EXPECT_EQ(Pick, Chosen);
     // The replayed pick is never itself asleep, and the recomputed state
     // matches the donor's snapshot bit for bit.
-    EXPECT_EQ(R2.onSchedChoice(En, Fps, std::vector<uint32_t>(En.size(), 0),
-                               Pick),
-              Reduction::Verdict::Run);
+    EXPECT_EQ(schedStep(R2, Fps, Pick), Reduction::Verdict::Run);
     EXPECT_EQ(R2.current(), Snapshot);
   }
 }
 
 TEST(DecisionTreeTest, ReseedDropsThePreviousSubtreesSeedAndPoints) {
-  std::vector<unsigned> En = {0, 1, 2};
   std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
 
   // A first subtree whose donor snapshot (nothing asleep after pick 0)
@@ -340,7 +354,7 @@ TEST(DecisionTreeTest, ReseedDropsThePreviousSubtreesSeedAndPoints) {
   First.HasSleep = true;
   R.seed(First);
   R.beginExecution();
-  ASSERT_EQ(R.onSchedChoice(En, Fps, {0, 0, 0}, 0), Reduction::Verdict::Run);
+  ASSERT_EQ(schedStep(R, Fps, 0), Reduction::Verdict::Run);
 
   // Re-seeding with an unannotated prefix forgets both the snapshot (no
   // validation, so no fatal divergence) and the recorded sched point (no
@@ -352,18 +366,16 @@ TEST(DecisionTreeTest, ReseedDropsThePreviousSubtreesSeedAndPoints) {
   R.annotate(Drained);
   EXPECT_FALSE(Drained.HasSleep);
   R.beginExecution();
-  EXPECT_EQ(R.onSchedChoice(En, Fps, {0, 0, 0}, 2), Reduction::Verdict::Run);
+  EXPECT_EQ(schedStep(R, Fps, 2), Reduction::Verdict::Run);
   EXPECT_EQ(R.current(), (std::vector<SleepMove>{{0, Fps[0]}, {1, Fps[1]}}));
 }
 
 TEST(DecisionTreeTest, AnnotateSkipsPrefixesNotEndingInSchedDecisions) {
-  std::vector<unsigned> En = {0, 1, 2};
   std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
 
   Reduction Red;
   Red.beginExecution();
-  ASSERT_EQ(Red.onSchedChoice(En, Fps, {0, 0, 0}, 2),
-            Reduction::Verdict::Run); // sleeps {0, 1}
+  ASSERT_EQ(schedStep(Red, Fps, 2), Reduction::Verdict::Run); // sleeps {0, 1}
 
   // A prefix ending in a read-from decision must not be annotated: pruning
   // is only sound at thread-choice points.
@@ -381,12 +393,41 @@ TEST(DecisionTreeTest, AnnotateSkipsPrefixesNotEndingInSchedDecisions) {
   EXPECT_FALSE(Root.HasSleep);
 }
 
+TEST(DecisionTreeTest, ASchedPointWritesNoSleepStateBeforeItsCommit) {
+  // A copy-on-write snapshot taken at a choice inside a step saves the
+  // reduction's live state, so recording the step's sched point must leave
+  // that state as it was at the step's loop top.
+  std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
+  Reduction Red;
+  Red.beginExecution();
+  Reduction::SleepState Live;
+  ASSERT_EQ(Red.onSchedChoice(alts(Fps), 2), Reduction::Verdict::Run);
+  Red.save(Live);
+  EXPECT_TRUE(Red.current().empty());
+  EXPECT_EQ(Live.NumPoints, 0u);
+  Red.commitChoice();
+  Red.save(Live);
+  EXPECT_EQ(Red.current(), (std::vector<SleepMove>{{0, Fps[0]}, {1, Fps[1]}}));
+  EXPECT_EQ(Live.NumPoints, 1u);
+
+  // A pruned pick ends the execution at the pick, so its point commits at
+  // once: the explorer's advance-time skip reads it, and the alternative
+  // before the pick goes to sleep.
+  const std::vector<SleepMove> Next = {{3, writeFp(9), 0}, {1, Fps[1], 0}};
+  ASSERT_EQ(Red.onSchedChoice(Next, 1), Reduction::Verdict::Prune);
+  Red.save(Live);
+  EXPECT_EQ(Live.NumPoints, 2u);
+  EXPECT_TRUE(Red.skipAlternative(1, 1));
+  EXPECT_FALSE(Red.skipAlternative(1, 0));
+  EXPECT_EQ(Red.current(), (std::vector<SleepMove>{
+                               {0, Fps[0]}, {1, Fps[1]}, {3, writeFp(9)}}));
+}
+
 #if GTEST_HAS_DEATH_TEST
 TEST(DecisionTreeDeathTest, DivergentSleepSeedIsFatal) {
   // A recipient whose recomputed sleep state disagrees with the donated
   // snapshot must abort: silent divergence would make reduced exploration
   // depend on the work distribution.
-  std::vector<unsigned> En = {0, 1, 2};
   std::vector<rmc::Footprint> Fps = {writeFp(7), writeFp(7), writeFp(7)};
   Reduction R;
   DecisionTree::Prefix P;
@@ -395,8 +436,9 @@ TEST(DecisionTreeDeathTest, DivergentSleepSeedIsFatal) {
   P.HasSleep = true;
   R.seed(P);
   R.beginExecution();
-  // ...but replaying pick 2 recomputes {0, 1}.
-  EXPECT_DEATH(R.onSchedChoice(En, Fps, {0, 0, 0}, 2), "diverged");
+  // ...but committing pick 2 recomputes {0, 1}.
+  ASSERT_EQ(R.onSchedChoice(alts(Fps), 2), Reduction::Verdict::Run);
+  EXPECT_DEATH(R.commitChoice(), "diverged");
 }
 
 TEST(DecisionTreeDeathTest, ArityChangeDuringReplayIsFatal) {
@@ -421,26 +463,22 @@ TEST(DecisionTreeDeathTest, KindChangeDuringReplayIsFatal) {
 namespace {
 
 /// Recounts what DecisionTree keeps per path change and compares: the
-/// frontier size, each decision's sched ordinal and the per-kind totals of
-/// every prefix.
+/// frontier size, each decision's sched ordinal and the path's per-kind
+/// totals.
 void expectKeptValuesMatchRecount(const DecisionTree &T,
                                   const std::string &Where) {
   const std::vector<DecisionTree::Decision> &Path = T.trace();
   uint64_t Frontier = 0;
   uint32_t Sched = 0;
-  DecisionTree::KindTotals Totals;
-  ASSERT_EQ(T.prefixTotals(0), Totals) << Where;
+  DecisionTree::KindTotals Totals{};
   for (size_t I = 0; I != Path.size(); ++I) {
     const DecisionTree::Decision &D = Path[I];
     Frontier += D.Limit - D.Chosen - 1;
     ASSERT_EQ(D.SchedOrd, Sched) << Where << ", decision " << I;
     Sched += D.Kind == ChoiceKind::Sched;
-    const size_t K = static_cast<size_t>(D.Kind);
-    ++Totals.Choices[K];
-    Totals.AltSum[K] += D.Count;
-    Totals.MaxArity[K] = std::max(Totals.MaxArity[K], D.Count);
-    ASSERT_EQ(T.prefixTotals(I + 1), Totals) << Where << ", prefix " << I + 1;
+    Totals[static_cast<size_t>(D.Kind)].add(D.Count);
   }
+  ASSERT_EQ(T.pathTotals(), Totals) << Where;
   ASSERT_EQ(T.frontierSize(), Frontier) << Where;
 }
 

@@ -845,6 +845,53 @@ Workload lastReadWorkload(unsigned Workers) {
   });
 }
 
+/// The orders of spinWorkload's flag stores and wait.
+struct SpinOrders {
+  const char *Name;
+  MemOrder Flag1, Flag2, Wait;
+};
+
+Task<void> spinWriter(Env &E, Loc X, Loc F, SpinOrders O) {
+  co_await E.store(X, 1, MemOrder::Relaxed);
+  co_await E.store(F, 1, O.Flag1);
+  co_await E.store(F, 2, O.Flag2);
+}
+
+Task<void> spinReader(Env &E, Loc X, Loc F, MemOrder WaitO, Value *Flag,
+                      Value *Data) {
+  *Flag = co_await E.spinUntil(F, [](Value V) { return V != 0; }, WaitO);
+  *Data = co_await E.load(X, MemOrder::Relaxed);
+}
+
+/// Message passing through a wait: the reader blocks in spinUntil(f != 0)
+/// until the writer's flag stores, either of which satisfies it, so a
+/// snapshot can hold a blocked thread's record and a resume can follow a
+/// LoadWhere choice. The check wants the data the flag published, which
+/// relaxed orders do not guarantee.
+Workload spinWorkload(unsigned Workers, SpinOrders O, ReductionMode Red) {
+  Explorer::Options Opts;
+  Opts.Workers = Workers;
+  Opts.Reduction = Red;
+  return Workload(Opts, [O]() -> Workload::Body {
+    auto Flag = std::make_shared<Value>();
+    auto Data = std::make_shared<Value>();
+    Workload::Body B{
+        [=](Machine &M, Scheduler &S) {
+          *Flag = *Data = 0;
+          Loc X = M.alloc("x"), F = M.alloc("f");
+          Env &E0 = S.newThread();
+          S.start(E0, spinWriter(E0, X, F, O));
+          Env &E1 = S.newThread();
+          S.start(E1, spinReader(E1, X, F, O.Wait, Flag.get(), Data.get()));
+        },
+        [Data](Machine &, Scheduler &, Scheduler::RunResult R) {
+          return R != Scheduler::RunResult::Done || *Data == 1;
+        }};
+    test::saveSinks(B, {Flag, Data});
+    return B;
+  });
+}
+
 } // namespace
 
 TEST(ParallelEngineAB, RestoredLastReadNamesTheMessageRead) {
@@ -868,6 +915,28 @@ TEST(ParallelEngineAB, MpLitmus) {
         return mpWorkload(W, MemOrder::SeqCst, MemOrder::SeqCst);
       },
       "MP sc A/B", true);
+}
+
+TEST(ParallelEngineAB, BlockedSpinWait) {
+  // A seq_cst wait reads at or past the SC view, which the SC store of 1
+  // raises: the release store of 2 leaves it two messages to choose from.
+  const SpinOrders Orders[] = {
+      {"relaxed", MemOrder::Relaxed, MemOrder::Relaxed, MemOrder::Relaxed},
+      {"release/acquire", MemOrder::Release, MemOrder::Release,
+       MemOrder::Acquire},
+      {"seq_cst", MemOrder::SeqCst, MemOrder::Release, MemOrder::SeqCst}};
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
+    for (const SpinOrders &O : Orders) {
+      const std::string Name = std::string("spin wait ") + O.Name + " " +
+                               reductionModeName(Red);
+      auto Make = [=](unsigned W) { return spinWorkload(W, O, Red); };
+      expectEngineAB(Make, Name, true);
+      Explorer::Summary Cow = explore(Make(1));
+      EXPECT_GT(Cow.Tags[static_cast<size_t>(ChoiceKind::LoadWhere)].Choices,
+                0u)
+          << Name << ": no wait had two satisfying messages";
+      EXPECT_EQ(Cow.HasViolation, O.Wait == MemOrder::Relaxed) << Name;
+    }
 }
 
 TEST(ParallelEngineAB, MsQueueE2Workload) {

@@ -534,3 +534,112 @@ TEST(ReductionEngineAB, ReducedMpViolationsIdenticalAcrossEngines) {
         << "workers=" << Wk;
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Snapshot state: a step writes nothing before its resume (DESIGN.md §11)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Forwards an explorer's choices, saving the scheduler's boundary before
+/// each: at the fresh ones, where the copy-on-write engine snapshots, and
+/// at the replayed ones, among them the sched picks past alternative 0 —
+/// the only picks that put moves to sleep.
+class SavingChoices final : public ChoiceSource {
+public:
+  explicit SavingChoices(Explorer &Ex) : Ex(Ex) {}
+
+  unsigned choose(unsigned Count, unsigned Limit, ChoiceKind K) override {
+    Saved.emplace_back();
+    Saved.back().Pos = Ex.decisionPosition();
+    S->saveBoundary(Saved.back().B);
+    return Ex.choose(Count, Limit, K);
+  }
+  size_t decisionPosition() const override { return Ex.decisionPosition(); }
+
+  /// A boundary saved at the choice that became decision Pos.
+  struct Save {
+    size_t Pos = 0;
+    Scheduler::Boundary B;
+  };
+  Scheduler *S = nullptr;
+  std::vector<Save> Saved; ///< This execution's saves.
+
+private:
+  Explorer &Ex;
+};
+
+bool sameBoundary(const Scheduler::Boundary &A, const Scheduler::Boundary &B) {
+  if (A.Steps != B.Steps || A.Preemptions != B.Preemptions ||
+      A.LastRun != B.LastRun || A.TreePos != B.TreePos ||
+      A.Threads.size() != B.Threads.size() || !(A.Sleep.Cur == B.Sleep.Cur) ||
+      A.Sleep.NumPoints != B.Sleep.NumPoints)
+    return false;
+  for (size_t I = 0; I != A.Threads.size(); ++I) {
+    const Scheduler::ThreadMark &X = A.Threads[I], &Y = B.Threads[I];
+    if (X.Pending != Y.Pending || !(X.NextFp == Y.NextFp) ||
+        X.WaitLoc != Y.WaitLoc || bool(X.WaitPred) != bool(Y.WaitPred) ||
+        X.Blocked != Y.Blocked || X.Done != Y.Done)
+      return false;
+  }
+  return true;
+}
+
+Task<void> storeLoadCas(Env &E, Loc X, Value Mine) {
+  co_await E.store(X, Mine, MemOrder::Relaxed);
+  Value Seen = co_await E.load(X, MemOrder::Relaxed);
+  co_await E.cas(X, Seen, Mine + 10, MemOrder::Relaxed);
+  co_await E.load(X, MemOrder::Acquire);
+}
+
+} // namespace
+
+TEST(ReductionStepState, AStepWritesNothingBeforeItsResume) {
+  // Every boundary saved within one step (equal step counts) must equal
+  // the step's first one — counters, tree position, every thread's record
+  // and the sleep state — so a snapshot at any choice inside a step is the
+  // live state of the step's loop top.
+  Explorer::Options Opts;
+  Opts.Reduction = ReductionMode::SourceSet;
+  Opts.PreemptionBound = 2;
+  Opts.MaxExecutions = 4000;
+  Explorer Ex(Opts);
+  SavingChoices Choices(Ex);
+  uint64_t Compared = 0, AfterSleepingPick = 0, Restricted = 0;
+  while (Ex.beginExecution()) {
+    Machine M(Choices);
+    Scheduler S(M, Choices);
+    S.setPreemptionBound(Opts.PreemptionBound);
+    S.setReduction(Ex.reduction());
+    Choices.S = &S;
+    Choices.Saved.clear();
+    Loc X = M.alloc("x");
+    for (Value V : {1, 2, 3}) {
+      Env &E = S.newThread();
+      S.start(E, storeLoadCas(E, X, V));
+    }
+    const Scheduler::RunResult R = S.run(Opts.MaxStepsPerExec);
+    const std::vector<DecisionTree::Decision> &Trace = Ex.currentTrace();
+    const Scheduler::Boundary *First = nullptr;
+    for (const SavingChoices::Save &Sv : Choices.Saved) {
+      if (!First || First->Steps != Sv.B.Steps) {
+        First = &Sv.B;
+        continue;
+      }
+      ++Compared;
+      const DecisionTree::Decision &Pick = Trace[First->TreePos];
+      AfterSleepingPick += Pick.Kind == ChoiceKind::Sched && Pick.Chosen > 0;
+      Restricted += Trace[Sv.Pos].Limit < Trace[Sv.Pos].Count;
+      EXPECT_TRUE(sameBoundary(*First, Sv.B))
+          << "execution " << Ex.summary().Executions << ", step "
+          << Sv.B.Steps << ", decision " << Sv.Pos << "\n"
+          << Ex.formatTrace();
+    }
+    Ex.endExecution(R);
+  }
+  const Explorer::Summary &Sum = Ex.summary();
+  EXPECT_GT(Sum.SleepPruned, 0u) << Sum.str();
+  EXPECT_GT(Compared, 0u);
+  EXPECT_GT(AfterSleepingPick, 0u) << "no step's pick put a move to sleep";
+  EXPECT_GT(Restricted, 0u) << "no restricted re-run made a choice";
+}
