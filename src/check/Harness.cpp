@@ -40,12 +40,11 @@ ContainerAdapter::ContainerAdapter(const Scenario &S, Mutation Mut,
     Obj = Q->objId();
     break;
   case Lib::TreiberStack:
-    Stk = &Impl.emplace<lib::TreiberStack>(M, Mon, "s", Mut);
-    Obj = Stk->objId();
-    break;
   case Lib::TreiberEbr:
-    Stk = &Impl.emplace<lib::TreiberStackEbr>(
-        M, Mon, "s", static_cast<unsigned>(S.Threads.size()), Mut);
+    // The EBR stack's domain has one announcement slot per thread.
+    Stk = &Impl.emplace<lib::TreiberStack>(
+        M, Mon, "s", Mut,
+        S.L == Lib::TreiberEbr ? static_cast<unsigned>(S.Threads.size()) : 0);
     Obj = Stk->objId();
     break;
   case Lib::ElimStack:
@@ -145,7 +144,7 @@ Verdict ContainerAdapter::verdict(
 
 void ContainerAdapter::saveOpState(OpState &Out) const {
   if (L == Lib::TreiberEbr)
-    Out.Bins = std::get<lib::TreiberStackEbr>(Impl).bins();
+    Out.Bins = std::get<lib::TreiberStack>(Impl).bins();
   else if (Deq)
     Out.Owner = Deq->owner();
   else if (Ring)
@@ -154,7 +153,7 @@ void ContainerAdapter::saveOpState(OpState &Out) const {
 
 void ContainerAdapter::restoreOpState(const OpState &In) {
   if (L == Lib::TreiberEbr)
-    std::get<lib::TreiberStackEbr>(Impl).setBins(In.Bins);
+    std::get<lib::TreiberStack>(Impl).setBins(In.Bins);
   else if (Deq)
     Deq->setOwner(In.Owner);
   else if (Ring)

@@ -32,7 +32,6 @@
 #include "lib/MsQueue.h"
 #include "lib/SpscRing.h"
 #include "lib/TreiberStack.h"
-#include "lib/TreiberStackEbr.h"
 #include "lib/WsDeque.h"
 #include "sim/Workload.h"
 
@@ -86,12 +85,11 @@ private:
   Lib L;
   /// The library instance, per L.
   std::variant<std::monostate, lib::MsQueue, lib::HwQueue, lib::TreiberStack,
-               lib::TreiberStackEbr, lib::ElimStack, lib::Exchanger,
-               lib::SpscRing, lib::WsDeque>
+               lib::ElimStack, lib::Exchanger, lib::SpscRing, lib::WsDeque>
       Impl;
   // Exactly one of these points into Impl, per L.
   lib::SimQueue *Q = nullptr;   ///< MsQueue or HwQueue.
-  lib::SimStack *Stk = nullptr; ///< TreiberStack or TreiberStackEbr.
+  lib::SimStack *Stk = nullptr; ///< TreiberStack, with or without EBR.
   lib::ElimStack *Elim = nullptr;
   lib::Exchanger *Ex = nullptr;
   lib::SpscRing *Ring = nullptr;
@@ -102,11 +100,10 @@ private:
 /// Writes into \p Key (cleared first) everything ContainerAdapter::verdict
 /// reads of one completed execution: \p G's size, which ids are committed,
 /// each committed event's kind, V1, V2, ObjId, Thread, CommitIdx and
-/// logical view, the so edges in order, and \p Results. Physical views are
-/// left out (no check reads them). Equal keys mean equal inputs, so, for
-/// one scenario, mutation and search budget, equal verdicts. The memo keys
-/// on the graph's incremental key instead (memoKeyTail); this whole-graph
-/// form is the reference tests hold it to.
+/// logical view, the so edges in order, and \p Results. Equal keys mean
+/// equal inputs, so, for one scenario, mutation and search budget, equal
+/// verdicts. The memo keys on the graph's incremental key instead
+/// (memoKeyTail); this whole-graph form is the reference tests hold it to.
 void verdictKey(const graph::EventGraph &G,
                 const std::vector<std::vector<Observed>> &Results,
                 std::vector<uint64_t> &Key);

@@ -7,10 +7,11 @@
 /// \file
 /// Events of library operations, following Section 3.1 of the paper: each
 /// committed operation is represented by an event carrying its type (with
-/// payload values), the *physical view* at its commit point, and its
-/// *logical view* — the set of events of operations that happen-before it
-/// (the paper's `logview`, which realizes the local-happens-before relation
-/// lhb of Yacovet).
+/// payload values) and its *logical view* — the set of events of
+/// operations that happen-before it (the paper's `logview`, which realizes
+/// the local-happens-before relation lhb of Yacovet). The paper's events
+/// also carry the *physical view* at the commit point; no spec or check
+/// reads it, so events here leave it out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #define COMPASS_GRAPH_EVENT_H
 
 #include "rmc/Memory.h"
-#include "rmc/View.h"
 #include "support/IdSet.h"
 
 #include <cstdint>
@@ -67,9 +67,6 @@ struct Event {
   /// Global commit sequence number: the order in which commits update the
   /// shared state (the paper's commit order `<` from Section 4.2).
   uint32_t CommitIdx = 0;
-
-  /// Physical view at the commit point (the `view` field of Section 3.1).
-  rmc::View PhysView;
 
   /// Logical view at the commit point: ids of all events that happen-before
   /// this one, *including this event itself* (the paper's `e ∈ M'`).

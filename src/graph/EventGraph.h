@@ -149,7 +149,7 @@ public:
   /// view words dropped), each so edge its two ends, and keyHash() folds
   /// every word in (keyMix). Records are self-delimiting, so equal words
   /// mean an equal sequence of commits and so edges. An epoch rewinds
-  /// both; physical views are left out.
+  /// both.
   const std::vector<uint64_t> &keyWords() const { return KeyWords; }
   uint64_t keyHash() const { return KeyHash; }
 

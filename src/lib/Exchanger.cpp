@@ -15,7 +15,7 @@ using compass::graph::OpKind;
 Exchanger::Exchanger(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                      Mutation Mut)
     : Mon(Mon), Mut(Mut) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Slot = M.alloc(Name + ".slot");
 }
 
@@ -49,10 +49,6 @@ Task<Value> Exchanger::exchange(Env &E, Value V, unsigned Attempts) {
 
     // An offer is present: try to be the helper.
     Loc Off = static_cast<Loc>(SlotVal);
-    // The slot message just read is the offer. Its view is the helpee's
-    // view at its offer — the physical view its event records (Figure 5's
-    // V2), which the commit reads from memory by (Slot, OfferTs).
-    Timestamp OfferTs = E.M.lastReadTs(E.Tid);
     Value PartnerVal = co_await E.load(Off + ValOff, MemOrder::NonAtomic);
     Value PartnerTid = co_await E.load(Off + TidOff, MemOrder::NonAtomic);
     EventId HelpeeEv = Mon.reserve(E.M, E.Tid);
@@ -63,7 +59,7 @@ Task<Value> Exchanger::exchange(Env &E, Value V, unsigned Attempts) {
       // scheduler step (Section 4.2's atomic pairing).
       Mon.commitExchangePair(E.M, E.Tid, MyEv, V,
                              static_cast<unsigned>(PartnerTid), HelpeeEv,
-                             PartnerVal, Slot, OfferTs, Obj);
+                             PartnerVal, Obj);
       co_await E.cas(Slot, Off, 0, Ord.ClearCas); // Cleanup.
       co_return matched(V, PartnerVal);
     }

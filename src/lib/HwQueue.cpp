@@ -15,7 +15,7 @@ using compass::graph::OpKind;
 HwQueue::HwQueue(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                  unsigned Capacity)
     : Mon(Mon), Capacity(Capacity) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Back = M.alloc(Name + ".back");
   Items = M.alloc(Name + ".items", Capacity);
   Eids = M.alloc(Name + ".eids", Capacity);

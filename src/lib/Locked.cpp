@@ -42,7 +42,7 @@ Task<void> SpinLock::unlock(Env &E) {
 LockedQueue::LockedQueue(Machine &M, spec::SpecMonitor &Mon,
                          std::string Name, unsigned Capacity)
     : Mon(Mon), Capacity(Capacity), Lock(M, Name) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Buf = M.alloc(Name + ".buf", Capacity);
   EidBuf = M.alloc(Name + ".eids", Capacity);
   HeadIdx = M.alloc(Name + ".headidx");
@@ -97,7 +97,7 @@ Task<Value> LockedQueue::dequeue(Env &E) {
 LockedStack::LockedStack(Machine &M, spec::SpecMonitor &Mon,
                          std::string Name, unsigned Capacity)
     : Mon(Mon), Capacity(Capacity), Lock(M, Name) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Buf = M.alloc(Name + ".buf", Capacity);
   EidBuf = M.alloc(Name + ".eids", Capacity);
   Count = M.alloc(Name + ".count");

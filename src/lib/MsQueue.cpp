@@ -13,7 +13,7 @@ using compass::graph::OpKind;
 MsQueue::MsQueue(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                  SyncProfile Profile, Mutation Mut)
     : Mon(Mon), Profile(Profile), Mut(Mut), Ord(orders(Profile, Mut)) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Loc Sentinel = M.alloc(Name + ".sentinel", 3);
   Head = M.alloc(Name + ".head", 1, Sentinel);
   Tail = M.alloc(Name + ".tail", 1, Sentinel);

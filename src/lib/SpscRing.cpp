@@ -15,7 +15,7 @@ using compass::graph::OpKind;
 SpscRing::SpscRing(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                    unsigned Capacity, Mutation Mut)
     : Mon(Mon), Capacity(Capacity), Mut(Mut) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   HeadIdx = M.alloc(Name + ".head");
   TailIdx = M.alloc(Name + ".tail");
   Buf = M.alloc(Name + ".buf", Capacity);
@@ -68,15 +68,25 @@ Task<void> SpscRing::enqueueBlocking(Env &E, Value V) {
   }
 }
 
-Task<Value> SpscRing::dequeue(Env &E) {
+Task<Value> SpscRing::dequeue(Env &E) { return dequeueImpl(E, false); }
+
+Task<Value> SpscRing::dequeueBlocking(Env &E) { return dequeueImpl(E, true); }
+
+Task<Value> SpscRing::dequeueImpl(Env &E, bool Blocking) {
   checkRole(Pinned.Consumer, E.Tid, "consumer");
   Value H = co_await E.load(HeadIdx, MemOrder::Relaxed); // Own writes.
-  Value T = co_await E.load(TailIdx, MemOrder::Acquire);
-  if (H == T) {
-    // Commit point (empty): the acquire read of tail.
-    EventId Ev = Mon.reserve(E.M, E.Tid);
-    Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::DeqEmpty, EmptyVal);
-    co_return EmptyVal;
+  if (Blocking) {
+    // Fair wait until the producer publishes a slot.
+    co_await E.spinUntil(
+        TailIdx, [H](Value T) { return T != H; }, MemOrder::Acquire);
+  } else {
+    Value T = co_await E.load(TailIdx, MemOrder::Acquire);
+    if (H == T) {
+      // Commit point (empty): the acquire read of tail.
+      EventId Ev = Mon.reserve(E.M, E.Tid);
+      Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::DeqEmpty, EmptyVal);
+      co_return EmptyVal;
+    }
   }
   Loc Slot = Buf + static_cast<Loc>(H % Capacity);
   Value V = co_await E.load(Slot, MemOrder::NonAtomic);
@@ -85,22 +95,6 @@ Task<Value> SpscRing::dequeue(Env &E) {
   EventId Ev = Mon.reserve(E.M, E.Tid);
   co_await E.store(HeadIdx, H + 1, MemOrder::Release);
   // Commit point: the head release (which also hands the slot back).
-  Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::DeqOk, V, 0,
-             static_cast<EventId>(EnqEv));
-  co_return V;
-}
-
-Task<Value> SpscRing::dequeueBlocking(Env &E) {
-  checkRole(Pinned.Consumer, E.Tid, "consumer");
-  Value H = co_await E.load(HeadIdx, MemOrder::Relaxed);
-  co_await E.spinUntil(
-      TailIdx, [H](Value T) { return T != H; }, MemOrder::Acquire);
-  Loc Slot = Buf + static_cast<Loc>(H % Capacity);
-  Value V = co_await E.load(Slot, MemOrder::NonAtomic);
-  Value EnqEv = co_await E.load(Eids + static_cast<Loc>(H % Capacity),
-                                MemOrder::NonAtomic);
-  EventId Ev = Mon.reserve(E.M, E.Tid);
-  co_await E.store(HeadIdx, H + 1, MemOrder::Release);
   Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::DeqOk, V, 0,
              static_cast<EventId>(EnqEv));
   co_return V;

@@ -68,6 +68,9 @@ public:
 private:
   void checkRole(unsigned &Role, unsigned Tid, const char *What);
 
+  /// dequeue, or with \p Blocking dequeueBlocking.
+  sim::Task<rmc::Value> dequeueImpl(sim::Env &E, bool Blocking);
+
   spec::SpecMonitor &Mon;
   unsigned Obj;
   unsigned Capacity;

@@ -12,9 +12,14 @@ using compass::graph::FailRaceVal;
 using compass::graph::OpKind;
 
 TreiberStack::TreiberStack(Machine &M, spec::SpecMonitor &Mon,
-                           std::string Name, Mutation Mut)
-    : Mon(Mon), Mut(Mut), Ord(orders(Mut)) {
-  Obj = Mon.registerObject(Name);
+                           std::string Name, Mutation Mut,
+                           unsigned EbrThreads)
+    : Mon(Mon), Mut(Mut), Ord(orders(Mut)),
+      NodeName(EbrThreads ? "estk.node" : "stk.node") {
+  if (EbrThreads)
+    Dom.emplace(M, Name + ".ebr", EbrThreads,
+                Ebr::Options(Mut == Mutation::EbrSkipGracePeriod));
+  Obj = Mon.registerObject();
   HeadLoc = M.alloc(Name + ".head"); // 0 = empty stack.
 }
 
@@ -41,8 +46,15 @@ Task<bool> TreiberStack::pushAttempt(Env &E, Value HeadPtr, Loc N,
 }
 
 Task<void> TreiberStack::push(Env &E, Value V) {
-  Loc N = E.M.alloc("stk.node", 3);
+  Loc N = E.M.alloc(NodeName, NodeCells);
   co_await E.store(N + ValOff, V, MemOrder::NonAtomic);
+  if (Dom) {
+    // Pin around the whole operation (native Guard discipline); the push
+    // never dereferences the head node, but pinning keeps the protocol
+    // uniform and exercises the announcement scan from both operations.
+    auto Pin = Dom->pin(E);
+    co_await Pin;
+  }
   // Stutter fingerprint: the head *message* (timestamp) we based the
   // failed attempt on. Head values can recur (S, A, B, A, ...), so values
   // alone would not distinguish a stale re-read from genuine progress.
@@ -58,16 +70,28 @@ Task<void> TreiberStack::push(Env &E, Value V) {
     auto Attempt = pushAttempt(E, HeadPtr, N, V);
     bool Ok = co_await Attempt;
     if (Ok)
-      co_return;
+      break;
+  }
+  if (Dom) {
+    auto Unpin = Dom->unpin(E);
+    co_await Unpin;
   }
 }
 
 Task<bool> TreiberStack::tryPush(Env &E, Value V) {
-  Loc N = E.M.alloc("stk.node", 3);
+  Loc N = E.M.alloc(NodeName, NodeCells);
   co_await E.store(N + ValOff, V, MemOrder::NonAtomic);
+  if (Dom) {
+    auto Pin = Dom->pin(E);
+    co_await Pin;
+  }
   Value HeadPtr = co_await E.load(HeadLoc, Ord.PushHeadLoad);
   auto Attempt = pushAttempt(E, HeadPtr, N, V);
   bool Ok = co_await Attempt;
+  if (Dom) {
+    auto Unpin = Dom->unpin(E);
+    co_await Unpin;
+  }
   co_return Ok;
 }
 
@@ -75,6 +99,12 @@ Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
   Value HeadPtr = co_await E.load(HeadLoc, Ord.PopHeadLoad);
   if (HeadTsOut)
     *HeadTsOut = E.M.lastReadTs(E.Tid);
+  if (earlyUnpin()) {
+    // Seeded fault: leave the critical section as soon as the head
+    // snapshot is taken; the node dereferences below run unprotected.
+    auto Unpin = Dom->unpin(E);
+    co_await Unpin;
+  }
   if (HeadPtr == 0) {
     // Commit point (empty): the acquire read of a null head.
     EventId Ev = Mon.reserve(E.M, E.Tid);
@@ -97,28 +127,64 @@ Task<Value> TreiberStack::popAttempt(Env &E, Timestamp *HeadTsOut) {
     // Commit point: the acquire CAS removing the node.
     Mon.commit(E.M, E.Tid, Ev, Obj, OpKind::PopOk, V, 0,
                static_cast<EventId>(PushEv));
+    if (Dom) {
+      // The node is now unlinked; retire it (still pinned) so the domain
+      // frees it after a full grace period.
+      auto Ret = Dom->retire(E, Node, NodeCells);
+      co_await Ret;
+    }
     co_return V;
   }
   Mon.retract(E.M, E.Tid, Ev);
   co_return FailRaceVal;
 }
 
-Task<Value> TreiberStack::tryPop(Env &E) { return popAttempt(E); }
+Task<Value> TreiberStack::tryPop(Env &E) {
+  if (!Dom)
+    return popAttempt(E);
+  return pinnedTryPop(E);
+}
+
+Task<Value> TreiberStack::pinnedTryPop(Env &E) {
+  auto Pin = Dom->pin(E);
+  co_await Pin;
+  auto Attempt = popAttempt(E);
+  Value V = co_await Attempt;
+  if (!earlyUnpin()) { // Else the attempt unpinned.
+    auto Unpin = Dom->unpin(E);
+    co_await Unpin;
+  }
+  co_return V;
+}
 
 Task<Value> TreiberStack::pop(Env &E) {
+  if (Dom) {
+    auto Pin = Dom->pin(E);
+    co_await Pin;
+  }
   Timestamp PrevTs = ~0u;
   bool First = true;
   for (;;) {
     Timestamp Ts = 0;
     auto Attempt = popAttempt(E, &Ts);
     Value V = co_await Attempt;
-    if (V != FailRaceVal)
+    if (V != FailRaceVal) {
+      if (Dom && !earlyUnpin()) { // Else the attempt unpinned.
+        auto Unpin = Dom->unpin(E);
+        co_await Unpin;
+      }
       co_return V;
+    }
     // Stutter fingerprint: the head message the failed attempt was based
     // on; re-observing the same message cannot make progress.
     if (!First && Ts == PrevTs)
       co_await E.prune();
     First = false;
     PrevTs = Ts;
+    if (earlyUnpin()) {
+      // The failed attempt unpinned; re-enter for the retry.
+      auto Repin = Dom->pin(E);
+      co_await Repin;
+    }
   }
 }

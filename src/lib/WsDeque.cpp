@@ -18,7 +18,7 @@ using compass::graph::OpKind;
 WsDeque::WsDeque(Machine &M, spec::SpecMonitor &Mon, std::string Name,
                  unsigned Capacity, Mutation Mut)
     : Mon(Mon), Capacity(Capacity), Ord(orders(Mut)) {
-  Obj = Mon.registerObject(Name);
+  Obj = Mon.registerObject();
   Top = M.alloc(Name + ".top");
   Bottom = M.alloc(Name + ".bottom");
   Buf = M.alloc(Name + ".buf", Capacity);

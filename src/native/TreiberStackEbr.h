@@ -87,7 +87,7 @@ public:
   uint64_t epochsTurned() const { return Reclaimer.epoch(); }
 
 private:
-  static constexpr lib::TreiberOrders Ord{}; ///< Same as lib::TreiberStackEbr.
+  static constexpr lib::TreiberOrders Ord{}; ///< As in lib::TreiberStack.
   std::atomic<Node *> Head{nullptr};
   Domain Reclaimer;
 };

@@ -283,9 +283,9 @@ const Knowledge &Machine::relView(const ThreadState &TS, Loc L) {
   return RelScratch;
 }
 
-Timestamp Machine::applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
+Timestamp Machine::applyWrite(ThreadState &TS, Loc L, Value V,
                               const Knowledge &MsgK, bool Release) {
-  Timestamp Ts = Mem.append(L, V, MsgK, T);
+  Timestamp Ts = Mem.append(L, V, MsgK);
   // The message's view includes the write itself (REL-WRITE's
   // `h[t ↦ (v, V')]` with `t ∈ V'`).
   Knowledge &K = Mem.knowRef(L, Ts);
@@ -420,7 +420,7 @@ void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
     if (TS.Cur.Phys.get(L) != C.latestTs())
       reportRace(T, L, "non-atomic write");
     // Non-atomic messages transfer no knowledge.
-    applyWrite(T, TS, L, V, Knowledge(), /*Release=*/false);
+    applyWrite(TS, L, V, Knowledge(), /*Release=*/false);
     COMPASS_TRACE(T, "st.na " + Mem.cellName(L) + " := " +
                          std::to_string(V));
     return;
@@ -429,7 +429,7 @@ void Machine::store(unsigned T, Loc L, Value V, MemOrder O) {
   // The append copies the view into the message slot before applyWrite
   // raises the thread's own views.
   bool Release = isRelease(O);
-  applyWrite(T, TS, L, V, Release ? TS.Cur : relView(TS, L), Release);
+  applyWrite(TS, L, V, Release ? TS.Cur : relView(TS, L), Release);
   if (O == MemOrder::SeqCst)
     scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("st.") + memOrderName(O) + " " +
@@ -494,7 +494,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
     // message's view, so a chain of RMWs forwards earlier releases.
     MsgScratch = C.know(Latest);
     MsgScratch.joinWith(isRelease(SuccO) ? TS.Cur : relView(TS, L));
-    applyWrite(T, TS, L, Desired, MsgScratch, isRelease(SuccO));
+    applyWrite(TS, L, Desired, MsgScratch, isRelease(SuccO));
     if (SuccO == MemOrder::SeqCst)
       scMut().joinWith(TS.Cur.Phys);
     COMPASS_TRACE(T, std::string("cas.") + memOrderName(SuccO) + " " +
@@ -533,7 +533,7 @@ Value Machine::fetchAdd(unsigned T, Loc L, Value Add, MemOrder O) {
   applyRead(TS, L, C, RTs, O, O == MemOrder::SeqCst);
   MsgScratch = C.know(RTs);
   MsgScratch.joinWith(isRelease(O) ? TS.Cur : relView(TS, L));
-  applyWrite(T, TS, L, Old + Add, MsgScratch, isRelease(O));
+  applyWrite(TS, L, Old + Add, MsgScratch, isRelease(O));
   if (O == MemOrder::SeqCst)
     scMut().joinWith(TS.Cur.Phys);
   COMPASS_TRACE(T, std::string("faa.") + memOrderName(O) + " " +

@@ -203,8 +203,8 @@ public:
   /// Timestamp of the thread's most recent atomic read (load, conditional
   /// load or RMW; a non-atomic load does not count). Retry loops use it as
   /// a stutter fingerprint: re-reading the same *message* (not merely the
-  /// same value) is a no-progress iteration; the exchanger names its offer
-  /// message by it. Fatal if the thread never read.
+  /// same value) is a no-progress iteration. Fatal if the thread never
+  /// read.
   Timestamp lastReadTs(unsigned T) const;
 
   const Memory &memory() const { return Mem; }
@@ -406,8 +406,8 @@ private:
   /// Appends a write carrying \p MsgK and applies writer-side effects.
   /// Returns new ts. \p MsgK must not be a history slot's Knowledge: the
   /// append may reallocate the cell's history arrays.
-  Timestamp applyWrite(unsigned T, ThreadState &TS, Loc L, Value V,
-                       const Knowledge &MsgK, bool Release);
+  Timestamp applyWrite(ThreadState &TS, Loc L, Value V, const Knowledge &MsgK,
+                       bool Release);
 
   void reportRace(unsigned T, Loc L, const char *What);
   void reportFault(const char *Rule, std::string Msg);

@@ -28,11 +28,9 @@ Loc Memory::alloc(std::string_view Name, unsigned Count, Value Init) {
       if (C.Vals.empty()) {
         C.Vals.push_back(Init);
         C.Knows.emplace_back();
-        C.Writers.push_back(~0u);
       } else {
         C.Vals[0] = Init;
         C.Knows[0].clear();
-        C.Writers[0] = ~0u;
       }
     } else {
       Cell C;
@@ -40,7 +38,6 @@ Loc Memory::alloc(std::string_view Name, unsigned Count, Value Init) {
       C.Off = Count == 1 ? ~0u : I;
       C.Vals.push_back(Init);
       C.Knows.emplace_back();
-      C.Writers.push_back(~0u);
       C.Len = 1;
       Cells.push_back(std::move(C));
     }
@@ -68,8 +65,7 @@ std::string Memory::cellName(Loc L) const {
   return C.Name + "+" + std::to_string(C.Off);
 }
 
-Timestamp Memory::append(Loc L, Value V, const Knowledge &Know,
-                         unsigned Writer) {
+Timestamp Memory::append(Loc L, Value V, const Knowledge &Know) {
   Cell &C = cell(L);
   Timestamp Ts = static_cast<Timestamp>(C.Len);
   if (C.Len < C.Vals.size()) {
@@ -77,11 +73,9 @@ Timestamp Memory::append(Loc L, Value V, const Knowledge &Know,
     // the slot's view/id-set heap storage.
     C.Vals[Ts] = V;
     C.Knows[Ts] = Know;
-    C.Writers[Ts] = Writer;
   } else {
     C.Vals.push_back(V);
     C.Knows.push_back(Know);
-    C.Writers.push_back(Writer);
   }
   ++C.Len;
   AppendLog.push_back(L);

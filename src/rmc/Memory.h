@@ -14,7 +14,7 @@
 /// DESIGN.md Section 4).
 ///
 /// Histories are stored structure-of-arrays (DESIGN.md Section 11): a cell
-/// keeps parallel Vals/Knows/Writers arrays plus a length watermark, and a
+/// keeps parallel Vals/Knows arrays plus a length watermark, and a
 /// message's timestamp *is* its index. Appends overwrite retained slots in
 /// place, so the per-message Knowledge heap reaches steady state once and
 /// is never freed between executions. Two undo logs (appends and lifecycle
@@ -62,8 +62,7 @@ struct PinRef {
 struct Cell {
   std::vector<Value> Vals;
   std::vector<Knowledge> Knows;
-  std::vector<unsigned> Writers; ///< Writer tid; ~0u for the init message.
-  size_t Len = 0;                ///< Messages [0, Len) are live.
+  size_t Len = 0; ///< Messages [0, Len) are live.
 
   std::string Name;  ///< Base debug name ("q.head", "s.slot", ...).
   unsigned Off = ~0u; ///< Batch offset for multi-cell allocs (~0u: none).
@@ -74,7 +73,6 @@ struct Cell {
   Value latestVal() const { return Vals[Len - 1]; }
   Value val(Timestamp Ts) const { return Vals[Ts]; }
   const Knowledge &know(Timestamp Ts) const { return Knows[Ts]; }
-  unsigned writer(Timestamp Ts) const { return Writers[Ts]; }
 };
 
 /// The machine's memory: an array of cells with allocation.
@@ -109,7 +107,7 @@ public:
 
   /// Appends a message with the next timestamp to \p L and returns that
   /// timestamp. The slot's retained Knowledge is overwritten in place.
-  Timestamp append(Loc L, Value V, const Knowledge &Know, unsigned Writer);
+  Timestamp append(Loc L, Value V, const Knowledge &Know);
 
   /// Mutable Knowledge of the message at \p Ts (the writer raises the
   /// message view with its own new timestamp right after appending).

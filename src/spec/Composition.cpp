@@ -59,7 +59,6 @@ void spec::buildElimStackGraph(const EventGraph &G, unsigned BaseObj,
     PushE.ObjId = EsObj;
     PushE.Thread = Pusher.Thread;
     PushE.CommitIdx = C1;
-    PushE.PhysView = Pusher.PhysView;
     PushE.LogView = Helper.LogView;
     PushE.LogView.erase(PopId);
     Out.commitRaw(PushId);
@@ -71,7 +70,6 @@ void spec::buildElimStackGraph(const EventGraph &G, unsigned BaseObj,
     PopE.ObjId = EsObj;
     PopE.Thread = Popper.Thread;
     PopE.CommitIdx = C1 + 1;
-    PopE.PhysView = Popper.PhysView;
     PopE.LogView = Helper.LogView;
     Out.commitRaw(PopId);
 

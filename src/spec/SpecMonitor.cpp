@@ -6,11 +6,6 @@ using namespace compass;
 using namespace compass::spec;
 using namespace compass::graph;
 
-unsigned SpecMonitor::registerObject(std::string Name) {
-  ObjectNames.push_back(std::move(Name));
-  return static_cast<unsigned>(ObjectNames.size()) - 1;
-}
-
 EventId SpecMonitor::reserve(rmc::Machine &M, unsigned T) {
   EventId Id = G.reserve();
   M.threadCur(T).Events.insert(Id);
@@ -36,14 +31,13 @@ void SpecMonitor::committedKnown(const rmc::Machine &M, unsigned T,
 void SpecMonitor::commit(rmc::Machine &M, unsigned T, EventId Id,
                          unsigned ObjId, OpKind Kind, rmc::Value V1,
                          rmc::Value V2, std::optional<EventId> SoFrom) {
-  // Filled in place: the slot's views keep their storage (EventGraph).
+  // Filled in place: the slot's logical view keeps its storage (EventGraph).
   Event &E = G.slot(Id);
   E.Kind = Kind;
   E.V1 = V1;
   E.V2 = V2;
   E.ObjId = ObjId;
   E.Thread = T;
-  E.PhysView = M.threadCur(T).Phys;
   committedKnown(M, T, E.LogView);
   E.LogView.insert(Id);
   G.commit(Id);
@@ -55,8 +49,6 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
                                      EventId HelperId, rmc::Value HelperVal,
                                      unsigned HelpeeT, EventId HelpeeId,
                                      rmc::Value HelpeeVal,
-                                     rmc::Loc OfferLoc,
-                                     rmc::Timestamp OfferTs,
                                      unsigned ObjId) {
   // Helpee first (the paper's commit order e2 < e1 when e1 helps). Its
   // logical view is the helper's, which cannot yet contain the helper's
@@ -68,7 +60,6 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
   E2.V2 = HelperVal;
   E2.ObjId = ObjId;
   E2.Thread = HelpeeT;
-  E2.PhysView = M.memory().cell(OfferLoc).know(OfferTs).Phys;
   committedKnown(M, HelperT, E2.LogView);
   E2.LogView.insert(HelpeeId);
   G.commit(HelpeeId);
@@ -79,7 +70,6 @@ void SpecMonitor::commitExchangePair(rmc::Machine &M, unsigned HelperT,
   E1.V2 = HelpeeVal;
   E1.ObjId = ObjId;
   E1.Thread = HelperT;
-  E1.PhysView = M.threadCur(HelperT).Phys;
   committedKnown(M, HelperT, E1.LogView); // Now includes HelpeeId.
   E1.LogView.insert(HelperId);
   G.commit(HelperId);

@@ -9,9 +9,9 @@
 /// library implementations drive this monitor at their commit points,
 /// extending the shared event graph exactly as the LAT postconditions of
 /// Figures 2, 4 and 5 describe — a fresh event with the commit point's
-/// physical and logical views, so edges to matched events, and (for
-/// exchangers) *paired* commits performed atomically by the helper
-/// (Section 4.2's helping pattern).
+/// logical view, so edges to matched events, and (for exchangers) *paired*
+/// commits performed atomically by the helper (Section 4.2's helping
+/// pattern).
 ///
 /// Protocol:
 ///  * `reserve(M, T)` allocates an event id and injects it into thread T's
@@ -26,12 +26,10 @@
 ///  * `retract(...)` abandons a reservation when the would-be commit
 ///    instruction failed (e.g. a lost CAS).
 ///  * `commitExchangePair(...)` performs the helpee-then-helper double
-///    commit with adjacent commit indices and symmetric so edges; the
-///    helpee's event records the helpee's physical view at its offer (the
-///    offer message's view, read from memory at commit) while both events
-///    share the helper's logical view (paper Figure 5, with the footnote-7
-///    refinement that the helpee's logical view does not contain the
-///    helper's event).
+///    commit with adjacent commit indices and symmetric so edges; both
+///    events share the helper's logical view (paper Figure 5, with the
+///    footnote-7 refinement that the helpee's logical view does not contain
+///    the helper's event).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +40,6 @@
 #include "rmc/Machine.h"
 
 #include <optional>
-#include <string>
-#include <vector>
 
 namespace compass::spec {
 
@@ -55,7 +51,7 @@ public:
   /// pattern) reaches steady-state capacity once.
   void reset() {
     G.reset();
-    ObjectNames.clear();
+    NumObjects = 0;
   }
 
   /// A point in the monitor's mutation history; O(1) to capture, O(delta)
@@ -66,17 +62,15 @@ public:
     unsigned NumObjects = 0;
   };
 
-  Epoch epoch() const {
-    return {G.epoch(), static_cast<unsigned>(ObjectNames.size())};
-  }
+  Epoch epoch() const { return {G.epoch(), NumObjects}; }
 
   void trimToEpoch(const Epoch &E) {
     G.trimToEpoch(E.G);
-    ObjectNames.resize(E.NumObjects);
+    NumObjects = E.NumObjects;
   }
 
   /// Registers a library object; returns its ObjId.
-  unsigned registerObject(std::string Name);
+  unsigned registerObject() { return NumObjects++; }
 
   /// Allocates an event id and injects it into thread \p T's knowledge.
   graph::EventId reserve(rmc::Machine &M, unsigned T);
@@ -94,14 +88,11 @@ public:
   /// Commits a matched exchange pair atomically: first the helpee's event
   /// \p HelpeeId (performed on behalf of thread \p HelpeeT), then the
   /// helper's \p HelperId (thread \p HelperT). Values cross: helpee
-  /// exchanged \p HelpeeVal for \p HelperVal. The helpee's physical view is
-  /// that of its offer message, named by its coordinates (\p OfferLoc,
-  /// \p OfferTs) and read from memory here.
+  /// exchanged \p HelpeeVal for \p HelperVal.
   void commitExchangePair(rmc::Machine &M, unsigned HelperT,
                           graph::EventId HelperId, rmc::Value HelperVal,
                           unsigned HelpeeT, graph::EventId HelpeeId,
-                          rmc::Value HelpeeVal, rmc::Loc OfferLoc,
-                          rmc::Timestamp OfferTs, unsigned ObjId);
+                          rmc::Value HelpeeVal, unsigned ObjId);
 
   const graph::EventGraph &graph() const { return G; }
 
@@ -111,7 +102,7 @@ private:
   void committedKnown(const rmc::Machine &M, unsigned T, IdSet &Out) const;
 
   graph::EventGraph G;
-  std::vector<std::string> ObjectNames;
+  unsigned NumObjects = 0; ///< Registered objects; the next ObjId.
 };
 
 } // namespace compass::spec

@@ -609,7 +609,6 @@ graph::Event keyEvent(graph::OpKind Kind, rmc::Value V1, unsigned Thread,
   E.V1 = V1;
   E.Thread = Thread;
   E.CommitIdx = CommitIdx;
-  E.PhysView.raise(3, 1);
   for (graph::EventId Id : View)
     E.LogView.insert(Id);
   return E;
@@ -668,10 +667,8 @@ TEST(VerdictMemo, KeyCoversEveryCheckedInput) {
                                     << " leaves the key unchanged";
     }
 
-    // No check reads physical views, and trailing zero words of a logical
-    // view mean nothing.
+    // Trailing zero words of a logical view mean nothing.
     KeyInput In = keyBase();
-    In.Events[0].second.PhysView.raise(5, 9);
     In.Events[1].second.LogView.insert(200);
     In.Events[1].second.LogView.erase(200);
     EXPECT_EQ(In.key(Memo), Base);

@@ -145,13 +145,17 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, StackMicroTest,
                            return stackKindName(Info.param);
                          });
 
-TEST(StackTryOpsTest, TryPushTryPopSingleThread) {
+/// The single-attempt operations, without and with a reclamation domain
+/// (the parameter is the domain's thread count; 0 builds none).
+class StackTryOpsTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StackTryOpsTest, TryPushTryPopSingleThread) {
   Explorer Ex;
   ASSERT_TRUE(Ex.beginExecution());
   Machine M(Ex);
   Scheduler S(M, Ex);
   SpecMonitor Mon;
-  lib::TreiberStack St(M, Mon, "s");
+  lib::TreiberStack St(M, Mon, "s", lib::Mutation::None, GetParam());
   Value Popped1 = 0, Popped2 = 0, PoppedEmpty = 0;
   bool Pushed = false;
 
@@ -173,6 +177,7 @@ TEST(StackTryOpsTest, TryPushTryPopSingleThread) {
   Env &E0 = S.newThread();
   S.start(E0, Body::run(E0, St, &Pushed, &Popped1, &Popped2, &PoppedEmpty));
   EXPECT_EQ(S.run(), Scheduler::RunResult::Done);
+  EXPECT_FALSE(M.raceDetected()) << M.raceMessage();
   EXPECT_TRUE(Pushed);
   EXPECT_EQ(Popped1, 7u);
   EXPECT_EQ(PoppedEmpty, graph::EmptyVal);
@@ -181,3 +186,8 @@ TEST(StackTryOpsTest, TryPushTryPopSingleThread) {
   EXPECT_TRUE(R.ok()) << R.str();
   Ex.endExecution(Scheduler::RunResult::Done);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothModes, StackTryOpsTest, ::testing::Values(0u, 1u),
+                         [](const auto &Info) {
+                           return Info.param ? "ebr" : "plain";
+                         });

@@ -25,7 +25,7 @@
 #include "check/Conformance.h"
 #include "check/Shrinker.h"
 #include "lib/MsQueue.h"
-#include "lib/TreiberStackEbr.h"
+#include "lib/TreiberStack.h"
 #include "spec/Consistency.h"
 #include "spec/SpecMonitor.h"
 
@@ -165,7 +165,7 @@ Workload msQueueWorkload(unsigned Workers, ReductionMode Red) {
   });
 }
 
-Task<void> ebrPushThenPop(Env &E, lib::TreiberStackEbr &S) {
+Task<void> ebrPushThenPop(Env &E, lib::TreiberStack &S) {
   auto P = S.push(E, 1);
   co_await P;
   auto Q = S.pop(E);
@@ -173,7 +173,7 @@ Task<void> ebrPushThenPop(Env &E, lib::TreiberStackEbr &S) {
   (void)V;
 }
 
-Task<void> ebrPopOnce(Env &E, lib::TreiberStackEbr &S) {
+Task<void> ebrPopOnce(Env &E, lib::TreiberStack &S) {
   auto Q = S.tryPop(E);
   Value V = co_await Q;
   (void)V;
@@ -192,14 +192,14 @@ Workload ebrStackWorkload(unsigned Workers, ReductionMode Red) {
   return Workload(Opts, []() -> Workload::Body {
     struct State {
       std::unique_ptr<spec::SpecMonitor> Mon;
-      std::unique_ptr<lib::TreiberStackEbr> S;
+      std::unique_ptr<lib::TreiberStack> S;
     };
     auto St = std::make_shared<State>();
     return {
         [St](Machine &M, Scheduler &S) {
           St->Mon = std::make_unique<spec::SpecMonitor>();
-          St->S =
-              std::make_unique<lib::TreiberStackEbr>(M, *St->Mon, "s", 2);
+          St->S = std::make_unique<lib::TreiberStack>(
+              M, *St->Mon, "s", lib::Mutation::None, 2);
           Env &E0 = S.newThread();
           S.start(E0, ebrPushThenPop(E0, *St->S));
           Env &E1 = S.newThread();

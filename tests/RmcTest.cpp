@@ -132,19 +132,18 @@ TEST(MemoryTest, MultiCellAllocIsContiguous) {
 TEST(MemoryTest, AppendAssignsDenseTimestamps) {
   Memory M;
   Loc L = M.alloc("x");
-  M.append(L, 1, Knowledge(), 0);
-  M.append(L, 2, Knowledge(), 1);
+  M.append(L, 1, Knowledge());
+  M.append(L, 2, Knowledge());
   EXPECT_EQ(M.cell(L).latestTs(), 2u);
   EXPECT_EQ(M.cell(L).val(1), 1u);
   EXPECT_EQ(M.cell(L).val(2), 2u);
-  EXPECT_EQ(M.cell(L).writer(2), 1u);
 }
 
 TEST(MemoryTest, ReadableCount) {
   Memory M;
   Loc L = M.alloc("x");
-  M.append(L, 1, Knowledge(), 0);
-  M.append(L, 2, Knowledge(), 0);
+  M.append(L, 1, Knowledge());
+  M.append(L, 2, Knowledge());
   EXPECT_EQ(M.countReadableFrom(L, 0), 3u);
   EXPECT_EQ(M.countReadableFrom(L, 2), 1u);
 }
