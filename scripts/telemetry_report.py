@@ -11,8 +11,9 @@ Sections:
   * configuration  — from the run_start record(s); a file holds several
     when runs append to the same path (each resume adds one);
   * progress       — execs/sec over time from heartbeat records, with a
-    small ASCII sparkline, queue/busy-worker extremes, and the last
-    heartbeat's per-worker samples (execs, donated, frontier, depth);
+    small ASCII sparkline, the last heartbeat's in-flight scenario per
+    worker, and its totals over the folded scenarios ("?" where an
+    older stream's heartbeats lack a field);
   * violations     — every violation record with its replayable decision
     trace (feed to `compass_check replay`);
   * checkpoints    — when/why checkpoints were cut;
@@ -118,26 +119,22 @@ def report(records, truncated):
         print(f"  execs/sec: min {min(rates):,.0f}  "
               f"mean {sum(rates) / len(rates):,.0f}  max {max(rates):,.0f}")
         print(f"  [{sparkline(rates)}]")
-        peak_q = max(int(h.get("queue", 0)) for h in hbs)
-        peak_busy = max(int(h.get("busy", 0)) for h in hbs)
-        donations = max(int(h.get("donations", 0)) for h in hbs)
-        print(f"  peak queue {peak_q}  peak busy workers {peak_busy}  "
-              f"donations {donations}")
         for i, w in enumerate(hbs[-1].get("per_worker", [])):
-            print(f"  worker {i}: execs {w.get('execs', 0):,}  "
-                  f"donated {w.get('donated', 0):,}  "
-                  f"frontier {w.get('frontier', 0):,}  "
-                  f"depth {w.get('depth', 0)}")
+            if w.get("idle"):
+                print(f"  worker {i}: idle")
+            else:
+                print(f"  worker {i}: {w.get('lib', '?')} "
+                      f"scenario {w.get('scenario', '?')}")
         last = hbs[-1].get("sweep", {})
-        if last:
-            print(f"  last sweep counters: "
-                  f"scenarios={last.get('scenarios', 0)} "
-                  f"executions={last.get('executions', 0):,} "
-                  f"completed={last.get('completed', 0):,} "
-                  f"races={last.get('races', 0)} "
-                  f"deadlocks={last.get('deadlocks', 0)} "
-                  f"violations={last.get('violations', 0)} "
-                  f"sleep_pruned={last.get('sleep_pruned', 0):,}")
+
+        def total(key):
+            v = last.get(key)
+            return "?" if v is None else f"{v:,}"
+        print("  last sweep totals: " +
+              " ".join(f"{k}={total(k)}" for k in
+                       ("scenarios", "executions", "completed", "races",
+                        "deadlocks", "violations", "sleep_pruned",
+                        "truncated")))
 
     section("violations")
     viols = by_kind.get("violation", [])

@@ -1,36 +1,31 @@
 //===-- check/Checkpoint.cpp - Resumable conformance sweeps ---------------===//
 //
-// Text grammar (version "compass sweep-checkpoint v3"; one record per
+// Text grammar (version "compass sweep-checkpoint v4"; one record per
 // line, space-separated fields; free-form strings are %-escaped into
 // single tokens, "%" standing in for the empty string):
 //
-//   compass sweep-checkpoint v3
+//   compass sweep-checkpoint v4
 //   config <Seed> <ScenariosPerLib> <MaxExecsPerScenario> <none|source>
 //   gen <MinThreads> <MaxThreads> <MinOps> <MaxOps> <MinPre> <MaxPre>
 //   libs <N>
 //   lib <name>                                          (N lines)
-//   progress <Fp> <LibIndex> <ScenarioIndex> <NDone> <HasScenario>
-//            <ScenarioLinAborts>
+//   progress <Fp> <LibIndex> <ScenarioIndex> <NDone>
 //   stat <lib> <Scenarios> <Executions> <Completed> <Races> <Deadlocks>
 //        <Violations> <SleepPruned> <RfPruned> <SourcePruned>
 //        <MaxDepth> <LinAborts> <Truncated>
 //        <FirstBadScenario> <FirstBad>        (NDone lines, then CurLib)
-//   snapshot v3 ... end snapshot              (iff HasScenario; the
-//                                              embedded sim grammar)
 //   end sweep-checkpoint
 //
-// The config line records the reduction mode the executed share ran
+// The config line records the reduction mode the folded scenarios ran
 // under; resuming under a different one would splice incompatible
-// exploration states (the caller enforces the match — see compass_check
-// sweep --resume). Earlier versions are rejected: v2 also recorded an
-// engine path, and v1 carried a duplicate-rf cache counter in every stat
-// record.
+// fingerprints (the caller enforces the match — see compass_check sweep
+// --resume). Earlier versions are rejected: v3 could also embed the
+// frontier of a half-explored scenario, v2 recorded an engine path, and
+// v1 carried a duplicate-rf cache counter in every stat record.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/Checkpoint.h"
-
-#include "sim/LineRecords.h"
 
 #include <cstdio>
 #include <sstream>
@@ -87,8 +82,68 @@ bool decodeToken(const std::string &T, std::string &Out) {
   return true;
 }
 
-using sim::detail::Fields;
-using sim::detail::LineCursor;
+/// A cursor over the non-empty lines of a text.
+struct LineCursor {
+  std::string_view Text;
+  size_t Pos = 0;
+  size_t LineNo = 0;
+  std::string Line; ///< The current line, CR stripped.
+  std::string Err;
+
+  explicit LineCursor(std::string_view Text) : Text(Text) {}
+
+  /// Advances to the next non-empty line; false (with Err set) at the end.
+  bool next() {
+    while (Pos < Text.size()) {
+      size_t E = Text.find('\n', Pos);
+      std::string_view L = E == std::string_view::npos
+                               ? Text.substr(Pos)
+                               : Text.substr(Pos, E - Pos);
+      Pos = E == std::string_view::npos ? Text.size() : E + 1;
+      ++LineNo;
+      if (!L.empty() && L.back() == '\r')
+        L.remove_suffix(1);
+      if (!L.empty()) {
+        Line.assign(L);
+        return true;
+      }
+    }
+    Err = "unexpected end of checkpoint";
+    return false;
+  }
+
+  /// Sets Err to "line N: Msg (got: <line>)" and returns false.
+  bool fail(const std::string &Msg) {
+    Err = "line " + std::to_string(LineNo) + ": " + Msg +
+          (Line.empty() ? "" : " (got: " + Line + ")");
+    return false;
+  }
+};
+
+/// Splits one line into a keyword and numeric/string fields.
+struct Fields {
+  std::istringstream In;
+  explicit Fields(const std::string &Line) : In(Line) {}
+
+  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
+
+  template <typename T> bool num(T &Out) {
+    uint64_t V = 0;
+    if (!(In >> V))
+      return false;
+    Out = static_cast<T>(V);
+    // Round-trip check: reject values that do not fit the target type.
+    return static_cast<uint64_t>(Out) == V;
+  }
+};
+
+/// Reads the record keyword from \p F; fails \p C unless it is \p Kw.
+bool expectKeyword(LineCursor &C, const char *Kw, Fields &F) {
+  std::string W;
+  if (!F.word(W) || W != Kw)
+    return C.fail(std::string("expected '") + Kw + "'");
+  return true;
+}
 
 void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
   OS << "stat " << libName(St.L) << ' ' << St.Scenarios << ' '
@@ -123,7 +178,7 @@ bool parseStat(LineCursor &C, LibSweepStats &St) {
 
 std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
   std::ostringstream OS;
-  OS << "compass sweep-checkpoint v3\n";
+  OS << "compass sweep-checkpoint v4\n";
   OS << "config " << C.Seed << ' ' << C.ScenariosPerLib << ' '
      << C.MaxExecutionsPerScenario << ' '
      << sim::reductionModeName(C.Reduction) << '\n';
@@ -134,13 +189,10 @@ std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
   for (Lib L : C.Libs)
     OS << "lib " << libName(L) << '\n';
   OS << "progress " << C.Fp << ' ' << C.LibIndex << ' ' << C.ScenarioIndex
-     << ' ' << C.DoneLibs.size() << ' ' << unsigned(C.HasScenario) << ' '
-     << C.ScenarioLinAborts << '\n';
+     << ' ' << C.DoneLibs.size() << '\n';
   for (const LibSweepStats &St : C.DoneLibs)
     writeStat(OS, St);
   writeStat(OS, C.CurLib);
-  if (C.HasScenario)
-    OS << sim::serializeSnapshot(C.Scenario);
   OS << "end sweep-checkpoint\n";
   return OS.str();
 }
@@ -148,7 +200,7 @@ std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
 bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
                                  std::string &Err) {
   Out = SweepCheckpoint{};
-  LineCursor C(Text, "checkpoint");
+  LineCursor C(Text);
   auto Done = [&](bool Ok) {
     if (!Ok)
       Err = C.Err;
@@ -157,9 +209,9 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
 
   if (!C.next())
     return Done(false);
-  if (C.Line != "compass sweep-checkpoint v3")
+  if (C.Line != "compass sweep-checkpoint v4")
     return Done(C.fail("unsupported checkpoint header "
-                       "(want 'compass sweep-checkpoint v3')"));
+                       "(want 'compass sweep-checkpoint v4')"));
 
   if (!C.next())
     return Done(false);
@@ -210,8 +262,7 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
   {
     Fields F(C.Line);
     if (!expectKeyword(C, "progress", F) || !F.num(Out.Fp) ||
-        !F.num(Out.LibIndex) || !F.num(Out.ScenarioIndex) || !F.num(NDone) ||
-        !F.flag(Out.HasScenario) || !F.num(Out.ScenarioLinAborts))
+        !F.num(Out.LibIndex) || !F.num(Out.ScenarioIndex) || !F.num(NDone))
       return Done(C.fail("malformed progress record"));
   }
   if (Out.LibIndex >= Out.Libs.size())
@@ -231,22 +282,6 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     return Done(false);
   if (Out.CurLib.L != Out.Libs[Out.LibIndex])
     return Done(C.fail("current-library stat does not match position"));
-
-  if (Out.HasScenario) {
-    // The embedded snapshot starts at the next line; its parser validates
-    // its own header/footer and ignores our trailing records.
-    if (!sim::parseSnapshot(C.rest(), Out.Scenario, Err)) {
-      Err = "embedded snapshot: " + Err;
-      return false;
-    }
-    // Skip past the embedded block in our cursor.
-    for (;;) {
-      if (!C.next())
-        return Done(false);
-      if (C.Line == "end snapshot")
-        break;
-    }
-  }
 
   if (!C.next())
     return Done(false);

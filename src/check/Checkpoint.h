@@ -6,32 +6,29 @@
 ///
 /// \file
 /// Crash-resilient checkpoint/resume for the conformance sweep (DESIGN.md
-/// Section 9). A SweepCheckpoint freezes an in-flight runSweep at a
-/// scenario-segment boundary:
+/// Section 9). The sweep folds finished scenarios in scenario order, and a
+/// SweepCheckpoint records that folded prefix:
 ///
 ///  * the full sweep configuration (seed, bounds, libraries, reduction) so
 ///    a resumed run regenerates the identical scenario stream — only the
 ///    worker count may change between segments;
 ///  * the deterministic progress so far: the FNV fingerprint accumulator,
 ///    per-library aggregates, and the position (library, scenario) of the
-///    next unit of work;
-///  * when the interrupt landed mid-scenario, the embedded
-///    sim::ExplorationSnapshot of that scenario's unexplored frontier plus
-///    its executed partial core and linearization-abort count.
+///    first scenario not yet folded.
 ///
-/// Because the exploration snapshot's frontier partitions the scenario's
-/// decision tree and every fingerprint contribution is a function of
-/// complete scenario summaries, finishing a checkpoint — at any worker
-/// count, interrupted any number of times — produces the bit-identical
-/// SweepReport fingerprint of an uninterrupted run.
+/// A scenario is explored by one worker from its root and folds whole, so
+/// a checkpoint never holds a half-explored tree: a resume re-runs from
+/// the root every scenario at or after the position, including those that
+/// were in flight or had finished out of order when the run stopped.
+/// Finishing a checkpoint — at any worker count, interrupted any number of
+/// times — therefore produces the report of an uninterrupted run.
 ///
 /// runSweepResumable drives the machinery: cooperative interruption from a
 /// signal flag, a wall-clock time budget, and periodic checkpoint cadences
 /// (by executions or seconds; cadence checkpoints are written via callback
 /// and the sweep continues in-process). serializeSweepCheckpoint /
 /// parseSweepCheckpoint give checkpoints a versioned line-oriented text
-/// form ("compass sweep-checkpoint v3") embedding the snapshot grammar of
-/// sim/Checkpoint.cpp.
+/// form ("compass sweep-checkpoint v4").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +36,6 @@
 #define COMPASS_CHECK_CHECKPOINT_H
 
 #include "check/Conformance.h"
-#include "sim/Checkpoint.h"
 
 #include <atomic>
 #include <functional>
@@ -59,36 +55,29 @@ struct SweepCheckpoint {
   unsigned ScenariosPerLib = 50;
   uint64_t MaxExecutionsPerScenario = 200000;
   /// Recorded so a resume cannot silently continue under a different mode
-  /// than the one that produced the executed share.
+  /// than the one that produced the folded scenarios.
   sim::ReductionMode Reduction = sim::ReductionMode::SourceSet;
   std::vector<Lib> Libs; ///< Resolved library list (never empty).
   GenOptions Gen;
 
-  // -- Progress ---------------------------------------------------------
+  // -- Progress: the folded scenario prefix ---------------------------
   uint64_t Fp = 0;            ///< SweepReport fingerprint accumulator.
   size_t LibIndex = 0;        ///< Position: current library in Libs.
   unsigned ScenarioIndex = 0; ///< Position: current scenario in LibIndex.
   std::vector<LibSweepStats> DoneLibs; ///< Completed libraries, in order.
-  LibSweepStats CurLib; ///< Partial aggregate of Libs[LibIndex].
+  LibSweepStats CurLib; ///< Folded scenarios of Libs[LibIndex].
 
-  // -- In-flight scenario (when the interrupt landed mid-exploration) ---
-  bool HasScenario = false;
-  uint64_t ScenarioLinAborts = 0; ///< Lin aborts of the executed share.
-  sim::ExplorationSnapshot Scenario;
-
-  /// Sweep executions already performed: the completed libraries, the
-  /// current library's finished scenarios, and the in-flight scenario's
-  /// executed share.
+  /// Executions of the folded scenarios.
   uint64_t executions() const {
     uint64_t N = CurLib.Executions;
     for (const LibSweepStats &St : DoneLibs)
       N += St.Executions;
-    return N + (HasScenario ? Scenario.Partial.Executions : 0);
+    return N;
   }
 };
 
 /// Serializes \p C in a versioned line-oriented text format (grammar in
-/// Checkpoint.cpp; embeds sim::serializeSnapshot output).
+/// Checkpoint.cpp).
 std::string serializeSweepCheckpoint(const SweepCheckpoint &C);
 
 /// Parses serializeSweepCheckpoint output. On failure returns false and
@@ -100,19 +89,22 @@ bool parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
 /// uninterruptible (plain runSweep behavior).
 struct SweepControl {
   /// Cooperative interrupt, typically set from a SIGINT/SIGTERM handler.
-  /// Once true, the in-flight scenario drains into a checkpoint and
-  /// runSweepResumable returns with Interrupted set.
+  /// Once true, no scenario starts, the in-flight ones stop after their
+  /// current execution, and runSweepResumable returns with Interrupted set
+  /// and the folded prefix as its checkpoint.
   const std::atomic<bool> *StopRequested = nullptr;
 
   /// >0: graceful cutoff — checkpoint and return once this much wall time
   /// (seconds) has elapsed.
   double TimeBudgetSec = 0;
 
-  /// >0: invoke OnCheckpoint roughly every N sweep executions; the sweep
-  /// then continues in-process. Approximate trip points, exact state.
+  /// >0: invoke OnCheckpoint at the first scenario boundary of the fold
+  /// after every N further folded executions; the sweep then continues
+  /// in-process.
   uint64_t CheckpointEveryExecs = 0;
 
-  /// >0: invoke OnCheckpoint roughly every interval (seconds).
+  /// >0: invoke OnCheckpoint at the first scenario boundary of the fold
+  /// after every interval (seconds).
   double CheckpointEverySec = 0;
 
   /// Cadence sink (required for the cadences to be useful; the *final*
@@ -122,6 +114,8 @@ struct SweepControl {
 
   /// Optional JSONL telemetry sink (heartbeats + violation records).
   Telemetry *Telem = nullptr;
+  /// A heartbeat is written when a folded scenario finds this many seconds
+  /// passed since the last one (0: after every folded scenario).
   double HeartbeatIntervalSec = 1.0;
 };
 
@@ -134,9 +128,9 @@ struct SweepResult {
 
 /// runSweep with cooperative interruption and resume. Pass \p Resume to
 /// continue a previous checkpoint (its configuration wins over \p O except
-/// for Workers). The completed report's fingerprint is bit-identical to an
-/// uninterrupted runSweep(O) at any worker count and any interrupt/resume
-/// segmentation.
+/// for Workers). The completed report is identical to an uninterrupted
+/// runSweep(O)'s, apart from Workers, at any worker count and any
+/// interrupt/resume segmentation.
 SweepResult runSweepResumable(const SweepOptions &O, const SweepControl &C,
                               const SweepCheckpoint *Resume = nullptr);
 

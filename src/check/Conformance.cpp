@@ -4,11 +4,14 @@
 
 #include "check/Checkpoint.h"
 #include "check/Telemetry.h"
+#include "sim/ParallelExplorer.h"
 #include "support/Json.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iomanip>
-#include <limits>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 using namespace compass;
@@ -23,11 +26,14 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
                                      const SweepCheckpoint *Resume) {
   SweepOptions O = OIn;
   std::vector<Lib> Libs;
-  size_t Li0 = 0;
-  unsigned Sc0 = 0;
-
   SweepResult Res;
   SweepReport &Rep = Res.Rep;
+  // The fold: Rep.PerLib holds the finished libraries and Cur the folded
+  // scenarios of library CurLi. Folded numbers the scenarios folded so
+  // far, in sweep order (library-major).
+  LibSweepStats Cur;
+  size_t CurLi = 0;
+  size_t Folded = 0;
 
   if (Resume) {
     // The checkpoint's configuration wins (it determines the scenario
@@ -38,17 +44,21 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     O.Reduction = Resume->Reduction;
     O.Gen = Resume->Gen;
     Libs = Resume->Libs;
-    Li0 = Resume->LibIndex;
-    Sc0 = Resume->ScenarioIndex;
     Rep.Fp = Resume->Fp;
     Rep.PerLib = Resume->DoneLibs;
+    Cur = Resume->CurLib;
+    CurLi = Resume->LibIndex;
+    Folded = CurLi * O.ScenariosPerLib + Resume->ScenarioIndex;
   } else {
     Libs = O.Libs;
     if (Libs.empty())
       Libs.assign(allLibs(), allLibs() + NumLibs);
+    Cur.L = Libs[0];
   }
   Rep.Seed = O.Seed;
   Rep.Workers = O.Workers;
+  const unsigned PerLib = O.ScenariosPerLib;
+  const size_t NumScenarios = Libs.size() * PerLib;
 
   auto Mix = [&Rep](uint64_t V) {
     for (unsigned I = 0; I != 8; ++I) {
@@ -65,21 +75,18 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
                                          Start)
         .count();
   };
-  constexpr double Inf = std::numeric_limits<double>::infinity();
 
-  // Running total of the sweep's finished scenarios across libraries; its
-  // counters go into heartbeat records.
+  // Running total of the folded scenarios across libraries, for heartbeat
+  // records and the execution-count cadence.
   LibSweepStats Total;
   for (const LibSweepStats &St : Rep.PerLib)
     Total.add(St);
-  if (Resume)
-    Total.add(Resume->CurLib);
-  // Cumulative sweep executions (finished scenarios + the in-flight
-  // scenario's executed base), driving the execution-count cadence.
-  uint64_t SweepExecs = Resume ? Resume->executions() : 0;
+  Total.add(Cur);
+  const uint64_t BaseExecs = Total.Executions;
   uint64_t NextCkptExecs =
-      C.CheckpointEveryExecs > 0 ? SweepExecs + C.CheckpointEveryExecs : 0;
-  double NextCkptTime = C.CheckpointEverySec > 0 ? C.CheckpointEverySec : 0;
+      C.CheckpointEveryExecs > 0 ? BaseExecs + C.CheckpointEveryExecs : 0;
+  double NextCkptTime = C.CheckpointEverySec;
+  double LastHeartbeat = 0;
 
   auto StopAsked = [&C] {
     return C.StopRequested &&
@@ -89,175 +96,172 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     return C.TimeBudgetSec > 0 && Elapsed() >= C.TimeBudgetSec;
   };
 
-  auto BuildCkpt = [&](size_t Li, unsigned Sc, const LibSweepStats &St,
-                       bool HasSnap, uint64_t LinBase,
-                       sim::ExplorationSnapshot Snap) {
+  // Moves the fold on to library Li, finishing the libraries before it.
+  auto AdvanceTo = [&](size_t Li) {
+    for (; CurLi < Li; ++CurLi) {
+      Rep.PerLib.push_back(std::move(Cur));
+      Cur = LibSweepStats{};
+      if (CurLi + 1 < Libs.size())
+        Cur.L = Libs[CurLi + 1];
+    }
+  };
+  // The checkpoint of the folded prefix: resuming it re-runs every
+  // scenario from Folded on.
+  auto BuildCkpt = [&] {
+    AdvanceTo(Folded / PerLib);
     SweepCheckpoint K;
     K.Seed = O.Seed;
-    K.ScenariosPerLib = O.ScenariosPerLib;
+    K.ScenariosPerLib = PerLib;
     K.MaxExecutionsPerScenario = O.MaxExecutionsPerScenario;
     K.Reduction = O.Reduction;
     K.Libs = Libs;
     K.Gen = O.Gen;
     K.Fp = Rep.Fp;
-    K.LibIndex = Li;
-    K.ScenarioIndex = Sc;
+    K.LibIndex = CurLi;
+    K.ScenarioIndex = static_cast<unsigned>(Folded - CurLi * PerLib);
     K.DoneLibs = Rep.PerLib;
-    K.CurLib = St;
-    K.HasScenario = HasSnap;
-    K.ScenarioLinAborts = LinBase;
-    K.Scenario = std::move(Snap);
+    K.CurLib = Cur;
     return K;
   };
 
-  for (size_t Li = Li0; Li != Libs.size(); ++Li) {
-    Lib L = Libs[Li];
-    LibSweepStats St;
-    St.L = L;
-    unsigned IBegin = 0;
-    if (Resume && Li == Li0) {
-      St = Resume->CurLib;
-      IBegin = Sc0;
+  // A scenario explored to the end, waiting for its turn in the fold.
+  struct Finished {
+    Scenario S;
+    sim::Explorer::Summary Sum;
+    uint64_t LinAborts = 0;
+  };
+
+  const unsigned N = static_cast<unsigned>(std::max<size_t>(
+      1, std::min<size_t>(O.Workers, NumScenarios - Folded)));
+  std::vector<Telemetry::InFlight> InFlight(N); ///< Per worker.
+
+  // Folds scenario number Folded, then hands out a cadence checkpoint or
+  // a heartbeat when one is due.
+  auto Fold = [&](const Finished &F) {
+    const size_t Li = Folded / PerLib;
+    const unsigned I = static_cast<unsigned>(Folded % PerLib);
+    const Lib L = Libs[Li];
+    const sim::Explorer::Summary &Sum = F.Sum;
+    AdvanceTo(Li);
+    LibSweepStats One;
+    One.Scenarios = 1;
+    One.Executions = Sum.Executions;
+    One.Completed = Sum.Completed;
+    One.Races = Sum.Races;
+    One.Deadlocks = Sum.Deadlocks;
+    One.Violations = Sum.Violations;
+    One.SleepPruned = Sum.SleepPruned;
+    One.RfPruned = Sum.RfPruned;
+    One.SourcePruned = Sum.SourcePruned;
+    One.MaxDepth = Sum.MaxDepth;
+    One.LinAborts = F.LinAborts;
+    One.Truncated = !Sum.Exhausted;
+    Cur.add(One);
+    Total.add(One);
+    // Only exhausted scenarios mix their counters (see
+    // SweepReport::fingerprint).
+    Mix(static_cast<uint64_t>(L));
+    Mix(I);
+    Mix(Sum.Exhausted);
+    if (Sum.Exhausted) {
+      Mix(Sum.Executions);
+      Mix(Sum.Completed);
+      Mix(Sum.Races);
+      Mix(Sum.Deadlocks);
+      Mix(Sum.Violations);
+      Mix(Sum.SleepPruned);
+      Mix(Sum.RfPruned);
+      Mix(Sum.SourcePruned);
+      Mix(0); // Once the always-zero duplicate-rf cache count; kept so
+              // fingerprints stay comparable across versions.
+      Mix(Sum.MaxDepth);
     }
-    for (unsigned I = IBegin; I != O.ScenariosPerLib; ++I) {
+    if (Sum.HasViolation && Cur.FirstBadScenario == ~0u) {
+      Cur.FirstBadScenario = I;
+      // Replay the first violation serially for a structured verdict.
+      TraceDiagnosis D =
+          diagnoseTrace(F.S, Mutation::None, scenarioOptions(F.S, 1, 1),
+                        Sum.firstViolationDecisions());
+      Cur.FirstBad = F.S.str() + " | " + D.V.str() + " | " +
+                     sim::formatReplayCall(D.Executed);
+      if (C.Telem)
+        C.Telem->violation(libName(L), I, F.S.str(), D.V.str(), D.Executed);
+    }
+    ++Folded;
+
+    const double Now = Elapsed();
+    bool CkptDue = false;
+    if (NextCkptExecs > 0 && Total.Executions >= NextCkptExecs) {
+      NextCkptExecs = Total.Executions + C.CheckpointEveryExecs;
+      CkptDue = true;
+    }
+    if (C.CheckpointEverySec > 0 && Now >= NextCkptTime) {
+      NextCkptTime = Now + C.CheckpointEverySec;
+      CkptDue = true;
+    }
+    if (CkptDue && C.OnCheckpoint && Folded != NumScenarios)
+      C.OnCheckpoint(BuildCkpt());
+    if (C.Telem && Now - LastHeartbeat >= C.HeartbeatIntervalSec) {
+      LastHeartbeat = Now;
+      C.Telem->heartbeat(Now > 0 ? (Total.Executions - BaseExecs) / Now : 0.0,
+                         InFlight, Total);
+    }
+  };
+
+  // Workers claim scenarios in sweep order and explore each at one
+  // worker; a finished scenario folds once every earlier one has. Claims,
+  // the fold and everything it writes are under Mu.
+  std::mutex Mu;
+  size_t NextClaim = Folded;
+  bool Stopping = false;
+  std::map<size_t, Finished> Pending; // finished ahead of the fold
+  sim::runOnHelpers(N, [&](unsigned Wid) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    while (NextClaim != NumScenarios && !Stopping) {
+      if (StopAsked() || BudgetSpent()) {
+        Stopping = true;
+        break;
+      }
+      const size_t K = NextClaim++;
+      const Lib L = Libs[K / PerLib];
+      const unsigned I = static_cast<unsigned>(K % PerLib);
+      InFlight[Wid] = {libName(L), I};
+      Lock.unlock();
+
       Scenario S = generateScenario(L, scenarioSeed(O.Seed, L, I), O.Gen);
-      sim::Explorer::Options Opts =
-          scenarioOptions(S, O.MaxExecutionsPerScenario, O.Workers,
-                          O.Reduction);
+      auto LinAborts = std::make_shared<std::atomic<uint64_t>>(0);
+      sim::Workload W = makeWorkload(
+          S, Mutation::None,
+          scenarioOptions(S, O.MaxExecutionsPerScenario, 1, O.Reduction),
+          LinAborts);
+      sim::ExploreControl Ec;
+      Ec.StopRequested = C.StopRequested;
+      if (C.TimeBudgetSec > 0)
+        Ec.DeadlineSec = std::max(C.TimeBudgetSec - Elapsed(), 1e-3);
+      sim::ExploreResult ER = sim::exploreResumable(W, Ec);
 
-      // Explore the scenario, possibly across several interrupted
-      // segments (cadence checkpoints resume in-process; a stop request
-      // or spent time budget returns the final checkpoint).
-      sim::ExplorationSnapshot Snap;
-      bool HaveSnap = false;
-      uint64_t LinBase = 0;
-      if (Resume && Li == Li0 && I == Sc0 && Resume->HasScenario) {
-        Snap = Resume->Scenario;
-        HaveSnap = true;
-        LinBase = Resume->ScenarioLinAborts;
+      Lock.lock();
+      InFlight[Wid] = {};
+      if (ER.Interrupted) {
+        // A resume re-runs this scenario from its root.
+        Stopping = true;
+        break;
       }
-      sim::Explorer::Summary Sum;
-      for (;;) {
-        auto LinAborts = std::make_shared<std::atomic<uint64_t>>(0);
-        sim::Workload W = makeWorkload(S, Mutation::None, Opts, LinAborts);
-
-        sim::ExploreControl Ec;
-        Ec.StopRequested = C.StopRequested;
-        uint64_t Base = HaveSnap ? Snap.Partial.Executions : 0;
-        if (NextCkptExecs > 0)
-          Ec.InterruptAtExecs =
-              Base + (NextCkptExecs > SweepExecs ? NextCkptExecs - SweepExecs
-                                                 : 0);
-        double Deadline = Inf;
-        if (C.TimeBudgetSec > 0)
-          Deadline = std::min(Deadline, C.TimeBudgetSec - Elapsed());
-        if (C.CheckpointEverySec > 0)
-          Deadline = std::min(Deadline, NextCkptTime - Elapsed());
-        if (Deadline != Inf)
-          Ec.DeadlineSec = std::max(Deadline, 1e-3);
-        if (C.Telem) {
-          Ec.HeartbeatIntervalSec = C.HeartbeatIntervalSec;
-          Ec.OnHeartbeat = [&C, L, I,
-                            &Total](const sim::ExploreHeartbeat &Hb) {
-            C.Telem->heartbeat(libName(L), I, Hb, Total);
-          };
-        }
-
-        sim::ExploreResult ER =
-            sim::exploreResumable(W, Ec, HaveSnap ? &Snap : nullptr);
-        LinBase += LinAborts->load();
-        SweepExecs = Total.Executions + ER.Sum.Executions;
-        if (!ER.Interrupted) {
-          Sum = std::move(ER.Sum);
-          break;
-        }
-        Snap = std::move(ER.Snapshot);
-        HaveSnap = true;
-        if (StopAsked() || BudgetSpent()) {
-          Res.Interrupted = true;
-          Res.Ckpt = BuildCkpt(Li, I, St, true, LinBase, std::move(Snap));
-          return Res;
-        }
-        // Cadence checkpoint: hand out a copy and keep exploring.
-        if (NextCkptExecs > 0 && SweepExecs >= NextCkptExecs)
-          NextCkptExecs = SweepExecs + C.CheckpointEveryExecs;
-        if (C.CheckpointEverySec > 0 && Elapsed() >= NextCkptTime)
-          NextCkptTime = Elapsed() + C.CheckpointEverySec;
-        if (C.OnCheckpoint)
-          C.OnCheckpoint(BuildCkpt(Li, I, St, true, LinBase, Snap));
-      }
-
-      LibSweepStats One;
-      One.Scenarios = 1;
-      One.Executions = Sum.Executions;
-      One.Completed = Sum.Completed;
-      One.Races = Sum.Races;
-      One.Deadlocks = Sum.Deadlocks;
-      One.Violations = Sum.Violations;
-      One.SleepPruned = Sum.SleepPruned;
-      One.RfPruned = Sum.RfPruned;
-      One.SourcePruned = Sum.SourcePruned;
-      One.MaxDepth = Sum.MaxDepth;
-      One.LinAborts = LinBase;
-      One.Truncated = !Sum.Exhausted;
-      St.add(One);
-      Total.add(One);
-      SweepExecs = Total.Executions;
-      // Deterministic fingerprint: a truncated tree's explored subset is
-      // worker-count dependent, so only exhausted scenarios contribute
-      // their counters (see SweepReport::fingerprint).
-      Mix(static_cast<uint64_t>(L));
-      Mix(I);
-      Mix(Sum.Exhausted);
-      if (Sum.Exhausted) {
-        Mix(Sum.Executions);
-        Mix(Sum.Completed);
-        Mix(Sum.Races);
-        Mix(Sum.Deadlocks);
-        Mix(Sum.Violations);
-        Mix(Sum.SleepPruned);
-        Mix(Sum.RfPruned);
-        Mix(Sum.SourcePruned);
-        Mix(0); // Once the always-zero duplicate-rf cache count; kept so
-                // fingerprints stay comparable across versions.
-        Mix(Sum.MaxDepth);
-      }
-      if (Sum.HasViolation && St.FirstBadScenario == ~0u) {
-        St.FirstBadScenario = I;
-        // Replay the first violation serially for a structured verdict.
-        TraceDiagnosis D =
-            diagnoseTrace(S, Mutation::None, scenarioOptions(S, 1, 1),
-                          Sum.firstViolationDecisions());
-        St.FirstBad = S.str() + " | " + D.V.str() + " | " +
-                      sim::formatReplayCall(D.Executed);
-        if (C.Telem)
-          C.Telem->violation(libName(L), I, S.str(), D.V.str(), D.Executed);
-      }
-
-      // Scenario-boundary interrupt / cadence checks (catch stop requests
-      // and thresholds crossed by the just-finished scenario).
-      bool Boundary = I + 1 != O.ScenariosPerLib || Li + 1 != Libs.size();
-      if (Boundary && (StopAsked() || BudgetSpent())) {
-        Res.Interrupted = true;
-        Res.Ckpt = BuildCkpt(Li, I + 1, St, false, 0,
-                             sim::ExplorationSnapshot{});
-        return Res;
-      }
-      bool CkptDue = false;
-      if (NextCkptExecs > 0 && SweepExecs >= NextCkptExecs) {
-        NextCkptExecs = SweepExecs + C.CheckpointEveryExecs;
-        CkptDue = true;
-      }
-      if (C.CheckpointEverySec > 0 && Elapsed() >= NextCkptTime) {
-        NextCkptTime = Elapsed() + C.CheckpointEverySec;
-        CkptDue = true;
-      }
-      if (Boundary && CkptDue && C.OnCheckpoint)
-        C.OnCheckpoint(BuildCkpt(Li, I + 1, St, false, 0,
-                                 sim::ExplorationSnapshot{}));
+      Pending.emplace(K, Finished{std::move(S), std::move(ER.Sum),
+                                  LinAborts->load()});
+      for (auto It = Pending.begin();
+           It != Pending.end() && It->first == Folded;
+           It = Pending.erase(It))
+        Fold(It->second);
     }
-    Rep.PerLib.push_back(std::move(St));
+  });
+
+  if (Folded != NumScenarios) {
+    Res.Interrupted = true;
+    Res.Ckpt = BuildCkpt();
+    return Res;
   }
+  AdvanceTo(Libs.size());
   return Res;
 }
 

@@ -10,9 +10,10 @@
 ///
 ///  * runSweep — explore N generated scenarios per library against the
 ///    *pristine* implementations; every execution's event graph must be
-///    explained by the reference model. The report's deterministic
-///    fingerprint is worker-count independent (StopOnViolation stays off),
-///    which tests/ParallelTest.cpp checks across 1/2/4 workers.
+///    explained by the reference model. Workers take whole scenarios and
+///    explore each at one worker; results fold in scenario order, so the
+///    whole report apart from its worker count is the same at any
+///    `Workers`, which tests/cli_test.py checks across 1/2/4 workers.
 ///
 ///  * runMutationTests — for each seeded Mutation, hunt generated
 ///    scenarios until one kills the mutant (exploration finds a violating
@@ -36,7 +37,8 @@ namespace compass::check {
 struct SweepOptions {
   uint64_t Seed = 1;
   unsigned ScenariosPerLib = 50;
-  unsigned Workers = 1;
+  unsigned Workers = 1; ///< Threads taking whole scenarios, each explored
+                        ///< at one worker.
   uint64_t MaxExecutionsPerScenario = 200000;
   std::vector<Lib> Libs; ///< Empty = all libraries.
   GenOptions Gen;
@@ -84,14 +86,14 @@ struct SweepReport {
   unsigned totalTruncated() const;
   bool clean() const { return totalViolations() == 0; }
 
-  /// FNV-1a folded per scenario during the sweep: every scenario mixes in
-  /// its library, index, and exhaustion flag; scenarios whose decision
-  /// tree was *exhausted* additionally mix their full Summary core
-  /// (executions, completed, races, deadlocks, violations, max depth). A
-  /// truncated tree's DFS subset depends on the worker count, so its
-  /// counters are deliberately left out. Equal across worker counts for a
-  /// fixed seed, provided the budget is not within the parallel explorer's
-  /// overshoot margin of a tree's exact size.
+  /// FNV-1a folded per scenario, in scenario order: every scenario mixes
+  /// in its library, index, and exhaustion flag; scenarios whose decision
+  /// tree was *exhausted* additionally mix their Summary counters
+  /// (executions, completed, races, deadlocks, violations, pruning
+  /// counters, max depth). Each scenario is explored by one worker, so a
+  /// truncated scenario's counters are deterministic too; they stay out
+  /// only so that fingerprints pinned before the sweep explored one
+  /// scenario per worker keep their values.
   uint64_t fingerprint() const { return Fp; }
   uint64_t Fp = 1469598103934665603ull; ///< Written by runSweep.
 

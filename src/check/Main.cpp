@@ -20,20 +20,24 @@
 ///
 /// `sweep` explores generated scenarios against the pristine libraries and
 /// exits nonzero on any violation; a clean verdict says `incomplete` when
-/// some scenario tree hit the `--max-execs` cap. It is crash-resilient: SIGINT/SIGTERM, a
-/// spent `--time-budget`, or a `--checkpoint-every` cadence serialize the
-/// live exploration state to the `--checkpoint` file (default
-/// compass_sweep.ckpt); `--resume FILE` finishes an interrupted run to the
-/// bit-identical fingerprint at any `--workers` count. `--telemetry FILE`
-/// appends structured JSONL progress records (scripts/telemetry_report.py
-/// renders them). `mutants` must kill every seeded mutant (exit nonzero on
-/// a survivor) and can persist the shrunk counterexamples as corpus files.
+/// some scenario tree hit the `--max-execs` cap. `--workers N` runs N
+/// scenarios at a time, each at one worker, so the report is the same at
+/// any N. It is crash-resilient: SIGINT/SIGTERM, a spent `--time-budget`,
+/// or a `--checkpoint-every` cadence write the scenarios folded so far to
+/// the `--checkpoint` file (default compass_sweep.ckpt); `--resume FILE`
+/// re-runs the rest, the interrupted in-flight scenarios from their roots,
+/// and prints the uninterrupted run's report at any `--workers` count.
+/// `--telemetry FILE` appends structured JSONL progress records
+/// (scripts/telemetry_report.py renders them). `mutants` must kill every
+/// seeded mutant (exit nonzero on a survivor) and can persist the shrunk
+/// counterexamples as corpus files.
 /// `replay` re-executes corpus entries and exits nonzero when one no
 /// longer reproduces its violation.
 ///
-/// A checkpoint records the reduction mode of its executed share;
-/// `--resume` rejects (exit 2) an explicit `--reduction` that contradicts
-/// it, rather than silently continuing under either mode.
+/// A checkpoint records the configuration of its folded scenarios;
+/// `--resume` rejects (exit 2) an explicit `--seed`, `--per-lib`,
+/// `--max-execs`, `--lib` or `--reduction` that contradicts it, rather
+/// than silently continuing under either configuration.
 ///
 /// Exit codes: 0 success, 1 violations/survivors, 2 usage error,
 /// 3 interrupted (sweep checkpoint written).
@@ -161,26 +165,30 @@ void handleStopSignal(int) { GStopRequested.store(true); }
 int cmdSweep(int Argc, char **Argv) {
   SweepOptions O;
   bool Json = false;
-  bool RedSet = false;
+  bool SeedSet = false, PerLibSet = false, MaxExecsSet = false,
+       RedSet = false;
   std::string CkptPath = "compass_sweep.ckpt";
   std::string ResumePath, TelemPath;
   uint64_t CkptEveryExecs = 0;
   double CkptEverySec = 0, TimeBudget = 0;
   for (int I = 0; I != Argc; ++I) {
     std::string A = Argv[I];
-    if (A == "--seed")
+    if (A == "--seed") {
       O.Seed = parseU64("--seed", flagValue(Argc, Argv, I, "--seed"));
-    else if (A == "--per-lib")
+      SeedSet = true;
+    } else if (A == "--per-lib") {
       O.ScenariosPerLib = static_cast<unsigned>(parseBounded(
           "--per-lib", flagValue(Argc, Argv, I, "--per-lib"), ~0u));
-    else if (A == "--workers") {
+      PerLibSet = true;
+    } else if (A == "--workers") {
       O.Workers = static_cast<unsigned>(parseBounded(
           "--workers", flagValue(Argc, Argv, I, "--workers"), ~0u));
       if (O.Workers == 0)
         usage("--workers must be >= 1");
-    } else if (A == "--max-execs")
+    } else if (A == "--max-execs") {
       O.MaxExecutionsPerScenario = parseMaxExecs(Argc, Argv, I);
-    else if (A == "--lib") {
+      MaxExecsSet = true;
+    } else if (A == "--lib") {
       Lib L;
       const char *Name = flagValue(Argc, Argv, I, "--lib");
       if (!parseLib(Name, L))
@@ -234,19 +242,43 @@ int cmdSweep(int Argc, char **Argv) {
       return 2;
     }
     HasResume = true;
-    // A checkpoint's executed share is tied to the reduction mode that
-    // produced it; splicing in a different one would produce a fingerprint
-    // belonging to neither mode. An explicit contradicting flag is an
-    // error, not a preference.
-    if (RedSet && O.Reduction != Resume.Reduction) {
+    // A checkpoint's folded scenarios are tied to the configuration that
+    // produced them; continuing under another would fold a report that
+    // belongs to neither. An explicit contradicting flag is an error, not
+    // a preference.
+    auto Contradicts = [&ResumePath](const char *Flag,
+                                     const std::string &Given,
+                                     const std::string &Recorded) {
       std::fprintf(stderr,
-                   "compass_check: --reduction %s contradicts checkpoint %s "
-                   "(recorded under --reduction %s); resume without the "
-                   "flag or restart the sweep\n",
-                   sim::reductionModeName(O.Reduction), ResumePath.c_str(),
-                   sim::reductionModeName(Resume.Reduction));
+                   "compass_check: %s %s contradicts checkpoint %s "
+                   "(recorded under %s %s); resume without the flag or "
+                   "restart the sweep\n",
+                   Flag, Given.c_str(), ResumePath.c_str(), Flag,
+                   Recorded.c_str());
       return 2;
-    }
+    };
+    auto LibList = [](const std::vector<Lib> &Libs) {
+      std::string Out;
+      for (Lib L : Libs)
+        Out += (Out.empty() ? "" : " --lib ") + std::string(libName(L));
+      return Out;
+    };
+    if (SeedSet && O.Seed != Resume.Seed)
+      return Contradicts("--seed", std::to_string(O.Seed),
+                         std::to_string(Resume.Seed));
+    if (PerLibSet && O.ScenariosPerLib != Resume.ScenariosPerLib)
+      return Contradicts("--per-lib", std::to_string(O.ScenariosPerLib),
+                         std::to_string(Resume.ScenariosPerLib));
+    if (MaxExecsSet &&
+        O.MaxExecutionsPerScenario != Resume.MaxExecutionsPerScenario)
+      return Contradicts("--max-execs",
+                         std::to_string(O.MaxExecutionsPerScenario),
+                         std::to_string(Resume.MaxExecutionsPerScenario));
+    if (!O.Libs.empty() && O.Libs != Resume.Libs)
+      return Contradicts("--lib", LibList(O.Libs), LibList(Resume.Libs));
+    if (RedSet && O.Reduction != Resume.Reduction)
+      return Contradicts("--reduction", sim::reductionModeName(O.Reduction),
+                         sim::reductionModeName(Resume.Reduction));
   }
 
   std::signal(SIGINT, handleStopSignal);

@@ -65,26 +65,22 @@ void Telemetry::runStart(const SweepOptions &O, const std::vector<Lib> &Libs,
   emit(J.str());
 }
 
-void Telemetry::heartbeat(const char *LibName, unsigned ScenarioIndex,
-                          const sim::ExploreHeartbeat &Hb,
+void Telemetry::heartbeat(double ExecsPerSec,
+                          const std::vector<InFlight> &Workers,
                           const LibSweepStats &Sweep) {
   JsonWriter J = openRecord("heartbeat", elapsed());
-  J.field("lib", LibName);
-  J.field("scenario", ScenarioIndex);
-  J.field("scenario_execs", Hb.Executions);
-  J.field("execs_per_sec", Hb.ExecsPerSec);
-  J.field("queue", Hb.QueueSize);
-  J.field("busy", Hb.BusyWorkers);
-  J.field("workers", Hb.Workers);
-  J.field("donations", Hb.Donations);
+  J.field("workers", static_cast<unsigned>(Workers.size()));
+  J.field("execs_per_sec", ExecsPerSec);
   J.key("per_worker");
   J.beginArray();
-  for (const sim::ExploreHeartbeat::WorkerSample &W : Hb.PerWorker) {
+  for (const InFlight &W : Workers) {
     J.beginObject();
-    J.field("execs", W.Execs);
-    J.field("donated", W.Donated);
-    J.field("frontier", W.Frontier);
-    J.field("depth", W.Depth);
+    if (W.Lib) {
+      J.field("lib", W.Lib);
+      J.field("scenario", W.Scenario);
+    } else {
+      J.field("idle", true);
+    }
     J.endObject();
   }
   J.endArray();
@@ -99,6 +95,7 @@ void Telemetry::heartbeat(const char *LibName, unsigned ScenarioIndex,
   J.field("sleep_pruned", Sweep.SleepPruned);
   J.field("rf_pruned", Sweep.RfPruned);
   J.field("source_pruned", Sweep.SourcePruned);
+  J.field("truncated", Sweep.Truncated);
   J.endObject();
   J.endObject();
   emit(J.str());

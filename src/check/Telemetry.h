@@ -15,13 +15,14 @@
 ///
 ///  * run_start   — sweep configuration (seed, workers, per_lib, libs,
 ///                  reduction, resumed flag + resumed base executions).
-///  * heartbeat   — periodic progress of the in-flight scenario: library,
-///                  scenario index, executions + execs/sec, shared-queue
-///                  length, busy workers, donation count, per-worker
-///                  {execs, donated, frontier, depth}, and the cumulative
-///                  sweep counters of the finished scenarios (scenarios,
-///                  executions, completed, races, deadlocks, violations,
-///                  sleep_pruned, rf_pruned, source_pruned).
+///  * heartbeat   — periodic progress, written from the sweep's fold of
+///                  finished scenarios: the worker count, the folded
+///                  executions per second of this run, each worker's
+///                  in-flight scenario ({lib, scenario}, or {idle: true}),
+///                  and the cumulative counters of the folded scenarios
+///                  (scenarios, executions, completed, races, deadlocks,
+///                  violations, sleep_pruned, rf_pruned, source_pruned,
+///                  truncated).
 ///  * violation   — a scenario whose exploration found a property
 ///                  violation: library, scenario index + description,
 ///                  verdict rule, and the replayable decision trace.
@@ -36,7 +37,6 @@
 #define COMPASS_CHECK_TELEMETRY_H
 
 #include "check/Conformance.h"
-#include "sim/ParallelExplorer.h"
 
 #include <chrono>
 #include <fstream>
@@ -46,11 +46,16 @@
 
 namespace compass::check {
 
-/// Append-only JSONL sink; see file comment. Thread-safe (heartbeats
-/// arrive from whichever exploration worker finds one due, the calling
-/// thread included).
+/// Append-only JSONL sink; see file comment. Thread-safe.
 class Telemetry {
 public:
+  /// One sweep worker's in-flight scenario, for heartbeats; Lib is null
+  /// while the worker is idle.
+  struct InFlight {
+    const char *Lib = nullptr;
+    unsigned Scenario = 0;
+  };
+
   /// Opens \p Path for appending. ok() is false when the file could not
   /// be opened; records are then dropped silently.
   explicit Telemetry(const std::string &Path);
@@ -61,9 +66,10 @@ public:
   void runStart(const SweepOptions &O, const std::vector<Lib> &Libs,
                 bool Resumed, uint64_t BaseExecutions);
 
-  /// \p Sweep totals the sweep's finished scenarios across libraries.
-  void heartbeat(const char *LibName, unsigned ScenarioIndex,
-                 const sim::ExploreHeartbeat &Hb, const LibSweepStats &Sweep);
+  /// \p Sweep totals the sweep's folded scenarios across libraries;
+  /// \p Workers holds each worker's in-flight scenario.
+  void heartbeat(double ExecsPerSec, const std::vector<InFlight> &Workers,
+                 const LibSweepStats &Sweep);
 
   void violation(const char *LibName, unsigned ScenarioIndex,
                  const std::string &ScenarioStr, const std::string &Verdict,

@@ -64,8 +64,8 @@ bool DecisionTree::advance() {
   // an untried alternative this tree owns, discarding everything below it.
   // Seed decisions are pinned (Limit == Chosen + 1), so the loop never
   // advances past the seed prefix. The cursor follows the path's new end,
-  // so a repeated advance() (the explorer's skip loop) and
-  // frontierPrefixes() see the between-executions state.
+  // so a repeated advance() (the explorer's skip loop) sees the
+  // between-executions state.
   while (Trace.size() > SeedLen) {
     Decision &D = Trace.back();
     if (D.Chosen + 1 < D.Limit) {
@@ -98,39 +98,6 @@ bool DecisionTree::splittable() const {
     if (Trace[I].Chosen + 1 < Trace[I].Limit)
       return true;
   return false;
-}
-
-std::vector<DecisionTree::Prefix> DecisionTree::frontierPrefixes() const {
-  std::vector<Prefix> Out;
-  if (Exhausted)
-    return Out;
-  // Valid between executions (Pos == Trace.size()) and on a fresh tree
-  // that has not begun its first execution yet (Pos == 0, Trace == seed).
-  assert((Pos == Trace.size() || Pos == 0) && "frontier snapshot mid-replay");
-  auto PinnedPrefix = [this](size_t Len) {
-    Prefix P;
-    P.Path.assign(Trace.begin(), Trace.begin() + Len);
-    for (Decision &Pd : P.Path)
-      Pd.Limit = Pd.Chosen + 1;
-    return P;
-  };
-  // One pinned prefix per untried alternative hanging off the current
-  // path (shallowest first — the largest subtrees, mirroring split()).
-  for (size_t I = SeedLen, E = Trace.size(); I != E; ++I) {
-    const Decision &D = Trace[I];
-    for (unsigned A = D.Chosen + 1; A < D.Limit; ++A) {
-      Prefix P = PinnedPrefix(I + 1);
-      P.Path.back().Chosen = A;
-      P.Path.back().Limit = A + 1;
-      Out.push_back(std::move(P));
-    }
-  }
-  // The current path itself: between executions it is the next pending
-  // decision sequence, and pinning every decision yields exactly the
-  // subtree below it. (For a fresh tree this is the bare seed — i.e. the
-  // whole subtree the tree was charged with.)
-  Out.push_back(PinnedPrefix(Trace.size()));
-  return Out;
 }
 
 std::vector<DecisionTree::Prefix> DecisionTree::split(size_t MaxDonations) {

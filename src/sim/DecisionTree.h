@@ -197,19 +197,6 @@ public:
   /// True if split() would produce at least one donation.
   bool splittable() const;
 
-  /// Converts the *entire* remaining subtree into a disjoint set of pinned
-  /// prefixes: one per untried alternative along the current path plus the
-  /// (fully pinned) current path itself — which, between executions, is
-  /// exactly the next execution's decision sequence. Seeding fresh
-  /// DecisionTrees with the returned prefixes enumerates precisely the
-  /// decision sequences this tree would still enumerate, so the frontier
-  /// can be checkpointed and resumed with a bit-identical aggregate
-  /// summary (sim/Checkpoint.h). Must only be called between executions;
-  /// returns an empty vector when the tree is exhausted. The tree itself
-  /// is left untouched — callers that persist the result must stop using
-  /// the tree afterwards (see Explorer::drainFrontier).
-  std::vector<Prefix> frontierPrefixes() const;
-
   /// Donates up to \p MaxDonations untried alternatives from the
   /// *shallowest* open choice point (largest subtrees first, preserving
   /// load balance), removing them from this tree's frontier. Each returned

@@ -197,14 +197,12 @@ bool Explorer::skippable(const DecisionTree::Decision &D) const {
   return Red.skipAlternative(D.SchedOrd, D.Chosen);
 }
 
-void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
-                                    bool KeepLast) {
-  if (!RedEnabled || Out.empty())
+void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out) {
+  if (!RedEnabled)
     return;
-  const size_t Limit = Out.size() - (KeepLast ? 1 : 0);
   size_t W = 0;
   for (size_t I = 0, E = Out.size(); I != E; ++I) {
-    if (I < Limit && !Out[I].Path.empty() && skippable(Out[I].Path.back())) {
+    if (!Out[I].Path.empty() && skippable(Out[I].Path.back())) {
       ++Sum.SourcePruned;
       continue;
     }
@@ -225,33 +223,10 @@ std::vector<DecisionTree::Prefix> Explorer::split(size_t MaxDonations) {
   // Donations the serial advance loop would have skipped are counted here
   // (on the donor) instead of shipped — a recipient would run an execution
   // on them, and the fingerprint would depend on the work distribution.
-  dropSkippedDonations(Out, /*KeepLast=*/false);
+  dropSkippedDonations(Out);
   if (RedEnabled)
     for (DecisionTree::Prefix &P : Out)
       Red.annotate(P);
-  return Out;
-}
-
-std::vector<DecisionTree::Prefix> Explorer::drainFrontier() {
-  assert(!InExecution && "drainFrontier mid-execution");
-  std::vector<DecisionTree::Prefix> Out;
-  if (HasWork && !Tree.exhausted()) {
-    Out = Tree.frontierPrefixes();
-    // The final element is the pinned current path — advance-vetted, never
-    // filtered; the alternative prefixes before it get the same skip test
-    // as split() donations.
-    dropSkippedDonations(Out, /*KeepLast=*/true);
-    // Like split(): carry the sleep state so recipients can cross-check
-    // their recomputation (annotation is validation only — the state is a
-    // pure function of the path).
-    if (RedEnabled)
-      for (DecisionTree::Prefix &P : Out)
-        Red.annotate(P);
-  }
-  // The executed share of this subtree is complete; its unexplored
-  // remainder now lives in Out and carries its own exhaustion accounting.
-  HasWork = false;
-  Sum.Exhausted = true;
   return Out;
 }
 

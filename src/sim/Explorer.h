@@ -95,8 +95,8 @@ public:
                           ///< StopOnViolation search, runs one.
     bool StopOnViolation = false; ///< Stop at the first failed check, the
                                   ///< lex-least violation: the search runs
-                                  ///< at one worker and cannot resume from
-                                  ///< a snapshot. Truncates the counters.
+                                  ///< at one worker. Truncates the
+                                  ///< counters.
     /// State-space reduction; replay always runs unreduced. Keep None when
     /// an execution-count baseline (e.g. a pinned fingerprint comparison
     /// against unreduced exploration) is required.
@@ -272,26 +272,6 @@ public:
   /// the donor's sleep state so the recipient can cross-check its own.
   std::vector<DecisionTree::Prefix> split(size_t MaxDonations);
 
-  // -- Checkpointing (sim/Checkpoint.h) -------------------------------
-
-  /// Hands the *entire* unexplored remainder of this explorer's subtree
-  /// back as pinned prefixes (DecisionTree::frontierPrefixes, sleep-
-  /// annotated like split()'s donations) and marks the explorer finished:
-  /// hasWork() turns false and the summary's Exhausted bit is set, because
-  /// the executed share is complete — the donated remainder carries its
-  /// own exhaustion bit once explored. Exploring the returned prefixes
-  /// (in any partition, at any worker count) and merging the cores into
-  /// this explorer's summary core reproduces the bit-identical summary of
-  /// an uninterrupted run. Must be called between executions.
-  std::vector<DecisionTree::Prefix> drainFrontier();
-
-  /// Untried alternatives hanging off the current path (the live DFS
-  /// frontier size).
-  uint64_t frontierSize() const { return Tree.frontierSize(); }
-
-  /// Depth of the current decision path.
-  uint64_t currentDepth() const { return Tree.depth(); }
-
   /// The source-set reduction driving this explorer, or nullptr when
   /// reduction is off. Hand it to Scheduler::setReduction().
   Reduction *reduction() { return RedEnabled ? &Red : nullptr; }
@@ -305,17 +285,13 @@ private:
   /// Whether decision \p D, a donated or freshly advanced alternative, is a
   /// covered sched sibling the explorer may skip without running it
   /// (Summary::SourcePruned). Used by endExecution's
-  /// advance loop and by split()/drainFrontier() donation filtering — both
-  /// must agree with the serial skip decision for cross-worker fingerprint
-  /// parity.
+  /// advance loop and by split()'s donation filtering — both must agree
+  /// with the serial skip decision for cross-worker fingerprint parity.
   bool skippable(const DecisionTree::Decision &D) const;
   /// Removes skip-marked prefixes from a donation batch, counting them into
   /// this (the donor's) summary — a recipient would otherwise burn an
-  /// execution on a subtree serial exploration skips without one. KeepLast
-  /// protects the pinned current-path prefix of drainFrontier(), which was
-  /// already vetted by the advance loop.
-  void dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
-                            bool KeepLast);
+  /// execution on a subtree serial exploration skips without one.
+  void dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out);
   bool InExecution = false;
   bool HasWork = true;
   SnapshotHook SnapHook;

@@ -3,7 +3,6 @@
 #include "sim/ParallelExplorer.h"
 
 #include "sim/Engine.h"
-#include "support/Error.h"
 
 #include <algorithm>
 #include <atomic>
@@ -12,7 +11,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -23,46 +21,37 @@ using namespace compass::sim;
 
 namespace {
 
-/// Per-worker observability counters, sampled for heartbeats. Cache-line
-/// padded; all accesses relaxed — these are telemetry, not synchronization.
-struct alignas(64) WorkerStats {
-  std::atomic<uint64_t> Execs{0};
-  std::atomic<uint64_t> Donated{0};
-  std::atomic<uint64_t> Frontier{0};
-  std::atomic<uint64_t> Depth{0};
-};
-
 /// State shared by all workers of one exploration: one FIFO queue of
-/// unexplored subtree prefixes under one lock. The exploration is over
-/// once the queue is empty and no worker holds a subtree — only a busy
-/// worker pushes, so nothing can arrive after that.
+/// unexplored subtree prefixes under one lock, starting with the root
+/// prefix. The exploration is over once the queue is empty and no worker
+/// holds a subtree — only a busy worker pushes, so nothing can arrive
+/// after that.
 struct SharedState {
   std::mutex Mu; ///< Guards Queue and Done.
   std::condition_variable Cv;
-  std::deque<DecisionTree::Prefix> Queue;
+  std::deque<DecisionTree::Prefix> Queue{DecisionTree::Prefix{}};
   bool Done = false;
 
-  // Written under Mu, read without it by the donation rule, heartbeats
-  // and the final Perf fields.
-  std::atomic<uint64_t> QueuedTotal{0}; ///< Queue.size().
+  // Written under Mu, read without it by the donation rule and the final
+  // Perf fields.
+  std::atomic<uint64_t> QueuedTotal{1}; ///< Queue.size().
   std::atomic<unsigned> Busy{0};        ///< Workers holding a subtree.
-  std::atomic<uint64_t> PeakQueue{0};
+  std::atomic<uint64_t> PeakQueue{1};
   std::atomic<uint64_t> Donations{0};
 
-  /// Cooperative interrupt: workers finish their in-flight execution,
-  /// return their tree's unexplored remainder to the queue, and exit.
+  /// Cooperative interrupt: workers finish their in-flight execution and
+  /// exit, leaving their subtrees unfinished.
   std::atomic<bool> Interrupt{false};
 
   /// Global execution budget (Options::MaxExecutions), claimed one ticket
   /// per execution so a run performs exactly as many executions at any
-  /// worker count. Seeded with the resumed snapshot's executed base so the
-  /// budget (and InterruptAtExecs) stay global across segments. Every
-  /// worker writes it after every execution, so it has a cache line to
-  /// itself, away from the fields above that every worker reads then.
+  /// worker count. Every worker writes it after every execution, so it has
+  /// a cache line to itself, away from the fields above that every worker
+  /// reads then.
   alignas(64) std::atomic<uint64_t> Tickets{0};
 
-  /// Appends \p Prefixes to the queue and wakes sleeping workers.
-  void push(std::vector<DecisionTree::Prefix> Prefixes, bool CountAsDonation) {
+  /// Appends donated \p Prefixes to the queue and wakes sleeping workers.
+  void donate(std::vector<DecisionTree::Prefix> Prefixes) {
     if (Prefixes.empty())
       return;
     std::lock_guard<std::mutex> L(Mu);
@@ -71,8 +60,7 @@ struct SharedState {
     QueuedTotal.store(Queue.size(), std::memory_order_relaxed);
     if (Queue.size() > PeakQueue.load(std::memory_order_relaxed))
       PeakQueue.store(Queue.size(), std::memory_order_relaxed);
-    if (CountAsDonation)
-      Donations.fetch_add(Prefixes.size(), std::memory_order_relaxed);
+    Donations.fetch_add(Prefixes.size(), std::memory_order_relaxed);
     Cv.notify_all();
   }
 
@@ -84,8 +72,6 @@ struct SharedState {
       if (Done)
         return false;
       if (Interrupt.load(std::memory_order_relaxed)) {
-        // Leave the queued prefixes in place: they join the snapshot
-        // frontier after the workers exit.
         Done = true;
         Cv.notify_all();
         return false;
@@ -113,7 +99,7 @@ struct SharedState {
 };
 
 /// The process-wide parked helper threads behind every multi-worker call
-/// (see the file comment of sim/ParallelExplorer.h).
+/// and runOnHelpers (see the file comment of sim/ParallelExplorer.h).
 class Helpers {
 public:
   using Job = std::function<void(unsigned Wid)>;
@@ -251,88 +237,35 @@ private:
 /// The one exploration loop behind exploreResumable, explore and
 /// exploreSerial: \p N workers, of which the calling thread is worker 0.
 ExploreResult runWorkers(const Workload &W, unsigned N,
-                         const ExploreControl &Ctl,
-                         const ExplorationSnapshot *Resume) {
+                         const ExploreControl &Ctl) {
   const Explorer::Options &Opts = W.options();
   using Clock = std::chrono::steady_clock;
   auto Elapsed = [Start = Clock::now()] {
     return std::chrono::duration<double>(Clock::now() - Start).count();
   };
 
-  // The initial frontier: the root prefix, or a resumed snapshot's pinned
-  // subtrees.
   SharedState Sh;
-  if (Resume && !Resume->Frontier.empty()) {
-    Sh.push(Resume->Frontier, /*CountAsDonation=*/false);
-    Sh.Tickets.store(Resume->Partial.Executions, std::memory_order_relaxed);
-  } else {
-    Sh.push({DecisionTree::Prefix{}}, /*CountAsDonation=*/false);
-  }
 
   // Per-worker partial summaries, merged in worker order at the end (all
   // core fields merge commutatively, so the order is immaterial — it just
   // keeps the aggregation obviously deterministic).
   std::vector<Explorer::Summary> Partials(N);
-  std::vector<WorkerStats> Stats(N);
 
-  // Heartbeats come from whichever worker finds one due; the try-lock
-  // keeps them one at a time and the relaxed pre-check keeps the lock
-  // off the per-execution path.
-  const bool NeedHeartbeat =
-      Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
-  const bool NeedClock = NeedHeartbeat || Ctl.DeadlineSec > 0;
-  std::mutex HbMu;
-  std::atomic<double> LastHeartbeat{0};
-  auto Heartbeat = [&](double Wall, uint64_t Execs) {
-    if (Wall - LastHeartbeat.load(std::memory_order_relaxed) <
-        Ctl.HeartbeatIntervalSec)
-      return;
-    std::unique_lock<std::mutex> L(HbMu, std::try_to_lock);
-    if (!L.owns_lock() || Wall - LastHeartbeat.load(std::memory_order_relaxed) <
-                              Ctl.HeartbeatIntervalSec)
-      return;
-    LastHeartbeat.store(Wall, std::memory_order_relaxed);
-    ExploreHeartbeat Hb;
-    Hb.WallSeconds = Wall;
-    Hb.Executions = Execs;
-    Hb.ExecsPerSec = Wall > 0 ? Execs / Wall : 0.0;
-    Hb.QueueSize = Sh.QueuedTotal.load(std::memory_order_relaxed);
-    Hb.BusyWorkers = Sh.Busy.load(std::memory_order_relaxed);
-    Hb.Workers = N;
-    Hb.Donations = Sh.Donations.load(std::memory_order_relaxed);
-    for (const WorkerStats &St : Stats)
-      Hb.PerWorker.push_back({St.Execs.load(std::memory_order_relaxed),
-                              St.Donated.load(std::memory_order_relaxed),
-                              St.Frontier.load(std::memory_order_relaxed),
-                              St.Depth.load(std::memory_order_relaxed)});
-    Ctl.OnHeartbeat(Hb);
-  };
-
-  // Checked by every worker before each execution: true once the
-  // exploration is interrupted, raising the interrupt when one of the
-  // external controls trips; otherwise emits a heartbeat when one is due.
-  // The shared ticket count is read only when one of these needs it.
-  const bool NeedExecs = NeedHeartbeat || Ctl.InterruptAtExecs > 0;
+  // Checked before each execution by every worker that has work left:
+  // true once the exploration is interrupted, raising the interrupt when
+  // one of the external controls trips. So the interrupt is raised only
+  // while some subtree is unfinished.
   auto Interrupted = [&] {
     if (Sh.Interrupt.load(std::memory_order_relaxed))
       return true;
-    double Wall = NeedClock ? Elapsed() : 0;
-    uint64_t Execs =
-        NeedExecs ? std::min<uint64_t>(
-                        Sh.Tickets.load(std::memory_order_relaxed),
-                        Opts.MaxExecutions)
-                  : 0;
     if ((Ctl.StopRequested &&
          Ctl.StopRequested->load(std::memory_order_relaxed)) ||
-        (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec) ||
-        (Ctl.InterruptAtExecs > 0 && Execs >= Ctl.InterruptAtExecs)) {
+        (Ctl.DeadlineSec > 0 && Elapsed() >= Ctl.DeadlineSec)) {
       Sh.Interrupt.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> L(Sh.Mu);
       Sh.Cv.notify_all(); // wakes sleeping workers
       return true;
     }
-    if (NeedHeartbeat)
-      Heartbeat(Wall, Execs);
     return false;
   };
 
@@ -340,7 +273,6 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     Workload::Body Body = W.makeBody();
     Explorer::Options WOpts = Opts;
     WOpts.MaxExecutions = ~0ull; // budget enforced via shared tickets
-    WorkerStats &St = Stats[Wid];
 
     // One kit per worker, leased from this thread's kits; each subtree
     // re-seeds its engine and explorer, so their storage is allocated once
@@ -353,17 +285,7 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     DecisionTree::Prefix Prefix;
     while (Sh.acquire(Prefix)) {
       Eng.seed(std::move(Prefix));
-      for (;;) {
-        if (Interrupted()) {
-          // Cooperative checkpoint: queue this subtree's unexplored
-          // remainder as pinned prefixes for the snapshot frontier (nobody
-          // takes work once the interrupt is raised). The executed share
-          // stays in Ex's summary (Exhausted set).
-          Sh.push(Ex.drainFrontier(), /*CountAsDonation=*/false);
-          break;
-        }
-        if (!Ex.hasWork())
-          break;
+      while (Ex.hasWork() && !Interrupted()) {
         // Claim a budget ticket before committing to the execution so the
         // global execution count is the same at any worker count.
         uint64_t T = Sh.Tickets.fetch_add(1, std::memory_order_relaxed);
@@ -376,9 +298,6 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
         Engine::ExecResult R = Eng.runOne();
         Ex.recordCheck(R.CheckOk);
         Ex.endExecution(R.Run);
-        St.Execs.fetch_add(1, std::memory_order_relaxed);
-        St.Frontier.store(Ex.frontierSize(), std::memory_order_relaxed);
-        St.Depth.store(Ex.currentDepth(), std::memory_order_relaxed);
         // A StopOnViolation search runs at one worker, whose DFS meets the
         // lex-least violation first.
         if (!R.CheckOk && Opts.StopOnViolation)
@@ -390,11 +309,8 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
         // at one worker, which is always busy here.
         uint64_t Held = Sh.QueuedTotal.load(std::memory_order_relaxed) +
                         Sh.Busy.load(std::memory_order_relaxed);
-        if (Held < N && Ex.splittable()) {
-          std::vector<DecisionTree::Prefix> Don = Ex.split(N);
-          St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
-          Sh.push(std::move(Don), /*CountAsDonation=*/true);
-        }
+        if (Held < N && Ex.splittable())
+          Sh.donate(Ex.split(N));
       }
       Exhausted = Exhausted && Ex.summary().Exhausted;
       Sh.finishSubtree();
@@ -408,17 +324,11 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
     Local.Perf.RootRuns = Eng.rootRuns();
   };
 
-  if (N == 1)
-    WorkerMain(0); // a one-worker call takes no helper
-  else
-    Helpers::get().run(N, WorkerMain);
+  runOnHelpers(N, WorkerMain);
 
   ExploreResult Res;
-
-  Explorer::Summary Agg;
+  Explorer::Summary &Agg = Res.Sum;
   Agg.Exhausted = true;
-  if (Resume)
-    Agg.mergeCore(Resume->Partial);
   for (const Explorer::Summary &P : Partials) {
     Agg.mergeCore(P);
     Agg.Perf.PeakFrontier =
@@ -436,38 +346,27 @@ ExploreResult runWorkers(const Workload &W, unsigned N,
   Agg.Perf.PeakQueue = Sh.PeakQueue.load(std::memory_order_relaxed);
   Agg.Perf.Donations = Sh.Donations.load(std::memory_order_relaxed);
   Agg.Perf.Workers = N;
-
-  if (Sh.Interrupt.load(std::memory_order_relaxed)) {
-    // Frontier = the queue: the prefixes nobody took plus every worker's
-    // drained remainder. Empty means the interrupt raced with natural
-    // completion: the run actually finished.
-    Res.Snapshot.Frontier.assign(std::make_move_iterator(Sh.Queue.begin()),
-                                 std::make_move_iterator(Sh.Queue.end()));
-    Res.Interrupted = !Res.Snapshot.Frontier.empty();
-    if (Res.Interrupted)
-      Res.Snapshot.Partial = Agg;
-    else
-      Res.Snapshot = ExplorationSnapshot{};
-  }
-  Res.Sum = std::move(Agg);
+  Res.Interrupted = Sh.Interrupt.load(std::memory_order_relaxed);
   return Res;
 }
 
 } // namespace
 
+void compass::sim::runOnHelpers(unsigned N,
+                                const std::function<void(unsigned)> &Fn) {
+  if (N < 2)
+    Fn(0); // takes no helper
+  else
+    Helpers::get().run(N, Fn);
+}
+
 ExploreResult compass::sim::exploreResumable(const Workload &W,
-                                             const ExploreControl &Ctl,
-                                             const ExplorationSnapshot *Resume) {
+                                             const ExploreControl &Ctl) {
   const Explorer::Options &Opts = W.options();
-  if (!Opts.StopOnViolation)
-    return runWorkers(W, std::max(1u, Opts.Workers), Ctl, Resume);
   // A search that stops at its first violation runs at one worker, whose
-  // DFS meets the lex-least violation first. Only one uninterrupted DFS
-  // keeps that order, so such a search does not resume.
-  if (Resume)
-    fatalError("exploreResumable: a StopOnViolation search cannot resume "
-               "from a snapshot");
-  return runWorkers(W, 1, Ctl, nullptr);
+  // DFS meets the lex-least violation first.
+  return runWorkers(W, Opts.StopOnViolation ? 1 : std::max(1u, Opts.Workers),
+                    Ctl);
 }
 
 Explorer::Summary compass::sim::explore(const Workload &W) {
@@ -475,5 +374,5 @@ Explorer::Summary compass::sim::explore(const Workload &W) {
 }
 
 Explorer::Summary compass::sim::exploreSerial(const Workload &W) {
-  return runWorkers(W, 1, ExploreControl{}, nullptr).Sum;
+  return runWorkers(W, 1, ExploreControl{}).Sum;
 }

@@ -25,37 +25,38 @@
 /// until it exits.
 ///
 /// Helpers: the process keeps one set of parked helper threads. A call
-/// takes N-1 of them and starts a thread only when none is parked, so
-/// concurrent or nested callers never wait on each other; it returns once
-/// every helper it took has finished with the call and parked again. The
-/// helpers are joined at process exit.
+/// (of exploreResumable or runOnHelpers) takes N-1 of them and starts a
+/// thread only when none is parked, so concurrent or nested callers never
+/// wait on each other; it returns once every helper it took has finished
+/// with the call and parked again. The helpers are joined at process exit.
 ///
-/// Protocol: the queue starts with the root (empty) prefix — or, when
-/// resuming from a checkpoint (sim/Checkpoint.h), with the snapshot's
-/// frontier of pinned prefixes. A worker takes the oldest prefix,
-/// re-seeds its engine and explorer with it (Engine::seed), and
-/// DFS-enumerates that subtree. Donation is demand-driven: after an
-/// execution, a worker whose tree can split donates up to N of its
-/// shallowest untried alternatives (DecisionTree::split) when the queued
-/// prefixes plus the busy workers number fewer than N — that is, when
-/// some worker holds no subtree and has nothing queued for it (never at
-/// one worker). The exploration ends once the queue is empty and no
-/// worker holds a subtree.
+/// Protocol: the queue starts with the root (empty) prefix. A worker
+/// takes the oldest prefix, re-seeds its engine and explorer with it
+/// (Engine::seed), and DFS-enumerates that subtree. Donation is
+/// demand-driven: after an execution, a worker whose tree can split
+/// donates up to N of its shallowest untried alternatives
+/// (DecisionTree::split) when the queued prefixes plus the busy workers
+/// number fewer than N — that is, when some worker holds no subtree and
+/// has nothing queued for it (never at one worker). The exploration ends
+/// once the queue is empty and no worker holds a subtree.
+///
+/// Who splits a tree: the conformance sweep does not — it hands whole
+/// scenarios to the helpers (runOnHelpers) and explores each at one
+/// worker. A call with Workers > 1 does: perfbench's `sweep` workload,
+/// bench_simulator's scaling rows and the determinism suites of
+/// tests/ParallelTest.cpp and tests/ReductionTest.cpp.
 ///
 /// Determinism guarantee: the donated prefixes partition the decision tree,
 /// every decision sequence is enumerated by exactly one worker, and every
 /// Summary field in the deterministic core is a sum / max / AND / lex-min
 /// over executions — so the aggregated Summary core is **bit-identical at
-/// any worker count**, and likewise across any interrupt/resume
-/// segmentation (provided the run is not truncated by StopOnViolation or
-/// the execution budget).
+/// any worker count** (provided the run is not truncated by
+/// StopOnViolation or the execution budget).
 ///
 /// StopOnViolation: such a search runs at one worker whatever Workers
 /// says, and stops at its first violation. One DFS meets the
 /// lexicographically least violating decision sequence first, so the
-/// surfaced violation is that one at any Workers setting. Only an
-/// uninterrupted DFS keeps that order: resuming such a search from a
-/// snapshot is a fatal error.
+/// surfaced violation is that one at any Workers setting.
 /// Reproduce the result with replay(W, Summary::firstViolationDecisions()).
 /// The remaining counters are still truncation-dependent.
 ///
@@ -64,103 +65,61 @@
 /// when the budget truncates the search (the particular executions explored
 /// then depend on scheduling, and the remaining counters may differ).
 ///
-/// Cooperative interruption (ExploreControl): every worker checks the
-/// external stop flag (signal handlers), the wall-clock deadline and the
-/// execution-count tripwire before each execution. Once one trips, the
-/// workers finish their current execution, return every unexplored
-/// remainder to the queue as pinned prefixes (Explorer::drainFrontier),
-/// and hand back an ExplorationSnapshot that a later call — at any worker count —
-/// resumes to the bit-identical final summary core.
+/// Cooperative interruption (ExploreControl): every worker with work left
+/// checks the external stop flag (signal handlers) and the wall-clock
+/// deadline before each execution. Once one trips, the workers finish
+/// their current execution and return; the partial summary is marked
+/// Interrupted, and a caller that wants the whole result explores the
+/// workload again from the root.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPASS_SIM_PARALLELEXPLORER_H
 #define COMPASS_SIM_PARALLELEXPLORER_H
 
-#include "sim/Checkpoint.h"
 #include "sim/Workload.h"
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace compass::sim {
 
-/// A point-in-time progress sample of a running exploration, delivered to
-/// ExploreControl::OnHeartbeat by whichever worker finds it due (the
-/// calling thread included), one at a time. Values are sampled with
-/// relaxed loads — approximate by design; only the final Summary core is
-/// exact.
-struct ExploreHeartbeat {
-  double WallSeconds = 0;  ///< Wall time since this segment started.
-  uint64_t Executions = 0; ///< Total executions incl. any resumed base.
-  double ExecsPerSec = 0;  ///< Executions/s over this segment.
-  uint64_t QueueSize = 0;  ///< Shared work-queue length right now.
-  unsigned BusyWorkers = 0;
-  unsigned Workers = 0;
-  uint64_t Donations = 0; ///< Prefixes donated between workers so far.
-
-  /// Per-worker progress counters.
-  struct WorkerSample {
-    uint64_t Execs = 0;    ///< Executions this worker performed.
-    uint64_t Donated = 0;  ///< Prefixes this worker donated.
-    uint64_t Frontier = 0; ///< Worker's live DFS frontier size.
-    uint64_t Depth = 0;    ///< Worker's current decision-path depth.
-  };
-  std::vector<WorkerSample> PerWorker;
-};
-
-/// External control over a resumable exploration. All fields optional; a
+/// External control over an exploration. Both fields optional; a
 /// default-constructed ExploreControl reproduces explore(W).
 struct ExploreControl {
   /// Cooperative interrupt, typically set from a SIGINT/SIGTERM handler:
-  /// checked by every worker before each execution; once true, workers
-  /// finish their in-flight execution and drain into the snapshot.
+  /// checked by every worker with work left before each execution; once
+  /// true, workers finish their in-flight execution and return.
   const std::atomic<bool> *StopRequested = nullptr;
 
   /// >0: interrupt once this much wall time (seconds) has elapsed in this
-  /// segment (--time-budget / time-based checkpoint cadence).
+  /// call (a sweep's --time-budget).
   double DeadlineSec = 0;
-
-  /// >0: interrupt once the global execution count (including a resumed
-  /// snapshot's executed base) reaches this value. The trip point is
-  /// approximate — in-flight executions complete — but the snapshot is
-  /// exact regardless of where the interrupt lands.
-  uint64_t InterruptAtExecs = 0;
-
-  /// >0 with OnHeartbeat set: emit a heartbeat every interval (seconds),
-  /// from a worker thread, before one of its executions.
-  double HeartbeatIntervalSec = 0;
-  std::function<void(const ExploreHeartbeat &)> OnHeartbeat;
 };
 
-/// Result of one (possibly interrupted) exploration segment.
+/// Result of one possibly interrupted exploration.
 struct ExploreResult {
-  /// Aggregated summary. When Interrupted, this is the deterministic core
-  /// of the executed share (== Snapshot.Partial); when not, it is the
-  /// final summary, bit-identical to an uninterrupted run's core.
+  /// Aggregated summary: the final one unless Interrupted, else the
+  /// executed share's, which depends on where the interrupt landed.
   Explorer::Summary Sum;
 
-  /// True when the segment was cut short by ExploreControl and unexplored
-  /// work remains in Snapshot. False means the exploration finished (the
-  /// snapshot is empty) even if an interrupt raced with completion.
+  /// True when ExploreControl cut the exploration short while some worker
+  /// still had work left.
   bool Interrupted = false;
-
-  /// The resumable remainder; see sim/Checkpoint.h. Empty unless
-  /// Interrupted.
-  ExplorationSnapshot Snapshot;
 };
 
 /// Explores \p W at W.options().Workers workers (values < 2 mean one; a
 /// StopOnViolation search always runs at one): the calling thread runs
 /// worker 0 and a parked helper thread runs each further worker (see the
-/// file comment). Pass \p Resume to continue a previous segment's snapshot
-/// instead of starting at the root (fatal for a StopOnViolation search);
-/// the final merged summary core is bit-identical to an uninterrupted run
-/// at any worker count and any interrupt/resume segmentation.
-ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl,
-                               const ExplorationSnapshot *Resume = nullptr);
+/// file comment), checking \p Ctl before each execution.
+ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl);
+
+/// Runs \p Fn(0) on the calling thread and Fn(1) .. Fn(N-1) on the
+/// process's parked helper threads (the ones exploreResumable's workers
+/// run on, each keeping its warm kit); returns once all N have returned.
+/// N < 2 runs Fn(0) alone and takes no helper. An exception escaping Fn
+/// ends the process.
+void runOnHelpers(unsigned N, const std::function<void(unsigned Wid)> &Fn);
 
 } // namespace compass::sim
 

@@ -135,7 +135,7 @@ TEST(DecisionTreeTest, ReplayCursorTracksRecordedPrefix) {
 TEST(DecisionTreeTest, AdvanceMovesCursorToPathEnd) {
   // Regression: advance() left the replay cursor at the old end of the
   // path, so after an advance() that popped decisions the explorer's skip
-  // loop (a repeated advance()) and drainFrontier() ran mid-replay.
+  // loop (a repeated advance()) ran mid-replay.
   auto P = uniform({3, 2});
   DecisionTree T;
   runOne(T, P);
@@ -149,7 +149,6 @@ TEST(DecisionTreeTest, AdvanceMovesCursorToPathEnd) {
   ASSERT_TRUE(T.advance());
   EXPECT_EQ(T.decisions(), (std::vector<unsigned>{2}));
   EXPECT_EQ(T.position(), T.depth());
-  EXPECT_EQ(T.frontierPrefixes().size(), 1u); // just the pinned path
 }
 
 TEST(DecisionTreeTest, AdvanceDiscardsExhaustedSuffix) {

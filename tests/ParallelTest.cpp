@@ -7,7 +7,7 @@
 // violating trace — must be bit-identical across 1, 2, and 4 workers. Also
 // covers counterexample surfacing + replay() reproduction, the Workload
 // replay entry point, and the conformance harness (generated scenario
-// workloads and the sweep fingerprint, DESIGN.md §7) across worker counts,
+// workloads, the sweep's among them, DESIGN.md §7) across worker counts,
 // the parked helper threads: reused across calls, shared by concurrent
 // callers, never taken by a one-worker call, and the kits each thread
 // keeps from call to call: a warm kit gives a call what a new one gives.
@@ -392,28 +392,20 @@ TEST(ParallelDeterminism, ConformanceMutatedTreiberScenario) {
   expectDeterministic(Make, "conformance treiber mutant");
 }
 
-TEST(ParallelDeterminism, SweepFingerprintAcrossWorkers) {
-  // The sweep report's fingerprint folds per-scenario Summary cores (for
-  // exhausted trees), so it inherits the engine's determinism: identical
-  // across 1/2/4 workers for a fixed seed.
-  auto Run = [](unsigned Workers) {
-    check::SweepOptions O;
-    O.Seed = 5;
-    O.ScenariosPerLib = 2;
-    O.Workers = Workers;
-    O.MaxExecutionsPerScenario = 60000;
-    O.Libs = {check::Lib::MsQueue, check::Lib::TreiberStack,
-              check::Lib::Exchanger, check::Lib::SpscRing};
-    return check::runSweep(O);
-  };
-  check::SweepReport R1 = Run(1), R2 = Run(2), R4 = Run(4);
-  EXPECT_TRUE(R1.clean()) << R1.str();
-  EXPECT_EQ(R1.fingerprint(), R2.fingerprint())
-      << "serial:\n" << R1.str() << "2 workers:\n" << R2.str();
-  EXPECT_EQ(R1.fingerprint(), R4.fingerprint())
-      << "serial:\n" << R1.str() << "4 workers:\n" << R4.str();
-  EXPECT_EQ(R1.totalExecutions(), R4.totalExecutions());
-  EXPECT_EQ(R1.totalViolations(), R4.totalViolations());
+TEST(ParallelDeterminism, SweepScenariosAcrossWorkers) {
+  // The sweep explores each scenario at one worker; splitting the same
+  // generated trees between 1, 2 and 4 workers must give the same cores.
+  check::SweepOptions O;
+  O.Seed = 5;
+  O.ScenariosPerLib = 2;
+  O.MaxExecutionsPerScenario = 60000;
+  O.Libs = {check::Lib::MsQueue, check::Lib::TreiberStack,
+            check::Lib::Exchanger, check::Lib::SpscRing};
+  for (const Explorer::Summary &S :
+       test::expectSweepScenariosAgreeAcrossWorkers(O)) {
+    EXPECT_TRUE(S.Exhausted) << S.str();
+    EXPECT_EQ(S.Violations + S.Races + S.Deadlocks, 0u) << S.str();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -598,18 +590,6 @@ TEST(ParallelCounterexample, StopOnViolationIsLexMin) {
       "treiber mutant, source reduction");
 }
 
-#if GTEST_HAS_DEATH_TEST
-TEST(ParallelCounterexampleDeathTest, StopOnViolationRefusesToResume) {
-  // Only one uninterrupted DFS meets the lex-least violation first, so a
-  // stop-at-first-violation search has no resumable segments.
-  Workload W = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed);
-  W.options().StopOnViolation = true;
-  ExplorationSnapshot Snap;
-  Snap.Frontier.push_back(DecisionTree::Prefix{});
-  EXPECT_DEATH(exploreResumable(W, ExploreControl{}, &Snap),
-               "StopOnViolation search cannot resume");
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // Workload plumbing
@@ -1012,36 +992,6 @@ TEST(ParallelEngineAB, GeneratedScenarioOfEveryLibraryAndMutant) {
       expectCappedEngineAB(check::makeWorkload(S, Case.second, Opts), Name);
       expectEqualCheckDigests(S, Case.second, Opts, Name);
     }
-}
-
-TEST(ParallelEngineAB, CheckpointResumeMatchesRootReplay) {
-  // Reference: an uninterrupted serial root-replay run.
-  auto Make = +[](unsigned W) {
-    return conformanceWorkload(check::Lib::MsQueue, check::Mutation::None,
-                               11, W);
-  };
-  Explorer::Summary Ref = exploreWithEngine(Make(1), EnginePath::RootReplay);
-  ASSERT_TRUE(Ref.Exhausted);
-  ASSERT_GE(Ref.Executions, 6u) << "tree too small to interrupt mid-flight";
-
-  // Interrupt a 2-worker cow run mid-flight, then resume the snapshot at
-  // 4 workers (still cow): the stitched summary core must equal the
-  // uninterrupted root-replay reference bit for bit.
-  Workload Seg1W = Make(2);
-  Seg1W.options().Engine = EnginePath::Auto;
-  ExploreControl Ctl;
-  Ctl.InterruptAtExecs = Ref.Executions / 3;
-  ExploreResult Seg1 = exploreResumable(Seg1W, Ctl);
-  ASSERT_TRUE(Seg1.Interrupted) << "tree exhausted before the tripwire";
-  ASSERT_FALSE(Seg1.Snapshot.empty());
-
-  Workload Seg2W = Make(4);
-  Seg2W.options().Engine = EnginePath::Auto;
-  ExploreResult Seg2 =
-      exploreResumable(Seg2W, ExploreControl{}, &Seg1.Snapshot);
-  EXPECT_FALSE(Seg2.Interrupted);
-  EXPECT_TRUE(Ref.coreEquals(Seg2.Sum))
-      << "root-replay: " << Ref.str() << "\nresumed cow: " << Seg2.Sum.str();
 }
 
 TEST(ParallelEngineAB, EachSubtreeStartsWithItsOnlyRootRun) {

@@ -14,10 +14,10 @@
 //    tests/corpus/ both hunts report the identical violation verdict
 //    (rule + culprit library), while corpus decision traces keep replaying
 //    to a failing verdict (replay never prunes);
-//  * determinism — reduced summaries (coreEquals) and the reduced sweep
-//    fingerprint are bit-identical across 1/2/4 workers and across the
-//    copy-on-write / root-replay engine paths, extending the ParallelTest
-//    determinism suite to the reduced mode.
+//  * determinism — reduced summaries (coreEquals), those of the sweep's
+//    generated scenarios included, are bit-identical across 1/2/4 workers
+//    and across the copy-on-write / root-replay engine paths, extending
+//    the ParallelTest determinism suite to the reduced mode.
 //
 //===----------------------------------------------------------------------===//
 
@@ -428,57 +428,42 @@ TEST(ReductionDeterminism, ReducedEbrStackAcrossWorkers) {
   EXPECT_TRUE(S1.coreEquals(S4))
       << "serial:   " << S1.str() << "\n4-worker: " << S4.str();
 
-  // ... and the reduced sweep fingerprint over *generated* treiber_ebr
+  // ... and reduced exploration of the sweep's *generated* treiber_ebr
   // scenarios is worker-count independent too.
-  auto Run = [](unsigned Workers) {
-    check::SweepOptions O;
-    O.Seed = 7;
-    O.ScenariosPerLib = 4;
-    O.Workers = Workers;
-    O.MaxExecutionsPerScenario = 40000;
-    O.Reduction = ReductionMode::SourceSet;
-    O.Libs = {check::Lib::TreiberEbr};
-    return check::runSweep(O);
-  };
-  check::SweepReport R1 = Run(1);
-  check::SweepReport R2 = Run(2);
-  check::SweepReport R4 = Run(4);
-  EXPECT_TRUE(R1.clean()) << R1.str();
-  EXPECT_EQ(R1.fingerprint(), R2.fingerprint())
-      << "serial:\n" << R1.str() << "2 workers:\n" << R2.str();
-  EXPECT_EQ(R1.fingerprint(), R4.fingerprint())
-      << "serial:\n" << R1.str() << "4 workers:\n" << R4.str();
+  check::SweepOptions O;
+  O.Seed = 7;
+  O.ScenariosPerLib = 4;
+  O.MaxExecutionsPerScenario = 40000;
+  O.Reduction = ReductionMode::SourceSet;
+  O.Libs = {check::Lib::TreiberEbr};
+  for (const Explorer::Summary &S :
+       test::expectSweepScenariosAgreeAcrossWorkers(O))
+    EXPECT_EQ(S.Violations + S.Races + S.Deadlocks, 0u) << S.str();
 }
 
-TEST(ReductionDeterminism, ReducedSweepFingerprintAcrossWorkers) {
-  auto Run = [](unsigned Workers, ReductionMode Red) {
-    check::SweepOptions O;
-    O.Seed = 5;
-    O.ScenariosPerLib = 2;
-    O.Workers = Workers;
-    O.MaxExecutionsPerScenario = 60000;
-    O.Reduction = Red;
-    O.Libs = {check::Lib::MsQueue, check::Lib::TreiberStack,
-              check::Lib::SpscRing, check::Lib::WsDeque};
-    return check::runSweep(O);
-  };
-  check::SweepReport R1 = Run(1, ReductionMode::SourceSet);
-  check::SweepReport R2 = Run(2, ReductionMode::SourceSet);
-  check::SweepReport R4 = Run(4, ReductionMode::SourceSet);
-  EXPECT_TRUE(R1.clean()) << R1.str();
-  EXPECT_EQ(R1.fingerprint(), R2.fingerprint())
-      << "serial:\n" << R1.str() << "2 workers:\n" << R2.str();
-  EXPECT_EQ(R1.fingerprint(), R4.fingerprint())
-      << "serial:\n" << R1.str() << "4 workers:\n" << R4.str();
+TEST(ReductionDeterminism, ReducedSweepScenariosAcrossWorkers) {
+  check::SweepOptions O;
+  O.Seed = 5;
+  O.ScenariosPerLib = 2;
+  O.MaxExecutionsPerScenario = 60000;
+  O.Reduction = ReductionMode::SourceSet;
+  O.Libs = {check::Lib::MsQueue, check::Lib::TreiberStack,
+            check::Lib::SpscRing, check::Lib::WsDeque};
+  for (const Explorer::Summary &S :
+       test::expectSweepScenariosAgreeAcrossWorkers(O))
+    EXPECT_EQ(S.Violations + S.Races + S.Deadlocks, 0u) << S.str();
 
   // The reduced sweep does strictly less work than the unreduced one on
   // the same scenarios, and the modes' fingerprints intentionally differ
   // (they fold different execution counts).
-  check::SweepReport Un = Run(1, ReductionMode::None);
+  check::SweepReport Red = check::runSweep(O);
+  O.Reduction = ReductionMode::None;
+  check::SweepReport Un = check::runSweep(O);
+  EXPECT_TRUE(Red.clean()) << Red.str();
   EXPECT_TRUE(Un.clean()) << Un.str();
-  EXPECT_LT(R1.totalExecutions(), Un.totalExecutions())
-      << "unreduced:\n" << Un.str() << "source:\n" << R1.str();
-  EXPECT_NE(R1.fingerprint(), Un.fingerprint());
+  EXPECT_LT(Red.totalExecutions(), Un.totalExecutions())
+      << "unreduced:\n" << Un.str() << "source:\n" << Red.str();
+  EXPECT_NE(Red.fingerprint(), Un.fingerprint());
 }
 
 //===----------------------------------------------------------------------===//

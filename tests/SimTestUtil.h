@@ -3,12 +3,15 @@
 #ifndef COMPASS_TESTS_SIMTESTUTIL_H
 #define COMPASS_TESTS_SIMTESTUTIL_H
 
+#include "check/Conformance.h"
+#include "check/Harness.h"
 #include "lib/Container.h"
 #include "sim/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace compass::test {
@@ -63,6 +66,48 @@ inline void saveSinks(sim::Workload::Body &B,
     for (size_t I = 0; I != Sinks.size(); ++I)
       *Sinks[I] = V[I];
   };
+}
+
+/// Explores each scenario runSweep(\p O) draws (its seed, per-lib count,
+/// libraries, generator, cap and reduction; all libraries when O.Libs is
+/// empty) at 1, 2 and 4 workers, splitting each tree between the workers.
+/// An exhausted tree's summary core must be bit-identical at every worker
+/// count; a truncated one's execution count must be (the budget's
+/// tickets). Returns the 1-worker summaries in sweep order.
+inline std::vector<sim::Explorer::Summary>
+expectSweepScenariosAgreeAcrossWorkers(const check::SweepOptions &O) {
+  std::vector<check::Lib> Libs = O.Libs;
+  if (Libs.empty())
+    Libs.assign(check::allLibs(), check::allLibs() + check::NumLibs);
+  std::vector<sim::Explorer::Summary> Out;
+  for (check::Lib L : Libs)
+    for (unsigned I = 0; I != O.ScenariosPerLib; ++I) {
+      check::Scenario S =
+          check::generateScenario(L, check::scenarioSeed(O.Seed, L, I), O.Gen);
+      auto Explore = [&](unsigned Workers) {
+        return sim::explore(check::makeWorkload(
+            S, check::Mutation::None,
+            check::scenarioOptions(S, O.MaxExecutionsPerScenario, Workers,
+                                   O.Reduction)));
+      };
+      sim::Explorer::Summary S1 = Explore(1);
+      for (unsigned Workers : {2u, 4u}) {
+        sim::Explorer::Summary SN = Explore(Workers);
+        const std::string Where = std::string(check::libName(L)) + " #" +
+                                  std::to_string(I) + " " + S.str() +
+                                  " at " + std::to_string(Workers) +
+                                  " workers";
+        EXPECT_EQ(SN.Exhausted, S1.Exhausted) << Where;
+        EXPECT_EQ(SN.Executions, S1.Executions) << Where;
+        if (S1.Exhausted) {
+          EXPECT_TRUE(S1.coreEquals(SN))
+              << Where << "\nserial:   " << S1.str()
+              << "\nparallel: " << SN.str();
+        }
+      }
+      Out.push_back(std::move(S1));
+    }
+  return Out;
 }
 
 /// Enqueues each value of \p Vs in order.

@@ -7,7 +7,9 @@ silently mapped "abc" and "-1" to a number and the sweep ran with
 garbage); valid spellings are accepted. A sweep whose scenarios hit the
 execution cap says so in its verdict line, its --json report and its
 telemetry instead of reading as plain clean. Pins the verdict contract:
-two reference sweeps print fixed fingerprint lines. Also pins the
+two reference sweeps print fixed fingerprint lines, and a sweep's whole
+--json report does not depend on --workers. A resume refuses flags that
+contradict its checkpoint's configuration. Also pins the
 regression corpus: `mutants --seed 1 --emit-corpus` rewrites tests/corpus/
 byte for byte, `replay` reproduces every entry, one line each, and refuses
 an entry it cannot replay faithfully.
@@ -146,30 +148,47 @@ def main():
         check("telemetry report shows the truncated count",
               r.returncode == 0 and "truncated 2" in r.stdout, r)
 
-    # The report prints the last heartbeat's per-worker samples.
+    # The report prints the last heartbeat's per-worker in-flight scenarios
+    # and sweep totals, and reads the older per-worker sample shape with
+    # "?" for what it lacks.
     with tempfile.TemporaryDirectory() as td:
         telem = Path(td) / "two_heartbeats.jsonl"
 
-        def heartbeat(elapsed, per_worker):
-            return {"kind": "heartbeat", "elapsed": elapsed, "lib": "ms_queue",
-                    "scenario": 0, "execs_per_sec": 100.0, "queue": 1,
-                    "busy": 2, "workers": 2, "donations": 3,
-                    "per_worker": [dict(zip(("execs", "donated", "frontier",
-                                             "depth"), w))
-                                   for w in per_worker]}
+        def heartbeat(elapsed, per_worker, scenarios):
+            return {"kind": "heartbeat", "elapsed": elapsed, "workers": 2,
+                    "execs_per_sec": 100.0,
+                    "per_worker": [dict(zip(("lib", "scenario"), w))
+                                   if w else {"idle": True}
+                                   for w in per_worker],
+                    "sweep": {"scenarios": scenarios, "executions": 1234,
+                              "truncated": 1}}
+        old_shape = {"kind": "heartbeat", "elapsed": 0.5, "lib": "ms_queue",
+                     "scenario": 0, "execs_per_sec": 50.0, "queue": 1,
+                     "busy": 2, "workers": 2, "donations": 3,
+                     "per_worker": [{"execs": 10, "donated": 1,
+                                     "frontier": 5, "depth": 3}]}
         telem.write_text("\n".join(json.dumps(r) for r in [
             {"kind": "run_start", "seed": 1, "workers": 2},
-            heartbeat(1.0, [(10, 1, 5, 3), (20, 2, 6, 4)]),
-            heartbeat(2.0, [(1234, 7, 11, 9), (5678, 8, 12, 10)]),
+            old_shape,
+            heartbeat(1.0, [("ms_queue", 3), ("ms_queue", 4)], 3),
+            heartbeat(2.0, [("hw_queue", 7), None], 47),
         ]) + "\n")
         r = subprocess.run([sys.executable, str(TELEMETRY_REPORT), str(telem)],
                            capture_output=True, text=True, timeout=60)
         check("telemetry report prints the last heartbeat per worker",
               r.returncode == 0 and
-              "worker 0: execs 1,234  donated 7  frontier 11  depth 9"
-              in r.stdout and
-              "worker 1: execs 5,678  donated 8  frontier 12  depth 10"
-              in r.stdout and "execs 10 " not in r.stdout, r)
+              "worker 0: hw_queue scenario 7" in r.stdout and
+              "worker 1: idle" in r.stdout and
+              "scenario 3" not in r.stdout and
+              "scenarios=47 executions=1,234" in r.stdout and
+              "truncated=1" in r.stdout, r)
+        telem.write_text(json.dumps(old_shape) + "\n")
+        r = subprocess.run([sys.executable, str(TELEMETRY_REPORT), str(telem)],
+                           capture_output=True, text=True, timeout=60)
+        check("telemetry report reads an older heartbeat with ? for the "
+              "missing fields",
+              r.returncode == 0 and "worker 0: ? scenario ?" in r.stdout and
+              "scenarios=? executions=?" in r.stdout, r)
 
     # --- verdict contract ---------------------------------------------------
     # Fixed sweeps print fixed fingerprints. A change that alters what any
@@ -183,6 +202,28 @@ def main():
     check("unreduced sweep fingerprint (seed 7919, per-lib 5)",
           "fingerprint: 0xeba4cd97ac1768d9  "
           "(clean, incomplete (11 truncated))\n" in p.stdout, p)
+
+    # Each scenario is explored by one worker and folds in scenario order,
+    # so the whole report, truncated scenarios' counters included, is the
+    # same at any worker count.
+    reports = {}
+    for workers in ("1", "2", "4"):
+        p = run("sweep", "--seed", "1", "--per-lib", "3", "--max-execs",
+                "5000", "--lib", "ms_queue", "--lib", "treiber_ebr",
+                "--workers", workers, "--json")
+        try:
+            reports[workers] = json.loads(p.stdout)
+        except json.JSONDecodeError:
+            reports[workers] = {}
+        check(f"small truncating sweep at --workers {workers} runs",
+              p.returncode == 0 and
+              reports[workers].get("workers") == int(workers), p)
+        reports[workers].pop("workers", None)
+    check("small sweep truncates a scenario",
+          reports["1"].get("truncated", 0) > 0)
+    check("sweep --json is identical at --workers 1, 2 and 4 apart from "
+          "workers",
+          reports["1"] == reports["2"] == reports["4"])
 
     p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
             "--max-execs", "2000", "--lib", "treiber_ebr", timeout=300)
@@ -213,50 +254,48 @@ def main():
               "fingerprint" in p.stdout, p)
 
     # --- resume-mismatch contract -----------------------------------------
-    # A checkpoint's executed share is tied to the reduction mode that
-    # produced it. Produce a cadence checkpoint under explicit --reduction
-    # none, then resume with a contradicting mode: exit 2 with a diagnostic
-    # naming both modes. Resuming without the flag adopts the recorded mode
-    # and completes.
+    # A checkpoint's folded scenarios are tied to the configuration that
+    # produced them. Produce a cadence checkpoint (one is written at each
+    # scenario boundary) under explicit flags, then resume with a
+    # contradicting one: exit 2 with a diagnostic naming the flag. Resuming
+    # without the flags, or with agreeing ones, adopts the recorded
+    # configuration and completes.
     with tempfile.TemporaryDirectory() as td:
         ckpt = os.path.join(td, "sweep.ckpt")
-        p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
+        p = run("sweep", "--seed", "3", "--per-lib", "2", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
                 "--reduction", "none",
                 "--checkpoint", ckpt, "--checkpoint-every", "50")
         check("checkpointed sweep runs", p.returncode == 0, p)
         check("cadence checkpoint written", os.path.exists(ckpt), p)
         if os.path.exists(ckpt):
-            p = run("sweep", "--resume", ckpt, "--reduction", "source")
-            check("resume reduction mismatch exits 2",
-                  p.returncode == 2 and "contradicts" in p.stderr, p)
-            # A checkpoint from the previous grammar (sweep-checkpoint v2,
-            # whose config line also named an engine path) is refused, and
+            for flag, value in (("--reduction", "source"), ("--seed", "5"),
+                                ("--per-lib", "3"), ("--max-execs", "10"),
+                                ("--lib", "hw_queue")):
+                p = run("sweep", "--resume", ckpt, flag, value)
+                check(f"resume {flag} mismatch exits 2 naming the flag",
+                      p.returncode == 2 and
+                      f"{flag} {value} contradicts" in p.stderr, p)
+            # A checkpoint from the previous grammar (sweep-checkpoint v3,
+            # which could embed a half-explored scenario) is refused, and
             # the diagnostic names the wanted version.
             text = Path(ckpt).read_text()
+            check("cadence checkpoint is version 4",
+                  text.startswith("compass sweep-checkpoint v4\n"))
             old = os.path.join(td, "old.ckpt")
-            Path(old).write_text("compass sweep-checkpoint v2" +
+            Path(old).write_text("compass sweep-checkpoint v3" +
                                  text[text.index("\n"):])
             p = run("sweep", "--resume", old)
             check("resume of an old-version checkpoint exits 2",
                   p.returncode == 2 and
-                  "want 'compass sweep-checkpoint v3'" in p.stderr, p)
-            # Decision records name one of the program's four choice
-            # kinds; any other word is a parse error, not a silently
-            # different tree. Rename one sched kind of the in-flight
-            # scenario's frontier.
-            renamed = text.replace(" sched\n", " schedule\n", 1)
-            check("cadence checkpoint holds a sched decision",
-                  renamed != text and "\nd " in text)
-            bad = os.path.join(td, "badkind.ckpt")
-            Path(bad).write_text(renamed)
-            p = run("sweep", "--resume", bad)
-            check("resume of a checkpoint with an unknown decision kind "
-                  "exits 2",
-                  p.returncode == 2 and
-                  "unknown choice kind in 'd' record" in p.stderr, p)
+                  "want 'compass sweep-checkpoint v4'" in p.stderr, p)
+            p = run("sweep", "--resume", ckpt, "--seed", "3", "--per-lib",
+                    "2", "--max-execs", "2000", "--lib", "ms_queue",
+                    "--reduction", "none")
+            check("resume with agreeing flags completes", p.returncode == 0,
+                  p)
             p = run("sweep", "--resume", ckpt)
-            check("resume without mode flags completes", p.returncode == 0, p)
+            check("resume without flags completes", p.returncode == 0, p)
 
     # --- regression corpus ------------------------------------------------
     # The committed corpus is exactly what the seed-1 campaign emits: a
