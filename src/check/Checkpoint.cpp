@@ -9,12 +9,20 @@
 //   gen <MinThreads> <MaxThreads> <MinOps> <MaxOps> <MinPre> <MaxPre>
 //   libs <N>
 //   lib <name>                                          (N lines)
-//   progress <Fp> <LibIndex> <ScenarioIndex> <NDone>
+//   progress <Fp> <LibIndex> <ScenarioIndex> <NDone> <NAhead>
 //   stat <lib> <Scenarios> <Executions> <Completed> <Races> <Deadlocks>
 //        <Violations> <SleepPruned> <RfPruned> <SourcePruned>
 //        <MaxDepth> <LinAborts> <Truncated>
 //        <FirstBadScenario> <FirstBad>        (NDone lines, then CurLib)
+//   ahead <Index> <Executions> <Completed> <Races> <Deadlocks>
+//         <Violations> <SleepPruned> <RfPruned> <SourcePruned>
+//         <MaxDepth> <LinAborts> <Truncated>
+//         <NDecisions> <Decision>...          (NAhead lines, by Index)
 //   end sweep-checkpoint
+//
+// An ahead record is a scenario past the position that finished before
+// the run stopped; its library is Libs[Index / ScenariosPerLib]. A record
+// with fields left over is rejected.
 //
 // The config line records the reduction mode the folded scenarios ran
 // under; resuming under a different one would splice incompatible
@@ -135,6 +143,12 @@ struct Fields {
     // Round-trip check: reject values that do not fit the target type.
     return static_cast<uint64_t>(Out) == V;
   }
+
+  /// True when no field is left.
+  bool end() {
+    std::string Extra;
+    return !(In >> Extra);
+  }
 };
 
 /// Reads the record keyword from \p F; fails \p C unless it is \p Kw.
@@ -169,8 +183,53 @@ bool parseStat(LineCursor &C, LibSweepStats &St) {
       !F.num(St.SourcePruned) || !F.num(St.MaxDepth) ||
       !F.num(St.LinAborts) || !F.num(St.Truncated) ||
       !F.num(St.FirstBadScenario) || !F.word(Enc) ||
-      !decodeToken(Enc, St.FirstBad))
+      !decodeToken(Enc, St.FirstBad) || !F.end())
     return C.fail("malformed stat record");
+  return true;
+}
+
+void writeAhead(std::ostringstream &OS, const FinishedScenario &F) {
+  const LibSweepStats &St = F.Stats;
+  OS << "ahead " << F.Index << ' ' << St.Executions << ' ' << St.Completed
+     << ' ' << St.Races << ' ' << St.Deadlocks << ' ' << St.Violations << ' '
+     << St.SleepPruned << ' ' << St.RfPruned << ' ' << St.SourcePruned << ' '
+     << St.MaxDepth << ' ' << St.LinAborts << ' ' << St.Truncated << ' '
+     << F.FirstViolation.size();
+  for (unsigned D : F.FirstViolation)
+    OS << ' ' << D;
+  OS << '\n';
+}
+
+/// Parses one ahead record of \p K whose index must be at least \p Min
+/// (past the position and the record before) and inside the sweep.
+bool parseAhead(LineCursor &C, const SweepCheckpoint &K, size_t Min,
+                FinishedScenario &F) {
+  if (!C.next())
+    return false;
+  Fields Fs(C.Line);
+  if (!expectKeyword(C, "ahead", Fs))
+    return false;
+  LibSweepStats &St = F.Stats;
+  uint64_t NDec = 0;
+  if (!Fs.num(F.Index) || !Fs.num(St.Executions) || !Fs.num(St.Completed) ||
+      !Fs.num(St.Races) || !Fs.num(St.Deadlocks) || !Fs.num(St.Violations) ||
+      !Fs.num(St.SleepPruned) || !Fs.num(St.RfPruned) ||
+      !Fs.num(St.SourcePruned) || !Fs.num(St.MaxDepth) ||
+      !Fs.num(St.LinAborts) || !Fs.num(St.Truncated) || St.Truncated > 1 ||
+      !Fs.num(NDec) || NDec > C.Line.size()) // a decision per 2+ chars
+    return C.fail("malformed ahead record");
+  F.FirstViolation.resize(NDec);
+  for (unsigned &D : F.FirstViolation)
+    if (!Fs.num(D))
+      return C.fail("malformed ahead record");
+  if (!Fs.end())
+    return C.fail("malformed ahead record");
+  if (F.Index < Min)
+    return C.fail("ahead record not past the position and the one before");
+  if (F.Index >= K.Libs.size() * K.ScenariosPerLib)
+    return C.fail("ahead record beyond the sweep");
+  St.L = K.Libs[F.Index / K.ScenariosPerLib];
+  St.Scenarios = 1;
   return true;
 }
 
@@ -189,10 +248,12 @@ std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
   for (Lib L : C.Libs)
     OS << "lib " << libName(L) << '\n';
   OS << "progress " << C.Fp << ' ' << C.LibIndex << ' ' << C.ScenarioIndex
-     << ' ' << C.DoneLibs.size() << '\n';
+     << ' ' << C.DoneLibs.size() << ' ' << C.Ahead.size() << '\n';
   for (const LibSweepStats &St : C.DoneLibs)
     writeStat(OS, St);
   writeStat(OS, C.CurLib);
+  for (const FinishedScenario &F : C.Ahead)
+    writeAhead(OS, F);
   OS << "end sweep-checkpoint\n";
   return OS.str();
 }
@@ -220,7 +281,7 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     std::string Red;
     if (!expectKeyword(C, "config", F) || !F.num(Out.Seed) ||
         !F.num(Out.ScenariosPerLib) || !F.num(Out.MaxExecutionsPerScenario) ||
-        !F.word(Red))
+        !F.word(Red) || !F.end())
       return Done(C.fail("malformed config record"));
     if (!sim::parseReductionMode(Red, Out.Reduction))
       return Done(C.fail("unknown reduction '" + Red + "'"));
@@ -233,7 +294,7 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     if (!expectKeyword(C, "gen", F) || !F.num(Out.Gen.MinThreads) ||
         !F.num(Out.Gen.MaxThreads) || !F.num(Out.Gen.MinOpsPerThread) ||
         !F.num(Out.Gen.MaxOpsPerThread) || !F.num(Out.Gen.MinPreemptions) ||
-        !F.num(Out.Gen.MaxPreemptions))
+        !F.num(Out.Gen.MaxPreemptions) || !F.end())
       return Done(C.fail("malformed gen record"));
   }
 
@@ -242,7 +303,8 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     return Done(false);
   {
     Fields F(C.Line);
-    if (!expectKeyword(C, "libs", F) || !F.num(NLibs) || NLibs == 0)
+    if (!expectKeyword(C, "libs", F) || !F.num(NLibs) || NLibs == 0 ||
+        !F.end())
       return Done(C.fail("malformed libs record"));
   }
   for (uint64_t I = 0; I != NLibs; ++I) {
@@ -251,18 +313,20 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     Fields F(C.Line);
     std::string Name;
     Lib L;
-    if (!expectKeyword(C, "lib", F) || !F.word(Name) || !parseLib(Name, L))
+    if (!expectKeyword(C, "lib", F) || !F.word(Name) || !parseLib(Name, L) ||
+        !F.end())
       return Done(C.fail("malformed lib record"));
     Out.Libs.push_back(L);
   }
 
-  uint64_t NDone = 0;
+  uint64_t NDone = 0, NAhead = 0;
   if (!C.next())
     return Done(false);
   {
     Fields F(C.Line);
     if (!expectKeyword(C, "progress", F) || !F.num(Out.Fp) ||
-        !F.num(Out.LibIndex) || !F.num(Out.ScenarioIndex) || !F.num(NDone))
+        !F.num(Out.LibIndex) || !F.num(Out.ScenarioIndex) || !F.num(NDone) ||
+        !F.num(NAhead) || !F.end())
       return Done(C.fail("malformed progress record"));
   }
   if (Out.LibIndex >= Out.Libs.size())
@@ -282,6 +346,14 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
     return Done(false);
   if (Out.CurLib.L != Out.Libs[Out.LibIndex])
     return Done(C.fail("current-library stat does not match position"));
+  size_t Min = Out.LibIndex * Out.ScenariosPerLib + Out.ScenarioIndex + 1;
+  for (uint64_t I = 0; I != NAhead; ++I) {
+    FinishedScenario F;
+    if (!parseAhead(C, Out, Min, F))
+      return Done(false);
+    Min = F.Index + 1;
+    Out.Ahead.push_back(std::move(F));
+  }
 
   if (!C.next())
     return Done(false);

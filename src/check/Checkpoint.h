@@ -7,21 +7,23 @@
 /// \file
 /// Crash-resilient checkpoint/resume for the conformance sweep (DESIGN.md
 /// Section 9). The sweep folds finished scenarios in scenario order, and a
-/// SweepCheckpoint records that folded prefix:
+/// SweepCheckpoint records what has finished:
 ///
 ///  * the full sweep configuration (seed, bounds, libraries, reduction) so
 ///    a resumed run regenerates the identical scenario stream — only the
 ///    worker count may change between segments;
-///  * the deterministic progress so far: the FNV fingerprint accumulator,
-///    per-library aggregates, and the position (library, scenario) of the
-///    first scenario not yet folded.
+///  * the folded prefix: the FNV fingerprint accumulator, per-library
+///    aggregates, and the position (library, scenario) of the first
+///    scenario not yet folded;
+///  * the scenarios past the position that finished while an earlier one
+///    was still running, one FinishedScenario each.
 ///
-/// A scenario is explored by one worker from its root and folds whole, so
-/// a checkpoint never holds a half-explored tree: a resume re-runs from
-/// the root every scenario at or after the position, including those that
-/// were in flight or had finished out of order when the run stopped.
-/// Finishing a checkpoint — at any worker count, interrupted any number of
-/// times — therefore produces the report of an uninterrupted run.
+/// A scenario is explored by one worker from its root and is kept only
+/// once it finishes, so a checkpoint never holds a half-explored tree: a
+/// resume folds the finished scenarios and re-runs from the root the ones
+/// that were in flight when the run stopped. Finishing a checkpoint — at
+/// any worker count, interrupted any number of times — therefore produces
+/// the report of an uninterrupted run.
 ///
 /// runSweepResumable drives the machinery: cooperative interruption from a
 /// signal flag, a wall-clock time budget, and periodic checkpoint cadences
@@ -46,6 +48,17 @@ namespace compass::check {
 
 class Telemetry;
 
+/// A scenario explored to the end: what the sweep's fold reads of its
+/// exploration.
+struct FinishedScenario {
+  size_t Index = 0; ///< Position in sweep order (library-major).
+  /// This scenario alone: Scenarios is 1 and Truncated is 1 unless its
+  /// tree was exhausted; the first-violation fields are unused.
+  LibSweepStats Stats;
+  /// Decisions of its first violating execution (when Stats.Violations).
+  std::vector<unsigned> FirstViolation;
+};
+
 /// The resumable state of one interrupted conformance sweep; see file
 /// comment. Produced by runSweepResumable, persisted with
 /// serializeSweepCheckpoint.
@@ -66,12 +79,18 @@ struct SweepCheckpoint {
   unsigned ScenarioIndex = 0; ///< Position: current scenario in LibIndex.
   std::vector<LibSweepStats> DoneLibs; ///< Completed libraries, in order.
   LibSweepStats CurLib; ///< Folded scenarios of Libs[LibIndex].
+  /// Scenarios past the position that finished ahead of the fold, in
+  /// sweep order; a resume folds them instead of re-running them.
+  std::vector<FinishedScenario> Ahead;
 
-  /// Executions of the folded scenarios.
+  /// Executions of the finished scenarios, folded and ahead: the work a
+  /// resume does not repeat.
   uint64_t executions() const {
     uint64_t N = CurLib.Executions;
     for (const LibSweepStats &St : DoneLibs)
       N += St.Executions;
+    for (const FinishedScenario &F : Ahead)
+      N += F.Stats.Executions;
     return N;
   }
 };
@@ -91,20 +110,22 @@ struct SweepControl {
   /// Cooperative interrupt, typically set from a SIGINT/SIGTERM handler.
   /// Once true, no scenario starts, the in-flight ones stop after their
   /// current execution, and runSweepResumable returns with Interrupted set
-  /// and the folded prefix as its checkpoint.
+  /// and the finished scenarios as its checkpoint.
   const std::atomic<bool> *StopRequested = nullptr;
 
-  /// >0: graceful cutoff — checkpoint and return once this much wall time
-  /// (seconds) has elapsed.
+  /// >0: graceful cutoff — once this much wall time (seconds) has elapsed,
+  /// start no scenario and end the in-flight ones, then checkpoint and
+  /// return. The first scenario a run claims (the head of the fold) is
+  /// exempt and runs to its end, so every run folds at least one scenario
+  /// and a chain of budgeted resumes always finishes.
   double TimeBudgetSec = 0;
 
-  /// >0: invoke OnCheckpoint at the first scenario boundary of the fold
-  /// after every N further folded executions; the sweep then continues
-  /// in-process.
+  /// >0: invoke OnCheckpoint when a scenario finishes after every N
+  /// further finished executions; the sweep then continues in-process.
   uint64_t CheckpointEveryExecs = 0;
 
-  /// >0: invoke OnCheckpoint at the first scenario boundary of the fold
-  /// after every interval (seconds).
+  /// >0: invoke OnCheckpoint when a scenario finishes after every interval
+  /// (seconds).
   double CheckpointEverySec = 0;
 
   /// Cadence sink (required for the cadences to be useful; the *final*
@@ -114,8 +135,8 @@ struct SweepControl {
 
   /// Optional JSONL telemetry sink (heartbeats + violation records).
   Telemetry *Telem = nullptr;
-  /// A heartbeat is written when a folded scenario finds this many seconds
-  /// passed since the last one (0: after every folded scenario).
+  /// A heartbeat is written when a finished scenario finds this many
+  /// seconds passed since the last one (0: after every finished scenario).
   double HeartbeatIntervalSec = 1.0;
 };
 

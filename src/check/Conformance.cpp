@@ -30,10 +30,12 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
   SweepReport &Rep = Res.Rep;
   // The fold: Rep.PerLib holds the finished libraries and Cur the folded
   // scenarios of library CurLi. Folded numbers the scenarios folded so
-  // far, in sweep order (library-major).
+  // far, in sweep order (library-major); Ahead holds the scenarios that
+  // finished while an earlier one was still running.
   LibSweepStats Cur;
   size_t CurLi = 0;
   size_t Folded = 0;
+  std::map<size_t, FinishedScenario> Ahead;
 
   if (Resume) {
     // The checkpoint's configuration wins (it determines the scenario
@@ -49,6 +51,8 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     Cur = Resume->CurLib;
     CurLi = Resume->LibIndex;
     Folded = CurLi * O.ScenariosPerLib + Resume->ScenarioIndex;
+    for (const FinishedScenario &F : Resume->Ahead)
+      Ahead.emplace(F.Index, F);
   } else {
     Libs = O.Libs;
     if (Libs.empty())
@@ -77,14 +81,16 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
   };
 
   // Running total of the folded scenarios across libraries, for heartbeat
-  // records and the execution-count cadence.
+  // records; Held counts the executions of every finished scenario,
+  // folded or ahead, for the execution-count cadence and the rate.
   LibSweepStats Total;
   for (const LibSweepStats &St : Rep.PerLib)
     Total.add(St);
   Total.add(Cur);
-  const uint64_t BaseExecs = Total.Executions;
+  uint64_t Held = Resume ? Resume->executions() : 0;
+  const uint64_t BaseHeld = Held;
   uint64_t NextCkptExecs =
-      C.CheckpointEveryExecs > 0 ? BaseExecs + C.CheckpointEveryExecs : 0;
+      C.CheckpointEveryExecs > 0 ? Held + C.CheckpointEveryExecs : 0;
   double NextCkptTime = C.CheckpointEverySec;
   double LastHeartbeat = 0;
 
@@ -105,8 +111,8 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
         Cur.L = Libs[CurLi + 1];
     }
   };
-  // The checkpoint of the folded prefix: resuming it re-runs every
-  // scenario from Folded on.
+  // The checkpoint of the finished scenarios: resuming it re-runs every
+  // other scenario from Folded on.
   auto BuildCkpt = [&] {
     AdvanceTo(Folded / PerLib);
     SweepCheckpoint K;
@@ -121,78 +127,71 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
     K.ScenarioIndex = static_cast<unsigned>(Folded - CurLi * PerLib);
     K.DoneLibs = Rep.PerLib;
     K.CurLib = Cur;
+    for (const auto &[Index, F] : Ahead)
+      K.Ahead.push_back(F);
     return K;
   };
 
-  // A scenario explored to the end, waiting for its turn in the fold.
-  struct Finished {
-    Scenario S;
-    sim::Explorer::Summary Sum;
-    uint64_t LinAborts = 0;
+  // Folds scenario number Folded.
+  auto Fold = [&](const FinishedScenario &F) {
+    const size_t Li = Folded / PerLib;
+    const unsigned I = static_cast<unsigned>(Folded % PerLib);
+    const Lib L = Libs[Li];
+    const LibSweepStats &One = F.Stats;
+    AdvanceTo(Li);
+    Cur.add(One);
+    Total.add(One);
+    // Only exhausted scenarios mix their counters (see
+    // SweepReport::fingerprint).
+    const bool Exhausted = !One.Truncated;
+    Mix(static_cast<uint64_t>(L));
+    Mix(I);
+    Mix(Exhausted);
+    if (Exhausted) {
+      Mix(One.Executions);
+      Mix(One.Completed);
+      Mix(One.Races);
+      Mix(One.Deadlocks);
+      Mix(One.Violations);
+      Mix(One.SleepPruned);
+      Mix(One.RfPruned);
+      Mix(One.SourcePruned);
+      Mix(0); // Once the always-zero duplicate-rf cache count; kept so
+              // fingerprints stay comparable across versions.
+      Mix(One.MaxDepth);
+    }
+    if (One.Violations && Cur.FirstBadScenario == ~0u) {
+      Cur.FirstBadScenario = I;
+      // Replay the first violation serially for a structured verdict.
+      Scenario S = generateScenario(L, scenarioSeed(O.Seed, L, I), O.Gen);
+      TraceDiagnosis D = diagnoseTrace(
+          S, Mutation::None, scenarioOptions(S, 1, 1), F.FirstViolation);
+      Cur.FirstBad = S.str() + " | " + D.V.str() + " | " +
+                     sim::formatReplayCall(D.Executed);
+      if (C.Telem)
+        C.Telem->violation(libName(L), I, S.str(), D.V.str(), D.Executed);
+    }
+    ++Folded;
   };
+  // Folds the finished scenarios at the head of the fold.
+  auto FoldReady = [&] {
+    for (auto It = Ahead.begin(); It != Ahead.end() && It->first == Folded;
+         It = Ahead.erase(It))
+      Fold(It->second);
+  };
+  FoldReady();
 
   const unsigned N = static_cast<unsigned>(std::max<size_t>(
       1, std::min<size_t>(O.Workers, NumScenarios - Folded)));
   std::vector<Telemetry::InFlight> InFlight(N); ///< Per worker.
 
-  // Folds scenario number Folded, then hands out a cadence checkpoint or
-  // a heartbeat when one is due.
-  auto Fold = [&](const Finished &F) {
-    const size_t Li = Folded / PerLib;
-    const unsigned I = static_cast<unsigned>(Folded % PerLib);
-    const Lib L = Libs[Li];
-    const sim::Explorer::Summary &Sum = F.Sum;
-    AdvanceTo(Li);
-    LibSweepStats One;
-    One.Scenarios = 1;
-    One.Executions = Sum.Executions;
-    One.Completed = Sum.Completed;
-    One.Races = Sum.Races;
-    One.Deadlocks = Sum.Deadlocks;
-    One.Violations = Sum.Violations;
-    One.SleepPruned = Sum.SleepPruned;
-    One.RfPruned = Sum.RfPruned;
-    One.SourcePruned = Sum.SourcePruned;
-    One.MaxDepth = Sum.MaxDepth;
-    One.LinAborts = F.LinAborts;
-    One.Truncated = !Sum.Exhausted;
-    Cur.add(One);
-    Total.add(One);
-    // Only exhausted scenarios mix their counters (see
-    // SweepReport::fingerprint).
-    Mix(static_cast<uint64_t>(L));
-    Mix(I);
-    Mix(Sum.Exhausted);
-    if (Sum.Exhausted) {
-      Mix(Sum.Executions);
-      Mix(Sum.Completed);
-      Mix(Sum.Races);
-      Mix(Sum.Deadlocks);
-      Mix(Sum.Violations);
-      Mix(Sum.SleepPruned);
-      Mix(Sum.RfPruned);
-      Mix(Sum.SourcePruned);
-      Mix(0); // Once the always-zero duplicate-rf cache count; kept so
-              // fingerprints stay comparable across versions.
-      Mix(Sum.MaxDepth);
-    }
-    if (Sum.HasViolation && Cur.FirstBadScenario == ~0u) {
-      Cur.FirstBadScenario = I;
-      // Replay the first violation serially for a structured verdict.
-      TraceDiagnosis D =
-          diagnoseTrace(F.S, Mutation::None, scenarioOptions(F.S, 1, 1),
-                        Sum.firstViolationDecisions());
-      Cur.FirstBad = F.S.str() + " | " + D.V.str() + " | " +
-                     sim::formatReplayCall(D.Executed);
-      if (C.Telem)
-        C.Telem->violation(libName(L), I, F.S.str(), D.V.str(), D.Executed);
-    }
-    ++Folded;
-
+  // After a scenario finishes: hands out a cadence checkpoint or a
+  // heartbeat when one is due.
+  auto AfterFinish = [&] {
     const double Now = Elapsed();
     bool CkptDue = false;
-    if (NextCkptExecs > 0 && Total.Executions >= NextCkptExecs) {
-      NextCkptExecs = Total.Executions + C.CheckpointEveryExecs;
+    if (NextCkptExecs > 0 && Held >= NextCkptExecs) {
+      NextCkptExecs = Held + C.CheckpointEveryExecs;
       CkptDue = true;
     }
     if (C.CheckpointEverySec > 0 && Now >= NextCkptTime) {
@@ -203,22 +202,31 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
       C.OnCheckpoint(BuildCkpt());
     if (C.Telem && Now - LastHeartbeat >= C.HeartbeatIntervalSec) {
       LastHeartbeat = Now;
-      C.Telem->heartbeat(Now > 0 ? (Total.Executions - BaseExecs) / Now : 0.0,
-                         InFlight, Total);
+      C.Telem->heartbeat(Now > 0 ? (Held - BaseHeld) / Now : 0.0, InFlight,
+                         Total);
     }
   };
 
-  // Workers claim scenarios in sweep order and explore each at one
-  // worker; a finished scenario folds once every earlier one has. Claims,
-  // the fold and everything it writes are under Mu.
+  // Workers claim scenarios in sweep order, skipping those finished ahead,
+  // and explore each at one worker; a finished scenario folds once every
+  // earlier one has. Claims, the fold and everything it writes are under
+  // Mu. The first scenario this run claims is the head of the fold; it
+  // runs whatever the time budget says, so every run folds at least one.
   std::mutex Mu;
   size_t NextClaim = Folded;
+  const size_t FirstClaim = Folded;
   bool Stopping = false;
-  std::map<size_t, Finished> Pending; // finished ahead of the fold
   sim::runOnHelpers(N, [&](unsigned Wid) {
     std::unique_lock<std::mutex> Lock(Mu);
-    while (NextClaim != NumScenarios && !Stopping) {
-      if (StopAsked() || BudgetSpent()) {
+    for (;;) {
+      // Folded can pass NextClaim when a resume's records fold.
+      NextClaim = std::max(NextClaim, Folded);
+      while (NextClaim != NumScenarios && Ahead.count(NextClaim))
+        ++NextClaim;
+      if (NextClaim == NumScenarios || Stopping)
+        break;
+      const bool Budgeted = C.TimeBudgetSec > 0 && NextClaim != FirstClaim;
+      if (StopAsked() || (Budgeted && BudgetSpent())) {
         Stopping = true;
         break;
       }
@@ -236,7 +244,7 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
           LinAborts);
       sim::ExploreControl Ec;
       Ec.StopRequested = C.StopRequested;
-      if (C.TimeBudgetSec > 0)
+      if (Budgeted)
         Ec.DeadlineSec = std::max(C.TimeBudgetSec - Elapsed(), 1e-3);
       sim::ExploreResult ER = sim::exploreResumable(W, Ec);
 
@@ -247,12 +255,29 @@ SweepResult check::runSweepResumable(const SweepOptions &OIn,
         Stopping = true;
         break;
       }
-      Pending.emplace(K, Finished{std::move(S), std::move(ER.Sum),
-                                  LinAborts->load()});
-      for (auto It = Pending.begin();
-           It != Pending.end() && It->first == Folded;
-           It = Pending.erase(It))
-        Fold(It->second);
+      const sim::Explorer::Summary &Sum = ER.Sum;
+      FinishedScenario F;
+      F.Index = K;
+      LibSweepStats &One = F.Stats;
+      One.L = L;
+      One.Scenarios = 1;
+      One.Executions = Sum.Executions;
+      One.Completed = Sum.Completed;
+      One.Races = Sum.Races;
+      One.Deadlocks = Sum.Deadlocks;
+      One.Violations = Sum.Violations;
+      One.SleepPruned = Sum.SleepPruned;
+      One.RfPruned = Sum.RfPruned;
+      One.SourcePruned = Sum.SourcePruned;
+      One.MaxDepth = Sum.MaxDepth;
+      One.LinAborts = LinAborts->load();
+      One.Truncated = !Sum.Exhausted;
+      if (Sum.HasViolation)
+        F.FirstViolation = Sum.firstViolationDecisions();
+      Held += One.Executions;
+      Ahead.emplace(K, std::move(F));
+      FoldReady();
+      AfterFinish();
     }
   });
 

@@ -15,9 +15,9 @@
 ///
 ///  * run_start   — sweep configuration (seed, workers, per_lib, libs,
 ///                  reduction, resumed flag + resumed base executions).
-///  * heartbeat   — periodic progress, written from the sweep's fold of
-///                  finished scenarios: the worker count, the folded
-///                  executions per second of this run, each worker's
+///  * heartbeat   — periodic progress, written when a sweep scenario
+///                  finishes: the worker count, the executions per second
+///                  of the scenarios this run finished, each worker's
 ///                  in-flight scenario ({lib, scenario}, or {idle: true}),
 ///                  and the cumulative counters of the folded scenarios
 ///                  (scenarios, executions, completed, races, deadlocks,

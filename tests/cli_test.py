@@ -297,6 +297,34 @@ def main():
             p = run("sweep", "--resume", ckpt)
             check("resume without flags completes", p.returncode == 0, p)
 
+    # --- chained time-budget resumes finish -------------------------------
+    # Each run finishes the scenario at the head of the fold whatever its
+    # budget says, so resuming under the same budget ends within one run
+    # per scenario, with the uninterrupted report. Here the last scenario
+    # (20,000 executions, tens of ms) outlasts the 1-ms budget: the first
+    # run stops in it, and the next runs it at the head.
+    with tempfile.TemporaryDirectory() as td:
+        ckpt = os.path.join(td, "budget.ckpt")
+        sweep = ("--seed", "1", "--per-lib", "5", "--max-execs", "20000",
+                 "--lib", "ms_queue")
+        ref = run("sweep", *sweep, "--workers", "2", "--json")
+        budget = ("--time-budget", "0.001", "--checkpoint", ckpt, "--json")
+        p = run("sweep", *sweep, "--workers", "2", *budget)
+        runs = 1
+        while p.returncode == 3 and runs < 5:
+            p = run("sweep", "--resume", ckpt, "--workers", str(1 + runs % 4),
+                    *budget)
+            runs += 1
+        check("budgeted resumes finish within one run per scenario",
+              p.returncode == 0, p)
+        if ref.returncode == 0 and p.returncode == 0:
+            got, want = json.loads(p.stdout), json.loads(ref.stdout)
+            got.pop("workers")
+            want.pop("workers")
+            check("budgeted resumes end with the uninterrupted report",
+                  got == want)
+        check("a 1-ms budget interrupts the first run", runs > 1)
+
     # --- regression corpus ------------------------------------------------
     # The committed corpus is exactly what the seed-1 campaign emits: a
     # change to a library, the generator or the shrinker that moves a kill
